@@ -15,7 +15,7 @@ from . import io as hio
 from .catalog import FAMILY_NAMES, build_family
 from .certify import certify_family
 from .hopf import dual as hopf_dual
-from .hopf import verify_algebra, verify_antipode, verify_bialgebra, verify_coalgebra
+from .hopf import verify_algebra, verify_antipode, verify_bialgebra, verify_coalgebra, verify_hopf
 from .invariants import invariant_report, jacobson_radical
 from .repsolver import wedderburn_certificate
 from .ydnichols import (
@@ -78,6 +78,14 @@ def _load_hopf(path):
         return None
 
 
+def _fails_verify_hopf(h) -> bool:
+    """Print the verify_hopf failures to stderr; no invariants of a non-Hopf structure."""
+    rep = verify_hopf(h)
+    for f in rep.failures:
+        print(f"verify_hopf: {f}", file=sys.stderr)
+    return not rep.ok
+
+
 def cmd_verify(args) -> int:
     h = _load_hopf(args.path)
     if h is None:
@@ -104,6 +112,8 @@ def cmd_invariants(args) -> int:
         except (OSError, json.JSONDecodeError, KeyError) as e:
             print(f"parse error in sidecar: {e}", file=sys.stderr)
             return 2
+    if _fails_verify_hopf(h):
+        return 1
     rep = invariant_report(h, cd)
     payload = hio.report_to_json(rep)
     out = json.dumps(payload, sort_keys=True, indent=1)
@@ -153,6 +163,8 @@ def cmd_simples(args) -> int:
     except (OSError, json.JSONDecodeError, KeyError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
+    if _fails_verify_hopf(h):
+        return 1
     rad = jacobson_radical(h).dim
     cert = wedderburn_certificate(h, cd.simples, rad)
     payload = {

@@ -10,6 +10,7 @@ generator-and-relations construction in the catalog.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 from math import gcd
 
 from .cyclotomic import CycNumber, embed
@@ -31,7 +32,16 @@ class VerifyReport:
 
 
 class HopfAlgebraData:
-    __slots__ = ("dim", "conductor", "labels", "mult", "unit", "comult", "counit", "antipode")
+    """Structure tensors on a fixed basis, plus the derived objects computed from them.
+
+    Functions decorated with ``memoised`` (the dual, the Jacobson radical, the
+    coradical) keep their result in ``_derived``, so the structure tensors
+    must not change after the first analysis call.  Constructors may still
+    fill them in before that, as ``bosonize`` does with the antipode.
+    """
+
+    __slots__ = ("dim", "conductor", "labels", "mult", "unit", "comult", "counit", "antipode",
+                 "_derived")
 
     def __init__(self, dim, conductor, labels, mult, unit, comult, counit, antipode):
         self.dim = dim
@@ -44,6 +54,7 @@ class HopfAlgebraData:
         self.comult = [sorted(tr, key=lambda t: (t[0], t[1])) for tr in comult]
         self.counit = list(counit)
         self.antipode = antipode  # Matrix, column j = S(e_j)
+        self._derived = {}  # function name -> result, filled by memoised
 
     # -- small helpers ---------------------------------------------------
 
@@ -146,14 +157,6 @@ class HopfAlgebraData:
                 m.entries[i][j] = c
         return m
 
-    def right_mult_matrix(self, u: dict) -> Matrix:
-        m = Matrix(self.dim, self.dim, self.conductor)
-        for j in range(self.dim):
-            col = self.mult_dict(self.basis_dict(j), u)
-            for i, c in col.items():
-                m.entries[i][j] = c
-        return m
-
     # -- structural equality ----------------------------------------------
 
     def same_tensors(self, other: "HopfAlgebraData") -> bool:
@@ -169,9 +172,6 @@ class HopfAlgebraData:
                 if self.mult[i][j] != other.mult[i][j]:
                     return False
         return self.antipode == other.antipode
-
-    def label_of(self, i: int) -> str:
-        return self.labels[i]
 
     def __repr__(self):
         return f"HopfAlgebraData(dim {self.dim}, conductor {self.conductor})"
@@ -271,13 +271,8 @@ class Element:
 
     def order(self, bound: int = 10_000):
         """Multiplicative order, or None past the bound."""
-        acc = self
         unit = self.parent.unit
-        for n in range(1, bound + 1):
-            if acc.coeffs == unit:
-                return n
-            acc = acc * self
-        return None
+        return least_power(self, lambda x: x.coeffs == unit, bound)
 
     def __eq__(self, other):
         if not isinstance(other, Element):
@@ -290,6 +285,30 @@ class Element:
             if not c.is_zero():
                 terms.append(f"({c})*{self.parent.labels[i]}")
         return " + ".join(terms) if terms else "0"
+
+
+def least_power(x, is_one, bound: int = 10_000):
+    """Least n >= 1 with is_one(x^n), or None past the bound."""
+    acc = x
+    for n in range(1, bound + 1):
+        if is_one(acc):
+            return n
+        acc = acc * x
+    return None
+
+
+def memoised(fn):
+    """Keep fn(h) on h, so it is computed once per algebra."""
+    key = fn.__name__
+
+    @wraps(fn)
+    def cached(h):
+        derived = h._derived
+        if key not in derived:
+            derived[key] = fn(h)
+        return derived[key]
+
+    return cached
 
 
 # -- verifiers -----------------------------------------------------------
@@ -437,8 +456,13 @@ def verify_hopf(h: HopfAlgebraData) -> VerifyReport:
 # -- constructions --------------------------------------------------------
 
 
+@memoised
 def dual(h: HopfAlgebraData) -> HopfAlgebraData:
-    """Dual Hopf algebra on the dual basis: all structure tensors transposed."""
+    """Dual Hopf algebra on the dual basis: all structure tensors transposed.
+
+    The transposition is an involution on the nose, so h is recorded as the
+    dual of the result and dual(dual(h)) is h.
+    """
     zero = h.zero()
     mult = [[{} for _ in range(h.dim)] for _ in range(h.dim)]
     for i in range(h.dim):
@@ -454,7 +478,7 @@ def dual(h: HopfAlgebraData) -> HopfAlgebraData:
             for k, c in h.mult[i][j].items():
                 comult[k].append((i, j, c))
     labels = [lb[:-1] if lb.endswith("*") else lb + "*" for lb in h.labels]
-    return HopfAlgebraData(
+    out = HopfAlgebraData(
         dim=h.dim,
         conductor=h.conductor,
         labels=labels,
@@ -464,6 +488,8 @@ def dual(h: HopfAlgebraData) -> HopfAlgebraData:
         counit=list(h.unit),
         antipode=h.antipode.transpose(),
     )
+    out._derived["dual"] = h
+    return out
 
 
 def _embed_vec(vec, conductor):
@@ -541,24 +567,11 @@ def is_semisimple(h: HopfAlgebraData) -> bool:
 
 
 def antipode_order(h: HopfAlgebraData, bound: int | None = None):
-    """Least n >= 1 with S^n = id, or None past the bound."""
-    if bound is None:
-        bound = 16 * h.dim
-    acc = h.antipode
-    for n in range(1, bound + 1):
-        if acc.is_identity():
-            return n
-        acc = acc * h.antipode
-    return None
+    """Least n >= 1 with S^n = id, or None past the bound (default 16 dim)."""
+    return least_power(h.antipode, Matrix.is_identity, 16 * h.dim if bound is None else bound)
 
 
 def s_squared_order(h: HopfAlgebraData, bound: int | None = None):
-    if bound is None:
-        bound = 16 * h.dim
-    s2 = h.antipode * h.antipode
-    acc = s2
-    for n in range(1, bound + 1):
-        if acc.is_identity():
-            return n
-        acc = acc * s2
-    return None
+    """Least n >= 1 with S^(2n) = id, or None past the bound (default 16 dim)."""
+    return least_power(h.antipode * h.antipode, Matrix.is_identity,
+                       16 * h.dim if bound is None else bound)

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cyclotomic import CycNumber
-from .hopf import Element, HopfAlgebraData, dual, is_semisimple, tr_s_squared
+from .hopf import (Element, HopfAlgebraData, antipode_order, dual, is_semisimple, memoised,
+                   s_squared_order, tr_s_squared)
 from .linalg import EchelonBasis, Matrix, Subspace, bilinear_closure, nullspace
 from .repsolver import RepModule, wedderburn_certificate
 
@@ -23,6 +24,7 @@ from .repsolver import RepModule, wedderburn_certificate
 # ---------------------------------------------------------------------------
 
 
+@memoised
 def jacobson_radical(h: HopfAlgebraData) -> Subspace:
     """Radical of the regular-representation trace form (characteristic zero).
 
@@ -93,11 +95,10 @@ def _product_space(h: HopfAlgebraData, u: Subspace, v: Subspace) -> Subspace:
     return Subspace(h.dim, h.conductor, eb)
 
 
-def coradical(h: HopfAlgebraData, dual_h: HopfAlgebraData | None = None) -> Subspace:
+@memoised
+def coradical(h: HopfAlgebraData) -> Subspace:
     """Annihilator of the Jacobson radical of the dual algebra."""
-    dual_h = dual_h or dual(h)
-    jd = jacobson_radical(dual_h)
-    return _annihilator(h, jd)
+    return _annihilator(h, jacobson_radical(dual(h)))
 
 
 def _annihilator(h: HopfAlgebraData, functional_space: Subspace) -> Subspace:
@@ -108,23 +109,21 @@ def _annihilator(h: HopfAlgebraData, functional_space: Subspace) -> Subspace:
     return nullspace(m)
 
 
-def coradical_filtration(h: HopfAlgebraData, dual_h: HopfAlgebraData | None = None) -> list[Subspace]:
+def coradical_filtration(h: HopfAlgebraData) -> list[Subspace]:
     """H_n = (J(H*)^(n+1))-perp, ascending until it reaches H."""
-    dual_h = dual_h or dual(h)
+    dual_h = dual(h)
     j = jacobson_radical(dual_h)
-    out = []
+    out = [coradical(h)]
     power = j
-    while True:
-        layer = _annihilator(h, power)
-        out.append(layer)
-        if layer.dim == h.dim:
-            return out
+    while out[-1].dim != h.dim:
         power = _product_space(dual_h, power, j)
+        out.append(_annihilator(h, power))
+    return out
 
 
-def chevalley_check(h: HopfAlgebraData, h0: Subspace | None = None):
+def chevalley_check(h: HopfAlgebraData):
     """True iff the coradical is a Hopf subalgebra; returns (flag, witness)."""
-    h0 = h0 if h0 is not None else coradical(h)
+    h0 = coradical(h)
     if not h0.contains(h.unit):
         return False, "coradical does not contain 1"
     closed = bilinear_closure(
@@ -190,9 +189,7 @@ def dual_module_from_block(h: HopfAlgebraData, block: list) -> RepModule:
     return RepModule("block", 2, mats)
 
 
-def verify_grouplikes(h: HopfAlgebraData, candidates, dual_blocks,
-                      dual_h: HopfAlgebraData | None = None,
-                      coradical_dim: int | None = None) -> GrouplikeCertificate:
+def verify_grouplikes(h: HopfAlgebraData, candidates, dual_blocks) -> GrouplikeCertificate:
     failures = []
     for idx, g in enumerate(candidates):
         if not g.is_grouplike():
@@ -218,9 +215,8 @@ def verify_grouplikes(h: HopfAlgebraData, candidates, dual_blocks,
     if failures:
         return GrouplikeCertificate(False, len(candidates), orders, failures=failures)
 
-    dual_h = dual_h or dual(h)
-    if coradical_dim is None:
-        coradical_dim = _annihilator(h, jacobson_radical(dual_h)).dim
+    dual_h = dual(h)
+    coradical_dim = coradical(h).dim
     modules = []
     for i, g in enumerate(candidates):
         m = grouplike_module(h, g)
@@ -326,10 +322,9 @@ def integrals(h: HopfAlgebraData):
     return left, right
 
 
-def distinguished_grouplike(h: HopfAlgebraData, dual_h: HopfAlgebraData | None = None) -> Element:
+def distinguished_grouplike(h: HopfAlgebraData) -> Element:
     """a = lam(v)^-1 lam(v_2) v_1 for a right integral lam of the dual."""
-    dual_h = dual_h or dual(h)
-    _, right = integrals(dual_h)
+    _, right = integrals(dual(h))
     lam = right.basis()[0]
     pivot = None
     for i, c in enumerate(lam):
@@ -465,17 +460,15 @@ class InvariantReport:
 
 
 def invariant_report(h: HopfAlgebraData, cd=None) -> InvariantReport:
-    from .hopf import antipode_order, s_squared_order
-
     dual_h = dual(h)
     rad = jacobson_radical(h)
     rad_dual = jacobson_radical(dual_h)
-    h0 = _annihilator(h, rad_dual)
-    filtration = coradical_filtration(h, dual_h)
-    chev, chev_wit = chevalley_check(h, h0)
+    h0 = coradical(h)
+    filtration = coradical_filtration(h)
+    chev, chev_wit = chevalley_check(h)
     trs2 = tr_s_squared(h)
-    # independent route for the dual coradical: radical of the double dual
-    dual_corad = _annihilator(dual_h, jacobson_radical(dual(dual_h))).dim
+    # the dual coradical is J(H)-perp inside H*, since dual(dual_h) is h
+    dual_corad = coradical(dual_h).dim
     certs = {
         "coradical_plus_dual_radical": h0.dim + rad_dual.dim == h.dim,
         "dual_coradical_plus_radical": dual_corad + rad.dim == h.dim,
@@ -488,12 +481,12 @@ def invariant_report(h: HopfAlgebraData, cd=None) -> InvariantReport:
     dist_label = None
     skew_dims = {}
     if cd is not None:
-        cert = verify_grouplikes(h, cd.grouplikes, cd.dual_blocks, dual_h, h0.dim)
+        cert = verify_grouplikes(h, cd.grouplikes, cd.dual_blocks)
         certs["grouplike_certificate"] = cert.ok
         glcount = cert.count
         orders = cert.orders
         certs["grouplike_count_divides_dim"] = cert.count > 0 and h.dim % cert.count == 0
-        dist = distinguished_grouplike(h, dual_h)
+        dist = distinguished_grouplike(h)
         for i, g in enumerate(cd.grouplikes):
             if g.coeffs == dist.coeffs:
                 dist_idx = i

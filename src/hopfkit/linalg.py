@@ -292,9 +292,6 @@ class Subspace:
     def contains(self, vec: list) -> bool:
         return self._eb.contains(vec)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis())
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented

@@ -171,32 +171,6 @@ def _acc(d, key, v):
         d[key] = s
 
 
-def _mult_dicts(mult, conductor, u, v):
-    out: dict[int, CycNumber] = {}
-    for i, a in u.items():
-        row = mult[i]
-        for j, b in v.items():
-            ab = a * b
-            if ab.is_zero():
-                continue
-            for k, c in row[j].items():
-                _acc(out, k, c * ab)
-    return out
-
-
-def _tensor_mult(mult, conductor, t1, t2):
-    out: dict[tuple, CycNumber] = {}
-    for (a, b), c1 in t1.items():
-        for (c, d), c2 in t2.items():
-            cc = c1 * c2
-            if cc.is_zero():
-                continue
-            for x, cx in mult[a][c].items():
-                for y, cy in mult[b][d].items():
-                    _acc(out, (x, y), cc * cx * cy)
-    return out
-
-
 def assemble_hopf(dim, conductor, labels, mult, unit_index, basis_words,
                   gen_delta, gen_eps, gen_s) -> HopfAlgebraData:
     """Multiplicative extension of Delta and eps, anti-multiplicative of S."""
@@ -205,6 +179,8 @@ def assemble_hopf(dim, conductor, labels, mult, unit_index, basis_words,
     unit_vec = [zero] * dim
     unit_vec[unit_index] = one
 
+    # the algebra alone, for its product kernels; the coalgebra is built below
+    ring = HopfAlgebraData(dim, conductor, labels, mult, unit_vec, [], [], None)
     comult = []
     counit = [zero] * dim
     anti = Matrix(dim, dim, conductor)
@@ -215,10 +191,10 @@ def assemble_hopf(dim, conductor, labels, mult, unit_index, basis_words,
         e = one
         s = unit_dict
         for letter in word:
-            t = _tensor_mult(mult, conductor, t, gen_delta[letter])
+            t = ring.tensor_mult(t, gen_delta[letter])
             e = e * gen_eps[letter]
         for letter in reversed(word):
-            s = _mult_dicts(mult, conductor, s, gen_s[letter])
+            s = ring.mult_dict(s, gen_s[letter])
         comult.append([(j, k, c) for (j, k), c in t.items()])
         counit[i] = e
         for r, c in s.items():

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .cyclotomic import CycNumber, root_of_unity
 from .groups import FiniteGroup, gamma4p_group
-from .hopf import Element, HopfAlgebraData, verify_hopf
+from .hopf import Element, HopfAlgebraData, least_power, verify_hopf
 from .linalg import EchelonBasis, Matrix, kron
 
 
@@ -236,7 +236,7 @@ def validate_yd_datum(d: YDDatum):
                 return False, f"chi not multiplicative at ({L.labels[i]}, {L.labels[j]})"
     if not d.g.is_grouplike():
         return False, "g is not group-like"
-    n = _root_order(d.q)
+    n = least_power(d.q, CycNumber.is_one)
     if n is None or n < 2:
         return False, "q is not a root of unity of order >= 2"
     if _chi_of(d, d.g.as_dict()) != d.q:
@@ -264,15 +264,6 @@ def validate_yd_datum(d: YDDatum):
     return True, None
 
 
-def _root_order(q: CycNumber, bound: int = 10_000):
-    acc = q
-    for n in range(1, bound + 1):
-        if acc.is_one():
-            return n
-        acc = acc * q
-    return None
-
-
 def bosonize(d: YDDatum, verify=True, cross_check_antipode=True) -> HopfAlgebraData:
     """Biproduct of the length-N quantum line with L, basis y^m # l (m-major).
 
@@ -282,7 +273,7 @@ def bosonize(d: YDDatum, verify=True, cross_check_antipode=True) -> HopfAlgebraD
     the full Hopf verifier.
     """
     L = d.L
-    n_trunc = _root_order(d.q)
+    n_trunc = least_power(d.q, CycNumber.is_one)
     dim = n_trunc * L.dim
     conductor = L.conductor
 

@@ -151,3 +151,22 @@ def test_certify_am11_cli(capsys):
     out = capsys.readouterr().out
     assert "ALL CLAIMS PASS" in out
     assert "distinguished_grouplike" in out
+
+
+def test_invariants_and_simples_refuse_unverified_structure(tmp_path, capsys):
+    out = tmp_path / "h.json"
+    main(["build", "taft", "--n", "3", "--out", str(out)])
+    payload = json.loads(out.read_text())
+    del payload["comult"][1]  # drop one comultiplication entry
+    out.write_text(json.dumps(payload))
+    sidecar = str(tmp_path / "h.sidecar.json")
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 1
+    assert main(["invariants", str(out)]) == 1
+    report = tmp_path / "report.json"
+    assert main(["invariants", str(out), "--expect", sidecar, "--json", str(report)]) == 1
+    assert not report.exists()
+    assert main(["simples", str(out), sidecar]) == 1
+    captured = capsys.readouterr()
+    assert "verify_hopf: " in captured.err
+    assert "{" not in captured.out

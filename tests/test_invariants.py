@@ -188,3 +188,23 @@ def test_bosonization_projection_coinvariants():
     gb = Element.from_dict(b, {i: c for i, c in d.g.as_dict().items()})
     sp = skew_primitive_space(b, Element.unit(b), gb)
     assert sp.dim == 2 and sp.contains(y1)
+
+
+def test_derived_objects_are_computed_once_per_algebra(monkeypatch):
+    from hopfkit import catalog, invariants
+    from hopfkit.certify import certify_family
+
+    calls = []
+    verify = invariants._post_verify_radical
+
+    def counting(h, rad):
+        calls.append(h)
+        return verify(h, rad)
+
+    monkeypatch.setattr(invariants, "_post_verify_radical", counting)
+    assert certify_family("h8p", {"p": 3}).ok
+    assert len(calls) == 2  # J(H) and J(H*), once each
+
+    h, _ = catalog.build_family("taft", {"n": 3}, verify=False)
+    assert dual(dual(h)) is h
+    assert coradical(h) is coradical(h)
