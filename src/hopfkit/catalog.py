@@ -24,7 +24,7 @@ from .groups import (
     quaternion_group,
 )
 from .hopf import Element, HopfAlgebraData, dual, tensor_product
-from .linalg import Matrix
+from .linalg import Matrix, accumulate
 from .presentation import Presentation, group_algebra_hopf, realize_on_group
 from .repsolver import RepModule, module_from_gen_mats
 
@@ -200,8 +200,8 @@ def taft(n, k=1, verify=True):
     g_vec = unit_at(G)
     x_vec = unit_at(X)
     gen_delta = {
-        G: _outer(g_vec, g_vec),
-        X: _merge(_outer(x_vec, unit_at()), _outer(g_vec, x_vec)),
+        G: _outer((g_vec, g_vec)),
+        X: _outer((x_vec, unit_at()), (g_vec, x_vec)),
     }
     gen_eps = {G: one, X: CycNumber.zero(conductor)}
     gen_s = {
@@ -236,26 +236,13 @@ def taft(n, k=1, verify=True):
     return h, cd
 
 
-def _outer(u, v):
+def _outer(*terms):
+    """Sum of u (x) v over the (u, v) terms, as a sparse tensor dict."""
     out = {}
-    for i, a in u.items():
-        for j, b in v.items():
-            c = a * b
-            if not c.is_zero():
-                out[(i, j)] = c
-    return out
-
-
-def _merge(*dicts):
-    out = {}
-    for d in dicts:
-        for k, v in d.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+    for u, v in terms:
+        for i, a in u.items():
+            for j, b in v.items():
+                accumulate(out, (i, j), a * b)
     return out
 
 
@@ -313,8 +300,8 @@ def pointed4p(variant, p, lam_k=1, verify=True):
     x_vec = {idx[(X,)]: one}
     twist_vec = {idx[(G,) * delta_twist]: one}
     gen_delta = {
-        G: _outer(g_vec, g_vec),
-        X: _merge(_outer(x_vec, {idx[()]: one}), _outer(twist_vec, x_vec)),
+        G: _outer((g_vec, g_vec)),
+        X: _outer((x_vec, {idx[()]: one}), (twist_vec, x_vec)),
     }
     gen_eps = {G: one, X: CycNumber.zero(conductor)}
     gen_s = {
@@ -510,13 +497,15 @@ def _twisted_quad_images(group, conductor, a_elem):
     gen_delta = {}
     gen_s = {}
     for name, this, that in (("s+", splus, sminus), ("s-", sminus, splus)):
-        gen_delta[name] = _merge(
-            _outer({idx[this]: one}, e_times(0, this)),
-            _outer({idx[that]: one}, e_times(1, this)),
+        gen_delta[name] = _outer(
+            ({idx[this]: one}, e_times(0, this)),
+            ({idx[that]: one}, e_times(1, this)),
         )
-        gen_s[name] = _merge(e_times(0, this), e_times(1, that))
+        gen_s[name] = s = e_times(0, this)
+        for k, v in e_times(1, that).items():
+            accumulate(s, k, v)
     a_vec = {idx[a_elem]: one}
-    gen_delta["a"] = _outer(a_vec, a_vec)
+    gen_delta["a"] = _outer((a_vec, a_vec))
     gen_s["a"] = dict(a_vec)
     gen_eps = {"a": one, "s+": one, "s-": one}
     return gen_delta, gen_eps, gen_s
@@ -759,16 +748,18 @@ def _fun_dic_images(pres, p):
         return {idx[(X,) * j]: half, idx[(A,) + (X,) * j]: sign * half}
 
     gen_delta = {
-        A: _outer(a_vec, a_vec),
-        X: _merge(
-            _outer(x_vec, e_times_x_power(0, 1)),
-            _outer({idx[(A,) + (X,) * (2 * p - 1)]: one}, e_times_x_power(1, 1)),
+        A: _outer((a_vec, a_vec)),
+        X: _outer(
+            (x_vec, e_times_x_power(0, 1)),
+            ({idx[(A,) + (X,) * (2 * p - 1)]: one}, e_times_x_power(1, 1)),
         ),
     }
     gen_eps = {A: one, X: one}
     # the minus sign on the e_1 part is forced by m(S (x) id)Delta = u eps
-    gen_s = {A: dict(a_vec),
-             X: _merge(e_times_x_power(0, 2 * p - 1), _neg(e_times_x_power(1, 1)))}
+    s_x = e_times_x_power(0, 2 * p - 1)
+    for k, v in e_times_x_power(1, 1).items():
+        accumulate(s_x, k, -v)
+    gen_s = {A: dict(a_vec), X: s_x}
     return gen_delta, gen_eps, gen_s
 
 
@@ -903,12 +894,12 @@ def h8p(p, alpha=1, verify=True):
         return {x_pow_index(0, j): half, x_pow_index(1, j): sign * half}
 
     gen_delta = {
-        A: _outer(a_vec, a_vec),
-        X: _merge(
-            _outer(x_vec, e_times_x_power(0, 1)),
-            _outer({x_pow_index(1, 2 * p - 1): one}, e_times_x_power(1, 1)),
+        A: _outer((a_vec, a_vec)),
+        X: _outer(
+            (x_vec, e_times_x_power(0, 1)),
+            ({x_pow_index(1, 2 * p - 1): one}, e_times_x_power(1, 1)),
         ),
-        Z: _merge(_outer(g_vec, z_vec), _outer(z_vec, {idx[()]: one})),
+        Z: _outer((g_vec, z_vec), (z_vec, {idx[()]: one})),
     }
     gen_eps = {A: one, X: one, Z: CycNumber.zero(conductor)}
     # S(z) = -g^{-1} z = -g^3 z, and z anticommutes with g^3, so S(z) = z g^3
@@ -916,12 +907,11 @@ def h8p(p, alpha=1, verify=True):
     for k, c in g3_vec.items():
         word = (Z,) + pres.normal_monomials[k]
         for kk, cc in pres.normal_form_word(word).items():
-            s_z[kk] = s_z.get(kk, CycNumber.zero(conductor)) + c * cc
-    gen_s = {
-        A: dict(a_vec),
-        X: _merge(e_times_x_power(0, 2 * p - 1), _neg(e_times_x_power(1, 1))),
-        Z: {k: v for k, v in s_z.items() if not v.is_zero()},
-    }
+            accumulate(s_z, kk, c * cc)
+    s_x = e_times_x_power(0, 2 * p - 1)
+    for k, v in e_times_x_power(1, 1).items():
+        accumulate(s_x, k, -v)
+    gen_s = {A: dict(a_vec), X: s_x, Z: s_z}
     h = pres.realize(gen_delta, gen_eps, gen_s, skip_verify=not verify)
 
     grouplikes = _dic_fun_grouplikes(h, p, x_pow_index)

@@ -72,7 +72,12 @@ def cmd_build(args) -> int:
 
 def _load_hopf(path):
     try:
-        return hio.hopf_from_json(hio.load_json(path))
+        obj = hio.load_json(path)
+        dim = int(obj["dim"])
+        if dim > MAX_DIM:
+            print(f"error: dimension {dim} exceeds HOPFKIT_MAX_DIM={MAX_DIM}", file=sys.stderr)
+            return None
+        return hio.hopf_from_json(obj)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return None
@@ -109,7 +114,7 @@ def cmd_invariants(args) -> int:
     if args.expect:
         try:
             cd = hio.candidate_from_json(hio.load_json(args.expect), h)
-        except (OSError, json.JSONDecodeError, KeyError) as e:
+        except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
             print(f"parse error in sidecar: {e}", file=sys.stderr)
             return 2
     if _fails_verify_hopf(h):
@@ -160,7 +165,7 @@ def cmd_simples(args) -> int:
     try:
         side = hio.load_json(args.modules)
         cd = hio.candidate_from_json(side, h)
-    except (OSError, json.JSONDecodeError, KeyError) as e:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
     if _fails_verify_hopf(h):

@@ -393,5 +393,8 @@ def cyc_to_json(a: CycNumber) -> dict:
 
 
 def cyc_from_json(obj: dict) -> CycNumber:
-    coeffs = [Fraction(s) for s in obj["coeffs"]]
+    try:
+        coeffs = [Fraction(s) for s in obj["coeffs"]]
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in coefficients {obj['coeffs']!r}") from None
     return CycNumber(int(obj["conductor"]), coeffs)

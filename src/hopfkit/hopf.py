@@ -14,7 +14,7 @@ from functools import wraps
 from math import gcd
 
 from .cyclotomic import CycNumber, embed
-from .linalg import Matrix, solve
+from .linalg import Matrix, accumulate, solve
 
 MAX_FAILURES = 5
 
@@ -79,25 +79,14 @@ class HopfAlgebraData:
                 if ab.is_zero():
                     continue
                 for k, c in row[j].items():
-                    s = out.get(k)
-                    s = c * ab if s is None else s + c * ab
-                    if s.is_zero():
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
+                    accumulate(out, k, c * ab)
         return out
 
     def delta_dict(self, u: dict) -> dict:
         out: dict[tuple[int, int], CycNumber] = {}
         for i, a in u.items():
             for (j, k, c) in self.comult[i]:
-                key = (j, k)
-                s = out.get(key)
-                s = c * a if s is None else s + c * a
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                accumulate(out, (j, k), c * a)
         return out
 
     def tensor_mult(self, t1: dict, t2: dict) -> dict:
@@ -114,16 +103,7 @@ class HopfAlgebraData:
                 right = rowb[d]
                 for x, cx in left.items():
                     for y, cy in right.items():
-                        v = cc * cx * cy
-                        if v.is_zero():
-                            continue
-                        key = (x, y)
-                        s = out.get(key)
-                        s = v if s is None else s + v
-                        if s.is_zero():
-                            out.pop(key, None)
-                        else:
-                            out[key] = s
+                        accumulate(out, (x, y), cc * cx * cy)
         return out
 
     def counit_of(self, u: dict) -> CycNumber:
@@ -138,15 +118,8 @@ class HopfAlgebraData:
         for j, a in u.items():
             for i in range(self.dim):
                 c = col[i][j]
-                if c.is_zero():
-                    continue
-                v = c * a
-                s = out.get(i)
-                s = v if s is None else s + v
-                if s.is_zero():
-                    out.pop(i, None)
-                else:
-                    out[i] = s
+                if not c.is_zero():
+                    accumulate(out, i, c * a)
         return out
 
     def left_mult_matrix(self, u: dict) -> Matrix:
@@ -349,35 +322,17 @@ def verify_coalgebra(h: HopfAlgebraData) -> VerifyReport:
         rhs: dict[tuple, CycNumber] = {}
         for (j, k, c) in d:
             for (a, b, c2) in h.comult[j]:
-                key = (a, b, k)
-                v = lhs.get(key, h.zero()) + c * c2
-                if v.is_zero():
-                    lhs.pop(key, None)
-                else:
-                    lhs[key] = v
+                accumulate(lhs, (a, b, k), c * c2)
             for (a, b, c2) in h.comult[k]:
-                key = (j, a, b)
-                v = rhs.get(key, h.zero()) + c * c2
-                if v.is_zero():
-                    rhs.pop(key, None)
-                else:
-                    rhs[key] = v
+                accumulate(rhs, (j, a, b), c * c2)
         if lhs != rhs:
             failures.append(f"coassociativity fails at {h.labels[i]}")
         # counit laws
         left = {}
         right = {}
         for (j, k, c) in d:
-            v = left.get(k, h.zero()) + c * h.counit[j]
-            if v.is_zero():
-                left.pop(k, None)
-            else:
-                left[k] = v
-            w = right.get(j, h.zero()) + c * h.counit[k]
-            if w.is_zero():
-                right.pop(j, None)
-            else:
-                right[j] = w
+            accumulate(left, k, c * h.counit[j])
+            accumulate(right, j, c * h.counit[k])
         if left != h.basis_dict(i) or right != h.basis_dict(i):
             failures.append(f"counit law fails at {h.labels[i]}")
         if len(failures) >= MAX_FAILURES:
@@ -422,18 +377,10 @@ def verify_antipode(h: HopfAlgebraData) -> VerifyReport:
         for (j, k, c) in h.comult[i]:
             sj = h.antipode_dict({j: c})
             for x, cx in h.mult_dict(sj, h.basis_dict(k)).items():
-                v = lhs.get(x, h.zero()) + cx
-                if v.is_zero():
-                    lhs.pop(x, None)
-                else:
-                    lhs[x] = v
+                accumulate(lhs, x, cx)
             sk = h.antipode_dict({k: c})
             for x, cx in h.mult_dict(h.basis_dict(j), sk).items():
-                v = rhs.get(x, h.zero()) + cx
-                if v.is_zero():
-                    rhs.pop(x, None)
-                else:
-                    rhs[x] = v
+                accumulate(rhs, x, cx)
         target = {k: v * h.counit[i] for k, v in unit.items() if not (v * h.counit[i]).is_zero()}
         if lhs != target:
             failures.append(f"antipode law m(S (x) id)Delta fails at {h.labels[i]}")
@@ -463,15 +410,10 @@ def dual(h: HopfAlgebraData) -> HopfAlgebraData:
     The transposition is an involution on the nose, so h is recorded as the
     dual of the result and dual(dual(h)) is h.
     """
-    zero = h.zero()
     mult = [[{} for _ in range(h.dim)] for _ in range(h.dim)]
     for i in range(h.dim):
         for (j, k, c) in h.comult[i]:
-            mult[j][k][i] = mult[j][k].get(i, zero) + c
-    for row in mult:
-        for d in row:
-            for k in [k for k, v in d.items() if v.is_zero()]:
-                del d[k]
+            accumulate(mult[j][k], i, c)
     comult = [[] for _ in range(h.dim)]
     for i in range(h.dim):
         for j in range(h.dim):

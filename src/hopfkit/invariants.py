@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .cyclotomic import CycNumber
 from .hopf import (Element, HopfAlgebraData, antipode_order, dual, is_semisimple, memoised,
                    s_squared_order, tr_s_squared)
-from .linalg import EchelonBasis, Matrix, Subspace, bilinear_closure, nullspace
+from .linalg import EchelonBasis, Matrix, Subspace, accumulate, bilinear_closure, nullspace
 from .repsolver import RepModule, wedderburn_certificate
 
 
@@ -335,10 +335,9 @@ def distinguished_grouplike(h: HopfAlgebraData) -> Element:
     acc = {}
     for (j, k, c) in h.comult[pivot]:
         if not lam[k].is_zero():
-            v = c * lam[k]
-            acc[j] = acc.get(j, h.zero()) + v
+            accumulate(acc, j, c * lam[k])
     scale = lam[pivot].inverse()
-    out = Element.from_dict(h, {j: scale * v for j, v in acc.items() if not v.is_zero()})
+    out = Element.from_dict(h, {j: scale * v for j, v in acc.items()})
     if not out.is_grouplike():
         raise AssertionError("distinguished group-like formula returned a non-group-like")
     return out
@@ -364,12 +363,7 @@ def verify_hopf_map(h: HopfAlgebraData, target: HopfAlgebraData, pi: Matrix):
                     continue
                 for b, cb in enumerate(pk):
                     if not cb.is_zero():
-                        key = (a, b)
-                        v = di.get(key, h.zero()) + c * ca * cb
-                        if v.is_zero():
-                            di.pop(key, None)
-                        else:
-                            di[key] = v
+                        accumulate(di, (a, b), c * ca * cb)
         if di != target.delta_dict(_vec_to_dict(pii)):
             return False, f"pi is not a coalgebra map at {h.labels[i]}"
         eps_pi = target.counit_of(_vec_to_dict(pii))

@@ -59,15 +59,25 @@ def hopf_to_json(h: HopfAlgebraData) -> dict:
     }
 
 
+def _check_indices(dim, *indices):
+    for i in indices:
+        if not isinstance(i, int) or not 0 <= i < dim:
+            raise ValueError(f"basis index {i!r} out of range for dim {dim}")
+
+
 def hopf_from_json(obj: dict) -> HopfAlgebraData:
     dim = int(obj["dim"])
     conductor = int(obj["conductor"])
     mult = [[{} for _ in range(dim)] for _ in range(dim)]
     for i, j, vec in obj["mult"]:
+        _check_indices(dim, i, j)
+        if len(vec) != dim:
+            raise ValueError(f"product e_{i} e_{j} has {len(vec)} coefficients, not {dim}")
         coeffs = _vec_from_json(vec)
         mult[i][j] = {k: c for k, c in enumerate(coeffs) if not c.is_zero()}
     comult = [[] for _ in range(dim)]
     for i, j, k, c in obj["comult"]:
+        _check_indices(dim, i, j, k)
         comult[i].append((j, k, cyc_from_json(c)))
     return HopfAlgebraData(
         dim=dim,

@@ -1,8 +1,11 @@
-"""Dense exact matrices and subspaces over a cyclotomic field.
+"""Exact matrices, subspaces and elimination over a cyclotomic field.
 
-Everything is Gauss-Jordan over CycNumber with reduction after every step.
-Dimensions here are desk scale (<= 64 ambient, a few hundred for symmetrizer
-ranks), so dense rows with zero-skipping are fine.
+`Matrix` is dense: dimensions here are desk scale (<= 64 ambient, a few
+hundred for symmetrizer ranks).  All elimination runs through one
+incremental Gauss-Jordan core, `EchelonBasis`, which keeps each reduced row
+sparse, so a row update touches only nonzero entries.  `accumulate` is the
+one "add into a sparse dict, drop the key if it cancels" step that every
+sparse loop in the package shares.
 """
 
 from __future__ import annotations
@@ -157,102 +160,134 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
+def accumulate(d: dict, key, v: CycNumber) -> None:
+    """d[key] += v on a sparse dict, dropping the key when the sum cancels."""
+    s = d.get(key)
+    s = v if s is None else s + v
+    if s.is_zero():
+        d.pop(key, None)
+    else:
+        d[key] = s
+
+
+def _sparse(vec) -> dict:
+    """A dense list or a {column: value} dict as a dict of its nonzero entries."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return {c: x for c, x in items if not x.is_zero()}
+
+
 class EchelonBasis:
-    """Incrementally built reduced-row-echelon basis of a subspace."""
+    """Incrementally built reduced-row-echelon basis of a subspace.
+
+    Each reduced row is a sparse dict {column: nonzero CycNumber}: 1 at its
+    pivot column, and no entry at any other pivot column.  Vectors go in as
+    dense lists or as such dicts.
+    """
 
     def __init__(self, ambient: int, conductor: int):
         self.ambient = ambient
         self.conductor = conductor
-        self.pivots: dict[int, list] = {}  # pivot column -> reduced row
+        self.pivots: dict[int, dict] = {}  # pivot column -> reduced row
 
-    def reduce(self, vec: list) -> list:
-        v = list(vec)
-        for c in sorted(self.pivots):
-            x = v[c]
-            if not x.is_zero():
-                row = self.pivots[c]
-                v = [a - x * b for a, b in zip(v, row)]
+    def reduce(self, vec) -> dict:
+        """vec minus its part along the basis, as a sparse dict."""
+        v = _sparse(vec)
+        # a reduced row vanishes on the other pivots, so each v[c] is final
+        for c in [c for c in v if c in self.pivots]:
+            f = -v[c]
+            for k, b in self.pivots[c].items():
+                accumulate(v, k, f * b)
         return v
 
-    def add(self, vec: list) -> bool:
+    def add(self, vec) -> bool:
         """Insert a vector; returns True if it enlarged the span."""
         v = self.reduce(vec)
-        for c in range(self.ambient):
-            if not v[c].is_zero():
-                inv = v[c].inverse()
-                v = [inv * a for a in v]
-                # back-substitute into existing rows
-                for pc, row in self.pivots.items():
-                    x = row[c]
-                    if not x.is_zero():
-                        self.pivots[pc] = [a - x * b for a, b in zip(row, v)]
-                self.pivots[c] = v
-                return True
-        return False
+        if not v:
+            return False
+        c = min(v)
+        inv = v[c].inverse()
+        v = {k: inv * a for k, a in v.items()}
+        # back-substitute into existing rows
+        for row in self.pivots.values():
+            x = row.get(c)
+            if x is not None:
+                f = -x
+                for k, b in v.items():
+                    accumulate(row, k, f * b)
+        self.pivots[c] = v
+        return True
 
-    def contains(self, vec: list) -> bool:
-        return all(x.is_zero() for x in self.reduce(vec))
+    def contains(self, vec) -> bool:
+        return not self.reduce(vec)
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
 
     def basis_rows(self) -> list[list]:
-        return [self.pivots[c] for c in sorted(self.pivots)]
+        zero = CycNumber.zero(self.conductor)
+        out = []
+        for c in sorted(self.pivots):
+            row = [zero] * self.ambient
+            for k, x in self.pivots[c].items():
+                row[k] = x
+            out.append(row)
+        return out
 
 
-def rref_rank_nullspace(m: Matrix):
-    """(rref, rank, nullspace) via exact Gauss-Jordan."""
-    eb = EchelonBasis(m.cols, m.conductor)
-    for r in m.entries:
-        eb.add(r)
-    rank = eb.dim
-    rows = eb.basis_rows()
-    rref_rows = rows + [[CycNumber.zero(m.conductor)] * m.cols
-                        for _ in range(m.rows - len(rows))]
-    rref = Matrix(m.rows, m.cols, m.conductor, rref_rows)
-    ns = _nullspace_from_echelon(eb, m.cols, m.conductor)
-    return rref, rank, ns
-
-
-def _nullspace_from_echelon(eb: EchelonBasis, ncols: int, conductor: int) -> "Subspace":
-    pivot_cols = sorted(eb.pivots)
-    free_cols = [c for c in range(ncols) if c not in eb.pivots]
-    zero = CycNumber.zero(conductor)
-    one = CycNumber.one(conductor)
-    basis = []
-    for f in free_cols:
-        v = [zero] * ncols
-        v[f] = one
-        for pc in pivot_cols:
-            v[pc] = -eb.pivots[pc][f]
-        basis.append(v)
-    return Subspace.from_vectors(ncols, conductor, basis)
-
-
-def nullspace(m: Matrix) -> "Subspace":
-    return rref_rank_nullspace(m)[2]
+def _echelon(ambient: int, conductor: int, vectors) -> EchelonBasis:
+    eb = EchelonBasis(ambient, conductor)
+    for v in vectors:
+        eb.add(v)
+    return eb
 
 
 def rank(m: Matrix) -> int:
-    return rref_rank_nullspace(m)[1]
+    return _echelon(m.cols, m.conductor, m.entries).dim
+
+
+def nullspace(m: Matrix) -> "Subspace":
+    eb = _echelon(m.cols, m.conductor, m.entries)
+    one = CycNumber.one(m.conductor)
+    basis = []
+    for f in range(m.cols):
+        if f not in eb.pivots:
+            v = {f: one}
+            for pc, row in eb.pivots.items():
+                if f in row:
+                    v[pc] = -row[f]
+            basis.append(v)
+    return Subspace.from_vectors(m.cols, m.conductor, basis)
+
+
+def solve_augmented(rows, nvars: int, conductor: int):
+    """One exact solution of a sparse system, or None if it is inconsistent.
+
+    Each row is a dict over the columns 0..nvars, column nvars holding the
+    right-hand side.  Free variables are set to zero; the result is a dict
+    {variable: value} of the nonzero values.
+    """
+    # short rows first keep fill-in low
+    eb = _echelon(nvars + 1, conductor, sorted(rows, key=len))
+    if nvars in eb.pivots:
+        return None  # pivot in augmented column
+    return {pc: row[nvars] for pc, row in eb.pivots.items() if nvars in row}
 
 
 def solve(a: Matrix, b: list):
     """One exact solution x of a x = b, or None if inconsistent."""
     assert len(b) == a.rows
-    aug = Matrix(a.rows, a.cols + 1, a.conductor,
-                 [row + [bv] for row, bv in zip(a.entries, b)])
-    eb = EchelonBasis(aug.cols, aug.conductor)
-    for r in aug.entries:
-        eb.add(r)
-    if a.cols in eb.pivots:
-        return None  # pivot in augmented column
+    rows = []
+    for row, bv in zip(a.entries, b):
+        r = _sparse(row)
+        if not bv.is_zero():
+            r[a.cols] = bv
+        rows.append(r)
+    sol = solve_augmented(rows, a.cols, a.conductor)
+    if sol is None:
+        return None
     zero = CycNumber.zero(a.conductor)
-    x = [zero] * a.cols
-    for pc, row in eb.pivots.items():
-        x[pc] = row[a.cols]
-    return x
+    return [sol.get(j, zero) for j in range(a.cols)]
 
 
 class Subspace:
@@ -267,10 +302,7 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim: int, conductor: int, vectors) -> "Subspace":
-        eb = EchelonBasis(ambient_dim, conductor)
-        for v in vectors:
-            eb.add(v)
-        return Subspace(ambient_dim, conductor, eb)
+        return Subspace(ambient_dim, conductor, _echelon(ambient_dim, conductor, vectors))
 
     @staticmethod
     def full(ambient_dim: int, conductor: int) -> "Subspace":
@@ -332,9 +364,7 @@ def bilinear_closure(space: Subspace, product) -> Subspace:
     `product(u, v)` takes two coefficient vectors and returns one.  Terminates
     because dimensions are bounded by the ambient space.
     """
-    eb = EchelonBasis(space.ambient_dim, space.conductor)
-    for v in space.basis():
-        eb.add(v)
+    eb = _echelon(space.ambient_dim, space.conductor, space.basis())
     while True:
         base = eb.basis_rows()
         grew = False

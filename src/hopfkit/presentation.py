@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .cyclotomic import CycNumber
 from .hopf import HopfAlgebraData, verify_hopf
-from .linalg import Matrix
+from .linalg import Matrix, accumulate
 
 STEP_GUARD = 20_000
 
@@ -83,21 +83,21 @@ class Presentation:
                 hit = self._memo.get(w)
                 if hit is not None:
                     for i, nc in hit.items():
-                        _acc(out, i, nc * c)
+                        accumulate(out, i, nc * c)
                     continue
                 m = self._first_match(w)
                 if m is None:
                     i = self.index.get(w)
                     if i is None:
                         raise RewriteError(f"irreducible word {w} is not a declared normal monomial")
-                    _acc(out, i, c)
+                    accumulate(out, i, c)
                 else:
                     pos, pattern, repl = m
                     for rc, rw in repl:
                         neww = w[:pos] + rw + w[pos + len(pattern):]
                         if len(neww) > self._max_len:
                             raise RewriteError(f"rewriting grows without bound on {word}")
-                        _acc(nxt, neww, c * rc)
+                        accumulate(nxt, neww, c * rc)
             current = nxt
         self._memo[word] = dict(out)
         return out
@@ -111,8 +111,8 @@ class Presentation:
         out: dict[int, CycNumber] = {}
         for c, w in combo:
             for i, v in self.normal_form_word(tuple(w)).items():
-                _acc(out, i, c * v)
-        return {i: v for i, v in out.items() if not v.is_zero()}
+                accumulate(out, i, c * v)
+        return out
 
     def to_json(self) -> dict:
         """Documentation dump of the rule set (not a parser input)."""
@@ -160,15 +160,6 @@ class Presentation:
             if not rep.ok:
                 raise ValueError("realized presentation fails Hopf axioms: " + "; ".join(rep.failures))
         return h
-
-
-def _acc(d, key, v):
-    s = d.get(key)
-    s = v if s is None else s + v
-    if s.is_zero():
-        d.pop(key, None)
-    else:
-        d[key] = s
 
 
 def assemble_hopf(dim, conductor, labels, mult, unit_index, basis_words,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from .cyclotomic import CycNumber, root_of_unity
 from .groups import FiniteGroup, gamma4p_group
 from .hopf import Element, HopfAlgebraData, least_power, verify_hopf
-from .linalg import EchelonBasis, Matrix, kron
+from .linalg import Matrix, accumulate, kron, rank, solve_augmented
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +248,9 @@ def validate_yd_datum(d: YDDatum):
         for (j, k, c) in L.comult[i]:
             # (chi -> h) g = chi(h_2) h_1 g ; g (h <- chi) = chi(h_1) g h_2
             for x, cx in L.mult_dict({j: c * d.chi[k]}, gd).items():
-                v = lhs.get(x, L.zero()) + cx
-                if v.is_zero():
-                    lhs.pop(x, None)
-                else:
-                    lhs[x] = v
+                accumulate(lhs, x, cx)
             for x, cx in L.mult_dict(gd, {k: c * d.chi[j]}).items():
-                v = rhs.get(x, L.zero()) + cx
-                if v.is_zero():
-                    rhs.pop(x, None)
-                else:
-                    rhs[x] = v
+                accumulate(rhs, x, cx)
         if lhs != rhs:
             return False, f"commutation fails at basis element {L.labels[i]}"
     return True, None
@@ -284,11 +276,7 @@ def bosonize(d: YDDatum, verify=True, cross_check_antipode=True) -> HopfAlgebraD
     twist = [dict() for _ in range(L.dim)]
     for i in range(L.dim):
         for (j, k, c) in L.comult[i]:
-            v = twist[i].get(k, L.zero()) + c * d.chi[j]
-            if v.is_zero():
-                twist[i].pop(k, None)
-            else:
-                twist[i][k] = v
+            accumulate(twist[i], k, c * d.chi[j])
     twists = [{i: {i: L.one()} for i in range(L.dim)}]
     for _ in range(n_trunc):
         prev = twists[-1]
@@ -297,11 +285,7 @@ def bosonize(d: YDDatum, verify=True, cross_check_antipode=True) -> HopfAlgebraD
             acc: dict[int, CycNumber] = {}
             for k, c in prev[i].items():
                 for k2, c2 in twist[k].items():
-                    v = acc.get(k2, L.zero()) + c * c2
-                    if v.is_zero():
-                        acc.pop(k2, None)
-                    else:
-                        acc[k2] = v
+                    accumulate(acc, k2, c * c2)
             nxt[i] = acc
         twists.append(nxt)
 
@@ -318,12 +302,7 @@ def bosonize(d: YDDatum, verify=True, cross_check_antipode=True) -> HopfAlgebraD
                     acc: dict[int, CycNumber] = {}
                     for k, c in tw[i].items():
                         for k2, c2 in L.mult[k][i2].items():
-                            key = idx(m + n2, k2)
-                            v = acc.get(key, L.zero()) + c * c2
-                            if v.is_zero():
-                                acc.pop(key, None)
-                            else:
-                                acc[key] = v
+                            accumulate(acc, idx(m + n2, k2), c * c2)
                     mult[row][col] = acc
 
     g_pows = [Element.unit(L)]
@@ -397,101 +376,39 @@ def _matrix_col(m: Matrix, j: int) -> dict:
 def _combine_triples(triples):
     acc: dict[tuple, CycNumber] = {}
     for (a, b, c) in triples:
-        v = acc.get((a, b))
-        v = c if v is None else v + c
-        if v.is_zero():
-            acc.pop((a, b), None)
-        else:
-            acc[(a, b)] = v
+        accumulate(acc, (a, b), c)
     return [(a, b, c) for (a, b), c in acc.items()]
 
 
 def convolution_inverse_of_identity(h: HopfAlgebraData) -> Matrix:
-    """Solve F * id = u eps exactly; returns F as a matrix (the antipode)."""
+    """Solve F * id = u eps exactly; returns F as a matrix (the antipode).
+
+    The unknown F(e_j)_l is variable l*n + j; column n*n holds the right-hand side.
+    """
     n = h.dim
+    rhs_col = n * n
     rows = []
-    unit = dict(enumerate(h.unit))
     for i in range(n):
         blocks: dict[int, dict] = {}
         for (j, k, c) in h.comult[i]:
             for l in range(n):
                 for coord, mc in h.mult[l][k].items():
-                    row = blocks.setdefault(coord, {})
-                    var = l * n + j
-                    v = row.get(var, h.zero()) + c * mc
-                    if v.is_zero():
-                        row.pop(var, None)
-                    else:
-                        row[var] = v
+                    accumulate(blocks.setdefault(coord, {}), l * n + j, c * mc)
         eps_i = h.counit[i]
         for coord in range(n):
             row = blocks.get(coord, {})
-            rhs = eps_i * unit[coord]
-            if row or not rhs.is_zero():
-                rows.append((row, rhs))
-    sol = _solve_sparse(rows, n * n, h.conductor)
+            rhs = eps_i * h.unit[coord]
+            if not rhs.is_zero():
+                row[rhs_col] = rhs
+            if row:
+                rows.append(row)
+    sol = solve_augmented(rows, rhs_col, h.conductor)
     if sol is None:
         raise AssertionError("identity is not convolution-invertible (not a Hopf algebra?)")
     out = Matrix(n, n, h.conductor)
     for var, val in sol.items():
-        if not val.is_zero():
-            out.entries[var // n][var % n] = val
+        out.entries[var // n][var % n] = val
     return out
-
-
-def _solve_sparse(rows, nvars, conductor):
-    """Greedy sparse Gaussian elimination; returns {var: value} or None."""
-    zero = CycNumber.zero(conductor)
-    pivots = {}   # var -> (row dict, rhs)
-    order = []
-    for row, rhs in sorted(rows, key=lambda t: len(t[0])):
-        row = dict(row)
-        while True:
-            hit = None
-            for var in row:
-                if var in pivots:
-                    hit = var
-                    break
-            if hit is None:
-                break
-            prow, prhs = pivots[hit]
-            f = row.pop(hit)
-            for v2, c2 in prow.items():
-                if v2 == hit:
-                    continue
-                s = row.get(v2, zero) - f * c2
-                if s.is_zero():
-                    row.pop(v2, None)
-                else:
-                    row[v2] = s
-            rhs = rhs - f * prhs
-        if not row:
-            if not rhs.is_zero():
-                return None
-            continue
-        var = min(row)
-        inv = row[var].inverse()
-        row = {v: inv * c for v, c in row.items()}
-        rhs = inv * rhs
-        pivots[var] = (row, rhs)
-        order.append(var)
-    values = {v: zero for v in range(nvars)}
-    for var in reversed(order):
-        row, rhs = pivots[var]
-        acc = rhs
-        for v2, c2 in row.items():
-            if v2 != var:
-                acc = acc - c2 * values[v2]
-        values[var] = acc
-    # verify (the elimination orderings above do not guarantee consistency
-    # when later pivots feed earlier rows, so substitute back exactly)
-    for row, rhs in rows:
-        acc = zero
-        for v2, c2 in row.items():
-            acc = acc + c2 * values[v2]
-        if acc != rhs:
-            return None
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -544,40 +461,6 @@ def symmetrizer(c: Matrix, v: int, n: int) -> Matrix:
     return kron(prev, Matrix.identity(v, c.conductor)) * shuffle
 
 
-def symmetrizer_direct(c: Matrix, v: int, n: int) -> Matrix:
-    """Slow oracle: sum T_w over explicit insertion-sort reduced words."""
-    from itertools import permutations
-
-    ops = braid_operators(c, v, n)
-    total = Matrix(v ** n, v ** n, c.conductor)
-    for perm in permutations(range(n)):
-        word = _insertion_sort_word(list(perm))
-        t = Matrix.identity(v ** n, c.conductor)
-        for i in word:
-            t = t * ops[i]
-        total = total + t
-    return total
-
-
-def _insertion_sort_word(perm):
-    word = []
-    arr = list(perm)
-    for i in range(1, len(arr)):
-        j = i
-        while j > 0 and arr[j - 1] > arr[j]:
-            arr[j - 1], arr[j] = arr[j], arr[j - 1]
-            word.append(j - 1)
-            j -= 1
-    return word
-
-
-def matrix_rank(m: Matrix) -> int:
-    eb = EchelonBasis(m.cols, m.conductor)
-    for row in m.entries:
-        eb.add(row)
-    return eb.dim
-
-
 def nichols_dims(c: Matrix, v: int, cutoff: int | None = None,
                  guard_mb: int = 512) -> NicholsReport:
     """Per-degree ranks of the quantum symmetrizer; rank 0 means truncation."""
@@ -594,7 +477,7 @@ def nichols_dims(c: Matrix, v: int, cutoff: int | None = None,
             guard_hit = True
             break
         s = symmetrizer(c, v, n)
-        r = matrix_rank(s)
+        r = rank(s)
         ranks.append(r)
         if r == 0:
             truncated = True

@@ -1,7 +1,14 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 
+import pytest
 
 from hopfkit.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_build_verify_round_trip(tmp_path, capsys):
@@ -50,6 +57,56 @@ def test_verify_empty_file(tmp_path):
     bad = tmp_path / "empty.json"
     bad.write_text("")
     assert main(["verify", str(bad)]) == 2
+
+
+def _comult_index_99(payload):
+    payload["comult"][0][1] = 99
+
+
+def _zero_denominator(payload):
+    payload["mult"][0][2][0]["coeffs"][0] = "1/0"
+
+
+def _long_product_vector(payload):
+    payload["mult"][0][2].append(payload["mult"][0][2][0])
+
+
+def _huge_dim(payload):
+    payload["dim"] = 100000
+
+
+def _limit_memory():
+    # a loader that allocates dim^2 tables before checking dim fails here, not on the host
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("corrupt", [_comult_index_99, _zero_denominator, _long_product_vector,
+                                     _huge_dim])
+def test_verify_rejects_malformed_file(tmp_path, corrupt):
+    out = tmp_path / "h.json"
+    assert main(["build", "taft", "--n", "3", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    corrupt(payload)
+    out.write_text(json.dumps(payload))
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "hopfkit.cli", "verify", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60,
+                          preexec_fn=_limit_memory)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["invariants", "simples"])
+def test_sidecar_with_zero_denominator_is_an_input_error(tmp_path, command):
+    out = tmp_path / "h.json"
+    main(["build", "taft", "--n", "3", "--out", str(out)])
+    side = tmp_path / "h.sidecar.json"
+    payload = json.loads(side.read_text())
+    payload["grouplikes"][0][0]["coeffs"][0] = "1/0"
+    side.write_text(json.dumps(payload))
+    argv = [command, str(out), "--expect", str(side)] if command == "invariants" else \
+        [command, str(out), str(side)]
+    assert main(argv) == 2
 
 
 def test_invariants_with_expect(tmp_path, capsys):

@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction
 
-from hopfkit.cyclotomic import CycNumber, root_of_unity
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hopfkit.cyclotomic import CycNumber, euler_phi, root_of_unity
 from hopfkit.linalg import (
+    EchelonBasis,
     Matrix,
     Subspace,
     bilinear_closure,
     kron,
     nullspace,
     rank,
-    rref_rank_nullspace,
     solve,
 )
 
@@ -26,14 +29,14 @@ def rand_matrix(rng, n, m, conductor=1):
 
 
 def test_rref_identity():
-    _, r, ns = rref_rank_nullspace(Matrix.identity(3, 1))
-    assert r == 3 and ns.dim == 0
+    m = Matrix.identity(3, 1)
+    assert rank(m) == 3 and nullspace(m).dim == 0
 
 
 def test_rref_rank_one():
     m = mat(1, [[1, 1], [1, 1]])
-    _, r, ns = rref_rank_nullspace(m)
-    assert r == 1 and ns.dim == 1
+    ns = nullspace(m)
+    assert rank(m) == 1 and ns.dim == 1
     v = ns.basis()[0]
     assert v[0] == -v[1] and not v[0].is_zero()
 
@@ -159,3 +162,69 @@ def test_perp_under_pairing():
     v = mat(1, [[0, 1, 0]]).entries[0]
     w = mat(1, [[0, 0, 1]]).entries[0]
     assert perp.contains(v) and perp.contains(w)
+
+
+# -- property tests of the elimination core over Q(zeta_N) -------------------
+
+
+@st.composite
+def sparse_matrices(draw, max_side=6):
+    """A small matrix over Q(zeta_N), N in {1, 4, 5}, with mostly zero entries."""
+    n = draw(st.sampled_from([1, 4, 5]))
+    rows = draw(st.integers(1, max_side))
+    cols = draw(st.integers(1, max_side))
+    coeff = st.integers(-2, 2)
+    entry = st.one_of(st.just(None), st.just(None),
+                      st.lists(coeff, min_size=euler_phi(n), max_size=euler_phi(n)))
+    grid = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    zero = CycNumber.zero(n)
+    return Matrix(rows, cols, n,
+                  [[zero if c is None else CycNumber(n, c) for c in r] for r in grid])
+
+
+_PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@_PROPERTY
+@given(sparse_matrices())
+def test_property_rank_is_transpose_invariant(m):
+    assert rank(m) == rank(m.transpose())
+
+
+@_PROPERTY
+@given(sparse_matrices())
+def test_property_rank_nullity(m):
+    ns = nullspace(m)
+    assert rank(m) + ns.dim == m.cols
+    for v in ns.basis():
+        assert all(x.is_zero() for x in m.apply(v))
+
+
+@_PROPERTY
+@given(sparse_matrices(), st.data())
+def test_property_solve_consistent_system(a, data):
+    x = data.draw(st.lists(st.integers(-3, 3), min_size=a.cols, max_size=a.cols))
+    x = [CycNumber.from_rational(a.conductor, c) for c in x]
+    b = a.apply(x)
+    y = solve(a, b)
+    assert y is not None and a.apply(y) == b
+
+
+@_PROPERTY
+@given(sparse_matrices())
+def test_property_dict_rows_match_dense_rows(m):
+    dense = EchelonBasis(m.cols, m.conductor)
+    sparse = EchelonBasis(m.cols, m.conductor)
+    for row in m.entries:
+        dense.add(row)
+        sparse.add({j: x for j, x in enumerate(row) if not x.is_zero()})
+    assert dense.basis_rows() == sparse.basis_rows()
+
+
+@_PROPERTY
+@given(sparse_matrices(), st.randoms(use_true_random=False))
+def test_property_row_order_gives_equal_subspace(m, rnd):
+    rows = list(m.entries)
+    rnd.shuffle(rows)
+    assert Subspace.from_vectors(m.cols, m.conductor, m.entries) == \
+        Subspace.from_vectors(m.cols, m.conductor, rows)

@@ -4,13 +4,15 @@ import pytest
 
 from conftest import build
 from hopfkit.cyclotomic import CycNumber, root_of_unity
-from hopfkit.hopf import tr_s_squared
+from hopfkit.hopf import HopfAlgebraData, tr_s_squared
 from hopfkit.linalg import Matrix
 from hopfkit.ydnichols import (
     YDDatum,
     bosonize,
     braid_equation_check,
+    braid_operators,
     braiding,
+    convolution_inverse_of_identity,
     diagonal_type,
     named_datum,
     nichols_dims,
@@ -18,7 +20,6 @@ from hopfkit.ydnichols import (
     q_factorial,
     q_int,
     symmetrizer,
-    symmetrizer_direct,
     validate_yd_datum,
     verify_yd,
     yd_module_gamma4p,
@@ -165,6 +166,18 @@ def test_bosonize_a4p():
     assert tr_s_squared(b).is_zero()
 
 
+def test_convolution_inverse_refuses_monoid_bialgebra():
+    # k[{1, z}] with z z = z and both basis elements group-like: F(z) z = 1 has no solution
+    one = CycNumber.one(1)
+    zero = CycNumber.zero(1)
+    mult = [[{0: one}, {1: one}], [{1: one}, {1: one}]]
+    comult = [[(0, 0, one)], [(1, 1, one)]]
+    h = HopfAlgebraData(2, 1, ["1", "z"], mult, [one, zero], comult, [one, one],
+                        Matrix(2, 2, 1))
+    with pytest.raises(AssertionError):
+        convolution_inverse_of_identity(h)
+
+
 def test_quantum_line_ranks():
     minus1 = Matrix(1, 1, 2, [[CycNumber.from_rational(2, -1)]])
     rep = nichols_dims(minus1, 1)
@@ -177,6 +190,30 @@ def test_quantum_line_ranks():
     rep = nichols_dims(one, 1, cutoff=8)
     assert not rep.truncated
     assert rep.ranks == [1] * 9
+
+
+def _insertion_sort_word(perm):
+    word = []
+    arr = list(perm)
+    for i in range(1, len(arr)):
+        j = i
+        while j > 0 and arr[j - 1] > arr[j]:
+            arr[j - 1], arr[j] = arr[j], arr[j - 1]
+            word.append(j - 1)
+            j -= 1
+    return word
+
+
+def symmetrizer_direct(c: Matrix, v: int, n: int) -> Matrix:
+    """Slow oracle: sum T_w over explicit insertion-sort reduced words."""
+    ops = braid_operators(c, v, n)
+    total = Matrix(v ** n, v ** n, c.conductor)
+    for perm in itertools.permutations(range(n)):
+        t = Matrix.identity(v ** n, c.conductor)
+        for i in _insertion_sort_word(perm):
+            t = t * ops[i]
+        total = total + t
+    return total
 
 
 def test_symmetrizer_matches_direct_enumeration():
