@@ -1,17 +1,21 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 Elements are stored on the power basis 1, z, ..., z^(phi(N)-1) of
-Q[t]/(Phi_N) with Fraction coefficients, so equality is literal equality of
-coefficient vectors.  The conductor is part of the value; mixed-conductor
-arithmetic is a caller error (use embed() first).
+Q[t]/(Phi_N) as a tuple of integer numerators over one positive common
+denominator, the representation of ANTIC/FLINT's ``nf_elem`` (W. Hart,
+"ANTIC: Algebraic Number Theory In C", 2015).  Every value is kept in
+lowest terms, gcd(den, *num) == 1 with zero stored as all-zero numerators
+over 1, so equality is literal equality of (conductor, den, num).  The
+conductor is part of the value; mixed-conductor arithmetic is a caller
+error (use embed() first).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-
-Rational = Fraction
+from math import gcd, lcm
+from operator import add, sub
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -73,51 +77,66 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    # row d-phi gives t^d mod Phi_n for d = phi .. 2*phi-2
+def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # row d-phi lists the nonzero (k, c) of t^d mod Phi_n for d = phi .. 2*phi-2;
+    # Phi_n is monic with integer coefficients, so every c is an int
     phi = euler_phi(n)
     poly = cyclotomic_polynomial(n)
-    base = [Fraction(-c) for c in poly[:phi]]  # t^phi = base (monic)
-    rows = [tuple(base)]
+    base = [-c for c in poly[:phi]]  # t^phi = base (monic)
+    rows = [base]
     cur = base
     for _ in range(phi - 2):
-        shifted = [Fraction(0)] + cur[:-1]
+        shifted = [0] + cur[:-1]
         top = cur[-1]
         if top:
             shifted = [s + top * b for s, b in zip(shifted, base)]
-        rows.append(tuple(shifted))
+        rows.append(shifted)
         cur = shifted
-    return tuple(rows)
+    return tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in rows)
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _ZERO_CACHE: dict = {}
 _ONE_CACHE: dict = {}
 
 
-class CycNumber:
-    """One element of Q(zeta_N), reduced mod Phi_N."""
+def _make(conductor: int, num: tuple, den: int) -> "CycNumber":
+    # internal constructor: num a tuple of ints, den > 0; brings it to lowest terms
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(c // g for c in num)
+            den //= g
+    self = object.__new__(CycNumber)
+    self.conductor = conductor
+    self.num = num
+    self.den = den
+    self._hash = None
+    return self
 
-    __slots__ = ("conductor", "coeffs", "_hash")
+
+class CycNumber:
+    """One element of Q(zeta_N), reduced mod Phi_N: ``num / den``."""
+
+    __slots__ = ("conductor", "num", "den", "_hash")
 
     def __init__(self, conductor: int, coeffs):
         phi = euler_phi(conductor)
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coefficients for conductor {conductor}")
+        # the lcm of reduced denominators leaves gcd(den, *num) == 1
+        den = lcm(*(c.denominator for c in coeffs))
         self.conductor = conductor
-        self.coeffs = coeffs
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
         self._hash = None
 
-    @classmethod
-    def _raw(cls, conductor: int, coeffs: tuple) -> "CycNumber":
-        # internal fast path: coeffs already a tuple of Fractions
-        self = object.__new__(cls)
-        self.conductor = conductor
-        self.coeffs = coeffs
-        self._hash = None
-        return self
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- constructors -------------------------------------------------
 
@@ -125,7 +144,7 @@ class CycNumber:
     def zero(conductor: int) -> "CycNumber":
         out = _ZERO_CACHE.get(conductor)
         if out is None:
-            out = CycNumber(conductor, [_ZERO] * euler_phi(conductor))
+            out = CycNumber(conductor, [0] * euler_phi(conductor))
             _ZERO_CACHE[conductor] = out
         return out
 
@@ -133,33 +152,32 @@ class CycNumber:
     def one(conductor: int) -> "CycNumber":
         out = _ONE_CACHE.get(conductor)
         if out is None:
-            c = [_ZERO] * euler_phi(conductor)
-            c[0] = _ONE
-            out = CycNumber(conductor, c)
+            out = CycNumber(conductor, [1] + [0] * (euler_phi(conductor) - 1))
             _ONE_CACHE[conductor] = out
         return out
 
     @staticmethod
     def from_rational(conductor: int, value) -> "CycNumber":
-        c = [_ZERO] * euler_phi(conductor)
-        c[0] = Fraction(value)
-        return CycNumber(conductor, c)
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        num = (value.numerator,) + CycNumber.zero(conductor).num[1:]
+        return _make(conductor, num, value.denominator)
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational value")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -174,65 +192,78 @@ class CycNumber:
             return CycNumber.from_rational(self.conductor, other)
         return NotImplemented  # type: ignore[return-value]
 
+    def _combine(self, other, op) -> "CycNumber":
+        # op(self, other) coefficientwise for op in (add, sub)
+        da, db = self.den, other.den
+        if da == db:
+            return _make(self.conductor, tuple(map(op, self.num, other.num)), da)
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        num = tuple(op(x * ma, y * mb) for x, y in zip(self.num, other.num))
+        return _make(self.conductor, num, da * ma)
+
     def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycNumber._raw(self.conductor,
-                              tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        if other.__class__ is not CycNumber or other.conductor != self.conductor:
+            other = self._check(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not any(other.num):
+            return self
+        if not any(self.num):
+            return other
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNumber._raw(self.conductor, tuple(-a for a in self.coeffs))
+        return _make(self.conductor, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycNumber._raw(self.conductor,
-                              tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        if other.__class__ is not CycNumber or other.conductor != self.conductor:
+            other = self._check(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not any(other.num):
+            return self
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        if other.__class__ is not CycNumber or other.conductor != self.conductor:
+            other = self._check(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.num, other.num
+        den = self.den * other.den
         # scalar fast paths cover most structure constants
-        if self.is_rational():
+        a_tail, b_tail = a[1:], b[1:]
+        if not any(a_tail):
             s = a[0]
-            if s == 0:
-                return CycNumber.zero(self.conductor)
-            if s == 1:
+            if not any(b_tail):
+                return _make(self.conductor, (s * b[0],) + a_tail, den)
+            if s == 1 and den == other.den:
                 return other
-            return CycNumber._raw(self.conductor, tuple(s * c for c in b))
-        if other.is_rational():
+            return _make(self.conductor, tuple(s * c for c in b), den)
+        if not any(b_tail):
             s = b[0]
-            if s == 0:
-                return CycNumber.zero(self.conductor)
-            if s == 1:
+            if s == 1 and den == self.den:
                 return self
-            return CycNumber._raw(self.conductor, tuple(s * c for c in a))
+            return _make(self.conductor, tuple(s * c for c in a), den)
         phi = len(a)
-        conv = [_ZERO] * (2 * phi - 1)
+        conv = [0] * (2 * phi - 1)
+        b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
         for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj == 0:
-                    continue
-                conv[i + j] += ai * bj
-        rows = _reduction_rows(self.conductor)
+            if ai:
+                for j, bj in b_terms:
+                    conv[i + j] += ai * bj
         low = conv[:phi]
-        for d in range(phi, 2 * phi - 1):
-            c = conv[d]
+        for c, row in zip(conv[phi:], _reduction_rows(self.conductor)):
             if c:
-                row = rows[d - phi]
-                low = [l + c * r for l, r in zip(low, row)]
-        return CycNumber._raw(self.conductor, tuple(low))
+                for k, r in row:
+                    low[k] += c * r
+        return _make(self.conductor, tuple(low), den)
 
     __rmul__ = __mul__
 
@@ -241,9 +272,10 @@ class CycNumber:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
-            return CycNumber.from_rational(self.conductor, 1 / self.coeffs[0])
+            return CycNumber.from_rational(self.conductor, Fraction(self.den, self.num[0]))
+        # (num / den)^-1 = den * num^-1
         phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        r0, r1 = phi_poly, list(self.coeffs)
+        r0, r1 = phi_poly, [Fraction(c) for c in self.num]
         t0, t1 = [Fraction(0)], [Fraction(1)]
         while any(c != 0 for c in r1):
             q, rem = _poly_divmod_frac(r0, r1)
@@ -252,7 +284,7 @@ class CycNumber:
             t0, t1 = t1, t2
         # r0 = gcd, a nonzero constant since Phi_N is irreducible
         assert len(_poly_trim(r0)) == 1, "gcd with cyclotomic polynomial not constant"
-        g = r0[0]
+        g = r0[0] / self.den
         inv = [c / g for c in t0]
         phi = euler_phi(self.conductor)
         inv = (inv + [_ZERO] * phi)[:phi]
@@ -283,12 +315,16 @@ class CycNumber:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (self.num[0] == other.numerator and self.den == other.denominator
+                    and self.is_rational())
         if not isinstance(other, CycNumber):
             return NotImplemented
-        return self.conductor == other.conductor and self.coeffs == other.coeffs
+        return (self.conductor == other.conductor and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
+        # the hash of (conductor, Fraction coefficients), so set and dict
+        # orders do not depend on the stored representation
         if self._hash is None:
             self._hash = hash((self.conductor, self.coeffs))
         return self._hash
@@ -357,11 +393,11 @@ def root_of_unity(conductor: int, k: int = 1) -> CycNumber:
     phi = euler_phi(conductor)
     k %= conductor
     if k < phi:
-        c = [_ZERO] * phi
-        c[k] = _ONE
+        c = [0] * phi
+        c[k] = 1
         return CycNumber(conductor, c)
     # reduce t^k mod Phi_N by repeated squaring on the base root
-    z = CycNumber(conductor, [_ZERO, _ONE] + [_ZERO] * (phi - 2)) if phi > 1 else CycNumber.one(conductor)
+    z = CycNumber(conductor, [0, 1] + [0] * (phi - 2)) if phi > 1 else CycNumber.one(conductor)
     if phi == 1:
         # Q(zeta_1)=Q(zeta_2)=Q; zeta_2 = -1
         if conductor == 1:

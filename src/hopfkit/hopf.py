@@ -9,6 +9,7 @@ generator-and-relations construction in the catalog.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import wraps
 from math import gcd
@@ -260,13 +261,13 @@ class Element:
         return " + ".join(terms) if terms else "0"
 
 
-def least_power(x, is_one, bound: int = 10_000):
-    """Least n >= 1 with is_one(x^n), or None past the bound."""
+def least_power(x, is_one, bound: int = 10_000, mul=operator.mul):
+    """Least n >= 1 with is_one(x^n), or None past the bound; x^(n+1) = mul(x^n, x)."""
     acc = x
     for n in range(1, bound + 1):
         if is_one(acc):
             return n
-        acc = acc * x
+        acc = mul(acc, x)
     return None
 
 

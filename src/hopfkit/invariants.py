@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cyclotomic import CycNumber
-from .hopf import (Element, HopfAlgebraData, antipode_order, dual, is_semisimple, memoised,
-                   s_squared_order, tr_s_squared)
+from .hopf import (Element, HopfAlgebraData, antipode_order, dual, is_semisimple, least_power,
+                   memoised, s_squared_order, tr_s_squared)
 from .linalg import EchelonBasis, Matrix, Subspace, accumulate, bilinear_closure, nullspace
 from .repsolver import RepModule, wedderburn_certificate
 
@@ -194,26 +194,32 @@ def verify_grouplikes(h: HopfAlgebraData, candidates, dual_blocks) -> GrouplikeC
     for idx, g in enumerate(candidates):
         if not g.is_grouplike():
             return GrouplikeCertificate(False, failures=[f"candidate {idx} is not group-like"])
-    seen = set()
-    for g in candidates:
+    index = {}
+    for i, g in enumerate(candidates):
         key = tuple(g.coeffs)
-        if key in seen:
+        if key in index:
             failures.append("duplicate group-like candidates")
-        seen.add(key)
-    # closure under multiplication (a finite cancellative table is a group)
+        index[key] = i
+    # closure under multiplication (a finite cancellative table is a group);
+    # table[i][j] is the index of candidates[i] * candidates[j]
+    table = []
     for a in candidates:
-        for b in candidates:
-            if tuple((a * b).coeffs) not in seen:
-                failures.append("candidate set not closed under multiplication")
-                break
-        else:
-            continue
-        break
-    if h.unit not in [list(g.coeffs) for g in candidates]:
+        row = [index.get(tuple((a * b).coeffs)) for b in candidates]
+        if None in row:
+            failures.append("candidate set not closed under multiplication")
+            break
+        table.append(row)
+    unit = index.get(tuple(h.unit))
+    if unit is None:
         failures.append("unit missing from candidate set")
-    orders = sorted(g.order(16 * h.dim) or -1 for g in candidates)
     if failures:
+        orders = sorted(g.order(16 * h.dim) or -1 for g in candidates)
         return GrouplikeCertificate(False, len(candidates), orders, failures=failures)
+    # powers of a candidate stay in the closed table, so the first unit power
+    # comes within len(candidates) steps if at all (Element.order agrees)
+    orders = sorted(least_power(i, lambda k: k == unit, len(candidates),
+                                lambda k, j: table[k][j]) or -1
+                    for i in range(len(candidates)))
 
     dual_h = dual(h)
     coradical_dim = coradical(h).dim

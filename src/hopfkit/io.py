@@ -15,8 +15,16 @@ def _vec_to_json(vec):
     return [cyc_to_json(c) for c in vec]
 
 
-def _vec_from_json(arr):
-    return [cyc_from_json(o) for o in arr]
+def _cyc_from_json(obj, conductor):
+    c = cyc_from_json(obj)
+    if c.conductor != conductor:
+        raise ValueError(f"coefficient of conductor {c.conductor} in a structure of "
+                         f"conductor {conductor}")
+    return c
+
+
+def _vec_from_json(arr, conductor):
+    return [_cyc_from_json(o, conductor) for o in arr]
 
 
 def matrix_to_json(m: Matrix):
@@ -28,8 +36,10 @@ def matrix_to_json(m: Matrix):
 
 
 def matrix_from_json(obj, conductor):
-    entries = [[cyc_from_json(c) for c in row] for row in obj["entries"]]
-    return Matrix(obj["rows"], obj["cols"], conductor, entries)
+    rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+    if len(entries) != rows or any(len(row) != cols for row in entries):
+        raise ValueError(f"matrix entries do not match its shape {rows}x{cols}")
+    return Matrix(rows, cols, conductor, [_vec_from_json(row, conductor) for row in entries])
 
 
 def hopf_to_json(h: HopfAlgebraData) -> dict:
@@ -73,21 +83,24 @@ def hopf_from_json(obj: dict) -> HopfAlgebraData:
         _check_indices(dim, i, j)
         if len(vec) != dim:
             raise ValueError(f"product e_{i} e_{j} has {len(vec)} coefficients, not {dim}")
-        coeffs = _vec_from_json(vec)
+        coeffs = _vec_from_json(vec, conductor)
         mult[i][j] = {k: c for k, c in enumerate(coeffs) if not c.is_zero()}
     comult = [[] for _ in range(dim)]
     for i, j, k, c in obj["comult"]:
         _check_indices(dim, i, j, k)
-        comult[i].append((j, k, cyc_from_json(c)))
+        comult[i].append((j, k, _cyc_from_json(c, conductor)))
+    antipode = matrix_from_json(obj["antipode"], conductor)
+    if (antipode.rows, antipode.cols) != (dim, dim):
+        raise ValueError(f"antipode is {antipode.rows}x{antipode.cols}, not {dim}x{dim}")
     return HopfAlgebraData(
         dim=dim,
         conductor=conductor,
         labels=list(obj["labels"]),
         mult=mult,
-        unit=_vec_from_json(obj["unit"]),
+        unit=_vec_from_json(obj["unit"], conductor),
         comult=comult,
-        counit=_vec_from_json(obj["counit"]),
-        antipode=matrix_from_json(obj["antipode"], conductor),
+        counit=_vec_from_json(obj["counit"], conductor),
+        antipode=antipode,
     )
 
 
@@ -120,7 +133,7 @@ def candidate_from_json(obj: dict, h: HopfAlgebraData):
     from .repsolver import RepModule
 
     cd = CandidateData()
-    cd.grouplikes = [Element(h, _vec_from_json(v)) for v in obj["grouplikes"]]
+    cd.grouplikes = [Element(h, _vec_from_json(v, h.conductor)) for v in obj["grouplikes"]]
     cd.grouplike_labels = list(obj["grouplike_labels"])
     cd.expected = dict(obj["expected"])
     cd.simples = [
@@ -128,10 +141,11 @@ def candidate_from_json(obj: dict, h: HopfAlgebraData):
                   [matrix_from_json(a, h.conductor) for a in m["action"]])
         for m in obj["simples"]
     ]
-    cd.dual_blocks = [[Element(h, _vec_from_json(v)) for v in blk]
+    cd.dual_blocks = [[Element(h, _vec_from_json(v, h.conductor)) for v in blk]
                       for blk in obj["dual_blocks"]]
     if "skew_witness" in obj:
-        cd.skew_witness = tuple(Element(h, _vec_from_json(v)) for v in obj["skew_witness"])
+        cd.skew_witness = tuple(Element(h, _vec_from_json(v, h.conductor))
+                               for v in obj["skew_witness"])
     return cd
 
 
@@ -142,8 +156,12 @@ def dump_json(obj, path):
 
 
 def load_json(path):
+    """A JSON file whose top level is an object; anything else is a ValueError."""
     with open(path) as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: top level is a JSON {type(obj).__name__}, not an object")
+    return obj
 
 
 def report_to_json(rep) -> dict:

@@ -75,19 +75,38 @@ def _huge_dim(payload):
     payload["dim"] = 100000
 
 
+def _mixed_conductor(payload):
+    # phi(6) = phi(3), so only the conductor field is wrong
+    payload["comult"][0][3]["conductor"] = 6
+
+
+def _antipode_row_dropped(payload):
+    payload["antipode"]["entries"].pop()
+
+
+def _antipode_not_square(payload):
+    payload["antipode"]["entries"].pop()
+    payload["antipode"]["rows"] -= 1
+
+
+def _top_level_list(payload):
+    return []
+
+
 def _limit_memory():
     # a loader that allocates dim^2 tables before checking dim fails here, not on the host
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 @pytest.mark.parametrize("corrupt", [_comult_index_99, _zero_denominator, _long_product_vector,
-                                     _huge_dim])
+                                     _huge_dim, _mixed_conductor, _antipode_row_dropped,
+                                     _antipode_not_square, _top_level_list])
 def test_verify_rejects_malformed_file(tmp_path, corrupt):
     out = tmp_path / "h.json"
     assert main(["build", "taft", "--n", "3", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
-    corrupt(payload)
-    out.write_text(json.dumps(payload))
+    replaced = corrupt(payload)
+    out.write_text(json.dumps(payload if replaced is None else replaced))
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-m", "hopfkit.cli", "verify", str(out)],
                           env=env, capture_output=True, text=True, timeout=60,
@@ -104,6 +123,17 @@ def test_sidecar_with_zero_denominator_is_an_input_error(tmp_path, command):
     payload = json.loads(side.read_text())
     payload["grouplikes"][0][0]["coeffs"][0] = "1/0"
     side.write_text(json.dumps(payload))
+    argv = [command, str(out), "--expect", str(side)] if command == "invariants" else \
+        [command, str(out), str(side)]
+    assert main(argv) == 2
+
+
+@pytest.mark.parametrize("command", ["invariants", "simples"])
+def test_sidecar_that_is_not_an_object_is_an_input_error(tmp_path, command):
+    out = tmp_path / "h.json"
+    main(["build", "taft", "--n", "3", "--out", str(out)])
+    side = tmp_path / "h.sidecar.json"
+    side.write_text("[]")
     argv = [command, str(out), "--expect", str(side)] if command == "invariants" else \
         [command, str(out), str(side)]
     assert main(argv) == 2

@@ -1,7 +1,11 @@
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfkit.cyclotomic import (
     CycNumber,
@@ -112,3 +116,120 @@ def test_canonical_idempotent():
 def test_json_round_trip():
     x = root_of_unity(20, 7) * Fraction(3, 7) - 2
     assert cyc_from_json(cyc_to_json(x)) == x
+
+
+# -- property tests of the kernel against a plain polynomial oracle ----------
+
+
+KERNEL_CONDUCTORS = (1, 2, 4, 12, 20, 28)
+
+
+@lru_cache(maxsize=None)
+def _oracle_modulus(n: int) -> tuple[int, ...]:
+    """Phi_n, low degree first, by exact division of t^n - 1 by each Phi_d, d | n."""
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d:
+            continue
+        den = _oracle_modulus(d)
+        quot = [0] * (len(num) - len(den) + 1)
+        for i in range(len(quot) - 1, -1, -1):
+            quot[i] = c = num[i + len(den) - 1]
+            for j, dj in enumerate(den):
+                num[i + j] -= c * dj
+        assert not any(num)
+        num = quot
+    return tuple(num)
+
+
+def _oracle_mul(a: list, b: list, n: int) -> list:
+    """a*b mod Phi_n on Fraction coefficient lists."""
+    mod = _oracle_modulus(n)
+    phi = len(mod) - 1
+    prod = [Fraction(0)] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for d in range(len(prod) - 1, phi - 1, -1):
+        c = prod[d]
+        for j, mj in enumerate(mod):
+            prod[d - phi + j] -= c * mj
+    return prod[:phi]
+
+
+_rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+@st.composite
+def _coeff_lists(draw, n):
+    """Fraction coefficients of a zero, rational, sparse or full element."""
+    phi = euler_phi(n)
+    shape = draw(st.sampled_from(("zero", "rational", "sparse", "full")))
+    if shape == "zero":
+        return [Fraction(0)] * phi
+    if shape == "rational":
+        return [draw(_rationals)] + [Fraction(0)] * (phi - 1)
+    if shape == "sparse":
+        out = [Fraction(0)] * phi
+        for k in draw(st.lists(st.integers(0, phi - 1), min_size=1, max_size=2)):
+            out[k] = draw(_rationals)
+        return out
+    return draw(st.lists(_rationals, min_size=phi, max_size=phi))
+
+
+@st.composite
+def _operand_pairs(draw):
+    n = draw(st.sampled_from(KERNEL_CONDUCTORS))
+    return n, draw(_coeff_lists(n)), draw(_coeff_lists(n))
+
+
+def _assert_canonical(x: CycNumber, expected: list) -> None:
+    assert list(x.coeffs) == expected
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+    assert x.den == 1 or any(x.num)
+    assert hash(x) == hash((x.conductor, tuple(expected)))
+    assert CycNumber(x.conductor, x.coeffs) == x
+
+
+_KERNEL = settings(max_examples=150, deadline=None)
+
+
+@_KERNEL
+@given(_operand_pairs())
+def test_property_ring_ops_match_oracle(case):
+    n, xs, ys = case
+    x, y = CycNumber(n, xs), CycNumber(n, ys)
+    _assert_canonical(x, xs)
+    _assert_canonical(x * y, _oracle_mul(xs, ys, n))
+    _assert_canonical(x + y, [a + b for a, b in zip(xs, ys)])
+    _assert_canonical(x - y, [a - b for a, b in zip(xs, ys)])
+    _assert_canonical(-x, [-a for a in xs])
+    _assert_canonical(x * ys[0], [a * ys[0] for a in xs])
+
+
+@_KERNEL
+@given(_operand_pairs())
+def test_property_inverse_matches_oracle(case):
+    n, xs, _ = case
+    x = CycNumber(n, xs)
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    inv = x.inverse()
+    _assert_canonical(inv, list(inv.coeffs))
+    assert _oracle_mul(xs, list(inv.coeffs), n) == [Fraction(1)] + [Fraction(0)] * (len(xs) - 1)
+    assert x * inv == 1 and x * inv == CycNumber.one(n)
+
+
+@_KERNEL
+@given(_operand_pairs())
+def test_property_equality_is_equality_of_coefficients(case):
+    n, xs, ys = case
+    x, y = CycNumber(n, xs), CycNumber(n, ys)
+    assert (x == y) == (xs == ys)
+    same = (x + y) - y
+    assert same == x and hash(same) == hash(x)
+    assert CycNumber(n, [str(c) for c in xs]) == x
+    assert (x == xs[0]) == all(c == 0 for c in xs[1:])

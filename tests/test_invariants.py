@@ -95,6 +95,19 @@ def test_verify_grouplikes_fails_on_fake():
     assert not cert.ok
 
 
+def test_grouplike_orders_match_element_order():
+    # orders read off the closure table on success, and by Element.order when
+    # the closure check fails
+    for name, params in [("h8p", {"p": 3, "alpha": 1}), ("taft", {"n": 3}), ("b4p", {"p": 3})]:
+        h, cd = build(name, **params)
+        expected = sorted(g.order(16 * h.dim) or -1 for g in cd.grouplikes)
+        assert verify_grouplikes(h, cd.grouplikes, cd.dual_blocks).orders == expected
+        partial = cd.grouplikes[1:]
+        cert = verify_grouplikes(h, partial, cd.dual_blocks)
+        assert not cert.ok
+        assert cert.orders == sorted(g.order(16 * h.dim) or -1 for g in partial)
+
+
 def test_verify_grouplikes_incomplete_blocks():
     h, cd = build("h8p", p=3, alpha=1)
     cert = verify_grouplikes(h, cd.grouplikes, cd.dual_blocks[:1])
