@@ -1,10 +1,13 @@
 """Constructors for every Hopf algebra family in the toolkit.
 
-Each constructor returns (HopfAlgebraData, CandidateData).  The sidecar holds
-*claims* only: group-like candidates, simple-module candidates, matrix-block
-candidates for the coradical accounting, and expected invariant numbers.  None
-of it is trusted; the invariants and repsolver engines re-verify everything
-before a certificate is issued.
+Each constructor returns (HopfAlgebraData, CandidateData) and only constructs:
+nothing here runs verify_hopf.  The structure is a claim like the sidecar, and
+every command that writes or reports on it (build, certify, bosonize,
+yd-verify) verifies it once.  The sidecar holds *claims* only: group-like
+candidates, simple-module candidates, matrix-block candidates for the
+coradical accounting, and expected invariant numbers.  None of it is trusted;
+the invariants and repsolver engines re-verify everything before a certificate
+is issued.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from math import lcm
 from .cyclotomic import CycNumber, root_of_unity
 from .groups import (
     FiniteGroup,
+    _is_prime,
     cyclic_group,
     dicyclic_group,
     dihedral_group,
@@ -23,7 +27,7 @@ from .groups import (
     product_of_cyclics,
     quaternion_group,
 )
-from .hopf import Element, HopfAlgebraData, dual, tensor_product
+from .hopf import Element, dual, tensor_product
 from .linalg import Matrix, accumulate
 from .presentation import Presentation, group_algebra_hopf, realize_on_group
 from .repsolver import RepModule, module_from_gen_mats
@@ -42,17 +46,6 @@ class CandidateData:
     dual_blocks: list = dc_field(default_factory=list)  # [m11,m12,m21,m22] Elements
     expected: dict = dc_field(default_factory=dict)
     extra: dict = dc_field(default_factory=dict)
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _require_odd_prime(p):
@@ -82,11 +75,9 @@ def build_group(spec) -> FiniteGroup:
     raise ValueError(f"unknown group family {kind!r}")
 
 
-def group_algebra(spec, verify=True):
+def group_algebra(spec):
     group = build_group(spec)
     h = group_algebra_hopf(group)
-    if verify:
-        _must_verify(h, f"group algebra {group.name}")
     simples = [
         RepModule(rep.label, rep.dim, group.irrep_element_matrices(rep))
         for rep in group.irreps
@@ -112,12 +103,10 @@ def group_algebra(spec, verify=True):
     return h, cd
 
 
-def dual_group_algebra(spec, verify=True):
+def dual_group_algebra(spec):
     group = build_group(spec)
     kg = group_algebra_hopf(group)
     h = dual(kg)
-    if verify:
-        _must_verify(h, f"function algebra on {group.name}")
     # group-likes of k^G are the characters of G
     one_dims = [r for r in group.irreps if r.dim == 1]
     grouplikes = []
@@ -160,20 +149,12 @@ def dual_group_algebra(spec, verify=True):
     return h, cd
 
 
-def _must_verify(h, what):
-    from .hopf import verify_hopf
-
-    rep = verify_hopf(h)
-    if not rep.ok:
-        raise AssertionError(f"{what} fails Hopf axioms: " + "; ".join(rep.failures))
-
-
 # ---------------------------------------------------------------------------
 # Taft algebras
 # ---------------------------------------------------------------------------
 
 
-def taft(n, k=1, verify=True):
+def taft(n, k=1):
     """T_q of dimension n^2, q = zeta_n^k primitive; basis x^j g^i."""
     if n < 2:
         raise ValueError("need n >= 2")
@@ -208,7 +189,7 @@ def taft(n, k=1, verify=True):
         G: pres.normal_form_word((G,) * (n - 1)),
         X: _neg(pres.normal_form_word((G,) * (n - 1) + (X,))),
     }
-    h = pres.realize(gen_delta, gen_eps, gen_s, skip_verify=not verify)
+    h = pres.realize(gen_delta, gen_eps, gen_s)
     grouplikes = [Element.basis(h, idx[(G,) * i]) for i in range(n)]
     simples = []
     for m in range(n):
@@ -250,10 +231,6 @@ def _neg(d):
     return {k: -v for k, v in d.items()}
 
 
-def _scale(d, c):
-    return {k: c * v for k, v in d.items() if not (c * v).is_zero()}
-
-
 # ---------------------------------------------------------------------------
 # the four pointed families of dimension 4p
 # ---------------------------------------------------------------------------
@@ -261,11 +238,11 @@ def _scale(d, c):
 POINTED4P_VARIANTS = ("a-m10", "a-m10-dual", "a-m11", "h4xcp")
 
 
-def pointed4p(variant, p, lam_k=1, verify=True):
+def pointed4p(variant, p, lam_k=1):
     """Pointed 4p-dimensional algebras with group-likes of order 2p."""
     _require_odd_prime(p)
     if variant == "h4xcp":
-        return _h4_tensor_kcp(p, verify=verify)
+        return _h4_tensor_kcp(p)
     conductor = 2 * p
     one = CycNumber.one(conductor)
     G, X = 0, 1
@@ -308,7 +285,7 @@ def pointed4p(variant, p, lam_k=1, verify=True):
         G: {idx[(G,) * (2 * p - 1)]: one},
         X: _neg(pres.normal_form_word((G,) * (2 * p - delta_twist) + (X,))),
     }
-    h = pres.realize(gen_delta, gen_eps, gen_s, skip_verify=not verify)
+    h = pres.realize(gen_delta, gen_eps, gen_s)
     grouplikes = [Element.basis(h, idx[(G,) * i]) for i in range(2 * p)]
     words = [["g"] * i + ["x"] * e for i in range(2 * p) for e in (0, 1)]
     simples = _pointed4p_simples(variant, p, conductor, words)
@@ -363,12 +340,10 @@ def _pointed4p_simples(variant, p, conductor, words):
     return simples
 
 
-def _h4_tensor_kcp(p, verify=True):
-    t, tcd = taft(2, verify=verify)
-    c, _ = group_algebra(("cyclic", p), verify=verify)
+def _h4_tensor_kcp(p):
+    t, tcd = taft(2)
+    c, _ = group_algebra(("cyclic", p))
     h = tensor_product(t, c)
-    if verify:
-        _must_verify(h, "H4 tensor kC_p")
     # tensor basis index (taft i, cyclic a) -> i*p + a; taft grouplikes at 0, 1
     grouplikes = []
     labels = []
@@ -511,24 +486,25 @@ def _twisted_quad_images(group, conductor, a_elem):
     return gen_delta, gen_eps, gen_s
 
 
-def _idempotent_twisted_grouplike(h, idx_w, idx_aw, sign):
-    """(e_0 + sign*sqrt(-1)*e_1) * w as an Element."""
-    conductor = h.conductor
+def _twisted_vec(conductor, idx_w, idx_aw, sign):
+    """(e_0 + sign*sqrt(-1)*e_1) * w as a sparse vector; w and a*w sit at idx_w, idx_aw."""
     half = CycNumber.from_rational(conductor, HALF)
     im = root_of_unity(conductor, conductor // 4)
-    coeffs = [h.zero()] * h.dim
-    coeffs[idx_w] = half + sign * im * half
-    coeffs[idx_aw] = half - sign * im * half
-    return Element(h, coeffs)
+    return {idx_w: half + sign * im * half, idx_aw: half - sign * im * half}
 
 
-def a4p(p, verify=True):
+def _idempotent_twisted_grouplike(h, idx_w, idx_aw, sign):
+    """(e_0 + sign*sqrt(-1)*e_1) * w as an Element."""
+    return Element.from_dict(h, _twisted_vec(h.conductor, idx_w, idx_aw, sign))
+
+
+def a4p(p):
     """Semisimple self-dual family on C_2 x D_p; (s+s-)^p = 1."""
     _require_odd_prime(p)
     group = _c2xdp_group(p)
     conductor = 4 * p
     gen_delta, gen_eps, gen_s = _twisted_quad_images(group, conductor, (1, 0, 0))
-    h = realize_on_group(group, conductor, gen_delta, gen_eps, gen_s, skip_verify=not verify)
+    h = realize_on_group(group, conductor, gen_delta, gen_eps, gen_s)
     idx = group.index
     k0 = (p - 1) // 2
     w = (0, k0, 1)  # s_+(p), the middle reflection
@@ -563,14 +539,14 @@ def a4p(p, verify=True):
     return h, cd
 
 
-def b4p(p, verify=True):
+def b4p(p):
     """Semisimple self-dual family on D_2p; (s+s-)^p = a."""
     _require_odd_prime(p)
     group = _d2p_group(2 * p)
     conductor = 4 * p
     a_elem = (p, 0)
     gen_delta, gen_eps, gen_s = _twisted_quad_images(group, conductor, a_elem)
-    h = realize_on_group(group, conductor, gen_delta, gen_eps, gen_s, skip_verify=not verify)
+    h = realize_on_group(group, conductor, gen_delta, gen_eps, gen_s)
     idx = group.index
     k0 = (p - 1) // 2
     grouplikes = [
@@ -604,13 +580,13 @@ def b4p(p, verify=True):
     return h, cd
 
 
-def b8(verify=True):
+def b8():
     """The 8-dimensional Kac-Paljutkin algebra: D_4 with (s+s-)^2 = a."""
     group = _d2p_group(4)
     conductor = 4
     a_elem = (2, 0)
     gen_delta, gen_eps, gen_s = _twisted_quad_images(group, conductor, a_elem)
-    h = realize_on_group(group, conductor, gen_delta, gen_eps, gen_s, skip_verify=not verify)
+    h = realize_on_group(group, conductor, gen_delta, gen_eps, gen_s)
     idx = group.index
     grouplikes = [
         Element.unit(h),
@@ -733,11 +709,11 @@ def _fun_dic_presentation(p):
     return Presentation(["a", "x"], conductor, monomials, rules)
 
 
-def _fun_dic_images(pres, p):
+def _fun_dic_images(pres, p, A, X):
+    """Coalgebra images of the generators a = A and x = X of the dicyclic function algebra."""
     conductor = pres.conductor
     one = CycNumber.one(conductor)
     idx = pres.index
-    A, X = 0, 1
     half = CycNumber.from_rational(conductor, HALF)
     a_vec = {idx[(A,)]: one}
     x_vec = {idx[(X,)]: one}
@@ -765,20 +741,13 @@ def _fun_dic_images(pres, p):
 
 def _dic_fun_grouplikes(h, p, x_pow_index):
     """1, g, a, a*g with g = (e0 + sqrt(-1) e1) x^p."""
-    conductor = h.conductor
-    half = CycNumber.from_rational(conductor, HALF)
-    im = root_of_unity(conductor, p)  # zeta_{4p}^p = sqrt(-1)
-    idx_xp = x_pow_index(0, p)
-    idx_axp = x_pow_index(1, p)
-    g = [h.zero()] * h.dim
-    g[idx_xp] = half + im * half
-    g[idx_axp] = half - im * half
-    g3 = [h.zero()] * h.dim
-    g3[idx_xp] = half - im * half
-    g3[idx_axp] = half + im * half
-    a = [h.zero()] * h.dim
-    a[x_pow_index(1, 0)] = h.one()
-    return [Element.unit(h), Element(h, g), Element(h, a), Element(h, g3)]
+    idx_xp, idx_axp = x_pow_index(0, p), x_pow_index(1, p)
+    return [
+        Element.unit(h),
+        _idempotent_twisted_grouplike(h, idx_xp, idx_axp, +1),
+        Element.basis(h, x_pow_index(1, 0)),
+        _idempotent_twisted_grouplike(h, idx_xp, idx_axp, -1),
+    ]
 
 
 def _dic_fun_blocks(h, p, x_pow_index):
@@ -802,15 +771,15 @@ def _dic_fun_blocks(h, p, x_pow_index):
     return blocks
 
 
-def fun_dic(p, verify=True):
+def fun_dic(p):
     """The commutative function algebra on the dicyclic group of order 4p."""
     _require_odd_prime(p)
     pres = _fun_dic_presentation(p)
-    gen_delta, gen_eps, gen_s = _fun_dic_images(pres, p)
-    h = pres.realize(gen_delta, gen_eps, gen_s, skip_verify=not verify)
+    A, X = 0, 1
+    gen_delta, gen_eps, gen_s = _fun_dic_images(pres, p, A, X)
+    h = pres.realize(gen_delta, gen_eps, gen_s)
     conductor = pres.conductor
     idx = pres.index
-    A, X = 0, 1
 
     def x_pow_index(i, j):
         return idx[(A,) * i + (X,) * (j % (2 * p))]
@@ -851,7 +820,7 @@ def fun_dic(p, verify=True):
 # ---------------------------------------------------------------------------
 
 
-def h8p(p, alpha=1, verify=True):
+def h8p(p, alpha=1):
     """Dimension 8p: the function algebra on Dic_p extended by z, z^2 = alpha(a-1).
 
     Basis ordered z^e a^i x^j (z-major), which makes the alpha = 0 member
@@ -880,39 +849,20 @@ def h8p(p, alpha=1, verify=True):
     def x_pow_index(i, j):
         return idx[(A,) * i + (X,) * (j % (2 * p))]
 
-    half = CycNumber.from_rational(conductor, HALF)
-    im = root_of_unity(conductor, p)
-    a_vec = {idx[(A,)]: one}
-    x_vec = {idx[(X,)]: one}
     z_vec = {idx[(Z,)]: one}
-    g_vec = {x_pow_index(0, p): half + im * half, x_pow_index(1, p): half - im * half}
-    g3_vec = {x_pow_index(0, p): half - im * half, x_pow_index(1, p): half + im * half}
-
-    def e_times_x_power(bit, j):
-        j %= 2 * p
-        sign = one if bit == 0 else -one
-        return {x_pow_index(0, j): half, x_pow_index(1, j): sign * half}
-
-    gen_delta = {
-        A: _outer((a_vec, a_vec)),
-        X: _outer(
-            (x_vec, e_times_x_power(0, 1)),
-            ({x_pow_index(1, 2 * p - 1): one}, e_times_x_power(1, 1)),
-        ),
-        Z: _outer((g_vec, z_vec), (z_vec, {idx[()]: one})),
-    }
-    gen_eps = {A: one, X: one, Z: CycNumber.zero(conductor)}
+    g_vec = _twisted_vec(conductor, x_pow_index(0, p), x_pow_index(1, p), +1)
+    g3_vec = _twisted_vec(conductor, x_pow_index(0, p), x_pow_index(1, p), -1)
+    gen_delta, gen_eps, gen_s = _fun_dic_images(pres, p, A, X)
+    gen_delta[Z] = _outer((g_vec, z_vec), (z_vec, {idx[()]: one}))
+    gen_eps[Z] = CycNumber.zero(conductor)
     # S(z) = -g^{-1} z = -g^3 z, and z anticommutes with g^3, so S(z) = z g^3
     s_z: dict[int, CycNumber] = {}
     for k, c in g3_vec.items():
         word = (Z,) + pres.normal_monomials[k]
         for kk, cc in pres.normal_form_word(word).items():
             accumulate(s_z, kk, c * cc)
-    s_x = e_times_x_power(0, 2 * p - 1)
-    for k, v in e_times_x_power(1, 1).items():
-        accumulate(s_x, k, -v)
-    gen_s = {A: dict(a_vec), X: s_x, Z: s_z}
-    h = pres.realize(gen_delta, gen_eps, gen_s, skip_verify=not verify)
+    gen_s[Z] = s_z
+    h = pres.realize(gen_delta, gen_eps, gen_s)
 
     grouplikes = _dic_fun_grouplikes(h, p, x_pow_index)
     words = [["z"] * e + ["a"] * i + ["x"] * j
@@ -992,8 +942,11 @@ def h8p(p, alpha=1, verify=True):
 # ---------------------------------------------------------------------------
 
 
-def _group_spec_from_params(params):
-    kind = params.get("group", "cyclic")
+_GROUP_FAMILIES = {"c_n": "cyclic", "product": "product", "dihedral": "dihedral",
+                   "dicyclic": "dicyclic", "q8": "q8", "gamma4p": "gamma4p"}
+
+
+def _group_spec_from_params(kind, params):
     if kind == "cyclic":
         return ("cyclic", int(params["n"]))
     if kind == "product":
@@ -1008,37 +961,29 @@ def _group_spec_from_params(params):
     raise ValueError(f"unknown group kind {kind!r}")
 
 
-def build_family(name, params, verify=True):
-    """CLI entry: family name + parameter dict -> (HopfAlgebraData, CandidateData)."""
-    if name == "c_n":
-        return group_algebra(("cyclic", int(params["n"])), verify=verify)
-    if name == "product":
-        ns = [int(x) for x in str(params["ns"]).split(",")]
-        return group_algebra(("product", tuple(ns)), verify=verify)
-    if name == "dihedral":
-        return group_algebra(("dihedral", int(params["n"])), verify=verify)
-    if name == "dicyclic":
-        return group_algebra(("dicyclic", int(params["n"])), verify=verify)
-    if name == "q8":
-        return group_algebra(("q8",), verify=verify)
-    if name == "gamma4p":
-        return group_algebra(("gamma4p", int(params["p"])), verify=verify)
+def build_family(name, params):
+    """CLI entry: family name + parameter dict -> (HopfAlgebraData, CandidateData).
+
+    The result is not verified here; each command runs verify_hopf on it once.
+    """
+    if name in _GROUP_FAMILIES:
+        return group_algebra(_group_spec_from_params(_GROUP_FAMILIES[name], params))
     if name == "dual-group":
-        return dual_group_algebra(_group_spec_from_params(params), verify=verify)
+        return dual_group_algebra(_group_spec_from_params(params.get("group", "cyclic"), params))
     if name == "taft":
-        return taft(int(params["n"]), int(params.get("q_power", 1)), verify=verify)
+        return taft(int(params["n"]), int(params.get("q_power", 1)))
     if name in POINTED4P_VARIANTS:
-        return pointed4p(name, int(params["p"]), int(params.get("lambda_power", 1)), verify=verify)
+        return pointed4p(name, int(params["p"]), int(params.get("lambda_power", 1)))
     if name == "a4p":
-        return a4p(int(params["p"]), verify=verify)
+        return a4p(int(params["p"]))
     if name == "b4p":
-        return b4p(int(params["p"]), verify=verify)
+        return b4p(int(params["p"]))
     if name == "b8":
-        return b8(verify=verify)
+        return b8()
     if name == "fun-dic":
-        return fun_dic(int(params["p"]), verify=verify)
+        return fun_dic(int(params["p"]))
     if name == "h8p":
-        return h8p(int(params["p"]), int(params.get("alpha", 1)), verify=verify)
+        return h8p(int(params["p"]), int(params.get("alpha", 1)))
     raise ValueError(f"unknown family {name!r}")
 
 

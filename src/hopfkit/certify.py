@@ -1,5 +1,5 @@
-"""The one-shot certification driver: build a family, recompute every claimed
-invariant, and return a pass/fail table."""
+"""The one-shot certification driver: build a family, run verify_hopf on it
+once, recompute every claimed invariant, and return a pass/fail table."""
 
 from __future__ import annotations
 
@@ -65,7 +65,7 @@ class CertifySuite:
 
 def certify_family(name: str, params: dict) -> CertifySuite:
     suite = CertifySuite(name, dict(params))
-    h, cd = build_family(name, params, verify=False)
+    h, cd = build_family(name, params)
     rep_hopf = verify_hopf(h)
     suite.add("verify_hopf", True, rep_hopf.ok)
     if not rep_hopf.ok:

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 = pass, 1 = claim/verification failure, 2 = input error.
-All output is deterministic (sorted JSON keys, no timestamps).
+All output is deterministic (sorted JSON keys, no timestamps).  Catalog
+constructors never verify; every command that writes or reports on a
+structure runs verify_hopf on it here, once.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ def cmd_build(args) -> int:
     if h.dim > MAX_DIM:
         print(f"error: dimension {h.dim} exceeds HOPFKIT_MAX_DIM={MAX_DIM}", file=sys.stderr)
         return 2
+    if _fails_verify_hopf(h):
+        return 1
     hio.dump_json(hio.hopf_to_json(h), args.out)
     stem = args.out[:-5] if args.out.endswith(".json") else args.out
     hio.dump_json(hio.candidate_to_json(cd), stem + ".sidecar.json")
@@ -70,15 +74,18 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _hopf_from_json(obj):
+    """hio.hopf_from_json, refusing dim above HOPFKIT_MAX_DIM before anything is allocated."""
+    dim = int(obj["dim"])
+    if dim > MAX_DIM:
+        raise ValueError(f"dimension {dim} exceeds HOPFKIT_MAX_DIM={MAX_DIM}")
+    return hio.hopf_from_json(obj)
+
+
 def _load_hopf(path):
     try:
-        obj = hio.load_json(path)
-        dim = int(obj["dim"])
-        if dim > MAX_DIM:
-            print(f"error: dimension {dim} exceeds HOPFKIT_MAX_DIM={MAX_DIM}", file=sys.stderr)
-            return None
-        return hio.hopf_from_json(obj)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+        return _hopf_from_json(hio.load_json(path))
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return None
 
@@ -114,7 +121,7 @@ def cmd_invariants(args) -> int:
     if args.expect:
         try:
             cd = hio.candidate_from_json(hio.load_json(args.expect), h)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
             print(f"parse error in sidecar: {e}", file=sys.stderr)
             return 2
     if _fails_verify_hopf(h):
@@ -165,7 +172,7 @@ def cmd_simples(args) -> int:
     try:
         side = hio.load_json(args.modules)
         cd = hio.candidate_from_json(side, h)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
     if _fails_verify_hopf(h):
@@ -235,10 +242,11 @@ def _datum_from_file(path):
     from .ydnichols import YDDatum
 
     obj = hio.load_json(path)
-    L = hio.hopf_from_json(obj["algebra"])
-    g = Element(L, [cyc_from_json(c) for c in obj["g"]])
-    chi = [cyc_from_json(c) for c in obj["chi"]]
-    return YDDatum(L, g, chi, cyc_from_json(obj["q"]), label=path)
+    L = _hopf_from_json(obj["algebra"])
+    g, chi = ([cyc_from_json(c) for c in obj[key]] for key in ("g", "chi"))
+    if len(g) != L.dim or len(chi) != L.dim:
+        raise ValueError(f"g and chi need {L.dim} coefficients each")
+    return YDDatum(L, Element(L, g), chi, cyc_from_json(obj["q"]), label=path)
 
 
 def cmd_yd_verify(args) -> int:
@@ -262,7 +270,7 @@ def cmd_yd_verify(args) -> int:
             c = braiding(mod)
             print(f"braid equation: {'pass' if braid_equation_check(c, mod.dim) else 'FAIL'}")
         return 0 if ok else 1
-    except (ValueError, OSError, KeyError) as e:
+    except (ValueError, OSError, KeyError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

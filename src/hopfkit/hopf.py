@@ -2,9 +2,10 @@
 
 A HopfAlgebraData holds multiplication (dense table of sparse coefficient
 dicts), comultiplication (sparse triple lists), unit, counit and the antipode
-matrix, all over one cyclotomic conductor.  Constructors are expected to run
-verify_hopf(); the verifiers here are the soundness backstop for every
-generator-and-relations construction in the catalog.
+matrix, all over one cyclotomic conductor.  Constructors only build the
+tensors and never verify them; each command runs verify_hopf() once on every
+structure it reports on, so the verifiers here are the soundness backstop for
+every generator-and-relations construction in the catalog.
 """
 
 from __future__ import annotations
@@ -224,12 +225,6 @@ class Element:
 
     def eps(self) -> CycNumber:
         return self.parent.counit_of(self.as_dict())
-
-    def delta(self) -> dict:
-        return self.parent.delta_dict(self.as_dict())
-
-    def antipode(self) -> "Element":
-        return Element.from_dict(self.parent, self.parent.antipode_dict(self.as_dict()))
 
     def is_grouplike(self) -> bool:
         d = self.as_dict()

@@ -128,24 +128,34 @@ def _expected_to_json(expected):
     return out
 
 
-def candidate_from_json(obj: dict, h: HopfAlgebraData):
-    from .catalog import CandidateData
+def _element_from_json(arr, h: HopfAlgebraData) -> Element:
+    vec = _vec_from_json(arr, h.conductor)
+    if len(vec) != h.dim:
+        raise ValueError(f"vector has {len(vec)} coefficients, not {h.dim}")
+    return Element(h, vec)
+
+
+def _module_from_json(obj, h: HopfAlgebraData):
     from .repsolver import RepModule
 
+    dim = int(obj["dim"])
+    action = [matrix_from_json(a, h.conductor) for a in obj["action"]]
+    if any((a.rows, a.cols) != (dim, dim) for a in action):
+        raise ValueError(f"module {obj['label']!r}: action matrices must be {dim}x{dim}")
+    return RepModule(obj["label"], dim, action)
+
+
+def candidate_from_json(obj: dict, h: HopfAlgebraData):
+    from .catalog import CandidateData
+
     cd = CandidateData()
-    cd.grouplikes = [Element(h, _vec_from_json(v, h.conductor)) for v in obj["grouplikes"]]
+    cd.grouplikes = [_element_from_json(v, h) for v in obj["grouplikes"]]
     cd.grouplike_labels = list(obj["grouplike_labels"])
     cd.expected = dict(obj["expected"])
-    cd.simples = [
-        RepModule(m["label"], int(m["dim"]),
-                  [matrix_from_json(a, h.conductor) for a in m["action"]])
-        for m in obj["simples"]
-    ]
-    cd.dual_blocks = [[Element(h, _vec_from_json(v, h.conductor)) for v in blk]
-                      for blk in obj["dual_blocks"]]
+    cd.simples = [_module_from_json(m, h) for m in obj["simples"]]
+    cd.dual_blocks = [[_element_from_json(v, h) for v in blk] for blk in obj["dual_blocks"]]
     if "skew_witness" in obj:
-        cd.skew_witness = tuple(Element(h, _vec_from_json(v, h.conductor))
-                               for v in obj["skew_witness"])
+        cd.skew_witness = tuple(_element_from_json(v, h) for v in obj["skew_witness"])
     return cd
 
 

@@ -44,9 +44,6 @@ class Matrix:
         i, j = ij
         self.entries[i][j] = v
 
-    def row(self, i):
-        return self.entries[i]
-
     def col(self, j):
         return [r[j] for r in self.entries]
 
@@ -316,10 +313,6 @@ class Subspace:
 
     def basis(self) -> list[list]:
         return self._eb.basis_rows()
-
-    def basis_matrix(self) -> Matrix:
-        rows = self.basis()
-        return Matrix(len(rows), self.ambient_dim, self.conductor, rows)
 
     def contains(self, vec: list) -> bool:
         return self._eb.contains(vec)

@@ -36,23 +36,28 @@ def module_from_gen_mats(dim, conductor, basis_words, gen_mats, label) -> RepMod
     return RepModule(label, dim, action)
 
 
+def _combination(h: HopfAlgebraData, m: RepModule, vec: dict) -> Matrix:
+    """The action of sum c e_k over vec = {k: c}, summed in place into one matrix."""
+    out = Matrix(m.dim, m.dim, h.conductor)
+    for k, c in vec.items():
+        for orow, arow in zip(out.entries, m.action[k].entries):
+            for col, a in enumerate(arow):
+                if not a.is_zero():
+                    orow[col] = orow[col] + c * a
+    return out
+
+
 def verify_module(h: HopfAlgebraData, m: RepModule):
     """Action respects every structure constant; returns (ok, first failure)."""
     if len(m.action) != h.dim:
         return False, "action list length != algebra dimension"
-    unit_mat = Matrix(m.dim, m.dim, h.conductor)
-    for i, c in enumerate(h.unit):
-        if not c.is_zero():
-            unit_mat = unit_mat + m.action[i].scale(c)
-    if not unit_mat.is_identity():
+    if not _combination(h, m, h.unit_dict()).is_identity():
         return False, "unit does not act as identity"
     for i in range(h.dim):
         ai = m.action[i]
         for j in range(h.dim):
             lhs = ai * m.action[j]
-            rhs = Matrix(m.dim, m.dim, h.conductor)
-            for k, c in h.mult[i][j].items():
-                rhs = rhs + m.action[k].scale(c)
+            rhs = _combination(h, m, h.mult[i][j])
             if lhs != rhs:
                 return False, f"action breaks at pair ({h.labels[i]}, {h.labels[j]})"
     return True, None

@@ -225,8 +225,12 @@ def _chi_of(d: YDDatum, vec: dict) -> CycNumber:
 
 
 def validate_yd_datum(d: YDDatum):
-    """(valid, witness): algebra map, group-like, chi(g) = q, commutation."""
+    """(valid, witness): L is a Hopf algebra, chi an algebra map, g group-like,
+    chi(g) = q, and the commutation rule holds."""
     L = d.L
+    rep = verify_hopf(L)
+    if not rep.ok:
+        return False, "algebra fails verify_hopf: " + "; ".join(rep.failures)
     one = L.one()
     if _chi_of(d, L.unit_dict()) != one:
         return False, "chi(1) != 1"
@@ -256,7 +260,7 @@ def validate_yd_datum(d: YDDatum):
     return True, None
 
 
-def bosonize(d: YDDatum, verify=True, cross_check_antipode=True) -> HopfAlgebraData:
+def bosonize(d: YDDatum) -> HopfAlgebraData:
     """Biproduct of the length-N quantum line with L, basis y^m # l (m-major).
 
     The antipode is obtained two ways: anti-multiplicative extension of the
@@ -353,14 +357,12 @@ def bosonize(d: YDDatum, verify=True, cross_check_antipode=True) -> HopfAlgebraD
                 anti.entries[r][idx(m, i)] = c
     h.antipode = anti
 
-    if cross_check_antipode:
-        solved = convolution_inverse_of_identity(h)
-        if solved != anti:
-            raise AssertionError("closed-form antipode disagrees with convolution inverse")
-    if verify:
-        rep = verify_hopf(h)
-        if not rep.ok:
-            raise AssertionError("bosonization fails Hopf axioms: " + "; ".join(rep.failures))
+    solved = convolution_inverse_of_identity(h)
+    if solved != anti:
+        raise AssertionError("closed-form antipode disagrees with convolution inverse")
+    rep = verify_hopf(h)
+    if not rep.ok:
+        raise AssertionError("bosonization fails Hopf axioms: " + "; ".join(rep.failures))
     return h
 
 

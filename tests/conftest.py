@@ -7,9 +7,7 @@ from hopfkit import catalog
 
 @lru_cache(maxsize=None)
 def _build(name, items):
-    # constructor-time verification is skipped here because the acceptance
-    # suite runs verify_hopf explicitly on every catalog member
-    return catalog.build_family(name, dict(items), verify=False)
+    return catalog.build_family(name, dict(items))
 
 
 def build(name, **params):

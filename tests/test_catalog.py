@@ -44,6 +44,7 @@ def test_taft_counts():
 def test_pointed4p_variants_build():
     for variant in catalog.POINTED4P_VARIANTS:
         h, cd = catalog.pointed4p(variant, 3)
+        assert verify_hopf(h).ok
         assert h.dim == 12
         assert len(cd.grouplikes) == 6
         assert all(g.is_grouplike() for g in cd.grouplikes)
@@ -128,8 +129,9 @@ def test_every_family_at_p3_verifies():
         lambda: build("h8p", p=3, alpha=1),
     ]
     for b in builders:
-        h, _ = b()  # constructors verify by default and raise on failure
+        h, _ = b()
         assert h.dim >= 1
+        assert verify_hopf(h).ok
 
 
 def test_build_family_dispatch():

@@ -34,6 +34,27 @@ def test_build_bad_params():
     assert main(["build", "gamma4p", "--p", "3", "--out", "/tmp/nope.json"]) == 2
 
 
+def _swap_antipode_entries(entries):
+    # S(e_0) and S(e_1) get mixed up; algebra, coalgebra and bialgebra laws still hold
+    entries[0][0], entries[0][1] = entries[0][1], entries[0][0]
+
+
+def test_build_refuses_structure_that_fails_verify_hopf(tmp_path, monkeypatch, capsys):
+    import hopfkit.cli as cli
+    from hopfkit.catalog import build_family
+
+    def corrupted_taft(name, params):
+        h, cd = build_family("taft", {"n": 2})
+        _swap_antipode_entries(h.antipode.entries)
+        return h, cd
+
+    monkeypatch.setattr(cli, "build_family", corrupted_taft)
+    out = tmp_path / "h.json"
+    assert main(["build", "taft", "--n", "2", "--out", str(out)]) == 1
+    assert list(tmp_path.iterdir()) == []
+    assert "verify_hopf: " in capsys.readouterr().err
+
+
 def test_max_dim_guard(tmp_path, monkeypatch):
     import hopfkit.cli as cli
 
@@ -93,6 +114,22 @@ def _top_level_list(payload):
     return []
 
 
+def _mult_not_a_list(payload):
+    payload["mult"] = 5
+
+
+def _labels_not_a_list(payload):
+    payload["labels"] = 5
+
+
+def _dim_null(payload):
+    payload["dim"] = None
+
+
+def _comult_entry_not_a_list(payload):
+    payload["comult"] = [5]
+
+
 def _limit_memory():
     # a loader that allocates dim^2 tables before checking dim fails here, not on the host
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -100,7 +137,8 @@ def _limit_memory():
 
 @pytest.mark.parametrize("corrupt", [_comult_index_99, _zero_denominator, _long_product_vector,
                                      _huge_dim, _mixed_conductor, _antipode_row_dropped,
-                                     _antipode_not_square, _top_level_list])
+                                     _antipode_not_square, _top_level_list, _mult_not_a_list,
+                                     _labels_not_a_list, _dim_null, _comult_entry_not_a_list])
 def test_verify_rejects_malformed_file(tmp_path, corrupt):
     out = tmp_path / "h.json"
     assert main(["build", "taft", "--n", "3", "--out", str(out)]) == 0
@@ -137,6 +175,36 @@ def test_sidecar_that_is_not_an_object_is_an_input_error(tmp_path, command):
     argv = [command, str(out), "--expect", str(side)] if command == "invariants" else \
         [command, str(out), str(side)]
     assert main(argv) == 2
+
+
+def _simples_not_a_list(payload):
+    payload["simples"] = 5
+
+
+def _grouplike_too_short(payload):
+    payload["grouplikes"][0].pop()
+
+
+def _module_matrix_too_big(payload):
+    entry = payload["simples"][0]["action"][0]["entries"][0][0]
+    payload["simples"][0]["action"][0] = {"rows": 2, "cols": 2, "entries": [[entry] * 2] * 2}
+
+
+@pytest.mark.parametrize("corrupt", [_simples_not_a_list, _grouplike_too_short,
+                                     _module_matrix_too_big])
+@pytest.mark.parametrize("command", ["invariants", "simples"])
+def test_malformed_sidecar_is_an_input_error(tmp_path, command, corrupt, capsys):
+    out = tmp_path / "h.json"
+    main(["build", "taft", "--n", "3", "--out", str(out)])
+    side = tmp_path / "h.sidecar.json"
+    payload = json.loads(side.read_text())
+    corrupt(payload)
+    side.write_text(json.dumps(payload))
+    argv = [command, str(out), "--expect", str(side)] if command == "invariants" else \
+        [command, str(out), str(side)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_invariants_with_expect(tmp_path, capsys):
@@ -203,24 +271,60 @@ def test_certify_command(tmp_path, capsys):
     assert payload["ok"] is True
 
 
-def test_yd_verify_from_file(tmp_path, capsys):
-    import json as js
-
+def _c2_datum_payload():
     from hopfkit import io as hio
     from hopfkit.cyclotomic import cyc_to_json
     from hopfkit.ydnichols import named_datum
 
     d = named_datum("c2", 3)
-    payload = {
+    return {
         "algebra": hio.hopf_to_json(d.L),
         "g": [cyc_to_json(c) for c in d.g.coeffs],
         "chi": [cyc_to_json(c) for c in d.chi],
         "q": cyc_to_json(d.q),
     }
+
+
+def test_yd_verify_from_file(tmp_path, capsys):
     f = tmp_path / "datum.json"
-    f.write_text(js.dumps(payload))
+    f.write_text(json.dumps(_c2_datum_payload()))
     assert main(["yd-verify", "--file", str(f)]) == 0
     assert main(["yd-verify", "--file", str(tmp_path / "missing.json")]) == 2
+
+
+def test_yd_verify_file_refuses_algebra_that_fails_verify_hopf(tmp_path, capsys):
+    payload = _c2_datum_payload()
+    _swap_antipode_entries(payload["algebra"]["antipode"]["entries"])
+    f = tmp_path / "datum.json"
+    f.write_text(json.dumps(payload))
+    assert main(["yd-verify", "--file", str(f)]) == 1
+    assert "INVALID" in capsys.readouterr().out
+
+
+def _g_not_a_list(payload):
+    payload["g"] = 5
+
+
+def _g_too_short(payload):
+    payload["g"].pop()
+
+
+def _algebra_huge_dim(payload):
+    payload["algebra"]["dim"] = 100000
+
+
+@pytest.mark.parametrize("corrupt", [_g_not_a_list, _g_too_short, _algebra_huge_dim])
+def test_yd_verify_rejects_malformed_file(tmp_path, corrupt):
+    payload = _c2_datum_payload()
+    corrupt(payload)
+    f = tmp_path / "datum.json"
+    f.write_text(json.dumps(payload))
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "hopfkit.cli", "yd-verify", "--file", str(f)],
+                          env=env, capture_output=True, text=True, timeout=60,
+                          preexec_fn=_limit_memory)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
 
 
 def test_build_dimensions(tmp_path, capsys):

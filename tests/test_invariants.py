@@ -218,6 +218,6 @@ def test_derived_objects_are_computed_once_per_algebra(monkeypatch):
     assert certify_family("h8p", {"p": 3}).ok
     assert len(calls) == 2  # J(H) and J(H*), once each
 
-    h, _ = catalog.build_family("taft", {"n": 3}, verify=False)
+    h, _ = catalog.build_family("taft", {"n": 3})
     assert dual(dual(h)) is h
     assert coradical(h) is coradical(h)
