@@ -43,7 +43,7 @@ class CandidateData:
     grouplike_labels: list = dc_field(default_factory=list)
     skew_witness: tuple | None = None                   # (g, h, x) with Dx = x(x)g + h(x)x
     simples: list = dc_field(default_factory=list)      # RepModule over H
-    dual_blocks: list = dc_field(default_factory=list)  # [m11,m12,m21,m22] Elements
+    dual_blocks: list = dc_field(default_factory=list)  # [m_11, ..., m_dd] Elements, row-major
     expected: dict = dc_field(default_factory=dict)
     extra: dict = dc_field(default_factory=dict)
 
@@ -116,12 +116,12 @@ def dual_group_algebra(spec):
     # matrix-coefficient blocks of the higher irreps
     blocks = []
     for rep in group.irreps:
-        if rep.dim != 2:
+        if rep.dim < 2:
             continue
         mats = group.irrep_element_matrices(rep)
         blocks.append([
             Element(h, [m.entries[u][v] for m in mats])
-            for u in range(2) for v in range(2)
+            for u in range(rep.dim) for v in range(rep.dim)
         ])
     simples = [
         RepModule(f"ev({group.labels[i]})", 1,

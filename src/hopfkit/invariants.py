@@ -10,11 +10,13 @@ dual algebra.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from math import isqrt
 
 from .cyclotomic import CycNumber
 from .hopf import (Element, HopfAlgebraData, antipode_order, dual, is_semisimple, least_power,
-                   memoised, s_squared_order, tr_s_squared)
+                   memoised, multiplicative, s_squared_order, tr_s_squared, witness_failures)
 from .linalg import EchelonBasis, Matrix, Subspace, accumulate, bilinear_closure, nullspace
 from .repsolver import RepModule, wedderburn_certificate
 
@@ -98,15 +100,7 @@ def _product_space(h: HopfAlgebraData, u: Subspace, v: Subspace) -> Subspace:
 @memoised
 def coradical(h: HopfAlgebraData) -> Subspace:
     """Annihilator of the Jacobson radical of the dual algebra."""
-    return _annihilator(h, jacobson_radical(dual(h)))
-
-
-def _annihilator(h: HopfAlgebraData, functional_space: Subspace) -> Subspace:
-    rows = functional_space.basis()
-    if not rows:
-        return Subspace.full(h.dim, h.conductor)
-    m = Matrix(len(rows), h.dim, h.conductor, rows)
-    return nullspace(m)
+    return jacobson_radical(dual(h)).perp()
 
 
 def coradical_filtration(h: HopfAlgebraData) -> list[Subspace]:
@@ -117,7 +111,7 @@ def coradical_filtration(h: HopfAlgebraData) -> list[Subspace]:
     power = j
     while out[-1].dim != h.dim:
         power = _product_space(dual_h, power, j)
-        out.append(_annihilator(h, power))
+        out.append(power.perp())
     return out
 
 
@@ -174,19 +168,17 @@ def module_matrix_coefficients(dual_h: HopfAlgebraData, module: RepModule) -> li
 
 
 def dual_module_from_block(h: HopfAlgebraData, block: list) -> RepModule:
-    """2x2 matrix-coalgebra candidate -> module over dual(h).
+    """d x d matrix-coalgebra candidate -> module over dual(h).
 
-    block = [m11, m12, m21, m22] with expected Delta(m_uv) = sum m_uw (x) m_wv;
+    block = [m_11, m_12, ..., m_dd] (row-major, len d^2, the inverse of
+    module_matrix_coefficients) with expected Delta(m_uv) = sum_w m_uw (x) m_wv;
     the module axioms verified downstream are equivalent to that identity.
     """
-    mats = []
-    for i in range(h.dim):
-        m = Matrix(2, 2, h.conductor)
-        for u in range(2):
-            for v in range(2):
-                m.entries[u][v] = block[2 * u + v].coeffs[i]
-        mats.append(m)
-    return RepModule("block", 2, mats)
+    d = isqrt(len(block))
+    mats = [Matrix(d, d, h.conductor, [[block[d * u + v].coeffs[i] for v in range(d)]
+                                       for u in range(d)])
+            for i in range(h.dim)]
+    return RepModule("block", d, mats)
 
 
 def verify_grouplikes(h: HopfAlgebraData, candidates, dual_blocks) -> GrouplikeCertificate:
@@ -261,36 +253,28 @@ def skew_primitive_space(h: HopfAlgebraData, g: Element, k: Element,
     dim > 1 as the nontriviality flag.
     """
     n = h.dim
-    rows: dict[tuple, list] = {}
+    rows = defaultdict(lambda: [h.zero()] * n)  # (a, b) -> coefficient row of e_a (x) e_b
 
-    def touch(key):
-        row = rows.get(key)
-        if row is None:
-            row = [h.zero()] * n
-            rows[key] = row
-        return row
+    def key(x, y):
+        return (x, y) if convention == "x-first" else (y, x)
 
     for i in range(n):
         for (a, b, c) in h.comult[i]:
-            touch((a, b))[i] = touch((a, b))[i] + c
+            rows[(a, b)][i] += c
     for i in range(n):
-        if convention == "x-first":
-            for b, gb in enumerate(g.coeffs):
-                if not gb.is_zero():
-                    touch((i, b))[i] = touch((i, b))[i] - gb
-            for a, ka in enumerate(k.coeffs):
-                if not ka.is_zero():
-                    touch((a, i))[i] = touch((a, i))[i] - ka
-        else:
-            for b, gb in enumerate(g.coeffs):
-                if not gb.is_zero():
-                    touch((b, i))[i] = touch((b, i))[i] - gb
-            for a, ka in enumerate(k.coeffs):
-                if not ka.is_zero():
-                    touch((i, a))[i] = touch((i, a))[i] - ka
+        for b, gb in enumerate(g.coeffs):
+            if not gb.is_zero():
+                rows[key(i, b)][i] -= gb
+        for a, ka in enumerate(k.coeffs):
+            if not ka.is_zero():
+                rows[key(a, i)][i] -= ka
+    return _nullspace_of_rows(h, rows)
+
+
+def _nullspace_of_rows(h: HopfAlgebraData, rows: dict) -> Subspace:
+    """Common solutions of the nonzero rows among rows.values()."""
     mat_rows = [r for r in rows.values() if any(not c.is_zero() for c in r)]
-    m = Matrix(len(mat_rows), n, h.conductor, mat_rows)
-    return nullspace(m)
+    return nullspace(Matrix(len(mat_rows), h.dim, h.conductor, mat_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +340,11 @@ def distinguished_grouplike(h: HopfAlgebraData) -> Element:
 
 def verify_hopf_map(h: HopfAlgebraData, target: HopfAlgebraData, pi: Matrix):
     """pi must be an algebra and coalgebra map; returns (ok, first failure)."""
-    if pi.apply(h.unit) != target.unit:
-        return False, "pi(1) != 1"
+    why = witness_failures(h, multiplicative(
+        h, lambda vec: _vec_to_dict(pi.apply(_dict_to_vec(h, vec))), target.mult_dict,
+        target.unit_dict()), "pi(1) != 1", "pi is not an algebra map at")
+    if why:
+        return False, why[0]
     for i in range(h.dim):
         pii = pi.col(i)
         di = {}
@@ -375,12 +362,6 @@ def verify_hopf_map(h: HopfAlgebraData, target: HopfAlgebraData, pi: Matrix):
         eps_pi = target.counit_of(_vec_to_dict(pii))
         if eps_pi != h.counit[i]:
             return False, f"counit not preserved at {h.labels[i]}"
-        for j in range(h.dim):
-            lhs = pi.apply(_dict_to_vec(h, h.mult[i][j]))
-            rhs = _dict_to_vec(target, target.mult_dict(
-                _vec_to_dict(pi.col(i)), _vec_to_dict(pi.col(j))))
-            if lhs != rhs:
-                return False, f"pi is not an algebra map at ({h.labels[i]}, {h.labels[j]})"
     return True, None
 
 
@@ -390,28 +371,17 @@ def coinvariants(h: HopfAlgebraData, target: HopfAlgebraData, pi: Matrix) -> Sub
     if not ok:
         raise ValueError(f"projection is not a Hopf algebra map: {why}")
     n = h.dim
-    rows: dict[tuple, list] = {}
-
-    def touch(key):
-        row = rows.get(key)
-        if row is None:
-            row = [h.zero()] * n
-            rows[key] = row
-        return row
-
+    rows = defaultdict(lambda: [h.zero()] * n)  # (j, b) -> coefficient row of e_j (x) f_b
     for i in range(n):
         for (j, k, c) in h.comult[i]:
             for b, cb in enumerate(pi.col(k)):
                 if not cb.is_zero():
-                    row = touch((j, b))
-                    row[i] = row[i] + c * cb
+                    rows[(j, b)][i] += c * cb
     for i in range(n):
         for b, ub in enumerate(target.unit):
             if not ub.is_zero():
-                row = touch((i, b))
-                row[i] = row[i] - ub
-    mat_rows = [r for r in rows.values() if any(not c.is_zero() for c in r)]
-    return nullspace(Matrix(len(mat_rows), n, h.conductor, mat_rows))
+                rows[(i, b)][i] -= ub
+    return _nullspace_of_rows(h, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ coefficient strings, no timestamps; files round-trip bit-exactly.
 from __future__ import annotations
 
 import json
+from math import isqrt
 
 from .cyclotomic import cyc_from_json, cyc_to_json
 from .hopf import Element, HopfAlgebraData
@@ -92,10 +93,13 @@ def hopf_from_json(obj: dict) -> HopfAlgebraData:
     antipode = matrix_from_json(obj["antipode"], conductor)
     if (antipode.rows, antipode.cols) != (dim, dim):
         raise ValueError(f"antipode is {antipode.rows}x{antipode.cols}, not {dim}x{dim}")
+    labels = list(obj["labels"])
+    if len(labels) != dim:
+        raise ValueError(f"{len(labels)} labels for dim {dim}")
     return HopfAlgebraData(
         dim=dim,
         conductor=conductor,
-        labels=list(obj["labels"]),
+        labels=labels,
         mult=mult,
         unit=_vec_from_json(obj["unit"], conductor),
         comult=comult,
@@ -154,6 +158,9 @@ def candidate_from_json(obj: dict, h: HopfAlgebraData):
     cd.expected = dict(obj["expected"])
     cd.simples = [_module_from_json(m, h) for m in obj["simples"]]
     cd.dual_blocks = [[_element_from_json(v, h) for v in blk] for blk in obj["dual_blocks"]]
+    for blk in cd.dual_blocks:
+        if not blk or isqrt(len(blk)) ** 2 != len(blk):
+            raise ValueError(f"dual block has {len(blk)} vectors, not a positive square")
     if "skew_witness" in obj:
         cd.skew_witness = tuple(_element_from_json(v, h) for v in obj["skew_witness"])
     return cd

@@ -167,6 +167,18 @@ def accumulate(d: dict, key, v: CycNumber) -> None:
         d[key] = s
 
 
+def compose_columns(a: list, b: list) -> list:
+    """a . b for linear maps given as lists of sparse columns {row: nonzero value}."""
+    out = []
+    for col in b:
+        acc: dict = {}
+        for m, c in col.items():
+            for x, cx in a[m].items():
+                accumulate(acc, x, c * cx)
+        out.append(acc)
+    return out
+
+
 def _sparse(vec) -> dict:
     """A dense list or a {column: value} dict as a dict of its nonzero entries."""
     items = vec.items() if isinstance(vec, dict) else enumerate(vec)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cyclotomic import CycNumber
-from .hopf import HopfAlgebraData
+from .hopf import HopfAlgebraData, multiplicative, witness_failures
 from .linalg import Matrix, Subspace, nullspace, rank
 
 
@@ -47,20 +47,19 @@ def _combination(h: HopfAlgebraData, m: RepModule, vec: dict) -> Matrix:
     return out
 
 
+def action_witnesses(h: HopfAlgebraData, m: RepModule) -> list:
+    """multiplicative's witnesses for e_i -> m.action[i]: None if 1 does not act as identity."""
+    return multiplicative(h, lambda vec: _combination(h, m, vec), Matrix.__mul__,
+                          Matrix.identity(m.dim, h.conductor))
+
+
 def verify_module(h: HopfAlgebraData, m: RepModule):
     """Action respects every structure constant; returns (ok, first failure)."""
     if len(m.action) != h.dim:
         return False, "action list length != algebra dimension"
-    if not _combination(h, m, h.unit_dict()).is_identity():
-        return False, "unit does not act as identity"
-    for i in range(h.dim):
-        ai = m.action[i]
-        for j in range(h.dim):
-            lhs = ai * m.action[j]
-            rhs = _combination(h, m, h.mult[i][j])
-            if lhs != rhs:
-                return False, f"action breaks at pair ({h.labels[i]}, {h.labels[j]})"
-    return True, None
+    why = witness_failures(h, action_witnesses(h, m), "unit does not act as identity",
+                           "action breaks at pair")
+    return (False, why[0]) if why else (True, None)
 
 
 def is_simple_certified(h: HopfAlgebraData, m: RepModule) -> bool:

@@ -7,12 +7,16 @@ hit zero within the cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 from .cyclotomic import CycNumber, root_of_unity
 from .groups import FiniteGroup, gamma4p_group
-from .hopf import Element, HopfAlgebraData, least_power, verify_hopf
-from .linalg import Matrix, accumulate, kron, rank, solve_augmented
+from .hopf import (Element, HopfAlgebraData, least_power, multiplicative, verify_hopf,
+                   witness_failures)
+from .linalg import Matrix, accumulate, compose_columns, kron, rank, solve_augmented
+from .presentation import group_algebra_hopf
+from .repsolver import RepModule, action_witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +83,11 @@ def verify_yd(mod: YDModule):
     """Group representation + compatibility of grading with conjugation."""
     grp = mod.group
     mats = [mod.element_action(g) for g in grp.elements]
-    for i, g in enumerate(grp.elements):
-        for j, h in enumerate(grp.elements):
-            k = grp.index[grp.mult(g, h)]
-            if mats[i] * mats[j] != mats[k]:
-                return False, f"action not multiplicative at ({grp.labels[i]}, {grp.labels[j]})"
+    kg = group_algebra_hopf(grp, mod.conductor)
+    why = witness_failures(kg, action_witnesses(kg, RepModule(mod.label, mod.dim, mats)),
+                           "the identity does not act as identity", "action not multiplicative at")
+    if why:
+        return False, why[0]
     for i, g in enumerate(grp.elements):
         gi = grp.inv(g)
         m = mats[i]
@@ -231,13 +235,10 @@ def validate_yd_datum(d: YDDatum):
     rep = verify_hopf(L)
     if not rep.ok:
         return False, "algebra fails verify_hopf: " + "; ".join(rep.failures)
-    one = L.one()
-    if _chi_of(d, L.unit_dict()) != one:
-        return False, "chi(1) != 1"
-    for i in range(L.dim):
-        for j in range(L.dim):
-            if _chi_of(d, L.mult[i][j]) != d.chi[i] * d.chi[j]:
-                return False, f"chi not multiplicative at ({L.labels[i]}, {L.labels[j]})"
+    why = witness_failures(L, multiplicative(L, lambda vec: _chi_of(d, vec), operator.mul, L.one()),
+                           "chi(1) != 1", "chi not multiplicative at")
+    if why:
+        return False, why[0]
     if not d.g.is_grouplike():
         return False, "g is not group-like"
     n = least_power(d.q, CycNumber.is_one)
@@ -281,17 +282,9 @@ def bosonize(d: YDDatum) -> HopfAlgebraData:
     for i in range(L.dim):
         for (j, k, c) in L.comult[i]:
             accumulate(twist[i], k, c * d.chi[j])
-    twists = [{i: {i: L.one()} for i in range(L.dim)}]
+    twists = [[{i: L.one()} for i in range(L.dim)]]
     for _ in range(n_trunc):
-        prev = twists[-1]
-        nxt = {}
-        for i in range(L.dim):
-            acc: dict[int, CycNumber] = {}
-            for k, c in prev[i].items():
-                for k2, c2 in twist[k].items():
-                    accumulate(acc, k2, c * c2)
-            nxt[i] = acc
-        twists.append(nxt)
+        twists.append(compose_columns(twist, twists[-1]))
 
     mult = [[{} for _ in range(dim)] for _ in range(dim)]
     for m in range(n_trunc):
@@ -425,7 +418,6 @@ class NicholsReport:
     truncated: bool
     total_dim: int | None
     guard_hit: bool = False
-    dims_by_degree: list = field(default_factory=list)
 
 
 def default_cutoff(v: int) -> int:
@@ -486,8 +478,7 @@ def nichols_dims(c: Matrix, v: int, cutoff: int | None = None,
             break
     total = sum(ranks) if truncated else None
     return NicholsReport(ranks=ranks, cutoff=cutoff, truncated=truncated,
-                         total_dim=total, guard_hit=guard_hit,
-                         dims_by_degree=list(ranks))
+                         total_dim=total, guard_hit=guard_hit)
 
 
 # ---------------------------------------------------------------------------

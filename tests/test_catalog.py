@@ -3,6 +3,7 @@ import pytest
 from hopfkit import catalog
 
 from conftest import build
+from hopfkit.certify import certify_family
 from hopfkit.hopf import tr_s_squared, verify_hopf
 
 
@@ -141,3 +142,21 @@ def test_build_family_dispatch():
     assert h.dim == 8
     with pytest.raises(ValueError):
         catalog.build_family("nope", {})
+
+
+_GROUP_PARAMS = {"c_n": {"n": 2}, "product": {"ns": "2,2"}, "dihedral": {"n": 3},
+                 "dicyclic": {"n": 2}, "q8": {}, "gamma4p": {"p": 5}}
+_FAMILY_PARAMS = dict(_GROUP_PARAMS, taft={"n": 2}, b8={}, **{
+    name: {"p": 3} for name in ("a-m10", "a-m10-dual", "a-m11", "h4xcp", "a4p", "b4p",
+                                "fun-dic", "h8p")})
+_SWEEP = [(name, _FAMILY_PARAMS[name]) for name in catalog.FAMILY_NAMES if name != "dual-group"]
+_SWEEP += [("dual-group", dict(params, group=catalog._GROUP_FAMILIES[name]))
+           for name, params in _GROUP_PARAMS.items()]
+
+
+@pytest.mark.parametrize("name, params", _SWEEP, ids=[
+    " ".join([name] + [f"{k}={v}" for k, v in sorted(params.items())]) for name, params in _SWEEP])
+def test_certify_sweep(name, params):
+    """Every family at its smallest parameters, and k^G for every group kind."""
+    suite = certify_family(name, params)
+    assert suite.ok, suite.render()

@@ -130,6 +130,11 @@ def _comult_entry_not_a_list(payload):
     payload["comult"] = [5]
 
 
+def _labels_too_short(payload):
+    payload["labels"] = payload["labels"][:1]
+    payload["mult"][3][2][0]["coeffs"][0] = "7/1"
+
+
 def _limit_memory():
     # a loader that allocates dim^2 tables before checking dim fails here, not on the host
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -138,7 +143,8 @@ def _limit_memory():
 @pytest.mark.parametrize("corrupt", [_comult_index_99, _zero_denominator, _long_product_vector,
                                      _huge_dim, _mixed_conductor, _antipode_row_dropped,
                                      _antipode_not_square, _top_level_list, _mult_not_a_list,
-                                     _labels_not_a_list, _dim_null, _comult_entry_not_a_list])
+                                     _labels_not_a_list, _dim_null, _comult_entry_not_a_list,
+                                     _labels_too_short])
 def test_verify_rejects_malformed_file(tmp_path, corrupt):
     out = tmp_path / "h.json"
     assert main(["build", "taft", "--n", "3", "--out", str(out)]) == 0
@@ -190,8 +196,12 @@ def _module_matrix_too_big(payload):
     payload["simples"][0]["action"][0] = {"rows": 2, "cols": 2, "entries": [[entry] * 2] * 2}
 
 
+def _dual_block_of_three(payload):
+    payload["dual_blocks"] = [payload["grouplikes"][:3]]
+
+
 @pytest.mark.parametrize("corrupt", [_simples_not_a_list, _grouplike_too_short,
-                                     _module_matrix_too_big])
+                                     _module_matrix_too_big, _dual_block_of_three])
 @pytest.mark.parametrize("command", ["invariants", "simples"])
 def test_malformed_sidecar_is_an_input_error(tmp_path, command, corrupt, capsys):
     out = tmp_path / "h.json"

@@ -1,4 +1,5 @@
-
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfkit import catalog
 
@@ -13,9 +14,13 @@ from hopfkit.hopf import (
     tr_s_squared,
     verify_algebra,
     verify_antipode,
+    verify_bialgebra,
     verify_coalgebra,
     verify_hopf,
 )
+from hopfkit.cyclotomic import CycNumber, root_of_unity
+from hopfkit.linalg import Matrix
+from hopfkit.repsolver import RepModule, verify_module
 
 
 def test_group_algebra_c2_passes():
@@ -178,3 +183,118 @@ def test_tr_s_squared_is_group_order():
                             ("gamma4p", {"p": 5}, 20), ("product", {"ns": "2,2"}, 4)]:
         h, _ = build(name, **kw)
         assert tr_s_squared(h) == order
+
+
+# -- the pair-set verifiers against all-pairs / all-triples reference loops ----
+
+
+def algebra_ok_direct(h):
+    """Unit laws and (e_i e_j) e_k = e_i (e_j e_k) over every basis triple."""
+    unit = h.unit_dict()
+    for j in range(h.dim):
+        ej = h.basis_dict(j)
+        if h.mult_dict(unit, ej) != ej or h.mult_dict(ej, unit) != ej:
+            return False
+    return all(h.mult_dict(h.mult[i][j], h.basis_dict(k)) ==
+               h.mult_dict(h.basis_dict(i), h.mult[j][k])
+               for i in range(h.dim) for j in range(h.dim) for k in range(h.dim))
+
+
+def bialgebra_ok_direct(h):
+    """Delta and eps unital and multiplicative over every basis pair."""
+    unit = h.unit_dict()
+    one_one = {(i, j): a * b for i, a in unit.items() for j, b in unit.items()}
+    if h.delta_dict(unit) != one_one or not h.counit_of(unit).is_one():
+        return False
+    for i in range(h.dim):
+        for j in range(h.dim):
+            prod = h.mult[i][j]
+            if h.counit_of(prod) != h.counit[i] * h.counit[j]:
+                return False
+            if h.delta_dict(prod) != h.tensor_mult(h.delta_dict(h.basis_dict(i)),
+                                                   h.delta_dict(h.basis_dict(j))):
+                return False
+    return True
+
+
+def module_ok_direct(h, m):
+    """1 acts as identity and e_i . e_j acts as sum_k c_k e_k over every basis pair."""
+    def act(vec):
+        out = Matrix(m.dim, m.dim, h.conductor)
+        for k, c in vec.items():
+            out = out + m.action[k].scale(c)
+        return out
+
+    if act(h.unit_dict()) != Matrix.identity(m.dim, h.conductor):
+        return False
+    return all(m.action[i] * m.action[j] == act(h.mult[i][j])
+               for i in range(h.dim) for j in range(h.dim))
+
+
+_SMALL = [("taft", {"n": 3}), ("b8", {}), ("a-m11", {"p": 3})]
+
+
+def _copy(h):
+    return type(h)(h.dim, h.conductor, h.labels, [[dict(d) for d in row] for row in h.mult],
+                   h.unit, [list(tr) for tr in h.comult], h.counit, h.antipode)
+
+
+@st.composite
+def perturbations(draw):
+    """One catalog algebra (or module) with one structure constant set to a small value."""
+    name, params = draw(st.sampled_from(_SMALL))
+    h, cd = build(name, **params)
+    n = h.conductor
+    value = draw(st.sampled_from([CycNumber.zero(n), CycNumber.one(n),
+                                  CycNumber.from_rational(n, -1), CycNumber.from_rational(n, 2),
+                                  root_of_unity(n, 1)]))
+    index = st.integers(0, h.dim - 1)
+    kind = draw(st.sampled_from(["mult", "comult", "module"]))
+    if kind == "mult":
+        h = _copy(h)
+        i, j, k = draw(index), draw(index), draw(index)
+        h.mult[i][j].pop(k, None)
+        if not value.is_zero():
+            h.mult[i][j][k] = value
+        return kind, h, None
+    if kind == "comult":
+        h = _copy(h)
+        i, j, k = draw(index), draw(index), draw(index)
+        kept = [t for t in h.comult[i] if t[:2] != (j, k)]
+        h.comult[i] = kept + ([] if value.is_zero() else [(j, k, value)])
+        return kind, h, None
+    m = draw(st.sampled_from(cd.simples))
+    i = draw(index)
+    r, c = draw(st.integers(0, m.dim - 1)), draw(st.integers(0, m.dim - 1))
+    action = list(m.action)
+    action[i] = Matrix(m.dim, m.dim, n, m.action[i].entries)
+    action[i].entries[r][c] = value
+    return kind, h, RepModule(m.label, m.dim, action)
+
+
+@settings(max_examples=80, deadline=None)
+@given(perturbations())
+def test_property_verifiers_agree_with_direct_loops(case):
+    kind, h, m = case
+    if kind == "module":
+        assert verify_module(h, m)[0] == module_ok_direct(h, m)
+    else:
+        assert verify_algebra(h).ok == algebra_ok_direct(h)
+        assert verify_bialgebra(h).ok == bialgebra_ok_direct(h)
+
+
+def test_direct_loops_pass_the_unperturbed_algebras():
+    for name, params in _SMALL:
+        h, cd = build(name, **params)
+        assert algebra_ok_direct(h) and bialgebra_ok_direct(h)
+        assert all(module_ok_direct(h, m) for m in cd.simples)
+
+
+def test_zero_maps_fail_only_the_unit_check():
+    # the zero map is multiplicative, so only the unit witness can catch it
+    h, _ = build("taft", n=3)
+    zero = RepModule("zero", 1, [Matrix(1, 1, h.conductor)] * h.dim)
+    assert verify_module(h, zero) == (False, "unit does not act as identity")
+    h2 = type(h)(h.dim, h.conductor, h.labels, h.mult, h.unit, h.comult,
+                 [h.zero()] * h.dim, h.antipode)
+    assert verify_bialgebra(h2).failures == ["eps(1) != 1"]
