@@ -8,6 +8,13 @@ structure it reports on, so the verifiers here are the soundness backstop for
 every generator-and-relations construction in the catalog.  Every "f(xy) =
 f(x)f(y)" check in the package (associativity, Delta and eps, module actions,
 characters, Hopf maps) runs through the one pair loop in multiplicative().
+
+That loop runs over the pairs (e_i, a) with a in generators(h), a certified
+set of basis elements generating h as a unital associative algebra (Light's
+test, Clifford-Preston I, 1.2).  generators() establishes associativity once
+per algebra, so verify_algebra() has nothing left to check when it succeeds;
+when it cannot certify a smaller set it returns every index, and each check
+is then the all-pairs check it replaces.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from functools import wraps
 from math import gcd
 
 from .cyclotomic import CycNumber, embed
-from .linalg import Matrix, accumulate, compose_columns, solve
+from .linalg import EchelonBasis, Matrix, accumulate, compose_columns, solve
 
 MAX_FAILURES = 5
 
@@ -38,9 +45,9 @@ class VerifyReport:
 class HopfAlgebraData:
     """Structure tensors on a fixed basis, plus the derived objects computed from them.
 
-    Functions decorated with ``memoised`` (the dual, the Jacobson radical, the
-    coradical) keep their result in ``_derived``, so the structure tensors
-    must not change after the first analysis call.  Constructors may still
+    Functions decorated with ``memoised`` (the dual, the generators, the
+    Jacobson radical, the coradical) keep their result in ``_derived``, so
+    the structure tensors must not change after the first analysis call.  Constructors may still
     fill them in before that, as ``bosonize`` does with the antipode.
     """
 
@@ -289,18 +296,33 @@ def multiplicative(h: HopfAlgebraData, image, mul, one) -> list:
     """Witnesses that the linear map `image` out of h is not unital and multiplicative.
 
     image takes a sparse coefficient dict of h, mul multiplies two images and
-    one is the image 1 must have.  Each basis image is computed once.  Returns
-    at most MAX_FAILURES witnesses in order: None when image(1) != one, then
-    each pair (i, j) with image(e_i e_j) != mul(image(e_i), image(e_j)).
+    one is the image 1 must have; mul must be associative with one as a right
+    identity (matrices, scalars, H (x) H for an associative H).  The pairs
+    checked are (i, a), a in generators(h).  That suffices: when generators(h)
+    is a proper subset A, h is associative with unit 1 and spanned by the
+    right products 1 a_1 ... a_r, and S = {y : image(xy) = image(x) image(y)
+    for all x} contains 1 and A and is closed under right multiplication by
+    A, since image(x (y a)) = image((x y) a) = image(x) image(y) image(a)
+    = image(x) image(y a); so S is all of h.  Otherwise every pair is checked.
+    """
+    return multiplicative_over(h, generators(h), image, mul, one)
+
+
+def multiplicative_over(h: HopfAlgebraData, gens, image, mul, one) -> list:
+    """multiplicative's check over the pairs (i, a), a in gens, with no reduction argument.
+
+    Each basis image is computed once.  Returns at most MAX_FAILURES witnesses
+    in order: None when image(1) != one, then each pair (i, a) with
+    image(e_i e_a) != mul(image(e_i), image(e_a)).
     """
     failures = []
     if image(h.unit_dict()) != one:
         failures.append(None)
     basis = [image(h.basis_dict(i)) for i in range(h.dim)]
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            if image(h.mult[i][j]) != mul(a, b):
-                failures.append((i, j))
+    for i, x in enumerate(basis):
+        for a in gens:
+            if image(h.mult[i][a]) != mul(x, basis[a]):
+                failures.append((i, a))
                 if len(failures) >= MAX_FAILURES:
                     return failures
     return failures
@@ -313,6 +335,9 @@ def witness_failures(h: HopfAlgebraData, witnesses, unit_failure, pair_failure) 
 
 
 def verify_algebra(h: HopfAlgebraData) -> VerifyReport:
+    if len(generators(h)) < h.dim:
+        # certified only after both unit laws and Light's test passed
+        return VerifyReport(True)
     failures = []
     unit = h.unit_dict()
     for j in range(h.dim):
@@ -324,15 +349,24 @@ def verify_algebra(h: HopfAlgebraData) -> VerifyReport:
         if len(failures) >= MAX_FAILURES:
             return VerifyReport(False, failures)
 
-    # v -> (e_k -> v e_k) is multiplicative exactly when (e_i e_j) e_k = e_i (e_j e_k)
-    def columns(v):
-        return [h.mult_dict(v, h.basis_dict(k)) for k in range(h.dim)]
-
-    witnesses = multiplicative(h, columns, compose_columns, [h.basis_dict(k) for k in range(h.dim)])
+    witnesses = multiplicative(h, _left_columns(h), compose_columns, _identity_columns(h))
     # the unit witness is the left unit law, already reported above
     failures += witness_failures(h, [ij for ij in witnesses if ij is not None], None,
                                  "associativity fails at")
     return VerifyReport(not failures, failures[:MAX_FAILURES])
+
+
+def _left_columns(h: HopfAlgebraData):
+    """v -> the columns v e_k of left multiplication by v.
+
+    As a map into composed columns it is multiplicative exactly when
+    (e_i e_j) e_k = e_i (e_j e_k), and its unit witness is the left unit law.
+    """
+    return lambda v: [h.mult_dict(v, h.basis_dict(k)) for k in range(h.dim)]
+
+
+def _identity_columns(h: HopfAlgebraData) -> list:
+    return [h.basis_dict(k) for k in range(h.dim)]
 
 
 def verify_coalgebra(h: HopfAlgebraData) -> VerifyReport:
@@ -436,6 +470,55 @@ def dual(h: HopfAlgebraData) -> HopfAlgebraData:
     )
     out._derived["dual"] = h
     return out
+
+
+@memoised
+def generators(h: HopfAlgebraData) -> list:
+    """Basis indices A certified to generate h as a unital associative algebra, or every index.
+
+    W is the exact echelon span of the right products 1 a_1 ... a_r (a_t in
+    A), kept closed under right multiplication by A; e_i joins A, in basis
+    order, when it is not in W, until W reaches dim h.  Every e_i is then in
+    W, since a picked e_a is 1 e_a by the left unit law.  A is returned only
+    when it is at most half the basis (past that the checks below cost about
+    what they save), both unit laws hold, and Light's test (e_i a) e_k =
+    e_i (a e_k) holds for all i, k and a in A.  Then M = {y : (xy)z = x(yz)
+    for all x, z} contains 1 and A and is closed under right multiplication
+    by A, because (x(ya))z = ((xy)a)z = (xy)(az) = x(y(az)) = x((ya)z); so M
+    contains W = h and h is associative.  In every other case the result is
+    every index.
+    """
+    everything = list(range(h.dim))
+    span = EchelonBasis(h.dim, h.conductor)
+    words = []  # right products from 1, one per dimension of W
+    gens = []
+    pending = []  # (word, a) whose product word a is still to join W
+
+    def grow(v):
+        if span.add(v):
+            words.append(v)
+            pending.extend((v, a) for a in gens)
+
+    grow(h.unit_dict())
+    for i in everything:
+        if span.dim == h.dim:
+            break
+        if span.contains(h.basis_dict(i)):
+            continue
+        gens.append(i)
+        if 2 * len(gens) > h.dim:
+            return everything
+        pending.extend((w, i) for w in words)
+        while pending:
+            w, a = pending.pop()
+            grow(h.mult_dict(w, h.basis_dict(a)))
+    unit = h.unit_dict()
+    if any(h.mult_dict(h.basis_dict(j), unit) != h.basis_dict(j) for j in everything):
+        return everything
+    # Light's test, with the left unit law as its unit witness
+    if multiplicative_over(h, gens, _left_columns(h), compose_columns, _identity_columns(h)):
+        return everything
+    return gens
 
 
 def _embed_vec(vec, conductor):

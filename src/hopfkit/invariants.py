@@ -4,8 +4,9 @@ coinvariants.
 
 Group-likes are never enumerated from scratch (that is a polynomial system);
 candidates come from the catalog sidecar and completeness is certified by
-matching the coradical dimension against the verified simple modules of the
-dual algebra.
+matching the coradical dimension against the simple modules of the dual
+algebra they define.  Those modules are verified on the coalgebra side, in H:
+nothing multiplies in H*, which few basis elements generate.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from dataclasses import dataclass, field
 from math import isqrt
 
 from .cyclotomic import CycNumber
-from .hopf import (Element, HopfAlgebraData, antipode_order, dual, is_semisimple, least_power,
-                   memoised, multiplicative, s_squared_order, tr_s_squared, witness_failures)
+from .hopf import (Element, HopfAlgebraData, antipode_order, dual, generators, is_semisimple,
+                   least_power, memoised, multiplicative_over, s_squared_order, tr_s_squared,
+                   witness_failures)
 from .linalg import EchelonBasis, Matrix, Subspace, accumulate, bilinear_closure, nullspace
-from .repsolver import RepModule, wedderburn_certificate
+from .repsolver import RepModule, simples_certificate
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +173,38 @@ def dual_module_from_block(h: HopfAlgebraData, block: list) -> RepModule:
     """d x d matrix-coalgebra candidate -> module over dual(h).
 
     block = [m_11, m_12, ..., m_dd] (row-major, len d^2, the inverse of
-    module_matrix_coefficients) with expected Delta(m_uv) = sum_w m_uw (x) m_wv;
-    the module axioms verified downstream are equivalent to that identity.
+    module_matrix_coefficients).  The module axioms over dual(h) say exactly
+    that Delta(m_uv) = sum_w m_uw (x) m_wv and eps(m_uv) = delta_uv, and
+    verify_grouplikes checks those identities in h (block_failure) instead.
     """
     d = isqrt(len(block))
     mats = [Matrix(d, d, h.conductor, [[block[d * u + v].coeffs[i] for v in range(d)]
                                        for u in range(d)])
             for i in range(h.dim)]
     return RepModule("block", d, mats)
+
+
+def block_failure(h: HopfAlgebraData, block: list):
+    """First (u, v) where a d x d block breaks its matrix-coalgebra identities, or None.
+
+    The identities are Delta(m_uv) = sum_w m_uw (x) m_wv and eps(m_uv) =
+    delta_uv, with block as in dual_module_from_block; they hold exactly when
+    that module over dual(h) passes verify_module.
+    """
+    d = isqrt(len(block))
+    m = [[block[d * u + v].as_dict() for v in range(d)] for u in range(d)]
+    for u in range(d):
+        for v in range(d):
+            expected = {}
+            for w in range(d):
+                for i, a in m[u][w].items():
+                    for j, b in m[w][v].items():
+                        accumulate(expected, (i, j), a * b)
+            if h.delta_dict(m[u][v]) != expected:
+                return f"Delta(m_uv) != sum_w m_uw (x) m_wv at (u, v) = ({u}, {v})"
+            if h.counit_of(m[u][v]) != (h.one() if u == v else h.zero()):
+                return f"eps(m_uv) != delta_uv at (u, v) = ({u}, {v})"
+    return None
 
 
 def verify_grouplikes(h: HopfAlgebraData, candidates, dual_blocks) -> GrouplikeCertificate:
@@ -215,6 +241,15 @@ def verify_grouplikes(h: HopfAlgebraData, candidates, dual_blocks) -> GrouplikeC
 
     dual_h = dual(h)
     coradical_dim = coradical(h).dim
+    block_dims = [isqrt(len(blk)) for blk in dual_blocks]
+    # k_g is a dual(h)-module exactly when g is group-like, checked above, and
+    # a block is one exactly when block_failure finds nothing
+    for i, blk in enumerate(dual_blocks):
+        why = block_failure(h, blk)
+        if why is not None:
+            return GrouplikeCertificate(False, len(candidates), orders, coradical_dim, block_dims,
+                                        failures=["dual Wedderburn stage failed",
+                                                  f"block{i}: {why}"])
     modules = []
     for i, g in enumerate(candidates):
         m = grouplike_module(h, g)
@@ -225,19 +260,15 @@ def verify_grouplikes(h: HopfAlgebraData, candidates, dual_blocks) -> GrouplikeC
         m = dual_module_from_block(h, blk)
         m.label = f"block{i}"
         blocks.append(m)
-    cert = wedderburn_certificate(dual_h, modules + blocks,
-                                  radical_dim=dual_h.dim - coradical_dim)
+    cert = simples_certificate(dual_h, modules + blocks, radical_dim=dual_h.dim - coradical_dim)
     if not cert.ok:
-        return GrouplikeCertificate(False, len(candidates), orders, coradical_dim,
-                                    [m.dim for m in blocks],
+        return GrouplikeCertificate(False, len(candidates), orders, coradical_dim, block_dims,
                                     failures=["dual Wedderburn stage failed"] + cert.details)
-    total = len(candidates) + sum(m.dim * m.dim for m in blocks)
+    total = len(candidates) + sum(d * d for d in block_dims)
     if total != coradical_dim:
-        return GrouplikeCertificate(False, len(candidates), orders, coradical_dim,
-                                    [m.dim for m in blocks],
+        return GrouplikeCertificate(False, len(candidates), orders, coradical_dim, block_dims,
                                     failures=[f"|G| + sum d^2 = {total} != coradical {coradical_dim}"])
-    return GrouplikeCertificate(True, len(candidates), orders, coradical_dim,
-                                [m.dim for m in blocks])
+    return GrouplikeCertificate(True, len(candidates), orders, coradical_dim, block_dims)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +371,11 @@ def distinguished_grouplike(h: HopfAlgebraData) -> Element:
 
 def verify_hopf_map(h: HopfAlgebraData, target: HopfAlgebraData, pi: Matrix):
     """pi must be an algebra and coalgebra map; returns (ok, first failure)."""
-    why = witness_failures(h, multiplicative(
-        h, lambda vec: _vec_to_dict(pi.apply(_dict_to_vec(h, vec))), target.mult_dict,
+    # multiplicative's reduction to generators(h) needs an associative target
+    # with a unit, which only a certified generators(target) vouches for
+    gens = generators(h) if len(generators(target)) < target.dim else range(h.dim)
+    why = witness_failures(h, multiplicative_over(
+        h, gens, lambda vec: _vec_to_dict(pi.apply(_dict_to_vec(h, vec))), target.mult_dict,
         target.unit_dict()), "pi(1) != 1", "pi is not an algebra map at")
     if why:
         return False, why[0]

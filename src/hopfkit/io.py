@@ -143,7 +143,11 @@ def _module_from_json(obj, h: HopfAlgebraData):
     from .repsolver import RepModule
 
     dim = int(obj["dim"])
+    if dim < 1:
+        raise ValueError(f"module {obj['label']!r}: dim {dim} is not positive")
     action = [matrix_from_json(a, h.conductor) for a in obj["action"]]
+    if len(action) != h.dim:
+        raise ValueError(f"module {obj['label']!r}: {len(action)} action matrices, not {h.dim}")
     if any((a.rows, a.cols) != (dim, dim) for a in action):
         raise ValueError(f"module {obj['label']!r}: action matrices must be {dim}x{dim}")
     return RepModule(obj["label"], dim, action)

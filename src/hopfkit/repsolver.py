@@ -1,7 +1,9 @@
 """Module verification and Wedderburn-style completeness certificates.
 
 Nothing here decomposes anything: candidate simple modules come in from the
-catalog (or a JSON sidecar) and exact linear algebra judges them.  Simplicity
+catalog (or a JSON sidecar) and exact linear algebra judges them.  A module is
+verified on the pairs (e_i, a), a in hopf.generators(h), through
+hopf.multiplicative.  Simplicity
 uses the Burnside span criterion, which is sufficient over any field; numbers
 are closed by the dimension count sum(d_i^2) = dim H - dim J(H).
 """
@@ -114,12 +116,23 @@ class WedderburnCertificate:
 
 
 def wedderburn_certificate(h: HopfAlgebraData, modules, radical_dim: int) -> WedderburnCertificate:
-    """All four stages: verify, certify simple, pairwise non-iso, dimension count."""
-    details = []
+    """Verify every module, then the simples_certificate stages."""
     for m in modules:
         ok, why = verify_module(h, m)
         if not ok:
             return WedderburnCertificate(False, [], [f"{m.label}: {why}"])
+    return simples_certificate(h, modules, radical_dim)
+
+
+def simples_certificate(h: HopfAlgebraData, modules, radical_dim: int) -> WedderburnCertificate:
+    """For modules already known to be modules: a complete set of simples.
+
+    Burnside simplicity, pairwise non-isomorphism, the dimension count and the
+    character rank.  Nothing here multiplies in h, so callers that verify
+    their modules another way (verify_grouplikes, on the coalgebra side) run
+    only this stage.
+    """
+    for m in modules:
         if not is_simple_certified(h, m):
             return WedderburnCertificate(False, [], [f"{m.label}: Burnside span too small"])
     for i in range(len(modules)):
@@ -137,6 +150,6 @@ def wedderburn_certificate(h: HopfAlgebraData, modules, radical_dim: int) -> Wed
     char_rows = [[m.gen_trace(i) for i in range(h.dim)] for m in modules]
     char_rank = rank(Matrix(len(modules), h.dim, h.conductor, char_rows))
     if char_rank != len(modules):
-        details.append("character matrix rank too small")
-        return WedderburnCertificate(False, sorted(m.dim for m in modules), details)
-    return WedderburnCertificate(True, sorted(m.dim for m in modules), details)
+        return WedderburnCertificate(False, sorted(m.dim for m in modules),
+                                     ["character matrix rank too small"])
+    return WedderburnCertificate(True, sorted(m.dim for m in modules))

@@ -200,8 +200,19 @@ def _dual_block_of_three(payload):
     payload["dual_blocks"] = [payload["grouplikes"][:3]]
 
 
+def _module_of_dim_zero(payload):
+    module = payload["simples"][0]
+    module["dim"] = 0
+    module["action"] = [{"rows": 0, "cols": 0, "entries": []}] * len(module["action"])
+
+
+def _action_list_too_short(payload):
+    payload["simples"][0]["action"] = payload["simples"][0]["action"][:2]
+
+
 @pytest.mark.parametrize("corrupt", [_simples_not_a_list, _grouplike_too_short,
-                                     _module_matrix_too_big, _dual_block_of_three])
+                                     _module_matrix_too_big, _dual_block_of_three,
+                                     _module_of_dim_zero, _action_list_too_short])
 @pytest.mark.parametrize("command", ["invariants", "simples"])
 def test_malformed_sidecar_is_an_input_error(tmp_path, command, corrupt, capsys):
     out = tmp_path / "h.json"

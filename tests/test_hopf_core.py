@@ -1,13 +1,17 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfkit import catalog
 
 from conftest import build
+from hopfkit import hopf
 from hopfkit.hopf import (
     Element,
+    HopfAlgebraData,
     antipode_order,
     dual,
+    generators,
     is_semisimple,
     s_squared_order,
     tensor_product,
@@ -244,6 +248,11 @@ def perturbations(draw):
     """One catalog algebra (or module) with one structure constant set to a small value."""
     name, params = draw(st.sampled_from(_SMALL))
     h, cd = build(name, **params)
+    return _perturbed(draw, h, cd)
+
+
+def _perturbed(draw, h, cd):
+    """(kind, algebra, module or None) with one mult, comult or module-action constant redrawn."""
     n = h.conductor
     value = draw(st.sampled_from([CycNumber.zero(n), CycNumber.one(n),
                                   CycNumber.from_rational(n, -1), CycNumber.from_rational(n, 2),
@@ -298,3 +307,126 @@ def test_zero_maps_fail_only_the_unit_check():
     h2 = type(h)(h.dim, h.conductor, h.labels, h.mult, h.unit, h.comult,
                  [h.zero()] * h.dim, h.antipode)
     assert verify_bialgebra(h2).failures == ["eps(1) != 1"]
+
+
+# -- generators(h) and the pair loops reduced to it ---------------------------
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_h8p_is_generated_by_x_a_z(p):
+    h, _ = build("h8p", p=p)
+    assert generators(h) == [1, 2 * p, 4 * p]
+    assert [h.labels[i] for i in generators(h)] == ["x", "a", "z"]
+
+
+def test_function_algebra_of_a_group_falls_back_to_every_index():
+    # k^G: 1 and |G| - 1 idempotents would do, more than half the basis
+    h, _ = build("dual-group", group="dihedral", n=4)
+    assert generators(h) == list(range(h.dim))
+    assert verify_algebra(h).ok
+
+
+def _with_product(h, i, j, value):
+    """A copy of h with e_i e_j = value, a sparse coefficient dict."""
+    h = _copy(h)
+    h.mult[i][j] = value
+    return h
+
+
+def test_left_unit_and_light_test_alone_do_not_certify():
+    # 1 = u, e u = 0: the left unit law and Light's test on A = {e} hold,
+    # yet (e u) e = 0 != e = e (u e); only the right unit law check sees it
+    one, zero = CycNumber.one(1), CycNumber.zero(1)
+    h = HopfAlgebraData(2, 1, ["u", "e"], [[{0: one}, {1: one}], [{}, {1: one}]], [one, zero],
+                        [[], []], [one, zero], Matrix.identity(2, 1))
+    assert generators(h) == [0, 1]
+    assert not algebra_ok_direct(h)
+    assert verify_algebra(h).failures[0] == "right unit law fails at e"
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_broken_unit_law_falls_back_to_every_index(side):
+    h, _ = build("taft", n=3)
+    assert len(generators(h)) == 2
+    x = h.labels.index("x")
+    assert h.unit_dict() == {0: h.one()}
+    broken = _with_product(h, *((0, x) if side == "left" else (x, 0)), {x: h.one() + h.one()})
+    assert generators(broken) == list(range(h.dim))
+    assert verify_algebra(broken).failures[0] == f"{side} unit law fails at x"
+
+
+def test_broken_associativity_falls_back_to_every_index():
+    h, _ = build("taft", n=3)
+    g, x = h.labels.index("g"), h.labels.index("x")
+    # x g = q g x becomes 2 q g x: the basis still closes, associativity does not
+    doubled = {k: c + c for k, c in h.mult[x][g].items()}
+    broken = _with_product(h, x, g, doubled)
+    assert generators(broken) == list(range(h.dim))
+    assert not algebra_ok_direct(broken)
+    rep = verify_algebra(broken)
+    assert not rep.ok and rep.failures[0].startswith("associativity fails at")
+
+
+def _scaled_generator_module(h, module, exponent):
+    """module with one generator's matrix scaled by 2, extended along the basis words.
+
+    exponent(k) is that generator's exponent in the normal monomial of e_k.
+    Every pair (e_k, a) with a another generator still holds; only pairs with
+    a = the scaled generator can see the broken relation.
+    """
+    two = CycNumber.from_rational(h.conductor, 2)
+    return RepModule("scaled", module.dim,
+                     [m.scale(two ** exponent(k)) for k, m in enumerate(module.action)])
+
+
+@pytest.mark.parametrize("generator", ["x", "z"])
+def test_module_broken_at_one_generator_fails(generator):
+    # basis z^e a^i x^j at index 4p e + 2p i + j; x^(2p) = 1 and z^2 = a - 1 break
+    p = 3
+    h, cd = build("h8p", p=p)
+    exponent = (lambda k: k % (2 * p)) if generator == "x" else (lambda k: k // (4 * p))
+    m = _scaled_generator_module(h, cd.extra["u_all"][0], exponent)
+    assert not module_ok_direct(h, m)
+    assert verify_module(h, m)[0] is False
+
+
+@st.composite
+def h8p_perturbations(draw):
+    """h8p at p = 3 (3 generators of 24) or one of its simples, one constant redrawn."""
+    h, cd = build("h8p", p=3)
+    return _perturbed(draw, h, cd)
+
+
+@settings(max_examples=30, deadline=None)
+@given(h8p_perturbations())
+def test_property_generator_reduced_verifiers_agree_on_h8p(case):
+    kind, h, m = case
+    if kind == "module":
+        assert verify_module(h, m)[0] == module_ok_direct(h, m)
+    else:
+        assert verify_algebra(h).ok == algebra_ok_direct(h)
+        assert verify_bialgebra(h).ok == bialgebra_ok_direct(h)
+
+
+def test_verify_hopf_evaluates_order_dim_times_generators_pairs(monkeypatch):
+    # a host-independent work bound: one compose_columns per associativity pair
+    # and one tensor_mult per Delta pair; all pairs would be dim^2 = 1600 each
+    h = _copy(build("h8p", p=5)[0])  # nothing derived remembered yet
+    counts = {"compose_columns": 0, "tensor_mult": 0}
+    compose, tensor = hopf.compose_columns, HopfAlgebraData.tensor_mult
+
+    def counting_compose(a, b):
+        counts["compose_columns"] += 1
+        return compose(a, b)
+
+    def counting_tensor(self, t1, t2):
+        counts["tensor_mult"] += 1
+        return tensor(self, t1, t2)
+
+    monkeypatch.setattr(hopf, "compose_columns", counting_compose)
+    monkeypatch.setattr(HopfAlgebraData, "tensor_mult", counting_tensor)
+    assert verify_hopf(h).ok
+    assert len(generators(h)) == 3
+    bound = 2 * h.dim * len(generators(h))
+    assert 0 < counts["compose_columns"] <= bound
+    assert 0 < counts["tensor_mult"] <= bound

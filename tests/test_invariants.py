@@ -1,12 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build
+from hopfkit.cyclotomic import CycNumber, root_of_unity
 from hopfkit.hopf import Element, dual
 from hopfkit.invariants import (
+    block_failure,
     chevalley_check,
     coinvariants,
     coradical,
     coradical_filtration,
+    dual_module_from_block,
+    grouplike_module,
     distinguished_grouplike,
     integrals,
     jacobson_radical,
@@ -14,6 +20,7 @@ from hopfkit.invariants import (
     verify_grouplikes,
 )
 from hopfkit.linalg import Matrix, Subspace
+from hopfkit.repsolver import verify_module
 
 
 def test_radical_of_semisimple_is_zero():
@@ -221,3 +228,78 @@ def test_derived_objects_are_computed_once_per_algebra(monkeypatch):
     h, _ = catalog.build_family("taft", {"n": 3})
     assert dual(dual(h)) is h
     assert coradical(h) is coradical(h)
+
+
+# -- dual modules checked on the coalgebra side --------------------------------
+
+
+def _redrawn(element, i, value):
+    coeffs = list(element.coeffs)
+    coeffs[i] = value
+    return Element(element.parent, coeffs)
+
+
+@st.composite
+def h8p_dual_candidates(draw):
+    """An h8p (p = 3) dual block or group-like candidate with one coefficient redrawn."""
+    h, cd = build("h8p", p=3)
+    n = h.conductor
+    value = draw(st.sampled_from([CycNumber.zero(n), CycNumber.one(n),
+                                  CycNumber.from_rational(n, -1), root_of_unity(n, 1)]))
+    i = draw(st.integers(0, h.dim - 1))
+    if draw(st.booleans()):
+        return h, "grouplike", _redrawn(draw(st.sampled_from(cd.grouplikes)), i, value)
+    block = list(draw(st.sampled_from(cd.dual_blocks)))
+    uv = draw(st.integers(0, len(block) - 1))
+    block[uv] = _redrawn(block[uv], i, value)
+    return h, "block", block
+
+
+@settings(max_examples=40, deadline=None)
+@given(h8p_dual_candidates())
+def test_property_coalgebra_side_agrees_with_dual_module_check(case):
+    h, kind, candidate = case
+    if kind == "grouplike":
+        assert candidate.is_grouplike() == verify_module(dual(h), grouplike_module(h, candidate))[0]
+    else:
+        assert (block_failure(h, candidate) is None) == \
+            verify_module(dual(h), dual_module_from_block(h, candidate))[0]
+
+
+def test_block_failure_names_the_block_and_entry():
+    h, cd = build("h8p", p=3)
+    blocks = [list(b) for b in cd.dual_blocks]
+    blocks[1][1] = blocks[1][1].scale(CycNumber.from_rational(h.conductor, 2))
+    cert = verify_grouplikes(h, cd.grouplikes, blocks)
+    assert not cert.ok
+    assert cert.failures == ["dual Wedderburn stage failed",
+                             "block1: Delta(m_uv) != sum_w m_uw (x) m_wv at (u, v) = (0, 0)"]
+
+
+def test_certify_h8p_runs_no_module_check_over_the_dual(monkeypatch):
+    from hopfkit import certify, hopf, invariants, repsolver
+
+    built = []
+    seen = []
+    build_family, verify, gens = certify.build_family, repsolver.verify_module, hopf.generators
+
+    def recording_build(name, params):
+        built.append(build_family(name, params))
+        return built[-1]
+
+    def recording_verify(h, m):
+        seen.append(h)
+        return verify(h, m)
+
+    def recording_generators(h):
+        seen.append(h)
+        return gens(h)
+
+    monkeypatch.setattr(certify, "build_family", recording_build)
+    monkeypatch.setattr(repsolver, "verify_module", recording_verify)
+    monkeypatch.setattr(hopf, "generators", recording_generators)
+    monkeypatch.setattr(invariants, "generators", recording_generators)
+    assert certify.certify_family("h8p", {"p": 5}).ok
+    (h, _), = built
+    assert h in seen
+    assert all(a is h for a in seen)  # so never dual(h)
