@@ -6,14 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .catalog import build_family
-from .hopf import Element, dual, verify_hopf
-from .invariants import (
-    coradical,
-    invariant_report,
-    module_matrix_coefficients,
-    verify_grouplikes,
-)
-from .linalg import Subspace
+from .hopf import dual, verify_hopf
+from .invariants import coradical, invariant_report
+from .linalg import Matrix, Subspace
 from .repsolver import are_isomorphic, wedderburn_certificate
 
 
@@ -106,8 +101,8 @@ def certify_family(name: str, params: dict) -> CertifySuite:
         comm = all(h.mult[i][j] == h.mult[j][i]
                    for i in range(h.dim) for j in range(i + 1, h.dim))
         suite.add("commutative", True, comm)
+    wc = wedderburn_certificate(h, cd.simples, rep.radical_dim)  # fails on no candidates
     if cd.simples:
-        wc = wedderburn_certificate(h, cd.simples, rep.radical_dim)
         suite.add("wedderburn", True, wc.ok)
         if "simple_profile" in exp:
             suite.add("simple_profile", exp["simple_profile"], wc.profile)
@@ -120,7 +115,7 @@ def certify_family(name: str, params: dict) -> CertifySuite:
              for k in exp["coradical_span_indices"]])
         suite.add("coradical_equals_declared_span", True, coradical(h) == span)
     if "dual_grouplike_count" in exp or "dual_coradical_dim" in exp:
-        _dual_side_claims(suite, h, cd, exp)
+        _dual_side_claims(suite, h, wc, exp)
     if name == "h8p":
         _h8p_extra_claims(suite, h, cd)
     return suite
@@ -131,19 +126,21 @@ def _cert_claims(rep):
         yield f"cert:{key}", value
 
 
-def _dual_side_claims(suite, h, cd, exp):
-    dual_h = dual(h)
-    one_dims = [m for m in cd.simples if m.dim == 1]
-    higher = [m for m in cd.simples if m.dim > 1]
-    candidates = [Element(dual_h, [m.action[i].entries[0][0] for i in range(h.dim)])
-                  for m in one_dims]
-    blocks = [module_matrix_coefficients(dual_h, m) for m in higher]
-    cert = verify_grouplikes(dual_h, candidates, blocks)
+def _dual_side_claims(suite, h, wc, exp):
+    """G(H*) and the coradical of H*, read off H's Wedderburn certificate wc.
+
+    The 1-dim simple H-modules are G(H*), and a complete, pairwise
+    non-isomorphic set of simples passing the dimension count gives
+    (H*)_0 = J(H)-perp, the sum of their matrix-coefficient coalgebras.  A
+    complete set of characters is a group, so closure and the unit follow.
+    verify_grouplikes(dual(h), ...) on the matrix coefficients is the
+    reference route the tests compare with.
+    """
     if "dual_grouplike_count" in exp:
-        suite.add("dual_grouplike_count", exp["dual_grouplike_count"], cert.count)
+        suite.add("dual_grouplike_count", exp["dual_grouplike_count"], wc.profile.count(1))
     if "dual_coradical_dim" in exp:
-        suite.add("dual_coradical_dim", exp["dual_coradical_dim"], cert.coradical_dim)
-    suite.add("dual_grouplike_certificate", True, cert.ok)
+        suite.add("dual_coradical_dim", exp["dual_coradical_dim"], coradical(dual(h)).dim)
+    suite.add("dual_grouplike_certificate", True, wc.ok)
 
 
 def _h8p_extra_claims(suite, h, cd):
@@ -162,7 +159,5 @@ def _h8p_extra_claims(suite, h, cd):
     a_idx = 2 * p
     zz = u0.action[z_idx] * u0.action[z_idx]
     am = u0.action[a_idx]
-    from .linalg import Matrix
-
     ident = Matrix.identity(2, h.conductor)
     suite.add("U0_z_squared_is_a_minus_1", True, zz == am - ident)

@@ -137,6 +137,8 @@ def cmd_invariants(args) -> int:
     code = 0
     if not all(rep.certificates.values()):
         code = 1
+    for why in rep.grouplike_failures:
+        print(f"grouplike_certificate: {why}", file=sys.stderr)
     if cd is not None:
         comparable = {
             "dim": rep.dim,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclotomic import CycNumber, root_of_unity
-from .linalg import Matrix
+from .linalg import Matrix, word_product
 
 
 @dataclass
@@ -52,13 +52,8 @@ class FiniteGroup:
 
     def irrep_element_matrices(self, rep: GroupIrrep) -> list[Matrix]:
         """Expand generator matrices to every group element along its word."""
-        out = []
-        for g in self.elements:
-            m = Matrix.identity(rep.dim, self.conductor)
-            for letter in self.word(g):
-                m = m * rep.gen_mats[letter]
-            out.append(m)
-        return out
+        return [word_product(self.word(g), rep.gen_mats, rep.dim, self.conductor)
+                for g in self.elements]
 
 
 def _diag(conductor, values):

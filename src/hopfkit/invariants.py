@@ -443,6 +443,7 @@ class InvariantReport:
     distinguished_grouplike_label: str | None
     skew_primitive_dims: dict
     certificates: dict
+    grouplike_failures: list = field(default_factory=list)  # why grouplike_certificate is false
 
     def claims(self):
         """Flat list of (claim id, value) pairs for table rendering."""
@@ -484,11 +485,13 @@ def invariant_report(h: HopfAlgebraData, cd=None) -> InvariantReport:
     dist_idx = None
     dist_label = None
     skew_dims = {}
+    gl_failures = []
     if cd is not None:
         cert = verify_grouplikes(h, cd.grouplikes, cd.dual_blocks)
         certs["grouplike_certificate"] = cert.ok
         glcount = cert.count
         orders = cert.orders
+        gl_failures = cert.failures
         certs["grouplike_count_divides_dim"] = cert.count > 0 and h.dim % cert.count == 0
         dist = distinguished_grouplike(h)
         for i, g in enumerate(cd.grouplikes):
@@ -525,4 +528,5 @@ def invariant_report(h: HopfAlgebraData, cd=None) -> InvariantReport:
         distinguished_grouplike_label=dist_label,
         skew_primitive_dims=skew_dims,
         certificates=certs,
+        grouplike_failures=gl_failures,
     )

@@ -157,6 +157,14 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
+def word_product(word, mats: dict, dim: int, conductor: int) -> Matrix:
+    """mats[w_1] * mats[w_2] * ... along word, from the left, starting at the identity."""
+    m = Matrix.identity(dim, conductor)
+    for letter in word:
+        m = m * mats[letter]
+    return m
+
+
 def accumulate(d: dict, key, v: CycNumber) -> None:
     """d[key] += v on a sparse dict, dropping the key when the sum cancels."""
     s = d.get(key)

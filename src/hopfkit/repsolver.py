@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .cyclotomic import CycNumber
 from .hopf import HopfAlgebraData, multiplicative, witness_failures
-from .linalg import Matrix, Subspace, nullspace, rank
+from .linalg import Matrix, Subspace, nullspace, rank, word_product
 
 
 @dataclass
@@ -29,13 +29,8 @@ class RepModule:
 
 def module_from_gen_mats(dim, conductor, basis_words, gen_mats, label) -> RepModule:
     """Expand generator matrices along each basis element's word."""
-    action = []
-    for word in basis_words:
-        m = Matrix.identity(dim, conductor)
-        for letter in word:
-            m = m * gen_mats[letter]
-        action.append(m)
-    return RepModule(label, dim, action)
+    return RepModule(label, dim, [word_product(word, gen_mats, dim, conductor)
+                                  for word in basis_words])
 
 
 def _combination(h: HopfAlgebraData, m: RepModule, vec: dict) -> Matrix:

@@ -14,7 +14,7 @@ from .cyclotomic import CycNumber, root_of_unity
 from .groups import FiniteGroup, gamma4p_group
 from .hopf import (Element, HopfAlgebraData, least_power, multiplicative, verify_hopf,
                    witness_failures)
-from .linalg import Matrix, accumulate, compose_columns, kron, rank, solve_augmented
+from .linalg import Matrix, accumulate, compose_columns, kron, rank, solve_augmented, word_product
 from .presentation import group_algebra_hopf
 from .repsolver import RepModule, action_witnesses
 
@@ -73,10 +73,7 @@ class YDModule:
     label: str = ""
 
     def element_action(self, g) -> Matrix:
-        m = Matrix.identity(self.dim, self.conductor)
-        for letter in self.group.word(g):
-            m = m * self.action[letter]
-        return m
+        return word_product(self.group.word(g), self.action, self.dim, self.conductor)
 
 
 def verify_yd(mod: YDModule):

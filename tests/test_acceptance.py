@@ -10,6 +10,7 @@ separately right next to them.
 import pytest
 
 from conftest import build
+from hopfkit.certify import certify_family
 from hopfkit.cyclotomic import CycNumber, root_of_unity
 from hopfkit.hopf import (
     Element,
@@ -24,6 +25,7 @@ from hopfkit.invariants import (
     coradical,
     distinguished_grouplike,
     jacobson_radical,
+    module_matrix_coefficients,
     skew_primitive_space,
     verify_grouplikes,
 )
@@ -132,22 +134,27 @@ def test_criterion_02_h8p_at_p3():
     _say("criterion 2 (H_8p at p=3): PASS")
 
 
-def test_criterion_03_h8p_dual_side():
-    h, cd = build("h8p", p=3, alpha=1)
+@pytest.mark.parametrize("alpha, count, corad", [(0, 12, 12), (1, 6, 18)],
+                         ids=["alpha=0", "alpha=1"])
+def test_criterion_03_h8p_dual_side(alpha, count, corad):
+    h, cd = build("h8p", p=3, alpha=alpha)
     d = dual(h)
     # coradical of the dual via the independent radical route
-    assert d.dim - jacobson_radical(h).dim == 18
-    assert coradical(d).dim == 18
+    assert d.dim - jacobson_radical(h).dim == corad
+    assert coradical(d).dim == corad
     chars = [Element(d, [m.action[i].entries[0][0] for i in range(h.dim)])
              for m in cd.simples if m.dim == 1]
-    assert len(chars) == 6
-    from hopfkit.invariants import module_matrix_coefficients
-
+    assert len(chars) == count
     blocks = [module_matrix_coefficients(d, m) for m in cd.simples if m.dim == 2]
     cert = verify_grouplikes(d, chars, blocks)
-    assert cert.ok and cert.count == 6
-    assert cert.coradical_dim == 18 == 6 + 3 * 4
-    _say("criterion 3 (H_8p dual side at p=3): PASS")
+    assert cert.ok and cert.count == count
+    assert cert.coradical_dim == corad == count + 4 * len(blocks)
+    # certify reads the same three rows off H's Wedderburn certificate
+    rows = {r.claim_id: r.computed
+            for r in certify_family("h8p", {"p": 3, "alpha": alpha}).rows}
+    assert (rows["dual_grouplike_count"], rows["dual_coradical_dim"],
+            rows["dual_grouplike_certificate"]) == (cert.count, cert.coradical_dim, cert.ok)
+    _say(f"criterion 3 (H_8p dual side at p=3, alpha={alpha}): PASS")
 
 
 def test_criterion_04_pointed_families():

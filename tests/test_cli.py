@@ -240,6 +240,23 @@ def test_invariants_with_expect(tmp_path, capsys):
     assert payload["certificates"]["grouplike_certificate"] is True
 
 
+def test_invariants_names_why_the_grouplike_certificate_fails(tmp_path, capsys):
+    out = tmp_path / "h.json"
+    main(["build", "h8p", "--p", "3", "--out", str(out)])
+    side = tmp_path / "h.sidecar.json"
+    payload = json.loads(side.read_text())
+    coeffs = payload["dual_blocks"][1][1][4]["coeffs"]
+    assert coeffs[0] == "1/2"
+    coeffs[0] = "3/2"
+    side.write_text(json.dumps(payload))
+    capsys.readouterr()  # drop the build message
+    assert main(["invariants", str(out), "--expect", str(side)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["certificates"]["grouplike_certificate"] is False
+    assert "grouplike_certificate: block1: Delta(m_uv) != sum_w m_uw (x) m_wv at (u, v) = (0, 0)" \
+        in captured.err.splitlines()
+
+
 def test_dual_command(tmp_path):
     src = tmp_path / "h.json"
     dst = tmp_path / "d.json"

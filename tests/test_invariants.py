@@ -280,26 +280,64 @@ def test_certify_h8p_runs_no_module_check_over_the_dual(monkeypatch):
     from hopfkit import certify, hopf, invariants, repsolver
 
     built = []
-    seen = []
-    build_family, verify, gens = certify.build_family, repsolver.verify_module, hopf.generators
+    seen = {name: [] for name in ("verify_module", "generators", "verify_grouplikes",
+                                  "block_failure", "simples_certificate", "Element.__mul__")}
 
     def recording_build(name, params):
         built.append(build_family(name, params))
         return built[-1]
 
-    def recording_verify(h, m):
-        seen.append(h)
-        return verify(h, m)
+    def recording(name, fn):
+        def wrapped(h, *args, **kwargs):
+            seen[name].append(h)
+            return fn(h, *args, **kwargs)
+        return wrapped
 
-    def recording_generators(h):
-        seen.append(h)
-        return gens(h)
+    def recording_mul(a, b):
+        seen["Element.__mul__"].append(a.parent)
+        return mul(a, b)
 
+    build_family, mul = certify.build_family, hopf.Element.__mul__
+    gens = recording("generators", hopf.generators)
+    simples = recording("simples_certificate", repsolver.simples_certificate)
     monkeypatch.setattr(certify, "build_family", recording_build)
-    monkeypatch.setattr(repsolver, "verify_module", recording_verify)
-    monkeypatch.setattr(hopf, "generators", recording_generators)
-    monkeypatch.setattr(invariants, "generators", recording_generators)
+    monkeypatch.setattr(repsolver, "verify_module",
+                        recording("verify_module", repsolver.verify_module))
+    monkeypatch.setattr(hopf, "generators", gens)
+    monkeypatch.setattr(invariants, "generators", gens)
+    grouplikes = recording("verify_grouplikes", invariants.verify_grouplikes)
+    monkeypatch.setattr(invariants, "verify_grouplikes", grouplikes)
+    monkeypatch.setattr(certify, "verify_grouplikes", grouplikes, raising=False)
+    monkeypatch.setattr(invariants, "block_failure",
+                        recording("block_failure", invariants.block_failure))
+    monkeypatch.setattr(repsolver, "simples_certificate", simples)
+    monkeypatch.setattr(invariants, "simples_certificate", simples)
+    monkeypatch.setattr(hopf.Element, "__mul__", recording_mul)
     assert certify.certify_family("h8p", {"p": 5}).ok
     (h, _), = built
-    assert h in seen
-    assert all(a is h for a in seen)  # so never dual(h)
+    assert len(seen["verify_grouplikes"]) == 1
+    # once for H's simples, once inside verify_grouplikes for the sidecar's dual blocks
+    assert [id(a) for a in seen.pop("simples_certificate")] == [id(dual(h)), id(h)]
+    for name, algebras in seen.items():
+        assert algebras, name
+        assert all(a is h for a in algebras), name  # so never dual(h)
+
+
+def _u0_with_one_action_entry_changed(name, params):
+    from hopfkit.catalog import build_family
+
+    h, cd = build_family(name, params)
+    u0 = cd.simples[2 * params["p"]]
+    u0.action[1].entries[0][0] += CycNumber.one(h.conductor)
+    return h, cd
+
+
+def test_certify_h8p_fails_both_wedderburn_and_the_dual_side_on_a_broken_simple(monkeypatch):
+    from hopfkit import certify
+
+    monkeypatch.setattr(certify, "build_family", _u0_with_one_action_entry_changed)
+    suite = certify.certify_family("h8p", {"p": 3})
+    verdicts = {r.claim_id: r.ok for r in suite.rows}
+    assert verdicts["verify_hopf"]
+    assert not verdicts["wedderburn"]
+    assert not verdicts["dual_grouplike_certificate"]

@@ -14,6 +14,7 @@ from hopfkit.linalg import (
     nullspace,
     rank,
     solve,
+    word_product,
 )
 
 
@@ -26,6 +27,13 @@ def mat(conductor, grid):
 
 def rand_matrix(rng, n, m, conductor=1):
     return mat(conductor, [[Fraction(rng.randint(-3, 3)) for _ in range(m)] for _ in range(n)])
+
+
+def test_word_product_multiplies_left_to_right_from_the_identity():
+    mats = {"a": mat(1, [[1, 1], [0, 1]]), "b": mat(1, [[1, 0], [1, 1]])}
+    assert word_product([], mats, 2, 1) == Matrix.identity(2, 1)
+    assert word_product(["a", "b", "a"], mats, 2, 1) == mats["a"] * mats["b"] * mats["a"]
+    assert word_product(["a", "b"], mats, 2, 1) != word_product(["b", "a"], mats, 2, 1)
 
 
 def test_rref_identity():
