@@ -239,16 +239,16 @@ def cmd_nichols(args) -> int:
 
 
 def _datum_from_file(path):
-    from .cyclotomic import cyc_from_json
     from .hopf import Element
     from .ydnichols import YDDatum
 
     obj = hio.load_json(path)
     L = _hopf_from_json(obj["algebra"])
-    g, chi = ([cyc_from_json(c) for c in obj[key]] for key in ("g", "chi"))
+    read = hio.coefficient_reader(L.conductor)
+    g, chi = ([read(c) for c in obj[key]] for key in ("g", "chi"))
     if len(g) != L.dim or len(chi) != L.dim:
         raise ValueError(f"g and chi need {L.dim} coefficients each")
-    return YDDatum(L, Element(L, g), chi, cyc_from_json(obj["q"]), label=path)
+    return YDDatum(L, Element(L, g), chi, read(obj["q"]), label=path)
 
 
 def cmd_yd_verify(args) -> int:

@@ -422,10 +422,13 @@ def embed(a: CycNumber, conductor: int) -> CycNumber:
 
 
 def cyc_to_json(a: CycNumber) -> dict:
-    return {
-        "conductor": a.conductor,
-        "coeffs": [f"{c.numerator}/{c.denominator}" for c in a.coeffs],
-    }
+    """Each coefficient num/den in lowest terms, as Fraction's str would print it."""
+    den = a.den
+    coeffs = []
+    for c in a.num:
+        g = gcd(c, den)
+        coeffs.append(f"{c // g}/{den // g}")
+    return {"conductor": a.conductor, "coeffs": coeffs}
 
 
 def cyc_from_json(obj: dict) -> CycNumber:
@@ -433,4 +436,6 @@ def cyc_from_json(obj: dict) -> CycNumber:
         coeffs = [Fraction(s) for s in obj["coeffs"]]
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in coefficients {obj['coeffs']!r}") from None
+    except OverflowError:
+        raise ValueError(f"non-finite value in coefficients {obj['coeffs']!r}") from None
     return CycNumber(int(obj["conductor"]), coeffs)

@@ -20,6 +20,7 @@ is then the all-pairs check it replaces.
 from __future__ import annotations
 
 import operator
+import weakref
 from dataclasses import dataclass, field
 from functools import wraps
 from math import gcd
@@ -45,14 +46,14 @@ class VerifyReport:
 class HopfAlgebraData:
     """Structure tensors on a fixed basis, plus the derived objects computed from them.
 
-    Functions decorated with ``memoised`` (the dual, the generators, the
-    Jacobson radical, the coradical) keep their result in ``_derived``, so
+    Functions decorated with ``memoised`` (the generators, the Jacobson
+    radical, the coradical) and ``dual`` keep their result in ``_derived``, so
     the structure tensors must not change after the first analysis call.  Constructors may still
     fill them in before that, as ``bosonize`` does with the antipode.
     """
 
     __slots__ = ("dim", "conductor", "labels", "mult", "unit", "comult", "counit", "antipode",
-                 "_derived")
+                 "_derived", "__weakref__")
 
     def __init__(self, dim, conductor, labels, mult, unit, comult, counit, antipode):
         self.dim = dim
@@ -65,7 +66,7 @@ class HopfAlgebraData:
         self.comult = [sorted(tr, key=lambda t: (t[0], t[1])) for tr in comult]
         self.counit = list(counit)
         self.antipode = antipode  # Matrix, column j = S(e_j)
-        self._derived = {}  # function name -> result, filled by memoised
+        self._derived = {}  # function name -> result, filled by memoised and dual
 
     # -- small helpers ---------------------------------------------------
 
@@ -441,13 +442,20 @@ def verify_hopf(h: HopfAlgebraData) -> VerifyReport:
 # -- constructions --------------------------------------------------------
 
 
-@memoised
 def dual(h: HopfAlgebraData) -> HopfAlgebraData:
     """Dual Hopf algebra on the dual basis: all structure tensors transposed.
 
-    The transposition is an involution on the nose, so h is recorded as the
-    dual of the result and dual(dual(h)) is h.
+    Computed once per algebra and kept on h.  The transposition is an
+    involution on the nose, so h is recorded as the dual of the result and
+    dual(dual(h)) is h.  That back-reference is weak: h and its dual form no
+    reference cycle, so h is freed as soon as the last reference to it goes,
+    and the dual of the result is computed afresh only if h is gone.
     """
+    known = h._derived.get("dual")
+    if isinstance(known, weakref.ref):
+        known = known()
+    if known is not None:
+        return known
     mult = [[{} for _ in range(h.dim)] for _ in range(h.dim)]
     for i in range(h.dim):
         for (j, k, c) in h.comult[i]:
@@ -468,7 +476,8 @@ def dual(h: HopfAlgebraData) -> HopfAlgebraData:
         counit=list(h.unit),
         antipode=h.antipode.transpose(),
     )
-    out._derived["dual"] = h
+    h._derived["dual"] = out
+    out._derived["dual"] = weakref.ref(h)
     return out
 
 

@@ -1,5 +1,10 @@
 """JSON interchange.  All payloads are deterministic: sorted keys, canonical
 coefficient strings, no timestamps; files round-trip bit-exactly.
+
+A structure file repeats a handful of coefficient values thousands of times,
+so each reader and writer call keeps one memo of the values it has met and
+parses or formats each distinct value once.  The memo lives in that call
+only; nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -12,8 +17,21 @@ from .hopf import Element, HopfAlgebraData
 from .linalg import Matrix
 
 
-def _vec_to_json(vec):
-    return [cyc_to_json(c) for c in vec]
+def _coefficient_writer():
+    """cyc_to_json for the coefficients of one payload, each distinct value formatted once.
+
+    Every call returns a fresh dict and list, so the payload stays a tree.
+    """
+    memo = {}
+
+    def write(a):
+        key = (a.conductor, a.num, a.den)
+        coeffs = memo.get(key)
+        if coeffs is None:
+            coeffs = memo[key] = cyc_to_json(a)["coeffs"]
+        return {"conductor": a.conductor, "coeffs": list(coeffs)}
+
+    return write
 
 
 def _cyc_from_json(obj, conductor):
@@ -24,26 +42,48 @@ def _cyc_from_json(obj, conductor):
     return c
 
 
-def _vec_from_json(arr, conductor):
-    return [_cyc_from_json(o, conductor) for o in arr]
+def coefficient_reader(conductor):
+    """cyc_from_json for the coefficients of one structure of this conductor.
+
+    Each distinct (conductor, coeffs) value is parsed and checked once, and
+    every occurrence of it shares that one immutable CycNumber.  Input that
+    cannot be a key (not an object, unhashable entries) takes the same
+    route unmemoised, so it fails with the same error.
+    """
+    memo = {}
+
+    def read(obj):
+        try:
+            key = (obj["conductor"], tuple(obj["coeffs"]))
+            c = memo.get(key)
+        except (KeyError, TypeError):
+            return _cyc_from_json(obj, conductor)
+        if c is None:
+            c = memo[key] = _cyc_from_json(obj, conductor)
+        return c
+
+    return read
 
 
-def matrix_to_json(m: Matrix):
+def matrix_to_json(m: Matrix, write=None):
+    write = write or _coefficient_writer()
     return {
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [[cyc_to_json(c) for c in row] for row in m.entries],
+        "entries": [[write(c) for c in row] for row in m.entries],
     }
 
 
-def matrix_from_json(obj, conductor):
+def matrix_from_json(obj, conductor, read=None):
+    read = read or coefficient_reader(conductor)
     rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     if len(entries) != rows or any(len(row) != cols for row in entries):
         raise ValueError(f"matrix entries do not match its shape {rows}x{cols}")
-    return Matrix(rows, cols, conductor, [_vec_from_json(row, conductor) for row in entries])
+    return Matrix(rows, cols, conductor, [[read(o) for o in row] for row in entries])
 
 
 def hopf_to_json(h: HopfAlgebraData) -> dict:
+    write = _coefficient_writer()
     mult = []
     for i in range(h.dim):
         for j in range(h.dim):
@@ -53,20 +93,20 @@ def hopf_to_json(h: HopfAlgebraData) -> dict:
             vec = [h.zero()] * h.dim
             for k, c in d.items():
                 vec[k] = c
-            mult.append([i, j, _vec_to_json(vec)])
+            mult.append([i, j, [write(c) for c in vec]])
     comult = []
     for i in range(h.dim):
         for (j, k, c) in h.comult[i]:
-            comult.append([i, j, k, cyc_to_json(c)])
+            comult.append([i, j, k, write(c)])
     return {
         "dim": h.dim,
         "conductor": h.conductor,
         "labels": list(h.labels),
-        "unit": _vec_to_json(h.unit),
-        "counit": _vec_to_json(h.counit),
+        "unit": [write(c) for c in h.unit],
+        "counit": [write(c) for c in h.counit],
         "mult": mult,
         "comult": comult,
-        "antipode": matrix_to_json(h.antipode),
+        "antipode": matrix_to_json(h.antipode, write),
     }
 
 
@@ -79,18 +119,19 @@ def _check_indices(dim, *indices):
 def hopf_from_json(obj: dict) -> HopfAlgebraData:
     dim = int(obj["dim"])
     conductor = int(obj["conductor"])
+    read = coefficient_reader(conductor)
     mult = [[{} for _ in range(dim)] for _ in range(dim)]
     for i, j, vec in obj["mult"]:
         _check_indices(dim, i, j)
         if len(vec) != dim:
             raise ValueError(f"product e_{i} e_{j} has {len(vec)} coefficients, not {dim}")
-        coeffs = _vec_from_json(vec, conductor)
+        coeffs = [read(o) for o in vec]
         mult[i][j] = {k: c for k, c in enumerate(coeffs) if not c.is_zero()}
     comult = [[] for _ in range(dim)]
     for i, j, k, c in obj["comult"]:
         _check_indices(dim, i, j, k)
-        comult[i].append((j, k, _cyc_from_json(c, conductor)))
-    antipode = matrix_from_json(obj["antipode"], conductor)
+        comult[i].append((j, k, read(c)))
+    antipode = matrix_from_json(obj["antipode"], conductor, read)
     if (antipode.rows, antipode.cols) != (dim, dim):
         raise ValueError(f"antipode is {antipode.rows}x{antipode.cols}, not {dim}x{dim}")
     labels = list(obj["labels"])
@@ -101,51 +142,49 @@ def hopf_from_json(obj: dict) -> HopfAlgebraData:
         conductor=conductor,
         labels=labels,
         mult=mult,
-        unit=_vec_from_json(obj["unit"], conductor),
+        unit=[read(o) for o in obj["unit"]],
         comult=comult,
-        counit=_vec_from_json(obj["counit"], conductor),
+        counit=[read(o) for o in obj["counit"]],
         antipode=antipode,
     )
 
 
 def candidate_to_json(cd) -> dict:
+    write = _coefficient_writer()
+
+    def vec(e):
+        return [write(c) for c in e.coeffs]
+
     out = {
-        "grouplikes": [_vec_to_json(g.coeffs) for g in cd.grouplikes],
+        "grouplikes": [vec(g) for g in cd.grouplikes],
         "grouplike_labels": list(cd.grouplike_labels),
-        "expected": _expected_to_json(cd.expected),
+        "expected": dict(cd.expected),
         "simples": [
             {"label": m.label, "dim": m.dim,
-             "action": [matrix_to_json(a) for a in m.action]}
+             "action": [matrix_to_json(a, write) for a in m.action]}
             for m in cd.simples
         ],
-        "dual_blocks": [[_vec_to_json(e.coeffs) for e in blk] for blk in cd.dual_blocks],
+        "dual_blocks": [[vec(e) for e in blk] for blk in cd.dual_blocks],
     }
     if cd.skew_witness is not None:
-        out["skew_witness"] = [_vec_to_json(e.coeffs) for e in cd.skew_witness]
+        out["skew_witness"] = [vec(e) for e in cd.skew_witness]
     return out
 
 
-def _expected_to_json(expected):
-    out = {}
-    for k, v in expected.items():
-        out[k] = v
-    return out
-
-
-def _element_from_json(arr, h: HopfAlgebraData) -> Element:
-    vec = _vec_from_json(arr, h.conductor)
+def _element_from_json(arr, h: HopfAlgebraData, read) -> Element:
+    vec = [read(o) for o in arr]
     if len(vec) != h.dim:
         raise ValueError(f"vector has {len(vec)} coefficients, not {h.dim}")
     return Element(h, vec)
 
 
-def _module_from_json(obj, h: HopfAlgebraData):
+def _module_from_json(obj, h: HopfAlgebraData, read):
     from .repsolver import RepModule
 
     dim = int(obj["dim"])
     if dim < 1:
         raise ValueError(f"module {obj['label']!r}: dim {dim} is not positive")
-    action = [matrix_from_json(a, h.conductor) for a in obj["action"]]
+    action = [matrix_from_json(a, h.conductor, read) for a in obj["action"]]
     if len(action) != h.dim:
         raise ValueError(f"module {obj['label']!r}: {len(action)} action matrices, not {h.dim}")
     if any((a.rows, a.cols) != (dim, dim) for a in action):
@@ -156,17 +195,19 @@ def _module_from_json(obj, h: HopfAlgebraData):
 def candidate_from_json(obj: dict, h: HopfAlgebraData):
     from .catalog import CandidateData
 
+    read = coefficient_reader(h.conductor)
     cd = CandidateData()
-    cd.grouplikes = [_element_from_json(v, h) for v in obj["grouplikes"]]
+    cd.grouplikes = [_element_from_json(v, h, read) for v in obj["grouplikes"]]
     cd.grouplike_labels = list(obj["grouplike_labels"])
     cd.expected = dict(obj["expected"])
-    cd.simples = [_module_from_json(m, h) for m in obj["simples"]]
-    cd.dual_blocks = [[_element_from_json(v, h) for v in blk] for blk in obj["dual_blocks"]]
+    cd.simples = [_module_from_json(m, h, read) for m in obj["simples"]]
+    cd.dual_blocks = [[_element_from_json(v, h, read) for v in blk]
+                      for blk in obj["dual_blocks"]]
     for blk in cd.dual_blocks:
         if not blk or isqrt(len(blk)) ** 2 != len(blk):
             raise ValueError(f"dual block has {len(blk)} vectors, not a positive square")
     if "skew_witness" in obj:
-        cd.skew_witness = tuple(_element_from_json(v, h) for v in obj["skew_witness"])
+        cd.skew_witness = tuple(_element_from_json(v, h, read) for v in obj["skew_witness"])
     return cd
 
 

@@ -130,6 +130,11 @@ def _comult_entry_not_a_list(payload):
     payload["comult"] = [5]
 
 
+def _infinite_coefficient(payload):
+    # json.dumps writes Infinity, which json.load reads back as a float
+    payload["mult"][0][2][0]["coeffs"][0] = float("inf")
+
+
 def _labels_too_short(payload):
     payload["labels"] = payload["labels"][:1]
     payload["mult"][3][2][0]["coeffs"][0] = "7/1"
@@ -144,7 +149,7 @@ def _limit_memory():
                                      _huge_dim, _mixed_conductor, _antipode_row_dropped,
                                      _antipode_not_square, _top_level_list, _mult_not_a_list,
                                      _labels_not_a_list, _dim_null, _comult_entry_not_a_list,
-                                     _labels_too_short])
+                                     _labels_too_short, _infinite_coefficient])
 def test_verify_rejects_malformed_file(tmp_path, corrupt):
     out = tmp_path / "h.json"
     assert main(["build", "taft", "--n", "3", "--out", str(out)]) == 0
@@ -351,7 +356,14 @@ def _algebra_huge_dim(payload):
     payload["algebra"]["dim"] = 100000
 
 
-@pytest.mark.parametrize("corrupt", [_g_not_a_list, _g_too_short, _algebra_huge_dim])
+def _q_of_another_conductor(payload):
+    # q = -1 written at conductor 4 in a datum of conductor 2: the right value in the wrong field
+    assert payload["algebra"]["conductor"] == 2
+    payload["q"] = {"conductor": 4, "coeffs": ["-1/1", "0/1"]}
+
+
+@pytest.mark.parametrize("corrupt", [_g_not_a_list, _g_too_short, _algebra_huge_dim,
+                                     _q_of_another_conductor])
 def test_yd_verify_rejects_malformed_file(tmp_path, corrupt):
     payload = _c2_datum_payload()
     corrupt(payload)

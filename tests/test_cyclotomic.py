@@ -233,3 +233,28 @@ def test_property_equality_is_equality_of_coefficients(case):
     assert same == x and hash(same) == hash(x)
     assert CycNumber(n, [str(c) for c in xs]) == x
     assert (x == xs[0]) == all(c == 0 for c in xs[1:])
+
+
+# -- the JSON codec -----------------------------------------------------------
+
+
+@st.composite
+def _json_elements(draw):
+    n = draw(st.sampled_from((1, 3, 4, 12, 20)))
+    return n, draw(_coeff_lists(n))
+
+
+@_KERNEL
+@given(_json_elements())
+def test_property_cyc_to_json_prints_each_coefficient_as_fraction_does(case):
+    n, xs = case
+    x = CycNumber(n, xs)
+    printed = [f"{c.numerator}/{c.denominator}" for c in x.coeffs]
+    assert cyc_to_json(x) == {"conductor": n, "coeffs": printed}
+    assert cyc_from_json(cyc_to_json(x)) == x
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_coefficient_is_a_value_error(bad):
+    with pytest.raises(ValueError):
+        cyc_from_json({"conductor": 3, "coeffs": [bad, "0/1"]})

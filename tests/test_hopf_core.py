@@ -70,6 +70,32 @@ def test_dual_is_involution_on_the_nose():
         assert dual(fresh).same_tensors(h)
 
 
+def test_dual_back_reference_is_weak():
+    """h and dual(h) form no reference cycle, so h is freed without the cyclic collector."""
+    import gc
+    import weakref
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        h = catalog.build_family("taft", {"n": 2})[0]  # uncached: this test frees it
+        d = dual(h)
+        assert dual(d) is h
+        h_ref = weakref.ref(h)
+        del h
+        assert h_ref() is None
+        # d outlives h: its dual is computed afresh, then kept
+        h2 = dual(d)
+        assert h2.same_tensors(catalog.build_family("taft", {"n": 2})[0])
+        assert dual(d) is h2 and dual(h2) is d
+        d_ref = weakref.ref(d)
+        del d
+        assert d_ref() is None  # h2 holds its own dual weakly too
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_dual_of_group_algebra_is_commutative():
     h, _ = build("dicyclic", n=3)
     d = dual(h)

@@ -1,0 +1,126 @@
+"""The JSON coefficient codec parses and formats each distinct value once per call."""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from conftest import build
+from hopfkit import cyclotomic
+from hopfkit import io as hio
+from hopfkit.cyclotomic import CycNumber, cyc_from_json
+from hopfkit.linalg import Matrix
+from hopfkit.ydnichols import bosonize, named_datum
+
+# spellings Fraction accepts, and JSON numbers and booleans
+SPELLINGS = ["2/4", " 1/3 ", "1_0/3", "-0/5", 0.5, True]
+
+
+def test_reader_gives_the_values_of_one_at_a_time_parsing():
+    # each spelling twice, and 1, 1.0, true, "1" side by side: equal keys must mean equal values
+    objs = [{"conductor": 1, "coeffs": [s]} for s in SPELLINGS + [1, 1.0, "1", "1/1"]] * 2
+    read = hio.coefficient_reader(1)
+    got = [read(o) for o in objs]
+    assert got == [cyc_from_json(o) for o in objs]
+    assert [c.rational_value() for c in got[:6]] == [
+        Fraction(1, 2), Fraction(1, 3), Fraction(10, 3), 0, Fraction(1, 2), 1]
+    assert got[0] is got[10]  # one CycNumber per distinct value
+
+
+def test_matrix_reader_gives_the_values_of_one_at_a_time_parsing():
+    entries = [[{"conductor": 3, "coeffs": [s, t]} for t in SPELLINGS] for s in SPELLINGS]
+    m = hio.matrix_from_json({"rows": 6, "cols": 6, "entries": entries}, 3)
+    assert m.entries == [[cyc_from_json(o) for o in row] for row in entries]
+
+
+@pytest.mark.parametrize("obj, error", [
+    ({"conductor": 1, "coeffs": [[1]]}, TypeError),
+    ([1], TypeError),
+    ({"coeffs": ["1/1"]}, KeyError),
+    ({"conductor": 1, "coeffs": ["1/0"]}, ValueError),
+    ({"conductor": 1, "coeffs": [float("inf")]}, ValueError),
+    ({"conductor": 2, "coeffs": ["1/1"]}, ValueError),
+], ids=["unhashable-entry", "not-an-object", "no-conductor", "zero-denominator", "infinite",
+        "other-conductor"])
+def test_reader_keeps_the_errors_of_one_at_a_time_parsing(obj, error):
+    read = hio.coefficient_reader(1)
+    for _ in range(2):  # a failed parse is not remembered
+        with pytest.raises(error):
+            read(obj)
+
+
+def _coefficient_objects(obj):
+    if isinstance(obj, dict) and "coeffs" in obj:
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _coefficient_objects(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _coefficient_objects(v)
+
+
+def test_codec_works_once_per_distinct_value(monkeypatch):
+    h = bosonize(named_datum("a4p-chi2", 3))
+    payload = json.loads(json.dumps(hio.hopf_to_json(h)))
+    objs = list(_coefficient_objects(payload))
+    distinct = {json.dumps(o, sort_keys=True) for o in objs}
+    assert len(objs) > 1000 * len(distinct)
+
+    built, formatted = [], []
+    init, to_json = CycNumber.__init__, hio.cyc_to_json
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counting_to_json(a):
+        formatted.append(a)
+        return to_json(a)
+
+    monkeypatch.setattr(CycNumber, "__init__", counting_init)
+    monkeypatch.setattr(hio, "cyc_to_json", counting_to_json)
+    h2 = hio.hopf_from_json(payload)
+    assert len(built) <= len(distinct)
+    assert hio.hopf_to_json(h2) == payload
+    assert len(formatted) <= len(distinct)
+    assert h2.same_tensors(h)
+
+
+def _scaled(obj, factor):
+    """obj with every coefficient multiplied by factor."""
+    if isinstance(obj, dict) and "coeffs" in obj:
+        return dict(obj, coeffs=[str(Fraction(s) * factor) for s in obj["coeffs"]])
+    if isinstance(obj, dict):
+        return {k: _scaled(v, factor) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_scaled(v, factor) for v in obj]
+    return obj
+
+
+def _module_state():
+    """Sizes of the containers and lru caches held at module level by io and cyclotomic."""
+    out = {}
+    for mod in (hio, cyclotomic):
+        for name, v in vars(mod).items():
+            if isinstance(v, (dict, list, set)):
+                out[mod.__name__, name] = len(v)
+            elif hasattr(v, "cache_info"):
+                out[mod.__name__, name] = v.cache_info().currsize
+    return out
+
+
+def test_codec_keeps_no_memo_at_module_level():
+    h, cd = build("taft", n=5)
+    structure, sidecar = hio.hopf_to_json(h), hio.candidate_to_json(cd)
+
+    def round_trip(structure, sidecar):
+        h = hio.hopf_from_json(structure)
+        hio.hopf_to_json(h)
+        hio.candidate_to_json(hio.candidate_from_json(sidecar, h))
+
+    round_trip(structure, sidecar)
+    before = _module_state()
+    # the same conductor and new coefficient values: a module-level memo would grow
+    round_trip(_scaled(structure, Fraction(7, 11)), _scaled(sidecar, Fraction(-5, 13)))
+    assert _module_state() == before
