@@ -128,12 +128,10 @@ def cmd_invariants(args) -> int:
         return 1
     rep = invariant_report(h, cd)
     payload = hio.report_to_json(rep)
-    out = json.dumps(payload, sort_keys=True, indent=1)
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(out + "\n")
+        hio.dump_json(payload, args.json)
     else:
-        print(out)
+        print(hio.dumps(payload))
     code = 0
     if not all(rep.certificates.values()):
         code = 1
@@ -187,7 +185,7 @@ def cmd_simples(args) -> int:
         "radical_dim": rad,
         "details": cert.details,
     }
-    print(json.dumps(payload, sort_keys=True, indent=1))
+    print(hio.dumps(payload))
     return 0 if cert.ok else 1
 
 
@@ -234,7 +232,7 @@ def cmd_nichols(args) -> int:
         "total_dim": report.total_dim,
         "guard_hit": report.guard_hit,
     }
-    print(json.dumps(payload, sort_keys=True, indent=1))
+    print(hio.dumps(payload))
     return 0
 
 
@@ -292,7 +290,7 @@ def cmd_bosonize(args) -> int:
         hio.dump_json(hio.hopf_to_json(h), args.out)
         print(f"wrote {args.out} (dim {h.dim})")
     else:
-        print(json.dumps(hio.hopf_to_json(h), sort_keys=True, indent=1))
+        print(hio.dumps(hio.hopf_to_json(h)))
     return 0
 
 
@@ -304,9 +302,7 @@ def cmd_certify(args) -> int:
         return 2
     print(suite.render())
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(suite.to_json(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        hio.dump_json(suite.to_json(), args.json)
     return 0 if suite.ok else 1
 
 

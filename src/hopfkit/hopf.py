@@ -530,6 +530,17 @@ def generators(h: HopfAlgebraData) -> list:
     return gens
 
 
+def known_generators(h: HopfAlgebraData) -> list:
+    """generators(h) if it has been computed for h already, else every index.
+
+    Either generates h, and a proper subset is certified as generators(h)
+    describes.  verify_algebra computes generators(h) for every structure a
+    command reports on; an algebra derived from it, such as dual(h), is never
+    verified, and this never pays for Light's test on it.
+    """
+    return h._derived.get("generators") or list(range(h.dim))
+
+
 def _embed_vec(vec, conductor):
     return [embed(c, conductor) for c in vec]
 

@@ -17,8 +17,8 @@ from math import isqrt
 
 from .cyclotomic import CycNumber
 from .hopf import (Element, HopfAlgebraData, antipode_order, dual, generators, is_semisimple,
-                   least_power, memoised, multiplicative_over, s_squared_order, tr_s_squared,
-                   witness_failures)
+                   known_generators, least_power, memoised, multiplicative_over, s_squared_order,
+                   tr_s_squared, witness_failures)
 from .linalg import EchelonBasis, Matrix, Subspace, accumulate, bilinear_closure, nullspace
 from .repsolver import RepModule, simples_certificate
 
@@ -62,13 +62,19 @@ def jacobson_radical(h: HopfAlgebraData) -> Subspace:
 
 
 def _post_verify_radical(h: HopfAlgebraData, rad: Subspace):
-    basis = rad.basis()
-    for v in basis:
+    """rad is a nilpotent two-sided ideal, or AssertionError.
+
+    The ideal test multiplies rad's basis by e_a, a in known_generators(h),
+    on each side: the a with a rad in rad form a subalgebra with 1, so by the
+    closure argument of hopf.multiplicative it is all of h; likewise for
+    rad a.
+    """
+    gens = known_generators(h)
+    for v in rad.basis():
         vd = _vec_to_dict(v)
-        for i in range(h.dim):
-            left = h.mult_dict(h.basis_dict(i), vd)
-            right = h.mult_dict(vd, h.basis_dict(i))
-            if not rad.contains(_dict_to_vec(h, left)) or not rad.contains(_dict_to_vec(h, right)):
+        for a in gens:
+            ea = h.basis_dict(a)
+            if not rad.contains(h.mult_dict(ea, vd)) or not rad.contains(h.mult_dict(vd, ea)):
                 raise AssertionError("trace-form radical is not an ideal (arithmetic bug)")
     power = rad
     for _ in range(h.dim + 1):
@@ -284,27 +290,27 @@ def skew_primitive_space(h: HopfAlgebraData, g: Element, k: Element,
     dim > 1 as the nontriviality flag.
     """
     n = h.dim
-    rows = defaultdict(lambda: [h.zero()] * n)  # (a, b) -> coefficient row of e_a (x) e_b
+    rows = defaultdict(dict)  # (a, b) -> sparse coefficient row of e_a (x) e_b
 
     def key(x, y):
         return (x, y) if convention == "x-first" else (y, x)
 
     for i in range(n):
         for (a, b, c) in h.comult[i]:
-            rows[(a, b)][i] += c
+            accumulate(rows[(a, b)], i, c)
     for i in range(n):
         for b, gb in enumerate(g.coeffs):
             if not gb.is_zero():
-                rows[key(i, b)][i] -= gb
+                accumulate(rows[key(i, b)], i, -gb)
         for a, ka in enumerate(k.coeffs):
             if not ka.is_zero():
-                rows[key(a, i)][i] -= ka
-    return _nullspace_of_rows(h, rows)
+                accumulate(rows[key(a, i)], i, -ka)
+    return _nullspace_of_rows(h, rows.values())
 
 
-def _nullspace_of_rows(h: HopfAlgebraData, rows: dict) -> Subspace:
-    """Common solutions of the nonzero rows among rows.values()."""
-    mat_rows = [r for r in rows.values() if any(not c.is_zero() for c in r)]
+def _nullspace_of_rows(h: HopfAlgebraData, rows) -> Subspace:
+    """Common solutions of rows, sparse {index: coefficient} dicts; empty ones are dropped."""
+    mat_rows = [_dict_to_vec(h, r) for r in rows if r]
     return nullspace(Matrix(len(mat_rows), h.dim, h.conductor, mat_rows))
 
 
@@ -314,29 +320,35 @@ def _nullspace_of_rows(h: HopfAlgebraData, rows: dict) -> Subspace:
 
 
 def integrals(h: HopfAlgebraData):
-    """(left, right) integral subspaces; each must be one-dimensional."""
+    """(left, right) integral subspaces of the bialgebra h; each must be one-dimensional.
+
+    A left integral lam has a lam = eps(a) lam for every a.  Only the rows for
+    a in known_generators(h) are built: the a with a lam = eps(a) lam form a
+    subspace that holds 1 and is closed under products, (ab) lam = a (b lam)
+    = eps(ab) lam, so by the closure argument of hopf.multiplicative it is
+    all of h.  The same holds for right integrals, lam a = eps(a) lam.
+    """
     n = h.dim
     left_rows = []
     right_rows = []
-    for i in range(n):
-        for coord in range(n):
-            lrow = [h.zero()] * n
-            rrow = [h.zero()] * n
-            for j in range(n):
-                c = h.mult[i][j].get(coord)
-                if c is not None:
-                    lrow[j] = lrow[j] + c
-                c2 = h.mult[j][i].get(coord)
-                if c2 is not None:
-                    rrow[j] = rrow[j] + c2
-            eps_i = h.counit[i]
-            if not eps_i.is_zero():
-                lrow[coord] = lrow[coord] - eps_i
-                rrow[coord] = rrow[coord] - eps_i
-            left_rows.append(lrow)
-            right_rows.append(rrow)
-    left = nullspace(Matrix(len(left_rows), n, h.conductor, left_rows))
-    right = nullspace(Matrix(len(right_rows), n, h.conductor, right_rows))
+    for i in known_generators(h):
+        # lrows[coord][j] = coefficient of e_coord in e_i e_j, minus eps(e_i) when j = coord
+        lrows = [{} for _ in range(n)]
+        rrows = [{} for _ in range(n)]
+        for j in range(n):
+            for coord, c in h.mult[i][j].items():
+                lrows[coord][j] = c
+            for coord, c in h.mult[j][i].items():
+                rrows[coord][j] = c
+        eps_i = h.counit[i]
+        if not eps_i.is_zero():
+            for coord in range(n):
+                accumulate(lrows[coord], coord, -eps_i)
+                accumulate(rrows[coord], coord, -eps_i)
+        left_rows += lrows
+        right_rows += rrows
+    left = _nullspace_of_rows(h, left_rows)
+    right = _nullspace_of_rows(h, right_rows)
     if left.dim != 1 or right.dim != 1:
         raise AssertionError(
             f"integral spaces must be one-dimensional, got {left.dim}/{right.dim}")
@@ -405,17 +417,17 @@ def coinvariants(h: HopfAlgebraData, target: HopfAlgebraData, pi: Matrix) -> Sub
     if not ok:
         raise ValueError(f"projection is not a Hopf algebra map: {why}")
     n = h.dim
-    rows = defaultdict(lambda: [h.zero()] * n)  # (j, b) -> coefficient row of e_j (x) f_b
+    rows = defaultdict(dict)  # (j, b) -> sparse coefficient row of e_j (x) f_b
     for i in range(n):
         for (j, k, c) in h.comult[i]:
             for b, cb in enumerate(pi.col(k)):
                 if not cb.is_zero():
-                    rows[(j, b)][i] += c * cb
+                    accumulate(rows[(j, b)], i, c * cb)
     for i in range(n):
         for b, ub in enumerate(target.unit):
             if not ub.is_zero():
-                rows[(i, b)][i] -= ub
-    return _nullspace_of_rows(h, rows)
+                accumulate(rows[(i, b)], i, -ub)
+    return _nullspace_of_rows(h, rows.values())
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ only; nothing is cached at module level.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from math import isqrt
 
 from .cyclotomic import cyc_from_json, cyc_to_json
@@ -211,9 +212,78 @@ def candidate_from_json(obj: dict, h: HopfAlgebraData):
     return cd
 
 
+def _encoder():
+    """encode(o, ind): the text of json.dumps(o, sort_keys=True, indent=1), indented by ind.
+
+    json.dumps never uses its C encoder when indent is set; this builds the
+    same layout in one recursive pass instead.  A list, tuple or dict becomes
+    open + inner + ("," + inner).join(members) + ind + close, where ind is
+    the newline and indent of its own line and inner is ind + " "; empty ones
+    are [] and {}.  Dict items are sorted and strings go through the C
+    escaper json.encoder.encode_basestring_ascii.  Anything but str, int,
+    bool, None, list, tuple and a dict with str keys raises TypeError.
+
+    pieces(o, ind, depth) is the same text in pieces, split before each
+    member of a list or dict down to depth levels, so that a file is written
+    without holding its whole text.
+    """
+    string = encode_basestring_ascii
+
+    def encode(o, ind):
+        if isinstance(o, str):
+            return string(o)
+        inner = ind + " "
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            # string(k) raises TypeError for a key that is not a str
+            return "{" + inner + ("," + inner).join(
+                [string(k) + ": " + encode(v, inner) for k, v in sorted(o.items())]) + ind + "}"
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            return "[" + inner + ("," + inner).join([encode(v, inner) for v in o]) + ind + "]"
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    def pieces(o, ind, depth):
+        if not depth or not o or not isinstance(o, (dict, list, tuple)):
+            yield encode(o, ind)
+            return
+        inner = ind + " "
+        if isinstance(o, dict):
+            members, close = [(string(k) + ": ", v) for k, v in sorted(o.items())], "}"
+            sep = "{" + inner
+        else:
+            members, close = [("", v) for v in o], "]"
+            sep = "[" + inner
+        for key, v in members:
+            yield sep + key
+            yield from pieces(v, inner, depth - 1)
+            sep = "," + inner
+        yield ind + close
+
+    return encode, pieces
+
+
+def dumps(obj) -> str:
+    """The text of json.dumps(obj, sort_keys=True, indent=1), byte for byte (see _encoder)."""
+    encode, _ = _encoder()
+    return encode(obj, "\n")
+
+
 def dump_json(obj, path):
+    """dumps(obj) and a final newline, written to path in pieces two levels deep."""
+    _, pieces = _encoder()
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
+        fh.writelines(pieces(obj, "\n", 2))
         fh.write("\n")
 
 

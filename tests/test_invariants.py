@@ -3,9 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build
+from hopfkit.catalog import build_family
 from hopfkit.cyclotomic import CycNumber, root_of_unity
-from hopfkit.hopf import Element, dual
+from hopfkit.hopf import Element, dual, generators
 from hopfkit.invariants import (
+    _post_verify_radical,
     block_failure,
     chevalley_check,
     coinvariants,
@@ -19,7 +21,7 @@ from hopfkit.invariants import (
     skew_primitive_space,
     verify_grouplikes,
 )
-from hopfkit.linalg import Matrix, Subspace
+from hopfkit.linalg import Matrix, Subspace, nullspace
 from hopfkit.repsolver import verify_module
 
 
@@ -156,6 +158,51 @@ def test_integrals_dimensions_and_unimodular_group():
         assert left.dim == 1 and right.dim == 1
     g, _ = build("dihedral", n=3)
     assert distinguished_grouplike(g).coeffs == Element.unit(g).coeffs
+
+
+def _integrals_from_every_row(h):
+    """Left and right integral spaces from the rows of every basis element, not generators."""
+    n = h.dim
+    left, right = [], []
+    for i in range(n):
+        for coord in range(n):
+            lrow = [h.mult[i][j].get(coord, h.zero()) for j in range(n)]
+            rrow = [h.mult[j][i].get(coord, h.zero()) for j in range(n)]
+            lrow[coord] -= h.counit[i]
+            rrow[coord] -= h.counit[i]
+            left.append(lrow)
+            right.append(rrow)
+    return tuple(nullspace(Matrix(n * n, n, h.conductor, rows)) for rows in (left, right))
+
+
+def _is_ideal(a, space):
+    """space is a two-sided ideal, tested on products by every basis element."""
+    for v in space.basis():
+        vd = {k: c for k, c in enumerate(v) if not c.is_zero()}
+        for i in range(a.dim):
+            if not (space.contains(a.mult_dict(a.basis_dict(i), vd))
+                    and space.contains(a.mult_dict(vd, a.basis_dict(i)))):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_integrals_and_radical_check_on_generators_match_every_row(p):
+    h, _ = build_family("h8p", {"p": p})  # fresh: generators are computed on its dual below
+    assert len(generators(h)) < h.dim  # the reduction to generators is taken
+    for a in (h, dual(h)):
+        generators(a)
+        assert integrals(a) == _integrals_from_every_row(a)
+        rad = jacobson_radical(a)
+        assert _is_ideal(a, rad)
+        _post_verify_radical(a, rad)
+        # the products by generators also refuse each line of the radical that is no ideal
+        lines = [Subspace.from_vectors(a.dim, a.conductor, [v]) for v in rad.basis()]
+        lines = [line for line in lines if not _is_ideal(a, line)]
+        assert lines
+        for line in lines:
+            with pytest.raises(AssertionError, match="not an ideal"):
+                _post_verify_radical(a, line)
 
 
 def test_distinguished_grouplikes_pointed():

@@ -1,14 +1,22 @@
-"""The JSON coefficient codec parses and formats each distinct value once per call."""
+"""The JSON coefficient codec parses and formats each distinct value once per call, and
+every payload is written in the layout of json.dumps(sort_keys=True, indent=1)."""
 
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import build
 from hopfkit import cyclotomic
 from hopfkit import io as hio
+from hopfkit.catalog import build_family
+from hopfkit.cli import main
 from hopfkit.cyclotomic import CycNumber, cyc_from_json
+from hopfkit.hopf import dual
 from hopfkit.linalg import Matrix
 from hopfkit.ydnichols import bosonize, named_datum
 
@@ -124,3 +132,53 @@ def test_codec_keeps_no_memo_at_module_level():
     # the same conductor and new coefficient values: a module-level memo would grow
     round_trip(_scaled(structure, Fraction(7, 11)), _scaled(sidecar, Fraction(-5, 13)))
     assert _module_state() == before
+
+
+# text with non-ASCII, quotes, backslashes, control and line-separator characters
+_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600 a{}[],:')
+                | st.characters())
+_LEAVES = (st.none() | st.booleans() | st.integers() | _TEXT
+           | st.integers(min_value=-2 ** 200, max_value=2 ** 200))
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(_TEXT, kids, max_size=4)),
+    max_leaves=30)
+
+
+@given(_TREES)
+def test_dumps_is_the_text_of_json_dumps(tree):
+    text = json.dumps(tree, sort_keys=True, indent=1)
+    assert hio.dumps(tree) == text
+    with tempfile.TemporaryDirectory() as d:  # dump_json writes the same text in pieces
+        path = os.path.join(d, "tree.json")
+        hio.dump_json(tree, path)
+        with open(path) as fh:
+            assert fh.read() == text + "\n"
+
+
+@pytest.mark.parametrize("obj", [{1: "a"}, {"a": 1, 2: "b"}, [{"a": (1, 1.5)}], {"a": {3}},
+                                 b"bytes", object()],
+                         ids=["int-key", "mixed-keys", "float", "set", "bytes", "object"])
+def test_dumps_refuses_what_is_not_a_str_keyed_json_tree(obj):
+    with pytest.raises(TypeError):
+        hio.dumps(obj)
+
+
+def test_written_files_are_the_json_dump_text(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    h, cd = build_family("a4p", {"p": 3})
+    expected = {
+        "a4p.json": hio.hopf_to_json(h),
+        "a4p.sidecar.json": hio.candidate_to_json(cd),
+        "a4p-dual.json": hio.hopf_to_json(dual(h)),
+        "boson.json": hio.hopf_to_json(bosonize(named_datum("a4p-chi2", 3))),
+    }
+    assert main(["build", "a4p", "--p", "3", "--out", "a4p.json"]) == 0
+    assert main(["dual", "a4p.json", "--out", "a4p-dual.json"]) == 0
+    assert main(["bosonize", "--datum", "a4p-chi2", "--p", "3", "--out", "boson.json"]) == 0
+    for name, payload in expected.items():
+        with open(tmp_path / f"ref-{name}", "w") as fh:  # the reference route
+            json.dump(payload, fh, sort_keys=True, indent=1)
+            fh.write("\n")
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"ref-{name}").read_bytes(), name

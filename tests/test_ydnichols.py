@@ -3,8 +3,9 @@ import itertools
 import pytest
 
 from conftest import build
+from hopfkit import ydnichols
 from hopfkit.cyclotomic import CycNumber, root_of_unity
-from hopfkit.hopf import HopfAlgebraData, tr_s_squared
+from hopfkit.hopf import tr_s_squared
 from hopfkit.linalg import Matrix
 from hopfkit.ydnichols import (
     YDDatum,
@@ -12,7 +13,6 @@ from hopfkit.ydnichols import (
     braid_equation_check,
     braid_operators,
     braiding,
-    convolution_inverse_of_identity,
     diagonal_type,
     named_datum,
     nichols_dims,
@@ -166,16 +166,19 @@ def test_bosonize_a4p():
     assert tr_s_squared(b).is_zero()
 
 
-def test_convolution_inverse_refuses_monoid_bialgebra():
-    # k[{1, z}] with z z = z and both basis elements group-like: F(z) z = 1 has no solution
-    one = CycNumber.one(1)
-    zero = CycNumber.zero(1)
-    mult = [[{0: one}, {1: one}], [{1: one}, {1: one}]]
-    comult = [[(0, 0, one)], [(1, 1, one)]]
-    h = HopfAlgebraData(2, 1, ["1", "z"], mult, [one, zero], comult, [one, one],
-                        Matrix(2, 2, 1))
-    with pytest.raises(AssertionError):
-        convolution_inverse_of_identity(h)
+def test_bosonize_refuses_a_wrong_closed_form_antipode(monkeypatch):
+    # S(1#g) built from a corrupted column of S_L: verify_hopf must catch it
+    col = ydnichols._matrix_col
+
+    def corrupted(m, j):
+        out = col(m, j)
+        if j == 1:
+            out = {r: c + c for r, c in out.items()}
+        return out
+
+    monkeypatch.setattr(ydnichols, "_matrix_col", corrupted)
+    with pytest.raises(AssertionError, match="antipode law"):
+        bosonize(named_datum("c2", 3))
 
 
 def test_quantum_line_ranks():
