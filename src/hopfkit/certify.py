@@ -129,12 +129,13 @@ def _cert_claims(rep):
 def _dual_side_claims(suite, h, wc, exp):
     """G(H*) and the coradical of H*, read off H's Wedderburn certificate wc.
 
-    The 1-dim simple H-modules are G(H*), and a complete, pairwise
-    non-isomorphic set of simples passing the dimension count gives
-    (H*)_0 = J(H)-perp, the sum of their matrix-coefficient coalgebras.  A
-    complete set of characters is a group, so closure and the unit follow.
-    verify_grouplikes(dual(h), ...) on the matrix coefficients is the
-    reference route the tests compare with.
+    The 1-dim simple H-modules are G(H*), and a complete set of simples
+    passing the dimension count gives (H*)_0 = J(H)-perp, the sum of their
+    matrix-coefficient coalgebras.  The simples are pairwise non-isomorphic
+    because their characters have full rank: isomorphic modules have equal
+    characters.  A complete set of characters is a group, so closure and
+    the unit follow.  verify_grouplikes(dual(h), ...) on the matrix
+    coefficients is the reference route the tests compare with.
     """
     if "dual_grouplike_count" in exp:
         suite.add("dual_grouplike_count", exp["dual_grouplike_count"], wc.profile.count(1))

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 = pass, 1 = claim/verification failure, 2 = input error.
+Exit codes: 0 = pass, 1 = claim/verification failure, 2 = input error or an
+output file that cannot be written.
 All output is deterministic (sorted JSON keys, no timestamps).  Catalog
 constructors never verify; every command that writes or reports on a
 structure runs verify_hopf on it here, once.
@@ -67,11 +68,22 @@ def cmd_build(args) -> int:
         return 2
     if _fails_verify_hopf(h):
         return 1
-    hio.dump_json(hio.hopf_to_json(h), args.out)
     stem = args.out[:-5] if args.out.endswith(".json") else args.out
-    hio.dump_json(hio.candidate_to_json(cd), stem + ".sidecar.json")
+    if not (_write_json(hio.hopf_to_json(h), args.out)
+            and _write_json(hio.candidate_to_json(cd), stem + ".sidecar.json")):
+        return 2
     print(f"wrote {args.out} (dim {h.dim}) and {stem}.sidecar.json")
     return 0
+
+
+def _write_json(payload, path) -> bool:
+    """hio.dump_json, with an output path that cannot be written reported on one stderr line."""
+    try:
+        hio.dump_json(payload, path)
+    except OSError as e:
+        print(f"error: cannot write {path}: {e.strerror or e}", file=sys.stderr)
+        return False
+    return True
 
 
 def _hopf_from_json(obj):
@@ -129,7 +141,8 @@ def cmd_invariants(args) -> int:
     rep = invariant_report(h, cd)
     payload = hio.report_to_json(rep)
     if args.json:
-        hio.dump_json(payload, args.json)
+        if not _write_json(payload, args.json):
+            return 2
     else:
         print(hio.dumps(payload))
     code = 0
@@ -160,7 +173,8 @@ def cmd_dual(args) -> int:
     h = _load_hopf(args.path)
     if h is None:
         return 2
-    hio.dump_json(hio.hopf_to_json(hopf_dual(h)), args.out)
+    if not _write_json(hio.hopf_to_json(hopf_dual(h)), args.out):
+        return 2
     print(f"wrote {args.out}")
     return 0
 
@@ -287,7 +301,8 @@ def cmd_bosonize(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if args.out:
-        hio.dump_json(hio.hopf_to_json(h), args.out)
+        if not _write_json(hio.hopf_to_json(h), args.out):
+            return 2
         print(f"wrote {args.out} (dim {h.dim})")
     else:
         print(hio.dumps(hio.hopf_to_json(h)))
@@ -301,8 +316,8 @@ def cmd_certify(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     print(suite.render())
-    if args.json:
-        hio.dump_json(suite.to_json(), args.json)
+    if args.json and not _write_json(suite.to_json(), args.json):
+        return 2
     return 0 if suite.ok else 1
 
 

@@ -241,10 +241,10 @@ class CycNumber:
         a_tail, b_tail = a[1:], b[1:]
         if not any(a_tail):
             s = a[0]
+            if s == 1 and den == other.den:
+                return other  # 1 * other shares other, rational or not
             if not any(b_tail):
                 return _make(self.conductor, (s * b[0],) + a_tail, den)
-            if s == 1 and den == other.den:
-                return other
             return _make(self.conductor, tuple(s * c for c in b), den)
         if not any(b_tail):
             s = b[0]

@@ -157,12 +157,34 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
+def extend_along_prefixes(words, empty, step) -> list:
+    """The value of each word, where () has value `empty` and w + (g,) has step(value of w, g).
+
+    Each word starts from the value of its longest prefix among the words
+    before it (at worst the empty word) and steps through the letters after
+    that prefix.  On a prefix-closed list in which every word follows its
+    prefixes, such as the normal monomials of a catalog presentation, that
+    is one step per word; any other list costs at most one step per letter.
+    """
+    built = {(): empty}
+    out = []
+    for word in words:
+        word = tuple(word)
+        k = len(word)
+        while word[:k] not in built:
+            k -= 1
+        value = built[word[:k]]
+        for letter in word[k:]:
+            value = step(value, letter)
+        built[word] = value
+        out.append(value)
+    return out
+
+
 def word_product(word, mats: dict, dim: int, conductor: int) -> Matrix:
     """mats[w_1] * mats[w_2] * ... along word, from the left, starting at the identity."""
-    m = Matrix.identity(dim, conductor)
-    for letter in word:
-        m = m * mats[letter]
-    return m
+    return extend_along_prefixes([word], Matrix.identity(dim, conductor),
+                                 lambda m, letter: m * mats[letter])[0]
 
 
 def accumulate(d: dict, key, v: CycNumber) -> None:

@@ -6,13 +6,20 @@ assembles the structure tensors: every command that reports on the result runs
 verify_hopf on it first, and that is the well-definedness check for the rule
 set.  Rewriting works on words over the generator alphabet; a rule maps a
 forbidden factor to a linear combination of words.
+
+Rewriting defines the table, but only the one-letter products g e_j are
+rewritten: the row of a normal monomial w g is built from the row of w, as
+(w g) e_j = w (g e_j).  For confluent rules that is the normal form of
+w g e_j (Bergman, "The diamond lemma for ring theory", 1978); either way the
+table that comes out is the one verify_hopf checks.  Delta, eps and S are
+extended the same way, one letter from each basis word's prefix.
 """
 
 from __future__ import annotations
 
 from .cyclotomic import CycNumber
 from .hopf import HopfAlgebraData
-from .linalg import Matrix, accumulate
+from .linalg import Matrix, accumulate, compose_columns, extend_along_prefixes
 
 STEP_GUARD = 20_000
 
@@ -123,10 +130,23 @@ class Presentation:
         }
 
     def mult_table(self):
+        """Row w lists the normal forms of w e_j; row w g is sum_l (g e_j)_l row(w)[l].
+
+        Only the empty word's row and the one-letter products g e_j are
+        rewritten; every other row extends the row of its longest built prefix.
+        """
         if self._mult is None:
-            n = self.dim
-            self._mult = [[self.normal_form_word(self.normal_monomials[i] + self.normal_monomials[j])
-                           for j in range(n)] for i in range(n)]
+            letter_rows = {}
+
+            def row(word):
+                return [self.normal_form_word(word + w) for w in self.normal_monomials]
+
+            def step(prefix_row, g):
+                if g not in letter_rows:
+                    letter_rows[g] = row((g,))
+                return compose_columns(prefix_row, letter_rows[g])
+
+            self._mult = extend_along_prefixes(self.normal_monomials, row(()), step)
         return self._mult
 
     def realize(self, gen_delta, gen_eps, gen_s) -> HopfAlgebraData:
@@ -136,19 +156,20 @@ class Presentation:
         a CycNumber, gen_s[g] a sparse basis-index dict.  The output is not
         verified here; it is a Hopf algebra only if it passes verify_hopf.
         """
-        mult = self.mult_table()
-        unit_idx = self.index[()]
-        words = [[letter for letter in w] for w in self.normal_monomials]
         return assemble_hopf(
-            dim=self.dim, conductor=self.conductor, labels=self.labels, mult=mult,
-            unit_index=unit_idx, basis_words=words,
+            dim=self.dim, conductor=self.conductor, labels=self.labels, mult=self.mult_table(),
+            unit_index=self.index[()], basis_words=self.normal_monomials,
             gen_delta=gen_delta, gen_eps=gen_eps, gen_s=gen_s,
         )
 
 
 def assemble_hopf(dim, conductor, labels, mult, unit_index, basis_words,
                   gen_delta, gen_eps, gen_s) -> HopfAlgebraData:
-    """Multiplicative extension of Delta and eps, anti-multiplicative of S."""
+    """Multiplicative extension of Delta and eps, anti-multiplicative of S.
+
+    Delta(w g) = Delta(w) Delta(g), eps(w g) = eps(w) eps(g) and
+    S(w g) = S(g) S(w), each word from its longest built prefix w.
+    """
     one = CycNumber.one(conductor)
     zero = CycNumber.zero(conductor)
     unit_vec = [zero] * dim
@@ -156,22 +177,17 @@ def assemble_hopf(dim, conductor, labels, mult, unit_index, basis_words,
 
     # the algebra alone, for its product kernels; the coalgebra is built below
     ring = HopfAlgebraData(dim, conductor, labels, mult, unit_vec, [], [], None)
-    comult = []
-    counit = [zero] * dim
+
+    def step(value, g):
+        t, e, s = value
+        return (ring.tensor_mult(t, gen_delta[g]), e * gen_eps[g], ring.mult_dict(gen_s[g], s))
+
+    images = extend_along_prefixes(
+        basis_words, ({(unit_index, unit_index): one}, one, {unit_index: one}), step)
+    comult = [[(j, k, c) for (j, k), c in t.items()] for t, _, _ in images]
+    counit = [e for _, e, _ in images]
     anti = Matrix(dim, dim, conductor)
-    unit_tensor = {(unit_index, unit_index): one}
-    unit_dict = {unit_index: one}
-    for i, word in enumerate(basis_words):
-        t = unit_tensor
-        e = one
-        s = unit_dict
-        for letter in word:
-            t = ring.tensor_mult(t, gen_delta[letter])
-            e = e * gen_eps[letter]
-        for letter in reversed(word):
-            s = ring.mult_dict(s, gen_s[letter])
-        comult.append([(j, k, c) for (j, k), c in t.items()])
-        counit[i] = e
+    for i, (_, _, s) in enumerate(images):
         for r, c in s.items():
             anti.entries[r][i] = c
     return HopfAlgebraData(dim, conductor, labels, mult, unit_vec, comult, counit, anti)

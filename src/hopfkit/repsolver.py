@@ -5,7 +5,9 @@ catalog (or a JSON sidecar) and exact linear algebra judges them.  A module is
 verified on the pairs (e_i, a), a in hopf.generators(h), through
 hopf.multiplicative.  Simplicity
 uses the Burnside span criterion, which is sufficient over any field; numbers
-are closed by the dimension count sum(d_i^2) = dim H - dim J(H).
+are closed by the dimension count sum(d_i^2) = dim H - dim J(H).  Pairwise
+non-isomorphism needs no test of its own: isomorphic modules have equal
+characters, so characters of full rank are pairwise non-isomorphic.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cyclotomic import CycNumber
-from .hopf import HopfAlgebraData, multiplicative, witness_failures
-from .linalg import Matrix, Subspace, nullspace, rank, word_product
+from .hopf import HopfAlgebraData, known_generators, multiplicative, witness_failures
+from .linalg import Matrix, Subspace, extend_along_prefixes, nullspace, rank
 
 
 @dataclass
@@ -28,9 +30,9 @@ class RepModule:
 
 
 def module_from_gen_mats(dim, conductor, basis_words, gen_mats, label) -> RepModule:
-    """Expand generator matrices along each basis element's word."""
-    return RepModule(label, dim, [word_product(word, gen_mats, dim, conductor)
-                                  for word in basis_words])
+    """rho(w g) = rho(w) rho(g) along each basis element's word, from its longest built prefix."""
+    return RepModule(label, dim, extend_along_prefixes(
+        basis_words, Matrix.identity(dim, conductor), lambda m, g: m * gen_mats[g]))
 
 
 def _combination(h: HopfAlgebraData, m: RepModule, vec: dict) -> Matrix:
@@ -67,12 +69,15 @@ def is_simple_certified(h: HopfAlgebraData, m: RepModule) -> bool:
     return span.dim == m.dim * m.dim
 
 
-def hom_space(h: HopfAlgebraData, m: RepModule, n: RepModule) -> Subspace:
-    """Intertwiners phi with phi . m(e_i) = n(e_i) . phi, as vec(phi) subspace."""
+def hom_space(h: HopfAlgebraData, m: RepModule, n: RepModule, indices=None) -> Subspace:
+    """Intertwiners phi with phi . m(e_i) = n(e_i) . phi, as vec(phi) subspace.
+
+    The equations run over i in indices, every basis index by default.
+    """
     nm = n.dim * m.dim
     rows = []
     zero = CycNumber.zero(h.conductor)
-    for i in range(h.dim):
+    for i in range(h.dim) if indices is None else indices:
         a = m.action[i]
         b = n.action[i]
         # equation block: phi a - b phi = 0; unknowns phi[r][c], vec index r*m.dim+c
@@ -89,13 +94,20 @@ def hom_space(h: HopfAlgebraData, m: RepModule, n: RepModule) -> Subspace:
 
 
 def are_isomorphic(h: HopfAlgebraData, m: RepModule, n: RepModule) -> bool:
+    """An invertible phi with phi . m(e_i) = n(e_i) . phi at every basis index i.
+
+    The candidates are the basis of hom_space on known_generators(h) only.
+    One is accepted after the check at every basis index, dim small matmuls,
+    so True holds even for actions never passed to verify_module.  False
+    holds too: an intertwiner on the whole basis is one on the generators.
+    """
     if m.dim != n.dim:
         return False
-    hs = hom_space(h, m, n)
-    for v in hs.basis():
+    for v in hom_space(h, m, n, known_generators(h)).basis():
         phi = Matrix(n.dim, m.dim, h.conductor,
                      [[v[r * m.dim + c] for c in range(m.dim)] for r in range(n.dim)])
-        if rank(phi) == m.dim:
+        if rank(phi) == m.dim and all(phi * m.action[i] == n.action[i] * phi
+                                      for i in range(h.dim)):
             return True
     return False
 
@@ -122,19 +134,16 @@ def wedderburn_certificate(h: HopfAlgebraData, modules, radical_dim: int) -> Wed
 def simples_certificate(h: HopfAlgebraData, modules, radical_dim: int) -> WedderburnCertificate:
     """For modules already known to be modules: a complete set of simples.
 
-    Burnside simplicity, pairwise non-isomorphism, the dimension count and the
-    character rank.  Nothing here multiplies in h, so callers that verify
-    their modules another way (verify_grouplikes, on the coalgebra side) run
-    only this stage.
+    Burnside simplicity, the dimension count and the character rank.
+    Isomorphic modules have equal characters, so characters of full rank also
+    prove the modules pairwise non-isomorphic; a repeated simple fails the
+    dimension count or the rank.  Nothing here multiplies in h, so callers
+    that verify their modules another way (verify_grouplikes, on the
+    coalgebra side) run only this stage.
     """
     for m in modules:
         if not is_simple_certified(h, m):
             return WedderburnCertificate(False, [], [f"{m.label}: Burnside span too small"])
-    for i in range(len(modules)):
-        for j in range(i + 1, len(modules)):
-            a, b = modules[i], modules[j]
-            if a.dim == b.dim and are_isomorphic(h, a, b):
-                return WedderburnCertificate(False, [], [f"{a.label} isomorphic to {b.label}"])
     total = sum(m.dim * m.dim for m in modules)
     target = h.dim - radical_dim
     if total != target:

@@ -157,6 +157,16 @@ def test_criterion_03_h8p_dual_side(alpha, count, corad):
     _say(f"criterion 3 (H_8p dual side at p=3, alpha={alpha}): PASS")
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_criterion_02_h8p_certified_at_every_odd_prime_to_13(p):
+    """The paper's claims on H_8p are for every odd prime; certify each p <= 13."""
+    suite = certify_family("h8p", {"p": p})
+    assert suite.ok, suite.render()
+    claims = {r.claim_id for r in suite.rows}
+    assert {"wedderburn", "U_i_iso_U_i_plus_p", "U_0_not_iso_U_1"} <= claims
+    _say(f"criterion 2 (H_8p certified at p={p}): PASS")
+
+
 def test_criterion_04_pointed_families():
     profiles = {}
     for variant in ("a-m10", "a-m10-dual", "a-m11", "h4xcp"):

@@ -160,3 +160,56 @@ def test_certify_sweep(name, params):
     """Every family at its smallest parameters, and k^G for every group kind."""
     suite = certify_family(name, params)
     assert suite.ok, suite.render()
+
+
+@pytest.mark.parametrize("name, params", _SWEEP, ids=[
+    " ".join([name] + [f"{k}={v}" for k, v in sorted(params.items())]) for name, params in _SWEEP])
+def test_prefix_extension_matches_whole_words(monkeypatch, name, params):
+    """Table, Delta/eps/S and module actions built along prefixes, against whole words."""
+    from hopfkit import presentation
+    from hopfkit.linalg import word_product
+
+    seen = {"pres": [], "coalg": [], "modules": []}
+    realize, on_group, module = (presentation.Presentation.realize, catalog.realize_on_group,
+                                 catalog.module_from_gen_mats)
+
+    def recording_realize(pres, gen_delta, gen_eps, gen_s):
+        h = realize(pres, gen_delta, gen_eps, gen_s)
+        seen["pres"].append((pres, h))
+        seen["coalg"].append((h, pres.normal_monomials, gen_delta, gen_eps, gen_s))
+        return h
+
+    def recording_on_group(group, conductor, gen_delta, gen_eps, gen_s):
+        h = on_group(group, conductor, gen_delta, gen_eps, gen_s)
+        words = [group.word(g) for g in group.elements]
+        seen["coalg"].append((h, words, gen_delta, gen_eps, gen_s))
+        return h
+
+    def recording_module(dim, conductor, words, gen_mats, label):
+        m = module(dim, conductor, words, gen_mats, label)
+        seen["modules"].append((m, words, gen_mats, conductor))
+        return m
+
+    monkeypatch.setattr(presentation.Presentation, "realize", recording_realize)
+    monkeypatch.setattr(catalog, "realize_on_group", recording_on_group)
+    monkeypatch.setattr(catalog, "module_from_gen_mats", recording_module)
+    catalog.build_family(name, params)
+
+    for pres, h in seen["pres"]:
+        words = pres.normal_monomials
+        assert all(h.mult[i][j] == pres.normal_form_word(words[i] + words[j])
+                   for i in range(h.dim) for j in range(h.dim))
+    for h, words, gen_delta, gen_eps, gen_s in seen["coalg"]:
+        for i, word in enumerate(words):
+            t = {(k, k): c for k, c in h.unit_dict().items()}
+            e, s = h.one(), h.unit_dict()
+            for letter in word:
+                t = h.tensor_mult(t, gen_delta[letter])
+                e = e * gen_eps[letter]
+            for letter in reversed(word):
+                s = h.mult_dict(s, gen_s[letter])
+            assert h.delta_dict(h.basis_dict(i)) == t
+            assert h.counit[i] == e
+            assert {r: c for r, c in enumerate(h.antipode.col(i)) if not c.is_zero()} == s
+    for m, words, gen_mats, conductor in seen["modules"]:
+        assert m.action == [word_product(w, gen_mats, m.dim, conductor) for w in words]

@@ -314,6 +314,23 @@ def test_certify_command(tmp_path, capsys):
     assert payload["ok"] is True
 
 
+@pytest.mark.parametrize("command", ["build", "dual", "bosonize", "invariants", "certify"])
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, command):
+    src = tmp_path / "h.json"
+    main(["build", "taft", "--n", "2", "--out", str(src)])
+    capsys.readouterr()  # drop the build message
+    bad = str(tmp_path / "missing" / "x.json")
+    argv = {"build": ["build", "taft", "--n", "2", "--out", bad],
+            "dual": ["dual", str(src), "--out", bad],
+            "bosonize": ["bosonize", "--datum", "c2", "--out", bad],
+            "invariants": ["invariants", str(src), "--json", bad],
+            "certify": ["certify", "taft", "--n", "2", "--json", bad]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot write {bad}: No such file or directory"]
+    assert not (tmp_path / "missing").exists()
+
+
 def _c2_datum_payload():
     from hopfkit import io as hio
     from hopfkit.cyclotomic import cyc_to_json

@@ -64,6 +64,13 @@ def test_field_ops():
     assert x * x.inverse() == CycNumber.one(5)
 
 
+def test_one_times_x_is_x_itself():
+    # structure tables extended by 1 * coefficient keep sharing one object per value
+    one = CycNumber.one(12)
+    for x in (CycNumber.from_rational(12, Fraction(-3, 2)), root_of_unity(12, 5)):
+        assert one * x is x
+
+
 def test_inverse_random():
     rng = random.Random(12345)
     for n in [1, 2, 3, 4, 8, 12, 20, 60]:

@@ -10,6 +10,7 @@ from hopfkit.linalg import (
     Matrix,
     Subspace,
     bilinear_closure,
+    extend_along_prefixes,
     kron,
     nullspace,
     rank,
@@ -34,6 +35,23 @@ def test_word_product_multiplies_left_to_right_from_the_identity():
     assert word_product([], mats, 2, 1) == Matrix.identity(2, 1)
     assert word_product(["a", "b", "a"], mats, 2, 1) == mats["a"] * mats["b"] * mats["a"]
     assert word_product(["a", "b"], mats, 2, 1) != word_product(["b", "a"], mats, 2, 1)
+
+
+def test_extend_along_prefixes_starts_each_word_at_its_longest_built_prefix():
+    steps = []
+
+    def step(value, letter):
+        steps.append((value, letter))
+        return value + letter
+
+    # not prefix-closed ("a" is never built) and not in order of length
+    words = ["abc", "ab", "b", "abcd", "", "bca"]
+    assert extend_along_prefixes(words, "", step) == words
+    assert steps == [("", "a"), ("a", "b"), ("ab", "c"),  # abc from the empty word
+                     ("", "a"), ("a", "b"),               # ab: abc is longer, a unbuilt
+                     ("", "b"),
+                     ("abc", "d"),                        # abcd: one step from abc
+                     ("b", "c"), ("bc", "a")]
 
 
 def test_rref_identity():

@@ -1,4 +1,6 @@
 from conftest import build
+from hopfkit.cyclotomic import CycNumber
+from hopfkit.hopf import known_generators, verify_hopf
 from hopfkit.invariants import jacobson_radical
 from hopfkit.linalg import Matrix
 from hopfkit.repsolver import (
@@ -6,6 +8,7 @@ from hopfkit.repsolver import (
     are_isomorphic,
     hom_space,
     is_simple_certified,
+    simples_certificate,
     verify_module,
     wedderburn_certificate,
 )
@@ -95,9 +98,31 @@ def test_wedderburn_am11():
 
 def test_wedderburn_rejects_duplicates():
     h, cd = build("h8p", p=3, alpha=1)
-    mods = list(cd.simples) + [cd.simples[0]]
-    cert = wedderburn_certificate(h, mods, jacobson_radical(h).dim)
-    assert not cert.ok
+    rad = jacobson_radical(h).dim
+    u = cd.extra["u_all"]
+    # an extra copy breaks the dimension count; U_3, isomorphic to U_0, in place
+    # of U_2 keeps the count and repeats a character
+    for mods, why in [(list(cd.simples) + [cd.simples[0]], "sum d^2 = 19 but dim - radical = 18"),
+                      (list(cd.simples[:-1]) + [u[3]], "character matrix rank too small")]:
+        for cert in (simples_certificate(h, mods, rad), wedderburn_certificate(h, mods, rad)):
+            assert not cert.ok
+            assert cert.details == [why]
+
+
+def test_isomorphism_is_checked_on_every_basis_element():
+    h, cd = build("h8p", p=3, alpha=1)
+    assert verify_hopf(h).ok  # makes known_generators(h) the certified generators
+    gens = known_generators(h)
+    assert len(gens) < h.dim
+    u0 = cd.extra["u_all"][0]
+    assert are_isomorphic(h, u0, u0) and not are_isomorphic(h, u0, cd.extra["u_all"][1])
+    i = next(i for i in range(h.dim) if i not in gens and not u0.action[i].is_zero())
+    action = list(u0.action)
+    action[i] = u0.action[i].scale(CycNumber.from_rational(h.conductor, 2))
+    broken = RepModule("U0-broken", 2, action)
+    assert hom_space(h, broken, u0, gens).dim == 1  # the generator rows cannot see it
+    assert not are_isomorphic(h, broken, u0)
+    assert not are_isomorphic(h, u0, broken)
 
 
 def test_one_dims_match_dual_grouplikes():
