@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclotomic import CycNumber, root_of_unity
-from .linalg import Matrix, word_product
+from .linalg import Matrix, extend_along_prefixes
 
 
 @dataclass
@@ -51,9 +51,13 @@ class FiniteGroup:
         return self._word(g)
 
     def irrep_element_matrices(self, rep: GroupIrrep) -> list[Matrix]:
-        """Expand generator matrices to every group element along its word."""
-        return [word_product(self.word(g), rep.gen_mats, rep.dim, self.conductor)
-                for g in self.elements]
+        """Expand generator matrices to every group element along its word.
+
+        Each element starts from its longest prefix built so far.
+        """
+        return extend_along_prefixes([self.word(g) for g in self.elements],
+                                     Matrix.identity(rep.dim, self.conductor),
+                                     lambda m, g: m * rep.gen_mats[g])
 
 
 def _diag(conductor, values):

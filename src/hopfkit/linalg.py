@@ -183,8 +183,10 @@ def extend_along_prefixes(words, empty, step) -> list:
 
 def word_product(word, mats: dict, dim: int, conductor: int) -> Matrix:
     """mats[w_1] * mats[w_2] * ... along word, from the left, starting at the identity."""
-    return extend_along_prefixes([word], Matrix.identity(dim, conductor),
-                                 lambda m, letter: m * mats[letter])[0]
+    m = Matrix.identity(dim, conductor)
+    for letter in word:
+        m = m * mats[letter]
+    return m
 
 
 def accumulate(d: dict, key, v: CycNumber) -> None:

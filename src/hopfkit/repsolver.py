@@ -69,15 +69,17 @@ def is_simple_certified(h: HopfAlgebraData, m: RepModule) -> bool:
     return span.dim == m.dim * m.dim
 
 
-def hom_space(h: HopfAlgebraData, m: RepModule, n: RepModule, indices=None) -> Subspace:
+def hom_space(h: HopfAlgebraData, m: RepModule, n: RepModule) -> Subspace:
     """Intertwiners phi with phi . m(e_i) = n(e_i) . phi, as vec(phi) subspace.
 
-    The equations run over i in indices, every basis index by default.
+    The equations run over i in known_generators(h): the certified algebra
+    generators once verify_algebra has run on h, every basis index before.
+    For genuine modules m and n both give the same space.
     """
     nm = n.dim * m.dim
     rows = []
     zero = CycNumber.zero(h.conductor)
-    for i in range(h.dim) if indices is None else indices:
+    for i in known_generators(h):
         a = m.action[i]
         b = n.action[i]
         # equation block: phi a - b phi = 0; unknowns phi[r][c], vec index r*m.dim+c
@@ -96,14 +98,14 @@ def hom_space(h: HopfAlgebraData, m: RepModule, n: RepModule, indices=None) -> S
 def are_isomorphic(h: HopfAlgebraData, m: RepModule, n: RepModule) -> bool:
     """An invertible phi with phi . m(e_i) = n(e_i) . phi at every basis index i.
 
-    The candidates are the basis of hom_space on known_generators(h) only.
+    The candidates are the basis of hom_space, solved on known_generators(h).
     One is accepted after the check at every basis index, dim small matmuls,
     so True holds even for actions never passed to verify_module.  False
     holds too: an intertwiner on the whole basis is one on the generators.
     """
     if m.dim != n.dim:
         return False
-    for v in hom_space(h, m, n, known_generators(h)).basis():
+    for v in hom_space(h, m, n).basis():
         phi = Matrix(n.dim, m.dim, h.conductor,
                      [[v[r * m.dim + c] for c in range(m.dim)] for r in range(n.dim)])
         if rank(phi) == m.dim and all(phi * m.action[i] == n.action[i] * phi
