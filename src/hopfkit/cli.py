@@ -204,6 +204,8 @@ def cmd_simples(args) -> int:
 
 
 def _parse_colon(s, what):
+    if s is None:
+        raise ValueError(f"{what} name:index is required")
     parts = s.split(":")
     if len(parts) != 2:
         raise ValueError(f"expected {what} as name:index, got {s!r}")
@@ -224,6 +226,8 @@ def cmd_nichols(args) -> int:
             v = 1
             label = f"qline({n},{k})"
         else:
+            if args.cls is None:
+                raise ValueError("give --qline, or --class and --rep")
             cls = _parse_colon(args.cls, "--class")
             rep = _parse_colon(args.rep, "--rep")
             mod = yd_module_gamma4p(args.p, cls, rep)
@@ -275,6 +279,8 @@ def cmd_yd_verify(args) -> int:
             ok, why = validate_yd_datum(d)
             print(f"{d.label}: {'valid' if ok else 'INVALID'}{'' if ok else ' (' + why + ')'}")
             return 0 if ok else 1
+        if args.cls is None:
+            raise ValueError("give --file, --datum, or --class and --rep")
         cls = _parse_colon(args.cls, "--class")
         rep = _parse_colon(args.rep, "--rep")
         mod = yd_module_gamma4p(args.p, cls, rep)

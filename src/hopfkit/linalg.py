@@ -1,11 +1,14 @@
 """Exact matrices, subspaces and elimination over a cyclotomic field.
 
-`Matrix` is dense: dimensions here are desk scale (<= 64 ambient, a few
-hundred for symmetrizer ranks).  All elimination runs through one
-incremental Gauss-Jordan core, `EchelonBasis`, which keeps each reduced row
-sparse, so a row update touches only nonzero entries.  `accumulate` is the
-one "add into a sparse dict, drop the key if it cancels" step that every
-sparse loop in the package shares.
+`Matrix` is dense: algebra dimensions here are desk scale (a few hundred at
+most), and the largest matrices are the v^n x v^n quantum symmetrizers whose
+ranks give Nichols dimensions (about 2000 rows at most under the default
+memory guard; `ydnichols` builds them column by column and stores them here
+only for `rank`).  All elimination runs through one incremental Gauss-Jordan
+core, `EchelonBasis`, which keeps each reduced row sparse, so a row update
+touches only nonzero entries.  `accumulate` is the one "add into a sparse
+dict, drop the key if it cancels" step that every sparse loop in the package
+shares.
 """
 
 from __future__ import annotations
@@ -229,6 +232,9 @@ class EchelonBasis:
         self.ambient = ambient
         self.conductor = conductor
         self.pivots: dict[int, dict] = {}  # pivot column -> reduced row
+        # (num, den) of a pivot value -> its inverse: an elimination meets few
+        # distinct pivots, and hashing the pair is cheaper than a CycNumber hash
+        self._inverses: dict = {}
 
     def reduce(self, vec) -> dict:
         """vec minus its part along the basis, as a sparse dict."""
@@ -246,7 +252,11 @@ class EchelonBasis:
         if not v:
             return False
         c = min(v)
-        inv = v[c].inverse()
+        lead = v[c]
+        key = (lead.num, lead.den)
+        inv = self._inverses.get(key)
+        if inv is None:
+            inv = self._inverses[key] = lead.inverse()
         v = {k: inv * a for k, a in v.items()}
         # back-substitute into existing rows
         for row in self.pivots.values():

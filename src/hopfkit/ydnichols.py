@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import product
 
 from .cyclotomic import CycNumber, root_of_unity
 from .groups import FiniteGroup, gamma4p_group
 from .hopf import (Element, HopfAlgebraData, least_power, multiplicative, verify_hopf,
                    witness_failures)
-from .linalg import Matrix, accumulate, compose_columns, kron, rank, word_product
+from .linalg import Matrix, accumulate, compose_columns, rank, word_product
 from .presentation import group_algebra_hopf
 from .repsolver import RepModule, action_witnesses
 
@@ -110,7 +111,10 @@ def yd_module_gamma4p(p: int, class_spec, rep_spec, literal_action=False) -> YDM
     ell = (p - 1) // 2
     kind = class_spec[0]
     if kind == "trivial":
-        rep = next(r for r in grp.irreps if r.label == _gamma_rep_label(rep_spec))
+        label = _gamma_rep_label(rep_spec)
+        rep = next((r for r in grp.irreps if r.label == label), None)
+        if rep is None:
+            raise ValueError(f"no irreducible representation {label} of the group")
         return YDModule(grp, conductor, rep.dim,
                         {"x": rep.gen_mats["x"], "y": rep.gen_mats["y"]},
                         [grp.identity] * rep.dim, label=f"M(e,{rep.label})")
@@ -177,11 +181,40 @@ def braiding(mod: YDModule) -> Matrix:
     return c
 
 
+def _braiding_columns(c: Matrix, v: int) -> dict:
+    """c's nonzero entries as {(r, t): {(s, u): value}}, the value being the
+    coefficient of e_s (x) e_u in c(e_r (x) e_t)."""
+    cols: dict = {}
+    for row, entries in enumerate(c.entries):
+        target = divmod(row, v)
+        for col, val in enumerate(entries):
+            if not val.is_zero():
+                cols.setdefault(divmod(col, v), {})[target] = val
+    return cols
+
+
+def _apply_braiding(cols: dict, vec: dict, i: int) -> dict:
+    """c acting on letters i, i+1 (from 0) of a sparse vector {word tuple: value}."""
+    out: dict = {}
+    for w, a in vec.items():
+        head, tail = w[:i], w[i + 2:]
+        for pair, b in cols.get(w[i:i + 2], {}).items():
+            accumulate(out, head + pair + tail, a * b)
+    return out
+
+
 def braid_equation_check(c: Matrix, v: int) -> bool:
-    ident = Matrix.identity(v, c.conductor)
-    c1 = kron(c, ident)
-    c2 = kron(ident, c)
-    return c1 * c2 * c1 == c2 * c1 * c2
+    """c_1 c_2 c_1 = c_2 c_1 c_2 on V^(x)3, compared column by column."""
+    cols = _braiding_columns(c, v)
+    one = CycNumber.one(c.conductor)
+    for w in product(range(v), repeat=3):
+        lhs = rhs = {w: one}
+        for i in (0, 1, 0):
+            lhs = _apply_braiding(cols, lhs, i)
+            rhs = _apply_braiding(cols, rhs, 1 - i)
+        if lhs != rhs:
+            return False
+    return True
 
 
 def diagonal_type(mod: YDModule):
@@ -394,29 +427,37 @@ def default_cutoff(v: int) -> int:
     return 3
 
 
-def braid_operators(c: Matrix, v: int, n: int):
-    """c_i = id^(i-1) (x) c (x) id^(n-i-1) acting on the n-th tensor power."""
-    ops = []
-    for i in range(1, n):
-        left = Matrix.identity(v ** (i - 1), c.conductor)
-        right = Matrix.identity(v ** (n - i - 1), c.conductor)
-        ops.append(kron(kron(left, c), right))
-    return ops
-
-
 def symmetrizer(c: Matrix, v: int, n: int) -> Matrix:
-    """Sum of T_w over the symmetric group via the shuffle factorization
-    S_n = (S_(n-1) (x) id) . (1 + c_(n-1) + c_(n-1)c_(n-2) + ...)."""
-    if n <= 1:
-        return Matrix.identity(v ** n, c.conductor)
-    prev = symmetrizer(c, v, n - 1)
-    ops = braid_operators(c, v, n)
-    shuffle = Matrix.identity(v ** n, c.conductor)
-    term = None
-    for i in range(n - 1, 0, -1):
-        term = ops[i - 1] if term is None else term * ops[i - 1]
-        shuffle = shuffle + term
-    return kron(prev, Matrix.identity(v, c.conductor)) * shuffle
+    """Sum of T_w over the symmetric group, one column per word, by the
+    shuffle factorization
+    S_n = (1 + c_(n-1) + c_(n-2)c_(n-1) + ... + c_1...c_(n-1)) . (S_(n-1) (x) id).
+
+    Column w'x starts from S_(n-1) e_w' (x) e_x; each further term is the
+    previous one with one more c applied, one position to the left, so the
+    column costs n - 1 sparse applications of c.  Nothing assumes the
+    braiding is monomial.
+    """
+    one = CycNumber.one(c.conductor)
+    cols = _braiding_columns(c, v)
+    columns = {(): {(): one}}
+    for m in range(1, n + 1):
+        grown = {}
+        for w, col in columns.items():
+            for x in range(v):
+                term = {u + (x,): a for u, a in col.items()}
+                total = dict(term)
+                for i in range(m - 2, -1, -1):
+                    term = _apply_braiding(cols, term, i)
+                    for u, a in term.items():
+                        accumulate(total, u, a)
+                grown[w + (x,)] = total
+        columns = grown
+    index = {w: j for j, w in enumerate(columns)}
+    out = Matrix(len(index), len(index), c.conductor)
+    for j, col in enumerate(columns.values()):
+        for u, a in col.items():
+            out.entries[index[u]][j] = a
+    return out
 
 
 def nichols_dims(c: Matrix, v: int, cutoff: int | None = None,
@@ -426,6 +467,8 @@ def nichols_dims(c: Matrix, v: int, cutoff: int | None = None,
         raise ValueError("matrix does not satisfy the braid equation")
     if cutoff is None:
         cutoff = default_cutoff(v)
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     ranks = [1]
     truncated = False
     guard_hit = False

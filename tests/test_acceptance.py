@@ -7,10 +7,13 @@ separately right next to them.
 """
 
 
+import json
+
 import pytest
 
 from conftest import build
 from hopfkit.certify import certify_family
+from hopfkit.cli import main
 from hopfkit.cyclotomic import CycNumber, root_of_unity
 from hopfkit.hopf import (
     Element,
@@ -326,6 +329,18 @@ def test_criterion_11_nichols_ranks():
     rep = nichols_dims(Matrix(1, 1, 1, [[CycNumber.one(1)]]), 1, cutoff=8)
     assert not rep.truncated and rep.ranks == [1] * 9
     _say("criterion 11 (quantum-line Nichols dimensions): PASS")
+
+
+@pytest.mark.parametrize("argv, ranks", [
+    ("nichols --p 5 --class y:1 --rep psi:1 --cutoff 5", [1, 4, 12, 32, 76, 164]),
+    ("nichols --p 5 --class x:1 --rep chi:1 --cutoff 4", [1, 5, 20, 75, 265]),
+])
+def test_criterion_11_nichols_ranks_of_gamma20_modules(capsys, argv, ranks):
+    assert main(argv.split()) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ranks"] == ranks
+    assert not payload["truncated"] and not payload["guard_hit"]
+    _say(f"criterion 11 ({payload['module']} ranks to degree {len(ranks) - 1}): PASS")
 
 
 def test_criterion_12_cross_consistency():

@@ -299,6 +299,24 @@ def test_yd_verify_data(capsys):
     assert main(["yd-verify", "--p", "5", "--class", "x:1", "--rep", "chi:2"]) == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("nichols --p 5 --class y:1", "--rep name:index is required"),
+    ("nichols --p 5", "give --qline, or --class and --rep"),
+    ("yd-verify --p 5 --class y:1", "--rep name:index is required"),
+    ("yd-verify --p 5", "give --file, --datum, or --class and --rep"),
+    ("nichols --p 5 --class trivial:0 --rep alpha:9",
+     "no irreducible representation alpha9 of the group"),
+    ("yd-verify --p 5 --class trivial:0 --rep alpha:9",
+     "no irreducible representation alpha9 of the group"),
+    ("nichols --qline 3 --cutoff -2", "cutoff must be >= 0, got -2"),
+])
+def test_incomplete_yd_input_is_an_input_error(capsys, argv, message):
+    assert main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_bosonize_command(tmp_path):
     out = tmp_path / "b.json"
     assert main(["bosonize", "--datum", "c2", "--out", str(out)]) == 0

@@ -6,12 +6,11 @@ from conftest import build
 from hopfkit import ydnichols
 from hopfkit.cyclotomic import CycNumber, root_of_unity
 from hopfkit.hopf import tr_s_squared
-from hopfkit.linalg import Matrix
+from hopfkit.linalg import Matrix, kron
 from hopfkit.ydnichols import (
     YDDatum,
     bosonize,
     braid_equation_check,
-    braid_operators,
     braiding,
     diagonal_type,
     named_datum,
@@ -207,6 +206,21 @@ def _insertion_sort_word(perm):
     return word
 
 
+def braid_operators(c: Matrix, v: int, n: int):
+    """c_i = id^(i-1) (x) c (x) id^(n-i-1) acting on the n-th tensor power."""
+    ops = []
+    for i in range(1, n):
+        left = Matrix.identity(v ** (i - 1), c.conductor)
+        right = Matrix.identity(v ** (n - i - 1), c.conductor)
+        ops.append(kron(kron(left, c), right))
+    return ops
+
+
+def braid_equation_dense(c: Matrix, v: int) -> bool:
+    c1, c2 = braid_operators(c, v, 3)
+    return c1 * c2 * c1 == c2 * c1 * c2
+
+
 def symmetrizer_direct(c: Matrix, v: int, n: int) -> Matrix:
     """Slow oracle: sum T_w over explicit insertion-sort reduced words."""
     ops = braid_operators(c, v, n)
@@ -219,13 +233,58 @@ def symmetrizer_direct(c: Matrix, v: int, n: int) -> Matrix:
     return total
 
 
+def jordan_braiding(eps: int) -> Matrix:
+    """c(u (x) w) = g.w (x) u with g = [[eps, 1], [0, eps]]: the Jordan plane
+    (eps = 1) and the super Jordan plane (eps = -1).  Not monomial."""
+    g = [[eps, 1], [0, eps]]
+    c = Matrix(4, 4, 1)
+    for r in range(2):
+        for t in range(2):
+            for s in range(2):
+                if g[s][t]:
+                    c.entries[s * 2 + r][r * 2 + t] = CycNumber.from_rational(1, g[s][t])
+    return c
+
+
 def test_symmetrizer_matches_direct_enumeration():
-    # independence of the reduced-word route, checked at degree 3
-    m = yd_module_gamma4p(5, ("y", 1), ("psi", 1))
-    c = braiding(m)
-    v = m.dim
-    for n in (2, 3):
-        assert symmetrizer(c, v, n) == symmetrizer_direct(c, v, n)
+    # independence of the shuffle route, checked at degree 3 on a diagonal
+    # braiding (y-class) and a monomial, non-diagonal one (x-class)
+    for cls, rep in [(("y", 1), ("psi", 1)), (("x", 1), ("chi", 1))]:
+        m = yd_module_gamma4p(5, cls, rep)
+        c = braiding(m)
+        for n in (2, 3):
+            assert symmetrizer(c, m.dim, n) == symmetrizer_direct(c, m.dim, n), (m.label, n)
+
+
+@pytest.mark.parametrize("eps", [1, -1], ids=["Jordan", "super Jordan"])
+def test_symmetrizer_of_a_non_monomial_braiding(eps):
+    c = jordan_braiding(eps)
+    assert braid_equation_check(c, 2)
+    for n in range(5):
+        assert symmetrizer(c, 2, n) == symmetrizer_direct(c, 2, n), n
+    assert nichols_dims(c, 2, cutoff=4).ranks == [1, 2, 3, 4, 5]
+
+
+def _perturbed(c: Matrix) -> Matrix:
+    """c with its first nonzero entry doubled."""
+    out = Matrix(c.rows, c.cols, c.conductor, c.entries)
+    i, j = next((i, j) for i in range(c.rows) for j in range(c.cols)
+                if not c.entries[i][j].is_zero())
+    out.entries[i][j] = c.entries[i][j] + c.entries[i][j]
+    return out
+
+
+def test_braid_equation_check_agrees_with_dense_products():
+    bad = Matrix(4, 4, 1)
+    for i in range(4):
+        bad.entries[i][i] = CycNumber.from_rational(1, i + 1)
+    cases = [(bad, 2)]
+    for c, v in [(jordan_braiding(1), 2), (jordan_braiding(-1), 2),
+                 (braiding(yd_module_gamma4p(5, ("x", 1), ("chi", 1))), 5)]:
+        cases += [(c, v), (_perturbed(c), v)]
+    verdicts = [braid_equation_check(c, v) for c, v in cases]
+    assert verdicts == [braid_equation_dense(c, v) for c, v in cases]
+    assert verdicts == [False] + [True, False] * 3
 
 
 def test_nichols_rank_one_dim_grows_polynomially():
