@@ -283,7 +283,7 @@ def cmd_yd_verify(args) -> int:
             raise ValueError("give --file, --datum, or --class and --rep")
         cls = _parse_colon(args.cls, "--class")
         rep = _parse_colon(args.rep, "--rep")
-        mod = yd_module_gamma4p(args.p, cls, rep)
+        mod = yd_module_gamma4p(5 if args.p is None else args.p, cls, rep)
         ok, why = verify_yd(mod)
         print(f"{mod.label}: {'valid' if ok else 'INVALID'}{'' if ok else ' (' + why + ')'}")
         if ok:
@@ -369,7 +369,8 @@ def build_parser():
     y = sub.add_parser("yd-verify", help="validate a Yetter-Drinfeld datum or module")
     y.add_argument("--datum", choices=list(DATUM_NAMES))
     y.add_argument("--file", help="JSON datum: {algebra, g, chi, q}")
-    y.add_argument("--p", type=int)
+    y.add_argument("--p", type=int,
+                   help="odd prime: default 5 with --class, as in nichols; 3 with --datum")
     y.add_argument("--class", dest="cls")
     y.add_argument("--rep")
     y.set_defaults(fn=cmd_yd_verify)

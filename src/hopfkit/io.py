@@ -3,8 +3,9 @@ coefficient strings, no timestamps; files round-trip bit-exactly.
 
 A structure file repeats a handful of coefficient values thousands of times,
 so each reader and writer call keeps one memo of the values it has met and
-parses or formats each distinct value once.  The memo lives in that call
-only; nothing is cached at module level.
+parses or formats each distinct value once, and each dumps or dump_json call
+renders each distinct coefficient's JSON text once per indent.  The memo
+lives in that call only; nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -223,11 +224,17 @@ def _encoder():
     escaper json.encoder.encode_basestring_ascii.  Anything but str, int,
     bool, None, list, tuple and a dict with str keys raises TypeError.
 
+    A coefficient {"conductor": int, "coeffs": [str, ...]} is rendered once
+    per distinct content and indent, and its text reused; the memo lasts as
+    long as this encoder.  Any other shape, True as conductor included, takes
+    the generic path.
+
     pieces(o, ind, depth) is the same text in pieces, split before each
     member of a list or dict down to depth levels, so that a file is written
     without holding its whole text.
     """
     string = encode_basestring_ascii
+    coefficients = {}
 
     def encode(o, ind):
         if isinstance(o, str):
@@ -236,6 +243,21 @@ def _encoder():
         if isinstance(o, dict):
             if not o:
                 return "{}"
+            if len(o) == 2 and type(o) is dict:
+                conductor, coeffs = o.get("conductor"), o.get("coeffs")
+                if type(conductor) is int and type(coeffs) is list:
+                    key = (conductor, tuple(coeffs), ind)
+                    try:
+                        text = coefficients.get(key)
+                    except TypeError:  # an unhashable entry: the generic path decides
+                        key = text = None
+                    if text is None:
+                        text = "{" + inner + '"coeffs": ' + encode(coeffs, inner) + "," + inner \
+                            + '"conductor": ' + int.__repr__(conductor) + ind + "}"
+                        # an equal key met later holds equal strs, hence the same text
+                        if key is not None and all(type(c) is str for c in coeffs):
+                            coefficients[key] = text
+                    return text
             # string(k) raises TypeError for a key that is not a str
             return "{" + inner + ("," + inner).join(
                 [string(k) + ": " + encode(v, inner) for k, v in sorted(o.items())]) + ind + "}"
@@ -288,9 +310,13 @@ def dump_json(obj, path):
 
 
 def load_json(path):
-    """A JSON file whose top level is an object; anything else is a ValueError."""
+    """A JSON file whose top level is an object; anything else, nesting too deep
+    to parse included, is a ValueError."""
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: top level is a JSON {type(obj).__name__}, not an object")
     return obj

@@ -299,6 +299,16 @@ def test_yd_verify_data(capsys):
     assert main(["yd-verify", "--p", "5", "--class", "x:1", "--rep", "chi:2"]) == 0
 
 
+def test_yd_verify_class_defaults_to_the_prime_of_nichols(capsys):
+    # nichols --class y:1 --rep psi:1 names the module at p = 5; so does yd-verify
+    runs = []
+    for argv in (["yd-verify", "--class", "y:1", "--rep", "psi:1"],
+                 ["yd-verify", "--p", "5", "--class", "y:1", "--rep", "psi:1"]):
+        runs.append((main(argv), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][1].err == ""
+
+
 @pytest.mark.parametrize("argv, message", [
     ("nichols --p 5 --class y:1", "--rep name:index is required"),
     ("nichols --p 5", "give --qline, or --class and --rep"),
@@ -446,3 +456,30 @@ def test_invariants_and_simples_refuse_unverified_structure(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "verify_hopf: " in captured.err
     assert "{" not in captured.out
+
+
+def _deep_arrays(path):
+    path.write_text("[" * 100000 + "]" * 100000)
+
+
+def _deep_objects(path):
+    path.write_text('{"a":' * 3000 + "1" + "}" * 3000)
+
+
+@pytest.mark.parametrize("deep", [_deep_arrays, _deep_objects])
+@pytest.mark.parametrize("argv", [
+    "verify DEEP", "invariants DEEP", "invariants H --expect DEEP", "dual DEEP --out x.json",
+    "simples DEEP SIDE", "simples H DEEP", "yd-verify --file DEEP",
+])
+def test_deeply_nested_json_is_an_input_error(tmp_path, argv, deep):
+    h = tmp_path / "h.json"
+    assert main(["build", "taft", "--n", "3", "--out", str(h)]) == 0
+    deep(tmp_path / "deep.json")
+    names = {"DEEP": "deep.json", "H": "h.json", "SIDE": "h.sidecar.json"}
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "hopfkit.cli"]
+                          + [names.get(a, a) for a in argv.split()],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1

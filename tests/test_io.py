@@ -1,10 +1,12 @@
 """The JSON coefficient codec parses and formats each distinct value once per call, and
 every payload is written in the layout of json.dumps(sort_keys=True, indent=1)."""
 
+import copy
 import json
 import os
 import tempfile
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import pytest
 from hypothesis import given
@@ -139,14 +141,33 @@ _TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600 a{
                 | st.characters())
 _LEAVES = (st.none() | st.booleans() | st.integers() | _TEXT
            | st.integers(min_value=-2 ** 200, max_value=2 ** 200))
-_TREES = st.recursive(
-    _LEAVES,
-    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
-                  | st.dictionaries(_TEXT, kids, max_size=4)),
-    max_leaves=30)
 
 
-@given(_TREES)
+def _trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                      | st.dictionaries(_TEXT, kids, max_size=4)),
+        max_leaves=30)
+
+
+# coefficient-shaped dicts, the ones the encoder memoises and near misses that it must not:
+# True or False as conductor, coeffs empty, a tuple, holding ints, bools or (unhashable)
+# lists, or extra keys
+_COEFF_TEXT = st.sampled_from(["1/1", "0/1", "-1/2", "\u00e9", "1"])
+_COEFF_ODD = st.sampled_from([0, 1, True, False]) | st.lists(_COEFF_TEXT, max_size=1)
+_COEFFICIENTS = st.fixed_dictionaries({
+    "conductor": st.sampled_from([1, 3, -4, 2 ** 70]) | st.booleans(),
+    "coeffs": (st.lists(_COEFF_TEXT, max_size=3) | st.just([])
+               | st.lists(_COEFF_TEXT, max_size=3).map(tuple)
+               | st.lists(_COEFF_TEXT | _COEFF_ODD, max_size=3)),
+}, optional={"label": _COEFF_TEXT})
+# a few coefficients, each repeated as equal copies at several depths of one tree
+_COEFFICIENT_TREES = st.lists(_COEFFICIENTS, min_size=1, max_size=4).flatmap(
+    lambda pool: _trees(_LEAVES | st.sampled_from(pool).map(copy.deepcopy)))
+
+
+@given(_trees(_LEAVES) | _COEFFICIENT_TREES)
 def test_dumps_is_the_text_of_json_dumps(tree):
     text = json.dumps(tree, sort_keys=True, indent=1)
     assert hio.dumps(tree) == text
@@ -157,26 +178,50 @@ def test_dumps_is_the_text_of_json_dumps(tree):
             assert fh.read() == text + "\n"
 
 
-@pytest.mark.parametrize("obj", [{1: "a"}, {"a": 1, 2: "b"}, [{"a": (1, 1.5)}], {"a": {3}},
-                                 b"bytes", object()],
-                         ids=["int-key", "mixed-keys", "float", "set", "bytes", "object"])
+@pytest.mark.parametrize("obj", [
+    {1: "a"}, {"a": 1, 2: "b"}, [{"a": (1, 1.5)}], {"a": {3}}, b"bytes", object(),
+    [{"conductor": 3, "coeffs": ["1/1"]}, {"conductor": 3, "coeffs": [1.0]}],
+    [{"conductor": 3, "coeffs": ["1/1"]}, {"conductor": 3, "coeffs": [{3}]}],
+], ids=["int-key", "mixed-keys", "float", "set", "bytes", "object", "float-after-coefficient",
+        "set-after-coefficient"])
 def test_dumps_refuses_what_is_not_a_str_keyed_json_tree(obj):
     with pytest.raises(TypeError):
         hio.dumps(obj)
+    with tempfile.TemporaryDirectory() as d, pytest.raises(TypeError):
+        hio.dump_json(obj, os.path.join(d, "tree.json"))
+
+
+def test_dumps_formats_each_coefficient_once_per_indent(monkeypatch):
+    escaped = []
+
+    def counting_escape(s):
+        escaped.append(s)
+        return encode_basestring_ascii(s)
+
+    monkeypatch.setattr(hio, "encode_basestring_ascii", counting_escape)
+    coefficient = {"conductor": 4, "coeffs": ["1/2", "-3/5"]}
+    # 1000 equal copies at depth 2 and 1000 at depth 3
+    payload = {"a": [dict(coefficient) for _ in range(1000)],
+               "b": [[dict(coefficient, coeffs=list(coefficient["coeffs"]))] * 2] * 500}
+    assert hio.dumps(payload) == json.dumps(payload, sort_keys=True, indent=1)
+    # once per indent, not once per copy
+    assert sum(s in coefficient["coeffs"] for s in escaped) <= 2 * 2
 
 
 def test_written_files_are_the_json_dump_text(tmp_path, monkeypatch):
+    # every file the file-pipeline benchmark writes
     monkeypatch.chdir(tmp_path)
-    h, cd = build_family("a4p", {"p": 3})
-    expected = {
-        "a4p.json": hio.hopf_to_json(h),
-        "a4p.sidecar.json": hio.candidate_to_json(cd),
-        "a4p-dual.json": hio.hopf_to_json(dual(h)),
-        "boson.json": hio.hopf_to_json(bosonize(named_datum("a4p-chi2", 3))),
-    }
-    assert main(["build", "a4p", "--p", "3", "--out", "a4p.json"]) == 0
-    assert main(["dual", "a4p.json", "--out", "a4p-dual.json"]) == 0
-    assert main(["bosonize", "--datum", "a4p-chi2", "--p", "3", "--out", "boson.json"]) == 0
+    expected = {}
+    for stem, family, key, value in (("taft5", "taft", "n", 5), ("a4p3", "a4p", "p", 3)):
+        h, cd = build_family(family, {key: value})
+        expected[f"{stem}.json"] = hio.hopf_to_json(h)
+        expected[f"{stem}.sidecar.json"] = hio.candidate_to_json(cd)
+        expected[f"{stem}-dual.json"] = hio.hopf_to_json(dual(h))
+        assert main(["build", family, f"--{key}", str(value), "--out", f"{stem}.json"]) == 0
+        assert main(["dual", f"{stem}.json", "--out", f"{stem}-dual.json"]) == 0
+    for datum in ("fun-dic", "a4p-chi2", "a4p-chi3"):
+        expected[f"{datum}-boson.json"] = hio.hopf_to_json(bosonize(named_datum(datum, 3)))
+        assert main(["bosonize", "--datum", datum, "--p", "3", "--out", f"{datum}-boson.json"]) == 0
     for name, payload in expected.items():
         with open(tmp_path / f"ref-{name}", "w") as fh:  # the reference route
             json.dump(payload, fh, sort_keys=True, indent=1)
