@@ -33,8 +33,12 @@ from .ydnichols import (
     yd_module_gamma4p,
 )
 
-MAX_DIM = int(os.environ.get("HOPFKIT_MAX_DIM", "64"))
-NICHOLS_GUARD_MB = int(os.environ.get("HOPFKIT_NICHOLS_GUARD_MB", "512"))
+# integer guards read from the environment, with their defaults; main checks them
+GUARDS = {"HOPFKIT_MAX_DIM": 64, "HOPFKIT_NICHOLS_GUARD_MB": 512}
+
+
+def _guard(name: str) -> int:
+    return int(os.environ.get(name, GUARDS[name]))
 
 
 def _family_params(args) -> dict:
@@ -63,8 +67,9 @@ def cmd_build(args) -> int:
     except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if h.dim > MAX_DIM:
-        print(f"error: dimension {h.dim} exceeds HOPFKIT_MAX_DIM={MAX_DIM}", file=sys.stderr)
+    max_dim = _guard("HOPFKIT_MAX_DIM")
+    if h.dim > max_dim:
+        print(f"error: dimension {h.dim} exceeds HOPFKIT_MAX_DIM={max_dim}", file=sys.stderr)
         return 2
     if _fails_verify_hopf(h):
         return 1
@@ -89,8 +94,9 @@ def _write_json(payload, path) -> bool:
 def _hopf_from_json(obj):
     """hio.hopf_from_json, refusing dim above HOPFKIT_MAX_DIM before anything is allocated."""
     dim = int(obj["dim"])
-    if dim > MAX_DIM:
-        raise ValueError(f"dimension {dim} exceeds HOPFKIT_MAX_DIM={MAX_DIM}")
+    max_dim = _guard("HOPFKIT_MAX_DIM")
+    if dim > max_dim:
+        raise ValueError(f"dimension {dim} exceeds HOPFKIT_MAX_DIM={max_dim}")
     return hio.hopf_from_json(obj)
 
 
@@ -214,7 +220,6 @@ def _parse_colon(s, what):
 
 def cmd_nichols(args) -> int:
     from .cyclotomic import root_of_unity
-    from .linalg import Matrix
 
     try:
         if args.qline:
@@ -222,7 +227,7 @@ def cmd_nichols(args) -> int:
                 n, k = (int(x) for x in args.qline.split(":"))
             else:
                 n, k = int(args.qline), 1
-            c = Matrix(1, 1, n, [[root_of_unity(n, k)]])
+            c = {(0, 0): {(0, 0): root_of_unity(n, k)}}
             v = 1
             label = f"qline({n},{k})"
         else:
@@ -238,7 +243,8 @@ def cmd_nichols(args) -> int:
             c = braiding(mod)
             v = mod.dim
             label = mod.label
-        report = nichols_dims(c, v, cutoff=args.cutoff, guard_mb=NICHOLS_GUARD_MB)
+        report = nichols_dims(c, v, cutoff=args.cutoff,
+                              guard_mb=_guard("HOPFKIT_NICHOLS_GUARD_MB"))
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -358,7 +364,6 @@ def build_parser():
     s.set_defaults(fn=cmd_simples)
 
     n = sub.add_parser("nichols", help="quantum symmetrizer ranks")
-    n.add_argument("--group", choices=["gamma4p"], default="gamma4p")
     n.add_argument("--p", type=int, default=5)
     n.add_argument("--class", dest="cls", help="conjugacy class, e.g. y:1 or x:2")
     n.add_argument("--rep", help="centralizer irrep, e.g. psi:1 or chi:3")
@@ -390,6 +395,12 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for name in GUARDS:
+        try:
+            _guard(name)
+        except ValueError:
+            print(f"error: {name} must be an integer", file=sys.stderr)
+            return 2
     return args.fn(args)
 
 

@@ -79,7 +79,13 @@ def _mat(conductor, grid):
     return m
 
 
+def _check_order(n: int, name: str) -> None:
+    if n < 1:
+        raise ValueError(f"{name} needs n >= 1, got {n}")
+
+
 def cyclic_group(n: int) -> FiniteGroup:
+    _check_order(n, "the cyclic group C_n")
     elements = list(range(n))
     labels = ["1"] + [f"g^{k}" if k > 1 else "g" for k in range(1, n)]
     g = FiniteGroup(
@@ -101,6 +107,8 @@ def product_of_cyclics(ns: list[int]) -> FiniteGroup:
     from itertools import product as iproduct
     from math import lcm
 
+    for n in ns:
+        _check_order(n, "each cyclic factor C_n")
     elements = list(iproduct(*[range(n) for n in ns]))
     conductor = lcm(*ns) if ns else 1
 
@@ -140,6 +148,7 @@ def product_of_cyclics(ns: list[int]) -> FiniteGroup:
 
 def dihedral_group(n: int) -> FiniteGroup:
     """D_n of order 2n: a^2 = y^n = 1, a y a = y^-1.  Elements y^k a^e."""
+    _check_order(n, "the dihedral group D_n")
     elements = [(k, e) for e in (0, 1) for k in range(n)]
     elements.sort(key=lambda t: (t[1], t[0]))
 
@@ -181,6 +190,7 @@ def dicyclic_group(n: int) -> FiniteGroup:
     """Dic_n of order 4n: x^4 = y^n = 1, x y x^-1 = y^-1.  Elements y^k x^i."""
     from math import lcm
 
+    _check_order(n, "the dicyclic group Dic_n")
     conductor = lcm(4, n)
     elements = [(k, i) for i in range(4) for k in range(n)]
     elements.sort(key=lambda t: (t[1], t[0]))

@@ -1,13 +1,18 @@
 """Finite-dimensional Hopf algebras as exact structure tensors.
 
 A HopfAlgebraData holds multiplication (dense table of sparse coefficient
-dicts), comultiplication (sparse triple lists), unit, counit and the antipode
-matrix, all over one cyclotomic conductor.  Constructors only build the
-tensors and never verify them; each command runs verify_hopf() once on every
-structure it reports on, so the verifiers here are the soundness backstop for
-every generator-and-relations construction in the catalog.  Every "f(xy) =
-f(x)f(y)" check in the package (associativity, Delta and eps, module actions,
-characters, Hopf maps) runs through the one pair loop in multiplicative().
+dicts), comultiplication (sparse triple lists), unit, counit and the antipode,
+all over one cyclotomic conductor.  Every linear map on the basis (the
+antipode, the left multiplications of the associativity check, a Hopf map
+into another algebra) is a list of sparse columns {row: nonzero value},
+column j the image of e_j, and maps compose with linalg.compose_columns; so
+Tr(S^2), ord S and ord S^2 come from composed columns.  Constructors only
+build the tensors and never verify them; each command runs verify_hopf()
+once on every structure it reports on, so the verifiers here are the
+soundness backstop for every generator-and-relations construction in the
+catalog.  Every "f(xy) = f(x)f(y)" check in the package (associativity,
+Delta and eps, module actions, characters, Hopf maps) runs through the one
+pair loop in multiplicative().
 
 That loop runs over the pairs (e_i, a) with a in generators(h), a certified
 set of basis elements generating h as a unital associative algebra (Light's
@@ -65,7 +70,8 @@ class HopfAlgebraData:
         # comult[i]: sorted list of (j, k, CycNumber)
         self.comult = [sorted(tr, key=lambda t: (t[0], t[1])) for tr in comult]
         self.counit = list(counit)
-        self.antipode = antipode  # Matrix, column j = S(e_j)
+        # antipode[j]: S(e_j) as a dict index -> CycNumber, zero entries omitted
+        self.antipode = antipode
         self._derived = {}  # function name -> result, filled by memoised and dual
 
     # -- small helpers ---------------------------------------------------
@@ -125,14 +131,7 @@ class HopfAlgebraData:
         return e
 
     def antipode_dict(self, u: dict) -> dict:
-        out: dict[int, CycNumber] = {}
-        col = self.antipode.entries
-        for j, a in u.items():
-            for i in range(self.dim):
-                c = col[i][j]
-                if not c.is_zero():
-                    accumulate(out, i, c * a)
-        return out
+        return compose_columns(self.antipode, [u])[0]
 
     def left_mult_matrix(self, u: dict) -> Matrix:
         m = Matrix(self.dim, self.dim, self.conductor)
@@ -466,6 +465,10 @@ def dual(h: HopfAlgebraData) -> HopfAlgebraData:
             for k, c in h.mult[i][j].items():
                 comult[k].append((i, j, c))
     labels = [lb[:-1] if lb.endswith("*") else lb + "*" for lb in h.labels]
+    antipode = [{} for _ in range(h.dim)]
+    for j, col in enumerate(h.antipode):
+        for i, c in col.items():
+            antipode[i][j] = c
     out = HopfAlgebraData(
         dim=h.dim,
         conductor=h.conductor,
@@ -474,7 +477,7 @@ def dual(h: HopfAlgebraData) -> HopfAlgebraData:
         unit=list(h.counit),
         comult=comult,
         counit=list(h.unit),
-        antipode=h.antipode.transpose(),
+        antipode=antipode,
     )
     h._derived["dual"] = out
     out._derived["dual"] = weakref.ref(h)
@@ -555,8 +558,7 @@ def change_conductor(h: HopfAlgebraData, conductor: int) -> HopfAlgebraData:
         for i in range(h.dim)
     ]
     comult = [[(j, k, embed(c, conductor)) for (j, k, c) in tr] for tr in h.comult]
-    anti = Matrix(h.dim, h.dim, conductor,
-                  [[embed(c, conductor) for c in row] for row in h.antipode.entries])
+    anti = [{r: embed(c, conductor) for r, c in col.items()} for col in h.antipode]
     return HopfAlgebraData(h.dim, conductor, h.labels, mult,
                            _embed_vec(h.unit, conductor), comult,
                            _embed_vec(h.counit, conductor), anti)
@@ -596,9 +598,9 @@ def tensor_product(a: HopfAlgebraData, b: HopfAlgebraData) -> HopfAlgebraData:
             comult.append(tr)
     unit = [a.unit[i] * b.unit[j] for i in range(a.dim) for j in range(b.dim)]
     counit = [a.counit[i] * b.counit[j] for i in range(a.dim) for j in range(b.dim)]
-    from .linalg import kron
-
-    anti = kron(a.antipode, b.antipode)
+    anti = [{idx(r, s): c1 * c2 for r, c1 in a.antipode[i].items()
+             for s, c2 in b.antipode[j].items()}
+            for i in range(a.dim) for j in range(b.dim)]
     labels = [f"{la}(x){lb}" for la in a.labels for lb in b.labels]
     return HopfAlgebraData(dim, conductor, labels, mult, unit, comult, counit, anti)
 
@@ -607,7 +609,8 @@ def tensor_product(a: HopfAlgebraData, b: HopfAlgebraData) -> HopfAlgebraData:
 
 
 def tr_s_squared(h: HopfAlgebraData) -> CycNumber:
-    return (h.antipode * h.antipode).trace()
+    s2 = compose_columns(h.antipode, h.antipode)
+    return sum((col[j] for j, col in enumerate(s2) if j in col), h.zero())
 
 
 def is_semisimple(h: HopfAlgebraData) -> bool:
@@ -617,10 +620,15 @@ def is_semisimple(h: HopfAlgebraData) -> bool:
 
 def antipode_order(h: HopfAlgebraData, bound: int | None = None):
     """Least n >= 1 with S^n = id, or None past the bound (default 16 dim)."""
-    return least_power(h.antipode, Matrix.is_identity, 16 * h.dim if bound is None else bound)
+    return _least_identity_power(h, h.antipode, bound)
 
 
 def s_squared_order(h: HopfAlgebraData, bound: int | None = None):
     """Least n >= 1 with S^(2n) = id, or None past the bound (default 16 dim)."""
-    return least_power(h.antipode * h.antipode, Matrix.is_identity,
-                       16 * h.dim if bound is None else bound)
+    return _least_identity_power(h, compose_columns(h.antipode, h.antipode), bound)
+
+
+def _least_identity_power(h: HopfAlgebraData, cols: list, bound):
+    identity = _identity_columns(h)
+    return least_power(cols, lambda s: s == identity, 16 * h.dim if bound is None else bound,
+                       compose_columns)

@@ -19,7 +19,8 @@ from .cyclotomic import CycNumber
 from .hopf import (Element, HopfAlgebraData, antipode_order, dual, generators, is_semisimple,
                    known_generators, least_power, memoised, multiplicative_over, s_squared_order,
                    tr_s_squared, witness_failures)
-from .linalg import EchelonBasis, Matrix, Subspace, accumulate, bilinear_closure, nullspace
+from .linalg import (EchelonBasis, Matrix, Subspace, accumulate, bilinear_closure,
+                     compose_columns, nullspace)
 from .repsolver import RepModule, simples_certificate
 
 
@@ -88,20 +89,13 @@ def _vec_to_dict(v):
     return {i: c for i, c in enumerate(v) if not c.is_zero()}
 
 
-def _dict_to_vec(h, d):
-    out = [h.zero()] * h.dim
-    for i, c in d.items():
-        out[i] = c
-    return out
-
-
 def _product_space(h: HopfAlgebraData, u: Subspace, v: Subspace) -> Subspace:
     eb = EchelonBasis(h.dim, h.conductor)
     vds = [_vec_to_dict(x) for x in v.basis()]
     for a in u.basis():
         ad = _vec_to_dict(a)
         for bd in vds:
-            eb.add(_dict_to_vec(h, h.mult_dict(ad, bd)))
+            eb.add(h.mult_dict(ad, bd))
     return Subspace(h.dim, h.conductor, eb)
 
 
@@ -128,12 +122,11 @@ def chevalley_check(h: HopfAlgebraData):
     h0 = coradical(h)
     if not h0.contains(h.unit):
         return False, "coradical does not contain 1"
-    closed = bilinear_closure(
-        h0, lambda u, v: _dict_to_vec(h, h.mult_dict(_vec_to_dict(u), _vec_to_dict(v))))
+    closed = bilinear_closure(h0, lambda u, v: h.mult_dict(_vec_to_dict(u), _vec_to_dict(v)))
     if closed.dim != h0.dim:
         return False, f"coradical not closed under product (closure dim {closed.dim})"
     for v in h0.basis():
-        if not h0.contains(h.antipode.apply(v)):
+        if not h0.contains(h.antipode_dict(_vec_to_dict(v))):
             return False, "coradical not closed under the antipode"
     return True, "coradical contains 1, closed under product and antipode"
 
@@ -310,7 +303,7 @@ def skew_primitive_space(h: HopfAlgebraData, g: Element, k: Element,
 
 def _nullspace_of_rows(h: HopfAlgebraData, rows) -> Subspace:
     """Common solutions of rows, sparse {index: coefficient} dicts; empty ones are dropped."""
-    mat_rows = [_dict_to_vec(h, r) for r in rows if r]
+    mat_rows = [Element.from_dict(h, r).coeffs for r in rows if r]
     return nullspace(Matrix(len(mat_rows), h.dim, h.conductor, mat_rows))
 
 
@@ -381,38 +374,35 @@ def distinguished_grouplike(h: HopfAlgebraData) -> Element:
 # ---------------------------------------------------------------------------
 
 
-def verify_hopf_map(h: HopfAlgebraData, target: HopfAlgebraData, pi: Matrix):
-    """pi must be an algebra and coalgebra map; returns (ok, first failure)."""
+def verify_hopf_map(h: HopfAlgebraData, target: HopfAlgebraData, pi: list):
+    """pi must be an algebra and coalgebra map; returns (ok, first failure).
+
+    pi is given by sparse columns: pi[j] = {index in target: nonzero value} is pi(e_j).
+    """
     # multiplicative's reduction to generators(h) needs an associative target
     # with a unit, which only a certified generators(target) vouches for
     gens = generators(h) if len(generators(target)) < target.dim else range(h.dim)
     why = witness_failures(h, multiplicative_over(
-        h, gens, lambda vec: _vec_to_dict(pi.apply(_dict_to_vec(h, vec))), target.mult_dict,
+        h, gens, lambda vec: compose_columns(pi, [vec])[0], target.mult_dict,
         target.unit_dict()), "pi(1) != 1", "pi is not an algebra map at")
     if why:
         return False, why[0]
     for i in range(h.dim):
-        pii = pi.col(i)
         di = {}
         for (j, k, c) in h.comult[i]:
-            pj = pi.col(j)
-            pk = pi.col(k)
-            for a, ca in enumerate(pj):
-                if ca.is_zero():
-                    continue
-                for b, cb in enumerate(pk):
-                    if not cb.is_zero():
-                        accumulate(di, (a, b), c * ca * cb)
-        if di != target.delta_dict(_vec_to_dict(pii)):
+            for a, ca in pi[j].items():
+                for b, cb in pi[k].items():
+                    accumulate(di, (a, b), c * ca * cb)
+        if di != target.delta_dict(pi[i]):
             return False, f"pi is not a coalgebra map at {h.labels[i]}"
-        eps_pi = target.counit_of(_vec_to_dict(pii))
-        if eps_pi != h.counit[i]:
+        if target.counit_of(pi[i]) != h.counit[i]:
             return False, f"counit not preserved at {h.labels[i]}"
     return True, None
 
 
-def coinvariants(h: HopfAlgebraData, target: HopfAlgebraData, pi: Matrix) -> Subspace:
-    """{v : (id (x) pi) Delta v = v (x) 1_target}; pi is checked first."""
+def coinvariants(h: HopfAlgebraData, target: HopfAlgebraData, pi: list) -> Subspace:
+    """{v : (id (x) pi) Delta v = v (x) 1_target}; pi, sparse columns as in
+    verify_hopf_map, is checked first."""
     ok, why = verify_hopf_map(h, target, pi)
     if not ok:
         raise ValueError(f"projection is not a Hopf algebra map: {why}")
@@ -420,9 +410,8 @@ def coinvariants(h: HopfAlgebraData, target: HopfAlgebraData, pi: Matrix) -> Sub
     rows = defaultdict(dict)  # (j, b) -> sparse coefficient row of e_j (x) f_b
     for i in range(n):
         for (j, k, c) in h.comult[i]:
-            for b, cb in enumerate(pi.col(k)):
-                if not cb.is_zero():
-                    accumulate(rows[(j, b)], i, c * cb)
+            for b, cb in pi[k].items():
+                accumulate(rows[(j, b)], i, c * cb)
     for i in range(n):
         for b, ub in enumerate(target.unit):
             if not ub.is_zero():

@@ -6,6 +6,9 @@ so each reader and writer call keeps one memo of the values it has met and
 parses or formats each distinct value once, and each dumps or dump_json call
 renders each distinct coefficient's JSON text once per indent.  The memo
 lives in that call only; nothing is cached at module level.
+
+A file keeps the antipode as a dense matrix; in memory it is a list of
+sparse columns, converted at this boundary.
 """
 
 from __future__ import annotations
@@ -84,6 +87,15 @@ def matrix_from_json(obj, conductor, read=None):
     return Matrix(rows, cols, conductor, [[read(o) for o in row] for row in entries])
 
 
+def _antipode_matrix(h: HopfAlgebraData) -> Matrix:
+    """The dense matrix whose column j holds the sparse column S(e_j)."""
+    m = Matrix(h.dim, h.dim, h.conductor)
+    for j, col in enumerate(h.antipode):
+        for i, c in col.items():
+            m.entries[i][j] = c
+    return m
+
+
 def hopf_to_json(h: HopfAlgebraData) -> dict:
     write = _coefficient_writer()
     mult = []
@@ -108,7 +120,7 @@ def hopf_to_json(h: HopfAlgebraData) -> dict:
         "counit": [write(c) for c in h.counit],
         "mult": mult,
         "comult": comult,
-        "antipode": matrix_to_json(h.antipode, write),
+        "antipode": matrix_to_json(_antipode_matrix(h), write),
     }
 
 
@@ -133,9 +145,9 @@ def hopf_from_json(obj: dict) -> HopfAlgebraData:
     for i, j, k, c in obj["comult"]:
         _check_indices(dim, i, j, k)
         comult[i].append((j, k, read(c)))
-    antipode = matrix_from_json(obj["antipode"], conductor, read)
-    if (antipode.rows, antipode.cols) != (dim, dim):
-        raise ValueError(f"antipode is {antipode.rows}x{antipode.cols}, not {dim}x{dim}")
+    s = matrix_from_json(obj["antipode"], conductor, read)
+    if (s.rows, s.cols) != (dim, dim):
+        raise ValueError(f"antipode is {s.rows}x{s.cols}, not {dim}x{dim}")
     labels = list(obj["labels"])
     if len(labels) != dim:
         raise ValueError(f"{len(labels)} labels for dim {dim}")
@@ -147,7 +159,8 @@ def hopf_from_json(obj: dict) -> HopfAlgebraData:
         unit=[read(o) for o in obj["unit"]],
         comult=comult,
         counit=[read(o) for o in obj["counit"]],
-        antipode=antipode,
+        antipode=[{i: row[j] for i, row in enumerate(s.entries) if not row[j].is_zero()}
+                  for j in range(dim)],
     )
 
 

@@ -1,14 +1,18 @@
 """Exact matrices, subspaces and elimination over a cyclotomic field.
 
-`Matrix` is dense: algebra dimensions here are desk scale (a few hundred at
-most), and the largest matrices are the v^n x v^n quantum symmetrizers whose
-ranks give Nichols dimensions (about 2000 rows at most under the default
-memory guard; `ydnichols` builds them column by column and stores them here
-only for `rank`).  All elimination runs through one incremental Gauss-Jordan
-core, `EchelonBasis`, which keeps each reduced row sparse, so a row update
-touches only nonzero entries.  `accumulate` is the one "add into a sparse
-dict, drop the key if it cancels" step that every sparse loop in the package
-shares.
+A linear map on an algebra's basis or on V (x) V (the antipode, a Hopf map,
+a braiding) is kept as sparse columns {row: nonzero value}, column j the
+image of the j-th basis vector, and maps compose with `compose_columns`.
+`Matrix` is dense and serves the rest: module and group-irrep actions, which
+are small, and the input of `rank`, `nullspace` and `solve`.  The largest
+matrices are the v^n x v^n quantum symmetrizers whose ranks give Nichols
+dimensions (about 2000 rows at most under the default memory guard;
+`ydnichols` builds them column by column and stores them here only for
+`rank`).  All elimination runs through one incremental Gauss-Jordan core,
+`EchelonBasis`, which keeps each reduced row sparse, so a row update touches
+only nonzero entries.  `accumulate` is the one "add into a sparse dict, drop
+the key if it cancels" step that every sparse loop in the package shares.
+`kron` is kept as the tests' dense reference for braid operators.
 """
 
 from __future__ import annotations
@@ -38,17 +42,6 @@ class Matrix:
         for i in range(n):
             m.entries[i][i] = one
         return m
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __setitem__(self, ij, v):
-        i, j = ij
-        self.entries[i][j] = v
-
-    def col(self, j):
-        return [r[j] for r in self.entries]
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows, self.conductor,
@@ -119,19 +112,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for r in self.entries for e in r)
-
-    def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        for i in range(self.rows):
-            for j in range(self.cols):
-                e = self.entries[i][j]
-                if i == j:
-                    if not e.is_one():
-                        return False
-                elif not e.is_zero():
-                    return False
-        return True
 
     def trace(self) -> CycNumber:
         assert self.rows == self.cols

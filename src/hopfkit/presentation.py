@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .cyclotomic import CycNumber
 from .hopf import HopfAlgebraData
-from .linalg import Matrix, accumulate, compose_columns, extend_along_prefixes
+from .linalg import accumulate, compose_columns, extend_along_prefixes
 
 STEP_GUARD = 20_000
 
@@ -186,10 +186,7 @@ def assemble_hopf(dim, conductor, labels, mult, unit_index, basis_words,
         basis_words, ({(unit_index, unit_index): one}, one, {unit_index: one}), step)
     comult = [[(j, k, c) for (j, k), c in t.items()] for t, _, _ in images]
     counit = [e for _, e, _ in images]
-    anti = Matrix(dim, dim, conductor)
-    for i, (_, _, s) in enumerate(images):
-        for r, c in s.items():
-            anti.entries[r][i] = c
+    anti = [s for _, _, s in images]
     return HopfAlgebraData(dim, conductor, labels, mult, unit_vec, comult, counit, anti)
 
 
@@ -215,9 +212,7 @@ def group_algebra_hopf(group, conductor=None) -> HopfAlgebraData:
     unit[group.index[group.identity]] = one
     comult = [[(i, i, one)] for i in range(n)]
     counit = [one] * n
-    anti = Matrix(n, n, conductor)
-    for i, g in enumerate(group.elements):
-        anti.entries[group.index[group.inv(g)]][i] = one
+    anti = [{group.index[group.inv(g)]: one} for g in group.elements]
     return HopfAlgebraData(n, conductor, list(group.labels), mult, unit, comult, counit, anti)
 
 

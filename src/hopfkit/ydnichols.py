@@ -122,6 +122,7 @@ def yd_module_gamma4p(p: int, class_spec, rep_spec, literal_action=False) -> YDM
         k = class_spec[1] % p
         if k == 0:
             raise ValueError("use the trivial class for k = 0")
+        _check_rep_name(rep_spec, "psi", "y")
         s = rep_spec[1] % p
         x_mat = Matrix(4, 4, conductor)
         one = CycNumber.one(conductor)
@@ -138,6 +139,7 @@ def yd_module_gamma4p(p: int, class_spec, rep_spec, literal_action=False) -> YDM
         m = class_spec[1] % 4
         if m == 0:
             raise ValueError("use the trivial class for m = 0")
+        _check_rep_name(rep_spec, "chi", "x")
         k = rep_spec[1] % 4
         one = CycNumber.one(conductor)
         omega_k = root_of_unity(conductor, p * k)
@@ -154,6 +156,11 @@ def yd_module_gamma4p(p: int, class_spec, rep_spec, literal_action=False) -> YDM
     raise ValueError(f"unknown class spec {class_spec!r}")
 
 
+def _check_rep_name(rep_spec, name, kind):
+    if rep_spec[0] != name:
+        raise ValueError(f"the {kind} classes take a {name} representation, got {rep_spec[0]!r}")
+
+
 def _gamma_rep_label(rep_spec):
     kind, idx = rep_spec
     if kind == "alpha":
@@ -163,10 +170,15 @@ def _gamma_rep_label(rep_spec):
     raise ValueError(f"unknown representation spec {rep_spec!r}")
 
 
-def braiding(mod: YDModule) -> Matrix:
-    """c(u (x) w) = deg(u).w (x) u on the tensor square, basis e_r (x) e_t."""
+def braiding(mod: YDModule) -> dict:
+    """c(u (x) w) = deg(u).w (x) u on the tensor square, as sparse columns.
+
+    A braiding is {(r, t): {(s, u): value}}, the value being the nonzero
+    coefficient of e_s (x) e_u in c(e_r (x) e_t); here u = r always.  Columns
+    with no nonzero entry are left out.
+    """
     v = mod.dim
-    c = Matrix(v * v, v * v, mod.conductor)
+    c = {}
     acts = {}
     for r in range(v):
         g = mod.grading[r]
@@ -174,44 +186,35 @@ def braiding(mod: YDModule) -> Matrix:
             acts[g] = mod.element_action(g)
         m = acts[g]
         for t in range(v):
-            for s in range(v):
-                val = m.entries[s][t]
-                if not val.is_zero():
-                    c.entries[s * v + r][r * v + t] = val
+            col = {(s, r): m.entries[s][t] for s in range(v) if not m.entries[s][t].is_zero()}
+            if col:
+                c[(r, t)] = col
     return c
 
 
-def _braiding_columns(c: Matrix, v: int) -> dict:
-    """c's nonzero entries as {(r, t): {(s, u): value}}, the value being the
-    coefficient of e_s (x) e_u in c(e_r (x) e_t)."""
-    cols: dict = {}
-    for row, entries in enumerate(c.entries):
-        target = divmod(row, v)
-        for col, val in enumerate(entries):
-            if not val.is_zero():
-                cols.setdefault(divmod(col, v), {})[target] = val
-    return cols
+def _conductor(c: dict) -> int:
+    """The conductor of a braiding's entries; 1 for the zero map, which is defined over Q."""
+    return next((val.conductor for col in c.values() for val in col.values()), 1)
 
 
-def _apply_braiding(cols: dict, vec: dict, i: int) -> dict:
+def _apply_braiding(c: dict, vec: dict, i: int) -> dict:
     """c acting on letters i, i+1 (from 0) of a sparse vector {word tuple: value}."""
     out: dict = {}
     for w, a in vec.items():
         head, tail = w[:i], w[i + 2:]
-        for pair, b in cols.get(w[i:i + 2], {}).items():
+        for pair, b in c.get(w[i:i + 2], {}).items():
             accumulate(out, head + pair + tail, a * b)
     return out
 
 
-def braid_equation_check(c: Matrix, v: int) -> bool:
+def braid_equation_check(c: dict, v: int) -> bool:
     """c_1 c_2 c_1 = c_2 c_1 c_2 on V^(x)3, compared column by column."""
-    cols = _braiding_columns(c, v)
-    one = CycNumber.one(c.conductor)
+    one = CycNumber.one(_conductor(c))
     for w in product(range(v), repeat=3):
         lhs = rhs = {w: one}
         for i in (0, 1, 0):
-            lhs = _apply_braiding(cols, lhs, i)
-            rhs = _apply_braiding(cols, rhs, 1 - i)
+            lhs = _apply_braiding(c, lhs, i)
+            rhs = _apply_braiding(c, rhs, 1 - i)
         if lhs != rhs:
             return False
     return True
@@ -224,16 +227,10 @@ def diagonal_type(mod: YDModule):
     qm = [[None] * v for _ in range(v)]
     for r in range(v):
         for t in range(v):
-            col = r * v + t
-            for row in range(v * v):
-                val = c.entries[row][col]
-                if val.is_zero():
-                    continue
-                if row != t * v + r:
-                    return None
-                qm[r][t] = val
-            if qm[r][t] is None:
+            col = c.get((r, t), {})
+            if list(col) != [(t, r)]:
                 return None
+            qm[r][t] = col[(t, r)]
     return qm
 
 
@@ -363,7 +360,7 @@ def bosonize(d: YDDatum) -> HopfAlgebraData:
     h = HopfAlgebraData(
         dim, conductor,
         [f"y^{m}#{lb}" if m else lb for m in range(n_trunc) for lb in L.labels],
-        mult, unit, comult, counit, Matrix(dim, dim, conductor))
+        mult, unit, comult, counit, None)
 
     # antipode: S(1#l) = 1#S_L(l), S(y#1) = -q^{-1} y#g^{-1}, anti-extended
     g_inv = d.g.inverse()
@@ -373,27 +370,16 @@ def bosonize(d: YDDatum) -> HopfAlgebraData:
     sy_pows = [h.unit_dict()]
     for _ in range(n_trunc - 1):
         sy_pows.append(h.mult_dict(sy_pows[-1], sy))
-    anti = Matrix(dim, dim, conductor)
+    anti = []
     for m in range(n_trunc):
-        for i in range(L.dim):
-            sl = {idx(0, r): c for r, c in _matrix_col(L.antipode, i).items()}
-            col = h.mult_dict(sl, sy_pows[m]) if m else sl
-            for r, c in col.items():
-                anti.entries[r][idx(m, i)] = c
+        for col in L.antipode:
+            sl = {idx(0, r): c for r, c in col.items()}
+            anti.append(h.mult_dict(sl, sy_pows[m]) if m else sl)
     h.antipode = anti
     rep = verify_hopf(h)
     if not rep.ok:
         raise AssertionError("bosonization fails Hopf axioms: " + "; ".join(rep.failures))
     return h
-
-
-def _matrix_col(m: Matrix, j: int) -> dict:
-    out = {}
-    for i in range(m.rows):
-        c = m.entries[i][j]
-        if not c.is_zero():
-            out[i] = c
-    return out
 
 
 def _combine_triples(triples):
@@ -427,7 +413,7 @@ def default_cutoff(v: int) -> int:
     return 3
 
 
-def symmetrizer(c: Matrix, v: int, n: int) -> Matrix:
+def symmetrizer(c: dict, v: int, n: int) -> Matrix:
     """Sum of T_w over the symmetric group, one column per word, by the
     shuffle factorization
     S_n = (1 + c_(n-1) + c_(n-2)c_(n-1) + ... + c_1...c_(n-1)) . (S_(n-1) (x) id).
@@ -435,10 +421,10 @@ def symmetrizer(c: Matrix, v: int, n: int) -> Matrix:
     Column w'x starts from S_(n-1) e_w' (x) e_x; each further term is the
     previous one with one more c applied, one position to the left, so the
     column costs n - 1 sparse applications of c.  Nothing assumes the
-    braiding is monomial.
+    braiding is monomial.  The result is a Matrix, for rank.
     """
-    one = CycNumber.one(c.conductor)
-    cols = _braiding_columns(c, v)
+    conductor = _conductor(c)
+    one = CycNumber.one(conductor)
     columns = {(): {(): one}}
     for m in range(1, n + 1):
         grown = {}
@@ -447,24 +433,24 @@ def symmetrizer(c: Matrix, v: int, n: int) -> Matrix:
                 term = {u + (x,): a for u, a in col.items()}
                 total = dict(term)
                 for i in range(m - 2, -1, -1):
-                    term = _apply_braiding(cols, term, i)
+                    term = _apply_braiding(c, term, i)
                     for u, a in term.items():
                         accumulate(total, u, a)
                 grown[w + (x,)] = total
         columns = grown
     index = {w: j for j, w in enumerate(columns)}
-    out = Matrix(len(index), len(index), c.conductor)
+    out = Matrix(len(index), len(index), conductor)
     for j, col in enumerate(columns.values()):
         for u, a in col.items():
             out.entries[index[u]][j] = a
     return out
 
 
-def nichols_dims(c: Matrix, v: int, cutoff: int | None = None,
+def nichols_dims(c: dict, v: int, cutoff: int | None = None,
                  guard_mb: int = 512) -> NicholsReport:
     """Per-degree ranks of the quantum symmetrizer; rank 0 means truncation."""
     if not braid_equation_check(c, v):
-        raise ValueError("matrix does not satisfy the braid equation")
+        raise ValueError("braiding does not satisfy the braid equation")
     if cutoff is None:
         cutoff = default_cutoff(v)
     if cutoff < 0:

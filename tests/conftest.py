@@ -13,3 +13,8 @@ def _build(name, items):
 def build(name, **params):
     """Cached (HopfAlgebraData, CandidateData) for a family."""
     return _build(name, tuple(sorted(params.items())))
+
+
+def qline(q):
+    """The braiding c(e_0 (x) e_0) = q e_0 (x) e_0 of a quantum line, as sparse columns."""
+    return {(0, 0): {(0, 0): q}}

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from conftest import build
+from conftest import build, qline
 from hopfkit.certify import certify_family
 from hopfkit.cli import main
 from hopfkit.cyclotomic import CycNumber, root_of_unity
@@ -32,7 +32,7 @@ from hopfkit.invariants import (
     skew_primitive_space,
     verify_grouplikes,
 )
-from hopfkit.linalg import Matrix, Subspace
+from hopfkit.linalg import Subspace
 from hopfkit.repsolver import are_isomorphic, wedderburn_certificate
 from hopfkit.ydnichols import (
     YDDatum,
@@ -305,9 +305,7 @@ def test_criterion_10_coinvariants():
 
     d = named_datum("a4p-chi2", 3)
     b = bosonize(d)
-    pi = Matrix(d.L.dim, b.dim, b.conductor)
-    for i in range(d.L.dim):
-        pi.entries[i][i] = b.one()
+    pi = [{i: b.one()} if i < d.L.dim else {} for i in range(b.dim)]
     s = coinvariants(b, d.L, pi)
     assert s.dim == 2
     y1 = [b.zero()] * b.dim
@@ -320,13 +318,12 @@ def test_criterion_10_coinvariants():
 
 
 def test_criterion_11_nichols_ranks():
-    c = Matrix(1, 1, 2, [[CycNumber.from_rational(2, -1)]])
-    rep = nichols_dims(c, 1)
+    rep = nichols_dims(qline(CycNumber.from_rational(2, -1)), 1)
     assert rep.total_dim == 2
     for n in (2, 3, 4, 6):
-        rep = nichols_dims(Matrix(1, 1, n, [[root_of_unity(n, 1)]]), 1)
+        rep = nichols_dims(qline(root_of_unity(n, 1)), 1)
         assert rep.truncated and rep.total_dim == n
-    rep = nichols_dims(Matrix(1, 1, 1, [[CycNumber.one(1)]]), 1, cutoff=8)
+    rep = nichols_dims(qline(CycNumber.one(1)), 1, cutoff=8)
     assert not rep.truncated and rep.ranks == [1] * 9
     _say("criterion 11 (quantum-line Nichols dimensions): PASS")
 

@@ -1,10 +1,14 @@
+import hashlib
+
 import pytest
 
 from hopfkit import catalog
+from hopfkit import io as hio
 
 from conftest import build
 from hopfkit.certify import certify_family
-from hopfkit.hopf import tr_s_squared, verify_hopf
+from hopfkit.hopf import antipode_order, dual, s_squared_order, tr_s_squared, verify_hopf
+from hopfkit.linalg import Matrix
 
 
 def test_dicyclic_group_algebra():
@@ -152,18 +156,18 @@ _FAMILY_PARAMS = dict(_GROUP_PARAMS, taft={"n": 2}, b8={}, **{
 _SWEEP = [(name, _FAMILY_PARAMS[name]) for name in catalog.FAMILY_NAMES if name != "dual-group"]
 _SWEEP += [("dual-group", dict(params, group=catalog._GROUP_FAMILIES[name]))
            for name, params in _GROUP_PARAMS.items()]
+_SWEEP_IDS = [" ".join([name] + [f"{k}={v}" for k, v in sorted(params.items())])
+              for name, params in _SWEEP]
 
 
-@pytest.mark.parametrize("name, params", _SWEEP, ids=[
-    " ".join([name] + [f"{k}={v}" for k, v in sorted(params.items())]) for name, params in _SWEEP])
+@pytest.mark.parametrize("name, params", _SWEEP, ids=_SWEEP_IDS)
 def test_certify_sweep(name, params):
     """Every family at its smallest parameters, and k^G for every group kind."""
     suite = certify_family(name, params)
     assert suite.ok, suite.render()
 
 
-@pytest.mark.parametrize("name, params", _SWEEP, ids=[
-    " ".join([name] + [f"{k}={v}" for k, v in sorted(params.items())]) for name, params in _SWEEP])
+@pytest.mark.parametrize("name, params", _SWEEP, ids=_SWEEP_IDS)
 def test_prefix_extension_matches_whole_words(monkeypatch, name, params):
     """Table, Delta/eps/S and module actions built along prefixes, against whole words."""
     from hopfkit import presentation
@@ -210,6 +214,67 @@ def test_prefix_extension_matches_whole_words(monkeypatch, name, params):
                 s = h.mult_dict(s, gen_s[letter])
             assert h.delta_dict(h.basis_dict(i)) == t
             assert h.counit[i] == e
-            assert {r: c for r, c in enumerate(h.antipode.col(i)) if not c.is_zero()} == s
+            assert h.antipode[i] == s
     for m, words, gen_mats, conductor in seen["modules"]:
         assert m.action == [word_product(w, gen_mats, m.dim, conductor) for w in words]
+
+
+def _dense_antipode(h):
+    m = Matrix(h.dim, h.dim, h.conductor)
+    for j, col in enumerate(h.antipode):
+        for i, c in col.items():
+            m.entries[i][j] = c
+    return m
+
+
+def _dense_order(m, bound):
+    """Least n >= 1 with m^n = 1 by dense Matrix powers, or None up to the bound."""
+    one = Matrix.identity(m.rows, m.conductor)
+    return next((n for n in range(1, bound + 1) if m ** n == one), None)
+
+
+@pytest.mark.parametrize("name, params", _SWEEP, ids=_SWEEP_IDS)
+def test_antipode_invariants_match_dense_matrix_powers(name, params):
+    h, _ = build(name, **params)
+    s = _dense_antipode(h)
+    s2 = s * s
+    assert tr_s_squared(h) == s2.trace()
+    assert antipode_order(h) == _dense_order(s, 16 * h.dim)
+    assert s_squared_order(h) == _dense_order(s2, 16 * h.dim)
+
+
+# sha256 prefixes of io.dumps(hopf_to_json(x)) for each sweep member and its
+# dual, as written when the antipode was a dense Matrix in memory
+_STRUCTURE_DIGESTS = {
+    "c_n n=2": ("197ddb6f7424e201", "c6247769aa18666f"),
+    "product ns=2,2": ("d674fdddf5e023c5", "7fbecefd2f0054f3"),
+    "dihedral n=3": ("6d4a32177bef8c5b", "9995d7ba7a17dff9"),
+    "dicyclic n=2": ("2bac98b83458a294", "ce9c43ea447c91a2"),
+    "q8": ("a0140171db3c0170", "70c3a0a4ee12f318"),
+    "gamma4p p=5": ("a0ac44b26fe2805e", "36c4806f54b7787d"),
+    "taft n=2": ("24e7beac62fd42c5", "28a88a862248e324"),
+    "a-m10 p=3": ("384d990d8d236468", "d6a2a5178f518b35"),
+    "a-m10-dual p=3": ("3f168be611d7e4df", "7179dfd35cdd5cf2"),
+    "a-m11 p=3": ("94c2653ed0eff5ca", "8c963e8be1476298"),
+    "h4xcp p=3": ("d0746593f47e1f24", "89189894dfd4bef8"),
+    "a4p p=3": ("03c349074cbbe615", "f2c1234ce3e1735d"),
+    "b4p p=3": ("90efbab532985971", "10dae7e2192baa61"),
+    "b8": ("0227c167b02c0b32", "2be7fbfe21764738"),
+    "fun-dic p=3": ("aaf5b2225c82210a", "381feab8d7d33f3b"),
+    "h8p p=3": ("cd0a6f7e8c5186e1", "2c296dd50c42ad75"),
+    "dual-group group=cyclic n=2": ("c6247769aa18666f", "197ddb6f7424e201"),
+    "dual-group group=product ns=2,2": ("7fbecefd2f0054f3", "d674fdddf5e023c5"),
+    "dual-group group=dihedral n=3": ("9995d7ba7a17dff9", "6d4a32177bef8c5b"),
+    "dual-group group=dicyclic n=2": ("ce9c43ea447c91a2", "2bac98b83458a294"),
+    "dual-group group=q8": ("70c3a0a4ee12f318", "a0140171db3c0170"),
+    "dual-group group=gamma4p p=5": ("36c4806f54b7787d", "a0ac44b26fe2805e"),
+}
+
+
+@pytest.mark.parametrize("name, params, digests", [
+    (name, params, _STRUCTURE_DIGESTS[key]) for (name, params), key in zip(_SWEEP, _SWEEP_IDS)],
+    ids=_SWEEP_IDS)
+def test_structure_files_are_unchanged(name, params, digests):
+    h, _ = build(name, **params)
+    assert tuple(hashlib.sha256(hio.dumps(hio.hopf_to_json(x)).encode()).hexdigest()[:16]
+                 for x in (h, dual(h))) == digests

@@ -45,7 +45,8 @@ def test_build_refuses_structure_that_fails_verify_hopf(tmp_path, monkeypatch, c
 
     def corrupted_taft(name, params):
         h, cd = build_family("taft", {"n": 2})
-        _swap_antipode_entries(h.antipode.entries)
+        # S(e_0) and S(e_1) swapped; the other laws still hold
+        h.antipode[0], h.antipode[1] = h.antipode[1], h.antipode[0]
         return h, cd
 
     monkeypatch.setattr(cli, "build_family", corrupted_taft)
@@ -58,7 +59,7 @@ def test_build_refuses_structure_that_fails_verify_hopf(tmp_path, monkeypatch, c
 def test_max_dim_guard(tmp_path, monkeypatch):
     import hopfkit.cli as cli
 
-    monkeypatch.setattr(cli, "MAX_DIM", 10)
+    monkeypatch.setenv("HOPFKIT_MAX_DIM", "10")
     assert main(["build", "h8p", "--p", "3", "--out", str(tmp_path / "x.json")]) == 2
 
 
@@ -319,12 +320,45 @@ def test_yd_verify_class_defaults_to_the_prime_of_nichols(capsys):
     ("yd-verify --p 5 --class trivial:0 --rep alpha:9",
      "no irreducible representation alpha9 of the group"),
     ("nichols --qline 3 --cutoff -2", "cutoff must be >= 0, got -2"),
+    ("nichols --p 5 --class y:1 --rep foo:1", "the y classes take a psi representation, got 'foo'"),
+    ("yd-verify --p 5 --class y:1 --rep chi:1",
+     "the y classes take a psi representation, got 'chi'"),
+    ("nichols --p 5 --class x:1 --rep psi:1", "the x classes take a chi representation, got 'psi'"),
 ])
 def test_incomplete_yd_input_is_an_input_error(capsys, argv, message):
     assert main(argv.split()) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("certify c_n --n 0", "the cyclic group C_n needs n >= 1, got 0"),
+    ("certify dihedral --n 0", "the dihedral group D_n needs n >= 1, got 0"),
+    ("certify dicyclic --n 0", "the dicyclic group Dic_n needs n >= 1, got 0"),
+    ("certify product --ns 2,0", "each cyclic factor C_n needs n >= 1, got 0"),
+    ("build product --ns 2,0 --out unused.json", "each cyclic factor C_n needs n >= 1, got 0"),
+    ("build dual-group --group cyclic --n -1 --out unused.json",
+     "the cyclic group C_n needs n >= 1, got -1"),
+])
+def test_group_of_order_below_one_is_an_input_error(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["HOPFKIT_MAX_DIM", "HOPFKIT_NICHOLS_GUARD_MB"])
+def test_non_integer_guard_is_an_input_error(name):
+    # read by main, not at import, so the exit-code contract holds
+    env = dict(os.environ, PYTHONPATH=SRC, **{name: "1.5"})
+    proc = subprocess.run([sys.executable, "-m", "hopfkit.cli", "nichols", "--qline", "4"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: {name} must be an integer"]
 
 
 def test_bosonize_command(tmp_path):

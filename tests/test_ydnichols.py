@@ -2,10 +2,9 @@ import itertools
 
 import pytest
 
-from conftest import build
-from hopfkit import ydnichols
+from conftest import build, qline
 from hopfkit.cyclotomic import CycNumber, root_of_unity
-from hopfkit.hopf import tr_s_squared
+from hopfkit.hopf import Element, HopfAlgebraData, tr_s_squared
 from hopfkit.linalg import Matrix, kron
 from hopfkit.ydnichols import (
     YDDatum,
@@ -97,7 +96,7 @@ def test_braiding_invertible():
 
     m = yd_module_gamma4p(5, ("x", 1), ("chi", 2))
     c = braiding(m)
-    assert rank(c) == m.dim ** 2
+    assert rank(dense(c, m.dim)) == m.dim ** 2
 
 
 def test_named_data_validate():
@@ -165,31 +164,24 @@ def test_bosonize_a4p():
     assert tr_s_squared(b).is_zero()
 
 
-def test_bosonize_refuses_a_wrong_closed_form_antipode(monkeypatch):
+def test_bosonize_refuses_a_wrong_closed_form_antipode():
     # S(1#g) built from a corrupted column of S_L: verify_hopf must catch it
-    col = ydnichols._matrix_col
-
-    def corrupted(m, j):
-        out = col(m, j)
-        if j == 1:
-            out = {r: c + c for r, c in out.items()}
-        return out
-
-    monkeypatch.setattr(ydnichols, "_matrix_col", corrupted)
+    d = named_datum("c2", 3)
+    L = d.L
+    anti = [{r: c + c for r, c in col.items()} if j == 1 else col
+            for j, col in enumerate(L.antipode)]
+    bad = HopfAlgebraData(L.dim, L.conductor, L.labels, L.mult, L.unit, L.comult, L.counit, anti)
     with pytest.raises(AssertionError, match="antipode law"):
-        bosonize(named_datum("c2", 3))
+        bosonize(YDDatum(bad, Element(bad, d.g.coeffs), d.chi, d.q))
 
 
 def test_quantum_line_ranks():
-    minus1 = Matrix(1, 1, 2, [[CycNumber.from_rational(2, -1)]])
-    rep = nichols_dims(minus1, 1)
+    rep = nichols_dims(qline(CycNumber.from_rational(2, -1)), 1)
     assert rep.ranks == [1, 1, 0] and rep.total_dim == 2
     for n in (2, 3, 4, 6):
-        c = Matrix(1, 1, n, [[root_of_unity(n, 1)]])
-        rep = nichols_dims(c, 1)
+        rep = nichols_dims(qline(root_of_unity(n, 1)), 1)
         assert rep.truncated and rep.total_dim == n
-    one = Matrix(1, 1, 1, [[CycNumber.one(1)]])
-    rep = nichols_dims(one, 1, cutoff=8)
+    rep = nichols_dims(qline(CycNumber.one(1)), 1, cutoff=8)
     assert not rep.truncated
     assert rep.ranks == [1] * 9
 
@@ -206,44 +198,56 @@ def _insertion_sort_word(perm):
     return word
 
 
-def braid_operators(c: Matrix, v: int, n: int):
-    """c_i = id^(i-1) (x) c (x) id^(n-i-1) acting on the n-th tensor power."""
+def dense(c: dict, v: int) -> Matrix:
+    """The v^2 x v^2 matrix, on the basis e_r (x) e_t, of a braiding given by sparse columns."""
+    conductor = next(val for col in c.values() for val in col.values()).conductor
+    m = Matrix(v * v, v * v, conductor)
+    for (r, t), col in c.items():
+        for (s, u), val in col.items():
+            m.entries[s * v + u][r * v + t] = val
+    return m
+
+
+def braid_operators(m: Matrix, v: int, n: int):
+    """c_i = id^(i-1) (x) c (x) id^(n-i-1) on the n-th tensor power, for c's dense matrix m."""
     ops = []
     for i in range(1, n):
-        left = Matrix.identity(v ** (i - 1), c.conductor)
-        right = Matrix.identity(v ** (n - i - 1), c.conductor)
-        ops.append(kron(kron(left, c), right))
+        left = Matrix.identity(v ** (i - 1), m.conductor)
+        right = Matrix.identity(v ** (n - i - 1), m.conductor)
+        ops.append(kron(kron(left, m), right))
     return ops
 
 
-def braid_equation_dense(c: Matrix, v: int) -> bool:
-    c1, c2 = braid_operators(c, v, 3)
+def braid_equation_dense(c: dict, v: int) -> bool:
+    c1, c2 = braid_operators(dense(c, v), v, 3)
     return c1 * c2 * c1 == c2 * c1 * c2
 
 
-def symmetrizer_direct(c: Matrix, v: int, n: int) -> Matrix:
+def symmetrizer_direct(c: dict, v: int, n: int) -> Matrix:
     """Slow oracle: sum T_w over explicit insertion-sort reduced words."""
-    ops = braid_operators(c, v, n)
-    total = Matrix(v ** n, v ** n, c.conductor)
+    m = dense(c, v)
+    ops = braid_operators(m, v, n)
+    total = Matrix(v ** n, v ** n, m.conductor)
     for perm in itertools.permutations(range(n)):
-        t = Matrix.identity(v ** n, c.conductor)
+        t = Matrix.identity(v ** n, m.conductor)
         for i in _insertion_sort_word(perm):
             t = t * ops[i]
         total = total + t
     return total
 
 
-def jordan_braiding(eps: int) -> Matrix:
+def jordan_braiding(eps: int) -> dict:
     """c(u (x) w) = g.w (x) u with g = [[eps, 1], [0, eps]]: the Jordan plane
     (eps = 1) and the super Jordan plane (eps = -1).  Not monomial."""
     g = [[eps, 1], [0, eps]]
-    c = Matrix(4, 4, 1)
-    for r in range(2):
-        for t in range(2):
-            for s in range(2):
-                if g[s][t]:
-                    c.entries[s * 2 + r][r * 2 + t] = CycNumber.from_rational(1, g[s][t])
-    return c
+    return {(r, t): {(s, r): CycNumber.from_rational(1, g[s][t]) for s in range(2) if g[s][t]}
+            for r in range(2) for t in range(2)}
+
+
+def bad_diagonal_braiding() -> dict:
+    """c(e_r (x) e_t) = (2r + t + 1) e_r (x) e_t.  Its distinct diagonal entries
+    break the braid equation."""
+    return {divmod(i, 2): {divmod(i, 2): CycNumber.from_rational(1, i + 1)} for i in range(4)}
 
 
 def test_symmetrizer_matches_direct_enumeration():
@@ -265,20 +269,16 @@ def test_symmetrizer_of_a_non_monomial_braiding(eps):
     assert nichols_dims(c, 2, cutoff=4).ranks == [1, 2, 3, 4, 5]
 
 
-def _perturbed(c: Matrix) -> Matrix:
-    """c with its first nonzero entry doubled."""
-    out = Matrix(c.rows, c.cols, c.conductor, c.entries)
-    i, j = next((i, j) for i in range(c.rows) for j in range(c.cols)
-                if not c.entries[i][j].is_zero())
-    out.entries[i][j] = c.entries[i][j] + c.entries[i][j]
+def _perturbed(c: dict) -> dict:
+    """c with its first nonzero entry, in the dense matrix's row-major order, doubled."""
+    out = {col: dict(entries) for col, entries in c.items()}
+    row, col = min((row, col) for col, entries in c.items() for row in entries)
+    out[col][row] = c[col][row] + c[col][row]
     return out
 
 
 def test_braid_equation_check_agrees_with_dense_products():
-    bad = Matrix(4, 4, 1)
-    for i in range(4):
-        bad.entries[i][i] = CycNumber.from_rational(1, i + 1)
-    cases = [(bad, 2)]
+    cases = [(bad_diagonal_braiding(), 2)]
     for c, v in [(jordan_braiding(1), 2), (jordan_braiding(-1), 2),
                  (braiding(yd_module_gamma4p(5, ("x", 1), ("chi", 1))), 5)]:
         cases += [(c, v), (_perturbed(c), v)]
@@ -298,11 +298,8 @@ def test_nichols_rank_one_dim_grows_polynomially():
 
 def test_bad_braiding_rejected():
     # a diagonal with distinct entries cannot satisfy the braid equation
-    c = Matrix(4, 4, 1)
-    for i in range(4):
-        c.entries[i][i] = CycNumber.from_rational(1, i + 1)
     with pytest.raises(ValueError):
-        nichols_dims(c, 2, cutoff=2)
+        nichols_dims(bad_diagonal_braiding(), 2, cutoff=2)
 
 
 def test_memory_guard():
@@ -315,13 +312,12 @@ def test_memory_guard():
 def test_rank_two_exterior_braiding():
     # diagonal type with q_ii = -1, q_12 q_21 = 1: the symmetrizer ranks are
     # those of the exterior algebra on two generators
-    c = Matrix(4, 4, 2)
     minus = CycNumber.from_rational(2, -1)
     one = CycNumber.one(2)
-    c.entries[0][0] = minus          # e1 (x) e1
-    c.entries[2][1] = one            # e1 (x) e2 -> e2 (x) e1
-    c.entries[1][2] = one
-    c.entries[3][3] = minus
+    c = {(0, 0): {(0, 0): minus},    # e1 (x) e1
+         (0, 1): {(1, 0): one},      # e1 (x) e2 -> e2 (x) e1
+         (1, 0): {(0, 1): one},
+         (1, 1): {(1, 1): minus}}
     rep = nichols_dims(c, 2, cutoff=4)
     assert rep.ranks == [1, 2, 1, 0]
     assert rep.truncated and rep.total_dim == 4
