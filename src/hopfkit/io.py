@@ -126,7 +126,7 @@ def hopf_to_json(h: HopfAlgebraData) -> dict:
 
 def _check_indices(dim, *indices):
     for i in indices:
-        if not isinstance(i, int) or not 0 <= i < dim:
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < dim:
             raise ValueError(f"basis index {i!r} out of range for dim {dim}")
 
 
@@ -151,6 +151,9 @@ def hopf_from_json(obj: dict) -> HopfAlgebraData:
     labels = list(obj["labels"])
     if len(labels) != dim:
         raise ValueError(f"{len(labels)} labels for dim {dim}")
+    for key in ("unit", "counit"):
+        if len(obj[key]) != dim:
+            raise ValueError(f"{key} has {len(obj[key])} coefficients, not {dim}")
     return HopfAlgebraData(
         dim=dim,
         conductor=conductor,

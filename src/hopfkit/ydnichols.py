@@ -294,8 +294,9 @@ def bosonize(d: YDDatum) -> HopfAlgebraData:
     The antipode S is the anti-multiplicative extension of the axiom-forced
     generator images, and the result must pass the full Hopf verifier, or
     AssertionError names the failed laws.  No second route to S is needed:
-    verify_hopf checks S * id = u eps = id * S on every basis element, and a
-    convolution inverse is unique, since any F with F * id = u eps is
+    verify_hopf certifies S * id = u eps = id * S on all of h (on the algebra
+    generators, once S is certified anti-multiplicative), and a convolution
+    inverse is unique, since any F with F * id = u eps is
     F = F * (id * S) = (F * id) * S = S.
     """
     L = d.L

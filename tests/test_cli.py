@@ -141,6 +141,22 @@ def _labels_too_short(payload):
     payload["mult"][3][2][0]["coeffs"][0] = "7/1"
 
 
+def _counit_one_short(payload):
+    payload["counit"].pop()
+
+
+def _unit_one_long(payload):
+    payload["unit"].append(payload["unit"][0])
+
+
+def _unit_one_short(payload):
+    payload["unit"].pop()
+
+
+def _index_true(payload):
+    payload["comult"][0][1] = True
+
+
 def _limit_memory():
     # a loader that allocates dim^2 tables before checking dim fails here, not on the host
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -163,6 +179,27 @@ def test_verify_rejects_malformed_file(tmp_path, corrupt):
                           preexec_fn=_limit_memory)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["verify", "invariants"])
+@pytest.mark.parametrize("corrupt, message", [
+    (_counit_one_short, "counit has 8 coefficients, not 9"),
+    (_unit_one_long, "unit has 10 coefficients, not 9"),
+    (_unit_one_short, "unit has 8 coefficients, not 9"),
+    (_index_true, "basis index True out of range for dim 9"),
+])
+def test_unit_counit_length_and_bool_index_are_parse_errors(tmp_path, capsys, command, corrupt,
+                                                            message):
+    out = tmp_path / "h.json"
+    assert main(["build", "taft", "--n", "3", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    corrupt(payload)
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main([command, str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"parse error: {message}"]
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["invariants", "simples"])

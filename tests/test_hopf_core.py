@@ -1,18 +1,27 @@
+import copy
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfkit import catalog
+from hopfkit import io as hio
+from hopfkit.cli import main
 
 from conftest import build
 from hopfkit import hopf
 from hopfkit.hopf import (
     Element,
     HopfAlgebraData,
+    VerifyReport,
     antipode_order,
     dual,
     generators,
     is_semisimple,
+    multiplicative,
     s_squared_order,
     tensor_product,
     tr_s_squared,
@@ -21,9 +30,10 @@ from hopfkit.hopf import (
     verify_bialgebra,
     verify_coalgebra,
     verify_hopf,
+    witness_failures,
 )
 from hopfkit.cyclotomic import CycNumber, root_of_unity
-from hopfkit.linalg import Matrix
+from hopfkit.linalg import Matrix, accumulate
 from hopfkit.repsolver import RepModule, verify_module
 
 
@@ -186,6 +196,22 @@ def test_antipode_orders():
     assert antipode_order(h8) in (4, 8)
 
 
+def test_s_squared_is_composed_once_for_its_trace_and_its_order(monkeypatch):
+    h = _copy(build("a-m10", p=3)[0])  # nothing derived remembered yet
+    squarings = []
+    compose = hopf.compose_columns
+
+    def counting_compose(a, b):
+        squarings.append(a is h.antipode and b is h.antipode)
+        return compose(a, b)
+
+    monkeypatch.setattr(hopf, "compose_columns", counting_compose)
+    assert tr_s_squared(h).is_zero()
+    assert s_squared_order(h) == 2
+    assert tr_s_squared(h).is_zero()
+    assert squarings.count(True) == 1
+
+
 def test_nichols_zoeller_divisibility():
     for h, cd in [build("taft", n=2), build("fun-dic", p=3), build("h8p", p=3, alpha=1),
                   build("a4p", p=3), build("a-m11", p=3)]:
@@ -243,6 +269,66 @@ def bialgebra_ok_direct(h):
                                                    h.delta_dict(h.basis_dict(j))):
                 return False
     return True
+
+
+def bialgebra_report_direct(h):
+    """verify_bialgebra's report from the Delta and eps checks run on h itself."""
+    unit = h.unit_dict()
+    one_one = {(i, j): a * b for i, a in unit.items() for j, b in unit.items()}
+    failures = witness_failures(h, multiplicative(h, h.delta_dict, h.tensor_mult, one_one),
+                                "Delta(1) != 1 (x) 1", "Delta not multiplicative at")
+    failures += witness_failures(h, multiplicative(h, h.counit_of, lambda a, b: a * b, h.one()),
+                                 "eps(1) != 1", "eps not multiplicative at")
+    return VerifyReport(not failures, failures[:hopf.MAX_FAILURES])
+
+
+def coalgebra_report_direct(h):
+    """Coassociativity and the counit laws at every basis element, reported as verify_coalgebra does."""
+    failures = []
+    for i in range(h.dim):
+        lhs, rhs, left, right = {}, {}, {}, {}
+        for (j, k, c) in h.comult[i]:
+            for (a, b, c2) in h.comult[j]:
+                accumulate(lhs, (a, b, k), c * c2)
+            for (a, b, c2) in h.comult[k]:
+                accumulate(rhs, (j, a, b), c * c2)
+            accumulate(left, k, c * h.counit[j])
+            accumulate(right, j, c * h.counit[k])
+        if lhs != rhs:
+            failures.append(f"coassociativity fails at {h.labels[i]}")
+        if left != h.basis_dict(i) or right != h.basis_dict(i):
+            failures.append(f"counit law fails at {h.labels[i]}")
+        if len(failures) >= hopf.MAX_FAILURES:
+            break
+    return VerifyReport(not failures, failures)
+
+
+def antipode_report_direct(h, indices=None):
+    """S(x_1) x_2 = eps(x) 1 = x_1 S(x_2) at every basis element (or at indices),
+    reported as verify_antipode does."""
+    failures = []
+    for i in range(h.dim) if indices is None else indices:
+        lhs, rhs = {}, {}
+        for (j, k, c) in h.comult[i]:
+            for x, cx in h.mult_dict(h.antipode_dict({j: c}), h.basis_dict(k)).items():
+                accumulate(lhs, x, cx)
+            for x, cx in h.mult_dict(h.basis_dict(j), h.antipode_dict({k: c})).items():
+                accumulate(rhs, x, cx)
+        target = {}
+        for k, v in h.unit_dict().items():
+            accumulate(target, k, v * h.counit[i])
+        if lhs != target:
+            failures.append(f"antipode law m(S (x) id)Delta fails at {h.labels[i]}")
+        if rhs != target:
+            failures.append(f"antipode law m(id (x) S)Delta fails at {h.labels[i]}")
+        if len(failures) >= hopf.MAX_FAILURES:
+            break
+    return VerifyReport(not failures, failures)
+
+
+def hopf_ok_direct(h):
+    return (algebra_ok_direct(h) and coalgebra_report_direct(h).ok and bialgebra_ok_direct(h)
+            and antipode_report_direct(h).ok)
 
 
 def module_ok_direct(h, m):
@@ -314,12 +400,15 @@ def test_property_verifiers_agree_with_direct_loops(case):
     else:
         assert verify_algebra(h).ok == algebra_ok_direct(h)
         assert verify_bialgebra(h).ok == bialgebra_ok_direct(h)
+        assert verify_bialgebra(h) == bialgebra_report_direct(h)
+        assert verify_coalgebra(h) == coalgebra_report_direct(h)
+        assert verify_antipode(h) == antipode_report_direct(h)
 
 
 def test_direct_loops_pass_the_unperturbed_algebras():
     for name, params in _SMALL:
         h, cd = build(name, **params)
-        assert algebra_ok_direct(h) and bialgebra_ok_direct(h)
+        assert algebra_ok_direct(h) and bialgebra_ok_direct(h) and hopf_ok_direct(h)
         assert all(module_ok_direct(h, m) for m in cd.simples)
 
 
@@ -430,6 +519,9 @@ def test_property_generator_reduced_verifiers_agree_on_h8p(case):
     else:
         assert verify_algebra(h).ok == algebra_ok_direct(h)
         assert verify_bialgebra(h).ok == bialgebra_ok_direct(h)
+        assert verify_bialgebra(h) == bialgebra_report_direct(h)
+        assert verify_coalgebra(h) == coalgebra_report_direct(h)
+        assert verify_antipode(h) == antipode_report_direct(h)
 
 
 def test_verify_hopf_evaluates_order_dim_times_generators_pairs(monkeypatch):
@@ -456,3 +548,137 @@ def test_verify_hopf_evaluates_order_dim_times_generators_pairs(monkeypatch):
     bound = 2 * h.dim * len(generators(h))
     assert 0 < counts["compose_columns"] <= bound
     assert 0 < counts["tensor_mult"] <= bound
+
+
+# -- coalgebra and antipode laws on the generators, the bialgebra law on its sparser side
+
+
+def _scaled(column, factor):
+    return {k: factor * c for k, c in column.items()}
+
+
+def _h8p_broken_at_zx(law):
+    """h8p at p = 3 with one law broken at the non-generator basis element zx."""
+    h = _copy(build("h8p", p=3)[0])
+    zx, two = h.labels.index("zx"), CycNumber.from_rational(h.conductor, 2)
+    if law == "coassociativity":
+        h.comult[zx] = h.comult[zx][1:]
+    elif law == "counit":
+        h.counit[zx] = two
+    else:
+        h.antipode = list(h.antipode)
+        h.antipode[zx] = _scaled(h.antipode[zx], two)
+    return h
+
+
+@pytest.mark.parametrize("law, verify, oracle", [
+    ("coassociativity", verify_coalgebra, coalgebra_report_direct),
+    ("counit", verify_coalgebra, coalgebra_report_direct),
+    ("antipode", verify_antipode, antipode_report_direct),
+], ids=["coassociativity", "counit", "antipode"])
+def test_mutation_at_a_non_generator_index_matches_the_oracle(law, verify, oracle):
+    h = _h8p_broken_at_zx(law)
+    assert generators(h) == [1, 6, 12]  # x, a, z: zx is not among them
+    rep = verify(h)
+    assert not rep.ok
+    assert rep == oracle(h)
+
+
+def test_antipode_law_on_the_generators_alone_does_not_certify():
+    # S(x^2) doubled: the law still holds at g and x (Delta(x) = g (x) x + x (x) 1
+    # reads only S(1), S(g) and S(x)), but S(x x) != S(x) S(x)
+    h = _copy(build("taft", n=3)[0])
+    x2 = h.labels.index("x^2")
+    h.antipode = list(h.antipode)
+    h.antipode[x2] = _scaled(h.antipode[x2], CycNumber.from_rational(h.conductor, 2))
+    assert x2 not in generators(h)
+    assert antipode_report_direct(h, generators(h)).ok
+    assert multiplicative(h, h.antipode_dict, lambda x, y: h.mult_dict(y, x), h.unit_dict())
+    rep = verify_antipode(h)
+    assert not rep.ok and any("x^2" in f for f in rep.failures)
+    assert rep == antipode_report_direct(h)
+
+
+_DUAL_FILES = [("taft", {"n": 5}), ("a4p", {"p": 3})]
+
+
+def _fresh_dual(name, params):
+    """dual(h) as a structure file gives it: nothing derived is remembered."""
+    return _copy(dual(build(name, **params)[0]))
+
+
+@pytest.mark.parametrize("name, params", _DUAL_FILES)
+def test_dual_file_bialgebra_law_is_checked_on_its_sparser_side(name, params):
+    d = _fresh_dual(name, params)
+    assert sum(map(len, d.comult)) > sum(len(v) for row in d.mult for v in row)
+    assert verify_bialgebra(d).ok
+    assert "generators" in dual(d)._derived
+    assert "generators" not in d._derived  # no Delta or eps pair was evaluated on d
+
+
+@pytest.mark.parametrize("name, params", _DUAL_FILES)
+def test_dual_side_route_gives_the_witnesses_of_the_h_side_check(name, params):
+    d = _fresh_dual(name, params)
+    i, j = next((i, j) for i in range(1, d.dim) for j in range(1, d.dim) if d.mult[i][j])
+    d.mult[i][j] = {k: c + c for k, c in d.mult[i][j].items()}
+    rep = verify_bialgebra(d)
+    assert "generators" in dual(d)._derived
+    assert not rep.ok
+    assert rep == bialgebra_report_direct(d)
+
+
+def _payload(dual_side):
+    h, _ = build("taft", n=3)
+    return hio.hopf_to_json(dual(h) if dual_side else h)
+
+
+def _coefficient_sites(payload):
+    dim = payload["dim"]
+    sites = [(payload[key], k) for key in ("unit", "counit") for k in range(dim)]
+    sites += [(entry[2], k) for entry in payload["mult"] for k in range(dim)]
+    sites += [(entry, 3) for entry in payload["comult"]]
+    return sites + [(row, c) for row in payload["antipode"]["entries"] for c in range(dim)]
+
+
+@st.composite
+def structure_file_mutants(draw):
+    """taft n = 3 or its dual as a file, with one coefficient, index or list length changed."""
+    payload = copy.deepcopy(_payload(draw(st.booleans())))
+    kind = draw(st.sampled_from(["coefficient", "index", "length"]))
+    if kind == "coefficient":
+        container, key = draw(st.sampled_from(_coefficient_sites(payload)))
+        coeffs = list(container[key]["coeffs"])
+        coeffs[draw(st.integers(0, len(coeffs) - 1))] = draw(
+            st.sampled_from(["0", "1", "-1", "2", "1/2"]))
+        container[key] = dict(container[key], coeffs=coeffs)
+    elif kind == "index":
+        entry = draw(st.sampled_from(payload["mult"] + payload["comult"]))
+        entry[draw(st.integers(0, len(entry) - 2))] = draw(
+            st.integers(-1, payload["dim"]) | st.booleans())
+    else:
+        lists = [payload[key] for key in ("mult", "comult", "unit", "counit", "labels")]
+        lists += [payload["antipode"]["entries"]] + [entry[2] for entry in payload["mult"]]
+        lists += [container[key]["coeffs"] for container, key in _coefficient_sites(payload)]
+        target = draw(st.sampled_from(lists))
+        at = draw(st.integers(0, len(target) - 1))
+        if draw(st.booleans()):
+            del target[at]
+        else:
+            target.insert(at, copy.deepcopy(target[at]))
+    return payload
+
+
+@settings(max_examples=60, deadline=None)
+@given(structure_file_mutants())
+def test_property_verify_on_mutated_files_keeps_the_exit_codes_and_the_oracle_verdict(
+        tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "mutant.json"
+    path.write_text(json.dumps(payload))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main(["verify", str(path)])  # an exception here would be a traceback
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(err.getvalue().splitlines()) == 1
+        return
+    h = hio.hopf_from_json(payload)
+    assert verify_hopf(h).ok == hopf_ok_direct(h) == (code == 0)
