@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from math import isqrt
 
 from .cyclotomic import CycNumber
-from .hopf import (Element, HopfAlgebraData, antipode_order, dual, generators,
+from .hopf import (Element, HopfAlgebraData, antipode_order, dual, generators, is_semisimple,
                    known_generators, least_power, memoised, multiplicative_over, s_squared_order,
                    tr_s_squared, witness_failures)
 from .linalg import (EchelonBasis, Matrix, Subspace, accumulate, bilinear_closure,
@@ -519,7 +519,7 @@ def invariant_report(h: HopfAlgebraData, cd=None) -> InvariantReport:
         grouplike_count=glcount,
         grouplike_orders=orders,
         tr_s2=trs2,
-        semisimple=not trs2.is_zero(),
+        semisimple=is_semisimple(h),
         cosemisimple=rad_dual.dim == 0,
         chevalley=chev,
         chevalley_witness=chev_wit,

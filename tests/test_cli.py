@@ -202,6 +202,22 @@ def test_unit_counit_length_and_bool_index_are_parse_errors(tmp_path, capsys, co
     assert captured.out == ""
 
 
+def test_verify_accepts_comult_padded_with_zero_entries(tmp_path, capsys):
+    # 18 + 37 comult entries against 54 mult entries: the raw count picks the dual
+    # side, whose merged comultiplication is sparser again
+    out = tmp_path / "h.json"
+    assert main(["build", "taft", "--n", "3", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    zero = {"conductor": 3, "coeffs": ["0/1", "0/1"]}
+    payload["comult"] += [[0, 0, 0, zero]] * 37
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "antipode: pass" in captured.out
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("command", ["invariants", "simples"])
 def test_sidecar_with_zero_denominator_is_an_input_error(tmp_path, command):
     out = tmp_path / "h.json"

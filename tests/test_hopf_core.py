@@ -642,10 +642,15 @@ def _coefficient_sites(payload):
 
 @st.composite
 def structure_file_mutants(draw):
-    """taft n = 3 or its dual as a file, with one coefficient, index or list length changed."""
+    """taft n = 3 or its dual as a file, with one coefficient, index or list length changed,
+    or with zero-coefficient comult entries appended."""
     payload = copy.deepcopy(_payload(draw(st.booleans())))
-    kind = draw(st.sampled_from(["coefficient", "index", "length"]))
-    if kind == "coefficient":
+    kind = draw(st.sampled_from(["coefficient", "index", "length", "padding"]))
+    if kind == "padding":
+        entry = copy.deepcopy(draw(st.sampled_from(payload["comult"])))
+        entry[3]["coeffs"] = ["0/1"] * len(entry[3]["coeffs"])
+        payload["comult"] += [entry] * draw(st.integers(1, 60))
+    elif kind == "coefficient":
         container, key = draw(st.sampled_from(_coefficient_sites(payload)))
         coeffs = list(container[key]["coeffs"])
         coeffs[draw(st.integers(0, len(coeffs) - 1))] = draw(
