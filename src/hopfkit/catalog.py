@@ -79,7 +79,7 @@ def group_algebra(spec):
     group = build_group(spec)
     h = group_algebra_hopf(group)
     simples = [
-        RepModule(rep.label, rep.dim, group.irrep_element_matrices(rep))
+        RepModule(rep.label, rep.dim, group.element_matrices(rep.dim, rep.gen_mats))
         for rep in group.irreps
     ]
     grouplikes = [Element.basis(h, i) for i in range(h.dim)]
@@ -111,14 +111,14 @@ def dual_group_algebra(spec):
     one_dims = [r for r in group.irreps if r.dim == 1]
     grouplikes = []
     for rep in one_dims:
-        mats = group.irrep_element_matrices(rep)
+        mats = group.element_matrices(rep.dim, rep.gen_mats)
         grouplikes.append(Element(h, [m.entries[0][0] for m in mats]))
     # matrix-coefficient blocks of the higher irreps
     blocks = []
     for rep in group.irreps:
         if rep.dim < 2:
             continue
-        mats = group.irrep_element_matrices(rep)
+        mats = group.element_matrices(rep.dim, rep.gen_mats)
         blocks.append([
             Element(h, [m.entries[u][v] for m in mats])
             for u in range(rep.dim) for v in range(rep.dim)

@@ -109,10 +109,8 @@ def certify_family(name: str, params: dict) -> CertifySuite:
     for key, value in _cert_claims(rep):
         suite.add(key, True, value)
     if "coradical_span_indices" in exp:
-        span = Subspace.from_vectors(
-            h.dim, h.conductor,
-            [[h.one() if i == k else h.zero() for i in range(h.dim)]
-             for k in exp["coradical_span_indices"]])
+        span = Subspace.from_vectors(h.dim, h.conductor,
+                                     [{k: h.one()} for k in exp["coradical_span_indices"]])
         suite.add("coradical_equals_declared_span", True, coradical(h) == span)
     if "dual_grouplike_count" in exp or "dual_coradical_dim" in exp:
         _dual_side_claims(suite, h, wc, exp)

@@ -290,15 +290,6 @@ class CycNumber:
         inv = (inv + [_ZERO] * phi)[:phi]
         return CycNumber(self.conductor, inv)
 
-    def __truediv__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._check(other) * self.inverse()
-
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)

@@ -50,14 +50,14 @@ class FiniteGroup:
     def word(self, g) -> list[str]:
         return self._word(g)
 
-    def irrep_element_matrices(self, rep: GroupIrrep) -> list[Matrix]:
-        """Expand generator matrices to every group element along its word.
+    def element_matrices(self, dim: int, gen_mats: dict) -> list[Matrix]:
+        """Expand dim x dim generator matrices to every group element along its word.
 
         Each element starts from its longest prefix built so far.
         """
         return extend_along_prefixes([self.word(g) for g in self.elements],
-                                     Matrix.identity(rep.dim, self.conductor),
-                                     lambda m, g: m * rep.gen_mats[g])
+                                     Matrix.identity(dim, self.conductor),
+                                     lambda m, g: m * gen_mats[g])
 
 
 def _diag(conductor, values):

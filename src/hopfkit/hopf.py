@@ -553,7 +553,7 @@ def generators(h: HopfAlgebraData) -> list:
     every index.
     """
     everything = list(range(h.dim))
-    span = EchelonBasis(h.dim, h.conductor)
+    span = EchelonBasis()
     words = []  # right products from 1, one per dimension of W
     gens = []
     pending = []  # (word, a) whose product word a is still to join W

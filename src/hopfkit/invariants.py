@@ -19,8 +19,7 @@ from .cyclotomic import CycNumber
 from .hopf import (Element, HopfAlgebraData, antipode_order, dual, generators, is_semisimple,
                    known_generators, least_power, memoised, multiplicative_over, s_squared_order,
                    tr_s_squared, witness_failures)
-from .linalg import (EchelonBasis, Matrix, Subspace, accumulate, bilinear_closure,
-                     compose_columns, nullspace)
+from .linalg import Matrix, Subspace, accumulate, bilinear_closure, compose_columns, nullspace
 from .repsolver import RepModule, simples_certificate
 
 
@@ -72,10 +71,9 @@ def _post_verify_radical(h: HopfAlgebraData, rad: Subspace):
     """
     gens = known_generators(h)
     for v in rad.basis():
-        vd = _vec_to_dict(v)
         for a in gens:
             ea = h.basis_dict(a)
-            if not rad.contains(h.mult_dict(ea, vd)) or not rad.contains(h.mult_dict(vd, ea)):
+            if not rad.contains(h.mult_dict(ea, v)) or not rad.contains(h.mult_dict(v, ea)):
                 raise AssertionError("trace-form radical is not an ideal (arithmetic bug)")
     power = rad
     for _ in range(h.dim + 1):
@@ -85,18 +83,10 @@ def _post_verify_radical(h: HopfAlgebraData, rad: Subspace):
     raise AssertionError("trace-form radical is not nilpotent (arithmetic bug)")
 
 
-def _vec_to_dict(v):
-    return {i: c for i, c in enumerate(v) if not c.is_zero()}
-
-
 def _product_space(h: HopfAlgebraData, u: Subspace, v: Subspace) -> Subspace:
-    eb = EchelonBasis(h.dim, h.conductor)
-    vds = [_vec_to_dict(x) for x in v.basis()]
-    for a in u.basis():
-        ad = _vec_to_dict(a)
-        for bd in vds:
-            eb.add(h.mult_dict(ad, bd))
-    return Subspace(h.dim, h.conductor, eb)
+    vb = v.basis()
+    return Subspace.from_vectors(h.dim, h.conductor,
+                                 (h.mult_dict(a, b) for a in u.basis() for b in vb))
 
 
 @memoised
@@ -122,11 +112,11 @@ def chevalley_check(h: HopfAlgebraData):
     h0 = coradical(h)
     if not h0.contains(h.unit):
         return False, "coradical does not contain 1"
-    closed = bilinear_closure(h0, lambda u, v: h.mult_dict(_vec_to_dict(u), _vec_to_dict(v)))
+    closed = bilinear_closure(h0, h.mult_dict)
     if closed.dim != h0.dim:
         return False, f"coradical not closed under product (closure dim {closed.dim})"
     for v in h0.basis():
-        if not h0.contains(h.antipode_dict(_vec_to_dict(v))):
+        if not h0.contains(h.antipode_dict(v)):
             return False, "coradical not closed under the antipode"
     return True, "coradical contains 1, closed under product and antipode"
 
@@ -303,8 +293,7 @@ def skew_primitive_space(h: HopfAlgebraData, g: Element, k: Element,
 
 def _nullspace_of_rows(h: HopfAlgebraData, rows) -> Subspace:
     """Common solutions of rows, sparse {index: coefficient} dicts; empty ones are dropped."""
-    mat_rows = [Element.from_dict(h, r).coeffs for r in rows if r]
-    return nullspace(Matrix(len(mat_rows), h.dim, h.conductor, mat_rows))
+    return Subspace.from_vectors(h.dim, h.conductor, [r for r in rows if r]).perp()
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +341,10 @@ def distinguished_grouplike(h: HopfAlgebraData) -> Element:
     """a = lam(v)^-1 lam(v_2) v_1 for a right integral lam of the dual."""
     _, right = integrals(dual(h))
     lam = right.basis()[0]
-    pivot = None
-    for i, c in enumerate(lam):
-        if not c.is_zero():
-            pivot = i
-            break
-    assert pivot is not None
+    pivot = min(lam)
     acc = {}
     for (j, k, c) in h.comult[pivot]:
-        if not lam[k].is_zero():
+        if k in lam:
             accumulate(acc, j, c * lam[k])
     scale = lam[pivot].inverse()
     out = Element.from_dict(h, {j: scale * v for j, v in acc.items()})

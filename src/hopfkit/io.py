@@ -225,7 +225,10 @@ def candidate_from_json(obj: dict, h: HopfAlgebraData):
         if not blk or isqrt(len(blk)) ** 2 != len(blk):
             raise ValueError(f"dual block has {len(blk)} vectors, not a positive square")
     if "skew_witness" in obj:
-        cd.skew_witness = tuple(_element_from_json(v, h, read) for v in obj["skew_witness"])
+        witness = obj["skew_witness"]
+        if type(witness) is not list or len(witness) != 3:
+            raise ValueError("skew_witness is not a list of 3 vectors (g, h, x)")
+        cd.skew_witness = tuple(_element_from_json(v, h, read) for v in witness)
     return cd
 
 

@@ -1,18 +1,20 @@
 """Exact matrices, subspaces and elimination over a cyclotomic field.
 
-A linear map on an algebra's basis or on V (x) V (the antipode, a Hopf map,
-a braiding) is kept as sparse columns {row: nonzero value}, column j the
-image of the j-th basis vector, and maps compose with `compose_columns`.
-`Matrix` is dense and serves the rest: module and group-irrep actions, which
-are small, and the input of `rank`, `nullspace` and `solve`.  The largest
-matrices are the v^n x v^n quantum symmetrizers whose ranks give Nichols
-dimensions (about 2000 rows at most under the default memory guard;
+A vector is sparse, {index: nonzero value}.  A linear map on an algebra's
+basis or on V (x) V (the antipode, a Hopf map, a braiding) is kept as sparse
+columns, column j the image of the j-th basis vector, and maps compose with
+`compose_columns`.  All elimination runs through one incremental Gauss-Jordan
+core, `EchelonBasis`, which keeps each reduced row sparse, so a row update
+touches only nonzero entries.  A `Subspace` is such a basis and hands its
+vectors out as sparse dicts; its `perp` is read off the free columns of the
+reduced rows.  `Matrix` is dense and serves the rest: module and group-irrep
+actions, which are small, and the input of `rank`, `nullspace` and `solve`.
+The largest matrices are the v^n x v^n quantum symmetrizers whose ranks give
+Nichols dimensions (about 2000 rows at most under the default memory guard;
 `ydnichols` builds them column by column and stores them here only for
-`rank`).  All elimination runs through one incremental Gauss-Jordan core,
-`EchelonBasis`, which keeps each reduced row sparse, so a row update touches
-only nonzero entries.  `accumulate` is the one "add into a sparse dict, drop
-the key if it cancels" step that every sparse loop in the package shares.
-`kron` is kept as the tests' dense reference for braid operators.
+`rank`).  `accumulate` is the one "add into a sparse dict, drop the key if it
+cancels" step that every sparse loop in the package shares.  `kron` is kept
+as the tests' dense reference for braid operators.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ class Matrix:
         for i in range(n):
             m.entries[i][i] = one
         return m
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, self.conductor,
-                      [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         assert (self.rows, self.cols) == (other.rows, other.cols)
@@ -77,19 +75,6 @@ class Matrix:
                     b = brow[j]
                     if not b.is_zero():
                         orow[j] = orow[j] + a * b
-        return out
-
-    def apply(self, vec: list) -> list:
-        """Matrix times column vector."""
-        assert len(vec) == self.cols
-        out = [CycNumber.zero(self.conductor)] * self.rows
-        for k, v in enumerate(vec):
-            if v.is_zero():
-                continue
-            for i in range(self.rows):
-                a = self.entries[i][k]
-                if not a.is_zero():
-                    out[i] = out[i] + a * v
         return out
 
     def __pow__(self, n: int) -> "Matrix":
@@ -164,14 +149,6 @@ def extend_along_prefixes(words, empty, step) -> list:
     return out
 
 
-def word_product(word, mats: dict, dim: int, conductor: int) -> Matrix:
-    """mats[w_1] * mats[w_2] * ... along word, from the left, starting at the identity."""
-    m = Matrix.identity(dim, conductor)
-    for letter in word:
-        m = m * mats[letter]
-    return m
-
-
 def accumulate(d: dict, key, v: CycNumber) -> None:
     """d[key] += v on a sparse dict, dropping the key when the sum cancels."""
     s = d.get(key)
@@ -208,9 +185,7 @@ class EchelonBasis:
     dense lists or as such dicts.
     """
 
-    def __init__(self, ambient: int, conductor: int):
-        self.ambient = ambient
-        self.conductor = conductor
+    def __init__(self):
         self.pivots: dict[int, dict] = {}  # pivot column -> reduced row
         # (num, den) of a pivot value -> its inverse: an elimination meets few
         # distinct pivots, and hashing the pair is cheaper than a CycNumber hash
@@ -255,43 +230,27 @@ class EchelonBasis:
     def dim(self) -> int:
         return len(self.pivots)
 
-    def basis_rows(self) -> list[list]:
-        zero = CycNumber.zero(self.conductor)
-        out = []
-        for c in sorted(self.pivots):
-            row = [zero] * self.ambient
-            for k, x in self.pivots[c].items():
-                row[k] = x
-            out.append(row)
-        return out
+    def basis_rows(self) -> list[dict]:
+        """Copies of the reduced rows in pivot order: `add` updates the stored rows in place."""
+        return [dict(self.pivots[c]) for c in sorted(self.pivots)]
 
 
-def _echelon(ambient: int, conductor: int, vectors) -> EchelonBasis:
-    eb = EchelonBasis(ambient, conductor)
+def _echelon(vectors) -> EchelonBasis:
+    eb = EchelonBasis()
     for v in vectors:
         eb.add(v)
     return eb
 
 
 def rank(m: Matrix) -> int:
-    return _echelon(m.cols, m.conductor, m.entries).dim
+    return _echelon(m.entries).dim
 
 
 def nullspace(m: Matrix) -> "Subspace":
-    eb = _echelon(m.cols, m.conductor, m.entries)
-    one = CycNumber.one(m.conductor)
-    basis = []
-    for f in range(m.cols):
-        if f not in eb.pivots:
-            v = {f: one}
-            for pc, row in eb.pivots.items():
-                if f in row:
-                    v[pc] = -row[f]
-            basis.append(v)
-    return Subspace.from_vectors(m.cols, m.conductor, basis)
+    return Subspace.from_vectors(m.cols, m.conductor, m.entries).perp()
 
 
-def solve_augmented(rows, nvars: int, conductor: int):
+def solve_augmented(rows, nvars: int):
     """One exact solution of a sparse system, or None if it is inconsistent.
 
     Each row is a dict over the columns 0..nvars, column nvars holding the
@@ -299,7 +258,7 @@ def solve_augmented(rows, nvars: int, conductor: int):
     {variable: value} of the nonzero values.
     """
     # short rows first keep fill-in low
-    eb = _echelon(nvars + 1, conductor, sorted(rows, key=len))
+    eb = _echelon(sorted(rows, key=len))
     if nvars in eb.pivots:
         return None  # pivot in augmented column
     return {pc: row[nvars] for pc, row in eb.pivots.items() if nvars in row}
@@ -314,7 +273,7 @@ def solve(a: Matrix, b: list):
         if not bv.is_zero():
             r[a.cols] = bv
         rows.append(r)
-    sol = solve_augmented(rows, a.cols, a.conductor)
+    sol = solve_augmented(rows, a.cols)
     if sol is None:
         return None
     zero = CycNumber.zero(a.conductor)
@@ -322,7 +281,10 @@ def solve(a: Matrix, b: list):
 
 
 class Subspace:
-    """Subspace of k^n with a canonical reduced-echelon basis."""
+    """Subspace of k^n with a canonical reduced-echelon basis.
+
+    Vectors go in as dense lists or sparse dicts and come out as sparse dicts.
+    """
 
     __slots__ = ("ambient_dim", "conductor", "_eb")
 
@@ -333,53 +295,40 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim: int, conductor: int, vectors) -> "Subspace":
-        return Subspace(ambient_dim, conductor, _echelon(ambient_dim, conductor, vectors))
-
-    @staticmethod
-    def full(ambient_dim: int, conductor: int) -> "Subspace":
-        return Subspace.from_vectors(
-            ambient_dim, conductor, Matrix.identity(ambient_dim, conductor).entries
-        )
+        return Subspace(ambient_dim, conductor, _echelon(vectors))
 
     @property
     def dim(self) -> int:
         return self._eb.dim
 
-    def basis(self) -> list[list]:
+    def basis(self) -> list[dict]:
         return self._eb.basis_rows()
 
-    def contains(self, vec: list) -> bool:
+    def contains(self, vec) -> bool:
         return self._eb.contains(vec)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
-            return False
-        sb, ob = self.basis(), other.basis()
-        return all(all(a == b for a, b in zip(ra, rb)) for ra, rb in zip(sb, ob))
+        return self.ambient_dim == other.ambient_dim and self._eb.pivots == other._eb.pivots
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        assert self.ambient_dim == other.ambient_dim, "ambient mismatch"
-        return Subspace.from_vectors(self.ambient_dim, self.conductor,
-                                     self.basis() + other.basis())
+    def perp(self) -> "Subspace":
+        """Vectors v with sum_i u_i v_i = 0 for every u in the subspace.
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        # (U^perp + V^perp)^perp under the standard pairing
-        assert self.ambient_dim == other.ambient_dim, "ambient mismatch"
-        up = self.perp()
-        vp = other.perp()
-        return up.sum(vp).perp()
-
-    def perp(self, pairing: Matrix | None = None) -> "Subspace":
-        """Vectors v with u.B.v = 0 for all u in the subspace (B defaults to identity)."""
-        rows = self.basis()
-        if not rows:
-            return Subspace.full(self.ambient_dim, self.conductor)
-        m = Matrix(len(rows), self.ambient_dim, self.conductor, rows)
-        if pairing is not None:
-            m = m * pairing
-        return nullspace(m)
+        One kernel vector per free column f: 1 at f, minus row[f] at each
+        pivot whose reduced row has an entry at f.
+        """
+        pivots = self._eb.pivots
+        one = CycNumber.one(self.conductor)
+        kernel = []
+        for f in range(self.ambient_dim):
+            if f not in pivots:
+                v = {f: one}
+                for pc, row in pivots.items():
+                    if f in row:
+                        v[pc] = -row[f]
+                kernel.append(v)
+        return Subspace.from_vectors(self.ambient_dim, self.conductor, kernel)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
@@ -391,7 +340,7 @@ def bilinear_closure(space: Subspace, product) -> Subspace:
     `product(u, v)` takes two coefficient vectors and returns one.  Terminates
     because dimensions are bounded by the ambient space.
     """
-    eb = _echelon(space.ambient_dim, space.conductor, space.basis())
+    eb = _echelon(space.basis())
     while True:
         base = eb.basis_rows()
         grew = False

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .cyclotomic import CycNumber
 from .hopf import HopfAlgebraData, known_generators, multiplicative, witness_failures
-from .linalg import Matrix, Subspace, extend_along_prefixes, nullspace, rank
+from .linalg import Matrix, Subspace, accumulate, extend_along_prefixes, rank
 
 
 @dataclass
@@ -76,23 +76,20 @@ def hom_space(h: HopfAlgebraData, m: RepModule, n: RepModule) -> Subspace:
     generators once verify_algebra has run on h, every basis index before.
     For genuine modules m and n both give the same space.
     """
-    nm = n.dim * m.dim
     rows = []
-    zero = CycNumber.zero(h.conductor)
     for i in known_generators(h):
         a = m.action[i]
         b = n.action[i]
         # equation block: phi a - b phi = 0; unknowns phi[r][c], vec index r*m.dim+c
         for r in range(n.dim):
             for c in range(m.dim):
-                row = [zero] * nm
+                row = {}
                 for k in range(m.dim):
-                    row[r * m.dim + k] = row[r * m.dim + k] + a.entries[k][c]
+                    accumulate(row, r * m.dim + k, a.entries[k][c])
                 for k in range(n.dim):
-                    row[k * m.dim + c] = row[k * m.dim + c] - b.entries[r][k]
+                    accumulate(row, k * m.dim + c, -b.entries[r][k])
                 rows.append(row)
-    mat = Matrix(len(rows), nm, h.conductor, rows)
-    return nullspace(mat)
+    return Subspace.from_vectors(n.dim * m.dim, h.conductor, rows).perp()
 
 
 def are_isomorphic(h: HopfAlgebraData, m: RepModule, n: RepModule) -> bool:
@@ -105,9 +102,10 @@ def are_isomorphic(h: HopfAlgebraData, m: RepModule, n: RepModule) -> bool:
     """
     if m.dim != n.dim:
         return False
+    zero = CycNumber.zero(h.conductor)
     for v in hom_space(h, m, n).basis():
         phi = Matrix(n.dim, m.dim, h.conductor,
-                     [[v[r * m.dim + c] for c in range(m.dim)] for r in range(n.dim)])
+                     [[v.get(r * m.dim + c, zero) for c in range(m.dim)] for r in range(n.dim)])
         if rank(phi) == m.dim and all(phi * m.action[i] == n.action[i] * phi
                                       for i in range(h.dim)):
             return True

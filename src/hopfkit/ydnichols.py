@@ -15,7 +15,7 @@ from .cyclotomic import CycNumber, root_of_unity
 from .groups import FiniteGroup, gamma4p_group
 from .hopf import (Element, HopfAlgebraData, least_power, multiplicative, verify_hopf,
                    witness_failures)
-from .linalg import Matrix, accumulate, compose_columns, rank, word_product
+from .linalg import Matrix, accumulate, compose_columns, rank
 from .presentation import group_algebra_hopf
 from .repsolver import RepModule, action_witnesses
 
@@ -32,13 +32,6 @@ def q_int(n: int, q: CycNumber) -> CycNumber:
     for _ in range(n):
         out = out + acc
         acc = acc * q
-    return out
-
-
-def q_factorial(n: int, q: CycNumber) -> CycNumber:
-    out = CycNumber.one(q.conductor)
-    for k in range(1, n + 1):
-        out = out * q_int(k, q)
     return out
 
 
@@ -73,14 +66,15 @@ class YDModule:
     grading: list         # basis index -> group element
     label: str = ""
 
-    def element_action(self, g) -> Matrix:
-        return word_product(self.group.word(g), self.action, self.dim, self.conductor)
+    def element_matrices(self) -> list[Matrix]:
+        """The action of each of group.elements, in that order."""
+        return self.group.element_matrices(self.dim, self.action)
 
 
 def verify_yd(mod: YDModule):
     """Group representation + compatibility of grading with conjugation."""
     grp = mod.group
-    mats = [mod.element_action(g) for g in grp.elements]
+    mats = mod.element_matrices()
     kg = group_algebra_hopf(grp, mod.conductor)
     why = witness_failures(kg, action_witnesses(kg, RepModule(mod.label, mod.dim, mats)),
                            "the identity does not act as identity", "action not multiplicative at")
@@ -179,12 +173,9 @@ def braiding(mod: YDModule) -> dict:
     """
     v = mod.dim
     c = {}
-    acts = {}
+    mats = mod.element_matrices()
     for r in range(v):
-        g = mod.grading[r]
-        if g not in acts:
-            acts[g] = mod.element_action(g)
-        m = acts[g]
+        m = mats[mod.group.index[mod.grading[r]]]
         for t in range(v):
             col = {(s, r): m.entries[s][t] for s in range(v) if not m.entries[s][t].is_zero()}
             if col:

@@ -5,7 +5,7 @@ import pytest
 from hopfkit import catalog
 from hopfkit import io as hio
 
-from conftest import build
+from conftest import build, word_product
 from hopfkit.certify import certify_family
 from hopfkit.hopf import antipode_order, dual, s_squared_order, tr_s_squared, verify_hopf
 from hopfkit.linalg import Matrix
@@ -171,7 +171,6 @@ def test_certify_sweep(name, params):
 def test_prefix_extension_matches_whole_words(monkeypatch, name, params):
     """Table, Delta/eps/S and module actions built along prefixes, against whole words."""
     from hopfkit import presentation
-    from hopfkit.linalg import word_product
 
     seen = {"pres": [], "coalg": [], "modules": []}
     realize, on_group, module = (presentation.Presentation.realize, catalog.realize_on_group,

@@ -287,6 +287,22 @@ def test_malformed_sidecar_is_an_input_error(tmp_path, command, corrupt, capsys)
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("witness", [lambda w: [], lambda w: {}, lambda w: w[:2],
+                                     lambda w: w + w[:1]], ids=["[]", "{}", "2", "4"])
+def test_skew_witness_of_wrong_length_is_an_input_error(tmp_path, witness, capsys):
+    out = tmp_path / "h.json"
+    main(["build", "taft", "--n", "3", "--out", str(out)])
+    side = tmp_path / "h.sidecar.json"
+    payload = json.loads(side.read_text())
+    assert len(payload["skew_witness"]) == 3
+    payload["skew_witness"] = witness(payload["skew_witness"])
+    side.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["invariants", str(out), "--expect", str(side)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "parse error in sidecar: skew_witness is not a list of 3 vectors (g, h, x)"]
+
+
 def test_invariants_with_expect(tmp_path, capsys):
     out = tmp_path / "h.json"
     main(["build", "taft", "--n", "3", "--out", str(out)])

@@ -177,8 +177,7 @@ def _integrals_from_every_row(h):
 
 def _is_ideal(a, space):
     """space is a two-sided ideal, tested on products by every basis element."""
-    for v in space.basis():
-        vd = {k: c for k, c in enumerate(v) if not c.is_zero()}
+    for vd in space.basis():
         for i in range(a.dim):
             if not (space.contains(a.mult_dict(a.basis_dict(i), vd))
                     and space.contains(a.mult_dict(vd, a.basis_dict(i)))):

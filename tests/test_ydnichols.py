@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import build, qline
+from conftest import build, qline, word_product
 from hopfkit.cyclotomic import CycNumber, root_of_unity
 from hopfkit.hopf import Element, HopfAlgebraData, tr_s_squared
 from hopfkit.linalg import Matrix, kron
@@ -15,7 +15,6 @@ from hopfkit.ydnichols import (
     named_datum,
     nichols_dims,
     q_binomial,
-    q_factorial,
     q_int,
     symmetrizer,
     validate_yd_datum,
@@ -32,15 +31,20 @@ def test_q_integers():
     assert q_int(3, two) == 7
 
 
+def q_factorial(n: int, q: CycNumber) -> CycNumber:
+    out = CycNumber.one(q.conductor)
+    for k in range(1, n + 1):
+        out = out * q_int(k, q)
+    return out
+
+
 def test_q_binomial_against_product_formula():
     for n_root in (3, 4, 5):
         q = root_of_unity(n_root, 1)
         for n in range(6):
             for i in range(n + 1):
-                denom = q_factorial(i, q) * q_factorial(n - i, q)
-                if denom.is_zero():
-                    continue
-                assert q_binomial(n, i, q) == q_factorial(n, q) / denom
+                assert q_binomial(n, i, q) * q_factorial(i, q) * q_factorial(n - i, q) == \
+                    q_factorial(n, q)
 
 
 def test_q_binomial_edges():
@@ -62,6 +66,8 @@ def test_yd_modules_gamma20():
     ]:
         m = yd_module_gamma4p(5, spec, rep)
         assert m.dim == dim
+        assert m.element_matrices() == [word_product(m.group.word(g), m.action, m.dim, m.conductor)
+                                      for g in m.group.elements]
         ok, why = verify_yd(m)
         assert ok, (m.label, why)
         c = braiding(m)
