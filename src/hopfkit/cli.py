@@ -281,7 +281,7 @@ def cmd_yd_verify(args) -> int:
             print(f"{d.label}: {'valid' if ok else 'INVALID'}{'' if ok else ' (' + why + ')'}")
             return 0 if ok else 1
         if args.datum:
-            d = named_datum(args.datum, args.p or 3)
+            d = named_datum(args.datum, 3 if args.p is None else args.p)
             ok, why = validate_yd_datum(d)
             print(f"{d.label}: {'valid' if ok else 'INVALID'}{'' if ok else ' (' + why + ')'}")
             return 0 if ok else 1
@@ -303,7 +303,11 @@ def cmd_yd_verify(args) -> int:
 
 def cmd_bosonize(args) -> int:
     try:
-        d = named_datum(args.datum, args.p or 3)
+        d = named_datum(args.datum, 3 if args.p is None else args.p)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    try:
         ok, why = validate_yd_datum(d)
         if not ok:
             print(f"invalid datum: {why}", file=sys.stderr)

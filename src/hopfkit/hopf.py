@@ -34,7 +34,7 @@ from functools import wraps
 from math import gcd
 
 from .cyclotomic import CycNumber, embed
-from .linalg import EchelonBasis, Matrix, accumulate, compose_columns, solve
+from .linalg import EchelonBasis, accumulate, compose_columns, solve_augmented
 
 MAX_FAILURES = 5
 
@@ -136,30 +136,6 @@ class HopfAlgebraData:
     def antipode_dict(self, u: dict) -> dict:
         return compose_columns(self.antipode, [u])[0]
 
-    def left_mult_matrix(self, u: dict) -> Matrix:
-        m = Matrix(self.dim, self.dim, self.conductor)
-        for j in range(self.dim):
-            col = self.mult_dict(u, self.basis_dict(j))
-            for i, c in col.items():
-                m.entries[i][j] = c
-        return m
-
-    # -- structural equality ----------------------------------------------
-
-    def same_tensors(self, other: "HopfAlgebraData") -> bool:
-        """Bit-exact structure comparison, ignoring labels."""
-        if self.dim != other.dim or self.conductor != other.conductor:
-            return False
-        if self.unit != other.unit or self.counit != other.counit:
-            return False
-        for i in range(self.dim):
-            if self.comult[i] != other.comult[i]:
-                return False
-            for j in range(self.dim):
-                if self.mult[i][j] != other.mult[i][j]:
-                    return False
-        return self.antipode == other.antipode
-
     def __repr__(self):
         return f"HopfAlgebraData(dim {self.dim}, conductor {self.conductor})"
 
@@ -193,44 +169,28 @@ class Element:
     def as_dict(self) -> dict:
         return {i: c for i, c in enumerate(self.coeffs) if not c.is_zero()}
 
-    def __add__(self, other: "Element") -> "Element":
-        return Element(self.parent, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "Element") -> "Element":
-        return Element(self.parent, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return Element(self.parent, [-a for a in self.coeffs])
-
-    def scale(self, c) -> "Element":
-        return Element(self.parent, [c * a for a in self.coeffs])
-
     def __mul__(self, other: "Element") -> "Element":
         return Element.from_dict(self.parent, self.parent.mult_dict(self.as_dict(), other.as_dict()))
 
-    def __pow__(self, n: int) -> "Element":
-        out = Element.unit(self.parent)
-        base = self
-        if n < 0:
-            inv = self.inverse()
-            if inv is None:
-                raise ValueError("element is not invertible")
-            base, n = inv, -n
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     def inverse(self):
-        """Two-sided inverse by linear solve, or None."""
+        """Two-sided inverse by linear solve, or None.
+
+        Solves u x = 1 on the sparse rows of left multiplication by u: row i
+        holds (u e_j)_i at column j and the unit's i-th coefficient at dim.
+        """
         h = self.parent
-        left = h.left_mult_matrix(self.as_dict())
-        x = solve(left, h.unit)
+        u = self.as_dict()
+        rows = [{} for _ in range(h.dim)]
+        for j in range(h.dim):
+            for i, c in h.mult_dict(u, h.basis_dict(j)).items():
+                rows[i][j] = c
+        for row, c in zip(rows, h.unit):
+            if not c.is_zero():
+                row[h.dim] = c
+        x = solve_augmented(rows, h.dim)
         if x is None:
             return None
-        cand = Element(h, x)
+        cand = Element.from_dict(h, x)
         if (cand * self).coeffs != h.unit:
             return None
         return cand

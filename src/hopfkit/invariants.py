@@ -430,25 +430,6 @@ class InvariantReport:
     certificates: dict
     grouplike_failures: list = field(default_factory=list)  # why grouplike_certificate is false
 
-    def claims(self):
-        """Flat list of (claim id, value) pairs for table rendering."""
-        out = [
-            ("dim", self.dim),
-            ("radical_dim", self.radical_dim),
-            ("coradical_dim", self.coradical_dim),
-            ("filtration_dims", self.filtration_dims),
-            ("grouplike_count", self.grouplike_count),
-            ("grouplike_orders", self.grouplike_orders),
-            ("semisimple", self.semisimple),
-            ("cosemisimple", self.cosemisimple),
-            ("chevalley", self.chevalley),
-            ("antipode_order", self.antipode_order),
-            ("s_squared_order", self.s_squared_order),
-        ]
-        out.extend(sorted(self.certificates.items()))
-        return out
-
-
 def invariant_report(h: HopfAlgebraData, cd=None) -> InvariantReport:
     dual_h = dual(h)
     rad = jacobson_radical(h)

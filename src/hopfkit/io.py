@@ -87,24 +87,16 @@ def matrix_from_json(obj, conductor, read=None):
     return Matrix(rows, cols, conductor, [[read(o) for o in row] for row in entries])
 
 
-def _antipode_matrix(h: HopfAlgebraData) -> Matrix:
-    """The dense matrix whose column j holds the sparse column S(e_j)."""
-    m = Matrix(h.dim, h.dim, h.conductor)
-    for j, col in enumerate(h.antipode):
-        for i, c in col.items():
-            m.entries[i][j] = c
-    return m
-
-
 def hopf_to_json(h: HopfAlgebraData) -> dict:
     write = _coefficient_writer()
+    zero = h.zero()
     mult = []
     for i in range(h.dim):
         for j in range(h.dim):
             d = h.mult[i][j]
             if not d:
                 continue  # zero products omitted
-            vec = [h.zero()] * h.dim
+            vec = [zero] * h.dim
             for k, c in d.items():
                 vec[k] = c
             mult.append([i, j, [write(c) for c in vec]])
@@ -120,7 +112,9 @@ def hopf_to_json(h: HopfAlgebraData) -> dict:
         "counit": [write(c) for c in h.counit],
         "mult": mult,
         "comult": comult,
-        "antipode": matrix_to_json(_antipode_matrix(h), write),
+        "antipode": {"rows": h.dim, "cols": h.dim,
+                     "entries": [[write(col.get(i, zero)) for col in h.antipode]
+                                 for i in range(h.dim)]},
     }
 
 

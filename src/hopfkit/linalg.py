@@ -7,14 +7,16 @@ columns, column j the image of the j-th basis vector, and maps compose with
 core, `EchelonBasis`, which keeps each reduced row sparse, so a row update
 touches only nonzero entries.  A `Subspace` is such a basis and hands its
 vectors out as sparse dicts; its `perp` is read off the free columns of the
-reduced rows.  `Matrix` is dense and serves the rest: module and group-irrep
-actions, which are small, and the input of `rank`, `nullspace` and `solve`.
-The largest matrices are the v^n x v^n quantum symmetrizers whose ranks give
+reduced rows, and a sparse linear system is solved by `solve_augmented`.
+`Matrix` is dense and serves only module and group-irrep actions, which are
+small, and the input of `rank` and `nullspace`, kept dense because
+perfbench's tracer reads the shape and entries of that input.  The
+largest matrices are the v^n x v^n quantum symmetrizers whose ranks give
 Nichols dimensions (about 2000 rows at most under the default memory guard;
 `ydnichols` builds them column by column and stores them here only for
 `rank`).  `accumulate` is the one "add into a sparse dict, drop the key if it
-cancels" step that every sparse loop in the package shares.  `kron` is kept
-as the tests' dense reference for braid operators.
+cancels" step that every sparse loop in the package shares.  There is no
+dense `solve` and no `kron`: the tests keep their own dense oracles.
 """
 
 from __future__ import annotations
@@ -45,11 +47,6 @@ class Matrix:
             m.entries[i][i] = one
         return m
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        return Matrix(self.rows, self.cols, self.conductor,
-                      [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
-
     def __sub__(self, other: "Matrix") -> "Matrix":
         assert (self.rows, self.cols) == (other.rows, other.cols)
         return Matrix(self.rows, self.cols, self.conductor,
@@ -77,26 +74,12 @@ class Matrix:
                         orow[j] = orow[j] + a * b
         return out
 
-    def __pow__(self, n: int) -> "Matrix":
-        assert self.rows == self.cols and n >= 0
-        out = Matrix.identity(self.rows, self.conductor)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.rows, self.cols) == (other.rows, other.cols) and all(
             a == b for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb)
         )
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for r in self.entries for e in r)
 
     def trace(self) -> CycNumber:
         assert self.rows == self.cols
@@ -107,22 +90,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, conductor {self.conductor})"
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product; acts on the tensor basis e_i (x) e_j."""
-    out = Matrix(a.rows * b.rows, a.cols * b.cols, a.conductor)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            aij = a.entries[i][j]
-            if aij.is_zero():
-                continue
-            for k in range(b.rows):
-                for l in range(b.cols):
-                    bkl = b.entries[k][l]
-                    if not bkl.is_zero():
-                        out.entries[i * b.rows + k][j * b.cols + l] = aij * bkl
-    return out
 
 
 def extend_along_prefixes(words, empty, step) -> list:
@@ -262,22 +229,6 @@ def solve_augmented(rows, nvars: int):
     if nvars in eb.pivots:
         return None  # pivot in augmented column
     return {pc: row[nvars] for pc, row in eb.pivots.items() if nvars in row}
-
-
-def solve(a: Matrix, b: list):
-    """One exact solution x of a x = b, or None if inconsistent."""
-    assert len(b) == a.rows
-    rows = []
-    for row, bv in zip(a.entries, b):
-        r = _sparse(row)
-        if not bv.is_zero():
-            r[a.cols] = bv
-        rows.append(r)
-    sol = solve_augmented(rows, a.cols)
-    if sol is None:
-        return None
-    zero = CycNumber.zero(a.conductor)
-    return [sol.get(j, zero) for j in range(a.cols)]
 
 
 class Subspace:

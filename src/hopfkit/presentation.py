@@ -110,25 +110,6 @@ class Presentation:
         self._memo[word] = dict(out)
         return out
 
-    def to_json(self) -> dict:
-        """Documentation dump of the rule set (not a parser input)."""
-        from .cyclotomic import cyc_to_json
-
-        def word_str(w):
-            return "".join(self.generators[i] for i in w) or "1"
-
-        return {
-            "generators": list(self.generators),
-            "conductor": self.conductor,
-            "normal_monomials": [word_str(w) for w in self.normal_monomials],
-            "rules": [
-                {"pattern": word_str(p),
-                 "replacement": [{"coeff": cyc_to_json(c), "word": word_str(w)}
-                                 for c, w in repl]}
-                for p, repl in self.rules
-            ],
-        }
-
     def mult_table(self):
         """Row w lists the normal forms of w e_j; row w g is sum_l (g e_j)_l row(w)[l].
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .cyclotomic import CycNumber
 from .hopf import HopfAlgebraData, known_generators, multiplicative, witness_failures
-from .linalg import Matrix, Subspace, accumulate, extend_along_prefixes, rank
+from .linalg import EchelonBasis, Matrix, Subspace, accumulate, extend_along_prefixes, rank
 
 
 @dataclass
@@ -62,11 +62,17 @@ def verify_module(h: HopfAlgebraData, m: RepModule):
 
 
 def is_simple_certified(h: HopfAlgebraData, m: RepModule) -> bool:
-    """Burnside: image of the algebra spans the full matrix algebra."""
-    vecs = [[mat.entries[r][c] for r in range(m.dim) for c in range(m.dim)]
-            for mat in m.action]
-    span = Subspace.from_vectors(m.dim * m.dim, h.conductor, vecs)
-    return span.dim == m.dim * m.dim
+    """Burnside: image of the algebra spans the full matrix algebra.
+
+    The actions go into one echelon basis, row-major, until it reaches d^2.
+    """
+    target = m.dim * m.dim
+    span = EchelonBasis()
+    for mat in m.action:
+        if span.dim == target:
+            break
+        span.add([x for row in mat.entries for x in row])
+    return span.dim == target
 
 
 def hom_space(h: HopfAlgebraData, m: RepModule, n: RepModule) -> Subspace:
@@ -150,10 +156,15 @@ def simples_certificate(h: HopfAlgebraData, modules, radical_dim: int) -> Wedder
         return WedderburnCertificate(
             False, sorted(m.dim for m in modules),
             [f"sum d^2 = {total} but dim - radical = {target}"])
-    # characters of the certified simples must be linearly independent
-    char_rows = [[m.gen_trace(i) for i in range(h.dim)] for m in modules]
-    char_rank = rank(Matrix(len(modules), h.dim, h.conductor, char_rows))
-    if char_rank != len(modules):
+    # characters of the certified simples must be linearly independent: the
+    # rank of the character matrix is that of its columns (chi_k(e_i))_k,
+    # added until they span k^#modules
+    chars = EchelonBasis()
+    for i in range(h.dim):
+        if chars.dim == len(modules):
+            break
+        chars.add([m.gen_trace(i) for m in modules])
+    if chars.dim != len(modules):
         return WedderburnCertificate(False, sorted(m.dim for m in modules),
                                      ["character matrix rank too small"])
     return WedderburnCertificate(True, sorted(m.dim for m in modules))

@@ -25,16 +25,6 @@ from .repsolver import RepModule, action_witnesses
 # ---------------------------------------------------------------------------
 
 
-def q_int(n: int, q: CycNumber) -> CycNumber:
-    """(n)_q = 1 + q + ... + q^(n-1), computed as a sum (no division)."""
-    out = CycNumber.zero(q.conductor)
-    acc = CycNumber.one(q.conductor)
-    for _ in range(n):
-        out = out + acc
-        acc = acc * q
-    return out
-
-
 def q_binomial(n: int, i: int, q: CycNumber) -> CycNumber:
     """Gaussian binomial by the q-Pascal recurrence (safe at roots of unity)."""
     if i < 0 or i > n:

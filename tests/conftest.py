@@ -27,3 +27,43 @@ def word_product(word, mats, dim, conductor):
     for letter in word:
         m = m * mats[letter]
     return m
+
+
+def power(x, n, one):
+    """x^n by n multiplications from `one`: the tests' reference for powers."""
+    out = one
+    for _ in range(n):
+        out = out * x
+    return out
+
+
+def left_mult_matrix(h, u):
+    """The dense matrix of e_j -> u e_j; column j holds the coefficients of u e_j."""
+    m = Matrix(h.dim, h.dim, h.conductor)
+    for j in range(h.dim):
+        for i, c in h.mult_dict(u, h.basis_dict(j)).items():
+            m.entries[i][j] = c
+    return m
+
+
+def kron(a, b):
+    """Kronecker product of dense matrices; acts on the tensor basis e_i (x) e_j."""
+    out = Matrix(a.rows * b.rows, a.cols * b.cols, a.conductor)
+    for i in range(a.rows):
+        for j in range(a.cols):
+            aij = a.entries[i][j]
+            if aij.is_zero():
+                continue
+            for k in range(b.rows):
+                for l in range(b.cols):
+                    bkl = b.entries[k][l]
+                    if not bkl.is_zero():
+                        out.entries[i * b.rows + k][j * b.cols + l] = aij * bkl
+    return out
+
+
+def same_tensors(a, b) -> bool:
+    """Bit-exact comparison of two algebras' structure tensors, ignoring labels."""
+    return ((a.dim, a.conductor, a.unit, a.counit, a.comult, a.antipode)
+            == (b.dim, b.conductor, b.unit, b.counit, b.comult, b.antipode)
+            and all(list(x) == list(y) for x, y in zip(a.mult, b.mult)))

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from conftest import build, qline
+from conftest import build, power, qline, same_tensors
 from hopfkit.certify import certify_family
 from hopfkit.cli import main
 from hopfkit.cyclotomic import CycNumber, root_of_unity
@@ -115,7 +115,7 @@ def test_criterion_02_h8p_at_p3():
     half = CycNumber.from_rational(12, "1/2")
     expected_g = {3: half + im * half, 9: half - im * half}  # x^3 and a x^3
     assert g.as_dict() == expected_g
-    powers = {tuple((g ** k).coeffs) for k in range(4)}
+    powers = {tuple(power(g, k, Element.unit(h)).coeffs) for k in range(4)}
     assert powers == {tuple(c.coeffs) for c in cd.grouplikes}
     assert cert.coradical_dim == 12
     span = Subspace.from_vectors(
@@ -286,7 +286,7 @@ def test_criterion_08_yd_data():
 def test_criterion_09_bosonizations():
     b = bosonize(named_datum("fun-dic", 3))
     h0, _ = build("h8p", p=3, alpha=0)
-    assert b.same_tensors(h0)
+    assert same_tensors(b, h0)
     b2 = bosonize(named_datum("a4p-chi2", 3))
     assert b2.dim == 24
     assert tr_s_squared(b2).is_zero()
@@ -296,7 +296,7 @@ def test_criterion_09_bosonizations():
     assert chevalley_check(b2)[0]
     b3 = bosonize(named_datum("c2", 3))
     t2, _ = build("taft", n=2)
-    assert b3.same_tensors(t2)
+    assert same_tensors(b3, t2)
     _say("criterion 9 (bosonizations: tensor identities and invariants): PASS")
 
 
@@ -343,7 +343,7 @@ def test_criterion_11_nichols_ranks_of_gamma20_modules(capsys, argv, ranks):
 def test_criterion_12_cross_consistency():
     for name, params in _members():
         h, cd = build(name, **params)
-        assert dual(dual(h)).same_tensors(h), name
+        assert same_tensors(dual(dual(h)), h), name
         rad = jacobson_radical(h)
         rad_dual = jacobson_radical(dual(h))
         assert coradical(h).dim + rad_dual.dim == h.dim, name

@@ -436,6 +436,21 @@ def test_bosonize_command(tmp_path):
     assert main(["verify", str(out)]) == 0
 
 
+@pytest.mark.parametrize("command", ["bosonize", "yd-verify"])
+@pytest.mark.parametrize("p", ["0", "1", "9"])
+def test_datum_prime_that_is_not_an_odd_prime_is_an_input_error(tmp_path, monkeypatch, capsys,
+                                                                command, p):
+    # --p 0 is not read as the default p = 3
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--datum", "a4p-chi2", "--p", p] + (["--out", "b.json"] if command == "bosonize"
+                                                          else [])
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: p must be an odd prime, got {p}"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_certify_command(tmp_path, capsys):
     rc = main(["certify", "taft", "--n", "2", "--json", str(tmp_path / "c.json")])
     assert rc == 0

@@ -131,7 +131,7 @@ def test_skew_primitives_taft():
     assert sp.dim == 2
     x = Element.basis(h, h.labels.index("x"))
     assert sp.contains(x.coeffs)
-    assert sp.contains((g - one).coeffs)
+    assert sp.contains([x - y for x, y in zip(g.coeffs, one.coeffs)])
     # group algebra pairs are trivial lines only
     k, kcd = build("c_n", n=6)
     for a in kcd.grouplikes[:3]:
@@ -313,7 +313,8 @@ def test_property_coalgebra_side_agrees_with_dual_module_check(case):
 def test_block_failure_names_the_block_and_entry():
     h, cd = build("h8p", p=3)
     blocks = [list(b) for b in cd.dual_blocks]
-    blocks[1][1] = blocks[1][1].scale(CycNumber.from_rational(h.conductor, 2))
+    two = CycNumber.from_rational(h.conductor, 2)
+    blocks[1][1] = Element(blocks[1][1].parent, [two * c for c in blocks[1][1].coeffs])
     cert = verify_grouplikes(h, cd.grouplikes, blocks)
     assert not cert.ok
     assert cert.failures == ["dual Wedderburn stage failed",

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import build
+from conftest import build, same_tensors
 from hopfkit import cyclotomic
 from hopfkit import io as hio
 from hopfkit.catalog import build_family
@@ -94,7 +94,7 @@ def test_codec_works_once_per_distinct_value(monkeypatch):
     assert len(built) <= len(distinct)
     assert hio.hopf_to_json(h2) == payload
     assert len(formatted) <= len(distinct)
-    assert h2.same_tensors(h)
+    assert same_tensors(h2, h)
 
 
 def _scaled(obj, factor):

@@ -4,6 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import kron
 from hopfkit.cyclotomic import CycNumber, euler_phi, root_of_unity
 from hopfkit.linalg import (
     EchelonBasis,
@@ -12,10 +13,9 @@ from hopfkit.linalg import (
     accumulate,
     bilinear_closure,
     extend_along_prefixes,
-    kron,
     nullspace,
     rank,
-    solve,
+    solve_augmented,
 )
 
 
@@ -33,6 +33,19 @@ def rand_matrix(rng, n, m, conductor=1):
 def transpose(m):
     return Matrix(m.cols, m.rows, m.conductor,
                   [[m.entries[i][j] for i in range(m.rows)] for j in range(m.cols)])
+
+
+def solve(a, b):
+    """One solution x of a x = b as a dense list, or None: solve_augmented on a's sparse rows."""
+    rows = []
+    for row, bv in zip(a.entries, b):
+        r = {j: x for j, x in enumerate(row) if not x.is_zero()}
+        if not bv.is_zero():
+            r[a.cols] = bv
+        rows.append(r)
+    sol = solve_augmented(rows, a.cols)
+    zero = CycNumber.zero(a.conductor)
+    return None if sol is None else [sol.get(j, zero) for j in range(a.cols)]
 
 
 def apply(m, vec):

@@ -100,10 +100,3 @@ def test_undeclared_normal_monomial_raises():
     pres = Presentation(["x"], 1, [()], [])
     with pytest.raises(RewriteError):
         pres.normal_form_word((0,))
-
-
-def test_presentation_json_dump():
-    pres = h8p_presentation()
-    obj = pres.to_json()
-    assert obj["normal_monomials"][0] == "1"
-    assert any(r["pattern"] == "zz" for r in obj["rules"])

@@ -1,8 +1,9 @@
-from conftest import build
+from conftest import build, left_mult_matrix
 from hopfkit.cyclotomic import CycNumber
 from hopfkit.hopf import known_generators, verify_hopf
 from hopfkit.invariants import jacobson_radical
-from hopfkit.linalg import Matrix
+from hopfkit import repsolver
+from hopfkit.linalg import EchelonBasis, Matrix, rank
 from hopfkit.repsolver import (
     RepModule,
     are_isomorphic,
@@ -15,7 +16,7 @@ from hopfkit.repsolver import (
 
 
 def regular_module(h):
-    return RepModule("regular", h.dim, [h.left_mult_matrix(h.basis_dict(i))
+    return RepModule("regular", h.dim, [left_mult_matrix(h, h.basis_dict(i))
                                         for i in range(h.dim)])
 
 
@@ -109,6 +110,86 @@ def test_wedderburn_rejects_duplicates():
             assert cert.details == [why]
 
 
+def _count_echelon_adds(monkeypatch):
+    """Make repsolver's echelon bases count the vectors added to them."""
+    added = []
+
+    class Counting(EchelonBasis):
+        def add(self, vec):
+            added.append(vec)
+            return super().add(vec)
+
+    monkeypatch.setattr(repsolver, "EchelonBasis", Counting)
+    return added
+
+
+def test_character_rank_is_reached_at_a_late_basis_column(monkeypatch):
+    h, cd = build("gamma4p", p=5)
+    chars = [[m.gen_trace(i) for i in range(h.dim)] for m in cd.simples]
+    # the first 15 of the 20 character columns have rank 4 of 5
+    assert rank(Matrix(len(chars), 15, h.conductor, [row[:15] for row in chars])) == 4
+    assert rank(Matrix(len(chars), 16, h.conductor, [row[:16] for row in chars])) == 5
+    monkeypatch.setattr(repsolver, "is_simple_certified", lambda h, m: True)
+    added = _count_echelon_adds(monkeypatch)
+    cert = simples_certificate(h, cd.simples, 0)
+    assert cert.ok and cert.profile == [1, 1, 1, 1, 4]
+    assert len(added) == 16  # the elimination stops at full rank
+
+
+def test_character_rank_short_of_full_reads_every_column():
+    h, cd = build("c_n", n=5)
+    assert simples_certificate(h, cd.simples, 0).ok  # Vandermonde: full only at the last column
+    mods = [cd.simples[-1]] + list(cd.simples[1:])
+    cert = simples_certificate(h, mods, 0)
+    assert not cert.ok
+    assert cert.details == ["character matrix rank too small"]
+
+
+def _natural_m2_module(conductor):
+    """The natural module of M_2 on the basis E_11, E_22, E_12, E_21."""
+    one, zero = CycNumber.one(conductor), CycNumber.zero(conductor)
+    return RepModule("M_2", 2, [
+        Matrix(2, 2, conductor, [[one if (r, c) == unit else zero for c in range(2)]
+                                 for r in range(2)])
+        for unit in [(0, 0), (1, 1), (0, 1), (1, 0)]])
+
+
+def test_burnside_span_reached_only_at_the_last_index(monkeypatch):
+    h, _ = build("dihedral", n=3)  # is_simple_certified reads only the module's actions
+    added = _count_echelon_adds(monkeypatch)
+    assert is_simple_certified(h, _natural_m2_module(h.conductor))
+    assert len(added) == 4
+    # gamma4p's 4-dim simple spans M_4 at index 18 of 20, and no sooner
+    g, gcd = build("gamma4p", p=5)
+    beta = next(m for m in gcd.simples if m.dim == 4)
+    flat = [[x for row in a.entries for x in row] for a in beta.action]
+    assert rank(Matrix(18, 16, g.conductor, flat[:18])) == 15
+    del added[:]
+    assert is_simple_certified(g, beta)
+    assert len(added) == 19
+
+
+def test_burnside_span_stops_at_d_squared(monkeypatch):
+    h, cd = build("b8")
+    rho = next(m for m in cd.simples if m.dim == 2)
+    added = _count_echelon_adds(monkeypatch)
+    assert is_simple_certified(h, rho)
+    assert len(added) == 4 < h.dim
+
+
+def test_reducible_module_is_not_simple(monkeypatch):
+    h, cd = build("dihedral", n=3)
+    trivial, sign = (m for m in cd.simples if m.dim == 1)
+    zero = CycNumber.zero(h.conductor)
+    both = RepModule("trivial+sign", 2, [
+        Matrix(2, 2, h.conductor, [[a.entries[0][0], zero], [zero, b.entries[0][0]]])
+        for a, b in zip(trivial.action, sign.action)])
+    assert verify_module(h, both)[0]
+    added = _count_echelon_adds(monkeypatch)
+    assert not is_simple_certified(h, both)
+    assert len(added) == h.dim
+
+
 def test_isomorphism_is_checked_on_every_basis_element():
     h, cd = build("h8p", p=3, alpha=1)
     assert verify_hopf(h).ok  # makes known_generators(h) the certified generators
@@ -116,7 +197,7 @@ def test_isomorphism_is_checked_on_every_basis_element():
     assert len(gens) < h.dim
     u0 = cd.extra["u_all"][0]
     assert are_isomorphic(h, u0, u0) and not are_isomorphic(h, u0, cd.extra["u_all"][1])
-    i = next(i for i in range(h.dim) if i not in gens and not u0.action[i].is_zero())
+    i = next(i for i in range(h.dim) if i not in gens and u0.action[i] != Matrix(2, 2, h.conductor))
     action = list(u0.action)
     action[i] = u0.action[i].scale(CycNumber.from_rational(h.conductor, 2))
     broken = RepModule("U0-broken", 2, action)

@@ -2,10 +2,10 @@ import itertools
 
 import pytest
 
-from conftest import build, qline, word_product
+from conftest import build, kron, qline, same_tensors, word_product
 from hopfkit.cyclotomic import CycNumber, root_of_unity
 from hopfkit.hopf import Element, HopfAlgebraData, tr_s_squared
-from hopfkit.linalg import Matrix, kron
+from hopfkit.linalg import Matrix
 from hopfkit.ydnichols import (
     YDDatum,
     bosonize,
@@ -15,12 +15,21 @@ from hopfkit.ydnichols import (
     named_datum,
     nichols_dims,
     q_binomial,
-    q_int,
     symmetrizer,
     validate_yd_datum,
     verify_yd,
     yd_module_gamma4p,
 )
+
+
+def q_int(n: int, q: CycNumber) -> CycNumber:
+    """(n)_q = 1 + q + ... + q^(n-1), computed as a sum (no division)."""
+    out = CycNumber.zero(q.conductor)
+    acc = CycNumber.one(q.conductor)
+    for _ in range(n):
+        out = out + acc
+        acc = acc * q
+    return out
 
 
 def test_q_integers():
@@ -154,13 +163,13 @@ def test_no_quantum_line_datum_on_b4p():
 def test_bosonize_c2_is_sweedler():
     b = bosonize(named_datum("c2", 3))
     t, _ = build("taft", n=2)
-    assert b.same_tensors(t)
+    assert same_tensors(b, t)
 
 
 def test_bosonize_fun_dic_is_h8p_alpha0():
     b = bosonize(named_datum("fun-dic", 3))
     h0, _ = build("h8p", p=3, alpha=0)
-    assert b.same_tensors(h0)
+    assert same_tensors(b, h0)
     assert b.dim == 24
 
 
@@ -238,7 +247,8 @@ def symmetrizer_direct(c: dict, v: int, n: int) -> Matrix:
         t = Matrix.identity(v ** n, m.conductor)
         for i in _insertion_sort_word(perm):
             t = t * ops[i]
-        total = total + t
+        for row, trow in zip(total.entries, t.entries):
+            row[:] = [a + b for a, b in zip(row, trow)]
     return total
 
 
