@@ -28,7 +28,7 @@ from .groups import (
     quaternion_group,
 )
 from .hopf import Element, dual, tensor_product
-from .linalg import Matrix, accumulate
+from .linalg import accumulate
 from .presentation import Presentation, group_algebra_hopf, realize_on_group
 from .repsolver import RepModule, module_from_gen_mats
 
@@ -112,7 +112,7 @@ def dual_group_algebra(spec):
     grouplikes = []
     for rep in one_dims:
         mats = group.element_matrices(rep.dim, rep.gen_mats)
-        grouplikes.append(Element(h, [m.entries[0][0] for m in mats]))
+        grouplikes.append(Element(h, [m[0].get(0, h.zero()) for m in mats]))
     # matrix-coefficient blocks of the higher irreps
     blocks = []
     for rep in group.irreps:
@@ -120,14 +120,12 @@ def dual_group_algebra(spec):
             continue
         mats = group.element_matrices(rep.dim, rep.gen_mats)
         blocks.append([
-            Element(h, [m.entries[u][v] for m in mats])
+            Element(h, [m[v].get(u, h.zero()) for m in mats])
             for u in range(rep.dim) for v in range(rep.dim)
         ])
     simples = [
         RepModule(f"ev({group.labels[i]})", 1,
-                  [Matrix(1, 1, h.conductor,
-                          [[CycNumber.one(h.conductor) if j == i else CycNumber.zero(h.conductor)]])
-                   for j in range(h.dim)])
+                  [[{0: h.one()} if j == i else {}] for j in range(h.dim)])
         for i in range(h.dim)
     ]
     cd = CandidateData(
@@ -194,8 +192,8 @@ def taft(n, k=1):
     simples = []
     for m in range(n):
         gen_mats = {
-            "x": Matrix(1, 1, conductor),
-            "g": Matrix(1, 1, conductor, [[root_of_unity(n, m)]]),
+            "x": [{}],
+            "g": [{0: root_of_unity(n, m)}],
         }
         words = [["x"] * j + ["g"] * i for j in range(n) for i in range(n)]
         simples.append(module_from_gen_mats(1, conductor, words, gen_mats, f"chi{m}"))
@@ -316,26 +314,22 @@ def pointed4p(variant, p, lam_k=1):
 
 
 def _pointed4p_simples(variant, p, conductor, words):
-    zero1 = Matrix(1, 1, conductor)
+    zero1 = [{}]
     simples = []
     if variant in ("a-m10", "a-m10-dual"):
         for m in range(2 * p):
-            gm = Matrix(1, 1, conductor, [[root_of_unity(conductor, m)]])
+            gm = [{0: root_of_unity(conductor, m)}]
             simples.append(module_from_gen_mats(1, conductor, words, {"g": gm, "x": zero1}, f"chi{m}"))
         return simples
     # a-m11: two characters (g -> +-1 with g^2 = 1 forced by x^2 = g^2 - 1)
     for s, lab in ((0, "triv"), (p, "sgn")):
-        gm = Matrix(1, 1, conductor, [[root_of_unity(conductor, s)]])
+        gm = [{0: root_of_unity(conductor, s)}]
         simples.append(module_from_gen_mats(1, conductor, words, {"g": gm, "x": zero1}, lab))
     one = CycNumber.one(conductor)
     for k in range(1, p):
         mu = root_of_unity(conductor, k)
-        gm = Matrix(2, 2, conductor)
-        gm.entries[0][0] = mu
-        gm.entries[1][1] = -mu
-        xm = Matrix(2, 2, conductor)
-        xm.entries[0][1] = mu * mu - one
-        xm.entries[1][0] = one
+        gm = [{0: mu}, {1: -mu}]
+        xm = [{1: one}, {0: mu * mu - one}]
         simples.append(module_from_gen_mats(2, conductor, words, {"g": gm, "x": xm}, f"V{k}"))
     return simples
 
@@ -352,7 +346,6 @@ def _h4_tensor_kcp(p):
             grouplikes.append(Element.basis(h, i * p + a))
             labels.append(h.labels[i * p + a])
     conductor = h.conductor
-    zero1 = Matrix(1, 1, conductor)
     # taft2 basis order is x^j g^i, so tensor index order is ((j,i),a)
     words = []
     for j in (0, 1):
@@ -363,9 +356,9 @@ def _h4_tensor_kcp(p):
     for s in (0, 1):
         for m in range(p):
             mats = {
-                "x": zero1,
-                "h": Matrix(1, 1, conductor, [[CycNumber.from_rational(conductor, (-1) ** s)]]),
-                "c": Matrix(1, 1, conductor, [[root_of_unity(conductor, m * (conductor // p))]]),
+                "x": [{}],
+                "h": [{0: CycNumber.from_rational(conductor, (-1) ** s)}],
+                "c": [{0: root_of_unity(conductor, m * (conductor // p))}],
             }
             simples.append(module_from_gen_mats(1, conductor, words, mats, f"chi({s},{m})"))
     cd = CandidateData(
@@ -625,21 +618,20 @@ def _quad_family_simples_c2xdp(group, p, conductor):
     for alpha in (1, -1):
         for tau in (1, -1):
             mats = {
-                "a": Matrix(1, 1, conductor, [[CycNumber.from_rational(conductor, alpha)]]),
-                "s+": Matrix(1, 1, conductor, [[CycNumber.from_rational(conductor, tau)]]),
-                "s-": Matrix(1, 1, conductor, [[CycNumber.from_rational(conductor, tau)]]),
+                "a": [{0: CycNumber.from_rational(conductor, alpha)}],
+                "s+": [{0: CycNumber.from_rational(conductor, tau)}],
+                "s-": [{0: CycNumber.from_rational(conductor, tau)}],
             }
             simples.append(module_from_gen_mats(1, conductor, words, mats, f"chi(a={alpha},s={tau})"))
-    flip = Matrix(2, 2, conductor, [[CycNumber.zero(conductor), CycNumber.one(conductor)],
-                                    [CycNumber.one(conductor), CycNumber.zero(conductor)]])
+    one = CycNumber.one(conductor)
+    flip = [{1: one}, {0: one}]
     for alpha in (1, -1):
-        amat = Matrix.identity(2, conductor).scale(CycNumber.from_rational(conductor, alpha))
+        a = CycNumber.from_rational(conductor, alpha)
+        amat = [{0: a}, {1: a}]
         for m in range(1, (p + 1) // 2):
             zp = root_of_unity(conductor, 4 * m)        # zeta_p^m
             zpin = root_of_unity(conductor, 4 * (p - m))
-            sminus = Matrix(2, 2, conductor)
-            sminus.entries[0][1] = zpin
-            sminus.entries[1][0] = zp
+            sminus = [{1: zp}, {0: zpin}]
             mats = {"a": amat, "s+": flip, "s-": sminus}
             simples.append(module_from_gen_mats(2, conductor, words, mats, f"rho(a={alpha},m={m})"))
     return simples
@@ -652,18 +644,16 @@ def _quad_family_simples_d2p(group, m_order, conductor):
     for rho in (1, -1):
         for tau in (1, -1):
             mats = {
-                "s+": Matrix(1, 1, conductor, [[CycNumber.from_rational(conductor, tau)]]),
-                "s-": Matrix(1, 1, conductor, [[CycNumber.from_rational(conductor, tau * rho)]]),
+                "s+": [{0: CycNumber.from_rational(conductor, tau)}],
+                "s-": [{0: CycNumber.from_rational(conductor, tau * rho)}],
             }
             simples.append(module_from_gen_mats(1, conductor, words, mats, f"chi(r={rho},t={tau})"))
-    flip = Matrix(2, 2, conductor, [[CycNumber.zero(conductor), CycNumber.one(conductor)],
-                                    [CycNumber.one(conductor), CycNumber.zero(conductor)]])
+    one = CycNumber.one(conductor)
+    flip = [{1: one}, {0: one}]
     for m in range(1, m_order // 2):
         z = root_of_unity(conductor, step * m)
         zin = root_of_unity(conductor, step * (m_order - m))
-        sminus = Matrix(2, 2, conductor)
-        sminus.entries[0][1] = zin
-        sminus.entries[1][0] = z
+        sminus = [{1: z}, {0: zin}]
         simples.append(module_from_gen_mats(2, conductor, words, {"s+": flip, "s-": sminus}, f"rho{m}"))
     return simples
 
@@ -791,8 +781,8 @@ def fun_dic(p):
     for i in (0, 1):
         for j in range(2 * p):
             mats = {
-                "a": Matrix(1, 1, conductor, [[CycNumber.from_rational(conductor, (-1) ** i)]]),
-                "x": Matrix(1, 1, conductor, [[xi ** j]]),
+                "a": [{0: CycNumber.from_rational(conductor, (-1) ** i)}],
+                "x": [{0: xi ** j}],
             }
             simples.append(module_from_gen_mats(1, conductor, words, mats, f"V({i},{j})"))
     cd = CandidateData(
@@ -870,24 +860,19 @@ def h8p(p, alpha=1):
     xi = root_of_unity(conductor, 2)
     simples = []
     extra = {}
-    zero1 = Matrix(1, 1, conductor)
     if alpha == 1:
         for j in range(2 * p):
             mats = {
-                "z": zero1,
-                "a": Matrix(1, 1, conductor, [[one]]),
-                "x": Matrix(1, 1, conductor, [[xi ** j]]),
+                "z": [{}],
+                "a": [{0: one}],
+                "x": [{0: xi ** j}],
             }
             simples.append(module_from_gen_mats(1, conductor, words, mats, f"W{j}"))
         u_all = []
         for i in range(2 * p):
-            amat = Matrix.identity(2, conductor).scale(-one)
-            xmat = Matrix(2, 2, conductor)
-            xmat.entries[0][0] = xi ** i
-            xmat.entries[1][1] = -(xi ** i)
-            zmat = Matrix(2, 2, conductor)
-            zmat.entries[0][1] = CycNumber.from_rational(conductor, -2)
-            zmat.entries[1][0] = one
+            amat = [{0: -one}, {1: -one}]
+            xmat = [{0: xi ** i}, {1: -(xi ** i)}]
+            zmat = [{1: one}, {0: CycNumber.from_rational(conductor, -2)}]
             mod = module_from_gen_mats(2, conductor, words,
                                        {"z": zmat, "a": amat, "x": xmat}, f"U{i}")
             u_all.append(mod)
@@ -904,9 +889,9 @@ def h8p(p, alpha=1):
         for i in (0, 1):
             for j in range(2 * p):
                 mats = {
-                    "z": zero1,
-                    "a": Matrix(1, 1, conductor, [[CycNumber.from_rational(conductor, (-1) ** i)]]),
-                    "x": Matrix(1, 1, conductor, [[xi ** j]]),
+                    "z": [{}],
+                    "a": [{0: CycNumber.from_rational(conductor, (-1) ** i)}],
+                    "x": [{0: xi ** j}],
                 }
                 simples.append(module_from_gen_mats(1, conductor, words, mats, f"V({i},{j})"))
         radical_dim = 4 * p

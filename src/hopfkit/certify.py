@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from .catalog import build_family
 from .hopf import dual, verify_hopf
 from .invariants import coradical, invariant_report
-from .linalg import Matrix, Subspace
+from .linalg import Subspace, accumulate, compose_columns
 from .repsolver import are_isomorphic, wedderburn_certificate
 
 
@@ -152,11 +152,11 @@ def _h8p_extra_claims(suite, h, cd):
     suite.add("U_i_iso_U_i_plus_p", True, pairs_ok)
     cross_ok = not are_isomorphic(h, u_all[0], u_all[1])
     suite.add("U_0_not_iso_U_1", True, cross_ok)
-    # z^2 = a - 1 as action matrices on U_0
+    # z^2 = a - 1 as actions on U_0, checked as z^2 + 1 = a
     u0 = cd.simples[2 * p]
     z_idx = h.dim // 2  # first z-monomial: z a^0 x^0
     a_idx = 2 * p
-    zz = u0.action[z_idx] * u0.action[z_idx]
-    am = u0.action[a_idx]
-    ident = Matrix.identity(2, h.conductor)
-    suite.add("U0_z_squared_is_a_minus_1", True, zz == am - ident)
+    zz_plus_1 = compose_columns(u0.action[z_idx], u0.action[z_idx])
+    for j, col in enumerate(zz_plus_1):
+        accumulate(col, j, h.one())
+    suite.add("U0_z_squared_is_a_minus_1", True, zz_plus_1 == u0.action[a_idx])

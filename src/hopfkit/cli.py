@@ -75,7 +75,7 @@ def cmd_build(args) -> int:
         return 1
     stem = args.out[:-5] if args.out.endswith(".json") else args.out
     if not (_write_json(hio.hopf_to_json(h), args.out)
-            and _write_json(hio.candidate_to_json(cd), stem + ".sidecar.json")):
+            and _write_json(hio.candidate_to_json(cd, h), stem + ".sidecar.json")):
         return 2
     print(f"wrote {args.out} (dim {h.dim}) and {stem}.sidecar.json")
     return 0
@@ -275,24 +275,20 @@ def _datum_from_file(path):
 
 def cmd_yd_verify(args) -> int:
     try:
-        if args.file:
-            d = _datum_from_file(args.file)
-            ok, why = validate_yd_datum(d)
-            print(f"{d.label}: {'valid' if ok else 'INVALID'}{'' if ok else ' (' + why + ')'}")
-            return 0 if ok else 1
-        if args.datum:
-            d = named_datum(args.datum, 3 if args.p is None else args.p)
-            ok, why = validate_yd_datum(d)
-            print(f"{d.label}: {'valid' if ok else 'INVALID'}{'' if ok else ' (' + why + ')'}")
-            return 0 if ok else 1
-        if args.cls is None:
-            raise ValueError("give --file, --datum, or --class and --rep")
-        cls = _parse_colon(args.cls, "--class")
-        rep = _parse_colon(args.rep, "--rep")
-        mod = yd_module_gamma4p(5 if args.p is None else args.p, cls, rep)
-        ok, why = verify_yd(mod)
-        print(f"{mod.label}: {'valid' if ok else 'INVALID'}{'' if ok else ' (' + why + ')'}")
-        if ok:
+        mod = None
+        if args.file or args.datum:
+            d = (_datum_from_file(args.file) if args.file
+                 else named_datum(args.datum, 3 if args.p is None else args.p))
+            label, (ok, why) = d.label, validate_yd_datum(d)
+        else:
+            if args.cls is None:
+                raise ValueError("give --file, --datum, or --class and --rep")
+            cls = _parse_colon(args.cls, "--class")
+            rep = _parse_colon(args.rep, "--rep")
+            mod = yd_module_gamma4p(5 if args.p is None else args.p, cls, rep)
+            label, (ok, why) = mod.label, verify_yd(mod)
+        print(f"{label}: {'valid' if ok else f'INVALID ({why})'}")
+        if ok and mod is not None:
             c = braiding(mod)
             print(f"braid equation: {'pass' if braid_equation_check(c, mod.dim) else 'FAIL'}")
         return 0 if ok else 1

@@ -10,14 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclotomic import CycNumber, root_of_unity
-from .linalg import Matrix, extend_along_prefixes
+from .linalg import compose_columns, extend_along_prefixes, identity_columns
 
 
 @dataclass
 class GroupIrrep:
     label: str
     dim: int
-    gen_mats: dict  # generator name -> Matrix
+    gen_mats: dict  # generator name -> its action as sparse columns
 
 
 class FiniteGroup:
@@ -50,33 +50,27 @@ class FiniteGroup:
     def word(self, g) -> list[str]:
         return self._word(g)
 
-    def element_matrices(self, dim: int, gen_mats: dict) -> list[Matrix]:
-        """Expand dim x dim generator matrices to every group element along its word.
+    def element_matrices(self, dim: int, gen_mats: dict) -> list:
+        """Expand the generators' actions on k^dim, as sparse columns, to every
+        group element along its word.
 
         Each element starts from its longest prefix built so far.
         """
         return extend_along_prefixes([self.word(g) for g in self.elements],
-                                     Matrix.identity(dim, self.conductor),
-                                     lambda m, g: m * gen_mats[g])
+                                     identity_columns(dim, self.conductor),
+                                     lambda m, g: compose_columns(m, gen_mats[g]))
 
 
-def _diag(conductor, values):
-    m = Matrix(len(values), len(values), conductor)
-    for i, v in enumerate(values):
-        m.entries[i][i] = v
-    return m
+def _diag(values):
+    return [{i: v} for i, v in enumerate(values)]
 
 
 def _mat(conductor, grid):
-    n = len(grid)
-    m = Matrix(n, len(grid[0]), conductor)
-    for i, row in enumerate(grid):
-        for j, v in enumerate(row):
-            if isinstance(v, CycNumber):
-                m.entries[i][j] = v
-            else:
-                m.entries[i][j] = CycNumber.from_rational(conductor, v)
-    return m
+    """The sparse columns of a square grid of CycNumbers or rationals."""
+    entries = [[v if isinstance(v, CycNumber) else CycNumber.from_rational(conductor, v)
+                for v in row] for row in grid]
+    return [{i: row[j] for i, row in enumerate(entries) if not row[j].is_zero()}
+            for j in range(len(grid))]
 
 
 def _check_order(n: int, name: str) -> None:
@@ -182,7 +176,7 @@ def dihedral_group(n: int) -> FiniteGroup:
     for j in range(1, top + 1):
         g.irreps.append(GroupIrrep(
             f"rho{j}", 2,
-            {"y": _diag(n, [root_of_unity(n, j), root_of_unity(n, -j)]), "a": flip}))
+            {"y": _diag([root_of_unity(n, j), root_of_unity(n, -j)]), "a": flip}))
     return g
 
 
@@ -229,8 +223,8 @@ def dicyclic_group(n: int) -> FiniteGroup:
         for u in (1, -1):
             g.irreps.append(GroupIrrep(
                 f"rho(k={k},u={u})", 2,
-                {"y": _diag(conductor, [root_of_unity(conductor, k * step),
-                                        root_of_unity(conductor, -k * step)]),
+                {"y": _diag([root_of_unity(conductor, k * step),
+                             root_of_unity(conductor, -k * step)]),
                  "x": _mat(conductor, [[0, u], [1, 0]])}))
     return g
 
@@ -270,7 +264,7 @@ def quaternion_group() -> FiniteGroup:
     w = root_of_unity(4, 1)
     g.irreps.append(GroupIrrep(
         "rho", 2,
-        {"i": _diag(4, [w, root_of_unity(4, 3)]), "j": _mat(4, [[0, -1], [1, 0]])}))
+        {"i": _diag([w, root_of_unity(4, 3)]), "j": _mat(4, [[0, -1], [1, 0]])}))
     return g
 
 
@@ -312,13 +306,11 @@ def gamma4p_group(p: int) -> FiniteGroup:
             {"y": _mat(conductor, [[1]]),
              "x": _mat(conductor, [[root_of_unity(conductor, j * p)]])}))
     # 4-dimensional irreps induced from characters of <y>, one per <l>-orbit
-    shift = Matrix(4, 4, conductor)
     one = CycNumber.one(conductor)
-    for j in range(4):
-        shift.entries[(j + 1) % 4][j] = one
+    shift = [{(j + 1) % 4: one} for j in range(4)]
     for k in _orbit_reps(p, ell):
-        diag = _diag(conductor, [root_of_unity(conductor, 4 * ((k * pow(ell, 4 - j, p)) % p))
-                                 for j in range(4)])
+        diag = _diag([root_of_unity(conductor, 4 * ((k * pow(ell, 4 - j, p)) % p))
+                      for j in range(4)])
         g.irreps.append(GroupIrrep(f"beta(k={k})", 4, {"y": diag, "x": shift}))
     return g
 

@@ -34,7 +34,8 @@ from functools import wraps
 from math import gcd
 
 from .cyclotomic import CycNumber, embed
-from .linalg import EchelonBasis, accumulate, compose_columns, solve_augmented
+from .linalg import (EchelonBasis, accumulate, compose_columns, identity_columns, solve_augmented,
+                     trace)
 
 MAX_FAILURES = 5
 
@@ -321,7 +322,8 @@ def verify_algebra(h: HopfAlgebraData) -> VerifyReport:
         if len(failures) >= MAX_FAILURES:
             return VerifyReport(False, failures)
 
-    witnesses = multiplicative(h, _left_columns(h), compose_columns, _identity_columns(h))
+    witnesses = multiplicative(h, _left_columns(h), compose_columns,
+                               identity_columns(h.dim, h.conductor))
     # the unit witness is the left unit law, already reported above
     failures += witness_failures(h, [ij for ij in witnesses if ij is not None], None,
                                  "associativity fails at")
@@ -335,10 +337,6 @@ def _left_columns(h: HopfAlgebraData):
     (e_i e_j) e_k = e_i (e_j e_k), and its unit witness is the left unit law.
     """
     return lambda v: [h.mult_dict(v, h.basis_dict(k)) for k in range(h.dim)]
-
-
-def _identity_columns(h: HopfAlgebraData) -> list:
-    return [h.basis_dict(k) for k in range(h.dim)]
 
 
 @memoised
@@ -540,7 +538,8 @@ def generators(h: HopfAlgebraData) -> list:
     if any(h.mult_dict(h.basis_dict(j), unit) != h.basis_dict(j) for j in everything):
         return everything
     # Light's test, with the left unit law as its unit witness
-    if multiplicative_over(h, gens, _left_columns(h), compose_columns, _identity_columns(h)):
+    if multiplicative_over(h, gens, _left_columns(h), compose_columns,
+                           identity_columns(h.dim, h.conductor)):
         return everything
     return gens
 
@@ -628,7 +627,7 @@ def s_squared(h: HopfAlgebraData) -> list:
 
 
 def tr_s_squared(h: HopfAlgebraData) -> CycNumber:
-    return sum((col[j] for j, col in enumerate(s_squared(h)) if j in col), h.zero())
+    return trace(s_squared(h), h.zero())
 
 
 def is_semisimple(h: HopfAlgebraData) -> bool:
@@ -647,6 +646,6 @@ def s_squared_order(h: HopfAlgebraData, bound: int | None = None):
 
 
 def _least_identity_power(h: HopfAlgebraData, cols: list, bound):
-    identity = _identity_columns(h)
+    identity = identity_columns(h.dim, h.conductor)
     return least_power(cols, lambda s: s == identity, 16 * h.dim if bound is None else bound,
                        compose_columns)

@@ -19,7 +19,8 @@ from .cyclotomic import CycNumber
 from .hopf import (Element, HopfAlgebraData, antipode_order, dual, generators, is_semisimple,
                    known_generators, least_power, memoised, multiplicative_over, s_squared_order,
                    tr_s_squared, witness_failures)
-from .linalg import Matrix, Subspace, accumulate, bilinear_closure, compose_columns, nullspace
+from .linalg import (Matrix, Subspace, accumulate, bilinear_closure, compose_columns, nullspace,
+                     trace)
 from .repsolver import RepModule, simples_certificate
 
 
@@ -35,27 +36,13 @@ def jacobson_radical(h: HopfAlgebraData) -> Subspace:
     The result is post-verified to be a nilpotent two-sided ideal rather than
     trusting the trace-form theorem blindly.
     """
-    n = h.dim
-    # sparse left-multiplication tables: L[i] as list of (row, col, coeff)
-    sparse = []
-    for i in range(n):
-        entries = []
-        for j in range(n):
-            for k, c in h.mult[i][j].items():
-                entries.append((k, j, c))
-        sparse.append(entries)
-    lookup = [dict(((r, c), v) for r, c, v in ent) for ent in sparse]
-    gram = Matrix(n, n, h.conductor)
-    for i in range(n):
-        for j in range(i, n):
-            t = h.zero()
-            lj = lookup[j]
-            for (a, b, c) in sparse[i]:
-                other = lj.get((b, a))
-                if other is not None:
-                    t = t + c * other
-            gram.entries[i][j] = t
-            gram.entries[j][i] = t
+    # Tr(L(e_i) L(e_j)) = Tr(L(e_i e_j)) = sum_k (e_i e_j)_k Tr(L(e_k)), and
+    # the columns of L(e_k) are h.mult[k]
+    zero = h.zero()
+    traces = {k: t for k in range(h.dim) if not (t := trace(h.mult[k], zero)).is_zero()}
+    gram = Matrix(h.dim, h.dim, h.conductor,
+                  [[sum((c * traces[k] for k, c in h.mult[i][j].items() if k in traces), zero)
+                    for j in range(h.dim)] for i in range(h.dim)])
     rad = nullspace(gram)
     _post_verify_radical(h, rad)
     return rad
@@ -141,8 +128,7 @@ class GrouplikeCertificate:
 
 def grouplike_module(h: HopfAlgebraData, g: Element) -> RepModule:
     """The 1-dimensional module of the dual algebra carried by a group-like."""
-    mats = [Matrix(1, 1, h.conductor, [[c]]) for c in g.coeffs]
-    return RepModule("k_g", 1, mats)
+    return RepModule("k_g", 1, [[{} if c.is_zero() else {0: c}] for c in g.coeffs])
 
 
 def module_matrix_coefficients(dual_h: HopfAlgebraData, module: RepModule) -> list:
@@ -151,11 +137,9 @@ def module_matrix_coefficients(dual_h: HopfAlgebraData, module: RepModule) -> li
     Returns [c_00, c_01, ..., c_dd] row-major; these span a simple
     subcoalgebra of dual_h exactly when the module is simple.
     """
-    out = []
-    for u in range(module.dim):
-        for v in range(module.dim):
-            out.append(Element(dual_h, [a.entries[u][v] for a in module.action]))
-    return out
+    zero = dual_h.zero()
+    return [Element(dual_h, [a[v].get(u, zero) for a in module.action])
+            for u in range(module.dim) for v in range(module.dim)]
 
 
 def dual_module_from_block(h: HopfAlgebraData, block: list) -> RepModule:
@@ -167,10 +151,10 @@ def dual_module_from_block(h: HopfAlgebraData, block: list) -> RepModule:
     verify_grouplikes checks those identities in h (block_failure) instead.
     """
     d = isqrt(len(block))
-    mats = [Matrix(d, d, h.conductor, [[block[d * u + v].coeffs[i] for v in range(d)]
-                                       for u in range(d)])
-            for i in range(h.dim)]
-    return RepModule("block", d, mats)
+    vecs = [m.as_dict() for m in block]
+    action = [[{u: vecs[d * u + v][i] for u in range(d) if i in vecs[d * u + v]} for v in range(d)]
+              for i in range(h.dim)]
+    return RepModule("block", d, action)
 
 
 def block_failure(h: HopfAlgebraData, block: list):

@@ -7,8 +7,9 @@ parses or formats each distinct value once, and each dumps or dump_json call
 renders each distinct coefficient's JSON text once per indent.  The memo
 lives in that call only; nothing is cached at module level.
 
-A file keeps the antipode as a dense matrix; in memory it is a list of
-sparse columns, converted at this boundary.
+A file keeps the antipode and each module action as a dense square matrix;
+in memory each is a list of sparse columns, converted at this boundary by
+`columns_to_json` and `columns_from_json`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from math import isqrt
 
 from .cyclotomic import cyc_from_json, cyc_to_json
 from .hopf import Element, HopfAlgebraData
-from .linalg import Matrix
 
 
 def _coefficient_writer():
@@ -70,21 +70,26 @@ def coefficient_reader(conductor):
     return read
 
 
-def matrix_to_json(m: Matrix, write=None):
-    write = write or _coefficient_writer()
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [[write(c) for c in row] for row in m.entries],
-    }
+def columns_to_json(cols: list, zero, write) -> dict:
+    """A square map given as sparse columns, as a dense JSON matrix; zero fills the gaps."""
+    n = len(cols)
+    return {"rows": n, "cols": n,
+            "entries": [[write(col.get(i, zero)) for col in cols] for i in range(n)]}
 
 
-def matrix_from_json(obj, conductor, read=None):
-    read = read or coefficient_reader(conductor)
+def columns_from_json(obj, read) -> tuple:
+    """((rows, cols), sparse columns) of a dense JSON matrix.
+
+    The entries must match the stated shape; they are read row by row, so the
+    first bad coefficient named is the first in reading order.  Whether the
+    shape is the one wanted is the caller's check.
+    """
     rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     if len(entries) != rows or any(len(row) != cols for row in entries):
         raise ValueError(f"matrix entries do not match its shape {rows}x{cols}")
-    return Matrix(rows, cols, conductor, [[read(o) for o in row] for row in entries])
+    values = [[read(o) for o in row] for row in entries]
+    return (rows, cols), [{i: c for i, c in enumerate(col) if not c.is_zero()}
+                          for col in zip(*values)]
 
 
 def hopf_to_json(h: HopfAlgebraData) -> dict:
@@ -112,9 +117,7 @@ def hopf_to_json(h: HopfAlgebraData) -> dict:
         "counit": [write(c) for c in h.counit],
         "mult": mult,
         "comult": comult,
-        "antipode": {"rows": h.dim, "cols": h.dim,
-                     "entries": [[write(col.get(i, zero)) for col in h.antipode]
-                                 for i in range(h.dim)]},
+        "antipode": columns_to_json(h.antipode, zero, write),
     }
 
 
@@ -139,9 +142,9 @@ def hopf_from_json(obj: dict) -> HopfAlgebraData:
     for i, j, k, c in obj["comult"]:
         _check_indices(dim, i, j, k)
         comult[i].append((j, k, read(c)))
-    s = matrix_from_json(obj["antipode"], conductor, read)
-    if (s.rows, s.cols) != (dim, dim):
-        raise ValueError(f"antipode is {s.rows}x{s.cols}, not {dim}x{dim}")
+    (rows, cols), antipode = columns_from_json(obj["antipode"], read)
+    if (rows, cols) != (dim, dim):
+        raise ValueError(f"antipode is {rows}x{cols}, not {dim}x{dim}")
     labels = list(obj["labels"])
     if len(labels) != dim:
         raise ValueError(f"{len(labels)} labels for dim {dim}")
@@ -156,13 +159,13 @@ def hopf_from_json(obj: dict) -> HopfAlgebraData:
         unit=[read(o) for o in obj["unit"]],
         comult=comult,
         counit=[read(o) for o in obj["counit"]],
-        antipode=[{i: row[j] for i, row in enumerate(s.entries) if not row[j].is_zero()}
-                  for j in range(dim)],
+        antipode=antipode,
     )
 
 
-def candidate_to_json(cd) -> dict:
+def candidate_to_json(cd, h: HopfAlgebraData) -> dict:
     write = _coefficient_writer()
+    zero = h.zero()
 
     def vec(e):
         return [write(c) for c in e.coeffs]
@@ -173,7 +176,7 @@ def candidate_to_json(cd) -> dict:
         "expected": dict(cd.expected),
         "simples": [
             {"label": m.label, "dim": m.dim,
-             "action": [matrix_to_json(a, write) for a in m.action]}
+             "action": [columns_to_json(a, zero, write) for a in m.action]}
             for m in cd.simples
         ],
         "dual_blocks": [[vec(e) for e in blk] for blk in cd.dual_blocks],
@@ -196,12 +199,12 @@ def _module_from_json(obj, h: HopfAlgebraData, read):
     dim = int(obj["dim"])
     if dim < 1:
         raise ValueError(f"module {obj['label']!r}: dim {dim} is not positive")
-    action = [matrix_from_json(a, h.conductor, read) for a in obj["action"]]
-    if len(action) != h.dim:
-        raise ValueError(f"module {obj['label']!r}: {len(action)} action matrices, not {h.dim}")
-    if any((a.rows, a.cols) != (dim, dim) for a in action):
+    read_in = [columns_from_json(a, read) for a in obj["action"]]
+    if len(read_in) != h.dim:
+        raise ValueError(f"module {obj['label']!r}: {len(read_in)} action matrices, not {h.dim}")
+    if any(shape != (dim, dim) for shape, _ in read_in):
         raise ValueError(f"module {obj['label']!r}: action matrices must be {dim}x{dim}")
-    return RepModule(obj["label"], dim, action)
+    return RepModule(obj["label"], dim, [cols for _, cols in read_in])
 
 
 def candidate_from_json(obj: dict, h: HopfAlgebraData):

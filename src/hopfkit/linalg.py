@@ -1,22 +1,25 @@
 """Exact matrices, subspaces and elimination over a cyclotomic field.
 
-A vector is sparse, {index: nonzero value}.  A linear map on an algebra's
-basis or on V (x) V (the antipode, a Hopf map, a braiding) is kept as sparse
-columns, column j the image of the j-th basis vector, and maps compose with
-`compose_columns`.  All elimination runs through one incremental Gauss-Jordan
-core, `EchelonBasis`, which keeps each reduced row sparse, so a row update
-touches only nonzero entries.  A `Subspace` is such a basis and hands its
-vectors out as sparse dicts; its `perp` is read off the free columns of the
-reduced rows, and a sparse linear system is solved by `solve_augmented`.
-`Matrix` is dense and serves only module and group-irrep actions, which are
-small, and the input of `rank` and `nullspace`, kept dense because
-perfbench's tracer reads the shape and entries of that input.  The
-largest matrices are the v^n x v^n quantum symmetrizers whose ranks give
-Nichols dimensions (about 2000 rows at most under the default memory guard;
-`ydnichols` builds them column by column and stores them here only for
-`rank`).  `accumulate` is the one "add into a sparse dict, drop the key if it
-cancels" step that every sparse loop in the package shares.  There is no
-dense `solve` and no `kron`: the tests keep their own dense oracles.
+A vector is sparse, {index: nonzero value}.  Every linear map (the antipode,
+a Hopf map, a braiding, the action of an algebra element on a module or of a
+group element in an irrep) is kept as sparse columns, column j the image of
+the j-th basis vector, and maps compose with `compose_columns`;
+`identity_columns` and `trace` complete that form.  All elimination runs
+through one incremental Gauss-Jordan core, `EchelonBasis`, which keeps each
+reduced row sparse, so a row update touches only nonzero entries.  A
+`Subspace` is such a basis and hands its vectors out as sparse dicts; its
+`perp` is read off the free columns of the reduced rows, and a sparse linear
+system is solved by `solve_augmented`.  `accumulate` is the one "add into a
+sparse dict, drop the key if it cancels" step that every sparse loop in the
+package shares.
+
+`Matrix` is dense and is only the input of `rank` and `nullspace`:
+`jacobson_radical`'s Gram matrix and the v^n x v^n quantum symmetrizer that
+`ydnichols.symmetrizer` returns (about 2000 rows at most under the default
+memory guard).  It stays dense because perfbench's tracer reads the `rows`,
+`cols` and `entries` of that input, and it keeps `__mul__`, which no code
+here calls, because the tracer wraps that method by name.  There is no dense
+`solve` and no `kron`: the tests keep their own dense oracles.
 """
 
 from __future__ import annotations
@@ -39,24 +42,8 @@ class Matrix:
             assert len(self.entries) == rows
             assert all(len(r) == cols for r in self.entries)
 
-    @staticmethod
-    def identity(n: int, conductor: int) -> "Matrix":
-        m = Matrix(n, n, conductor)
-        one = CycNumber.one(conductor)
-        for i in range(n):
-            m.entries[i][i] = one
-        return m
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        return Matrix(self.rows, self.cols, self.conductor,
-                      [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
-
-    def scale(self, c) -> "Matrix":
-        return Matrix(self.rows, self.cols, self.conductor,
-                      [[c * a for a in r] for r in self.entries])
-
     def __mul__(self, other: "Matrix") -> "Matrix":
+        # unused here; perfbench's tracer wraps it by name (see the module docstring)
         assert self.cols == other.rows, "dimension mismatch"
         out = Matrix(self.rows, other.cols, self.conductor)
         oe = out.entries
@@ -73,20 +60,6 @@ class Matrix:
                     if not b.is_zero():
                         orow[j] = orow[j] + a * b
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and all(
-            a == b for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb)
-        )
-
-    def trace(self) -> CycNumber:
-        assert self.rows == self.cols
-        t = CycNumber.zero(self.conductor)
-        for i in range(self.rows):
-            t = t + self.entries[i][i]
-        return t
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, conductor {self.conductor})"
@@ -136,6 +109,17 @@ def compose_columns(a: list, b: list) -> list:
                 accumulate(acc, x, c * cx)
         out.append(acc)
     return out
+
+
+def identity_columns(n: int, conductor: int) -> list:
+    """The identity map on k^n as sparse columns."""
+    one = CycNumber.one(conductor)
+    return [{j: one} for j in range(n)]
+
+
+def trace(cols: list, zero: CycNumber) -> CycNumber:
+    """The trace of a square map given as sparse columns; zero is the field's 0."""
+    return sum((col[j] for j, col in enumerate(cols) if j in col), zero)
 
 
 def _sparse(vec) -> dict:

@@ -14,42 +14,39 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cyclotomic import CycNumber
 from .hopf import HopfAlgebraData, known_generators, multiplicative, witness_failures
-from .linalg import EchelonBasis, Matrix, Subspace, accumulate, extend_along_prefixes, rank
+from .linalg import (EchelonBasis, Subspace, accumulate, compose_columns, extend_along_prefixes,
+                     identity_columns, trace)
 
 
 @dataclass
 class RepModule:
     label: str
     dim: int
-    action: list  # Matrix per basis element of the algebra
-
-    def gen_trace(self, i: int) -> CycNumber:
-        return self.action[i].trace()
+    action: list  # per basis element of the algebra, its action as sparse columns
 
 
 def module_from_gen_mats(dim, conductor, basis_words, gen_mats, label) -> RepModule:
     """rho(w g) = rho(w) rho(g) along each basis element's word, from its longest built prefix."""
     return RepModule(label, dim, extend_along_prefixes(
-        basis_words, Matrix.identity(dim, conductor), lambda m, g: m * gen_mats[g]))
+        basis_words, identity_columns(dim, conductor),
+        lambda m, g: compose_columns(m, gen_mats[g])))
 
 
-def _combination(h: HopfAlgebraData, m: RepModule, vec: dict) -> Matrix:
-    """The action of sum c e_k over vec = {k: c}, summed in place into one matrix."""
-    out = Matrix(m.dim, m.dim, h.conductor)
+def _combination(m: RepModule, vec: dict) -> list:
+    """The action of sum c e_k over vec = {k: c}, as sparse columns."""
+    out = [{} for _ in range(m.dim)]
     for k, c in vec.items():
-        for orow, arow in zip(out.entries, m.action[k].entries):
-            for col, a in enumerate(arow):
-                if not a.is_zero():
-                    orow[col] = orow[col] + c * a
+        for acc, col in zip(out, m.action[k]):
+            for r, a in col.items():
+                accumulate(acc, r, c * a)
     return out
 
 
 def action_witnesses(h: HopfAlgebraData, m: RepModule) -> list:
     """multiplicative's witnesses for e_i -> m.action[i]: None if 1 does not act as identity."""
-    return multiplicative(h, lambda vec: _combination(h, m, vec), Matrix.__mul__,
-                          Matrix.identity(m.dim, h.conductor))
+    return multiplicative(h, lambda vec: _combination(m, vec), compose_columns,
+                          identity_columns(m.dim, h.conductor))
 
 
 def verify_module(h: HopfAlgebraData, m: RepModule):
@@ -64,14 +61,15 @@ def verify_module(h: HopfAlgebraData, m: RepModule):
 def is_simple_certified(h: HopfAlgebraData, m: RepModule) -> bool:
     """Burnside: image of the algebra spans the full matrix algebra.
 
-    The actions go into one echelon basis, row-major, until it reaches d^2.
+    The actions go into one echelon basis, column after column, until it
+    reaches d^2.
     """
     target = m.dim * m.dim
     span = EchelonBasis()
-    for mat in m.action:
+    for cols in m.action:
         if span.dim == target:
             break
-        span.add([x for row in mat.entries for x in row])
+        span.add({m.dim * c + r: a for c, col in enumerate(cols) for r, a in col.items()})
     return span.dim == target
 
 
@@ -90,10 +88,11 @@ def hom_space(h: HopfAlgebraData, m: RepModule, n: RepModule) -> Subspace:
         for r in range(n.dim):
             for c in range(m.dim):
                 row = {}
-                for k in range(m.dim):
-                    accumulate(row, r * m.dim + k, a.entries[k][c])
-                for k in range(n.dim):
-                    accumulate(row, k * m.dim + c, -b.entries[r][k])
+                for k, x in a[c].items():
+                    accumulate(row, r * m.dim + k, x)
+                for k, col in enumerate(b):
+                    if r in col:
+                        accumulate(row, k * m.dim + c, -col[r])
                 rows.append(row)
     return Subspace.from_vectors(n.dim * m.dim, h.conductor, rows).perp()
 
@@ -102,18 +101,19 @@ def are_isomorphic(h: HopfAlgebraData, m: RepModule, n: RepModule) -> bool:
     """An invertible phi with phi . m(e_i) = n(e_i) . phi at every basis index i.
 
     The candidates are the basis of hom_space, solved on known_generators(h).
-    One is accepted after the check at every basis index, dim small matmuls,
-    so True holds even for actions never passed to verify_module.  False
-    holds too: an intertwiner on the whole basis is one on the generators.
+    One is accepted after the check at every basis index, dim small
+    compositions, so True holds even for actions never passed to
+    verify_module.  False holds too: an intertwiner on the whole basis is one
+    on the generators.
     """
     if m.dim != n.dim:
         return False
-    zero = CycNumber.zero(h.conductor)
     for v in hom_space(h, m, n).basis():
-        phi = Matrix(n.dim, m.dim, h.conductor,
-                     [[v.get(r * m.dim + c, zero) for c in range(m.dim)] for r in range(n.dim)])
-        if rank(phi) == m.dim and all(phi * m.action[i] == n.action[i] * phi
-                                      for i in range(h.dim)):
+        phi = [{r: v[r * m.dim + c] for r in range(n.dim) if r * m.dim + c in v}
+               for c in range(m.dim)]
+        if Subspace.from_vectors(n.dim, h.conductor, phi).dim == m.dim and all(
+                compose_columns(phi, m.action[i]) == compose_columns(n.action[i], phi)
+                for i in range(h.dim)):
             return True
     return False
 
@@ -163,7 +163,7 @@ def simples_certificate(h: HopfAlgebraData, modules, radical_dim: int) -> Wedder
     for i in range(h.dim):
         if chars.dim == len(modules):
             break
-        chars.add([m.gen_trace(i) for m in modules])
+        chars.add([trace(m.action[i], h.zero()) for m in modules])
     if chars.dim != len(modules):
         return WedderburnCertificate(False, sorted(m.dim for m in modules),
                                      ["character matrix rank too small"])

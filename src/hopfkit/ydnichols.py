@@ -52,12 +52,12 @@ class YDModule:
     group: FiniteGroup
     conductor: int
     dim: int
-    action: dict          # generator name -> Matrix
+    action: dict          # generator name -> its action as sparse columns
     grading: list         # basis index -> group element
     label: str = ""
 
-    def element_matrices(self) -> list[Matrix]:
-        """The action of each of group.elements, in that order."""
+    def element_matrices(self) -> list:
+        """The action of each of group.elements, as sparse columns, in that order."""
         return self.group.element_matrices(self.dim, self.action)
 
 
@@ -72,13 +72,11 @@ def verify_yd(mod: YDModule):
         return False, why[0]
     for i, g in enumerate(grp.elements):
         gi = grp.inv(g)
-        m = mats[i]
-        for col in range(mod.dim):
+        for col, image in enumerate(mats[i]):
             target = grp.mult(grp.mult(g, mod.grading[col]), gi)
-            for row in range(mod.dim):
-                if not m.entries[row][col].is_zero() and mod.grading[row] != target:
-                    return False, (f"grading breaks: {grp.labels[i]} moves degree "
-                                   f"{mod.grading[col]} off {target}")
+            if any(mod.grading[row] != target for row in image):
+                return False, (f"grading breaks: {grp.labels[i]} moves degree "
+                               f"{mod.grading[col]} off {target}")
     return True, None
 
 
@@ -108,14 +106,10 @@ def yd_module_gamma4p(p: int, class_spec, rep_spec, literal_action=False) -> YDM
             raise ValueError("use the trivial class for k = 0")
         _check_rep_name(rep_spec, "psi", "y")
         s = rep_spec[1] % p
-        x_mat = Matrix(4, 4, conductor)
         one = CycNumber.one(conductor)
-        for j in range(4):
-            x_mat.entries[(j + 1) % 4][j] = one
-        y_mat = Matrix(4, 4, conductor)
-        for j in range(4):
-            expo = (s * pow(ell, 4 - j, p)) % p
-            y_mat.entries[j][j] = root_of_unity(conductor, 4 * expo)
+        x_mat = [{(j + 1) % 4: one} for j in range(4)]
+        y_mat = [{j: root_of_unity(conductor, 4 * ((s * pow(ell, 4 - j, p)) % p))}
+                 for j in range(4)]
         grading = [((k * pow(ell, j, p)) % p, 0) for j in range(4)]
         return YDModule(grp, conductor, 4, {"x": x_mat, "y": y_mat}, grading,
                         label=f"M(O_y^{k},psi_{s})")
@@ -127,13 +121,9 @@ def yd_module_gamma4p(p: int, class_spec, rep_spec, literal_action=False) -> YDM
         k = rep_spec[1] % 4
         one = CycNumber.one(conductor)
         omega_k = root_of_unity(conductor, p * k)
-        x_mat = Matrix(p, p, conductor)
-        for j in range(p):
-            target = (j * ell + 1) % p if literal_action else (j * ell) % p
-            x_mat.entries[target][j] = omega_k
-        y_mat = Matrix(p, p, conductor)
-        for j in range(p):
-            y_mat.entries[(j + 1) % p][j] = one
+        offset = 1 if literal_action else 0
+        x_mat = [{(j * ell + offset) % p: omega_k} for j in range(p)]
+        y_mat = [{(j + 1) % p: one} for j in range(p)]
         grading = [((j * (1 - pow(ell, m, p))) % p, m) for j in range(p)]
         return YDModule(grp, conductor, p, {"x": x_mat, "y": y_mat}, grading,
                         label=f"M(O_x^{m},chi_{k})")
@@ -167,9 +157,8 @@ def braiding(mod: YDModule) -> dict:
     for r in range(v):
         m = mats[mod.group.index[mod.grading[r]]]
         for t in range(v):
-            col = {(s, r): m.entries[s][t] for s in range(v) if not m.entries[s][t].is_zero()}
-            if col:
-                c[(r, t)] = col
+            if m[t]:
+                c[(r, t)] = {(s, r): a for s, a in m[t].items()}
     return c
 
 

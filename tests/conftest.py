@@ -3,6 +3,7 @@
 from functools import lru_cache
 
 from hopfkit import catalog
+from hopfkit.cyclotomic import CycNumber
 from hopfkit.linalg import Matrix
 
 
@@ -21,12 +22,43 @@ def qline(q):
     return {(0, 0): {(0, 0): q}}
 
 
-def word_product(word, mats, dim, conductor):
-    """mats[w_1] * mats[w_2] * ... along the whole word, from the identity."""
-    m = Matrix.identity(dim, conductor)
-    for letter in word:
-        m = m * mats[letter]
+# -- dense oracles: the package keeps linear maps as sparse columns ----------
+
+
+def identity_matrix(n, conductor):
+    """The dense n x n identity."""
+    m = Matrix(n, n, conductor)
+    for i in range(n):
+        m.entries[i][i] = CycNumber.one(conductor)
     return m
+
+
+def dense(cols, conductor, rows=None):
+    """The dense matrix of a map given as sparse columns, square unless rows is given."""
+    m = Matrix(len(cols) if rows is None else rows, len(cols), conductor)
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            m.entries[i][j] = x
+    return m
+
+
+def columns(m):
+    """The sparse columns of a dense matrix."""
+    return [{i: m.entries[i][j] for i in range(m.rows) if not m.entries[i][j].is_zero()}
+            for j in range(m.cols)]
+
+
+def dense_trace(m):
+    return sum((m.entries[i][i] for i in range(m.rows)), CycNumber.zero(m.conductor))
+
+
+def word_product(word, mats, dim, conductor):
+    """The dense product mats[w_1] mats[w_2] ... along the whole word, from the
+    identity, handed back as sparse columns; mats are sparse columns too."""
+    m = identity_matrix(dim, conductor)
+    for letter in word:
+        m = m * dense(mats[letter], conductor, dim)
+    return columns(m)
 
 
 def power(x, n, one):

@@ -145,7 +145,7 @@ def test_criterion_03_h8p_dual_side(alpha, count, corad):
     # coradical of the dual via the independent radical route
     assert d.dim - jacobson_radical(h).dim == corad
     assert coradical(d).dim == corad
-    chars = [Element(d, [m.action[i].entries[0][0] for i in range(h.dim)])
+    chars = [Element(d, [m.action[i][0].get(0, h.zero()) for i in range(h.dim)])
              for m in cd.simples if m.dim == 1]
     assert len(chars) == count
     blocks = [module_matrix_coefficients(d, m) for m in cd.simples if m.dim == 2]

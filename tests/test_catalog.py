@@ -5,10 +5,9 @@ import pytest
 from hopfkit import catalog
 from hopfkit import io as hio
 
-from conftest import build, power, same_tensors, word_product
+from conftest import build, dense, dense_trace, identity_matrix, power, same_tensors, word_product
 from hopfkit.certify import certify_family
 from hopfkit.hopf import antipode_order, dual, s_squared_order, tr_s_squared, verify_hopf
-from hopfkit.linalg import Matrix
 
 
 def test_dicyclic_group_algebra():
@@ -218,26 +217,18 @@ def test_prefix_extension_matches_whole_words(monkeypatch, name, params):
         assert m.action == [word_product(w, gen_mats, m.dim, conductor) for w in words]
 
 
-def _dense_antipode(h):
-    m = Matrix(h.dim, h.dim, h.conductor)
-    for j, col in enumerate(h.antipode):
-        for i, c in col.items():
-            m.entries[i][j] = c
-    return m
-
-
 def _dense_order(m, bound):
     """Least n >= 1 with m^n = 1 by dense Matrix powers, or None up to the bound."""
-    one = Matrix.identity(m.rows, m.conductor)
-    return next((n for n in range(1, bound + 1) if power(m, n, one) == one), None)
+    one = identity_matrix(m.rows, m.conductor)
+    return next((n for n in range(1, bound + 1) if power(m, n, one).entries == one.entries), None)
 
 
 @pytest.mark.parametrize("name, params", _SWEEP, ids=_SWEEP_IDS)
 def test_antipode_invariants_match_dense_matrix_powers(name, params):
     h, _ = build(name, **params)
-    s = _dense_antipode(h)
+    s = dense(h.antipode, h.conductor)
     s2 = s * s
-    assert tr_s_squared(h) == s2.trace()
+    assert tr_s_squared(h) == dense_trace(s2)
     assert antipode_order(h) == _dense_order(s, 16 * h.dim)
     assert s_squared_order(h) == _dense_order(s2, 16 * h.dim)
 

@@ -11,7 +11,7 @@ from hopfkit import catalog
 from hopfkit import io as hio
 from hopfkit.cli import main
 
-from conftest import build, left_mult_matrix, power, same_tensors
+from conftest import build, dense, identity_matrix, left_mult_matrix, power, same_tensors
 from hopfkit import hopf
 from hopfkit.hopf import (
     Element,
@@ -121,7 +121,7 @@ def test_dual_of_taft_passes_and_has_skew_primitive():
     d = dual(h)
     assert verify_hopf(d).ok
     # characters of T_q are the group-likes of the dual; find a nontrivial pair
-    chars = [Element(d, [m.action[i].entries[0][0] for i in range(h.dim)])
+    chars = [Element(d, [m.action[i][0].get(0, h.zero()) for i in range(h.dim)])
              for m in build("taft", n=3)[1].simples]
     assert all(c.is_grouplike() for c in chars)
     found = any(
@@ -383,18 +383,21 @@ def hopf_ok_direct(h):
 
 
 def module_ok_direct(h, m):
-    """1 acts as identity and e_i . e_j acts as sum_k c_k e_k over every basis pair."""
+    """1 acts as identity and e_i . e_j acts as sum_k c_k e_k over every basis
+    pair, on dense matrices."""
+    mats = [dense(a, h.conductor, m.dim) for a in m.action]
+
     def act(vec):
         out = Matrix(m.dim, m.dim, h.conductor)
         for k, c in vec.items():
             out = Matrix(m.dim, m.dim, h.conductor,
                          [[o + c * x for o, x in zip(orow, arow)]
-                          for orow, arow in zip(out.entries, m.action[k].entries)])
-        return out
+                          for orow, arow in zip(out.entries, mats[k].entries)])
+        return out.entries
 
-    if act(h.unit_dict()) != Matrix.identity(m.dim, h.conductor):
+    if act(h.unit_dict()) != identity_matrix(m.dim, h.conductor).entries:
         return False
-    return all(m.action[i] * m.action[j] == act(h.mult[i][j])
+    return all((mats[i] * mats[j]).entries == act(h.mult[i][j])
                for i in range(h.dim) for j in range(h.dim))
 
 
@@ -439,8 +442,10 @@ def _perturbed(draw, h, cd):
     i = draw(index)
     r, c = draw(st.integers(0, m.dim - 1)), draw(st.integers(0, m.dim - 1))
     action = list(m.action)
-    action[i] = Matrix(m.dim, m.dim, n, m.action[i].entries)
-    action[i].entries[r][c] = value
+    action[i] = [dict(col) for col in m.action[i]]
+    action[i][c].pop(r, None)
+    if not value.is_zero():
+        action[i][c][r] = value
     return kind, h, RepModule(m.label, m.dim, action)
 
 
@@ -468,7 +473,7 @@ def test_direct_loops_pass_the_unperturbed_algebras():
 def test_zero_maps_fail_only_the_unit_check():
     # the zero map is multiplicative, so only the unit witness can catch it
     h, _ = build("taft", n=3)
-    zero = RepModule("zero", 1, [Matrix(1, 1, h.conductor)] * h.dim)
+    zero = RepModule("zero", 1, [[{}]] * h.dim)
     assert verify_module(h, zero) == (False, "unit does not act as identity")
     h2 = type(h)(h.dim, h.conductor, h.labels, h.mult, h.unit, h.comult,
                  [h.zero()] * h.dim, h.antipode)
@@ -534,7 +539,7 @@ def test_broken_associativity_falls_back_to_every_index():
 
 
 def _scaled_generator_module(h, module, exponent):
-    """module with one generator's matrix scaled by 2, extended along the basis words.
+    """module with one generator's action scaled by 2, extended along the basis words.
 
     exponent(k) is that generator's exponent in the normal monomial of e_k.
     Every pair (e_k, a) with a another generator still holds; only pairs with
@@ -542,7 +547,8 @@ def _scaled_generator_module(h, module, exponent):
     """
     two = CycNumber.from_rational(h.conductor, 2)
     return RepModule("scaled", module.dim,
-                     [m.scale(two ** exponent(k)) for k, m in enumerate(module.action)])
+                     [[{r: two ** exponent(k) * x for r, x in col.items()} for col in a]
+                      for k, a in enumerate(module.action)])
 
 
 @pytest.mark.parametrize("generator", ["x", "z"])

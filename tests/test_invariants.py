@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build
+from conftest import build, dense_trace, left_mult_matrix
 from hopfkit.catalog import build_family
 from hopfkit.cyclotomic import CycNumber, root_of_unity
 from hopfkit.hopf import Element, dual, generators
@@ -21,13 +21,31 @@ from hopfkit.invariants import (
     skew_primitive_space,
     verify_grouplikes,
 )
-from hopfkit.linalg import Matrix, Subspace, nullspace
+from hopfkit.linalg import Matrix, Subspace, accumulate, nullspace
 from hopfkit.repsolver import verify_module
 
 
 def test_radical_of_semisimple_is_zero():
     h, _ = build("c_n", n=6)
     assert jacobson_radical(h).dim == 0
+
+
+@pytest.mark.parametrize("side", ["h", "dual"])
+@pytest.mark.parametrize("name, params", [("taft", {"n": 3}), ("b8", {}), ("h8p", {"p": 3})],
+                         ids=["taft n=3", "b8", "h8p p=3"])
+def test_gram_matrix_is_the_dense_regular_trace_form(monkeypatch, name, params, side):
+    """jacobson_radical's Gram matrix, read off Tr(L(e_i e_j)), is Tr(L_i L_j) of dense matrices."""
+    from hopfkit import invariants
+
+    grams = []
+    monkeypatch.setattr(invariants, "nullspace", lambda m: grams.append(m) or nullspace(m))
+    h, _ = build_family(name, params)  # a fresh build: nothing memoised on it yet
+    if side == "dual":
+        h = dual(h)
+    jacobson_radical(h)
+    (gram,) = grams
+    left = [left_mult_matrix(h, h.basis_dict(i)) for i in range(h.dim)]
+    assert gram.entries == [[dense_trace(a * b) for b in left] for a in left]
 
 
 def test_radical_of_sweedler():
@@ -373,7 +391,7 @@ def _u0_with_one_action_entry_changed(name, params):
 
     h, cd = build_family(name, params)
     u0 = cd.simples[2 * params["p"]]
-    u0.action[1].entries[0][0] += CycNumber.one(h.conductor)
+    accumulate(u0.action[1][0], 0, CycNumber.one(h.conductor))
     return h, cd
 
 

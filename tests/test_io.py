@@ -12,14 +12,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import build, same_tensors
+from conftest import build, dense, same_tensors
 from hopfkit import cyclotomic
 from hopfkit import io as hio
 from hopfkit.catalog import build_family
 from hopfkit.cli import main
-from hopfkit.cyclotomic import CycNumber, cyc_from_json
+from hopfkit.cyclotomic import CycNumber, cyc_from_json, cyc_to_json, euler_phi
 from hopfkit.hopf import dual
-from hopfkit.linalg import Matrix
 from hopfkit.ydnichols import bosonize, named_datum
 
 # spellings Fraction accepts, and JSON numbers and booleans
@@ -39,8 +38,88 @@ def test_reader_gives_the_values_of_one_at_a_time_parsing():
 
 def test_matrix_reader_gives_the_values_of_one_at_a_time_parsing():
     entries = [[{"conductor": 3, "coeffs": [s, t]} for t in SPELLINGS] for s in SPELLINGS]
-    m = hio.matrix_from_json({"rows": 6, "cols": 6, "entries": entries}, 3)
-    assert m.entries == [[cyc_from_json(o) for o in row] for row in entries]
+    shape, cols = hio.columns_from_json({"rows": 6, "cols": 6, "entries": entries},
+                                        hio.coefficient_reader(3))
+    assert shape == (6, 6)
+    assert dense(cols, 3).entries == [[cyc_from_json(o) for o in row] for row in entries]
+
+
+# -- dense JSON matrices <-> sparse columns, for the antipode and module actions
+
+
+@st.composite
+def json_matrices(draw, conductor, n):
+    """A dense n x n JSON matrix in the written form, with zero entries and some all-zero columns."""
+    entry = st.one_of(st.just(None), st.lists(st.integers(-2, 2), min_size=euler_phi(conductor),
+                                              max_size=euler_phi(conductor)))
+    zero_cols = draw(st.sets(st.integers(0, n - 1)))
+    grid = [[None if j in zero_cols else draw(entry) for j in range(n)] for _ in range(n)]
+    return {"rows": n, "cols": n, "entries": [
+        [cyc_to_json(CycNumber(conductor, c or [0] * euler_phi(conductor))) for c in row]
+        for row in grid]}
+
+
+def _bare_structure(conductor, dim, antipode):
+    """A structure payload that the reader accepts (it verifies nothing): dim, antipode and zeros."""
+    zero = cyc_to_json(CycNumber.zero(conductor))
+    return {"dim": dim, "conductor": conductor, "labels": [f"e{i}" for i in range(dim)],
+            "unit": [zero] * dim, "counit": [zero] * dim, "mult": [], "comult": [],
+            "antipode": antipode}
+
+
+def _sidecar(simples):
+    return {"grouplikes": [], "grouplike_labels": [], "expected": {}, "simples": simples,
+            "dual_blocks": []}
+
+
+@given(st.sampled_from([1, 4, 5]), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_dense_json_matrices_round_trip_through_columns(conductor, dim, module_dim, data):
+    structure = _bare_structure(conductor, dim, data.draw(json_matrices(conductor, dim)))
+    h = hio.hopf_from_json(structure)
+    assert hio.dumps(hio.hopf_to_json(h)) == hio.dumps(structure)
+    action = [data.draw(json_matrices(conductor, module_dim)) for _ in range(dim)]
+    sidecar = _sidecar([{"label": "m", "dim": module_dim, "action": action}])
+    cd = hio.candidate_from_json(sidecar, h)
+    assert hio.dumps(hio.candidate_to_json(cd, h)) == hio.dumps(sidecar)
+
+
+def _zeros(conductor, rows, cols):
+    zero = cyc_to_json(CycNumber.zero(conductor))
+    return {"rows": rows, "cols": cols, "entries": [[zero] * cols for _ in range(rows)]}
+
+
+def _ragged(conductor):
+    m = _zeros(conductor, 2, 2)
+    m["entries"][1].pop()
+    return m
+
+
+@pytest.mark.parametrize("antipode, message", [
+    (_ragged(1), "matrix entries do not match its shape 2x2"),
+    (dict(_zeros(1, 2, 2), rows=3), "matrix entries do not match its shape 3x2"),
+    (_zeros(1, 2, 3), "antipode is 2x3, not 2x2"),
+    (_zeros(1, 3, 3), "antipode is 3x3, not 2x2"),
+], ids=["ragged", "rows-miscounted", "not-square", "square-wrong-size"])
+def test_malformed_antipode_keeps_its_error(antipode, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        hio.hopf_from_json(_bare_structure(1, 2, antipode))
+
+
+@pytest.mark.parametrize("action, message", [
+    ([_zeros(1, 2, 2), _ragged(1)], "matrix entries do not match its shape 2x2"),
+    ([_zeros(1, 2, 2)], "module 'm': 1 action matrices, not 2"),
+    ([_zeros(1, 2, 2), _zeros(1, 2, 3)], "module 'm': action matrices must be 2x2"),
+    ([_zeros(1, 3, 3), _zeros(1, 3, 3)], "module 'm': action matrices must be 2x2"),
+    # two faults at once: the entries first, then the count, then the shape
+    ([_ragged(1)], "matrix entries do not match its shape 2x2"),
+    ([_zeros(1, 3, 3)], "module 'm': 1 action matrices, not 2"),
+    ([_zeros(1, 3, 3)] * 3, "module 'm': 3 action matrices, not 2"),
+], ids=["ragged", "too-few", "not-square", "square-wrong-size", "ragged-and-too-few",
+        "too-few-and-wrong-size", "too-many-and-wrong-size"])
+def test_malformed_module_action_keeps_its_error_and_check_order(action, message):
+    h = hio.hopf_from_json(_bare_structure(1, 2, _zeros(1, 2, 2)))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        hio.candidate_from_json(_sidecar([{"label": "m", "dim": 2, "action": action}]), h)
 
 
 @pytest.mark.parametrize("obj, error", [
@@ -122,12 +201,12 @@ def _module_state():
 
 def test_codec_keeps_no_memo_at_module_level():
     h, cd = build("taft", n=5)
-    structure, sidecar = hio.hopf_to_json(h), hio.candidate_to_json(cd)
+    structure, sidecar = hio.hopf_to_json(h), hio.candidate_to_json(cd, h)
 
     def round_trip(structure, sidecar):
         h = hio.hopf_from_json(structure)
         hio.hopf_to_json(h)
-        hio.candidate_to_json(hio.candidate_from_json(sidecar, h))
+        hio.candidate_to_json(hio.candidate_from_json(sidecar, h), h)
 
     round_trip(structure, sidecar)
     before = _module_state()
@@ -215,7 +294,7 @@ def test_written_files_are_the_json_dump_text(tmp_path, monkeypatch):
     for stem, family, key, value in (("taft5", "taft", "n", 5), ("a4p3", "a4p", "p", 3)):
         h, cd = build_family(family, {key: value})
         expected[f"{stem}.json"] = hio.hopf_to_json(h)
-        expected[f"{stem}.sidecar.json"] = hio.candidate_to_json(cd)
+        expected[f"{stem}.sidecar.json"] = hio.candidate_to_json(cd, h)
         expected[f"{stem}-dual.json"] = hio.hopf_to_json(dual(h))
         assert main(["build", family, f"--{key}", str(value), "--out", f"{stem}.json"]) == 0
         assert main(["dual", f"{stem}.json", "--out", f"{stem}-dual.json"]) == 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kron
+from conftest import identity_matrix, kron
 from hopfkit.cyclotomic import CycNumber, euler_phi, root_of_unity
 from hopfkit.linalg import (
     EchelonBasis,
@@ -13,9 +13,11 @@ from hopfkit.linalg import (
     accumulate,
     bilinear_closure,
     extend_along_prefixes,
+    identity_columns,
     nullspace,
     rank,
     solve_augmented,
+    trace,
 )
 
 
@@ -96,7 +98,7 @@ def test_extend_along_prefixes_starts_each_word_at_its_longest_built_prefix():
 
 
 def test_rref_identity():
-    m = Matrix.identity(3, 1)
+    m = identity_matrix(3, 1)
     assert rank(m) == 3 and nullspace(m).dim == 0
 
 
@@ -133,7 +135,7 @@ def test_nullspace_exact():
 
 
 def test_solve_identity_and_inconsistent():
-    i3 = Matrix.identity(3, 1)
+    i3 = identity_matrix(3, 1)
     b = [CycNumber.from_rational(1, k) for k in (5, -1, 2)]
     assert solve(i3, b) == b
     a = mat(1, [[1], [1]])
@@ -155,13 +157,24 @@ def test_solve_round_trip():
 
 
 def test_kron():
-    assert kron(Matrix.identity(2, 1), Matrix.identity(3, 1)) == Matrix.identity(6, 1)
+    assert kron(identity_matrix(2, 1), identity_matrix(3, 1)).entries == \
+        identity_matrix(6, 1).entries
     rng = random.Random(7)
     a, b, c, d = (rand_matrix(rng, 2, 2) for _ in range(4))
-    assert kron(a, b) * kron(c, d) == kron(a * c, b * d)
+    assert (kron(a, b) * kron(c, d)).entries == kron(a * c, b * d).entries
     s = mat(1, [[3]])
     m = rand_matrix(rng, 2, 2)
-    assert kron(s, m) == m.scale(CycNumber.from_rational(1, 3))
+    three = CycNumber.from_rational(1, 3)
+    assert kron(s, m).entries == [[three * x for x in row] for row in m.entries]
+
+
+def test_identity_columns_and_trace():
+    one, two = CycNumber.one(12), CycNumber.from_rational(12, 2)
+    assert identity_columns(3, 12) == [{0: one}, {1: one}, {2: one}]
+    assert trace(identity_columns(3, 12), CycNumber.zero(12)) == CycNumber.from_rational(12, 3)
+    z = root_of_unity(12, 1)
+    assert trace([{1: one}, {0: z, 1: two}, {}], CycNumber.zero(12)) == two
+    assert trace([], CycNumber.zero(12)).is_zero()
 
 
 def test_subspace_ops():
@@ -171,7 +184,7 @@ def test_subspace_ops():
     u = Subspace.from_vectors(3, 12, [[one, z, zero]])
     assert u.basis() == [{0: one, 1: z}]
     assert u.perp() == Subspace.from_vectors(3, 12, [{0: -z, 1: one}, {2: one}])
-    assert Subspace.from_vectors(3, 12, Matrix.identity(3, 12).entries).perp().dim == 0
+    assert Subspace.from_vectors(3, 12, identity_matrix(3, 12).entries).perp().dim == 0
     assert Subspace.from_vectors(3, 12, []).perp().dim == 3
 
 

@@ -1,4 +1,4 @@
-from conftest import build, left_mult_matrix
+from conftest import build, columns, dense, dense_trace, left_mult_matrix
 from hopfkit.cyclotomic import CycNumber
 from hopfkit.hopf import known_generators, verify_hopf
 from hopfkit.invariants import jacobson_radical
@@ -16,7 +16,7 @@ from hopfkit.repsolver import (
 
 
 def regular_module(h):
-    return RepModule("regular", h.dim, [left_mult_matrix(h, h.basis_dict(i))
+    return RepModule("regular", h.dim, [columns(left_mult_matrix(h, h.basis_dict(i)))
                                         for i in range(h.dim)])
 
 
@@ -39,15 +39,14 @@ def test_h8p_u_modules():
     assert ok, why
     assert is_simple_certified(h, u0)
     # flipping the sign of z.u_2 = -2u_1 breaks the pair (z, z)
-    bad_action = [Matrix(2, 2, h.conductor, [list(r) for r in m.entries])
-                  for m in u0.action]
+    bad_action = [[dict(col) for col in m] for m in u0.action]
     z_first = h.dim // 2
     for idx in range(h.dim):
         # rebuild action from mutated generators is overkill; directly negate
         # the (0,1) entry wherever it matches the z-column pattern
         pass
     zmat = bad_action[z_first]
-    zmat.entries[0][1] = -zmat.entries[0][1]
+    zmat[1][0] = -zmat[1][0]
     bad = RepModule("U0-flipped", 2, bad_action)
     ok, why = verify_module(h, bad)
     assert not ok
@@ -125,7 +124,8 @@ def _count_echelon_adds(monkeypatch):
 
 def test_character_rank_is_reached_at_a_late_basis_column(monkeypatch):
     h, cd = build("gamma4p", p=5)
-    chars = [[m.gen_trace(i) for i in range(h.dim)] for m in cd.simples]
+    chars = [[dense_trace(dense(m.action[i], h.conductor)) for i in range(h.dim)]
+             for m in cd.simples]
     # the first 15 of the 20 character columns have rank 4 of 5
     assert rank(Matrix(len(chars), 15, h.conductor, [row[:15] for row in chars])) == 4
     assert rank(Matrix(len(chars), 16, h.conductor, [row[:16] for row in chars])) == 5
@@ -147,11 +147,9 @@ def test_character_rank_short_of_full_reads_every_column():
 
 def _natural_m2_module(conductor):
     """The natural module of M_2 on the basis E_11, E_22, E_12, E_21."""
-    one, zero = CycNumber.one(conductor), CycNumber.zero(conductor)
-    return RepModule("M_2", 2, [
-        Matrix(2, 2, conductor, [[one if (r, c) == unit else zero for c in range(2)]
-                                 for r in range(2)])
-        for unit in [(0, 0), (1, 1), (0, 1), (1, 0)]])
+    one = CycNumber.one(conductor)
+    return RepModule("M_2", 2, [[{r: one} if c == unit_c else {} for c in range(2)]
+                                for r, unit_c in [(0, 0), (1, 1), (0, 1), (1, 0)]])
 
 
 def test_burnside_span_reached_only_at_the_last_index(monkeypatch):
@@ -162,7 +160,7 @@ def test_burnside_span_reached_only_at_the_last_index(monkeypatch):
     # gamma4p's 4-dim simple spans M_4 at index 18 of 20, and no sooner
     g, gcd = build("gamma4p", p=5)
     beta = next(m for m in gcd.simples if m.dim == 4)
-    flat = [[x for row in a.entries for x in row] for a in beta.action]
+    flat = [[x for row in dense(a, g.conductor).entries for x in row] for a in beta.action]
     assert rank(Matrix(18, 16, g.conductor, flat[:18])) == 15
     del added[:]
     assert is_simple_certified(g, beta)
@@ -180,10 +178,8 @@ def test_burnside_span_stops_at_d_squared(monkeypatch):
 def test_reducible_module_is_not_simple(monkeypatch):
     h, cd = build("dihedral", n=3)
     trivial, sign = (m for m in cd.simples if m.dim == 1)
-    zero = CycNumber.zero(h.conductor)
-    both = RepModule("trivial+sign", 2, [
-        Matrix(2, 2, h.conductor, [[a.entries[0][0], zero], [zero, b.entries[0][0]]])
-        for a, b in zip(trivial.action, sign.action)])
+    both = RepModule("trivial+sign", 2, [[{0: a[0][0]}, {1: b[0][0]}]
+                                         for a, b in zip(trivial.action, sign.action)])
     assert verify_module(h, both)[0]
     added = _count_echelon_adds(monkeypatch)
     assert not is_simple_certified(h, both)
@@ -197,9 +193,10 @@ def test_isomorphism_is_checked_on_every_basis_element():
     assert len(gens) < h.dim
     u0 = cd.extra["u_all"][0]
     assert are_isomorphic(h, u0, u0) and not are_isomorphic(h, u0, cd.extra["u_all"][1])
-    i = next(i for i in range(h.dim) if i not in gens and u0.action[i] != Matrix(2, 2, h.conductor))
+    i = next(i for i in range(h.dim) if i not in gens and any(u0.action[i]))
     action = list(u0.action)
-    action[i] = u0.action[i].scale(CycNumber.from_rational(h.conductor, 2))
+    two = CycNumber.from_rational(h.conductor, 2)
+    action[i] = [{r: two * x for r, x in col.items()} for col in u0.action[i]]
     broken = RepModule("U0-broken", 2, action)
     assert hom_space(h, broken, u0).dim == 1  # the generator rows cannot see it
     assert not are_isomorphic(h, broken, u0)
@@ -212,7 +209,7 @@ def test_one_dims_match_dual_grouplikes():
     h, cd = build("h8p", p=3, alpha=1)
     d = dual(h)
     one_dims = [m for m in cd.simples if m.dim == 1]
-    chars = [Element(d, [m.action[i].entries[0][0] for i in range(h.dim)])
+    chars = [Element(d, [m.action[i][0].get(0, h.zero()) for i in range(h.dim)])
              for m in one_dims]
     assert all(c.is_grouplike() for c in chars)
     assert len({tuple(c.coeffs) for c in chars}) == len(chars) == 6
