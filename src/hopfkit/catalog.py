@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .cyclotomic import CycNumber, root_of_unity
 from .groups import (
@@ -27,7 +27,7 @@ from .groups import (
     product_of_cyclics,
     quaternion_group,
 )
-from .hopf import Element, dual, tensor_product
+from .hopf import dual, tensor_product
 from .linalg import accumulate
 from .presentation import Presentation, group_algebra_hopf, realize_on_group
 from .repsolver import RepModule, module_from_gen_mats
@@ -39,11 +39,11 @@ HALF = Fraction(1, 2)
 class CandidateData:
     """Claimed data for one catalog member; always re-verified downstream."""
 
-    grouplikes: list = dc_field(default_factory=list)   # Elements
+    grouplikes: list = dc_field(default_factory=list)   # sparse vectors
     grouplike_labels: list = dc_field(default_factory=list)
     skew_witness: tuple | None = None                   # (g, h, x) with Dx = x(x)g + h(x)x
     simples: list = dc_field(default_factory=list)      # RepModule over H
-    dual_blocks: list = dc_field(default_factory=list)  # [m_11, ..., m_dd] Elements, row-major
+    dual_blocks: list = dc_field(default_factory=list)  # [m_11, ..., m_dd] sparse, row-major
     expected: dict = dc_field(default_factory=dict)
     extra: dict = dc_field(default_factory=dict)
 
@@ -82,7 +82,7 @@ def group_algebra(spec):
         RepModule(rep.label, rep.dim, group.element_matrices(rep.dim, rep.gen_mats))
         for rep in group.irreps
     ]
-    grouplikes = [Element.basis(h, i) for i in range(h.dim)]
+    grouplikes = [h.basis_dict(i) for i in range(h.dim)]
     cd = CandidateData(
         grouplikes=grouplikes,
         grouplike_labels=list(group.labels),
@@ -112,7 +112,7 @@ def dual_group_algebra(spec):
     grouplikes = []
     for rep in one_dims:
         mats = group.element_matrices(rep.dim, rep.gen_mats)
-        grouplikes.append(Element(h, [m[0].get(0, h.zero()) for m in mats]))
+        grouplikes.append({i: m[0][0] for i, m in enumerate(mats) if 0 in m[0]})
     # matrix-coefficient blocks of the higher irreps
     blocks = []
     for rep in group.irreps:
@@ -120,7 +120,7 @@ def dual_group_algebra(spec):
             continue
         mats = group.element_matrices(rep.dim, rep.gen_mats)
         blocks.append([
-            Element(h, [m[v].get(u, h.zero()) for m in mats])
+            {i: m[v][u] for i, m in enumerate(mats) if u in m[v]}
             for u in range(rep.dim) for v in range(rep.dim)
         ])
     simples = [
@@ -156,8 +156,6 @@ def taft(n, k=1):
     """T_q of dimension n^2, q = zeta_n^k primitive; basis x^j g^i."""
     if n < 2:
         raise ValueError("need n >= 2")
-    from math import gcd
-
     if gcd(k, n) != 1:
         raise ValueError("q selector must give a primitive n-th root")
     conductor = n
@@ -188,7 +186,7 @@ def taft(n, k=1):
         X: _neg(pres.normal_form_word((G,) * (n - 1) + (X,))),
     }
     h = pres.realize(gen_delta, gen_eps, gen_s)
-    grouplikes = [Element.basis(h, idx[(G,) * i]) for i in range(n)]
+    grouplikes = [h.basis_dict(idx[(G,) * i]) for i in range(n)]
     simples = []
     for m in range(n):
         gen_mats = {
@@ -200,7 +198,7 @@ def taft(n, k=1):
     cd = CandidateData(
         grouplikes=grouplikes,
         grouplike_labels=[h.labels[idx[(G,) * i]] for i in range(n)],
-        skew_witness=(Element.unit(h), grouplikes[1], Element.basis(h, idx[(X,)])),
+        skew_witness=(h.unit_dict(), grouplikes[1], h.basis_dict(idx[(X,)])),
         simples=simples,
         expected={
             "dim": n * n,
@@ -250,8 +248,6 @@ def pointed4p(variant, p, lam_k=1):
         swap_coeff = -one
         delta_twist = 1  # g (x) x
     elif variant == "a-m10-dual":
-        from math import gcd
-
         if gcd(lam_k, 2 * p) != 1:
             raise ValueError("lambda selector must give a primitive 2p-th root")
         lam = root_of_unity(conductor, lam_k)
@@ -284,7 +280,7 @@ def pointed4p(variant, p, lam_k=1):
         X: _neg(pres.normal_form_word((G,) * (2 * p - delta_twist) + (X,))),
     }
     h = pres.realize(gen_delta, gen_eps, gen_s)
-    grouplikes = [Element.basis(h, idx[(G,) * i]) for i in range(2 * p)]
+    grouplikes = [h.basis_dict(idx[(G,) * i]) for i in range(2 * p)]
     words = [["g"] * i + ["x"] * e for i in range(2 * p) for e in (0, 1)]
     simples = _pointed4p_simples(variant, p, conductor, words)
     # machine-verified via the right-integral formula (lam = x*, so
@@ -293,8 +289,8 @@ def pointed4p(variant, p, lam_k=1):
     cd = CandidateData(
         grouplikes=grouplikes,
         grouplike_labels=[h.labels[idx[(G,) * i]] for i in range(2 * p)],
-        skew_witness=(Element.unit(h), Element.basis(h, idx[(G,) * delta_twist]),
-                      Element.basis(h, idx[(X,)])),
+        skew_witness=(h.unit_dict(), h.basis_dict(idx[(G,) * delta_twist]),
+                      h.basis_dict(idx[(X,)])),
         simples=simples,
         expected={
             "dim": 4 * p,
@@ -343,7 +339,7 @@ def _h4_tensor_kcp(p):
     labels = []
     for i in (0, 1):
         for a in range(p):
-            grouplikes.append(Element.basis(h, i * p + a))
+            grouplikes.append(h.basis_dict(i * p + a))
             labels.append(h.labels[i * p + a])
     conductor = h.conductor
     # taft2 basis order is x^j g^i, so tensor index order is ((j,i),a)
@@ -364,7 +360,7 @@ def _h4_tensor_kcp(p):
     cd = CandidateData(
         grouplikes=grouplikes,
         grouplike_labels=labels,
-        skew_witness=(Element.unit(h), Element.basis(h, 1 * p), Element.basis(h, 2 * p)),
+        skew_witness=(h.unit_dict(), h.basis_dict(1 * p), h.basis_dict(2 * p)),
         simples=simples,
         expected={
             "dim": 4 * p,
@@ -486,11 +482,6 @@ def _twisted_vec(conductor, idx_w, idx_aw, sign):
     return {idx_w: half + sign * im * half, idx_aw: half - sign * im * half}
 
 
-def _idempotent_twisted_grouplike(h, idx_w, idx_aw, sign):
-    """(e_0 + sign*sqrt(-1)*e_1) * w as an Element."""
-    return Element.from_dict(h, _twisted_vec(h.conductor, idx_w, idx_aw, sign))
-
-
 def a4p(p):
     """Semisimple self-dual family on C_2 x D_p; (s+s-)^p = 1."""
     _require_odd_prime(p)
@@ -502,10 +493,10 @@ def a4p(p):
     k0 = (p - 1) // 2
     w = (0, k0, 1)  # s_+(p), the middle reflection
     grouplikes = [
-        Element.unit(h),
-        Element.basis(h, idx[(1, 0, 0)]),
-        Element.basis(h, idx[w]),
-        Element.basis(h, idx[(1, k0, 1)]),
+        h.unit_dict(),
+        h.basis_dict(idx[(1, 0, 0)]),
+        h.basis_dict(idx[w]),
+        h.basis_dict(idx[(1, k0, 1)]),
     ]
     simples = _quad_family_simples_c2xdp(group, p, conductor)
     blocks = _quad_family_blocks(h, idx_of=lambda k, e: idx[(0, k % p, e)],
@@ -543,10 +534,10 @@ def b4p(p):
     idx = group.index
     k0 = (p - 1) // 2
     grouplikes = [
-        Element.unit(h),
-        Element.basis(h, idx[a_elem]),
-        _idempotent_twisted_grouplike(h, idx[(k0, 1)], idx[(k0 + p, 1)], +1),
-        _idempotent_twisted_grouplike(h, idx[(k0, 1)], idx[(k0 + p, 1)], -1),
+        h.unit_dict(),
+        h.basis_dict(idx[a_elem]),
+        _twisted_vec(h.conductor, idx[(k0, 1)], idx[(k0 + p, 1)], +1),
+        _twisted_vec(h.conductor, idx[(k0, 1)], idx[(k0 + p, 1)], -1),
     ]
     simples = _quad_family_simples_d2p(group, 2 * p, conductor)
     blocks = _quad_family_blocks(h, idx_of=lambda k, e: idx[(k % (2 * p), e)],
@@ -582,10 +573,10 @@ def b8():
     h = realize_on_group(group, conductor, gen_delta, gen_eps, gen_s)
     idx = group.index
     grouplikes = [
-        Element.unit(h),
-        Element.basis(h, idx[a_elem]),
-        _idempotent_twisted_grouplike(h, idx[(1, 0)], idx[(3, 0)], +1),
-        _idempotent_twisted_grouplike(h, idx[(1, 0)], idx[(3, 0)], -1),
+        h.unit_dict(),
+        h.basis_dict(idx[a_elem]),
+        _twisted_vec(h.conductor, idx[(1, 0)], idx[(3, 0)], +1),
+        _twisted_vec(h.conductor, idx[(1, 0)], idx[(3, 0)], -1),
     ]
     simples = _quad_family_simples_d2p(group, 4, conductor)
     blocks = _quad_family_blocks(h, idx_of=lambda k, e: idx[(k % 4, e)],
@@ -664,10 +655,7 @@ def _quad_family_blocks(h, idx_of, a_of, rot_pairs, refl_pairs):
     half = CycNumber.from_rational(h.conductor, HALF)
 
     def e_vec(bit, i_plain, i_a):
-        coeffs = [h.zero()] * h.dim
-        coeffs[i_plain] = half
-        coeffs[i_a] = half if bit == 0 else -half
-        return Element(h, coeffs)
+        return {i_plain: half, i_a: half if bit == 0 else -half}
 
     blocks = []
     for e, pairs in ((0, rot_pairs), (1, refl_pairs)):
@@ -733,10 +721,10 @@ def _dic_fun_grouplikes(h, p, x_pow_index):
     """1, g, a, a*g with g = (e0 + sqrt(-1) e1) x^p."""
     idx_xp, idx_axp = x_pow_index(0, p), x_pow_index(1, p)
     return [
-        Element.unit(h),
-        _idempotent_twisted_grouplike(h, idx_xp, idx_axp, +1),
-        Element.basis(h, x_pow_index(1, 0)),
-        _idempotent_twisted_grouplike(h, idx_xp, idx_axp, -1),
+        h.unit_dict(),
+        _twisted_vec(h.conductor, idx_xp, idx_axp, +1),
+        h.basis_dict(x_pow_index(1, 0)),
+        _twisted_vec(h.conductor, idx_xp, idx_axp, -1),
     ]
 
 
@@ -746,11 +734,8 @@ def _dic_fun_blocks(h, p, x_pow_index):
 
     def e_vec(bit, j, sign=1):
         j %= 2 * p
-        coeffs = [h.zero()] * h.dim
-        s = CycNumber.from_rational(conductor, sign)
-        coeffs[x_pow_index(0, j)] = s * half
-        coeffs[x_pow_index(1, j)] = s * half if bit == 0 else -(s * half)
-        return Element(h, coeffs)
+        s = CycNumber.from_rational(conductor, sign) * half
+        return {x_pow_index(0, j): s, x_pow_index(1, j): s if bit == 0 else -s}
 
     blocks = []
     for j in range(1, p):
@@ -901,7 +886,7 @@ def h8p(p, alpha=1):
     cd = CandidateData(
         grouplikes=grouplikes,
         grouplike_labels=["1", "g", "a", "a*g"],
-        skew_witness=(Element.unit(h), grouplikes[1], Element.basis(h, idx[(Z,)])),
+        skew_witness=(h.unit_dict(), grouplikes[1], h.basis_dict(idx[(Z,)])),
         simples=simples,
         dual_blocks=_dic_fun_blocks(h, p, x_pow_index),
         expected={

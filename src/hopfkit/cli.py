@@ -261,7 +261,6 @@ def cmd_nichols(args) -> int:
 
 
 def _datum_from_file(path):
-    from .hopf import Element
     from .ydnichols import YDDatum
 
     obj = hio.load_json(path)
@@ -270,7 +269,8 @@ def _datum_from_file(path):
     g, chi = ([read(c) for c in obj[key]] for key in ("g", "chi"))
     if len(g) != L.dim or len(chi) != L.dim:
         raise ValueError(f"g and chi need {L.dim} coefficients each")
-    return YDDatum(L, Element(L, g), chi, read(obj["q"]), label=path)
+    return YDDatum(L, {i: c for i, c in enumerate(g) if not c.is_zero()}, chi, read(obj["q"]),
+                   label=path)
 
 
 def cmd_yd_verify(args) -> int:

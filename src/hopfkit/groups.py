@@ -8,6 +8,8 @@ cyclotomic field that splits them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from math import lcm
 
 from .cyclotomic import CycNumber, root_of_unity
 from .linalg import compose_columns, extend_along_prefixes, identity_columns
@@ -98,12 +100,9 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def product_of_cyclics(ns: list[int]) -> FiniteGroup:
-    from itertools import product as iproduct
-    from math import lcm
-
     for n in ns:
         _check_order(n, "each cyclic factor C_n")
-    elements = list(iproduct(*[range(n) for n in ns]))
+    elements = list(product(*[range(n) for n in ns]))
     conductor = lcm(*ns) if ns else 1
 
     def label(t):
@@ -131,9 +130,7 @@ def product_of_cyclics(ns: list[int]) -> FiniteGroup:
         word_fn=word,
         conductor=conductor,
     )
-    from itertools import product as iproduct2
-
-    for ks in iproduct2(*[range(n) for n in ns]):
+    for ks in product(*[range(n) for n in ns]):
         mats = {f"g{i}": _mat(conductor, [[root_of_unity(conductor, k * (conductor // n))]])
                 for i, (k, n) in enumerate(zip(ks, ns))}
         g.irreps.append(GroupIrrep("chi" + "_".join(map(str, ks)), 1, mats))
@@ -182,8 +179,6 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 def dicyclic_group(n: int) -> FiniteGroup:
     """Dic_n of order 4n: x^4 = y^n = 1, x y x^-1 = y^-1.  Elements y^k x^i."""
-    from math import lcm
-
     _check_order(n, "the dicyclic group Dic_n")
     conductor = lcm(4, n)
     elements = [(k, i) for i in range(4) for k in range(n)]
@@ -269,12 +264,10 @@ def quaternion_group() -> FiniteGroup:
 
 
 def gamma4p_group(p: int) -> FiniteGroup:
-    """C_p semidirect C_4 of order 4p: x^4 = 1 = y^p, x y = y^l x, l = (p-1)/2."""
+    """C_p semidirect C_4 of order 4p: x^4 = 1 = y^p, x y = y^l x, l = gamma4p_ell(p)."""
     if p % 4 != 1 or not _is_prime(p):
         raise ValueError("requires a prime p congruent to 1 mod 4")
-    ell = (p - 1) // 2
-    if (ell * ell) % p != p - 1:
-        raise ValueError("l^2 != -1 mod p; invalid parameter")
+    ell = gamma4p_ell(p)
     conductor = 4 * p
     elements = [(k, i) for i in range(4) for k in range(p)]
     elements.sort(key=lambda t: (t[1], t[0]))
@@ -313,6 +306,11 @@ def gamma4p_group(p: int) -> FiniteGroup:
                       for j in range(4)])
         g.irreps.append(GroupIrrep(f"beta(k={k})", 4, {"y": diag, "x": shift}))
     return g
+
+
+def gamma4p_ell(p: int) -> int:
+    """The least l with l^2 = -1 mod p, for a prime p = 1 mod 4; l has order 4 mod p."""
+    return next(ell for ell in range(2, p) if (ell * ell) % p == p - 1)
 
 
 def _orbit_reps(p: int, ell: int) -> list[int]:

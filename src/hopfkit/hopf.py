@@ -2,9 +2,12 @@
 
 A HopfAlgebraData holds multiplication (dense table of sparse coefficient
 dicts), comultiplication (sparse triple lists), unit, counit and the antipode,
-all over one cyclotomic conductor.  Every linear map on the basis (the
-antipode, the left multiplications of the associativity check, a Hopf map
-into another algebra) is a list of sparse columns {row: nonzero value},
+all over one cyclotomic conductor.  A vector of H is a sparse dict
+{index: nonzero value}, like every vector in the package: products come from
+mult_dict, the counit from counit_of, and is_grouplike, inverse and order
+take such a dict.  Every linear map on the basis (the antipode, the left
+multiplications of the associativity check, a Hopf map into another
+algebra) is a list of sparse columns {row: nonzero value},
 column j the image of e_j, and maps compose with linalg.compose_columns; so
 Tr(S^2), ord S and ord S^2 come from composed columns.  Constructors only
 build the tensors and never verify them; each command runs verify_hopf()
@@ -141,92 +144,36 @@ class HopfAlgebraData:
         return f"HopfAlgebraData(dim {self.dim}, conductor {self.conductor})"
 
 
-class Element:
-    """Vector in a fixed HopfAlgebraData basis."""
+def is_grouplike(h: HopfAlgebraData, u: dict) -> bool:
+    """eps(u) = 1 and Delta u = u (x) u, for a sparse vector u of h."""
+    if not h.counit_of(u).is_one():
+        return False
+    return h.delta_dict(u) == {(i, j): a * b for i, a in u.items() for j, b in u.items()}
 
-    __slots__ = ("parent", "coeffs")
 
-    def __init__(self, parent: HopfAlgebraData, coeffs):
-        coeffs = list(coeffs)
-        assert len(coeffs) == parent.dim
-        self.parent = parent
-        self.coeffs = coeffs
+def inverse(h: HopfAlgebraData, u: dict):
+    """The two-sided inverse of a sparse vector u of h, by linear solve, or None.
 
-    @staticmethod
-    def from_dict(parent: HopfAlgebraData, d: dict) -> "Element":
-        v = [parent.zero()] * parent.dim
-        for i, c in d.items():
-            v[i] = c
-        return Element(parent, v)
+    Solves u x = 1 on the sparse rows of left multiplication by u: row i
+    holds (u e_j)_i at column j and the unit's i-th coefficient at dim.
+    """
+    rows = [{} for _ in range(h.dim)]
+    for j in range(h.dim):
+        for i, c in h.mult_dict(u, h.basis_dict(j)).items():
+            rows[i][j] = c
+    for row, c in zip(rows, h.unit):
+        if not c.is_zero():
+            row[h.dim] = c
+    x = solve_augmented(rows, h.dim)
+    if x is None or h.mult_dict(x, u) != h.unit_dict():
+        return None
+    return x
 
-    @staticmethod
-    def basis(parent: HopfAlgebraData, i: int) -> "Element":
-        return Element.from_dict(parent, {i: parent.one()})
 
-    @staticmethod
-    def unit(parent: HopfAlgebraData) -> "Element":
-        return Element(parent, parent.unit)
-
-    def as_dict(self) -> dict:
-        return {i: c for i, c in enumerate(self.coeffs) if not c.is_zero()}
-
-    def __mul__(self, other: "Element") -> "Element":
-        return Element.from_dict(self.parent, self.parent.mult_dict(self.as_dict(), other.as_dict()))
-
-    def inverse(self):
-        """Two-sided inverse by linear solve, or None.
-
-        Solves u x = 1 on the sparse rows of left multiplication by u: row i
-        holds (u e_j)_i at column j and the unit's i-th coefficient at dim.
-        """
-        h = self.parent
-        u = self.as_dict()
-        rows = [{} for _ in range(h.dim)]
-        for j in range(h.dim):
-            for i, c in h.mult_dict(u, h.basis_dict(j)).items():
-                rows[i][j] = c
-        for row, c in zip(rows, h.unit):
-            if not c.is_zero():
-                row[h.dim] = c
-        x = solve_augmented(rows, h.dim)
-        if x is None:
-            return None
-        cand = Element.from_dict(h, x)
-        if (cand * self).coeffs != h.unit:
-            return None
-        return cand
-
-    def eps(self) -> CycNumber:
-        return self.parent.counit_of(self.as_dict())
-
-    def is_grouplike(self) -> bool:
-        d = self.as_dict()
-        if not self.eps().is_one():
-            return False
-        expected = {}
-        for i, a in d.items():
-            for j, b in d.items():
-                ab = a * b
-                if not ab.is_zero():
-                    expected[(i, j)] = ab
-        return self.parent.delta_dict(d) == expected
-
-    def order(self, bound: int = 10_000):
-        """Multiplicative order, or None past the bound."""
-        unit = self.parent.unit
-        return least_power(self, lambda x: x.coeffs == unit, bound)
-
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.parent is other.parent and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                terms.append(f"({c})*{self.parent.labels[i]}")
-        return " + ".join(terms) if terms else "0"
+def order(h: HopfAlgebraData, u: dict, bound: int = 10_000):
+    """Multiplicative order of a sparse vector u of h, or None past the bound."""
+    unit = h.unit_dict()
+    return least_power(u, lambda x: x == unit, bound, h.mult_dict)
 
 
 def least_power(x, is_one, bound: int = 10_000, mul=operator.mul):

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from math import isqrt
 
 from .cyclotomic import CycNumber
-from .hopf import (Element, HopfAlgebraData, antipode_order, dual, generators, is_semisimple,
-                   known_generators, least_power, memoised, multiplicative_over, s_squared_order,
-                   tr_s_squared, witness_failures)
+from .hopf import (HopfAlgebraData, antipode_order, dual, generators, is_grouplike, is_semisimple,
+                   known_generators, least_power, memoised, multiplicative_over, order,
+                   s_squared_order, tr_s_squared, witness_failures)
 from .linalg import (Matrix, Subspace, accumulate, bilinear_closure, compose_columns, nullspace,
                      trace)
 from .repsolver import RepModule, simples_certificate
@@ -97,7 +97,7 @@ def coradical_filtration(h: HopfAlgebraData) -> list[Subspace]:
 def chevalley_check(h: HopfAlgebraData):
     """True iff the coradical is a Hopf subalgebra; returns (flag, witness)."""
     h0 = coradical(h)
-    if not h0.contains(h.unit):
+    if not h0.contains(h.unit_dict()):
         return False, "coradical does not contain 1"
     closed = bilinear_closure(h0, h.mult_dict)
     if closed.dim != h0.dim:
@@ -126,9 +126,9 @@ class GrouplikeCertificate:
         return self.ok
 
 
-def grouplike_module(h: HopfAlgebraData, g: Element) -> RepModule:
+def grouplike_module(h: HopfAlgebraData, g: dict) -> RepModule:
     """The 1-dimensional module of the dual algebra carried by a group-like."""
-    return RepModule("k_g", 1, [[{} if c.is_zero() else {0: c}] for c in g.coeffs])
+    return RepModule("k_g", 1, [[{0: g[i]} if i in g else {}] for i in range(h.dim)])
 
 
 def module_matrix_coefficients(dual_h: HopfAlgebraData, module: RepModule) -> list:
@@ -137,8 +137,7 @@ def module_matrix_coefficients(dual_h: HopfAlgebraData, module: RepModule) -> li
     Returns [c_00, c_01, ..., c_dd] row-major; these span a simple
     subcoalgebra of dual_h exactly when the module is simple.
     """
-    zero = dual_h.zero()
-    return [Element(dual_h, [a[v].get(u, zero) for a in module.action])
+    return [{i: a[v][u] for i, a in enumerate(module.action) if u in a[v]}
             for u in range(module.dim) for v in range(module.dim)]
 
 
@@ -151,9 +150,8 @@ def dual_module_from_block(h: HopfAlgebraData, block: list) -> RepModule:
     verify_grouplikes checks those identities in h (block_failure) instead.
     """
     d = isqrt(len(block))
-    vecs = [m.as_dict() for m in block]
-    action = [[{u: vecs[d * u + v][i] for u in range(d) if i in vecs[d * u + v]} for v in range(d)]
-              for i in range(h.dim)]
+    action = [[{u: block[d * u + v][i] for u in range(d) if i in block[d * u + v]}
+               for v in range(d)] for i in range(h.dim)]
     return RepModule("block", d, action)
 
 
@@ -165,7 +163,7 @@ def block_failure(h: HopfAlgebraData, block: list):
     that module over dual(h) passes verify_module.
     """
     d = isqrt(len(block))
-    m = [[block[d * u + v].as_dict() for v in range(d)] for u in range(d)]
+    m = [[block[d * u + v] for v in range(d)] for u in range(d)]
     for u in range(d):
         for v in range(d):
             expected = {}
@@ -183,31 +181,34 @@ def block_failure(h: HopfAlgebraData, block: list):
 def verify_grouplikes(h: HopfAlgebraData, candidates, dual_blocks) -> GrouplikeCertificate:
     failures = []
     for idx, g in enumerate(candidates):
-        if not g.is_grouplike():
+        if not is_grouplike(h, g):
             return GrouplikeCertificate(False, failures=[f"candidate {idx} is not group-like"])
+
+    def key(v):
+        return tuple(sorted(v.items()))
+
     index = {}
     for i, g in enumerate(candidates):
-        key = tuple(g.coeffs)
-        if key in index:
+        if key(g) in index:
             failures.append("duplicate group-like candidates")
-        index[key] = i
+        index[key(g)] = i
     # closure under multiplication (a finite cancellative table is a group);
     # table[i][j] is the index of candidates[i] * candidates[j]
     table = []
     for a in candidates:
-        row = [index.get(tuple((a * b).coeffs)) for b in candidates]
+        row = [index.get(key(h.mult_dict(a, b))) for b in candidates]
         if None in row:
             failures.append("candidate set not closed under multiplication")
             break
         table.append(row)
-    unit = index.get(tuple(h.unit))
+    unit = index.get(key(h.unit_dict()))
     if unit is None:
         failures.append("unit missing from candidate set")
     if failures:
-        orders = sorted(g.order(16 * h.dim) or -1 for g in candidates)
+        orders = sorted(order(h, g, 16 * h.dim) or -1 for g in candidates)
         return GrouplikeCertificate(False, len(candidates), orders, failures=failures)
     # powers of a candidate stay in the closed table, so the first unit power
-    # comes within len(candidates) steps if at all (Element.order agrees)
+    # comes within len(candidates) steps if at all (hopf.order agrees)
     orders = sorted(least_power(i, lambda k: k == unit, len(candidates),
                                 lambda k, j: table[k][j]) or -1
                     for i in range(len(candidates)))
@@ -249,7 +250,7 @@ def verify_grouplikes(h: HopfAlgebraData, candidates, dual_blocks) -> GrouplikeC
 # ---------------------------------------------------------------------------
 
 
-def skew_primitive_space(h: HopfAlgebraData, g: Element, k: Element,
+def skew_primitive_space(h: HopfAlgebraData, g: dict, k: dict,
                          convention: str = "x-first") -> Subspace:
     """Solutions of Delta x = x (x) g + k (x) x (or the mirrored convention).
 
@@ -266,12 +267,10 @@ def skew_primitive_space(h: HopfAlgebraData, g: Element, k: Element,
         for (a, b, c) in h.comult[i]:
             accumulate(rows[(a, b)], i, c)
     for i in range(n):
-        for b, gb in enumerate(g.coeffs):
-            if not gb.is_zero():
-                accumulate(rows[key(i, b)], i, -gb)
-        for a, ka in enumerate(k.coeffs):
-            if not ka.is_zero():
-                accumulate(rows[key(a, i)], i, -ka)
+        for b, gb in g.items():
+            accumulate(rows[key(i, b)], i, -gb)
+        for a, ka in k.items():
+            accumulate(rows[key(a, i)], i, -ka)
     return _nullspace_of_rows(h, rows.values())
 
 
@@ -321,7 +320,7 @@ def integrals(h: HopfAlgebraData):
     return left, right
 
 
-def distinguished_grouplike(h: HopfAlgebraData) -> Element:
+def distinguished_grouplike(h: HopfAlgebraData) -> dict:
     """a = lam(v)^-1 lam(v_2) v_1 for a right integral lam of the dual."""
     _, right = integrals(dual(h))
     lam = right.basis()[0]
@@ -331,8 +330,8 @@ def distinguished_grouplike(h: HopfAlgebraData) -> Element:
         if k in lam:
             accumulate(acc, j, c * lam[k])
     scale = lam[pivot].inverse()
-    out = Element.from_dict(h, {j: scale * v for j, v in acc.items()})
-    if not out.is_grouplike():
+    out = {j: scale * v for j, v in acc.items()}
+    if not is_grouplike(h, out):
         raise AssertionError("distinguished group-like formula returned a non-group-like")
     return out
 
@@ -445,7 +444,7 @@ def invariant_report(h: HopfAlgebraData, cd=None) -> InvariantReport:
         certs["grouplike_count_divides_dim"] = cert.count > 0 and h.dim % cert.count == 0
         dist = distinguished_grouplike(h)
         for i, g in enumerate(cd.grouplikes):
-            if g.coeffs == dist.coeffs:
+            if g == dist:
                 dist_idx = i
                 if i < len(cd.grouplike_labels):
                     dist_label = cd.grouplike_labels[i]
@@ -455,7 +454,7 @@ def invariant_report(h: HopfAlgebraData, cd=None) -> InvariantReport:
             g_el, k_el, x_el = cd.skew_witness
             sp = skew_primitive_space(h, g_el, k_el)
             skew_dims["witness_pair"] = sp.dim
-            certs["skew_witness_in_space"] = sp.contains(x_el.coeffs)
+            certs["skew_witness_in_space"] = sp.contains(x_el)
             certs["skew_witness_nontrivial"] = sp.dim > 1
     integrals(h)  # raises if not one-dimensional
     certs["integral_spaces_one_dimensional"] = True

@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 from math import isqrt
 
 from .cyclotomic import cyc_from_json, cyc_to_json
-from .hopf import Element, HopfAlgebraData
+from .hopf import HopfAlgebraData
 
 
 def _coefficient_writer():
@@ -168,7 +168,7 @@ def candidate_to_json(cd, h: HopfAlgebraData) -> dict:
     zero = h.zero()
 
     def vec(e):
-        return [write(c) for c in e.coeffs]
+        return [write(e.get(i, zero)) for i in range(h.dim)]
 
     out = {
         "grouplikes": [vec(g) for g in cd.grouplikes],
@@ -186,11 +186,11 @@ def candidate_to_json(cd, h: HopfAlgebraData) -> dict:
     return out
 
 
-def _element_from_json(arr, h: HopfAlgebraData, read) -> Element:
+def _element_from_json(arr, h: HopfAlgebraData, read) -> dict:
     vec = [read(o) for o in arr]
     if len(vec) != h.dim:
         raise ValueError(f"vector has {len(vec)} coefficients, not {h.dim}")
-    return Element(h, vec)
+    return {i: c for i, c in enumerate(vec) if not c.is_zero()}
 
 
 def _module_from_json(obj, h: HopfAlgebraData, read):

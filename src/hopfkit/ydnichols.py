@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .cyclotomic import CycNumber, root_of_unity
-from .groups import FiniteGroup, gamma4p_group
-from .hopf import (Element, HopfAlgebraData, least_power, multiplicative, verify_hopf,
+from .groups import FiniteGroup, gamma4p_ell, gamma4p_group
+from .hopf import (HopfAlgebraData, inverse, is_grouplike, least_power, multiplicative, verify_hopf,
                    witness_failures)
 from .linalg import Matrix, accumulate, compose_columns, rank
 from .presentation import group_algebra_hopf
@@ -90,7 +90,7 @@ def yd_module_gamma4p(p: int, class_spec, rep_spec, literal_action=False) -> YDM
     """
     grp = gamma4p_group(p)
     conductor = grp.conductor
-    ell = (p - 1) // 2
+    ell = gamma4p_ell(p)
     kind = class_spec[0]
     if kind == "trivial":
         label = _gamma_rep_label(rep_spec)
@@ -212,7 +212,7 @@ def diagonal_type(mod: YDModule):
 @dataclass
 class YDDatum:
     L: HopfAlgebraData
-    g: Element
+    g: dict            # a group-like of L, as a sparse vector
     chi: list          # CycNumber values on the basis of L
     q: CycNumber
     label: str = ""
@@ -236,22 +236,21 @@ def validate_yd_datum(d: YDDatum):
                            "chi(1) != 1", "chi not multiplicative at")
     if why:
         return False, why[0]
-    if not d.g.is_grouplike():
+    if not is_grouplike(L, d.g):
         return False, "g is not group-like"
     n = least_power(d.q, CycNumber.is_one)
     if n is None or n < 2:
         return False, "q is not a root of unity of order >= 2"
-    if _chi_of(d, d.g.as_dict()) != d.q:
+    if _chi_of(d, d.g) != d.q:
         return False, "chi(g) != q"
-    gd = d.g.as_dict()
     for i in range(L.dim):
         lhs: dict[int, CycNumber] = {}
         rhs: dict[int, CycNumber] = {}
         for (j, k, c) in L.comult[i]:
             # (chi -> h) g = chi(h_2) h_1 g ; g (h <- chi) = chi(h_1) g h_2
-            for x, cx in L.mult_dict({j: c * d.chi[k]}, gd).items():
+            for x, cx in L.mult_dict({j: c * d.chi[k]}, d.g).items():
                 accumulate(lhs, x, cx)
-            for x, cx in L.mult_dict(gd, {k: c * d.chi[j]}).items():
+            for x, cx in L.mult_dict(d.g, {k: c * d.chi[j]}).items():
                 accumulate(rhs, x, cx)
         if lhs != rhs:
             return False, f"commutation fails at basis element {L.labels[i]}"
@@ -302,9 +301,9 @@ def bosonize(d: YDDatum) -> HopfAlgebraData:
                             accumulate(acc, idx(m + n2, k2), c * c2)
                     mult[row][col] = acc
 
-    g_pows = [Element.unit(L)]
+    g_pows = [L.unit_dict()]
     for _ in range(n_trunc):
-        g_pows.append(g_pows[-1] * d.g)
+        g_pows.append(L.mult_dict(g_pows[-1], d.g))
     qbins = [[q_binomial(n2, s, d.q) for s in range(n2 + 1)] for n2 in range(n_trunc)]
     comult = []
     for m in range(n_trunc):
@@ -315,7 +314,7 @@ def bosonize(d: YDDatum) -> HopfAlgebraData:
                     coeff = qbins[m][s] * c
                     if coeff.is_zero():
                         continue
-                    left = L.mult_dict(g_pows[m - s].as_dict(), {j: coeff})
+                    left = L.mult_dict(g_pows[m - s], {j: coeff})
                     for lidx, lc in left.items():
                         tr.append((idx(s, lidx), idx(m - s, k), lc))
             comult.append(_combine_triples(tr))
@@ -334,10 +333,10 @@ def bosonize(d: YDDatum) -> HopfAlgebraData:
         mult, unit, comult, counit, None)
 
     # antipode: S(1#l) = 1#S_L(l), S(y#1) = -q^{-1} y#g^{-1}, anti-extended
-    g_inv = d.g.inverse()
+    g_inv = inverse(L, d.g)
     if g_inv is None:
         raise ValueError("datum group-like is not invertible")
-    sy = {idx(1, i): -(d.q.inverse()) * c for i, c in g_inv.as_dict().items()}
+    sy = {idx(1, i): -(d.q.inverse()) * c for i, c in g_inv.items()}
     sy_pows = [h.unit_dict()]
     for _ in range(n_trunc - 1):
         sy_pows.append(h.mult_dict(sy_pows[-1], sy))

@@ -1,10 +1,11 @@
 """Shared, cached catalog builds: constructors are pure, so tests reuse them."""
 
+import operator
 from functools import lru_cache
 
 from hopfkit import catalog
 from hopfkit.cyclotomic import CycNumber
-from hopfkit.linalg import Matrix
+from hopfkit.linalg import Matrix, accumulate
 
 
 @lru_cache(maxsize=None)
@@ -61,12 +62,35 @@ def word_product(word, mats, dim, conductor):
     return columns(m)
 
 
-def power(x, n, one):
+def power(x, n, one, mul=operator.mul):
     """x^n by n multiplications from `one`: the tests' reference for powers."""
     out = one
     for _ in range(n):
-        out = out * x
+        out = mul(out, x)
     return out
+
+
+def frozen(v):
+    """A sparse vector {index: value} as a hashable, order-independent key."""
+    return tuple(sorted(v.items()))
+
+
+def difference(u, v):
+    """u - v for sparse vectors."""
+    out = dict(u)
+    for i, c in v.items():
+        accumulate(out, i, -c)
+    return out
+
+
+def character(module):
+    """A 1-dimensional module's action on each basis element, as a sparse vector of the dual."""
+    return {i: a[0][0] for i, a in enumerate(module.action) if 0 in a[0]}
+
+
+def dense_vector(h, u):
+    """The dense coefficient list of a sparse vector of h."""
+    return [u.get(i, h.zero()) for i in range(h.dim)]
 
 
 def left_mult_matrix(h, u):

@@ -7,14 +7,16 @@ from hopfkit import io as hio
 
 from conftest import build, dense, dense_trace, identity_matrix, power, same_tensors, word_product
 from hopfkit.certify import certify_family
-from hopfkit.hopf import antipode_order, dual, s_squared_order, tr_s_squared, verify_hopf
+from hopfkit.invariants import verify_grouplikes
+from hopfkit.hopf import (antipode_order, dual, is_grouplike, order, s_squared_order, tr_s_squared,
+                          verify_hopf)
 
 
 def test_dicyclic_group_algebra():
     h, cd = build("dicyclic", n=3)
     assert h.dim == 12
     assert len(cd.grouplikes) == 12
-    assert all(g.is_grouplike() for g in cd.grouplikes)
+    assert all(is_grouplike(h, g) for g in cd.grouplikes)
 
 
 def test_gamma20_profile():
@@ -30,6 +32,18 @@ def test_gamma4p_rejects_bad_p():
         catalog.group_algebra(("gamma4p", 9))
 
 
+def test_gamma4p_ell_is_the_least_square_root_of_minus_one():
+    from hopfkit.groups import gamma4p_ell
+
+    for p in (5, 13, 17, 29, 37):
+        ell = gamma4p_ell(p)
+        assert [l for l in range(1, p) if l * l % p == p - 1][0] == ell
+    assert gamma4p_ell(5) == 2  # = (p - 1)/2 only at p = 5
+    h, cd = build("gamma4p", p=13)
+    assert verify_hopf(h).ok
+    assert sorted(m.dim for m in cd.simples) == [1, 1, 1, 1, 4, 4, 4]
+
+
 def test_base_field_member():
     h, cd = build("c_n", n=1)
     assert h.dim == 1
@@ -40,7 +54,7 @@ def test_taft_counts():
     h, cd = build("taft", n=3)
     assert h.dim == 9
     assert len(cd.grouplikes) == 3
-    assert all(g.is_grouplike() for g in cd.grouplikes)
+    assert all(is_grouplike(h, g) for g in cd.grouplikes)
     with pytest.raises(ValueError):
         catalog.taft(4, 2)  # zeta_4^2 = -1 is not primitive
 
@@ -51,7 +65,7 @@ def test_pointed4p_variants_build():
         assert verify_hopf(h).ok
         assert h.dim == 12
         assert len(cd.grouplikes) == 6
-        assert all(g.is_grouplike() for g in cd.grouplikes)
+        assert all(is_grouplike(h, g) for g in cd.grouplikes)
         assert tr_s_squared(h).is_zero()
 
 
@@ -73,36 +87,34 @@ def test_a4p_klein_and_b4p_cyclic_grouplikes():
     # with (s+s-)^p = 1 the braid identity makes s_+(p) itself group-like
     # (Klein four); with (s+s-)^p = a only the idempotent-twisted combinations
     # are, and they square to a (cyclic of order four)
-    _, cd_a = build("a4p", p=3)
-    assert sorted(g.order(20) for g in cd_a.grouplikes) == [1, 2, 2, 2]
-    _, cd_b = build("b4p", p=3)
-    assert sorted(g.order(20) for g in cd_b.grouplikes) == [1, 2, 4, 4]
+    h_a, cd_a = build("a4p", p=3)
+    assert sorted(order(h_a, g, 20) for g in cd_a.grouplikes) == [1, 2, 2, 2]
+    h_b, cd_b = build("b4p", p=3)
+    assert sorted(order(h_b, g, 20) for g in cd_b.grouplikes) == [1, 2, 4, 4]
 
 
 def test_b4p_middle_reflection_power_is_a():
-    from hopfkit.hopf import Element
-
     h, cd = build("b4p", p=3)
     group = cd.extra["group"]
-    splus = Element.basis(h, group.index[group.generators["s+"]])
-    sminus = Element.basis(h, group.index[group.generators["s-"]])
-    a = Element.basis(h, group.index[(3, 0)])
-    assert power(splus * sminus, 3, Element.unit(h)).coeffs == a.coeffs
+    splus = h.basis_dict(group.index[group.generators["s+"]])
+    sminus = h.basis_dict(group.index[group.generators["s-"]])
+    a = h.basis_dict(group.index[(3, 0)])
+    assert power(h.mult_dict(splus, sminus), 3, h.unit_dict(), h.mult_dict) == a
 
 
 def test_b8_kac_paljutkin():
     h, cd = build("b8")
     assert h.dim == 8
     assert tr_s_squared(h) == 8
-    assert sorted(g.order(20) for g in cd.grouplikes) == [1, 2, 2, 2]
+    assert sorted(order(h, g, 20) for g in cd.grouplikes) == [1, 2, 2, 2]
 
 
 def test_fun_dic_grouplike_element_algebra():
     h, cd = build("fun-dic", p=3)
     g = cd.grouplikes[1]
     a = cd.grouplikes[2]
-    assert (g * g).coeffs == a.coeffs
-    assert g.order(10) == 4
+    assert h.mult_dict(g, g) == a
+    assert order(h, g, 10) == 4
 
 
 def test_h8p_alpha_guard():
@@ -164,6 +176,15 @@ def test_certify_sweep(name, params):
     """Every family at its smallest parameters, and k^G for every group kind."""
     suite = certify_family(name, params)
     assert suite.ok, suite.render()
+
+
+@pytest.mark.parametrize("name, params", _SWEEP, ids=_SWEEP_IDS)
+def test_grouplike_certificate_orders_match_hopf_order(name, params):
+    """The orders read off the closure table equal hopf.order of each group-like."""
+    h, cd = build(name, **params)
+    cert = verify_grouplikes(h, cd.grouplikes, cd.dual_blocks)
+    assert cert.ok
+    assert cert.orders == sorted(order(h, g, 16 * h.dim) for g in cd.grouplikes)
 
 
 @pytest.mark.parametrize("name, params", _SWEEP, ids=_SWEEP_IDS)

@@ -485,7 +485,7 @@ def _c2_datum_payload():
     d = named_datum("c2", 3)
     return {
         "algebra": hio.hopf_to_json(d.L),
-        "g": [cyc_to_json(c) for c in d.g.coeffs],
+        "g": [cyc_to_json(d.g.get(i, d.L.zero())) for i in range(d.L.dim)],
         "chi": [cyc_to_json(c) for c in d.chi],
         "q": cyc_to_json(d.q),
     }

@@ -59,10 +59,17 @@ def _module_jobs(module):
             f"nichols --p 5 --class {cls} --rep {rep} --cutoff 3"]
 
 
+# Gamma_52 and its Yetter-Drinfeld modules: at p = 13 the twist l = 5 is not (p - 1)/2
+GAMMA13 = ["certify gamma4p --p 13 --json cert.json",
+           "yd-verify --p 13 --class y:1 --rep psi:1",
+           "nichols --p 13 --class y:1 --rep psi:1 --cutoff 3",
+           "yd-verify --p 13 --class x:1 --rep chi:1"]
+
 # group name -> the commands run in order in one scratch directory
 GROUPS = {**{f: _family_jobs(f) for f in SWEEP},
           **{f"datum {d}": _datum_jobs(d) for d in DATA},
-          **{f"module {m}": _module_jobs(m) for m in MODULES}}
+          **{f"module {m}": _module_jobs(m) for m in MODULES},
+          "gamma4p --p 13": GAMMA13}
 
 
 def _sha(data) -> str:

@@ -11,17 +11,20 @@ from hopfkit import catalog
 from hopfkit import io as hio
 from hopfkit.cli import main
 
-from conftest import build, dense, identity_matrix, left_mult_matrix, power, same_tensors
+from conftest import (build, character, dense, dense_vector, difference, identity_matrix,
+                      left_mult_matrix, power, same_tensors)
 from hopfkit import hopf
 from hopfkit.hopf import (
-    Element,
     HopfAlgebraData,
     VerifyReport,
     antipode_order,
     dual,
     generators,
+    inverse,
+    is_grouplike,
     is_semisimple,
     multiplicative,
+    order,
     s_squared_order,
     tensor_product,
     tr_s_squared,
@@ -121,9 +124,8 @@ def test_dual_of_taft_passes_and_has_skew_primitive():
     d = dual(h)
     assert verify_hopf(d).ok
     # characters of T_q are the group-likes of the dual; find a nontrivial pair
-    chars = [Element(d, [m.action[i][0].get(0, h.zero()) for i in range(h.dim)])
-             for m in build("taft", n=3)[1].simples]
-    assert all(c.is_grouplike() for c in chars)
+    chars = [character(m) for m in build("taft", n=3)[1].simples]
+    assert all(is_grouplike(d, c) for c in chars)
     found = any(
         skew_primitive_space(d, a, b).dim > 1
         for a in chars for b in chars
@@ -156,22 +158,22 @@ def test_h_tensor_base_field_is_h():
 
 def test_element_ops_in_h8p():
     h, cd = build("h8p", p=3, alpha=1)
-    unit = Element.unit(h)
-    a = Element.basis(h, 2 * 3)          # a = index 2p in the z-degree-0 block
-    z = Element.basis(h, h.dim // 2)     # first z-monomial
-    assert (unit * a).coeffs == a.coeffs
-    assert (z * z).coeffs == [x - y for x, y in zip(a.coeffs, unit.coeffs)]
+    unit = h.unit_dict()
+    a = h.basis_dict(2 * 3)          # a = index 2p in the z-degree-0 block
+    z = h.basis_dict(h.dim // 2)     # first z-monomial
+    assert h.mult_dict(unit, a) == a
+    assert h.mult_dict(z, z) == difference(a, unit)
     g = cd.grouplikes[1]
-    assert power(g, 4, unit).coeffs == unit.coeffs
-    assert power(g, 2, unit).coeffs == a.coeffs
-    assert g.inverse() is not None
-    assert (g.inverse() * g).coeffs == unit.coeffs
+    assert power(g, 4, unit, h.mult_dict) == unit
+    assert power(g, 2, unit, h.mult_dict) == a
+    assert inverse(h, g) is not None
+    assert h.mult_dict(inverse(h, g), g) == unit
 
 
 def test_element_inverse_absent():
     h, _ = build("taft", n=2)
-    x = Element.basis(h, 2)
-    assert x.inverse() is None
+    x = h.basis_dict(2)
+    assert inverse(h, x) is None
 
 
 def dense_solve(a, b, zero):
@@ -213,16 +215,67 @@ _INVERSE_ALGEBRAS = {"taft": {"n": 3}, "b8": {}, "h8p": {"p": 3}}
 @example("h8p", {0: 2, 13: -1})          # 2 - zx
 def test_property_inverse_matches_a_dense_solve(name, terms):
     h, _ = build(name, **_INVERSE_ALGEBRAS[name])
-    u = Element.from_dict(h, {i % h.dim: CycNumber.from_rational(h.conductor, c)
-                              for i, c in terms.items() if c})
-    x = dense_solve(left_mult_matrix(h, u.as_dict()).entries, h.unit, h.zero())
-    inv = u.inverse()
+    u = {i % h.dim: CycNumber.from_rational(h.conductor, c) for i, c in terms.items() if c}
+    x = dense_solve(left_mult_matrix(h, u).entries, h.unit, h.zero())
+    inv = inverse(h, u)
     if x is None:
         assert inv is None
     else:
         # u x = 1 has at most one solution, and a right inverse is two-sided
-        assert inv is not None and inv.coeffs == x
-        assert (inv * u).coeffs == h.unit
+        assert inv is not None and dense_vector(h, inv) == x
+        assert dense_vector(h, h.mult_dict(inv, u)) == h.unit
+
+
+def dense_is_grouplike(h, u):
+    """eps(u) = 1 and Delta u = u (x) u, on the dense vector of u and a dense dim x dim tensor."""
+    v = dense_vector(h, u)
+    eps = sum((c * x for c, x in zip(h.counit, v)), h.zero())
+    delta = [[h.zero()] * h.dim for _ in range(h.dim)]
+    for i, x in enumerate(v):
+        for j, k, c in h.comult[i]:
+            delta[j][k] = delta[j][k] + c * x
+    return eps.is_one() and all(delta[j][k] == v[j] * v[k]
+                                for j in range(h.dim) for k in range(h.dim))
+
+
+def _grouplikes_on(name, side):
+    """The catalog's group-likes, or on the dual side the characters of the simples."""
+    h, cd = build(name, **_INVERSE_ALGEBRAS[name])
+    if side == "h":
+        return h, cd.grouplikes
+    return dual(h), [character(m) for m in cd.simples if m.dim == 1]
+
+
+_ORDER_BOUND = 8
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_INVERSE_ALGEBRAS)), st.sampled_from(["h", "dual"]),
+       st.sampled_from(["sparse", "basis", "grouplike"]),
+       st.dictionaries(st.integers(0, 23), st.integers(-2, 2), max_size=4),
+       st.integers(0, 23), st.integers(0, 11))
+def test_property_vector_functions_match_dense_oracles(name, side, kind, terms, i, k):
+    """inverse, is_grouplike and order on a sparse u of taft n=3, b8, h8p p=3 or a dual:
+    a random sparse vector, a basis vector times a root of unity, or a group-like."""
+    h, grouplikes = _grouplikes_on(name, side)
+    if kind == "sparse":
+        u = {j % h.dim: CycNumber.from_rational(h.conductor, c) for j, c in terms.items() if c}
+    elif kind == "basis":
+        u = {i % h.dim: root_of_unity(h.conductor, k)}
+    else:
+        u = grouplikes[i % len(grouplikes)]
+    x = dense_solve(left_mult_matrix(h, u).entries, h.unit, h.zero())
+    inv = inverse(h, u)
+    assert (inv is None) == (x is None)
+    if inv is not None:
+        assert dense_vector(h, inv) == x
+    assert is_grouplike(h, u) == dense_is_grouplike(h, u)
+    unit = h.unit_dict()
+    expected = next((n for n in range(1, _ORDER_BOUND + 1)
+                     if power(u, n, unit, h.mult_dict) == unit), None)
+    assert order(h, u, _ORDER_BOUND) == expected
+    if kind == "grouplike":
+        assert is_grouplike(h, u) and expected is not None
 
 
 def test_tr_s_squared_values():

@@ -1,4 +1,4 @@
-from conftest import build, columns, dense, dense_trace, left_mult_matrix
+from conftest import build, character, columns, dense, dense_trace, frozen, left_mult_matrix
 from hopfkit.cyclotomic import CycNumber
 from hopfkit.hopf import known_generators, verify_hopf
 from hopfkit.invariants import jacobson_radical
@@ -204,15 +204,14 @@ def test_isomorphism_is_checked_on_every_basis_element():
 
 
 def test_one_dims_match_dual_grouplikes():
-    from hopfkit.hopf import Element, dual
+    from hopfkit.hopf import dual, is_grouplike
 
     h, cd = build("h8p", p=3, alpha=1)
     d = dual(h)
     one_dims = [m for m in cd.simples if m.dim == 1]
-    chars = [Element(d, [m.action[i][0].get(0, h.zero()) for i in range(h.dim)])
-             for m in one_dims]
-    assert all(c.is_grouplike() for c in chars)
-    assert len({tuple(c.coeffs) for c in chars}) == len(chars) == 6
+    chars = [character(m) for m in one_dims]
+    assert all(is_grouplike(d, c) for c in chars)
+    assert len({frozen(c) for c in chars}) == len(chars) == 6
 
 
 def test_wedderburn_h8p_p5():
