@@ -8,6 +8,13 @@ lowest terms, gcd(den, *num) == 1 with zero stored as all-zero numerators
 over 1, so equality is literal equality of (conductor, den, num).  The
 conductor is part of the value; mixed-conductor arithmetic is a caller
 error (use embed() first).
+
+Each conductor has one canonical 1, the object CycNumber.one(N).  Every
+value equal to 1 that arithmetic, from_rational, root_of_unity or
+cyc_from_json hands out is that object, so the sparse kernels skip a
+product by testing `c is one` with one = CycNumber.one(N).  The public
+constructor CycNumber(N, [1, 0, ...]) still makes a separate object; it is
+equal to 1 and hashes alike, and the kernels treat it as any other value.
 """
 
 from __future__ import annotations
@@ -101,12 +108,17 @@ _ONE_CACHE: dict = {}
 
 
 def _make(conductor: int, num: tuple, den: int) -> "CycNumber":
-    # internal constructor: num a tuple of ints, den > 0; brings it to lowest terms
+    # internal constructor: num a tuple of ints, den > 0; brings it to lowest
+    # terms and hands out the canonical 1
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
             num = tuple(c // g for c in num)
             den //= g
+    if den == 1 and num[0] == 1:
+        one = CycNumber.one(conductor)
+        if num == one.num:
+            return one
     self = object.__new__(CycNumber)
     self.conductor = conductor
     self.num = num
@@ -386,7 +398,7 @@ def root_of_unity(conductor: int, k: int = 1) -> CycNumber:
     if k < phi:
         c = [0] * phi
         c[k] = 1
-        return CycNumber(conductor, c)
+        return _make(conductor, tuple(c), 1)
     # reduce t^k mod Phi_N by repeated squaring on the base root
     z = CycNumber(conductor, [0, 1] + [0] * (phi - 2)) if phi > 1 else CycNumber.one(conductor)
     if phi == 1:
@@ -429,4 +441,5 @@ def cyc_from_json(obj: dict) -> CycNumber:
         raise ValueError(f"zero denominator in coefficients {obj['coeffs']!r}") from None
     except OverflowError:
         raise ValueError(f"non-finite value in coefficients {obj['coeffs']!r}") from None
-    return CycNumber(int(obj["conductor"]), coeffs)
+    c = CycNumber(int(obj["conductor"]), coeffs)
+    return CycNumber.one(c.conductor) if c.is_one() else c

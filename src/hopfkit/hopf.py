@@ -15,7 +15,10 @@ once on every structure it reports on, so the verifiers here are the
 soundness backstop for every generator-and-relations construction in the
 catalog.  Every "f(xy) = f(x)f(y)" check in the package (associativity,
 Delta and eps, module actions, characters, Hopf maps) runs through the one
-pair loop in multiplicative().
+pair loop in multiplicative(), and basis images are read straight off the
+tables: a basis vector {i: CycNumber.one(N)} has h.mult[i] as its left
+multiplication, and the kernels (mult_dict, delta_dict, tensor_mult,
+linalg.compose_columns) take no product with a factor that is the canonical 1.
 
 That loop runs over the pairs (e_i, a) with a in generators(h), a certified
 set of basis elements generating h as a unital associative algebra (Light's
@@ -37,8 +40,8 @@ from functools import wraps
 from math import gcd
 
 from .cyclotomic import CycNumber, embed
-from .linalg import (EchelonBasis, accumulate, compose_columns, identity_columns, solve_augmented,
-                     trace)
+from .linalg import (EchelonBasis, accumulate, add_scaled, compose_columns, identity_columns,
+                     solve_augmented, trace)
 
 MAX_FAILURES = 5
 
@@ -97,44 +100,49 @@ class HopfAlgebraData:
 
     def mult_dict(self, u: dict, v: dict) -> dict:
         out: dict[int, CycNumber] = {}
+        one = self.one()
         for i, a in u.items():
             row = self.mult[i]
             for j, b in v.items():
-                ab = a * b
+                ab = b if a is one else a if b is one else a * b
                 if ab.is_zero():
                     continue
-                for k, c in row[j].items():
-                    accumulate(out, k, c * ab)
+                add_scaled(out, row[j], ab, one)
         return out
 
     def delta_dict(self, u: dict) -> dict:
+        # comult as read may hold zeros and repeated (j, k), so every entry is accumulated
         out: dict[tuple[int, int], CycNumber] = {}
+        one = self.one()
         for i, a in u.items():
             for (j, k, c) in self.comult[i]:
-                accumulate(out, (j, k), c * a)
+                accumulate(out, (j, k), c if a is one else c * a)
         return out
 
     def tensor_mult(self, t1: dict, t2: dict) -> dict:
         """Componentwise product on H (x) H for sparse tensor dicts."""
         out: dict[tuple[int, int], CycNumber] = {}
+        one = self.one()
         for (a, b), c1 in t1.items():
             rowa = self.mult[a]
             rowb = self.mult[b]
             for (c, d), c2 in t2.items():
-                cc = c1 * c2
+                cc = c2 if c1 is one else c1 if c2 is one else c1 * c2
                 if cc.is_zero():
                     continue
-                left = rowa[c]
                 right = rowb[d]
-                for x, cx in left.items():
+                for x, cx in rowa[c].items():
+                    f = cx if cc is one else cc if cx is one else cc * cx
                     for y, cy in right.items():
-                        accumulate(out, (x, y), cc * cx * cy)
+                        accumulate(out, (x, y), cy if f is one else f if cy is one else f * cy)
         return out
 
     def counit_of(self, u: dict) -> CycNumber:
         e = self.zero()
+        one = self.one()
         for i, a in u.items():
-            e = e + self.counit[i] * a
+            c = self.counit[i]
+            e = e + (c if a is one else c * a)
         return e
 
     def antipode_dict(self, u: dict) -> dict:
@@ -231,9 +239,12 @@ def multiplicative(h: HopfAlgebraData, image, mul, one) -> list:
 def multiplicative_over(h: HopfAlgebraData, gens, image, mul, one) -> list:
     """multiplicative's check over the pairs (i, a), a in gens, with no reduction argument.
 
-    Each basis image is computed once.  Returns at most MAX_FAILURES witnesses
-    in order: None when image(1) != one, then each pair (i, a) with
-    image(e_i e_a) != mul(image(e_i), image(e_a)).
+    Each basis image is taken once.  An image that reads a table, such as
+    _left_columns or repsolver's module actions, hands back the table's own
+    row for a basis vector; here it is only compared and passed to mul.
+    Returns at most MAX_FAILURES witnesses in order: None when image(1) !=
+    one, then each pair (i, a) with image(e_i e_a) != mul(image(e_i),
+    image(e_a)).
     """
     failures = []
     if image(h.unit_dict()) != one:
@@ -282,8 +293,20 @@ def _left_columns(h: HopfAlgebraData):
 
     As a map into composed columns it is multiplicative exactly when
     (e_i e_j) e_k = e_i (e_j e_k), and its unit witness is the left unit law.
+    A basis vector {m: CycNumber.one(N)} maps to h.mult[m] itself, a
+    read-only alias of the table row: multiplicative_over only compares it
+    and hands it to compose_columns.
     """
-    return lambda v: [h.mult_dict(v, h.basis_dict(k)) for k in range(h.dim)]
+    one = h.one()
+
+    def image(v):
+        if len(v) == 1:
+            (m, c), = v.items()
+            if c is one:
+                return h.mult[m]
+        return [h.mult_dict(v, h.basis_dict(k)) for k in range(h.dim)]
+
+    return image
 
 
 @memoised
@@ -325,16 +348,18 @@ def verify_coalgebra(h: HopfAlgebraData) -> VerifyReport:
 
 def _coalgebra_failures(h: HopfAlgebraData, indices) -> list:
     failures = []
+    one = h.one()
     for i in indices:
         # (Delta (x) id) Delta vs (id (x) Delta) Delta, and the counit laws
         lhs, rhs, left, right = {}, {}, {}, {}
         for (j, k, c) in h.comult[i]:
             for (a, b, c2) in h.comult[j]:
-                accumulate(lhs, (a, b, k), c * c2)
+                accumulate(lhs, (a, b, k), c2 if c is one else c if c2 is one else c * c2)
             for (a, b, c2) in h.comult[k]:
-                accumulate(rhs, (j, a, b), c * c2)
-            accumulate(left, k, c * h.counit[j])
-            accumulate(right, j, c * h.counit[k])
+                accumulate(rhs, (j, a, b), c2 if c is one else c if c2 is one else c * c2)
+            ej, ek = h.counit[j], h.counit[k]
+            accumulate(left, k, ej if c is one else c if ej is one else c * ej)
+            accumulate(right, j, ek if c is one else c if ek is one else c * ek)
         if lhs != rhs:
             failures.append(f"coassociativity fails at {h.labels[i]}")
         if left != h.basis_dict(i) or right != h.basis_dict(i):

@@ -51,7 +51,9 @@ def coefficient_reader(conductor):
     """cyc_from_json for the coefficients of one structure of this conductor.
 
     Each distinct (conductor, coeffs) value is parsed and checked once, and
-    every occurrence of it shares that one immutable CycNumber.  Input that
+    every occurrence of it shares that one immutable CycNumber; a coefficient
+    equal to 1 is the canonical CycNumber.one(conductor), as cyc_from_json
+    returns it, so the kernels' shortcuts for 1 apply to read tables.  Input that
     cannot be a key (not an object, unhashable entries) takes the same
     route unmemoised, so it fails with the same error.
     """

@@ -11,7 +11,8 @@ reduced row sparse, so a row update touches only nonzero entries.  A
 `perp` is read off the free columns of the reduced rows, and a sparse linear
 system is solved by `solve_augmented`.  `accumulate` is the one "add into a
 sparse dict, drop the key if it cancels" step that every sparse loop in the
-package shares.
+package shares, and `add_scaled` adds a multiple of a sparse column with no
+product by a factor that is the canonical CycNumber.one(N).
 
 `Matrix` is dense and is only the input of `rank` and `nullspace`:
 `jacobson_radical`'s Gram matrix and the v^n x v^n quantum symmetrizer that
@@ -99,14 +100,33 @@ def accumulate(d: dict, key, v: CycNumber) -> None:
         d[key] = s
 
 
+def add_scaled(acc: dict, col: dict, c: CycNumber, one: CycNumber) -> None:
+    """acc += c col on sparse dicts, col holding no zero; one is CycNumber.one(N).
+
+    A factor that `is one` costs no product, and an empty acc takes a copy of
+    col when c is one.
+    """
+    if c is one:
+        if not acc:
+            acc.update(col)
+            return
+        for k, x in col.items():
+            accumulate(acc, k, x)
+    else:
+        for k, x in col.items():
+            accumulate(acc, k, c if x is one else c * x)
+
+
 def compose_columns(a: list, b: list) -> list:
     """a . b for linear maps given as lists of sparse columns {row: nonzero value}."""
     out = []
+    one = None
     for col in b:
         acc: dict = {}
         for m, c in col.items():
-            for x, cx in a[m].items():
-                accumulate(acc, x, c * cx)
+            if one is None:
+                one = CycNumber.one(c.conductor)
+            add_scaled(acc, a[m], c, one)
         out.append(acc)
     return out
 
@@ -128,6 +148,15 @@ def _sparse(vec) -> dict:
     return {c: x for c, x in items if not x.is_zero()}
 
 
+def _eliminate(v: dict, c: int, row: dict) -> None:
+    """v -= v[c] row, for a reduced row with 1 at its pivot c: v[c] is popped, not computed."""
+    f = -v.pop(c)
+    one = row[c]
+    for k, b in row.items():
+        if k != c:
+            accumulate(v, k, f if b is one else f * b)
+
+
 class EchelonBasis:
     """Incrementally built reduced-row-echelon basis of a subspace.
 
@@ -145,11 +174,10 @@ class EchelonBasis:
     def reduce(self, vec) -> dict:
         """vec minus its part along the basis, as a sparse dict."""
         v = _sparse(vec)
-        # a reduced row vanishes on the other pivots, so each v[c] is final
+        # a reduced row vanishes on the other pivots, so each v[c] is final;
+        # the row's 1 at c cancels v[c], which is popped instead
         for c in [c for c in v if c in self.pivots]:
-            f = -v[c]
-            for k, b in self.pivots[c].items():
-                accumulate(v, k, f * b)
+            _eliminate(v, c, self.pivots[c])
         return v
 
     def add(self, vec) -> bool:
@@ -159,18 +187,18 @@ class EchelonBasis:
             return False
         c = min(v)
         lead = v[c]
-        key = (lead.num, lead.den)
-        inv = self._inverses.get(key)
-        if inv is None:
-            inv = self._inverses[key] = lead.inverse()
-        v = {k: inv * a for k, a in v.items()}
+        one = CycNumber.one(lead.conductor)
+        if lead is not one:
+            key = (lead.num, lead.den)
+            inv = self._inverses.get(key)
+            if inv is None:
+                inv = self._inverses[key] = lead.inverse()
+            v = {k: inv * a for k, a in v.items()}
+            v[c] = one
         # back-substitute into existing rows
         for row in self.pivots.values():
-            x = row.get(c)
-            if x is not None:
-                f = -x
-                for k, b in v.items():
-                    accumulate(row, k, f * b)
+            if c in row:
+                _eliminate(row, c, v)
         self.pivots[c] = v
         return True
 

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .cyclotomic import CycNumber
 from .hopf import HopfAlgebraData, known_generators, multiplicative, witness_failures
-from .linalg import (EchelonBasis, Subspace, accumulate, compose_columns, extend_along_prefixes,
-                     identity_columns, trace)
+from .linalg import (EchelonBasis, Subspace, accumulate, add_scaled, compose_columns,
+                     extend_along_prefixes, identity_columns, trace)
 
 
 @dataclass
@@ -34,12 +35,21 @@ def module_from_gen_mats(dim, conductor, basis_words, gen_mats, label) -> RepMod
 
 
 def _combination(m: RepModule, vec: dict) -> list:
-    """The action of sum c e_k over vec = {k: c}, as sparse columns."""
+    """The action of sum c e_k over vec = {k: c}, as sparse columns.
+
+    A basis vector {k: CycNumber.one(N)} gives m.action[k] itself, a
+    read-only alias: hopf.multiplicative_over only compares it and hands it
+    to compose_columns.
+    """
     out = [{} for _ in range(m.dim)]
+    one = None
     for k, c in vec.items():
+        if one is None:
+            one = CycNumber.one(c.conductor)
+            if c is one and len(vec) == 1:
+                return m.action[k]
         for acc, col in zip(out, m.action[k]):
-            for r, a in col.items():
-                accumulate(acc, r, c * a)
+            add_scaled(acc, col, c, one)
     return out
 
 

@@ -93,6 +93,62 @@ def dense_vector(h, u):
     return [u.get(i, h.zero()) for i in range(h.dim)]
 
 
+# -- plain products: the structure tables read entry by entry, every coefficient
+# multiplied out, with none of the package kernels' shortcuts for a factor of 1
+
+
+def plain_mult(h, u, v):
+    """u v in h, summed over the entries of h.mult."""
+    out = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            for k, c in h.mult[i][j].items():
+                accumulate(out, k, a * b * c)
+    return out
+
+
+def plain_delta(h, u):
+    """Delta u, summed over the entries of h.comult."""
+    out = {}
+    for i, a in u.items():
+        for (j, k, c) in h.comult[i]:
+            accumulate(out, (j, k), a * c)
+    return out
+
+
+def plain_tensor_mult(h, t1, t2):
+    """The componentwise product of two sparse tensors on h (x) h."""
+    out = {}
+    for (a, b), c1 in t1.items():
+        for (c, d), c2 in t2.items():
+            for x, cx in h.mult[a][c].items():
+                for y, cy in h.mult[b][d].items():
+                    accumulate(out, (x, y), c1 * c2 * cx * cy)
+    return out
+
+
+def plain_counit(h, u):
+    """eps(u), summed over the entries of h.counit."""
+    return sum((a * h.counit[i] for i, a in u.items()), h.zero())
+
+
+def plain_compose(a, b):
+    """a . b for linear maps given as sparse columns."""
+    out = []
+    for col in b:
+        acc = {}
+        for m, c in col.items():
+            for x, cx in a[m].items():
+                accumulate(acc, x, c * cx)
+        out.append(acc)
+    return out
+
+
+def plain_antipode(h, u):
+    """S(u), summed over the entries of h.antipode."""
+    return plain_compose(h.antipode, [u])[0]
+
+
 def left_mult_matrix(h, u):
     """The dense matrix of e_j -> u e_j; column j holds the coefficients of u e_j."""
     m = Matrix(h.dim, h.dim, h.conductor)
