@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .cyclotomic import CycNumber, root_of_unity
 from .groups import (
@@ -28,7 +28,7 @@ from .groups import (
     quaternion_group,
 )
 from .hopf import dual, tensor_product
-from .linalg import accumulate
+from .linalg import accumulate, outer
 from .presentation import Presentation, group_algebra_hopf, realize_on_group
 from .repsolver import RepModule, module_from_gen_mats
 
@@ -177,8 +177,8 @@ def taft(n, k=1):
     g_vec = unit_at(G)
     x_vec = unit_at(X)
     gen_delta = {
-        G: _outer((g_vec, g_vec)),
-        X: _outer((x_vec, unit_at()), (g_vec, x_vec)),
+        G: outer((g_vec, g_vec)),
+        X: outer((x_vec, unit_at()), (g_vec, x_vec)),
     }
     gen_eps = {G: one, X: CycNumber.zero(conductor)}
     gen_s = {
@@ -198,7 +198,7 @@ def taft(n, k=1):
     cd = CandidateData(
         grouplikes=grouplikes,
         grouplike_labels=[h.labels[idx[(G,) * i]] for i in range(n)],
-        skew_witness=(h.unit_dict(), grouplikes[1], h.basis_dict(idx[(X,)])),
+        skew_witness=(h.unit, grouplikes[1], h.basis_dict(idx[(X,)])),
         simples=simples,
         expected={
             "dim": n * n,
@@ -211,16 +211,6 @@ def taft(n, k=1):
         },
     )
     return h, cd
-
-
-def _outer(*terms):
-    """Sum of u (x) v over the (u, v) terms, as a sparse tensor dict."""
-    out = {}
-    for u, v in terms:
-        for i, a in u.items():
-            for j, b in v.items():
-                accumulate(out, (i, j), a * b)
-    return out
 
 
 def _neg(d):
@@ -271,8 +261,8 @@ def pointed4p(variant, p, lam_k=1):
     x_vec = {idx[(X,)]: one}
     twist_vec = {idx[(G,) * delta_twist]: one}
     gen_delta = {
-        G: _outer((g_vec, g_vec)),
-        X: _outer((x_vec, {idx[()]: one}), (twist_vec, x_vec)),
+        G: outer((g_vec, g_vec)),
+        X: outer((x_vec, {idx[()]: one}), (twist_vec, x_vec)),
     }
     gen_eps = {G: one, X: CycNumber.zero(conductor)}
     gen_s = {
@@ -289,7 +279,7 @@ def pointed4p(variant, p, lam_k=1):
     cd = CandidateData(
         grouplikes=grouplikes,
         grouplike_labels=[h.labels[idx[(G,) * i]] for i in range(2 * p)],
-        skew_witness=(h.unit_dict(), h.basis_dict(idx[(G,) * delta_twist]),
+        skew_witness=(h.unit, h.basis_dict(idx[(G,) * delta_twist]),
                       h.basis_dict(idx[(X,)])),
         simples=simples,
         expected={
@@ -360,7 +350,7 @@ def _h4_tensor_kcp(p):
     cd = CandidateData(
         grouplikes=grouplikes,
         grouplike_labels=labels,
-        skew_witness=(h.unit_dict(), h.basis_dict(1 * p), h.basis_dict(2 * p)),
+        skew_witness=(h.unit, h.basis_dict(1 * p), h.basis_dict(2 * p)),
         simples=simples,
         expected={
             "dim": 4 * p,
@@ -461,7 +451,7 @@ def _twisted_quad_images(group, conductor, a_elem):
     gen_delta = {}
     gen_s = {}
     for name, this, that in (("s+", splus, sminus), ("s-", sminus, splus)):
-        gen_delta[name] = _outer(
+        gen_delta[name] = outer(
             ({idx[this]: one}, e_times(0, this)),
             ({idx[that]: one}, e_times(1, this)),
         )
@@ -469,7 +459,7 @@ def _twisted_quad_images(group, conductor, a_elem):
         for k, v in e_times(1, that).items():
             accumulate(s, k, v)
     a_vec = {idx[a_elem]: one}
-    gen_delta["a"] = _outer((a_vec, a_vec))
+    gen_delta["a"] = outer((a_vec, a_vec))
     gen_s["a"] = dict(a_vec)
     gen_eps = {"a": one, "s+": one, "s-": one}
     return gen_delta, gen_eps, gen_s
@@ -493,7 +483,7 @@ def a4p(p):
     k0 = (p - 1) // 2
     w = (0, k0, 1)  # s_+(p), the middle reflection
     grouplikes = [
-        h.unit_dict(),
+        h.unit,
         h.basis_dict(idx[(1, 0, 0)]),
         h.basis_dict(idx[w]),
         h.basis_dict(idx[(1, k0, 1)]),
@@ -534,7 +524,7 @@ def b4p(p):
     idx = group.index
     k0 = (p - 1) // 2
     grouplikes = [
-        h.unit_dict(),
+        h.unit,
         h.basis_dict(idx[a_elem]),
         _twisted_vec(h.conductor, idx[(k0, 1)], idx[(k0 + p, 1)], +1),
         _twisted_vec(h.conductor, idx[(k0, 1)], idx[(k0 + p, 1)], -1),
@@ -573,7 +563,7 @@ def b8():
     h = realize_on_group(group, conductor, gen_delta, gen_eps, gen_s)
     idx = group.index
     grouplikes = [
-        h.unit_dict(),
+        h.unit,
         h.basis_dict(idx[a_elem]),
         _twisted_vec(h.conductor, idx[(1, 0)], idx[(3, 0)], +1),
         _twisted_vec(h.conductor, idx[(1, 0)], idx[(3, 0)], -1),
@@ -702,8 +692,8 @@ def _fun_dic_images(pres, p, A, X):
         return {idx[(X,) * j]: half, idx[(A,) + (X,) * j]: sign * half}
 
     gen_delta = {
-        A: _outer((a_vec, a_vec)),
-        X: _outer(
+        A: outer((a_vec, a_vec)),
+        X: outer(
             (x_vec, e_times_x_power(0, 1)),
             ({idx[(A,) + (X,) * (2 * p - 1)]: one}, e_times_x_power(1, 1)),
         ),
@@ -721,7 +711,7 @@ def _dic_fun_grouplikes(h, p, x_pow_index):
     """1, g, a, a*g with g = (e0 + sqrt(-1) e1) x^p."""
     idx_xp, idx_axp = x_pow_index(0, p), x_pow_index(1, p)
     return [
-        h.unit_dict(),
+        h.unit,
         _twisted_vec(h.conductor, idx_xp, idx_axp, +1),
         h.basis_dict(x_pow_index(1, 0)),
         _twisted_vec(h.conductor, idx_xp, idx_axp, -1),
@@ -828,7 +818,7 @@ def h8p(p, alpha=1):
     g_vec = _twisted_vec(conductor, x_pow_index(0, p), x_pow_index(1, p), +1)
     g3_vec = _twisted_vec(conductor, x_pow_index(0, p), x_pow_index(1, p), -1)
     gen_delta, gen_eps, gen_s = _fun_dic_images(pres, p, A, X)
-    gen_delta[Z] = _outer((g_vec, z_vec), (z_vec, {idx[()]: one}))
+    gen_delta[Z] = outer((g_vec, z_vec), (z_vec, {idx[()]: one}))
     gen_eps[Z] = CycNumber.zero(conductor)
     # S(z) = -g^{-1} z = -g^3 z, and z anticommutes with g^3, so S(z) = z g^3
     s_z: dict[int, CycNumber] = {}
@@ -886,7 +876,7 @@ def h8p(p, alpha=1):
     cd = CandidateData(
         grouplikes=grouplikes,
         grouplike_labels=["1", "g", "a", "a*g"],
-        skew_witness=(h.unit_dict(), grouplikes[1], h.basis_dict(idx[(Z,)])),
+        skew_witness=(h.unit, grouplikes[1], h.basis_dict(idx[(Z,)])),
         simples=simples,
         dual_blocks=_dic_fun_blocks(h, p, x_pow_index),
         expected={
@@ -957,8 +947,30 @@ def build_family(name, params):
     raise ValueError(f"unknown family {name!r}")
 
 
-FAMILY_NAMES = [
-    "c_n", "product", "dihedral", "dicyclic", "q8", "gamma4p", "dual-group",
-    "taft", "a-m10", "a-m10-dual", "a-m11", "h4xcp", "a4p", "b4p", "b8",
-    "fun-dic", "h8p",
-]
+def _group_order(spec):
+    if spec[0] == "product":
+        return prod(max(n, 0) for n in spec[1])
+    if spec[0] == "q8":
+        return 8
+    return {"cyclic": 1, "dihedral": 2, "dicyclic": 4, "gamma4p": 4}[spec[0]] * spec[1]
+
+
+def _four_p(params):
+    return 4 * int(params["p"])
+
+
+# family -> the dimension build_family(family, params) would have, read from the same
+# parameters and computed without constructing anything; a parameter below its range
+# gives a dimension of at most 0, so that the constructor reports it
+FAMILY_DIMS = {
+    **{name: lambda params, kind=kind: _group_order(_group_spec_from_params(kind, params))
+       for name, kind in _GROUP_FAMILIES.items()},
+    "dual-group": lambda params: _group_order(
+        _group_spec_from_params(params.get("group", "cyclic"), params)),
+    "taft": lambda params: max(int(params["n"]), 0) ** 2,
+    **dict.fromkeys(POINTED4P_VARIANTS + ("a4p", "b4p"), _four_p),
+    "b8": lambda params: 8,
+    "fun-dic": _four_p,
+    "h8p": lambda params: 8 * int(params["p"]),
+}
+FAMILY_NAMES = list(FAMILY_DIMS)

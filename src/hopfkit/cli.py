@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import io as hio
-from .catalog import FAMILY_NAMES, build_family
+from .catalog import FAMILY_DIMS, FAMILY_NAMES, build_family
 from .certify import certify_family
 from .hopf import dual as hopf_dual
 from .hopf import verify_algebra, verify_antipode, verify_bialgebra, verify_coalgebra, verify_hopf
@@ -41,6 +41,13 @@ def _guard(name: str) -> int:
     return int(os.environ.get(name, GUARDS[name]))
 
 
+def _check_max_dim(dim: int) -> None:
+    """ValueError when dim exceeds HOPFKIT_MAX_DIM."""
+    max_dim = _guard("HOPFKIT_MAX_DIM")
+    if dim > max_dim:
+        raise ValueError(f"dimension {dim} exceeds HOPFKIT_MAX_DIM={max_dim}")
+
+
 def _family_params(args) -> dict:
     params = {}
     for key in ("n", "p", "ns", "alpha", "q_power", "lambda_power", "group"):
@@ -62,14 +69,13 @@ def _add_family_args(sub):
 
 
 def cmd_build(args) -> int:
+    params = _family_params(args)
     try:
-        h, cd = build_family(args.family, _family_params(args))
+        # refused from the parameters alone, before anything is constructed
+        _check_max_dim(FAMILY_DIMS[args.family](params))
+        h, cd = build_family(args.family, params)
     except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    max_dim = _guard("HOPFKIT_MAX_DIM")
-    if h.dim > max_dim:
-        print(f"error: dimension {h.dim} exceeds HOPFKIT_MAX_DIM={max_dim}", file=sys.stderr)
         return 2
     if _fails_verify_hopf(h):
         return 1
@@ -93,10 +99,7 @@ def _write_json(payload, path) -> bool:
 
 def _hopf_from_json(obj):
     """hio.hopf_from_json, refusing dim above HOPFKIT_MAX_DIM before anything is allocated."""
-    dim = int(obj["dim"])
-    max_dim = _guard("HOPFKIT_MAX_DIM")
-    if dim > max_dim:
-        raise ValueError(f"dimension {dim} exceeds HOPFKIT_MAX_DIM={max_dim}")
+    _check_max_dim(int(obj["dim"]))
     return hio.hopf_from_json(obj)
 
 

@@ -1,11 +1,13 @@
 """Finite-dimensional Hopf algebras as exact structure tensors.
 
-A HopfAlgebraData holds multiplication (dense table of sparse coefficient
-dicts), comultiplication (sparse triple lists), unit, counit and the antipode,
-all over one cyclotomic conductor.  A vector of H is a sparse dict
-{index: nonzero value}, like every vector in the package: products come from
-mult_dict, the counit from counit_of, and is_grouplike, inverse and order
-take such a dict.  Every linear map on the basis (the antipode, the left
+A HopfAlgebraData holds multiplication (a dense table of sparse coefficient
+dicts), comultiplication (comult[i] is Delta(e_i) as a sparse tensor
+{(j, k): nonzero value}), the unit (a sparse vector), the counit (a dense
+functional) and the antipode, all over one cyclotomic conductor.  A vector
+of H is a sparse dict {index: nonzero value}, like every vector in the
+package: products come from mult_dict, coproducts from delta_dict, the
+counit from counit_of, and is_grouplike, inverse and order take such a
+dict.  Every linear map on the basis (the antipode, the left
 multiplications of the associativity check, a Hopf map into another
 algebra) is a list of sparse columns {row: nonzero value},
 column j the image of e_j, and maps compose with linalg.compose_columns; so
@@ -40,7 +42,7 @@ from functools import wraps
 from math import gcd
 
 from .cyclotomic import CycNumber, embed
-from .linalg import (EchelonBasis, accumulate, add_scaled, compose_columns, identity_columns,
+from .linalg import (EchelonBasis, accumulate, add_scaled, compose_columns, identity_columns, outer,
                      solve_augmented, trace)
 
 MAX_FAILURES = 5
@@ -74,12 +76,12 @@ class HopfAlgebraData:
         self.dim = dim
         self.conductor = conductor
         self.labels = list(labels)
-        # mult[i][j]: dict index -> CycNumber, zero entries omitted
+        # mult[i][j]: e_i e_j as a dict index -> CycNumber, zero entries omitted
         self.mult = mult
-        self.unit = list(unit)  # dense coefficient vector
-        # comult[i]: sorted list of (j, k, CycNumber)
-        self.comult = [sorted(tr, key=lambda t: (t[0], t[1])) for tr in comult]
-        self.counit = list(counit)
+        self.unit = unit  # dict index -> CycNumber, zero entries omitted
+        # comult[i]: Delta(e_i) as a dict (j, k) -> CycNumber, zero entries omitted
+        self.comult = comult
+        self.counit = list(counit)  # dense coefficient vector
         # antipode[j]: S(e_j) as a dict index -> CycNumber, zero entries omitted
         self.antipode = antipode
         self._derived = {}  # function name -> result, filled by memoised and dual
@@ -95,9 +97,6 @@ class HopfAlgebraData:
     def basis_dict(self, i: int) -> dict:
         return {i: self.one()}
 
-    def unit_dict(self) -> dict:
-        return {i: c for i, c in enumerate(self.unit) if not c.is_zero()}
-
     def mult_dict(self, u: dict, v: dict) -> dict:
         out: dict[int, CycNumber] = {}
         one = self.one()
@@ -111,12 +110,10 @@ class HopfAlgebraData:
         return out
 
     def delta_dict(self, u: dict) -> dict:
-        # comult as read may hold zeros and repeated (j, k), so every entry is accumulated
         out: dict[tuple[int, int], CycNumber] = {}
         one = self.one()
         for i, a in u.items():
-            for (j, k, c) in self.comult[i]:
-                accumulate(out, (j, k), c if a is one else c * a)
+            add_scaled(out, self.comult[i], a, one)
         return out
 
     def tensor_mult(self, t1: dict, t2: dict) -> dict:
@@ -156,7 +153,7 @@ def is_grouplike(h: HopfAlgebraData, u: dict) -> bool:
     """eps(u) = 1 and Delta u = u (x) u, for a sparse vector u of h."""
     if not h.counit_of(u).is_one():
         return False
-    return h.delta_dict(u) == {(i, j): a * b for i, a in u.items() for j, b in u.items()}
+    return h.delta_dict(u) == outer((u, u))
 
 
 def inverse(h: HopfAlgebraData, u: dict):
@@ -169,19 +166,17 @@ def inverse(h: HopfAlgebraData, u: dict):
     for j in range(h.dim):
         for i, c in h.mult_dict(u, h.basis_dict(j)).items():
             rows[i][j] = c
-    for row, c in zip(rows, h.unit):
-        if not c.is_zero():
-            row[h.dim] = c
+    for i, c in h.unit.items():
+        rows[i][h.dim] = c
     x = solve_augmented(rows, h.dim)
-    if x is None or h.mult_dict(x, u) != h.unit_dict():
+    if x is None or h.mult_dict(x, u) != h.unit:
         return None
     return x
 
 
 def order(h: HopfAlgebraData, u: dict, bound: int = 10_000):
     """Multiplicative order of a sparse vector u of h, or None past the bound."""
-    unit = h.unit_dict()
-    return least_power(u, lambda x: x == unit, bound, h.mult_dict)
+    return least_power(u, lambda x: x == h.unit, bound, h.mult_dict)
 
 
 def least_power(x, is_one, bound: int = 10_000, mul=operator.mul):
@@ -247,7 +242,7 @@ def multiplicative_over(h: HopfAlgebraData, gens, image, mul, one) -> list:
     image(e_a)).
     """
     failures = []
-    if image(h.unit_dict()) != one:
+    if image(h.unit) != one:
         failures.append(None)
     basis = [image(h.basis_dict(i)) for i in range(h.dim)]
     for i, x in enumerate(basis):
@@ -270,12 +265,11 @@ def verify_algebra(h: HopfAlgebraData) -> VerifyReport:
         # certified only after both unit laws and Light's test passed
         return VerifyReport(True)
     failures = []
-    unit = h.unit_dict()
     for j in range(h.dim):
         ej = h.basis_dict(j)
-        if h.mult_dict(unit, ej) != ej:
+        if h.mult_dict(h.unit, ej) != ej:
             failures.append(f"left unit law fails at {h.labels[j]}")
-        if h.mult_dict(ej, unit) != ej:
+        if h.mult_dict(ej, h.unit) != ej:
             failures.append(f"right unit law fails at {h.labels[j]}")
         if len(failures) >= MAX_FAILURES:
             return VerifyReport(False, failures)
@@ -314,9 +308,7 @@ def bialgebra_witnesses(h: HopfAlgebraData) -> tuple:
     """multiplicative's witnesses (Delta, eps) on h, once per algebra; not to be changed.
 
     When dual(h) is the sparser side (see multiplicative), h's own are
-    computed only if dual(h) has one.  dual(h) is checked where it stands:
-    comult as read may hold zeros and repeats that dual(h) merges, so both
-    sides can count as the denser one.
+    computed only if dual(h) has one.
     """
     if sum(map(len, h.comult)) > sum(len(d) for row in h.mult for d in row) and not any(
             _witnesses_here(dual(h))):
@@ -325,9 +317,7 @@ def bialgebra_witnesses(h: HopfAlgebraData) -> tuple:
 
 
 def _witnesses_here(h: HopfAlgebraData) -> tuple:
-    unit = h.unit_dict()
-    one_one = {(i, j): a * b for i, a in unit.items() for j, b in unit.items()}
-    return (multiplicative(h, h.delta_dict, h.tensor_mult, one_one),
+    return (multiplicative(h, h.delta_dict, h.tensor_mult, outer((h.unit, h.unit))),
             multiplicative(h, h.counit_of, operator.mul, h.one()))
 
 
@@ -352,10 +342,10 @@ def _coalgebra_failures(h: HopfAlgebraData, indices) -> list:
     for i in indices:
         # (Delta (x) id) Delta vs (id (x) Delta) Delta, and the counit laws
         lhs, rhs, left, right = {}, {}, {}, {}
-        for (j, k, c) in h.comult[i]:
-            for (a, b, c2) in h.comult[j]:
+        for (j, k), c in h.comult[i].items():
+            for (a, b), c2 in h.comult[j].items():
                 accumulate(lhs, (a, b, k), c2 if c is one else c if c2 is one else c * c2)
-            for (a, b, c2) in h.comult[k]:
+            for (a, b), c2 in h.comult[k].items():
                 accumulate(rhs, (j, a, b), c2 if c is one else c if c2 is one else c * c2)
             ej, ek = h.counit[j], h.counit[k]
             accumulate(left, k, ej if c is one else c if ej is one else c * ej)
@@ -385,23 +375,22 @@ def verify_antipode(h: HopfAlgebraData) -> VerifyReport:
     = S(y_1) S(x_1) x_2 y_2 = eps(x) eps(y) 1, and likewise on the right.
     """
     return _on_generators(h, _antipode_failures, lambda: not multiplicative(
-        h, h.antipode_dict, lambda x, y: h.mult_dict(y, x), h.unit_dict()))
+        h, h.antipode_dict, lambda x, y: h.mult_dict(y, x), h.unit))
 
 
 def _antipode_failures(h: HopfAlgebraData, indices) -> list:
     failures = []
-    unit = h.unit_dict()
     for i in indices:
         lhs: dict[int, CycNumber] = {}
         rhs: dict[int, CycNumber] = {}
-        for (j, k, c) in h.comult[i]:
+        for (j, k), c in h.comult[i].items():
             sj = h.antipode_dict({j: c})
             for x, cx in h.mult_dict(sj, h.basis_dict(k)).items():
                 accumulate(lhs, x, cx)
             sk = h.antipode_dict({k: c})
             for x, cx in h.mult_dict(h.basis_dict(j), sk).items():
                 accumulate(rhs, x, cx)
-        target = {k: v * h.counit[i] for k, v in unit.items() if not (v * h.counit[i]).is_zero()}
+        target = {k: v * h.counit[i] for k, v in h.unit.items() if not (v * h.counit[i]).is_zero()}
         if lhs != target:
             failures.append(f"antipode law m(S (x) id)Delta fails at {h.labels[i]}")
         if rhs != target:
@@ -439,13 +428,13 @@ def dual(h: HopfAlgebraData) -> HopfAlgebraData:
         return known
     mult = [[{} for _ in range(h.dim)] for _ in range(h.dim)]
     for i in range(h.dim):
-        for (j, k, c) in h.comult[i]:
-            accumulate(mult[j][k], i, c)
-    comult = [[] for _ in range(h.dim)]
+        for (j, k), c in h.comult[i].items():
+            mult[j][k][i] = c
+    comult = [{} for _ in range(h.dim)]
     for i in range(h.dim):
         for j in range(h.dim):
             for k, c in h.mult[i][j].items():
-                comult[k].append((i, j, c))
+                comult[k][(i, j)] = c
     labels = [lb[:-1] if lb.endswith("*") else lb + "*" for lb in h.labels]
     antipode = [{} for _ in range(h.dim)]
     for j, col in enumerate(h.antipode):
@@ -456,9 +445,9 @@ def dual(h: HopfAlgebraData) -> HopfAlgebraData:
         conductor=h.conductor,
         labels=labels,
         mult=mult,
-        unit=list(h.counit),
+        unit={i: c for i, c in enumerate(h.counit) if not c.is_zero()},
         comult=comult,
-        counit=list(h.unit),
+        counit=[h.unit.get(i, h.zero()) for i in range(h.dim)],
         antipode=antipode,
     )
     h._derived["dual"] = out
@@ -493,7 +482,7 @@ def generators(h: HopfAlgebraData) -> list:
             words.append(v)
             pending.extend((v, a) for a in gens)
 
-    grow(h.unit_dict())
+    grow(h.unit)
     for i in everything:
         if span.dim == h.dim:
             break
@@ -506,8 +495,7 @@ def generators(h: HopfAlgebraData) -> list:
         while pending:
             w, a = pending.pop()
             grow(h.mult_dict(w, h.basis_dict(a)))
-    unit = h.unit_dict()
-    if any(h.mult_dict(h.basis_dict(j), unit) != h.basis_dict(j) for j in everything):
+    if any(h.mult_dict(h.basis_dict(j), h.unit) != h.basis_dict(j) for j in everything):
         return everything
     # Light's test, with the left unit law as its unit witness
     if multiplicative_over(h, gens, _left_columns(h), compose_columns,
@@ -528,10 +516,6 @@ def known_generators(h: HopfAlgebraData) -> list:
     return h._derived.get("generators") or list(range(h.dim))
 
 
-def _embed_vec(vec, conductor):
-    return [embed(c, conductor) for c in vec]
-
-
 def change_conductor(h: HopfAlgebraData, conductor: int) -> HopfAlgebraData:
     if conductor == h.conductor:
         return h
@@ -541,11 +525,11 @@ def change_conductor(h: HopfAlgebraData, conductor: int) -> HopfAlgebraData:
         [{k: embed(c, conductor) for k, c in h.mult[i][j].items()} for j in range(h.dim)]
         for i in range(h.dim)
     ]
-    comult = [[(j, k, embed(c, conductor)) for (j, k, c) in tr] for tr in h.comult]
+    comult = [{jk: embed(c, conductor) for jk, c in t.items()} for t in h.comult]
     anti = [{r: embed(c, conductor) for r, c in col.items()} for col in h.antipode]
     return HopfAlgebraData(h.dim, conductor, h.labels, mult,
-                           _embed_vec(h.unit, conductor), comult,
-                           _embed_vec(h.counit, conductor), anti)
+                           {i: embed(c, conductor) for i, c in h.unit.items()}, comult,
+                           [embed(c, conductor) for c in h.counit], anti)
 
 
 def tensor_product(a: HopfAlgebraData, b: HopfAlgebraData) -> HopfAlgebraData:
@@ -570,17 +554,11 @@ def tensor_product(a: HopfAlgebraData, b: HopfAlgebraData) -> HopfAlgebraData:
                             if not v.is_zero():
                                 d[idx(k1, k2)] = v
                     mult[idx(i1, j1)][idx(i2, j2)] = d
-    comult = []
-    for i in range(a.dim):
-        for j in range(b.dim):
-            tr = []
-            for (x1, y1, c1) in a.comult[i]:
-                for (x2, y2, c2) in b.comult[j]:
-                    v = c1 * c2
-                    if not v.is_zero():
-                        tr.append((idx(x1, x2), idx(y1, y2), v))
-            comult.append(tr)
-    unit = [a.unit[i] * b.unit[j] for i in range(a.dim) for j in range(b.dim)]
+    # a product of nonzero field elements is nonzero
+    comult = [{(idx(x1, x2), idx(y1, y2)): c1 * c2
+               for (x1, y1), c1 in a.comult[i].items() for (x2, y2), c2 in b.comult[j].items()}
+              for i in range(a.dim) for j in range(b.dim)]
+    unit = {idx(i, j): c1 * c2 for i, c1 in a.unit.items() for j, c2 in b.unit.items()}
     counit = [a.counit[i] * b.counit[j] for i in range(a.dim) for j in range(b.dim)]
     anti = [{idx(r, s): c1 * c2 for r, c1 in a.antipode[i].items()
              for s, c2 in b.antipode[j].items()}

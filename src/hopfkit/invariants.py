@@ -20,7 +20,7 @@ from .hopf import (HopfAlgebraData, antipode_order, dual, generators, is_groupli
                    known_generators, least_power, memoised, multiplicative_over, order,
                    s_squared_order, tr_s_squared, witness_failures)
 from .linalg import (Matrix, Subspace, accumulate, bilinear_closure, compose_columns, nullspace,
-                     trace)
+                     outer, trace)
 from .repsolver import RepModule, simples_certificate
 
 
@@ -97,7 +97,7 @@ def coradical_filtration(h: HopfAlgebraData) -> list[Subspace]:
 def chevalley_check(h: HopfAlgebraData):
     """True iff the coradical is a Hopf subalgebra; returns (flag, witness)."""
     h0 = coradical(h)
-    if not h0.contains(h.unit_dict()):
+    if not h0.contains(h.unit):
         return False, "coradical does not contain 1"
     closed = bilinear_closure(h0, h.mult_dict)
     if closed.dim != h0.dim:
@@ -166,12 +166,7 @@ def block_failure(h: HopfAlgebraData, block: list):
     m = [[block[d * u + v] for v in range(d)] for u in range(d)]
     for u in range(d):
         for v in range(d):
-            expected = {}
-            for w in range(d):
-                for i, a in m[u][w].items():
-                    for j, b in m[w][v].items():
-                        accumulate(expected, (i, j), a * b)
-            if h.delta_dict(m[u][v]) != expected:
+            if h.delta_dict(m[u][v]) != outer(*((m[u][w], m[w][v]) for w in range(d))):
                 return f"Delta(m_uv) != sum_w m_uw (x) m_wv at (u, v) = ({u}, {v})"
             if h.counit_of(m[u][v]) != (h.one() if u == v else h.zero()):
                 return f"eps(m_uv) != delta_uv at (u, v) = ({u}, {v})"
@@ -201,7 +196,7 @@ def verify_grouplikes(h: HopfAlgebraData, candidates, dual_blocks) -> GrouplikeC
             failures.append("candidate set not closed under multiplication")
             break
         table.append(row)
-    unit = index.get(key(h.unit_dict()))
+    unit = index.get(key(h.unit))
     if unit is None:
         failures.append("unit missing from candidate set")
     if failures:
@@ -264,8 +259,8 @@ def skew_primitive_space(h: HopfAlgebraData, g: dict, k: dict,
         return (x, y) if convention == "x-first" else (y, x)
 
     for i in range(n):
-        for (a, b, c) in h.comult[i]:
-            accumulate(rows[(a, b)], i, c)
+        for ab, c in h.comult[i].items():
+            rows[ab][i] = c
     for i in range(n):
         for b, gb in g.items():
             accumulate(rows[key(i, b)], i, -gb)
@@ -326,7 +321,7 @@ def distinguished_grouplike(h: HopfAlgebraData) -> dict:
     lam = right.basis()[0]
     pivot = min(lam)
     acc = {}
-    for (j, k, c) in h.comult[pivot]:
+    for (j, k), c in h.comult[pivot].items():
         if k in lam:
             accumulate(acc, j, c * lam[k])
     scale = lam[pivot].inverse()
@@ -351,12 +346,12 @@ def verify_hopf_map(h: HopfAlgebraData, target: HopfAlgebraData, pi: list):
     gens = generators(h) if len(generators(target)) < target.dim else range(h.dim)
     why = witness_failures(h, multiplicative_over(
         h, gens, lambda vec: compose_columns(pi, [vec])[0], target.mult_dict,
-        target.unit_dict()), "pi(1) != 1", "pi is not an algebra map at")
+        target.unit), "pi(1) != 1", "pi is not an algebra map at")
     if why:
         return False, why[0]
     for i in range(h.dim):
         di = {}
-        for (j, k, c) in h.comult[i]:
+        for (j, k), c in h.comult[i].items():
             for a, ca in pi[j].items():
                 for b, cb in pi[k].items():
                     accumulate(di, (a, b), c * ca * cb)
@@ -376,13 +371,12 @@ def coinvariants(h: HopfAlgebraData, target: HopfAlgebraData, pi: list) -> Subsp
     n = h.dim
     rows = defaultdict(dict)  # (j, b) -> sparse coefficient row of e_j (x) f_b
     for i in range(n):
-        for (j, k, c) in h.comult[i]:
+        for (j, k), c in h.comult[i].items():
             for b, cb in pi[k].items():
                 accumulate(rows[(j, b)], i, c * cb)
     for i in range(n):
-        for b, ub in enumerate(target.unit):
-            if not ub.is_zero():
-                accumulate(rows[(i, b)], i, -ub)
+        for b, ub in target.unit.items():
+            accumulate(rows[(i, b)], i, -ub)
     return _nullspace_of_rows(h, rows.values())
 
 

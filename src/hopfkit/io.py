@@ -9,7 +9,11 @@ lives in that call only; nothing is cached at module level.
 
 A file keeps the antipode and each module action as a dense square matrix;
 in memory each is a list of sparse columns, converted at this boundary by
-`columns_to_json` and `columns_from_json`.
+`columns_to_json` and `columns_from_json`.  Its comult entries [i, j, k, c]
+may repeat a triple (i, j, k) or give it a zero coefficient; `hopf_from_json`
+is the only code that knows this, and hands Delta(e_i) on as the sparse
+tensor {(j, k): nonzero value} that `hopf_to_json` writes back in sorted
+(j, k) order.  A product e_i e_j given twice is an input error.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from math import isqrt
 
 from .cyclotomic import cyc_from_json, cyc_to_json
 from .hopf import HopfAlgebraData
+from .linalg import accumulate
 
 
 def _coefficient_writer():
@@ -107,15 +112,13 @@ def hopf_to_json(h: HopfAlgebraData) -> dict:
             for k, c in d.items():
                 vec[k] = c
             mult.append([i, j, [write(c) for c in vec]])
-    comult = []
-    for i in range(h.dim):
-        for (j, k, c) in h.comult[i]:
-            comult.append([i, j, k, write(c)])
+    comult = [[i, j, k, write(c)]
+              for i in range(h.dim) for (j, k), c in sorted(h.comult[i].items())]
     return {
         "dim": h.dim,
         "conductor": h.conductor,
         "labels": list(h.labels),
-        "unit": [write(c) for c in h.unit],
+        "unit": [write(h.unit.get(i, zero)) for i in range(h.dim)],
         "counit": [write(c) for c in h.counit],
         "mult": mult,
         "comult": comult,
@@ -129,21 +132,32 @@ def _check_indices(dim, *indices):
             raise ValueError(f"basis index {i!r} out of range for dim {dim}")
 
 
+def _sparse_from_json(arr, read) -> dict:
+    """A dense JSON coefficient list as a sparse vector {index: nonzero value}."""
+    coeffs = [read(o) for o in arr]
+    return {i: c for i, c in enumerate(coeffs) if not c.is_zero()}
+
+
 def hopf_from_json(obj: dict) -> HopfAlgebraData:
+    """The structure a file describes: a product e_i e_j given twice is a ValueError, and
+    the comult entries at one (i, j, k) are summed, a zero sum dropped."""
     dim = int(obj["dim"])
     conductor = int(obj["conductor"])
     read = coefficient_reader(conductor)
     mult = [[{} for _ in range(dim)] for _ in range(dim)]
+    given = set()
     for i, j, vec in obj["mult"]:
         _check_indices(dim, i, j)
+        if (i, j) in given:
+            raise ValueError(f"product e_{i} e_{j} is given twice")
+        given.add((i, j))
         if len(vec) != dim:
             raise ValueError(f"product e_{i} e_{j} has {len(vec)} coefficients, not {dim}")
-        coeffs = [read(o) for o in vec]
-        mult[i][j] = {k: c for k, c in enumerate(coeffs) if not c.is_zero()}
-    comult = [[] for _ in range(dim)]
+        mult[i][j] = _sparse_from_json(vec, read)
+    comult = [{} for _ in range(dim)]
     for i, j, k, c in obj["comult"]:
         _check_indices(dim, i, j, k)
-        comult[i].append((j, k, read(c)))
+        accumulate(comult[i], (j, k), read(c))
     (rows, cols), antipode = columns_from_json(obj["antipode"], read)
     if (rows, cols) != (dim, dim):
         raise ValueError(f"antipode is {rows}x{cols}, not {dim}x{dim}")
@@ -158,7 +172,7 @@ def hopf_from_json(obj: dict) -> HopfAlgebraData:
         conductor=conductor,
         labels=labels,
         mult=mult,
-        unit=[read(o) for o in obj["unit"]],
+        unit=_sparse_from_json(obj["unit"], read),
         comult=comult,
         counit=[read(o) for o in obj["counit"]],
         antipode=antipode,
@@ -189,10 +203,10 @@ def candidate_to_json(cd, h: HopfAlgebraData) -> dict:
 
 
 def _element_from_json(arr, h: HopfAlgebraData, read) -> dict:
-    vec = [read(o) for o in arr]
-    if len(vec) != h.dim:
-        raise ValueError(f"vector has {len(vec)} coefficients, not {h.dim}")
-    return {i: c for i, c in enumerate(vec) if not c.is_zero()}
+    vec = _sparse_from_json(arr, read)
+    if len(arr) != h.dim:
+        raise ValueError(f"vector has {len(arr)} coefficients, not {h.dim}")
+    return vec
 
 
 def _module_from_json(obj, h: HopfAlgebraData, read):

@@ -4,7 +4,8 @@ A vector is sparse, {index: nonzero value}.  Every linear map (the antipode,
 a Hopf map, a braiding, the action of an algebra element on a module or of a
 group element in an irrep) is kept as sparse columns, column j the image of
 the j-th basis vector, and maps compose with `compose_columns`;
-`identity_columns` and `trace` complete that form.  All elimination runs
+`identity_columns` and `trace` complete that form, and `outer` gives the
+sparse tensor {(i, j): value} of a sum of u (x) v.  All elimination runs
 through one incremental Gauss-Jordan core, `EchelonBasis`, which keeps each
 reduced row sparse, so a row update touches only nonzero entries.  A
 `Subspace` is such a basis and hands its vectors out as sparse dicts; its
@@ -115,6 +116,16 @@ def add_scaled(acc: dict, col: dict, c: CycNumber, one: CycNumber) -> None:
     else:
         for k, x in col.items():
             accumulate(acc, k, c if x is one else c * x)
+
+
+def outer(*terms) -> dict:
+    """Sum of u (x) v over the (u, v) terms, sparse vectors, as a sparse tensor {(i, j): value}."""
+    out: dict = {}
+    for u, v in terms:
+        for i, a in u.items():
+            for j, b in v.items():
+                accumulate(out, (i, j), a * b)
+    return out
 
 
 def compose_columns(a: list, b: list) -> list:

@@ -152,12 +152,10 @@ def assemble_hopf(dim, conductor, labels, mult, unit_index, basis_words,
     S(w g) = S(g) S(w), each word from its longest built prefix w.
     """
     one = CycNumber.one(conductor)
-    zero = CycNumber.zero(conductor)
-    unit_vec = [zero] * dim
-    unit_vec[unit_index] = one
+    unit = {unit_index: one}
 
     # the algebra alone, for its product kernels; the coalgebra is built below
-    ring = HopfAlgebraData(dim, conductor, labels, mult, unit_vec, [], [], None)
+    ring = HopfAlgebraData(dim, conductor, labels, mult, unit, [], [], None)
 
     def step(value, g):
         t, e, s = value
@@ -165,10 +163,10 @@ def assemble_hopf(dim, conductor, labels, mult, unit_index, basis_words,
 
     images = extend_along_prefixes(
         basis_words, ({(unit_index, unit_index): one}, one, {unit_index: one}), step)
-    comult = [[(j, k, c) for (j, k), c in t.items()] for t, _, _ in images]
+    comult = [t for t, _, _ in images]
     counit = [e for _, e, _ in images]
     anti = [s for _, _, s in images]
-    return HopfAlgebraData(dim, conductor, labels, mult, unit_vec, comult, counit, anti)
+    return HopfAlgebraData(dim, conductor, labels, mult, unit, comult, counit, anti)
 
 
 def group_mult_table(group, conductor):
@@ -187,11 +185,9 @@ def group_algebra_hopf(group, conductor=None) -> HopfAlgebraData:
     conductor = conductor or group.conductor
     mult = group_mult_table(group, conductor)
     one = CycNumber.one(conductor)
-    zero = CycNumber.zero(conductor)
     n = group.order
-    unit = [zero] * n
-    unit[group.index[group.identity]] = one
-    comult = [[(i, i, one)] for i in range(n)]
+    unit = {group.index[group.identity]: one}
+    comult = [{(i, i): one} for i in range(n)]
     counit = [one] * n
     anti = [{group.index[group.inv(g)]: one} for g in group.elements]
     return HopfAlgebraData(n, conductor, list(group.labels), mult, unit, comult, counit, anti)

@@ -80,13 +80,12 @@ def verify_yd(mod: YDModule):
     return True, None
 
 
-def yd_module_gamma4p(p: int, class_spec, rep_spec, literal_action=False) -> YDModule:
+def yd_module_gamma4p(p: int, class_spec, rep_spec) -> YDModule:
     """The explicit simple Yetter-Drinfeld modules over the order-4p semidirect
     product group, one per (conjugacy class, centralizer irrep) pair.
 
-    For the x^m classes the printed basis action x.v_j = w^k v_(jl+1) fails the
-    compatibility axiom; the verified form x.v_j = w^k v_(jl) is the default
-    and the literal one stays available behind a flag.
+    For the x^m classes the action is x.v_j = w^k v_(jl); the printed
+    x.v_j = w^k v_(jl+1) fails the compatibility axiom.
     """
     grp = gamma4p_group(p)
     conductor = grp.conductor
@@ -121,8 +120,7 @@ def yd_module_gamma4p(p: int, class_spec, rep_spec, literal_action=False) -> YDM
         k = rep_spec[1] % 4
         one = CycNumber.one(conductor)
         omega_k = root_of_unity(conductor, p * k)
-        offset = 1 if literal_action else 0
-        x_mat = [{(j * ell + offset) % p: omega_k} for j in range(p)]
+        x_mat = [{(j * ell) % p: omega_k} for j in range(p)]
         y_mat = [{(j + 1) % p: one} for j in range(p)]
         grading = [((j * (1 - pow(ell, m, p))) % p, m) for j in range(p)]
         return YDModule(grp, conductor, p, {"x": x_mat, "y": y_mat}, grading,
@@ -246,7 +244,7 @@ def validate_yd_datum(d: YDDatum):
     for i in range(L.dim):
         lhs: dict[int, CycNumber] = {}
         rhs: dict[int, CycNumber] = {}
-        for (j, k, c) in L.comult[i]:
+        for (j, k), c in L.comult[i].items():
             # (chi -> h) g = chi(h_2) h_1 g ; g (h <- chi) = chi(h_1) g h_2
             for x, cx in L.mult_dict({j: c * d.chi[k]}, d.g).items():
                 accumulate(lhs, x, cx)
@@ -279,7 +277,7 @@ def bosonize(d: YDDatum) -> HopfAlgebraData:
     # chi-twist T(l) = chi(l_1) l_2 as a sparse matrix power cache
     twist = [dict() for _ in range(L.dim)]
     for i in range(L.dim):
-        for (j, k, c) in L.comult[i]:
+        for (j, k), c in L.comult[i].items():
             accumulate(twist[i], k, c * d.chi[j])
     twists = [[{i: L.one()} for i in range(L.dim)]]
     for _ in range(n_trunc):
@@ -301,28 +299,26 @@ def bosonize(d: YDDatum) -> HopfAlgebraData:
                             accumulate(acc, idx(m + n2, k2), c * c2)
                     mult[row][col] = acc
 
-    g_pows = [L.unit_dict()]
+    g_pows = [L.unit]
     for _ in range(n_trunc):
         g_pows.append(L.mult_dict(g_pows[-1], d.g))
     qbins = [[q_binomial(n2, s, d.q) for s in range(n2 + 1)] for n2 in range(n_trunc)]
     comult = []
     for m in range(n_trunc):
         for i in range(L.dim):
-            tr = []
-            for (j, k, c) in L.comult[i]:
+            delta = {}
+            for (j, k), c in L.comult[i].items():
                 for s in range(m + 1):
                     coeff = qbins[m][s] * c
                     if coeff.is_zero():
                         continue
                     left = L.mult_dict(g_pows[m - s], {j: coeff})
                     for lidx, lc in left.items():
-                        tr.append((idx(s, lidx), idx(m - s, k), lc))
-            comult.append(_combine_triples(tr))
+                        accumulate(delta, (idx(s, lidx), idx(m - s, k)), lc)
+            comult.append(delta)
 
     zero = L.zero()
-    unit = [zero] * dim
-    for i, c in enumerate(L.unit):
-        unit[idx(0, i)] = c
+    unit = {idx(0, i): c for i, c in L.unit.items()}
     counit = [zero] * dim
     for i, c in enumerate(L.counit):
         counit[idx(0, i)] = c
@@ -337,7 +333,7 @@ def bosonize(d: YDDatum) -> HopfAlgebraData:
     if g_inv is None:
         raise ValueError("datum group-like is not invertible")
     sy = {idx(1, i): -(d.q.inverse()) * c for i, c in g_inv.items()}
-    sy_pows = [h.unit_dict()]
+    sy_pows = [h.unit]
     for _ in range(n_trunc - 1):
         sy_pows.append(h.mult_dict(sy_pows[-1], sy))
     anti = []
@@ -350,13 +346,6 @@ def bosonize(d: YDDatum) -> HopfAlgebraData:
     if not rep.ok:
         raise AssertionError("bosonization fails Hopf axioms: " + "; ".join(rep.failures))
     return h
-
-
-def _combine_triples(triples):
-    acc: dict[tuple, CycNumber] = {}
-    for (a, b, c) in triples:
-        accumulate(acc, (a, b), c)
-    return [(a, b, c) for (a, b), c in acc.items()]
 
 
 # ---------------------------------------------------------------------------

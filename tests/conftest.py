@@ -111,8 +111,8 @@ def plain_delta(h, u):
     """Delta u, summed over the entries of h.comult."""
     out = {}
     for i, a in u.items():
-        for (j, k, c) in h.comult[i]:
-            accumulate(out, (j, k), a * c)
+        for jk, c in h.comult[i].items():
+            accumulate(out, jk, a * c)
     return out
 
 

@@ -116,7 +116,7 @@ def test_criterion_02_h8p_at_p3():
     half = CycNumber.from_rational(12, "1/2")
     expected_g = {3: half + im * half, 9: half - im * half}  # x^3 and a x^3
     assert g == expected_g
-    powers = {frozen(power(g, k, h.unit_dict(), h.mult_dict)) for k in range(4)}
+    powers = {frozen(power(g, k, h.unit, h.mult_dict)) for k in range(4)}
     assert powers == {frozen(c) for c in cd.grouplikes}
     assert cert.coradical_dim == 12
     span = Subspace.from_vectors(
@@ -312,7 +312,7 @@ def test_criterion_10_coinvariants():
     y1[d.L.dim] = b.one()
     assert s.contains(y1) and s.contains(b.unit)
     gb = dict(d.g)  # 1 # g sits at the indices of g in L
-    sp = skew_primitive_space(b, b.unit_dict(), gb)
+    sp = skew_primitive_space(b, b.unit, gb)
     assert sp.dim == 2 and sp.contains(y1)
     _say("criterion 10 (coinvariants of the biproduct projection): PASS")
 

@@ -8,6 +8,7 @@ from hopfkit import io as hio
 from conftest import build, dense, dense_trace, identity_matrix, power, same_tensors, word_product
 from hopfkit.certify import certify_family
 from hopfkit.invariants import verify_grouplikes
+from hopfkit.ydnichols import DATUM_NAMES, bosonize, named_datum
 from hopfkit.hopf import (antipode_order, dual, is_grouplike, order, s_squared_order, tr_s_squared,
                           verify_hopf)
 
@@ -99,7 +100,7 @@ def test_b4p_middle_reflection_power_is_a():
     splus = h.basis_dict(group.index[group.generators["s+"]])
     sminus = h.basis_dict(group.index[group.generators["s-"]])
     a = h.basis_dict(group.index[(3, 0)])
-    assert power(h.mult_dict(splus, sminus), 3, h.unit_dict(), h.mult_dict) == a
+    assert power(h.mult_dict(splus, sminus), 3, h.unit, h.mult_dict) == a
 
 
 def test_b8_kac_paljutkin():
@@ -171,6 +172,37 @@ _SWEEP_IDS = [" ".join([name] + [f"{k}={v}" for k, v in sorted(params.items())])
               for name, params in _SWEEP]
 
 
+def test_family_names_keep_the_command_line_order():
+    assert catalog.FAMILY_NAMES == [
+        "c_n", "product", "dihedral", "dicyclic", "q8", "gamma4p", "dual-group",
+        "taft", "a-m10", "a-m10-dual", "a-m11", "h4xcp", "a4p", "b4p", "b8",
+        "fun-dic", "h8p",
+    ]
+
+
+@pytest.mark.parametrize("name, params", _SWEEP, ids=_SWEEP_IDS)
+def test_family_dims_are_read_off_the_parameters(name, params):
+    assert catalog.FAMILY_DIMS[name](params) == build(name, **params)[0].dim
+
+
+def _stores_no_zero(h):
+    """comult[i] is {(j, k): nonzero value} and unit is {index: nonzero value}."""
+    return (all(type(jk) is tuple and len(jk) == 2 and not c.is_zero()
+                for t in h.comult for jk, c in t.items())
+            and all(type(i) is int and not c.is_zero() for i, c in h.unit.items()))
+
+
+@pytest.mark.parametrize("name, params", _SWEEP, ids=_SWEEP_IDS)
+def test_catalog_members_and_their_duals_store_no_zero(name, params):
+    h, _ = build(name, **params)
+    assert _stores_no_zero(h) and _stores_no_zero(dual(h))
+
+
+@pytest.mark.parametrize("datum", DATUM_NAMES)
+def test_bosonizations_store_no_zero(datum):
+    assert _stores_no_zero(bosonize(named_datum(datum, 3)))
+
+
 @pytest.mark.parametrize("name, params", _SWEEP, ids=_SWEEP_IDS)
 def test_certify_sweep(name, params):
     """Every family at its smallest parameters, and k^G for every group kind."""
@@ -224,8 +256,8 @@ def test_prefix_extension_matches_whole_words(monkeypatch, name, params):
                    for i in range(h.dim) for j in range(h.dim))
     for h, words, gen_delta, gen_eps, gen_s in seen["coalg"]:
         for i, word in enumerate(words):
-            t = {(k, k): c for k, c in h.unit_dict().items()}
-            e, s = h.one(), h.unit_dict()
+            t = {(k, k): c for k, c in h.unit.items()}
+            e, s = h.one(), h.unit
             for letter in word:
                 t = h.tensor_mult(t, gen_delta[letter])
                 e = e * gen_eps[letter]

@@ -63,6 +63,47 @@ def test_max_dim_guard(tmp_path, monkeypatch):
     assert main(["build", "h8p", "--p", "3", "--out", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("family, dim", [("c_n", 100000), ("taft", 100000 ** 2)])
+def test_build_refuses_an_oversized_family_before_constructing(tmp_path, monkeypatch, capsys,
+                                                               family, dim):
+    import hopfkit.cli as cli
+
+    def no_constructor(name, params):
+        raise AssertionError(f"{name} was constructed")
+
+    monkeypatch.delenv("HOPFKIT_MAX_DIM", raising=False)
+    monkeypatch.setattr(cli, "build_family", no_constructor)
+    assert main(["build", family, "--n", "100000", "--out", str(tmp_path / "h.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: dimension {dim} exceeds HOPFKIT_MAX_DIM=64"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_taft_below_its_range_keeps_its_error_past_the_dimension_bound(capsys):
+    assert main(["build", "taft", "--n", "-100000", "--out", "unused.json"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: need n >= 2"]
+
+
+@pytest.mark.parametrize("bad_copy", ["first", "last"])
+def test_a_product_given_twice_is_an_input_error(tmp_path, capsys, bad_copy):
+    # whichever copy of e_i e_j comes first, the file is refused, not read as one of them
+    out = tmp_path / "h.json"
+    assert main(["build", "taft", "--n", "3", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    entry = payload["mult"][3]
+    bad = json.loads(json.dumps(entry))
+    bad[2][0]["coeffs"][0] = "7/1"
+    payload["mult"].insert(3 if bad_copy == "first" else 4, bad)
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"parse error: product e_{entry[0]} e_{entry[1]} is given twice"]
+
+
 def test_verify_corrupted_file(tmp_path, capsys):
     out = tmp_path / "h.json"
     main(["build", "taft", "--n", "2", "--out", str(out)])
@@ -203,8 +244,8 @@ def test_unit_counit_length_and_bool_index_are_parse_errors(tmp_path, capsys, co
 
 
 def test_verify_accepts_comult_padded_with_zero_entries(tmp_path, capsys):
-    # 18 + 37 comult entries against 54 mult entries: the raw count picks the dual
-    # side, whose merged comultiplication is sparser again
+    # 37 zero comult entries on top of the 18 real ones: the reader sums each
+    # (i, j, k) and drops zero sums, so Delta is read as the clean file's
     out = tmp_path / "h.json"
     assert main(["build", "taft", "--n", "3", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
@@ -409,6 +450,9 @@ def test_incomplete_yd_input_is_an_input_error(capsys, argv, message):
     ("build product --ns 2,0 --out unused.json", "each cyclic factor C_n needs n >= 1, got 0"),
     ("build dual-group --group cyclic --n -1 --out unused.json",
      "the cyclic group C_n needs n >= 1, got -1"),
+    # parameters whose formula dimension is far past HOPFKIT_MAX_DIM
+    ("build product --ns=-200,-200 --out unused.json",
+     "each cyclic factor C_n needs n >= 1, got -200"),
 ])
 def test_group_of_order_below_one_is_an_input_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)

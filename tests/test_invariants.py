@@ -76,7 +76,7 @@ def test_coradical_values():
     t, _ = build("taft", n=2)
     ct = coradical(t)
     assert ct.dim == 2
-    assert ct.contains(t.unit_dict())
+    assert ct.contains(t.unit)
     assert ct.contains(t.basis_dict(1))
     g, _ = build("dicyclic", n=3)
     assert coradical(g).dim == g.dim
@@ -143,7 +143,7 @@ def test_verify_grouplikes_incomplete_blocks():
 
 def test_skew_primitives_taft():
     h, cd = build("taft", n=3)
-    one = h.unit_dict()
+    one = h.unit
     g = cd.grouplikes[1]
     sp = skew_primitive_space(h, one, g)
     assert sp.dim == 2
@@ -160,7 +160,7 @@ def test_skew_primitives_taft():
 
 def test_skew_primitive_orientations():
     h, cd = build("h8p", p=3, alpha=1)
-    one = h.unit_dict()
+    one = h.unit
     g = cd.grouplikes[1]
     # Delta z = g (x) z + z (x) 1: x-first convention with (g', h') = (1, g)
     sp = skew_primitive_space(h, one, g, convention="x-first")
@@ -175,7 +175,7 @@ def test_integrals_dimensions_and_unimodular_group():
         left, right = integrals(h)
         assert left.dim == 1 and right.dim == 1
     g, _ = build("dihedral", n=3)
-    assert distinguished_grouplike(g) == g.unit_dict()
+    assert distinguished_grouplike(g) == g.unit
 
 
 def _integrals_from_every_row(h):
@@ -268,7 +268,7 @@ def test_bosonization_projection_coinvariants():
     assert s.contains(y1)
     # y # 1 is a nontrivial (1, g)-skew-primitive in the bosonization
     gb = dict(d.g)  # 1 # g sits at the indices of g in L
-    sp = skew_primitive_space(b, b.unit_dict(), gb)
+    sp = skew_primitive_space(b, b.unit, gb)
     assert sp.dim == 2 and sp.contains(y1)
 
 

@@ -306,3 +306,39 @@ def test_written_files_are_the_json_dump_text(tmp_path, monkeypatch):
             json.dump(payload, fh, sort_keys=True, indent=1)
             fh.write("\n")
         assert (tmp_path / name).read_bytes() == (tmp_path / f"ref-{name}").read_bytes(), name
+
+
+# -- comult entries as a file may give them: repeated (i, j, k) and zero coefficients
+
+
+def _split(payload, conductor):
+    """payload with each comult entry c given as c/2 + c/2, the second halves last and reversed."""
+    read = hio.coefficient_reader(conductor)
+    half = CycNumber.from_rational(conductor, Fraction(1, 2))
+    halves = [[i, j, k, cyc_to_json(read(c) * half)] for i, j, k, c in payload["comult"]]
+    return dict(payload, comult=halves + halves[::-1])
+
+
+def _padded(payload, conductor):
+    """payload with a zero comult entry after each entry and at one triple it does not give."""
+    zero = cyc_to_json(CycNumber.zero(conductor))
+    last = payload["dim"] - 1
+    padded = [e for entry in payload["comult"] for e in (entry, entry[:3] + [zero])]
+    return dict(payload, comult=padded + [[last, last, last, zero]] * 3)
+
+
+@pytest.mark.parametrize("rewrite", [_split, _padded], ids=["split", "padded"])
+@pytest.mark.parametrize("name, params", [("taft", {"n": 3}), ("h8p", {"p": 3})])
+def test_repeated_and_zero_comult_entries_read_as_the_clean_file(tmp_path, rewrite, name, params):
+    h, _ = build(name, **params)
+    clean = hio.hopf_to_json(h)
+    rewritten = rewrite(clean, h.conductor)
+    assert len(rewritten["comult"]) > len(clean["comult"])
+    assert hio.hopf_from_json(rewritten).comult == hio.hopf_from_json(clean).comult == h.comult
+    written = []
+    for stem, payload in (("clean", clean), ("rewritten", rewritten)):
+        (tmp_path / f"{stem}.json").write_text(json.dumps(payload))
+        assert main(["dual", str(tmp_path / f"{stem}.json"),
+                     "--out", str(tmp_path / f"{stem}-dual.json")]) == 0
+        written.append((tmp_path / f"{stem}-dual.json").read_bytes())
+    assert written[0] == written[1]

@@ -1,8 +1,8 @@
 """perfbench's tracer reads hopfkit from outside: it wraps the module functions
 and its hooks read the dense Matrix given to linalg.rank/nullspace and returned
-by ydnichols.symmetrizer.  This runs the tracer on two cheap commands, so a
-change under src/ that breaks those hooks fails here.  Nothing under perfbench/
-is changed."""
+by ydnichols.symmetrizer, and the paths given to io.load_json and io.dump_json.
+This runs the tracer on cheap commands, so a change under src/ that breaks
+those hooks fails here.  Nothing under perfbench/ is changed."""
 
 import os
 
@@ -27,3 +27,23 @@ def test_tracer_counts_elimination_input_and_symmetrizer_entries(monkeypatch, ca
     table = tracer.table()
     assert table["linalg.input_cells"] > 0
     assert table["ydnichols.symmetrizer.nnz.deg2"] > 0
+
+
+def test_tracer_counts_the_bytes_of_the_files_read_and_written(monkeypatch, capsys, tmp_path):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from tracer import Tracer
+
+    h, d = tmp_path / "h.json", tmp_path / "d.json"
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["build", "taft", "--n", "2", "--out", str(h)]) == 0
+        assert cli.main(["dual", str(h), "--out", str(d)]) == 0
+        assert cli.main(["verify", str(d)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    table = tracer.table()
+    size = {path.name: path.stat().st_size for path in tmp_path.iterdir()}
+    assert table["io.bytes_read"] == size["h.json"] + size["d.json"] > 0
+    assert table["io.bytes_written"] == size["h.json"] + size["h.sidecar.json"] + size["d.json"] > 0

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -84,7 +85,10 @@ def test_yd_modules_gamma20():
 
 
 def test_literal_remark_action_fails_yd():
-    m = yd_module_gamma4p(5, ("x", 1), ("chi", 1), literal_action=True)
+    # the printed x-action x.v_j = w^k v_(jl+1): the verified one's images moved up by one
+    m = yd_module_gamma4p(5, ("x", 1), ("chi", 1))
+    x_mat = [{(r + 1) % m.dim: c for r, c in col.items()} for col in m.action["x"]]
+    m = dataclasses.replace(m, action={**m.action, "x": x_mat})
     ok, _ = verify_yd(m)
     assert not ok
 
