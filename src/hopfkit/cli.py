@@ -99,7 +99,7 @@ def _write_json(payload, path) -> bool:
 
 def _hopf_from_json(obj):
     """hio.hopf_from_json, refusing dim above HOPFKIT_MAX_DIM before anything is allocated."""
-    _check_max_dim(int(obj["dim"]))
+    _check_max_dim(hio.exact_int(obj["dim"], "dim"))
     return hio.hopf_from_json(obj)
 
 

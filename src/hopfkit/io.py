@@ -3,9 +3,18 @@ coefficient strings, no timestamps; files round-trip bit-exactly.
 
 A structure file repeats a handful of coefficient values thousands of times,
 so each reader and writer call keeps one memo of the values it has met and
-parses or formats each distinct value once, and each dumps or dump_json call
-renders each distinct coefficient's JSON text once per indent.  The memo
-lives in that call only; nothing is cached at module level.
+parses or formats each distinct value once.  A writer hands out one shared
+{"conductor", "coeffs"} object per distinct value, so hopf_to_json and
+candidate_to_json return read-only DAGs, not trees: a payload must not be
+mutated, and json.loads(json.dumps(payload)) is a tree to edit.  Each dumps
+or dump_json call renders each distinct coefficient's JSON text once per
+indent, and a list of shared objects whose texts it holds in one join.  The
+memos live in one call only; nothing is cached at module level.
+
+The readers take exact numbers only: dim, conductor and matrix shapes are
+JSON integers, coefficient entries str or int (never a bool or a float,
+which JSON would give as 1 or a binary fraction), and labels a list of str;
+anything else is a ValueError.
 
 A file keeps the antipode and each module action as a dense square matrix;
 in memory each is a list of sparse columns, converted at this boundary by
@@ -27,24 +36,50 @@ from .hopf import HopfAlgebraData
 from .linalg import accumulate
 
 
-def _coefficient_writer():
-    """cyc_to_json for the coefficients of one payload, each distinct value formatted once.
+def _coefficient_writer(zero):
+    """(write, dense) for the coefficients of one payload, each distinct value formatted once.
 
-    Every call returns a fresh dict and list, so the payload stays a tree.
+    write(a) is cyc_to_json(a), but equal values get one shared object, so a
+    payload is a DAG rather than a tree and must not be mutated; dense(v, n)
+    is the JSON list of the sparse vector v of length n, zero in the gaps.
     """
     memo = {}
 
     def write(a):
         key = (a.conductor, a.num, a.den)
-        coeffs = memo.get(key)
-        if coeffs is None:
-            coeffs = memo[key] = cyc_to_json(a)["coeffs"]
-        return {"conductor": a.conductor, "coeffs": list(coeffs)}
+        obj = memo.get(key)
+        if obj is None:
+            obj = memo[key] = cyc_to_json(a)
+        return obj
 
-    return write
+    blank = write(zero)
+
+    def dense(v, n):
+        out = [blank] * n
+        for i, c in v.items():
+            out[i] = write(c)
+        return out
+
+    return write, dense
+
+
+def exact_int(value, what):
+    """value if it is a JSON integer, not a bool, a float or a string; else a ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
 
 
 def _cyc_from_json(obj, conductor):
+    """cyc_from_json for a file: an integer conductor equal to the structure's, and a list
+    of coefficients given as str or int, never as a bool or a float."""
+    exact_int(obj["conductor"], "coefficient conductor")
+    coeffs = obj["coeffs"]
+    if type(coeffs) is not list:
+        raise ValueError(f"coefficients {coeffs!r} are not a list")
+    for s in coeffs:
+        if type(s) is bool or type(s) is float:
+            raise ValueError(f"coefficient {s!r} is not exact: give a str or an int")
     c = cyc_from_json(obj)
     if c.conductor != conductor:
         raise ValueError(f"coefficient of conductor {c.conductor} in a structure of "
@@ -53,35 +88,45 @@ def _cyc_from_json(obj, conductor):
 
 
 def coefficient_reader(conductor):
-    """cyc_from_json for the coefficients of one structure of this conductor.
+    """cyc_from_json for the coefficients of one structure of this conductor, as
+    _cyc_from_json checks them.
 
-    Each distinct (conductor, coeffs) value is parsed and checked once, and
-    every occurrence of it shares that one immutable CycNumber; a coefficient
-    equal to 1 is the canonical CycNumber.one(conductor), as cyc_from_json
-    returns it, so the kernels' shortcuts for 1 apply to read tables.  Input that
-    cannot be a key (not an object, unhashable entries) takes the same
-    route unmemoised, so it fails with the same error.
+    Each distinct (conductor, coeffs) value with str entries is parsed and
+    checked once, and every occurrence of it shares that one immutable
+    CycNumber; a coefficient equal to 1 is the canonical CycNumber.one(conductor),
+    as cyc_from_json returns it, so the kernels' shortcuts for 1 apply to read
+    tables.  Only str entries are memoised: True == 1 == 1.0 and they hash
+    alike, but a str equals only a str, so a key met again needs no second
+    look at its entries, only at the types of conductor and coeffs.  Any
+    other input, one that cannot be a key included, takes the same route
+    unmemoised, so it fails with the same error.
     """
     memo = {}
 
     def read(obj):
         try:
-            key = (obj["conductor"], tuple(obj["coeffs"]))
+            n, coeffs = obj["conductor"], obj["coeffs"]
+            key = (n, tuple(coeffs))
             c = memo.get(key)
         except (KeyError, TypeError):
             return _cyc_from_json(obj, conductor)
-        if c is None:
-            c = memo[key] = _cyc_from_json(obj, conductor)
+        if c is None or type(n) is not int or type(coeffs) is not list:
+            c = _cyc_from_json(obj, conductor)
+            if all(type(s) is str for s in coeffs):
+                memo[key] = c
         return c
 
     return read
 
 
-def columns_to_json(cols: list, zero, write) -> dict:
-    """A square map given as sparse columns, as a dense JSON matrix; zero fills the gaps."""
+def columns_to_json(cols: list, dense) -> dict:
+    """A square map given as sparse columns, as a dense JSON matrix written by dense."""
     n = len(cols)
-    return {"rows": n, "cols": n,
-            "entries": [[write(col.get(i, zero)) for col in cols] for i in range(n)]}
+    rows = [{} for _ in range(n)]
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            rows[i][j] = c
+    return {"rows": n, "cols": n, "entries": [dense(row, n) for row in rows]}
 
 
 def columns_from_json(obj, read) -> tuple:
@@ -91,7 +136,8 @@ def columns_from_json(obj, read) -> tuple:
     first bad coefficient named is the first in reading order.  Whether the
     shape is the one wanted is the caller's check.
     """
-    rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+    rows, cols = exact_int(obj["rows"], "matrix rows"), exact_int(obj["cols"], "matrix cols")
+    entries = obj["entries"]
     if len(entries) != rows or any(len(row) != cols for row in entries):
         raise ValueError(f"matrix entries do not match its shape {rows}x{cols}")
     values = [[read(o) for o in row] for row in entries]
@@ -100,29 +146,21 @@ def columns_from_json(obj, read) -> tuple:
 
 
 def hopf_to_json(h: HopfAlgebraData) -> dict:
-    write = _coefficient_writer()
-    zero = h.zero()
-    mult = []
-    for i in range(h.dim):
-        for j in range(h.dim):
-            d = h.mult[i][j]
-            if not d:
-                continue  # zero products omitted
-            vec = [zero] * h.dim
-            for k, c in d.items():
-                vec[k] = c
-            mult.append([i, j, [write(c) for c in vec]])
+    write, dense = _coefficient_writer(h.zero())
+    # zero products omitted
+    mult = [[i, j, dense(d, h.dim)]
+            for i in range(h.dim) for j, d in enumerate(h.mult[i]) if d]
     comult = [[i, j, k, write(c)]
               for i in range(h.dim) for (j, k), c in sorted(h.comult[i].items())]
     return {
         "dim": h.dim,
         "conductor": h.conductor,
         "labels": list(h.labels),
-        "unit": [write(h.unit.get(i, zero)) for i in range(h.dim)],
+        "unit": dense(h.unit, h.dim),
         "counit": [write(c) for c in h.counit],
         "mult": mult,
         "comult": comult,
-        "antipode": columns_to_json(h.antipode, zero, write),
+        "antipode": columns_to_json(h.antipode, dense),
     }
 
 
@@ -141,8 +179,8 @@ def _sparse_from_json(arr, read) -> dict:
 def hopf_from_json(obj: dict) -> HopfAlgebraData:
     """The structure a file describes: a product e_i e_j given twice is a ValueError, and
     the comult entries at one (i, j, k) are summed, a zero sum dropped."""
-    dim = int(obj["dim"])
-    conductor = int(obj["conductor"])
+    dim = exact_int(obj["dim"], "dim")
+    conductor = exact_int(obj["conductor"], "conductor")
     read = coefficient_reader(conductor)
     mult = [[{} for _ in range(dim)] for _ in range(dim)]
     given = set()
@@ -161,7 +199,9 @@ def hopf_from_json(obj: dict) -> HopfAlgebraData:
     (rows, cols), antipode = columns_from_json(obj["antipode"], read)
     if (rows, cols) != (dim, dim):
         raise ValueError(f"antipode is {rows}x{cols}, not {dim}x{dim}")
-    labels = list(obj["labels"])
+    labels = obj["labels"]
+    if type(labels) is not list or not all(type(s) is str for s in labels):
+        raise ValueError("labels are not a list of strings")
     if len(labels) != dim:
         raise ValueError(f"{len(labels)} labels for dim {dim}")
     for key in ("unit", "counit"):
@@ -170,7 +210,7 @@ def hopf_from_json(obj: dict) -> HopfAlgebraData:
     return HopfAlgebraData(
         dim=dim,
         conductor=conductor,
-        labels=labels,
+        labels=list(labels),
         mult=mult,
         unit=_sparse_from_json(obj["unit"], read),
         comult=comult,
@@ -180,11 +220,10 @@ def hopf_from_json(obj: dict) -> HopfAlgebraData:
 
 
 def candidate_to_json(cd, h: HopfAlgebraData) -> dict:
-    write = _coefficient_writer()
-    zero = h.zero()
+    _, dense = _coefficient_writer(h.zero())
 
     def vec(e):
-        return [write(e.get(i, zero)) for i in range(h.dim)]
+        return dense(e, h.dim)
 
     out = {
         "grouplikes": [vec(g) for g in cd.grouplikes],
@@ -192,7 +231,7 @@ def candidate_to_json(cd, h: HopfAlgebraData) -> dict:
         "expected": dict(cd.expected),
         "simples": [
             {"label": m.label, "dim": m.dim,
-             "action": [columns_to_json(a, zero, write) for a in m.action]}
+             "action": [columns_to_json(a, dense) for a in m.action]}
             for m in cd.simples
         ],
         "dual_blocks": [[vec(e) for e in blk] for blk in cd.dual_blocks],
@@ -212,7 +251,7 @@ def _element_from_json(arr, h: HopfAlgebraData, read) -> dict:
 def _module_from_json(obj, h: HopfAlgebraData, read):
     from .repsolver import RepModule
 
-    dim = int(obj["dim"])
+    dim = exact_int(obj["dim"], f"module {obj['label']!r}: dim")
     if dim < 1:
         raise ValueError(f"module {obj['label']!r}: dim {dim} is not positive")
     read_in = [columns_from_json(a, read) for a in obj["action"]]
@@ -257,16 +296,22 @@ def _encoder():
     bool, None, list, tuple and a dict with str keys raises TypeError.
 
     A coefficient {"conductor": int, "coeffs": [str, ...]} is rendered once
-    per distinct content and indent, and its text reused; the memo lasts as
-    long as this encoder.  Any other shape, True as conductor included, takes
-    the generic path.
+    per distinct content and indent, and its text reused; any other shape,
+    True as conductor included, takes the generic path.  The text of each
+    coefficient-shaped dict object is also kept under its identity and
+    indent, so a payload that shares one object per distinct value, as the
+    writers' payloads do, renders a list whose members all have such a text
+    with one join over their memoised texts.  Both memos last as long as this
+    encoder; the recorded objects are held, so no identity is reused.
 
     pieces(o, ind, depth) is the same text in pieces, split before each
     member of a list or dict down to depth levels, so that a file is written
     without holding its whole text.
     """
     string = encode_basestring_ascii
-    coefficients = {}
+    coefficients = {}  # (conductor, coeffs, ind) -> text, for equal copies
+    shared = {}  # ind -> {id(coefficient dict): its text at ind}
+    held = []  # the dicts keyed in shared
 
     def encode(o, ind):
         if isinstance(o, str):
@@ -275,6 +320,11 @@ def _encoder():
         if isinstance(o, dict):
             if not o:
                 return "{}"
+            texts = shared.get(ind)
+            if texts is not None:
+                text = texts.get(id(o))
+                if text is not None:
+                    return text
             if len(o) == 2 and type(o) is dict:
                 conductor, coeffs = o.get("conductor"), o.get("coeffs")
                 if type(conductor) is int and type(coeffs) is list:
@@ -289,6 +339,10 @@ def _encoder():
                         # an equal key met later holds equal strs, hence the same text
                         if key is not None and all(type(c) is str for c in coeffs):
                             coefficients[key] = text
+                    if texts is None:
+                        texts = shared[ind] = {}
+                    texts[id(o)] = text
+                    held.append(o)
                     return text
             # string(k) raises TypeError for a key that is not a str
             return "{" + inner + ("," + inner).join(
@@ -296,6 +350,13 @@ def _encoder():
         if isinstance(o, (list, tuple)):
             if not o:
                 return "[]"
+            texts = shared.get(inner)
+            if texts is not None and id(o[0]) in texts:
+                try:
+                    return "[" + inner + ("," + inner).join(map(texts.__getitem__, map(id, o))) \
+                        + ind + "]"
+                except KeyError:  # a member without a memoised text
+                    pass
             return "[" + inner + ("," + inner).join([encode(v, inner) for v in o]) + ind + "]"
         if o is None:
             return "null"

@@ -243,6 +243,77 @@ def test_unit_counit_length_and_bool_index_are_parse_errors(tmp_path, capsys, co
     assert captured.out == ""
 
 
+def _set(*path, value):
+    """A corruption that sets payload[path[0]]...[path[-1]] to value."""
+    def corrupt(payload):
+        for key in path[:-1]:
+            payload = payload[key]
+        payload[path[-1]] = value
+    return corrupt
+
+
+# numbers a file may not give inexactly: dim, conductor, matrix shapes and coefficient
+# conductors as JSON integers, coefficients as str or int, labels as a list of str
+_INEXACT = [
+    (_set("dim", value=9.5), "dim 9.5 is not an integer"),
+    (_set("dim", value="9"), "dim '9' is not an integer"),
+    (_set("dim", value=True), "dim True is not an integer"),
+    (_set("conductor", value=3.0), "conductor 3.0 is not an integer"),
+    (_set("unit", 0, "conductor", value=3.0), "coefficient conductor 3.0 is not an integer"),
+    (_set("unit", 0, "coeffs", value=[True, False]),
+     "coefficient True is not exact: give a str or an int"),
+    (_set("mult", 0, 2, 0, "coeffs", value=[0.1, "0/1"]),
+     "coefficient 0.1 is not exact: give a str or an int"),
+    (_set("antipode", "rows", value=9.0), "matrix rows 9.0 is not an integer"),
+    (_set("labels", value="abcdefghi"), "labels are not a list of strings"),
+    (_set("labels", value=list(range(9))), "labels are not a list of strings"),
+]
+
+
+@pytest.mark.parametrize("command", ["verify", "invariants"])
+@pytest.mark.parametrize("corrupt, message", _INEXACT, ids=[
+    "dim-float", "dim-str", "dim-bool", "conductor-float", "coefficient-conductor-float",
+    "coefficient-bools", "coefficient-float", "rows-float", "labels-str", "labels-ints"])
+def test_inexact_numbers_in_a_structure_file_are_parse_errors(tmp_path, capsys, command, corrupt,
+                                                              message):
+    out = tmp_path / "h.json"
+    assert main(["build", "taft", "--n", "3", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    corrupt(payload)
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main([command, str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"parse error: {message}"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, prefix", [("invariants", "parse error in sidecar"),
+                                             ("simples", "parse error")])
+@pytest.mark.parametrize("corrupt, message", [
+    (_set("simples", 0, "dim", value=1.0), "module 'chi0': dim 1.0 is not an integer"),
+    (_set("grouplikes", 0, 0, "coeffs", value=[True, False]),
+     "coefficient True is not exact: give a str or an int"),
+    (_set("simples", 0, "action", 0, "entries", 0, 0, "conductor", value=3.0),
+     "coefficient conductor 3.0 is not an integer"),
+], ids=["module-dim-float", "coefficient-bools", "coefficient-conductor-float"])
+def test_inexact_numbers_in_a_sidecar_are_parse_errors(tmp_path, capsys, command, prefix, corrupt,
+                                                       message):
+    out = tmp_path / "h.json"
+    assert main(["build", "taft", "--n", "3", "--out", str(out)]) == 0
+    side = tmp_path / "h.sidecar.json"
+    payload = json.loads(side.read_text())
+    corrupt(payload)
+    side.write_text(json.dumps(payload))
+    argv = [command, str(out), "--expect", str(side)] if command == "invariants" else \
+        [command, str(out), str(side)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"{prefix}: {message}"]
+    assert captured.out == ""
+
+
 def test_verify_accepts_comult_padded_with_zero_entries(tmp_path, capsys):
     # 37 zero comult entries on top of the 18 real ones: the reader sums each
     # (i, j, k) and drops zero sums, so Delta is read as the clean file's
@@ -582,6 +653,22 @@ def test_yd_verify_rejects_malformed_file(tmp_path, corrupt):
                           preexec_fn=_limit_memory)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_set("algebra", "dim", value=2.0), "dim 2.0 is not an integer"),
+    (_set("q", "coeffs", value=[-1.0]), "coefficient -1.0 is not exact: give a str or an int"),
+    (_set("g", 1, "coeffs", value=[True]), "coefficient True is not exact: give a str or an int"),
+], ids=["dim-float", "coefficient-float", "coefficient-bool"])
+def test_inexact_numbers_in_a_datum_file_are_errors(tmp_path, capsys, corrupt, message):
+    payload = json.loads(json.dumps(_c2_datum_payload()))
+    corrupt(payload)
+    f = tmp_path / "datum.json"
+    f.write_text(json.dumps(payload))
+    assert main(["yd-verify", "--file", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
 
 
 def test_build_dimensions(tmp_path, capsys):

@@ -2,6 +2,7 @@ import copy
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -749,6 +750,33 @@ def test_dual_side_route_gives_the_witnesses_of_the_h_side_check(name, params):
     assert rep == bialgebra_report_direct(d)
 
 
+@pytest.mark.parametrize("name, params", _DUAL_FILES)
+def test_dual_file_coalgebra_laws_are_certified_by_the_generators_of_its_dual(name, params):
+    d = _fresh_dual(name, params)
+    assert verify_coalgebra(d).ok
+    assert len(generators(dual(d))) < d.dim
+    assert "generators" not in d._derived  # the loop over generators(d) did not run
+
+
+@pytest.mark.parametrize("name, params", _DUAL_FILES)
+def test_coassociativity_mutant_of_a_dual_file_keeps_its_report(tmp_path, capsys, name, params):
+    payload = json.loads(json.dumps(hio.hopf_to_json(dual(build(name, **params)[0]))))
+    coefficient = payload["comult"][len(payload["comult"]) // 2][3]
+    coefficient["coeffs"] = [str(2 * Fraction(s)) for s in coefficient["coeffs"]]
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(payload))
+    mutant = hio.hopf_from_json(payload)
+    assert sum(map(len, mutant.comult)) > sum(len(v) for row in mutant.mult for v in row)
+    expected = coalgebra_report_direct(mutant).failures
+    assert expected and all(f.startswith("coassociativity fails at") for f in expected)
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    at = out.index("coalgebra: FAIL")
+    assert out[at + 1:at + 1 + len(expected)] == [f"  {f}" for f in expected]
+    assert out[at + 1 + len(expected)].startswith("bialgebra: ")
+
+
 def _payload(dual_side):
     h, _ = build("taft", n=3)
     return hio.hopf_to_json(dual(h) if dual_side else h)
@@ -766,7 +794,8 @@ def _coefficient_sites(payload):
 def structure_file_mutants(draw):
     """taft n = 3 or its dual as a file, with one coefficient, index or list length changed,
     or with zero-coefficient comult entries appended."""
-    payload = copy.deepcopy(_payload(draw(st.booleans())))
+    # a tree: the written payload shares one object per coefficient value
+    payload = json.loads(json.dumps(_payload(draw(st.booleans()))))
     kind = draw(st.sampled_from(["coefficient", "index", "length", "padding"]))
     if kind == "padding":
         entry = copy.deepcopy(draw(st.sampled_from(payload["comult"])))

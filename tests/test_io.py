@@ -21,13 +21,13 @@ from hopfkit.cyclotomic import CycNumber, cyc_from_json, cyc_to_json, euler_phi
 from hopfkit.hopf import dual
 from hopfkit.ydnichols import bosonize, named_datum
 
-# spellings Fraction accepts, and JSON numbers and booleans
-SPELLINGS = ["2/4", " 1/3 ", "1_0/3", "-0/5", 0.5, True]
+# spellings Fraction accepts, and JSON integers
+SPELLINGS = ["2/4", " 1/3 ", "1_0/3", "-0/5", "0.5", 1]
 
 
 def test_reader_gives_the_values_of_one_at_a_time_parsing():
-    # each spelling twice, and 1, 1.0, true, "1" side by side: equal keys must mean equal values
-    objs = [{"conductor": 1, "coeffs": [s]} for s in SPELLINGS + [1, 1.0, "1", "1/1"]] * 2
+    # each spelling twice, and 1, "1", "1/1", "1.0" side by side: equal keys must mean equal values
+    objs = [{"conductor": 1, "coeffs": [s]} for s in SPELLINGS + [1, "1", "1/1", "1.0"]] * 2
     read = hio.coefficient_reader(1)
     got = [read(o) for o in objs]
     assert got == [cyc_from_json(o) for o in objs]
@@ -42,6 +42,28 @@ def test_matrix_reader_gives_the_values_of_one_at_a_time_parsing():
                                         hio.coefficient_reader(3))
     assert shape == (6, 6)
     assert dense(cols, 3).entries == [[cyc_from_json(o) for o in row] for row in entries]
+
+
+@pytest.mark.parametrize("exact, inexact", [
+    ({"conductor": 3, "coeffs": [1, 0]}, {"conductor": 3, "coeffs": [True, False]}),
+    ({"conductor": 3, "coeffs": [1, 0]}, {"conductor": 3, "coeffs": [1.0, 0]}),
+    ({"conductor": 3, "coeffs": ["1/10", "0"]}, {"conductor": 3, "coeffs": [0.1, "0"]}),
+    ({"conductor": 3, "coeffs": ["1", "0"]}, {"conductor": 3, "coeffs": "10"}),
+    ({"conductor": 3, "coeffs": ["1/1", "0/1"]}, {"conductor": 3.0, "coeffs": ["1/1", "0/1"]}),
+    ({"conductor": 1, "coeffs": ["1/1"]}, {"conductor": True, "coeffs": ["1/1"]}),
+], ids=["bools", "float-entry", "float-tenth", "str-coeffs", "float-conductor",
+        "bool-conductor"])
+@pytest.mark.parametrize("exact_first", [True, False], ids=["exact-first", "inexact-first"])
+def test_reader_refuses_inexact_numbers_whatever_it_read_before(exact, inexact, exact_first):
+    # but for float-tenth, the inexact form is equal to the exact one as a memo key, and
+    # the memo must not let it through
+    read = hio.coefficient_reader(exact["conductor"])
+    for obj in ([exact, inexact] if exact_first else [inexact, exact]) * 2:
+        if obj is exact:
+            assert read(obj) == cyc_from_json(exact)
+        else:
+            with pytest.raises(ValueError, match="not an integer|not exact|not a list"):
+                read(obj)
 
 
 # -- dense JSON matrices <-> sparse columns, for the antipode and module actions
@@ -255,6 +277,46 @@ def test_dumps_is_the_text_of_json_dumps(tree):
         hio.dump_json(tree, path)
         with open(path) as fh:
             assert fh.read() == text + "\n"
+
+
+# coefficients as the writers give them, each one object shared by all its occurrences
+_WRITTEN = st.fixed_dictionaries({"conductor": st.sampled_from([1, 3, -4, 2 ** 70]),
+                                  "coeffs": st.lists(_COEFF_TEXT, max_size=3)})
+
+
+def _dags(written, odd):
+    """Trees holding the written objects and the odd ones at several depths, next to equal
+    copies, and in tables of rows like a payload's: rows of written objects only, and rows
+    that mix all of them with other values."""
+    pool = written + odd
+    rows = (st.lists(st.sampled_from(written), min_size=1, max_size=5)
+            | st.lists(st.sampled_from(pool) | _LEAVES, min_size=1, max_size=5))
+    return _trees(_LEAVES | st.sampled_from(pool) | st.sampled_from(pool).map(copy.deepcopy)
+                  | st.lists(rows, min_size=1, max_size=4))
+
+
+_COEFFICIENT_DAGS = st.tuples(st.lists(_WRITTEN, min_size=1, max_size=3),
+                              st.lists(_COEFFICIENTS, max_size=2)).flatmap(lambda p: _dags(*p))
+
+
+@given(_COEFFICIENT_DAGS)
+def test_dumps_of_shared_coefficient_objects_is_the_text_of_json_dumps(dag):
+    text = json.dumps(dag, sort_keys=True, indent=1)
+    assert hio.dumps(dag) == text
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "dag.json")
+        hio.dump_json(dag, path)
+        with open(path) as fh:
+            assert fh.read() == text + "\n"
+
+
+def test_writers_share_one_object_per_coefficient_value():
+    h, cd = build("taft", n=5)
+    for payload in (hio.hopf_to_json(bosonize(named_datum("a4p-chi2", 3))),
+                    hio.candidate_to_json(cd, h)):
+        objs = list(_coefficient_objects(payload))
+        distinct = {json.dumps(o, sort_keys=True) for o in objs}
+        assert len({id(o) for o in objs}) <= len(distinct) < len(objs)
 
 
 @pytest.mark.parametrize("obj", [
