@@ -53,19 +53,37 @@ def divisors(n: int) -> list[int]:
     return out
 
 
-def _poly_divmod_exact(num: list[int], den: list[int]) -> list[int]:
-    # exact division of integer polynomials, den monic; remainder must vanish
-    num = list(num)
-    dn = len(den) - 1
-    out = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        out[i - dn] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i - dn + j] -= c * dj
-    assert all(c == 0 for c in num[:dn]), "non-exact polynomial division"
-    return out
+def _pseudo_divmod(a: list[int], b: list[int]):
+    """(scale, q, rem) with scale a = q b + rem, deg rem < deg b, over the integers.
+
+    a and b are coefficient lists, low degree first, deg a >= deg b = len(b) - 1;
+    rem is trimmed.  a is scaled only when lc(b) does not divide a term to cancel.
+    """
+    a = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    terms = [(j, c) for j, c in enumerate(b[:-1]) if c]
+    scale = 1
+    q = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i]
+        if not c:
+            continue
+        if c % lead:
+            f = abs(lead) // gcd(c, lead)
+            scale *= f
+            a = [x * f for x in a[:i + 1]]
+            q = [x * f for x in q]
+            c *= f
+        c //= lead
+        d = i - db
+        q[d] = c
+        for j, bj in terms:
+            a[d + j] -= c * bj
+    rem = a[:db]
+    while rem and not rem[-1]:
+        rem.pop()
+    return scale, q, rem
 
 
 @lru_cache(maxsize=None)
@@ -73,13 +91,12 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (low degree first) of the n-th cyclotomic polynomial."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return (-1, 1)
     # t^n - 1 divided by Phi_d for every proper divisor d
     num = [0] * (n + 1)
     num[0], num[n] = -1, 1
     for d in divisors(n)[:-1]:
-        num = _poly_divmod_exact(num, list(cyclotomic_polynomial(d)))
+        scale, num, rem = _pseudo_divmod(num, list(cyclotomic_polynomial(d)))
+        assert scale == 1 and not rem, "non-exact polynomial division"
     return tuple(num)
 
 
@@ -102,7 +119,6 @@ def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in rows)
 
 
-_ZERO = Fraction(0)
 _ZERO_CACHE: dict = {}
 _ONE_CACHE: dict = {}
 
@@ -280,27 +296,40 @@ class CycNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
-        """Multiplicative inverse via extended Euclid against Phi_N."""
+        """Multiplicative inverse by extended Euclid against Phi_N over the integers.
+
+        The remainders are primitive pseudo-remainders (Brown, J. ACM 1971).
+        Beside each r_i runs t_i with t_i num = s_i r_i (mod Phi_N) for an
+        integer s_i, so the last remainder, a constant r since Phi_N is
+        irreducible, gives (num / den)^-1 = den t / (s r).
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if self.is_rational():
-            return CycNumber.from_rational(self.conductor, Fraction(self.den, self.num[0]))
-        # (num / den)^-1 = den * num^-1
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        r0, r1 = phi_poly, [Fraction(c) for c in self.num]
-        t0, t1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, rem = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, rem
-            t2 = _poly_sub(t0, _poly_mul(q, t1))
-            t0, t1 = t1, t2
-        # r0 = gcd, a nonzero constant since Phi_N is irreducible
-        assert len(_poly_trim(r0)) == 1, "gcd with cyclotomic polynomial not constant"
-        g = r0[0] / self.den
-        inv = [c / g for c in t0]
-        phi = euler_phi(self.conductor)
-        inv = (inv + [_ZERO] * phi)[:phi]
-        return CycNumber(self.conductor, inv)
+        r0, r1 = list(cyclotomic_polynomial(self.conductor)), list(self.num)
+        while not r1[-1]:
+            r1.pop()
+        t0, t1, s0, s1 = [0], [1], 1, 1
+        while len(r1) > 1:
+            scale, q, rem = _pseudo_divmod(r0, r1)
+            assert rem, "gcd with cyclotomic polynomial not constant"
+            content = gcd(*rem)
+            # t2 num = s0 s1 rem (mod Phi_N), as scale r0 = q r1 + rem
+            t2 = [scale * s1 * c for c in t0] + [0] * (len(q) + len(t1) - 1 - len(t0))
+            t1_terms = [(j, c) for j, c in enumerate(t1) if c]
+            for i, qi in enumerate(q):
+                if qi:
+                    qi *= s0
+                    for j, tj in t1_terms:
+                        t2[i + j] -= qi * tj
+            s2 = s0 * s1 * content
+            g = gcd(s2, *t2)
+            r0, r1 = r1, [c // content for c in rem]
+            t0, t1, s0, s1 = t1, [c // g for c in t2], s1, s2 // g
+        den = s1 * r1[0]
+        if den < 0:
+            den, t1 = -den, [-c for c in t1]
+        num = [self.den * c for c in t1] + [0] * (euler_phi(self.conductor) - len(t1))
+        return _make(self.conductor, tuple(num), den)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -347,48 +376,6 @@ class CycNumber:
 
     def __bool__(self):
         return not self.is_zero()
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    i = len(p)
-    while i > 0 and p[i - 1] == 0:
-        i -= 1
-    return p[:i]
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [_ZERO] * (n - len(a))
-    b = b + [_ZERO] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_divmod_frac(a: list[Fraction], b: list[Fraction]):
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError
-    q = [_ZERO] * max(len(a) - len(b) + 1, 1)
-    lead = b[-1]
-    while len(a) >= len(b) and a:
-        c = a[-1] / lead
-        d = len(a) - len(b)
-        q[d] = c
-        for j, bj in enumerate(b):
-            a[d + j] -= c * bj
-        a = _poly_trim(a)
-    return q, a
 
 
 def root_of_unity(conductor: int, k: int = 1) -> CycNumber:

@@ -13,8 +13,9 @@ memos live in one call only; nothing is cached at module level.
 
 The readers take exact numbers only: dim, conductor and matrix shapes are
 JSON integers, coefficient entries str or int (never a bool or a float,
-which JSON would give as 1 or a binary fraction), and labels a list of str;
-anything else is a ValueError.
+which JSON would give as 1 or a binary fraction), labels a list of str,
+and each sidecar claim that `invariants --expect` compares of its exact JSON
+type; anything else is a ValueError.
 
 A file keeps the antipode and each module action as a dense square matrix;
 in memory each is a list of sparse columns, converted at this boundary by
@@ -68,6 +69,10 @@ def exact_int(value, what):
     if type(value) is not int:
         raise ValueError(f"{what} {value!r} is not an integer")
     return value
+
+
+def _is_list_of(value, kind) -> bool:
+    return type(value) is list and all(type(x) is kind for x in value)
 
 
 def _cyc_from_json(obj, conductor):
@@ -200,7 +205,7 @@ def hopf_from_json(obj: dict) -> HopfAlgebraData:
     if (rows, cols) != (dim, dim):
         raise ValueError(f"antipode is {rows}x{cols}, not {dim}x{dim}")
     labels = obj["labels"]
-    if type(labels) is not list or not all(type(s) is str for s in labels):
+    if not _is_list_of(labels, str):
         raise ValueError("labels are not a list of strings")
     if len(labels) != dim:
         raise ValueError(f"{len(labels)} labels for dim {dim}")
@@ -262,14 +267,34 @@ def _module_from_json(obj, h: HopfAlgebraData, read):
     return RepModule(obj["label"], dim, [cols for _, cols in read_in])
 
 
+def _claims_from_json(obj) -> dict:
+    """A sidecar's expected claims, type-checked: 9.0 == 9 and 0 == False, so a
+    compared claim of another type would pass as the value it equals."""
+    if type(obj) is not dict:
+        raise ValueError(f"expected {obj!r} is not an object")
+    for key, value in obj.items():
+        if key in ("dim", "coradical_dim", "radical_dim", "grouplike_count"):
+            exact_int(value, f"expected {key}")
+        elif key in ("semisimple", "chevalley") and type(value) is not bool:
+            raise ValueError(f"expected {key} {value!r} is not a boolean")
+        elif key == "grouplike_orders" and not _is_list_of(value, int):
+            raise ValueError(f"expected {key} {value!r} is not a list of integers")
+        elif key == "distinguished_grouplike" and value is not None:
+            exact_int(value, f"expected {key}")
+    return dict(obj)
+
+
 def candidate_from_json(obj: dict, h: HopfAlgebraData):
     from .catalog import CandidateData
 
     read = coefficient_reader(h.conductor)
     cd = CandidateData()
     cd.grouplikes = [_element_from_json(v, h, read) for v in obj["grouplikes"]]
-    cd.grouplike_labels = list(obj["grouplike_labels"])
-    cd.expected = dict(obj["expected"])
+    labels = obj["grouplike_labels"]
+    if not _is_list_of(labels, str):
+        raise ValueError(f"grouplike_labels {labels!r} is not a list of strings")
+    cd.grouplike_labels = list(labels)
+    cd.expected = _claims_from_json(obj["expected"])
     cd.simples = [_module_from_json(m, h, read) for m in obj["simples"]]
     cd.dual_blocks = [[_element_from_json(v, h, read) for v in blk]
                       for blk in obj["dual_blocks"]]

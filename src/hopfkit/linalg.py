@@ -20,8 +20,9 @@ product by a factor that is the canonical CycNumber.one(N).
 `ydnichols.symmetrizer` returns (about 2000 rows at most under the default
 memory guard).  It stays dense because perfbench's tracer reads the `rows`,
 `cols` and `entries` of that input, and it keeps `__mul__`, which no code
-here calls, because the tracer wraps that method by name.  There is no dense
-`solve` and no `kron`: the tests keep their own dense oracles.
+here calls, because the tracer wraps that method by name.  The hand-off to
+`EchelonBasis` skips the Matrix's shared zero fill untested.  There is no
+dense `solve` and no `kron`: the tests keep their own dense oracles.
 """
 
 from __future__ import annotations
@@ -154,9 +155,11 @@ def trace(cols: list, zero: CycNumber) -> CycNumber:
 
 
 def _sparse(vec) -> dict:
-    """A dense list or a {column: value} dict as a dict of its nonzero entries."""
+    """A dense list or a {column: value} dict as a dict of its nonzero entries;
+    a cell that is the shared CycNumber.zero(N), a Matrix's fill, goes untested."""
     items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    return {c: x for c, x in items if not x.is_zero()}
+    zero = CycNumber.zero(vec[0].conductor) if isinstance(vec, list) and vec else None
+    return {c: x for c, x in items if x is not zero and not x.is_zero()}
 
 
 def _eliminate(v: dict, c: int, row: dict) -> None:

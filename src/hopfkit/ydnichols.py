@@ -15,7 +15,7 @@ from .cyclotomic import CycNumber, root_of_unity
 from .groups import FiniteGroup, gamma4p_ell, gamma4p_group
 from .hopf import (HopfAlgebraData, inverse, is_grouplike, least_power, multiplicative, verify_hopf,
                    witness_failures)
-from .linalg import Matrix, accumulate, compose_columns, rank
+from .linalg import Matrix, Subspace, accumulate, compose_columns
 from .presentation import group_algebra_hopf
 from .repsolver import RepModule, action_witnesses
 
@@ -372,7 +372,7 @@ def default_cutoff(v: int) -> int:
     return 3
 
 
-def symmetrizer(c: dict, v: int, n: int) -> Matrix:
+def symmetrizer(c: dict, v: int, n: int, columns: dict | None = None) -> Matrix:
     """Sum of T_w over the symmetric group, one column per word, by the
     shuffle factorization
     S_n = (1 + c_(n-1) + c_(n-2)c_(n-1) + ... + c_1...c_(n-1)) . (S_(n-1) (x) id).
@@ -380,14 +380,16 @@ def symmetrizer(c: dict, v: int, n: int) -> Matrix:
     Column w'x starts from S_(n-1) e_w' (x) e_x; each further term is the
     previous one with one more c applied, one position to the left, so the
     column costs n - 1 sparse applications of c.  Nothing assumes the
-    braiding is monomial.  The result is a Matrix, for rank.
+    braiding is monomial.  `columns`, the sparse columns {word: column} of a
+    degree up to n, is grown in place to degree n, one shuffle step per
+    degree (from degree 0 if not given).  The result is a Matrix, for rank.
     """
     conductor = _conductor(c)
-    one = CycNumber.one(conductor)
-    columns = {(): {(): one}}
-    for m in range(1, n + 1):
-        grown = {}
-        for w, col in columns.items():
+    if columns is None:
+        columns = {(): {(): CycNumber.one(conductor)}}
+    for m in range(len(next(iter(columns))) + 1, n + 1):
+        for w in list(columns):
+            col = columns.pop(w)
             for x in range(v):
                 term = {u + (x,): a for u, a in col.items()}
                 total = dict(term)
@@ -395,8 +397,7 @@ def symmetrizer(c: dict, v: int, n: int) -> Matrix:
                     term = _apply_braiding(c, term, i)
                     for u, a in term.items():
                         accumulate(total, u, a)
-                grown[w + (x,)] = total
-        columns = grown
+                columns[w + (x,)] = total
     index = {w: j for j, w in enumerate(columns)}
     out = Matrix(len(index), len(index), conductor)
     for j, col in enumerate(columns.values()):
@@ -405,9 +406,17 @@ def symmetrizer(c: dict, v: int, n: int) -> Matrix:
     return out
 
 
+def matrix_rank(s: Matrix) -> int:
+    """The rank of a symmetrizer.  A function of its own so that perfbench's
+    tracer times each degree's rank (span ydnichols.rank); it bypasses
+    linalg.rank, whose trace hook would count the same input again."""
+    return Subspace.from_vectors(s.cols, s.conductor, s.entries).dim
+
+
 def nichols_dims(c: dict, v: int, cutoff: int | None = None,
                  guard_mb: int = 512) -> NicholsReport:
-    """Per-degree ranks of the quantum symmetrizer; rank 0 means truncation."""
+    """Per-degree ranks of the quantum symmetrizer; rank 0 means truncation.
+    One dict of columns is carried through, so each degree is one shuffle step."""
     if not braid_equation_check(c, v):
         raise ValueError("braiding does not satisfy the braid equation")
     if cutoff is None:
@@ -417,13 +426,13 @@ def nichols_dims(c: dict, v: int, cutoff: int | None = None,
     ranks = [1]
     truncated = False
     guard_hit = False
+    columns = {(): {(): CycNumber.one(_conductor(c))}}
     for n in range(1, cutoff + 1):
         est_mb = (v ** (2 * n)) * 120 / 1e6
         if est_mb > guard_mb:
             guard_hit = True
             break
-        s = symmetrizer(c, v, n)
-        r = rank(s)
+        r = matrix_rank(symmetrizer(c, v, n, columns))
         ranks.append(r)
         if r == 0:
             truncated = True

@@ -296,7 +296,30 @@ def test_inexact_numbers_in_a_structure_file_are_parse_errors(tmp_path, capsys, 
      "coefficient True is not exact: give a str or an int"),
     (_set("simples", 0, "action", 0, "entries", 0, 0, "conductor", value=3.0),
      "coefficient conductor 3.0 is not an integer"),
-], ids=["module-dim-float", "coefficient-bools", "coefficient-conductor-float"])
+    # the claims `invariants --expect` compares with !=, where 9.0 == 9 and 0 == False
+    (_set("expected", "dim", value=9.0), "expected dim 9.0 is not an integer"),
+    (_set("expected", "coradical_dim", value="3"), "expected coradical_dim '3' is not an integer"),
+    (_set("expected", "radical_dim", value=True), "expected radical_dim True is not an integer"),
+    (_set("expected", "grouplike_count", value=3.0),
+     "expected grouplike_count 3.0 is not an integer"),
+    (_set("expected", "semisimple", value=0), "expected semisimple 0 is not a boolean"),
+    (_set("expected", "chevalley", value=1), "expected chevalley 1 is not a boolean"),
+    (_set("expected", "grouplike_orders", value=[1, 3.0, 3]),
+     "expected grouplike_orders [1, 3.0, 3] is not a list of integers"),
+    (_set("expected", "grouplike_orders", value=[1, True, 3]),
+     "expected grouplike_orders [1, True, 3] is not a list of integers"),
+    (_set("expected", "distinguished_grouplike", value=0.0),
+     "expected distinguished_grouplike 0.0 is not an integer"),
+    (_set("expected", "distinguished_grouplike", value=False),
+     "expected distinguished_grouplike False is not an integer"),
+    (_set("expected", value=[]), "expected [] is not an object"),
+    (_set("grouplike_labels", value="abc"), "grouplike_labels 'abc' is not a list of strings"),
+    (_set("grouplike_labels", value=[1, 2, 3]),
+     "grouplike_labels [1, 2, 3] is not a list of strings"),
+], ids=["module-dim-float", "coefficient-bools", "coefficient-conductor-float", "dim-float",
+        "coradical-dim-str", "radical-dim-bool", "grouplike-count-float", "semisimple-int",
+        "chevalley-int", "orders-float", "orders-bool", "distinguished-float",
+        "distinguished-bool", "expected-list", "labels-str", "labels-ints"])
 def test_inexact_numbers_in_a_sidecar_are_parse_errors(tmp_path, capsys, command, prefix, corrupt,
                                                        message):
     out = tmp_path / "h.json"
@@ -425,6 +448,19 @@ def test_invariants_with_expect(tmp_path, capsys):
     assert payload["coradical_dim"] == 3
     assert payload["radical_dim"] == 6
     assert payload["certificates"]["grouplike_certificate"] is True
+
+
+@pytest.mark.parametrize("family, claim", [(["taft", "--n", "3"], "semisimple"),
+                                           (["a-m10", "--p", "3"], "distinguished_grouplike"),
+                                           (["a4p", "--p", "3"], "grouplike_orders")])
+def test_invariants_accepts_the_claims_that_build_writes(tmp_path, capsys, family, claim):
+    out = tmp_path / "h.json"
+    assert main(["build", *family, "--out", str(out)]) == 0
+    side = tmp_path / "h.sidecar.json"
+    assert claim in json.loads(side.read_text())["expected"]
+    capsys.readouterr()
+    assert main(["invariants", str(out), "--expect", str(side)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_invariants_names_why_the_grouplike_certificate_fails(tmp_path, capsys):

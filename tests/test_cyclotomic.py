@@ -84,6 +84,82 @@ def test_inverse_random():
             assert x * x.inverse() == CycNumber.one(n)
 
 
+def _fraction_inverse(x: CycNumber) -> list:
+    """Oracle: x^-1's coefficients by extended Euclid against Phi_N over Fraction polynomials."""
+
+    def trim(p):
+        while p and p[-1] == 0:
+            p = p[:-1]
+        return p
+
+    def divmod_(a, b):
+        a = trim(list(a))
+        q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
+        while len(a) >= len(b):
+            c = a[-1] / b[-1]
+            d = len(a) - len(b)
+            q[d] = c
+            for j, bj in enumerate(b):
+                a[d + j] -= c * bj
+            a = trim(a)
+        return q, a
+
+    def sub_mul(t0, q, t1):
+        out = list(t0) + [Fraction(0)] * (len(q) + len(t1))
+        for i, qi in enumerate(q):
+            for j, tj in enumerate(t1):
+                out[i + j] -= qi * tj
+        return trim(out)
+
+    r0 = [Fraction(c) for c in cyclotomic_polynomial(x.conductor)]
+    r1 = trim(list(x.coeffs))
+    t0, t1 = [], [Fraction(1)]
+    while r1:
+        q, rem = divmod_(r0, r1)
+        r0, r1 = r1, rem
+        t0, t1 = t1, sub_mul(t0, q, t1)
+    assert len(r0) == 1
+    phi = euler_phi(x.conductor)
+    return [c / r0[0] for c in t0] + [Fraction(0)] * (phi - len(t0))
+
+
+def _sum_of_roots(n: int, terms) -> CycNumber:
+    """sum c * zeta_n^k over the (c, k) terms."""
+    return sum((root_of_unity(n, k) * c for c, k in terms), CycNumber.zero(n))
+
+
+@pytest.mark.parametrize("n, terms", [
+    (5, [(1, 0), (1, 1)]),
+    (20, [(1, k) for k in (1, 2, 3, 5, 7, 11)]),
+    (36, [(3, 2), (2, 1), (Fraction(5, 7), 0)]),
+    (1000, [(1, 0), (1, 1)]),
+    (1000, [(3, 2), (2, 1), (Fraction(5, 7), 0)]),
+    (1000, [(Fraction(2, 3), 17), (Fraction(1, 6), 0)]),
+    (2000, [(1, 1), (-1, 3)]),
+    (2000, [(3, 2), (2, 1), (Fraction(5, 7), 0)]),
+], ids=lambda v: f"{v}"[:40])
+def test_integer_inverse_matches_fraction_euclid(n, terms):
+    # leading coefficients that are not units force scaled pseudo-division
+    # steps, and a denominator != 1 enters the final den * t / (s r)
+    x = _sum_of_roots(n, terms)
+    assert not x.is_rational()
+    inv = x.inverse()
+    assert list(inv.coeffs) == _fraction_inverse(x)
+    assert x * inv is CycNumber.one(n)
+
+
+def test_integer_inverse_matches_fraction_euclid_at_random():
+    rng = random.Random(2023)
+    for n in (7, 12, 15, 28, 60):
+        phi = euler_phi(n)
+        for _ in range(30):
+            x = CycNumber(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(phi)])
+            if x.is_rational():
+                continue
+            assert list(x.inverse().coeffs) == _fraction_inverse(x)
+            assert x * x.inverse() is CycNumber.one(n)
+
+
 def test_conductor_mismatch_raises():
     with pytest.raises(ValueError):
         root_of_unity(3, 1) + root_of_unity(4, 1)

@@ -1,6 +1,7 @@
 """perfbench's tracer reads hopfkit from outside: it wraps the module functions
-and its hooks read the dense Matrix given to linalg.rank/nullspace and returned
-by ydnichols.symmetrizer, and the paths given to io.load_json and io.dump_json.
+and its hooks read the dense Matrix given to linalg.rank/nullspace and
+ydnichols.matrix_rank and returned by ydnichols.symmetrizer, and the paths
+given to io.load_json and io.dump_json.
 This runs the tracer on cheap commands, so a change under src/ that breaks
 those hooks fails here.  Nothing under perfbench/ is changed."""
 
@@ -27,6 +28,34 @@ def test_tracer_counts_elimination_input_and_symmetrizer_entries(monkeypatch, ca
     table = tracer.table()
     assert table["linalg.input_cells"] > 0
     assert table["ydnichols.symmetrizer.nnz.deg2"] > 0
+
+
+def test_tracer_reads_each_nichols_degree(monkeypatch, capsys):
+    # the per-degree metrics the benchmark reads: the nnz of each S_n that
+    # ydnichols.symmetrizer returns, and the time of each degree's rank
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from tracer import Tracer
+
+    from hopfkit.ydnichols import braiding, yd_module_gamma4p
+    from test_ydnichols import symmetrizer_direct
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["nichols", "--p", "5", "--class", "y:1", "--rep", "psi:1",
+                         "--cutoff", "3"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    table = tracer.table()
+    c = braiding(yd_module_gamma4p(5, ("y", 1), ("psi", 1)))
+    for n in (1, 2, 3):
+        direct = symmetrizer_direct(c, 4, n)
+        nnz = sum(1 for row in direct.entries for x in row if not x.is_zero())
+        assert table[f"ydnichols.symmetrizer.nnz.deg{n}"] == nnz > 0, n
+        assert table[f"ydnichols.symmetrizer.total_s.deg{n}"] > 0, n
+    assert table["ydnichols.rank.total_s.deg3"] > 0
+    assert "ydnichols.symmetrizer.nnz.deg4" not in table
 
 
 def test_tracer_counts_the_bytes_of_the_files_read_and_written(monkeypatch, capsys, tmp_path):

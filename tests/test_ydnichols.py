@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from conftest import build, frozen, identity_matrix, kron, qline, same_tensors, word_product
+from hopfkit import ydnichols
 from hopfkit.cyclotomic import CycNumber, root_of_unity
 from hopfkit.hopf import HopfAlgebraData, tr_s_squared
 from hopfkit.linalg import Matrix
@@ -288,6 +289,40 @@ def test_symmetrizer_of_a_non_monomial_braiding(eps):
     for n in range(5):
         assert symmetrizer(c, 2, n).entries == symmetrizer_direct(c, 2, n).entries, n
     assert nichols_dims(c, 2, cutoff=4).ranks == [1, 2, 3, 4, 5]
+
+
+def test_carried_columns_grow_to_the_same_symmetrizer():
+    c = jordan_braiding(-1)
+    columns = {(): {(): CycNumber.one(1)}}
+    for n in range(5):
+        assert symmetrizer(c, 2, n, columns).entries == symmetrizer(c, 2, n).entries, n
+        assert len(next(iter(columns))) == n
+
+
+def test_each_symmetrizer_degree_is_built_once(monkeypatch):
+    # degree m costs v^m (m - 1) applications of c on top of degree m - 1, so
+    # cutoff 5 at v = 4 costs sum_m 4^m (m - 1) = 5008; rebuilding every
+    # degree from scratch would cost 6080
+    c = braiding(yd_module_gamma4p(5, ("y", 1), ("psi", 1)))
+    calls = 0
+    apply = ydnichols._apply_braiding
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return apply(*args)
+
+    monkeypatch.setattr(ydnichols, "_apply_braiding", counting)
+    assert braid_equation_check(c, 4)
+    check = calls
+    assert nichols_dims(c, 4, cutoff=5).ranks == [1, 4, 12, 32, 76, 164]
+    assert calls - 2 * check == sum(4 ** m * (m - 1) for m in range(1, 6)) == 5008
+
+
+def test_quantum_line_at_q_one_to_a_high_cutoff():
+    # one growth step per degree keeps this quadratic in the cutoff
+    rep = nichols_dims(qline(CycNumber.one(1)), 1, cutoff=400)
+    assert rep.ranks == [1] * 401 and not rep.truncated
 
 
 def _perturbed(c: dict) -> dict:
