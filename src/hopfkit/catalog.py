@@ -1,5 +1,12 @@
 """Constructors for every Hopf algebra family in the toolkit.
 
+`FAMILIES` is the one registry: each command-line family name maps to its
+builder and its dimension, both read from the command-line parameters.
+Adding a family is one entry there.  Group algebras and their duals take a
+`groups.FiniteGroup` and build their simples from its irreps; the twisted
+families on C_2 x D_p and D_m carry their groups' irreps the same way, and
+the presented families take their module words from their `Presentation`.
+
 Each constructor returns (HopfAlgebraData, CandidateData) and only constructs:
 nothing here runs verify_hopf.  The structure is a claim like the sidecar, and
 every command that writes or reports on it (build, certify, bosonize,
@@ -15,11 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd, lcm, prod
+from typing import Callable, NamedTuple
 
 from .cyclotomic import CycNumber, root_of_unity
 from .groups import (
     FiniteGroup,
+    GroupIrrep,
+    _diag,
     _is_prime,
+    _label,
+    _mat,
+    _power,
     cyclic_group,
     dicyclic_group,
     dihedral_group,
@@ -58,30 +71,16 @@ def _require_odd_prime(p):
 # ---------------------------------------------------------------------------
 
 
-def build_group(spec) -> FiniteGroup:
-    kind = spec[0]
-    if kind == "cyclic":
-        return cyclic_group(spec[1])
-    if kind == "product":
-        return product_of_cyclics(list(spec[1]))
-    if kind == "dihedral":
-        return dihedral_group(spec[1])
-    if kind == "dicyclic":
-        return dicyclic_group(spec[1])
-    if kind == "q8":
-        return quaternion_group()
-    if kind == "gamma4p":
-        return gamma4p_group(spec[1])
-    raise ValueError(f"unknown group family {kind!r}")
+def _irrep_modules(group: FiniteGroup) -> list:
+    """The group's irreps as k[G]-modules, each action extended along the element words."""
+    words = [group.word(g) for g in group.elements]
+    return [module_from_gen_mats(rep.dim, group.conductor, words, rep.gen_mats, rep.label)
+            for rep in group.irreps]
 
 
-def group_algebra(spec):
-    group = build_group(spec)
+def group_algebra(group: FiniteGroup):
     h = group_algebra_hopf(group)
-    simples = [
-        RepModule(rep.label, rep.dim, group.element_matrices(rep.dim, rep.gen_mats))
-        for rep in group.irreps
-    ]
+    simples = _irrep_modules(group)
     grouplikes = [h.basis_dict(i) for i in range(h.dim)]
     cd = CandidateData(
         grouplikes=grouplikes,
@@ -103,26 +102,16 @@ def group_algebra(spec):
     return h, cd
 
 
-def dual_group_algebra(spec):
-    group = build_group(spec)
-    kg = group_algebra_hopf(group)
-    h = dual(kg)
+def dual_group_algebra(group: FiniteGroup):
+    h = dual(group_algebra_hopf(group))
+    irreps = _irrep_modules(group)
     # group-likes of k^G are the characters of G
-    one_dims = [r for r in group.irreps if r.dim == 1]
-    grouplikes = []
-    for rep in one_dims:
-        mats = group.element_matrices(rep.dim, rep.gen_mats)
-        grouplikes.append({i: m[0][0] for i, m in enumerate(mats) if 0 in m[0]})
+    one_dims = [r for r in irreps if r.dim == 1]
+    grouplikes = [{i: m[0][0] for i, m in enumerate(r.action) if 0 in m[0]} for r in one_dims]
     # matrix-coefficient blocks of the higher irreps
-    blocks = []
-    for rep in group.irreps:
-        if rep.dim < 2:
-            continue
-        mats = group.element_matrices(rep.dim, rep.gen_mats)
-        blocks.append([
-            {i: m[v][u] for i, m in enumerate(mats) if u in m[v]}
-            for u in range(rep.dim) for v in range(rep.dim)
-        ])
+    blocks = [[{i: m[v][u] for i, m in enumerate(r.action) if u in m[v]}
+               for u in range(r.dim) for v in range(r.dim)]
+              for r in irreps if r.dim > 1]
     simples = [
         RepModule(f"ev({group.labels[i]})", 1,
                   [[{0: h.one()} if j == i else {}] for j in range(h.dim)])
@@ -187,14 +176,10 @@ def taft(n, k=1):
     }
     h = pres.realize(gen_delta, gen_eps, gen_s)
     grouplikes = [h.basis_dict(idx[(G,) * i]) for i in range(n)]
-    simples = []
-    for m in range(n):
-        gen_mats = {
-            "x": [{}],
-            "g": [{0: root_of_unity(n, m)}],
-        }
-        words = [["x"] * j + ["g"] * i for j in range(n) for i in range(n)]
-        simples.append(module_from_gen_mats(1, conductor, words, gen_mats, f"chi{m}"))
+    words = pres.words
+    simples = [module_from_gen_mats(1, conductor, words, {"x": [{}], "g": [{0: root_of_unity(n, m)}]},
+                                    f"chi{m}")
+               for m in range(n)]
     cd = CandidateData(
         grouplikes=grouplikes,
         grouplike_labels=[h.labels[idx[(G,) * i]] for i in range(n)],
@@ -271,8 +256,7 @@ def pointed4p(variant, p, lam_k=1):
     }
     h = pres.realize(gen_delta, gen_eps, gen_s)
     grouplikes = [h.basis_dict(idx[(G,) * i]) for i in range(2 * p)]
-    words = [["g"] * i + ["x"] * e for i in range(2 * p) for e in (0, 1)]
-    simples = _pointed4p_simples(variant, p, conductor, words)
+    simples = _pointed4p_simples(variant, p, conductor, pres.words)
     # machine-verified via the right-integral formula (lam = x*, so
     # a = lam(x_2) x_1 lands on the Delta-twist group-like of x)
     dist = {"a-m10": 1, "a-m10-dual": p, "a-m11": 1}[variant]
@@ -322,7 +306,7 @@ def _pointed4p_simples(variant, p, conductor, words):
 
 def _h4_tensor_kcp(p):
     t, tcd = taft(2)
-    c, _ = group_algebra(("cyclic", p))
+    c, _ = group_algebra(cyclic_group(p))
     h = tensor_product(t, c)
     # tensor basis index (taft i, cyclic a) -> i*p + a; taft grouplikes at 0, 1
     grouplikes = []
@@ -373,66 +357,74 @@ def _h4_tensor_kcp(p):
 
 
 def _c2xdp_group(p):
-    """C_2 x D_p with letters a, s+, s-; elements a^i (s+s-)^k s+^e."""
+    """C_2 x D_p with letters a, s+, s-; elements a^i (s+s-)^k s+^e, and its irreps."""
+    conductor = 4 * p
     elements = [(i, k, e) for i in (0, 1) for k in range(p) for e in (0, 1)]
-
-    def label(t):
-        i, k, e = t
-        parts = []
-        if i:
-            parts.append("a")
-        if k:
-            parts.append(f"r^{k}" if k > 1 else "r")
-        if e:
-            parts.append("s")
-        return "*".join(parts) if parts else "1"
 
     def mult(g, h):
         i, k, e = g
         i2, k2, e2 = h
         return ((i + i2) % 2, (k + (k2 if e == 0 else -k2)) % p, (e + e2) % 2)
 
-    return FiniteGroup(
-        name=f"C2xD{p}",
+    group = FiniteGroup(
         elements=elements,
-        labels=[label(t) for t in elements],
+        labels=[_label([_power("a", i), _power("r", k), _power("s", e)], "*")
+                for i, k, e in elements],
         mult_fn=mult,
         identity=(0, 0, 0),
         generators={"a": (1, 0, 0), "s+": (0, 0, 1), "s-": (0, (p - 1) % p, 1)},
         word_fn=lambda t: ["a"] * t[0] + ["s+", "s-"] * t[1] + ["s+"] * t[2],
-        conductor=4 * p,
+        conductor=conductor,
     )
+    for alpha in (1, -1):
+        for tau in (1, -1):
+            group.irreps.append(GroupIrrep(
+                f"chi(a={alpha},s={tau})", 1,
+                {"a": _mat(conductor, [[alpha]]), "s+": _mat(conductor, [[tau]]),
+                 "s-": _mat(conductor, [[tau]])}))
+    flip = _mat(conductor, [[0, 1], [1, 0]])
+    for alpha in (1, -1):
+        a = CycNumber.from_rational(conductor, alpha)
+        for m in range(1, (p + 1) // 2):
+            # s- swaps the lines with zeta_p^m and zeta_p^-m
+            sminus = _mat(conductor, [[0, root_of_unity(conductor, 4 * (p - m))],
+                                      [root_of_unity(conductor, 4 * m), 0]])
+            group.irreps.append(GroupIrrep(f"rho(a={alpha},m={m})", 2,
+                                           {"a": _diag([a, a]), "s+": flip, "s-": sminus}))
+    return group
 
 
-def _d2p_group(n_half_order):
-    """D_m for m = n_half_order: r^m = t^2 = 1; letters s+ = t, s- = t r."""
-    m = n_half_order
+def _d2p_group(m):
+    """D_m for even m: r^m = t^2 = 1; letters s+ = t, s- = t r; elements r^k t^e, and its irreps."""
+    conductor = lcm(4, m)
     elements = [(k, e) for k in range(m) for e in (0, 1)]
-
-    def label(t):
-        k, e = t
-        parts = []
-        if k:
-            parts.append(f"r^{k}" if k > 1 else "r")
-        if e:
-            parts.append("s")
-        return "*".join(parts) if parts else "1"
 
     def mult(g, h):
         k, e = g
         k2, e2 = h
         return ((k + (k2 if e == 0 else -k2)) % m, (e + e2) % 2)
 
-    return FiniteGroup(
-        name=f"D{m}",
+    group = FiniteGroup(
         elements=elements,
-        labels=[label(t) for t in elements],
+        labels=[_label([_power("r", k), _power("s", e)], "*") for k, e in elements],
         mult_fn=mult,
         identity=(0, 0),
         generators={"s+": (0, 1), "s-": ((m - 1) % m, 1)},
         word_fn=lambda t: ["s+", "s-"] * t[0] + ["s+"] * t[1],
-        conductor=lcm(4, m),
+        conductor=conductor,
     )
+    for rho in (1, -1):
+        for tau in (1, -1):
+            group.irreps.append(GroupIrrep(
+                f"chi(r={rho},t={tau})", 1,
+                {"s+": _mat(conductor, [[tau]]), "s-": _mat(conductor, [[tau * rho]])}))
+    flip = _mat(conductor, [[0, 1], [1, 0]])
+    step = conductor // m
+    for j in range(1, m // 2):
+        sminus = _mat(conductor, [[0, root_of_unity(conductor, step * (m - j))],
+                                  [root_of_unity(conductor, step * j), 0]])
+        group.irreps.append(GroupIrrep(f"rho{j}", 2, {"s+": flip, "s-": sminus}))
+    return group
 
 
 def _twisted_quad_images(group, conductor, a_elem):
@@ -488,7 +480,7 @@ def a4p(p):
         h.basis_dict(idx[w]),
         h.basis_dict(idx[(1, k0, 1)]),
     ]
-    simples = _quad_family_simples_c2xdp(group, p, conductor)
+    simples = _irrep_modules(group)
     blocks = _quad_family_blocks(h, idx_of=lambda k, e: idx[(0, k % p, e)],
                                  a_of=lambda k, e: idx[(1, k % p, e)],
                                  rot_pairs=[(k, p - k) for k in range(1, (p + 1) // 2)],
@@ -529,7 +521,7 @@ def b4p(p):
         _twisted_vec(h.conductor, idx[(k0, 1)], idx[(k0 + p, 1)], +1),
         _twisted_vec(h.conductor, idx[(k0, 1)], idx[(k0 + p, 1)], -1),
     ]
-    simples = _quad_family_simples_d2p(group, 2 * p, conductor)
+    simples = _irrep_modules(group)
     blocks = _quad_family_blocks(h, idx_of=lambda k, e: idx[(k % (2 * p), e)],
                                  a_of=lambda k, e: idx[((k + p) % (2 * p), e)],
                                  rot_pairs=[(k, 2 * p - k) for k in range(1, (p + 1) // 2)],
@@ -568,7 +560,7 @@ def b8():
         _twisted_vec(h.conductor, idx[(1, 0)], idx[(3, 0)], +1),
         _twisted_vec(h.conductor, idx[(1, 0)], idx[(3, 0)], -1),
     ]
-    simples = _quad_family_simples_d2p(group, 4, conductor)
+    simples = _irrep_modules(group)
     blocks = _quad_family_blocks(h, idx_of=lambda k, e: idx[(k % 4, e)],
                                  a_of=lambda k, e: idx[((k + 2) % 4, e)],
                                  rot_pairs=[],
@@ -591,52 +583,6 @@ def b8():
         extra={"group": group},
     )
     return h, cd
-
-
-def _quad_family_simples_c2xdp(group, p, conductor):
-    words = [group.word(g) for g in group.elements]
-    simples = []
-    for alpha in (1, -1):
-        for tau in (1, -1):
-            mats = {
-                "a": [{0: CycNumber.from_rational(conductor, alpha)}],
-                "s+": [{0: CycNumber.from_rational(conductor, tau)}],
-                "s-": [{0: CycNumber.from_rational(conductor, tau)}],
-            }
-            simples.append(module_from_gen_mats(1, conductor, words, mats, f"chi(a={alpha},s={tau})"))
-    one = CycNumber.one(conductor)
-    flip = [{1: one}, {0: one}]
-    for alpha in (1, -1):
-        a = CycNumber.from_rational(conductor, alpha)
-        amat = [{0: a}, {1: a}]
-        for m in range(1, (p + 1) // 2):
-            zp = root_of_unity(conductor, 4 * m)        # zeta_p^m
-            zpin = root_of_unity(conductor, 4 * (p - m))
-            sminus = [{1: zp}, {0: zpin}]
-            mats = {"a": amat, "s+": flip, "s-": sminus}
-            simples.append(module_from_gen_mats(2, conductor, words, mats, f"rho(a={alpha},m={m})"))
-    return simples
-
-
-def _quad_family_simples_d2p(group, m_order, conductor):
-    words = [group.word(g) for g in group.elements]
-    step = conductor // m_order
-    simples = []
-    for rho in (1, -1):
-        for tau in (1, -1):
-            mats = {
-                "s+": [{0: CycNumber.from_rational(conductor, tau)}],
-                "s-": [{0: CycNumber.from_rational(conductor, tau * rho)}],
-            }
-            simples.append(module_from_gen_mats(1, conductor, words, mats, f"chi(r={rho},t={tau})"))
-    one = CycNumber.one(conductor)
-    flip = [{1: one}, {0: one}]
-    for m in range(1, m_order // 2):
-        z = root_of_unity(conductor, step * m)
-        zin = root_of_unity(conductor, step * (m_order - m))
-        sminus = [{1: z}, {0: zin}]
-        simples.append(module_from_gen_mats(2, conductor, words, {"s+": flip, "s-": sminus}, f"rho{m}"))
-    return simples
 
 
 def _quad_family_blocks(h, idx_of, a_of, rot_pairs, refl_pairs):
@@ -750,7 +696,7 @@ def fun_dic(p):
         return idx[(A,) * i + (X,) * (j % (2 * p))]
 
     grouplikes = _dic_fun_grouplikes(h, p, x_pow_index)
-    words = [["a"] * i + ["x"] * j for i in (0, 1) for j in range(2 * p)]
+    words = pres.words
     xi = root_of_unity(conductor, 2)  # zeta_{2p}
     simples = []
     for i in (0, 1):
@@ -830,8 +776,7 @@ def h8p(p, alpha=1):
     h = pres.realize(gen_delta, gen_eps, gen_s)
 
     grouplikes = _dic_fun_grouplikes(h, p, x_pow_index)
-    words = [["z"] * e + ["a"] * i + ["x"] * j
-             for e in (0, 1) for i in (0, 1) for j in range(2 * p)]
+    words = pres.words
     xi = root_of_unity(conductor, 2)
     simples = []
     extra = {}
@@ -902,23 +847,69 @@ def h8p(p, alpha=1):
 # ---------------------------------------------------------------------------
 
 
-_GROUP_FAMILIES = {"c_n": "cyclic", "product": "product", "dihedral": "dihedral",
-                   "dicyclic": "dicyclic", "q8": "q8", "gamma4p": "gamma4p"}
+def _n(params):
+    return int(params["n"])
 
 
-def _group_spec_from_params(kind, params):
-    if kind == "cyclic":
-        return ("cyclic", int(params["n"]))
-    if kind == "product":
-        ns = [int(x) for x in str(params["ns"]).split(",")]
-        return ("product", tuple(ns))
-    if kind in ("dihedral", "dicyclic"):
-        return (kind, int(params["n"]))
-    if kind == "q8":
-        return ("q8",)
-    if kind == "gamma4p":
-        return ("gamma4p", int(params["p"]))
-    raise ValueError(f"unknown group kind {kind!r}")
+def _p(params):
+    return int(params["p"])
+
+
+def _ns(params):
+    return [int(x) for x in str(params["ns"]).split(",")]
+
+
+class Family(NamedTuple):
+    # the command-line parameters -> (HopfAlgebraData, CandidateData), not verified
+    build: Callable
+    # the parameters -> the dimension build would give, computed without constructing
+    # anything; a parameter below its range gives at most 0, so that build reports it
+    dim: Callable
+
+
+class GroupKind(NamedTuple):
+    family: str      # the family name of k[G]
+    group: Callable  # the parameters -> G
+    order: Callable  # the parameters -> |G|, computed without constructing G
+
+
+# dual-group's --group kind -> its group
+_GROUP_KINDS = {
+    "cyclic": GroupKind("c_n", lambda ps: cyclic_group(_n(ps)), _n),
+    "product": GroupKind("product", lambda ps: product_of_cyclics(_ns(ps)),
+                         lambda ps: prod(max(n, 0) for n in _ns(ps))),
+    "dihedral": GroupKind("dihedral", lambda ps: dihedral_group(_n(ps)), lambda ps: 2 * _n(ps)),
+    "dicyclic": GroupKind("dicyclic", lambda ps: dicyclic_group(_n(ps)), lambda ps: 4 * _n(ps)),
+    "q8": GroupKind("q8", lambda ps: quaternion_group(), lambda ps: 8),
+    "gamma4p": GroupKind("gamma4p", lambda ps: gamma4p_group(_p(ps)), lambda ps: 4 * _p(ps)),
+}
+
+
+def _group_kind(params) -> GroupKind:
+    kind = params.get("group", "cyclic")
+    if kind not in _GROUP_KINDS:
+        raise ValueError(f"unknown group kind {kind!r}")
+    return _GROUP_KINDS[kind]
+
+
+# family name -> its builder and dimension; the command line offers them in this order
+FAMILIES = {
+    **{kind.family: Family(lambda ps, group=kind.group: group_algebra(group(ps)), kind.order)
+       for kind in _GROUP_KINDS.values()},
+    "dual-group": Family(lambda ps: dual_group_algebra(_group_kind(ps).group(ps)),
+                         lambda ps: _group_kind(ps).order(ps)),
+    "taft": Family(lambda ps: taft(_n(ps), int(ps.get("q_power", 1))),
+                   lambda ps: max(_n(ps), 0) ** 2),
+    **{variant: Family(lambda ps, variant=variant: pointed4p(
+           variant, _p(ps), int(ps.get("lambda_power", 1))), lambda ps: 4 * _p(ps))
+       for variant in POINTED4P_VARIANTS},
+    "a4p": Family(lambda ps: a4p(_p(ps)), lambda ps: 4 * _p(ps)),
+    "b4p": Family(lambda ps: b4p(_p(ps)), lambda ps: 4 * _p(ps)),
+    "b8": Family(lambda ps: b8(), lambda ps: 8),
+    "fun-dic": Family(lambda ps: fun_dic(_p(ps)), lambda ps: 4 * _p(ps)),
+    "h8p": Family(lambda ps: h8p(_p(ps), int(ps.get("alpha", 1))), lambda ps: 8 * _p(ps)),
+}
+FAMILY_NAMES = list(FAMILIES)
 
 
 def build_family(name, params):
@@ -926,51 +917,6 @@ def build_family(name, params):
 
     The result is not verified here; each command runs verify_hopf on it once.
     """
-    if name in _GROUP_FAMILIES:
-        return group_algebra(_group_spec_from_params(_GROUP_FAMILIES[name], params))
-    if name == "dual-group":
-        return dual_group_algebra(_group_spec_from_params(params.get("group", "cyclic"), params))
-    if name == "taft":
-        return taft(int(params["n"]), int(params.get("q_power", 1)))
-    if name in POINTED4P_VARIANTS:
-        return pointed4p(name, int(params["p"]), int(params.get("lambda_power", 1)))
-    if name == "a4p":
-        return a4p(int(params["p"]))
-    if name == "b4p":
-        return b4p(int(params["p"]))
-    if name == "b8":
-        return b8()
-    if name == "fun-dic":
-        return fun_dic(int(params["p"]))
-    if name == "h8p":
-        return h8p(int(params["p"]), int(params.get("alpha", 1)))
-    raise ValueError(f"unknown family {name!r}")
-
-
-def _group_order(spec):
-    if spec[0] == "product":
-        return prod(max(n, 0) for n in spec[1])
-    if spec[0] == "q8":
-        return 8
-    return {"cyclic": 1, "dihedral": 2, "dicyclic": 4, "gamma4p": 4}[spec[0]] * spec[1]
-
-
-def _four_p(params):
-    return 4 * int(params["p"])
-
-
-# family -> the dimension build_family(family, params) would have, read from the same
-# parameters and computed without constructing anything; a parameter below its range
-# gives a dimension of at most 0, so that the constructor reports it
-FAMILY_DIMS = {
-    **{name: lambda params, kind=kind: _group_order(_group_spec_from_params(kind, params))
-       for name, kind in _GROUP_FAMILIES.items()},
-    "dual-group": lambda params: _group_order(
-        _group_spec_from_params(params.get("group", "cyclic"), params)),
-    "taft": lambda params: max(int(params["n"]), 0) ** 2,
-    **dict.fromkeys(POINTED4P_VARIANTS + ("a4p", "b4p"), _four_p),
-    "b8": lambda params: 8,
-    "fun-dic": _four_p,
-    "h8p": lambda params: 8 * int(params["p"]),
-}
-FAMILY_NAMES = list(FAMILY_DIMS)
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    return FAMILIES[name].build(params)

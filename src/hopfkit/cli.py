@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import io as hio
-from .catalog import FAMILY_DIMS, FAMILY_NAMES, build_family
+from .catalog import FAMILIES, FAMILY_NAMES, build_family
 from .certify import certify_family
 from .hopf import dual as hopf_dual
 from .hopf import verify_algebra, verify_antipode, verify_bialgebra, verify_coalgebra, verify_hopf
@@ -72,7 +72,7 @@ def cmd_build(args) -> int:
     params = _family_params(args)
     try:
         # refused from the parameters alone, before anything is constructed
-        _check_max_dim(FAMILY_DIMS[args.family](params))
+        _check_max_dim(FAMILIES[args.family].dim(params))
         h, cd = build_family(args.family, params)
     except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)

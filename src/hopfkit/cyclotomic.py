@@ -102,21 +102,23 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    # row d-phi lists the nonzero (k, c) of t^d mod Phi_n for d = phi .. 2*phi-2;
-    # Phi_n is monic with integer coefficients, so every c is an int
+    # row d-phi lists the nonzero (k, c) of t^d mod Phi_n for d = phi .. 2*phi-2,
+    # in increasing k; Phi_n is monic with integer coefficients, so every c is an
+    # int.  Row d+1 is row d shifted by one, its top term folded back as
+    # top * base, so each row costs its nonzeros, not phi.
     phi = euler_phi(n)
     poly = cyclotomic_polynomial(n)
-    base = [-c for c in poly[:phi]]  # t^phi = base (monic)
+    base = tuple((k, -c) for k, c in enumerate(poly[:phi]) if c)  # t^phi = base (monic)
     rows = [base]
-    cur = base
     for _ in range(phi - 2):
-        shifted = [0] + cur[:-1]
-        top = cur[-1]
+        row = rows[-1]
+        top = row[-1][1] if row and row[-1][0] == phi - 1 else 0
+        shifted = {k + 1: c for k, c in row if k != phi - 1}
         if top:
-            shifted = [s + top * b for s, b in zip(shifted, base)]
-        rows.append(shifted)
-        cur = shifted
-    return tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in rows)
+            for k, b in base:
+                shifted[k] = shifted.get(k, 0) + top * b
+        rows.append(tuple(sorted((k, c) for k, c in shifted.items() if c)))
+    return tuple(rows)
 
 
 _ZERO_CACHE: dict = {}

@@ -2,7 +2,9 @@
 
 Each family ships a normal form for its elements, generator words (used to
 extend coalgebra maps multiplicatively) and exact irrep matrices over a
-cyclotomic field that splits them.
+cyclotomic field that splits them.  The groups C_n ⋊ C_m (dihedral,
+dicyclic-type and Γ_4p) share one builder, `_metacyclic`, and differ only in
+their irreps; every element label is a product of `_power` factors.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ class GroupIrrep:
 
 
 class FiniteGroup:
-    def __init__(self, name, elements, labels, mult_fn, identity, generators, word_fn, conductor):
-        self.name = name
+    def __init__(self, elements, labels, mult_fn, identity, generators, word_fn, conductor):
         self.elements = list(elements)
         self.labels = list(labels)
         self.index = {g: i for i, g in enumerate(self.elements)}
@@ -63,6 +64,16 @@ class FiniteGroup:
                                      lambda m, g: compose_columns(m, gen_mats[g]))
 
 
+def _power(name: str, k: int) -> str:
+    """The label factor name^k: empty at k = 0, bare name at k = 1."""
+    return f"{name}^{k}" if k > 1 else name if k else ""
+
+
+def _label(factors, sep: str = "") -> str:
+    """The nonempty factors joined by sep, or "1" if there are none."""
+    return sep.join(f for f in factors if f) or "1"
+
+
 def _diag(values):
     return [{i: v} for i, v in enumerate(values)]
 
@@ -80,14 +91,34 @@ def _check_order(n: int, name: str) -> None:
         raise ValueError(f"{name} needs n >= 1, got {n}")
 
 
+def _metacyclic(n: int, m: int, letter: str, action: int, conductor: int) -> FiniteGroup:
+    """C_n ⋊ C_m on y of order n and `letter` of order m, letter y letter^-1 = y^action.
+
+    Elements (k, i) = y^k letter^i in i-major order, with product
+    (k, i)(k2, i2) = (k + action^i k2 mod n, i + i2 mod m); no irreps.
+    """
+    twist = [pow(action, i, n) for i in range(m)]
+
+    def mult(g, h):
+        return ((g[0] + twist[g[1]] * h[0]) % n, (g[1] + h[1]) % m)
+
+    elements = [(k, i) for i in range(m) for k in range(n)]
+    return FiniteGroup(
+        elements=elements,
+        labels=[_label([_power("y", k), _power(letter, i)]) for k, i in elements],
+        mult_fn=mult,
+        identity=(0, 0),
+        generators={"y": (1 % n, 0), letter: (0, 1)},
+        word_fn=lambda t: ["y"] * t[0] + [letter] * t[1],
+        conductor=conductor,
+    )
+
+
 def cyclic_group(n: int) -> FiniteGroup:
     _check_order(n, "the cyclic group C_n")
-    elements = list(range(n))
-    labels = ["1"] + [f"g^{k}" if k > 1 else "g" for k in range(1, n)]
     g = FiniteGroup(
-        name=f"C{n}",
-        elements=elements,
-        labels=labels,
+        elements=range(n),
+        labels=[_label([_power("g", k)]) for k in range(n)],
         mult_fn=lambda a, b: (a + b) % n,
         identity=0,
         generators={"g": 1 % n},
@@ -104,33 +135,17 @@ def product_of_cyclics(ns: list[int]) -> FiniteGroup:
         _check_order(n, "each cyclic factor C_n")
     elements = list(product(*[range(n) for n in ns]))
     conductor = lcm(*ns) if ns else 1
-
-    def label(t):
-        parts = [f"g{i}^{k}" if k > 1 else f"g{i}" for i, k in enumerate(t) if k]
-        return "*".join(parts) if parts else "1"
-
-    gens = {}
-    for i, n in enumerate(ns):
-        e = tuple(1 % n if j == i else 0 for j, n in enumerate(ns))
-        gens[f"g{i}"] = e
-
-    def word(t):
-        out = []
-        for i, k in enumerate(t):
-            out += [f"g{i}"] * k
-        return out
-
     g = FiniteGroup(
-        name="x".join(f"C{n}" for n in ns),
         elements=elements,
-        labels=[label(t) for t in elements],
+        labels=[_label([_power(f"g{i}", k) for i, k in enumerate(t)], "*") for t in elements],
         mult_fn=lambda a, b: tuple((x + y) % n for x, y, n in zip(a, b, ns)),
         identity=tuple(0 for _ in ns),
-        generators=gens,
-        word_fn=word,
+        generators={f"g{i}": tuple(1 % n if j == i else 0 for j, n in enumerate(ns))
+                    for i in range(len(ns))},
+        word_fn=lambda t: [f"g{i}" for i, k in enumerate(t) for _ in range(k)],
         conductor=conductor,
     )
-    for ks in product(*[range(n) for n in ns]):
+    for ks in elements:
         mats = {f"g{i}": _mat(conductor, [[root_of_unity(conductor, k * (conductor // n))]])
                 for i, (k, n) in enumerate(zip(ks, ns))}
         g.irreps.append(GroupIrrep("chi" + "_".join(map(str, ks)), 1, mats))
@@ -140,30 +155,7 @@ def product_of_cyclics(ns: list[int]) -> FiniteGroup:
 def dihedral_group(n: int) -> FiniteGroup:
     """D_n of order 2n: a^2 = y^n = 1, a y a = y^-1.  Elements y^k a^e."""
     _check_order(n, "the dihedral group D_n")
-    elements = [(k, e) for e in (0, 1) for k in range(n)]
-    elements.sort(key=lambda t: (t[1], t[0]))
-
-    def label(t):
-        k, e = t
-        s = f"y^{k}" if k > 1 else ("y" if k == 1 else "")
-        s2 = "a" if e else ""
-        return (s + s2) or "1"
-
-    def mult(g, h):
-        k, e = g
-        k2, e2 = h
-        return ((k + (k2 if e == 0 else -k2)) % n, (e + e2) % 2)
-
-    g = FiniteGroup(
-        name=f"D{n}",
-        elements=elements,
-        labels=[label(t) for t in elements],
-        mult_fn=mult,
-        identity=(0, 0),
-        generators={"y": (1 % n, 0), "a": (0, 1)},
-        word_fn=lambda t: ["y"] * t[0] + ["a"] * t[1],
-        conductor=n,
-    )
+    g = _metacyclic(n, 2, "a", -1, n)
     flip = _mat(n, [[0, 1], [1, 0]])
     chars = [(1, 1), (1, -1)] if n % 2 else [(1, 1), (1, -1), (-1, 1), (-1, -1)]
     for cy, ca in chars:
@@ -178,33 +170,16 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 
 def dicyclic_group(n: int) -> FiniteGroup:
-    """Dic_n of order 4n: x^4 = y^n = 1, x y x^-1 = y^-1.  Elements y^k x^i."""
+    """C_n ⋊ C_4 of order 4n: x^4 = y^n = 1, x y x^-1 = y^-1.  Elements y^k x^i.
+
+    For odd n this is the dicyclic group Dic_n.  For even n it is not: x^2,
+    y^(n/2) and their product are three involutions, where Dic_n has one.
+    So n = 2 gives the abelian C_2 x C_4 (eight characters), not
+    Dic_2 = Q_8, and n = 4 is not Dic_4.  The paper needs only odd n.
+    """
     _check_order(n, "the dicyclic group Dic_n")
     conductor = lcm(4, n)
-    elements = [(k, i) for i in range(4) for k in range(n)]
-    elements.sort(key=lambda t: (t[1], t[0]))
-
-    def label(t):
-        k, i = t
-        s = f"y^{k}" if k > 1 else ("y" if k == 1 else "")
-        s2 = f"x^{i}" if i > 1 else ("x" if i == 1 else "")
-        return (s + s2) or "1"
-
-    def mult(g, h):
-        k, i = g
-        k2, i2 = h
-        return ((k + ((-1) ** i) * k2) % n, (i + i2) % 4)
-
-    g = FiniteGroup(
-        name=f"Dic{n}",
-        elements=elements,
-        labels=[label(t) for t in elements],
-        mult_fn=mult,
-        identity=(0, 0),
-        generators={"y": (1 % n, 0), "x": (0, 1)},
-        word_fn=lambda t: ["y"] * t[0] + ["x"] * t[1],
-        conductor=conductor,
-    )
+    g = _metacyclic(n, 4, "x", -1, conductor)
     ychars = [1] if n % 2 else [1, -1]
     for cy in ychars:
         for j in range(4):
@@ -226,13 +201,6 @@ def dicyclic_group(n: int) -> FiniteGroup:
 
 def quaternion_group() -> FiniteGroup:
     """Q_8 with elements i^a j^b, j^2 = i^2, j i j^-1 = i^-1."""
-    elements = [(a, b) for b in (0, 1) for a in range(4)]
-
-    def label(t):
-        a, b = t
-        s = f"i^{a}" if a > 1 else ("i" if a == 1 else "")
-        s2 = "j" if b else ""
-        return (s + s2) or "1"
 
     def mult(g, h):
         a, b = g
@@ -242,10 +210,10 @@ def quaternion_group() -> FiniteGroup:
             a3 += 2  # j^2 = i^2
         return (a3 % 4, (b + b2) % 2)
 
+    elements = [(a, b) for b in (0, 1) for a in range(4)]
     g = FiniteGroup(
-        name="Q8",
         elements=elements,
-        labels=[label(t) for t in elements],
+        labels=[_label([_power("i", a), _power("j", b)]) for a, b in elements],
         mult_fn=mult,
         identity=(0, 0),
         generators={"i": (1, 0), "j": (0, 1)},
@@ -269,30 +237,7 @@ def gamma4p_group(p: int) -> FiniteGroup:
         raise ValueError("requires a prime p congruent to 1 mod 4")
     ell = gamma4p_ell(p)
     conductor = 4 * p
-    elements = [(k, i) for i in range(4) for k in range(p)]
-    elements.sort(key=lambda t: (t[1], t[0]))
-
-    def label(t):
-        k, i = t
-        s = f"y^{k}" if k > 1 else ("y" if k == 1 else "")
-        s2 = f"x^{i}" if i > 1 else ("x" if i == 1 else "")
-        return (s + s2) or "1"
-
-    def mult(g, h):
-        k, i = g
-        k2, i2 = h
-        return ((k + pow(ell, i, p) * k2) % p, (i + i2) % 4)
-
-    g = FiniteGroup(
-        name=f"Gamma{4 * p}",
-        elements=elements,
-        labels=[label(t) for t in elements],
-        mult_fn=mult,
-        identity=(0, 0),
-        generators={"y": (1, 0), "x": (0, 1)},
-        word_fn=lambda t: ["y"] * t[0] + ["x"] * t[1],
-        conductor=conductor,
-    )
+    g = _metacyclic(p, 4, "x", ell, conductor)
     for j in range(4):
         g.irreps.append(GroupIrrep(
             f"alpha{j}", 1,

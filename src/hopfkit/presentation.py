@@ -53,6 +53,11 @@ class Presentation:
     def dim(self):
         return len(self.normal_monomials)
 
+    @property
+    def words(self) -> list[list[str]]:
+        """Each normal monomial as its list of generator names."""
+        return [[self.generators[letter] for letter in w] for w in self.normal_monomials]
+
     def _default_label(self, word):
         if not word:
             return "1"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .cyclotomic import CycNumber, root_of_unity
-from .groups import FiniteGroup, gamma4p_ell, gamma4p_group
+from .groups import FiniteGroup, cyclic_group, gamma4p_ell, gamma4p_group
 from .hopf import (HopfAlgebraData, inverse, is_grouplike, least_power, multiplicative, verify_hopf,
                    witness_failures)
 from .linalg import Matrix, Subspace, accumulate, compose_columns
@@ -472,7 +472,7 @@ def named_datum(name: str, p: int = 3) -> YDDatum:
         return YDDatum(L, g, chi, CycNumber.from_rational(L.conductor, -1),
                        label=f"{name}(p={p})")
     if name == "c2":
-        L, cd = catalog.group_algebra(("cyclic", 2))
+        L, cd = catalog.group_algebra(cyclic_group(2))
         chi = [CycNumber.one(L.conductor), CycNumber.from_rational(L.conductor, -1)]
         return YDDatum(L, cd.grouplikes[1], chi,
                        CycNumber.from_rational(L.conductor, -1), label="c2")

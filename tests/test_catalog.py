@@ -7,6 +7,7 @@ from hopfkit import io as hio
 
 from conftest import build, dense, dense_trace, identity_matrix, power, same_tensors, word_product
 from hopfkit.certify import certify_family
+from hopfkit.groups import gamma4p_group, quaternion_group
 from hopfkit.invariants import verify_grouplikes
 from hopfkit.ydnichols import DATUM_NAMES, bosonize, named_datum
 from hopfkit.hopf import (antipode_order, dual, is_grouplike, order, s_squared_order, tr_s_squared,
@@ -28,9 +29,9 @@ def test_gamma20_profile():
 
 def test_gamma4p_rejects_bad_p():
     with pytest.raises(ValueError):
-        catalog.group_algebra(("gamma4p", 3))
+        catalog.group_algebra(gamma4p_group(3))
     with pytest.raises(ValueError):
-        catalog.group_algebra(("gamma4p", 9))
+        catalog.group_algebra(gamma4p_group(9))
 
 
 def test_gamma4p_ell_is_the_least_square_root_of_minus_one():
@@ -135,7 +136,7 @@ def test_every_family_at_p3_verifies():
     builders = [
         lambda: build("c_n", n=6),
         lambda: build("dihedral", n=3),
-        lambda: catalog.group_algebra(("q8",)),
+        lambda: catalog.group_algebra(quaternion_group()),
         lambda: build("dual-group", group="dicyclic", n=3),
         lambda: build("taft", n=2),
         lambda: build("a-m10", p=3),
@@ -166,7 +167,8 @@ _FAMILY_PARAMS = dict(_GROUP_PARAMS, taft={"n": 2}, b8={}, **{
     name: {"p": 3} for name in ("a-m10", "a-m10-dual", "a-m11", "h4xcp", "a4p", "b4p",
                                 "fun-dic", "h8p")})
 _SWEEP = [(name, _FAMILY_PARAMS[name]) for name in catalog.FAMILY_NAMES if name != "dual-group"]
-_SWEEP += [("dual-group", dict(params, group=catalog._GROUP_FAMILIES[name]))
+_GROUP_KIND = {entry.family: kind for kind, entry in catalog._GROUP_KINDS.items()}
+_SWEEP += [("dual-group", dict(params, group=_GROUP_KIND[name]))
            for name, params in _GROUP_PARAMS.items()]
 _SWEEP_IDS = [" ".join([name] + [f"{k}={v}" for k, v in sorted(params.items())])
               for name, params in _SWEEP]
@@ -182,7 +184,7 @@ def test_family_names_keep_the_command_line_order():
 
 @pytest.mark.parametrize("name, params", _SWEEP, ids=_SWEEP_IDS)
 def test_family_dims_are_read_off_the_parameters(name, params):
-    assert catalog.FAMILY_DIMS[name](params) == build(name, **params)[0].dim
+    assert catalog.FAMILIES[name].dim(params) == build(name, **params)[0].dim
 
 
 def _stores_no_zero(h):
@@ -248,7 +250,14 @@ def test_prefix_extension_matches_whole_words(monkeypatch, name, params):
     monkeypatch.setattr(presentation.Presentation, "realize", recording_realize)
     monkeypatch.setattr(catalog, "realize_on_group", recording_on_group)
     monkeypatch.setattr(catalog, "module_from_gen_mats", recording_module)
-    catalog.build_family(name, params)
+    _, cd = catalog.build_family(name, params)
+
+    # every simple built along words, the group irreps' included, is checked below;
+    # k^G's simples are evaluations, and only its irrep modules are recorded
+    recorded = {id(m) for m, *_ in seen["modules"]}
+    assert recorded
+    if name != "dual-group":
+        assert all(id(m) in recorded for m in cd.simples)
 
     for pres, h in seen["pres"]:
         words = pres.normal_monomials

@@ -25,6 +25,26 @@ def test_cyclotomic_polynomial_base_cases():
     assert cyclotomic_polynomial(3) == (1, 1, 1)
 
 
+def _dense_reduction_rows(n):
+    """t^d mod Phi_n for d = phi .. 2 phi - 2 as dense coefficient lists, each row
+    the previous one times t with its top coefficient folded back."""
+    phi = euler_phi(n)
+    base = [-c for c in cyclotomic_polynomial(n)[:phi]]
+    rows = [base]
+    for _ in range(phi - 2):
+        cur = rows[-1]
+        rows.append([s + cur[-1] * b for s, b in zip([0] + cur[:-1], base)])
+    return rows
+
+
+@pytest.mark.parametrize("n", list(range(1, 121)) + [256, 1000, 2310])
+def test_reduction_rows_match_the_dense_recurrence(n):
+    from hopfkit.cyclotomic import _reduction_rows
+
+    assert _reduction_rows(n) == tuple(tuple((k, c) for k, c in enumerate(row) if c)
+                                       for row in _dense_reduction_rows(n))
+
+
 def test_cyclotomic_polynomial_12():
     # recursive-division oracle: divide t^12 - 1 by all proper Phi_d by hand
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)  # t^4 - t^2 + 1

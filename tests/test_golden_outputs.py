@@ -34,6 +34,9 @@ SWEEP = [
     "dual-group --group cyclic --n 2", "dual-group --group product --ns 2,2",
     "dual-group --group dihedral --n 3", "dual-group --group dicyclic --n 2",
     "dual-group --group q8", "dual-group --group gamma4p --p 5",
+    # both parity branches of the dihedral and dicyclic irreps
+    "dihedral --n 4", "dicyclic --n 3",
+    "dual-group --group dihedral --n 4", "dual-group --group dicyclic --n 3",
 ]
 DATA = ["fun-dic", "a4p-chi2", "a4p-chi3", "c2"]
 MODULES = ["y:1 psi:1", "x:1 chi:1", "trivial:0 beta:1", "trivial:0 alpha:1"]

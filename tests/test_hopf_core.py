@@ -38,6 +38,7 @@ from hopfkit.hopf import (
     witness_failures,
 )
 from hopfkit.cyclotomic import CycNumber, root_of_unity
+from hopfkit.groups import product_of_cyclics
 from hopfkit.linalg import Matrix, accumulate
 from hopfkit.repsolver import RepModule, verify_module
 
@@ -144,7 +145,7 @@ def test_tensor_product_dims_and_group_case():
     # tensor of group algebras = group algebra of the product
     c2, _ = build("c_n", n=2)
     prod = tensor_product(c2, c3)
-    direct, _ = catalog.group_algebra(("product", (2, 3)))
+    direct, _ = catalog.group_algebra(product_of_cyclics([2, 3]))
     assert prod.dim == direct.dim == 6
     assert verify_hopf(prod).ok
     assert sorted(tuple(sorted(d.items())) for row in prod.mult for d in row) == \
