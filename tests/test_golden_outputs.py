@@ -68,11 +68,16 @@ GAMMA13 = ["certify gamma4p --p 13 --json cert.json",
            "nichols --p 13 --class y:1 --rep psi:1 --cutoff 3",
            "yd-verify --p 13 --class x:1 --rep chi:1"]
 
+# degree 4 of two x-classes: the ranks that change most when the rank runs on a column basis
+NICHOLS4 = ["nichols --p 5 --class x:1 --rep chi:3 --cutoff 4",
+            "nichols --p 5 --class x:2 --rep chi:1 --cutoff 4"]
+
 # group name -> the commands run in order in one scratch directory
 GROUPS = {**{f: _family_jobs(f) for f in SWEEP},
           **{f"datum {d}": _datum_jobs(d) for d in DATA},
           **{f"module {m}": _module_jobs(m) for m in MODULES},
-          "gamma4p --p 13": GAMMA13}
+          "gamma4p --p 13": GAMMA13,
+          "nichols degree 4": NICHOLS4}
 
 
 def _sha(data) -> str:
