@@ -19,7 +19,6 @@ is issued.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Callable, NamedTuple
@@ -48,17 +47,22 @@ from .repsolver import RepModule, module_from_gen_mats
 HALF = Fraction(1, 2)
 
 
-@dataclass
 class CandidateData:
     """Claimed data for one catalog member; always re-verified downstream."""
 
-    grouplikes: list = dc_field(default_factory=list)   # sparse vectors
-    grouplike_labels: list = dc_field(default_factory=list)
-    skew_witness: tuple | None = None                   # (g, h, x) with Dx = x(x)g + h(x)x
-    simples: list = dc_field(default_factory=list)      # RepModule over H
-    dual_blocks: list = dc_field(default_factory=list)  # [m_11, ..., m_dd] sparse, row-major
-    expected: dict = dc_field(default_factory=dict)
-    extra: dict = dc_field(default_factory=dict)
+    __slots__ = ("grouplikes", "grouplike_labels", "skew_witness", "simples", "dual_blocks",
+                 "expected", "extra")
+
+    def __init__(self, grouplikes=None, grouplike_labels=None, skew_witness=None, simples=None,
+                 dual_blocks=None, expected=None, extra=None):
+        self.grouplikes = [] if grouplikes is None else grouplikes  # sparse vectors
+        self.grouplike_labels = [] if grouplike_labels is None else grouplike_labels
+        self.skew_witness = skew_witness  # (g, h, x) with Dx = x(x)g + h(x)x, or None
+        self.simples = [] if simples is None else simples  # RepModule over H
+        # [m_11, ..., m_dd] sparse, row-major
+        self.dual_blocks = [] if dual_blocks is None else dual_blocks
+        self.expected = {} if expected is None else expected
+        self.extra = {} if extra is None else extra
 
 
 def _require_odd_prime(p):

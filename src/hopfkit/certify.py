@@ -3,8 +3,6 @@ once, recompute every claimed invariant, and return a pass/fail table."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .catalog import build_family
 from .hopf import dual, verify_hopf
 from .invariants import coradical, invariant_report
@@ -12,22 +10,26 @@ from .linalg import Subspace, accumulate, compose_columns
 from .repsolver import are_isomorphic, wedderburn_certificate
 
 
-@dataclass
 class ClaimRow:
-    claim_id: str
-    expected: object
-    computed: object
+    __slots__ = ("claim_id", "expected", "computed")
+
+    def __init__(self, claim_id: str, expected, computed):
+        self.claim_id = claim_id
+        self.expected = expected
+        self.computed = computed
 
     @property
     def ok(self) -> bool:
         return self.expected == self.computed
 
 
-@dataclass
 class CertifySuite:
-    family: str
-    params: dict
-    rows: list = field(default_factory=list)
+    __slots__ = ("family", "params", "rows")
+
+    def __init__(self, family: str, params: dict):
+        self.family = family
+        self.params = params
+        self.rows: list[ClaimRow] = []
 
     def add(self, claim_id, expected, computed):
         self.rows.append(ClaimRow(claim_id, expected, computed))

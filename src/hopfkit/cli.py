@@ -10,6 +10,7 @@ structure runs verify_hopf on it here, once.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -336,7 +337,9 @@ def cmd_certify(args) -> int:
     return 0 if suite.ok else 1
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: `main` may run many times in one."""
     ap = argparse.ArgumentParser(prog="hopfkit",
                                  description="exact Hopf algebra construction and certification")
     sub = ap.add_subparsers(dest="command", required=True)

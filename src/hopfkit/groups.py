@@ -9,19 +9,19 @@ their irreps; every element label is a product of `_power` factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import lcm
 
 from .cyclotomic import CycNumber, root_of_unity
-from .linalg import compose_columns, extend_along_prefixes, identity_columns
 
 
-@dataclass
 class GroupIrrep:
-    label: str
-    dim: int
-    gen_mats: dict  # generator name -> its action as sparse columns
+    __slots__ = ("label", "dim", "gen_mats")
+
+    def __init__(self, label: str, dim: int, gen_mats: dict):
+        self.label = label
+        self.dim = dim
+        self.gen_mats = gen_mats  # generator name -> its action as sparse columns
 
 
 class FiniteGroup:
@@ -52,16 +52,6 @@ class FiniteGroup:
 
     def word(self, g) -> list[str]:
         return self._word(g)
-
-    def element_matrices(self, dim: int, gen_mats: dict) -> list:
-        """Expand the generators' actions on k^dim, as sparse columns, to every
-        group element along its word.
-
-        Each element starts from its longest prefix built so far.
-        """
-        return extend_along_prefixes([self.word(g) for g in self.elements],
-                                     identity_columns(dim, self.conductor),
-                                     lambda m, g: compose_columns(m, gen_mats[g]))
 
 
 def _power(name: str, k: int) -> str:

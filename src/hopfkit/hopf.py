@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import operator
 import weakref
-from dataclasses import dataclass, field
 from functools import wraps
 from math import gcd
 
@@ -50,10 +49,17 @@ from .linalg import (EchelonBasis, accumulate, add_scaled, compose_columns, iden
 MAX_FAILURES = 5
 
 
-@dataclass
 class VerifyReport:
-    ok: bool
-    failures: list[str] = field(default_factory=list)
+    __slots__ = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: list[str] | None = None):
+        self.ok = ok
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other):
+        if not isinstance(other, VerifyReport):
+            return NotImplemented
+        return self.ok == other.ok and self.failures == other.failures
 
     def __bool__(self):
         return self.ok

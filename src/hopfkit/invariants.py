@@ -12,7 +12,6 @@ nothing multiplies in H*, which few basis elements generate.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from math import isqrt
 
 from .cyclotomic import CycNumber
@@ -113,14 +112,17 @@ def chevalley_check(h: HopfAlgebraData):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class GrouplikeCertificate:
-    ok: bool
-    count: int = 0
-    orders: list = field(default_factory=list)
-    coradical_dim: int = 0
-    block_dims: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
+    __slots__ = ("ok", "count", "orders", "coradical_dim", "block_dims", "failures")
+
+    def __init__(self, ok: bool, count: int = 0, orders: list | None = None, coradical_dim: int = 0,
+                 block_dims: list | None = None, failures: list | None = None):
+        self.ok = ok
+        self.count = count
+        self.orders = [] if orders is None else orders
+        self.coradical_dim = coradical_dim
+        self.block_dims = [] if block_dims is None else block_dims
+        self.failures = [] if failures is None else failures
 
     def __bool__(self):
         return self.ok
@@ -385,27 +387,38 @@ def coinvariants(h: HopfAlgebraData, target: HopfAlgebraData, pi: list) -> Subsp
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class InvariantReport:
-    dim: int
-    conductor: int
-    radical_dim: int
-    coradical_dim: int
-    filtration_dims: list
-    grouplike_count: int
-    grouplike_orders: list
-    tr_s2: CycNumber
-    semisimple: bool
-    cosemisimple: bool
-    chevalley: bool
-    chevalley_witness: str
-    antipode_order: int | None
-    s_squared_order: int | None
-    distinguished_grouplike_index: int | None
-    distinguished_grouplike_label: str | None
-    skew_primitive_dims: dict
-    certificates: dict
-    grouplike_failures: list = field(default_factory=list)  # why grouplike_certificate is false
+    __slots__ = ("dim", "conductor", "radical_dim", "coradical_dim", "filtration_dims",
+                 "grouplike_count", "grouplike_orders", "tr_s2", "semisimple", "cosemisimple",
+                 "chevalley", "chevalley_witness", "antipode_order", "s_squared_order",
+                 "distinguished_grouplike_index", "distinguished_grouplike_label",
+                 "skew_primitive_dims", "certificates", "grouplike_failures")
+
+    def __init__(self, *, dim, conductor, radical_dim, coradical_dim, filtration_dims,
+                 grouplike_count, grouplike_orders, tr_s2, semisimple, cosemisimple, chevalley,
+                 chevalley_witness, antipode_order, s_squared_order,
+                 distinguished_grouplike_index, distinguished_grouplike_label,
+                 skew_primitive_dims, certificates, grouplike_failures):
+        self.dim = dim
+        self.conductor = conductor
+        self.radical_dim = radical_dim
+        self.coradical_dim = coradical_dim
+        self.filtration_dims = filtration_dims
+        self.grouplike_count = grouplike_count
+        self.grouplike_orders = grouplike_orders
+        self.tr_s2 = tr_s2
+        self.semisimple = semisimple
+        self.cosemisimple = cosemisimple
+        self.chevalley = chevalley
+        self.chevalley_witness = chevalley_witness
+        self.antipode_order = antipode_order
+        self.s_squared_order = s_squared_order
+        self.distinguished_grouplike_index = distinguished_grouplike_index
+        self.distinguished_grouplike_label = distinguished_grouplike_label
+        self.skew_primitive_dims = skew_primitive_dims
+        self.certificates = certificates
+        self.grouplike_failures = grouplike_failures  # why grouplike_certificate is false
+
 
 def invariant_report(h: HopfAlgebraData, cd=None) -> InvariantReport:
     dual_h = dual(h)

@@ -162,10 +162,22 @@ def _sparse(vec) -> dict:
     return {c: x for c, x in items if x is not zero and not x.is_zero()}
 
 
-def _eliminate(v: dict, c: int, row: dict) -> None:
-    """v -= v[c] row, for a reduced row with 1 at its pivot c: v[c] is popped, not computed."""
+def _inverse(cache: dict, x: CycNumber) -> CycNumber:
+    """x's inverse, cached under (num, den): an elimination meets few distinct
+    pivot values, and hashing the pair is cheaper than a CycNumber hash."""
+    key = (x.num, x.den)
+    inv = cache.get(key)
+    if inv is None:
+        inv = cache[key] = x.inverse()
+    return inv
+
+
+def _eliminate(v: dict, c: int, row: dict, one: CycNumber, inv: CycNumber | None = None) -> None:
+    """v -= v[c] inv row, for a row whose entry at c has the inverse inv (None
+    for a 1 there); one is CycNumber.one(N).  v[c] is popped, not computed."""
     f = -v.pop(c)
-    one = row[c]
+    if inv is not None:
+        f = f * inv
     for k, b in row.items():
         if k != c:
             accumulate(v, k, f if b is one else f * b)
@@ -181,9 +193,7 @@ class EchelonBasis:
 
     def __init__(self):
         self.pivots: dict[int, dict] = {}  # pivot column -> reduced row
-        # (num, den) of a pivot value -> its inverse: an elimination meets few
-        # distinct pivots, and hashing the pair is cheaper than a CycNumber hash
-        self._inverses: dict = {}
+        self._inverses: dict = {}  # see _inverse
 
     def reduce(self, vec) -> dict:
         """vec minus its part along the basis, as a sparse dict."""
@@ -191,7 +201,8 @@ class EchelonBasis:
         # a reduced row vanishes on the other pivots, so each v[c] is final;
         # the row's 1 at c cancels v[c], which is popped instead
         for c in [c for c in v if c in self.pivots]:
-            _eliminate(v, c, self.pivots[c])
+            row = self.pivots[c]
+            _eliminate(v, c, row, row[c])
         return v
 
     def add(self, vec) -> bool:
@@ -203,16 +214,13 @@ class EchelonBasis:
         lead = v[c]
         one = CycNumber.one(lead.conductor)
         if lead is not one:
-            key = (lead.num, lead.den)
-            inv = self._inverses.get(key)
-            if inv is None:
-                inv = self._inverses[key] = lead.inverse()
+            inv = _inverse(self._inverses, lead)
             v = {k: inv * a for k, a in v.items()}
             v[c] = one
         # back-substitute into existing rows
         for row in self.pivots.values():
             if c in row:
-                _eliminate(row, c, v)
+                _eliminate(row, c, v, one)
         self.pivots[c] = v
         return True
 
@@ -235,8 +243,38 @@ def _echelon(vectors) -> EchelonBasis:
     return eb
 
 
+def independent(vectors) -> list[int]:
+    """The indices of the vectors outside the span of those before them; as
+    many as the rank.
+
+    Row-echelon form, with none of `EchelonBasis`'s normalising: a kept row
+    keeps its leading value and never clears the rows before it.  A vector
+    is reduced only until its least index is no kept row's pivot, which
+    already proves it independent, and it is kept as it stands.  A pivot's
+    inverse is taken only when a later vector is reduced against that pivot.
+    """
+    rows: dict = {}  # pivot -> kept row, whose least index it is
+    inverses: dict = {}
+    one = None
+    out = []
+    for i, vec in enumerate(vectors):
+        v = _sparse(vec)
+        while v:
+            c = min(v)
+            row = rows.get(c)
+            if row is None:
+                rows[c] = v
+                out.append(i)
+                break
+            lead = row[c]
+            if one is None:
+                one = CycNumber.one(lead.conductor)
+            _eliminate(v, c, row, one, None if lead is one else _inverse(inverses, lead))
+    return out
+
+
 def rank(m: Matrix) -> int:
-    return _echelon(m.entries).dim
+    return len(independent(m.entries))
 
 
 def nullspace(m: Matrix) -> "Subspace":

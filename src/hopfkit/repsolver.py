@@ -12,19 +12,19 @@ characters, so characters of full rank are pairwise non-isomorphic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .cyclotomic import CycNumber
 from .hopf import HopfAlgebraData, known_generators, multiplicative, witness_failures
 from .linalg import (EchelonBasis, Subspace, accumulate, add_scaled, compose_columns,
                      extend_along_prefixes, identity_columns, trace)
 
 
-@dataclass
 class RepModule:
-    label: str
-    dim: int
-    action: list  # per basis element of the algebra, its action as sparse columns
+    __slots__ = ("label", "dim", "action")
+
+    def __init__(self, label: str, dim: int, action: list):
+        self.label = label
+        self.dim = dim
+        self.action = action  # per basis element of the algebra, its action as sparse columns
 
 
 def module_from_gen_mats(dim, conductor, basis_words, gen_mats, label) -> RepModule:
@@ -128,11 +128,13 @@ def are_isomorphic(h: HopfAlgebraData, m: RepModule, n: RepModule) -> bool:
     return False
 
 
-@dataclass
 class WedderburnCertificate:
-    ok: bool
-    profile: list[int] = field(default_factory=list)
-    details: list[str] = field(default_factory=list)
+    __slots__ = ("ok", "profile", "details")
+
+    def __init__(self, ok: bool, profile: list[int], details: list[str] | None = None):
+        self.ok = ok
+        self.profile = profile
+        self.details = [] if details is None else details
 
     def __bool__(self):
         return self.ok

@@ -8,16 +8,15 @@ hit zero within the cutoff.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import product
 
 from .cyclotomic import CycNumber, root_of_unity
 from .groups import FiniteGroup, cyclic_group, gamma4p_ell, gamma4p_group
 from .hopf import (HopfAlgebraData, inverse, is_grouplike, least_power, multiplicative, verify_hopf,
                    witness_failures)
-from .linalg import Matrix, Subspace, accumulate, compose_columns
+from .linalg import Matrix, accumulate, compose_columns, independent
 from .presentation import group_algebra_hopf
-from .repsolver import RepModule, action_witnesses
+from .repsolver import RepModule, action_witnesses, module_from_gen_mats
 
 
 # ---------------------------------------------------------------------------
@@ -47,18 +46,23 @@ def q_binomial(n: int, i: int, q: CycNumber) -> CycNumber:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class YDModule:
-    group: FiniteGroup
-    conductor: int
-    dim: int
-    action: dict          # generator name -> its action as sparse columns
-    grading: list         # basis index -> group element
-    label: str = ""
+    __slots__ = ("group", "conductor", "dim", "action", "grading", "label")
+
+    def __init__(self, group: FiniteGroup, conductor: int, dim: int, action: dict, grading: list,
+                 label: str = ""):
+        self.group = group
+        self.conductor = conductor
+        self.dim = dim
+        self.action = action    # generator name -> its action as sparse columns
+        self.grading = grading  # basis index -> group element
+        self.label = label
 
     def element_matrices(self) -> list:
         """The action of each of group.elements, as sparse columns, in that order."""
-        return self.group.element_matrices(self.dim, self.action)
+        grp = self.group
+        return module_from_gen_mats(self.dim, self.conductor, [grp.word(g) for g in grp.elements],
+                                    self.action, self.label).action
 
 
 def verify_yd(mod: YDModule):
@@ -207,13 +211,15 @@ def diagonal_type(mod: YDModule):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class YDDatum:
-    L: HopfAlgebraData
-    g: dict            # a group-like of L, as a sparse vector
-    chi: list          # CycNumber values on the basis of L
-    q: CycNumber
-    label: str = ""
+    __slots__ = ("L", "g", "chi", "q", "label")
+
+    def __init__(self, L: HopfAlgebraData, g: dict, chi: list, q: CycNumber, label: str = ""):
+        self.L = L
+        self.g = g      # a group-like of L, as a sparse vector
+        self.chi = chi  # CycNumber values on the basis of L
+        self.q = q
+        self.label = label
 
 
 def _chi_of(d: YDDatum, vec: dict) -> CycNumber:
@@ -353,13 +359,16 @@ def bosonize(d: YDDatum) -> HopfAlgebraData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class NicholsReport:
-    ranks: list
-    cutoff: int
-    truncated: bool
-    total_dim: int | None
-    guard_hit: bool = False
+    __slots__ = ("ranks", "cutoff", "truncated", "total_dim", "guard_hit")
+
+    def __init__(self, ranks: list, cutoff: int, truncated: bool, total_dim: int | None,
+                 guard_hit: bool):
+        self.ranks = ranks
+        self.cutoff = cutoff
+        self.truncated = truncated
+        self.total_dim = total_dim
+        self.guard_hit = guard_hit
 
 
 def default_cutoff(v: int) -> int:
@@ -382,7 +391,12 @@ def symmetrizer(c: dict, v: int, n: int, columns: dict | None = None) -> Matrix:
     column costs n - 1 sparse applications of c.  Nothing assumes the
     braiding is monomial.  `columns`, the sparse columns {word: column} of a
     degree up to n, is grown in place to degree n, one shuffle step per
-    degree (from degree 0 if not given).  The result is a Matrix, for rank.
+    degree (from degree 0 if not given).
+
+    Every column and the dense Matrix are built, although `nichols_dims`
+    ranks only the columns over a basis of im S_(n-1), half of them at
+    degree 4 of a y-class: perfbench's tracer reads the whole S_n here
+    until ROADMAP E and H.
     """
     conductor = _conductor(c)
     if columns is None:
@@ -406,17 +420,28 @@ def symmetrizer(c: dict, v: int, n: int, columns: dict | None = None) -> Matrix:
     return out
 
 
-def matrix_rank(s: Matrix) -> int:
-    """The rank of a symmetrizer.  A function of its own so that perfbench's
-    tracer times each degree's rank (span ydnichols.rank); it bypasses
-    linalg.rank, whose trace hook would count the same input again."""
-    return Subspace.from_vectors(s.cols, s.conductor, s.entries).dim
+def matrix_rank(s: Matrix, columns: list) -> list:
+    """The indices of those of `columns`, sparse columns of the symmetrizer
+    s, that are independent of the ones before them (`linalg.independent`);
+    when they span im s, as many as its rank.
+
+    A function of its own so that perfbench's tracer times each degree's
+    rank (span ydnichols.rank) and reads s as its input.  Nothing else reads
+    s until ROADMAP E and H.
+    """
+    return independent(columns)
 
 
 def nichols_dims(c: dict, v: int, cutoff: int | None = None,
                  guard_mb: int = 512) -> NicholsReport:
     """Per-degree ranks of the quantum symmetrizer; rank 0 means truncation.
-    One dict of columns is carried through, so each degree is one shuffle step."""
+
+    One dict of columns is carried through, so each degree is one shuffle
+    step.  So is a column basis: S_n = T_n (S_(n-1) (x) id) puts im S_n in the
+    span of the columns wx with w in W_(n-1), the words whose columns span
+    im S_(n-1), so only those are ranked, and the independent ones are
+    W_n.  `symmetrizer` still builds all of S_n, for the tracer alone.
+    """
     if not braid_equation_check(c, v):
         raise ValueError("braiding does not satisfy the braid equation")
     if cutoff is None:
@@ -427,14 +452,20 @@ def nichols_dims(c: dict, v: int, cutoff: int | None = None,
     truncated = False
     guard_hit = False
     columns = {(): {(): CycNumber.one(_conductor(c))}}
+    basis = [()]
     for n in range(1, cutoff + 1):
         est_mb = (v ** (2 * n)) * 120 / 1e6
         if est_mb > guard_mb:
             guard_hit = True
             break
-        r = matrix_rank(symmetrizer(c, v, n, columns))
-        ranks.append(r)
-        if r == 0:
+        s = symmetrizer(c, v, n, columns)
+        words = [w + (x,) for w in basis for x in range(v)]
+        # the columns keyed by their words' places, in word order: int keys are cheaper to rank
+        index = {w: j for j, w in enumerate(columns)}
+        cols = [{index[u]: a for u, a in columns[w].items()} for w in words]
+        basis = [words[i] for i in matrix_rank(s, cols)]
+        ranks.append(len(basis))
+        if not basis:
             truncated = True
             break
     total = sum(ranks) if truncated else None

@@ -581,6 +581,26 @@ def test_non_integer_guard_is_an_input_error(name):
     assert proc.stderr.splitlines() == [f"error: {name} must be an integer"]
 
 
+def test_the_parser_is_built_once_and_the_guards_read_on_every_call(monkeypatch, capsys):
+    import hopfkit.cli as cli
+
+    assert main(["nichols", "--qline", "4"]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setenv("HOPFKIT_NICHOLS_GUARD_MB", "x")
+    assert main(["nichols", "--qline", "4"]) == 2
+    monkeypatch.setenv("HOPFKIT_NICHOLS_GUARD_MB", "0")
+    assert main(["nichols", "--qline", "4"]) == 0
+    assert json.loads(capsys.readouterr().out.split("}\n", 1)[1])["guard_hit"]
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # a fresh process pays for every module it imports; dataclasses brings inspect, ast and dis
+    code = "import sys, hopfkit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
 def test_bosonize_command(tmp_path):
     out = tmp_path / "b.json"
     assert main(["bosonize", "--datum", "c2", "--out", str(out)]) == 0

@@ -2,7 +2,8 @@
 
 Each group is checked for its identity, closure, associativity and `inv`,
 distinct labels, `word(g)` multiplied out over `generators` giving g, and
-every irrep's `element_matrices` being a homomorphism.
+every irrep, extended along the element words as the catalog's k[G]-module,
+being a homomorphism.
 """
 
 import pytest
@@ -44,8 +45,8 @@ def test_group_axioms_words_and_irreps(make):
         assert x == a
 
     assert sum(rep.dim ** 2 for rep in g.irreps) == g.order
-    for rep in g.irreps:
-        mats = [dense(m, g.conductor) for m in g.element_matrices(rep.dim, rep.gen_mats)]
+    for module in catalog._irrep_modules(g):
+        mats = [dense(m, g.conductor) for m in module.action]
         at = {a: mats[g.index[a]] for a in elements}
         assert all((at[a] * at[b]).entries == at[table[a, b]].entries
                    for a in elements for b in elements)

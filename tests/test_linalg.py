@@ -14,6 +14,7 @@ from hopfkit.linalg import (
     bilinear_closure,
     extend_along_prefixes,
     identity_columns,
+    independent,
     nullspace,
     rank,
     solve_augmented,
@@ -332,3 +333,37 @@ def test_property_perp_matches_the_dense_route(m):
     s = Subspace.from_vectors(m.cols, m.conductor, m.entries)
     assert s.perp() == dense_perp(s)
     assert s.perp().basis() == dense_perp(s).basis()
+
+
+@st.composite
+def thin_products(draw):
+    """Rows of B C over Q(zeta_N), N in {4, 5, 12, 20}, for sparse random B
+    (rows x k) and C (k x cols) with k at most 3: often rank deficient.
+    Each row is a dense list or a sparse dict."""
+    n = draw(st.sampled_from([4, 5, 12, 20]))
+    rows, inner, cols = draw(st.integers(1, 8)), draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    coeff = st.integers(-2, 2)
+    entry = st.one_of(st.just(None), st.just(None),
+                      st.lists(coeff, min_size=euler_phi(n), max_size=euler_phi(n)))
+    zero = CycNumber.zero(n)
+
+    def factor(r, c):
+        return Matrix(r, c, n, [[zero if x is None else CycNumber(n, x)
+                                 for x in (draw(entry) for _ in range(c))] for _ in range(r)])
+
+    product = factor(rows, inner) * factor(inner, cols)
+    as_dict = draw(st.booleans())
+    return n, cols, [{j: x for j, x in enumerate(row) if not x.is_zero()} if as_dict else row
+                     for row in product.entries]
+
+
+@_PROPERTY
+@given(thin_products())
+def test_property_independent_agrees_with_the_reduced_echelon_core(case):
+    n, cols, rows = case
+    eb = EchelonBasis()
+    keep = independent(rows)
+    assert keep == [i for i, row in enumerate(rows) if eb.add(row)]
+    assert len(keep) == eb.dim
+    assert Subspace.from_vectors(cols, n, [rows[i] for i in keep]) == \
+        Subspace.from_vectors(cols, n, rows)

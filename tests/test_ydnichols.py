@@ -1,15 +1,16 @@
-import dataclasses
 import itertools
+import json
 
 import pytest
 
 from conftest import build, frozen, identity_matrix, kron, qline, same_tensors, word_product
-from hopfkit import ydnichols
+from hopfkit import cli, ydnichols
 from hopfkit.cyclotomic import CycNumber, root_of_unity
 from hopfkit.hopf import HopfAlgebraData, tr_s_squared
-from hopfkit.linalg import Matrix
+from hopfkit.linalg import Matrix, Subspace
 from hopfkit.ydnichols import (
     YDDatum,
+    YDModule,
     bosonize,
     braid_equation_check,
     braiding,
@@ -89,7 +90,7 @@ def test_literal_remark_action_fails_yd():
     # the printed x-action x.v_j = w^k v_(jl+1): the verified one's images moved up by one
     m = yd_module_gamma4p(5, ("x", 1), ("chi", 1))
     x_mat = [{(r + 1) % m.dim: c for r, c in col.items()} for col in m.action["x"]]
-    m = dataclasses.replace(m, action={**m.action, "x": x_mat})
+    m = YDModule(m.group, m.conductor, m.dim, {**m.action, "x": x_mat}, m.grading, m.label)
     ok, _ = verify_yd(m)
     assert not ok
 
@@ -317,6 +318,67 @@ def test_each_symmetrizer_degree_is_built_once(monkeypatch):
     check = calls
     assert nichols_dims(c, 4, cutoff=5).ranks == [1, 4, 12, 32, 76, 164]
     assert calls - 2 * check == sum(4 ** m * (m - 1) for m in range(1, 6)) == 5008
+
+
+# every simple Yetter-Drinfeld module over Gamma_20, as (class, representation)
+_GAMMA20_MODULES = ([(("trivial",), ("alpha", i)) for i in range(4)] + [(("trivial",), ("beta", 1))]
+                    + [(("y", k), ("psi", s)) for k in range(1, 5) for s in range(5)]
+                    + [(("x", m), ("chi", k)) for m in range(1, 4) for k in range(4)])
+
+
+def _echelon_rank(s: Matrix) -> int:
+    """The rank of a matrix by the reduced-echelon core, not linalg.rank."""
+    return Subspace.from_vectors(s.cols, s.conductor, s.entries).dim
+
+
+@pytest.mark.parametrize("cls, rep", _GAMMA20_MODULES,
+                         ids=[f"{c[0]}{c[1:]}-{r[0]}{r[1]}" for c, r in _GAMMA20_MODULES])
+def test_ranks_on_the_carried_column_basis_match_the_direct_symmetrizer(cls, rep):
+    # nichols_dims ranks only the columns over a basis of im S_(n-1); the
+    # oracle ranks every row of the symmetrizer built from explicit words
+    m = yd_module_gamma4p(5, cls, rep)
+    c = braiding(m)
+    ranks = nichols_dims(c, m.dim, cutoff=3).ranks
+    assert ranks[1:] == [_echelon_rank(symmetrizer_direct(c, m.dim, n))
+                         for n in range(1, len(ranks))], m.label
+
+
+def test_y_class_ranks_at_degree_4_match_the_whole_symmetrizer():
+    for k in range(1, 5):
+        for s in range(5):
+            c = braiding(yd_module_gamma4p(5, ("y", k), ("psi", s)))
+            assert nichols_dims(c, 4, cutoff=4).ranks[4] == _echelon_rank(symmetrizer(c, 4, 4)), \
+                (k, s)
+    c = braiding(yd_module_gamma4p(5, ("y", 2), ("psi", 3)))
+    assert nichols_dims(c, 4, cutoff=4).ranks[4] == _echelon_rank(symmetrizer_direct(c, 4, 4)) \
+        == 76
+
+
+def test_a_quantum_line_of_large_order_inverts_no_pivot(monkeypatch, capsys):
+    # every S_n of a one-dimensional braiding is 1 x 1: a nonzero entry is its rank
+    calls = 0
+    inverse = CycNumber.inverse
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return inverse(self)
+
+    monkeypatch.setattr(CycNumber, "inverse", counting)
+    assert cli.main(["nichols", "--qline", "20000"]) == 0
+    assert json.loads(capsys.readouterr().out)["ranks"] == [1] * 9
+    assert calls == 0
+
+
+def test_a_yd_module_lives_in_its_own_field():
+    # the sign of x over Q, on a group whose irreps need Q(zeta_20)
+    grp = yd_module_gamma4p(5, ("y", 1), ("psi", 1)).group
+    one, minus = CycNumber.one(1), CycNumber.from_rational(1, -1)
+    m = YDModule(grp, 1, 1, {"x": [{0: minus}], "y": [{0: one}]}, [grp.identity], "sign")
+    mats = m.element_matrices()
+    assert {a.conductor for mat in mats for col in mat for a in col.values()} == {1}
+    assert verify_yd(m) == (True, None)
+    assert nichols_dims(braiding(m), 1, cutoff=3).ranks == [1, 1, 1, 1]
 
 
 def test_quantum_line_at_q_one_to_a_high_cutoff():
