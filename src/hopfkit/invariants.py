@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import defaultdict
 from math import isqrt
 
-from .cyclotomic import CycNumber
 from .hopf import (HopfAlgebraData, antipode_order, dual, generators, is_grouplike, is_semisimple,
                    known_generators, least_power, memoised, multiplicative_over, order,
                    s_squared_order, tr_s_squared, witness_failures)

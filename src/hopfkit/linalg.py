@@ -5,24 +5,27 @@ a Hopf map, a braiding, the action of an algebra element on a module or of a
 group element in an irrep) is kept as sparse columns, column j the image of
 the j-th basis vector, and maps compose with `compose_columns`;
 `identity_columns` and `trace` complete that form, and `outer` gives the
-sparse tensor {(i, j): value} of a sum of u (x) v.  All elimination runs
+sparse tensor {(i, j): value} of a sum of u (x) v.  Every subspace runs
 through one incremental Gauss-Jordan core, `EchelonBasis`, which keeps each
 reduced row sparse, so a row update touches only nonzero entries.  A
 `Subspace` is such a basis and hands its vectors out as sparse dicts; its
 `perp` is read off the free columns of the reduced rows, and a sparse linear
-system is solved by `solve_augmented`.  `accumulate` is the one "add into a
+system is solved by `solve_augmented`.  A rank needs no reduced form: it runs
+through `independent`, a row-echelon elimination that normalises no pivot
+and back-substitutes into no row.  `accumulate` is the one "add into a
 sparse dict, drop the key if it cancels" step that every sparse loop in the
 package shares, and `add_scaled` adds a multiple of a sparse column with no
 product by a factor that is the canonical CycNumber.one(N).
 
-`Matrix` is dense and is only the input of `rank` and `nullspace`:
-`jacobson_radical`'s Gram matrix and the v^n x v^n quantum symmetrizer that
+`Matrix` is dense and is only the input of `rank` and `nullspace`
+(`jacobson_radical`'s Gram matrix) and the v^n x v^n quantum symmetrizer that
 `ydnichols.symmetrizer` returns (about 2000 rows at most under the default
-memory guard).  It stays dense because perfbench's tracer reads the `rows`,
-`cols` and `entries` of that input, and it keeps `__mul__`, which no code
-here calls, because the tracer wraps that method by name.  The hand-off to
-`EchelonBasis` skips the Matrix's shared zero fill untested.  There is no
-dense `solve` and no `kron`: the tests keep their own dense oracles.
+memory guard), which only perfbench's tracer reads.  It stays dense because
+the tracer reads the `rows`, `cols` and `entries` of those, and it keeps
+`__mul__`, which no code here calls, because the tracer wraps that method by
+name.  The hand-off to the elimination skips the Matrix's shared zero fill
+untested.  There is no dense `solve` and no `kron`: the tests keep their own
+dense oracles.
 """
 
 from __future__ import annotations

@@ -437,10 +437,12 @@ def nichols_dims(c: dict, v: int, cutoff: int | None = None,
     """Per-degree ranks of the quantum symmetrizer; rank 0 means truncation.
 
     One dict of columns is carried through, so each degree is one shuffle
-    step.  So is a column basis: S_n = T_n (S_(n-1) (x) id) puts im S_n in the
-    span of the columns wx with w in W_(n-1), the words whose columns span
-    im S_(n-1), so only those are ranked, and the independent ones are
-    W_n.  `symmetrizer` still builds all of S_n, for the tracer alone.
+    step, and so is W_(n-1), the words whose columns span im S_(n-1).
+    S_n = T_n (S_(n-1) (x) id) puts im S_n in the span of the columns wx with
+    w in W_(n-1), so only those are ranked, and the independent ones are
+    W_n.  `symmetrizer` still builds all of S_n, for perfbench's tracer
+    alone, until ROADMAP E and H: at degree 4 of a y-class, twice the
+    columns that are ranked.
     """
     if not braid_equation_check(c, v):
         raise ValueError("braiding does not satisfy the braid equation")
