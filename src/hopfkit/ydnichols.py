@@ -389,13 +389,13 @@ def symmetrizer(c: dict, v: int, n: int, columns: dict | None = None) -> Matrix:
     Column w'x starts from S_(n-1) e_w' (x) e_x; each further term is the
     previous one with one more c applied, one position to the left, so the
     column costs n - 1 sparse applications of c.  Nothing assumes the
-    braiding is monomial.  `columns`, the sparse columns {word: column} of a
-    degree up to n, is grown in place to degree n, one shuffle step per
-    degree (from degree 0 if not given).
+    braiding is monomial.  `columns`, the sparse columns {word: column} of
+    some words of one length up to n, is grown in place to degree n, each
+    column w into the columns wx, one shuffle step per degree (from all of
+    degree 0 if not given, so that all of S_n is built).
 
-    Every column and the dense Matrix are built, although `nichols_dims`
-    ranks only the columns over a basis of im S_(n-1), half of them at
-    degree 4 of a y-class: perfbench's tracer reads the whole S_n here
+    The dense Matrix has v^n rows, each at its word's base-v place, and one
+    column per word of `columns`, in its order: perfbench's tracer reads it
     until ROADMAP E and H.
     """
     conductor = _conductor(c)
@@ -412,22 +412,27 @@ def symmetrizer(c: dict, v: int, n: int, columns: dict | None = None) -> Matrix:
                     for u, a in term.items():
                         accumulate(total, u, a)
                 columns[w + (x,)] = total
-    index = {w: j for j, w in enumerate(columns)}
-    out = Matrix(len(index), len(index), conductor)
+    index = _word_places(v, n)
+    out = Matrix(len(index), len(columns), conductor)
     for j, col in enumerate(columns.values()):
         for u, a in col.items():
             out.entries[index[u]][j] = a
     return out
 
 
+def _word_places(v: int, n: int) -> dict:
+    """{word: its base-v value} over the words of length n."""
+    return {w: j for j, w in enumerate(product(range(v), repeat=n))}
+
+
 def matrix_rank(s: Matrix, columns: list) -> list:
-    """The indices of those of `columns`, sparse columns of the symmetrizer
-    s, that are independent of the ones before them (`linalg.independent`);
-    when they span im s, as many as its rank.
+    """The indices of those of `columns`, the sparse columns of s, that are
+    independent of the ones before them (`linalg.independent`); when they
+    span im S_n, as many as its rank.
 
     A function of its own so that perfbench's tracer times each degree's
-    rank (span ydnichols.rank) and reads s as its input.  Nothing else reads
-    s until ROADMAP E and H.
+    rank (span ydnichols.rank) and reads s, the columns that are ranked, as
+    its input.  Nothing else reads s until ROADMAP E and H.
     """
     return independent(columns)
 
@@ -436,13 +441,11 @@ def nichols_dims(c: dict, v: int, cutoff: int | None = None,
                  guard_mb: int = 512) -> NicholsReport:
     """Per-degree ranks of the quantum symmetrizer; rank 0 means truncation.
 
-    One dict of columns is carried through, so each degree is one shuffle
-    step, and so is W_(n-1), the words whose columns span im S_(n-1).
-    S_n = T_n (S_(n-1) (x) id) puts im S_n in the span of the columns wx with
-    w in W_(n-1), so only those are ranked, and the independent ones are
-    W_n.  `symmetrizer` still builds all of S_n, for perfbench's tracer
-    alone, until ROADMAP E and H: at degree 4 of a y-class, twice the
-    columns that are ranked.
+    One dict of columns is carried through, the columns of W_(n-1), the
+    words whose columns span im S_(n-1), so each degree is one shuffle step
+    on them alone.  S_n = T_n (S_(n-1) (x) id) puts im S_n in the span of the
+    columns wx with w in W_(n-1), so only those are built and ranked, and the
+    independent ones, W_n, are carried on.
     """
     if not braid_equation_check(c, v):
         raise ValueError("braiding does not satisfy the braid equation")
@@ -454,20 +457,19 @@ def nichols_dims(c: dict, v: int, cutoff: int | None = None,
     truncated = False
     guard_hit = False
     columns = {(): {(): CycNumber.one(_conductor(c))}}
-    basis = [()]
     for n in range(1, cutoff + 1):
         est_mb = (v ** (2 * n)) * 120 / 1e6
         if est_mb > guard_mb:
             guard_hit = True
             break
         s = symmetrizer(c, v, n, columns)
-        words = [w + (x,) for w in basis for x in range(v)]
-        # the columns keyed by their words' places, in word order: int keys are cheaper to rank
-        index = {w: j for j, w in enumerate(columns)}
-        cols = [{index[u]: a for u, a in columns[w].items()} for w in words]
-        basis = [words[i] for i in matrix_rank(s, cols)]
-        ranks.append(len(basis))
-        if not basis:
+        words = list(columns)
+        # rows keyed by their words' places: int keys are cheaper to rank
+        index = _word_places(v, n)
+        cols = [{index[u]: a for u, a in col.items()} for col in columns.values()]
+        columns = {words[i]: columns[words[i]] for i in matrix_rank(s, cols)}
+        ranks.append(len(columns))
+        if not columns:
             truncated = True
             break
     total = sum(ranks) if truncated else None

@@ -72,12 +72,16 @@ GAMMA13 = ["certify gamma4p --p 13 --json cert.json",
 NICHOLS4 = ["nichols --p 5 --class x:1 --rep chi:3 --cutoff 4",
             "nichols --p 5 --class x:2 --rep chi:1 --cutoff 4"]
 
+# degree 5 of a y-class, where the memory guard stops the sweep before degree 6
+NICHOLS5 = ["nichols --p 5 --class y:1 --rep psi:1 --cutoff 6"]
+
 # group name -> the commands run in order in one scratch directory
 GROUPS = {**{f: _family_jobs(f) for f in SWEEP},
           **{f"datum {d}": _datum_jobs(d) for d in DATA},
           **{f"module {m}": _module_jobs(m) for m in MODULES},
           "gamma4p --p 13": GAMMA13,
-          "nichols degree 4": NICHOLS4}
+          "nichols degree 4": NICHOLS4,
+          "nichols degree 5": NICHOLS5}
 
 
 def _sha(data) -> str:

@@ -1,7 +1,7 @@
 """perfbench's tracer reads hopfkit from outside: it wraps the module functions
 and its hooks read the dense Matrix given to linalg.rank/nullspace and
-ydnichols.matrix_rank and returned by ydnichols.symmetrizer, and the paths
-given to io.load_json and io.dump_json.
+ydnichols.matrix_rank and returned by ydnichols.symmetrizer (the columns it
+builds), and the paths given to io.load_json and io.dump_json.
 This runs the tracer on cheap commands, so a change under src/ that breaks
 those hooks fails here.  Nothing under perfbench/ is changed."""
 
@@ -31,13 +31,14 @@ def test_tracer_counts_elimination_input_and_symmetrizer_entries(monkeypatch, ca
 
 
 def test_tracer_reads_each_nichols_degree(monkeypatch, capsys):
-    # the per-degree metrics the benchmark reads: the nnz of each S_n that
-    # ydnichols.symmetrizer returns, and the time of each degree's rank
+    # the per-degree metrics the benchmark reads: the nnz of the columns of
+    # each S_n that ydnichols.symmetrizer builds, those of the words wx with
+    # w in W_(n-1), and the time of each degree's rank
     monkeypatch.syspath_prepend(PERFBENCH)
     from tracer import Tracer
 
     from hopfkit.ydnichols import braiding, yd_module_gamma4p
-    from test_ydnichols import symmetrizer_direct
+    from test_ydnichols import carried_columns
 
     tracer = Tracer()
     tracer.install()
@@ -49,9 +50,8 @@ def test_tracer_reads_each_nichols_degree(monkeypatch, capsys):
     capsys.readouterr()
     table = tracer.table()
     c = braiding(yd_module_gamma4p(5, ("y", 1), ("psi", 1)))
-    for n in (1, 2, 3):
-        direct = symmetrizer_direct(c, 4, n)
-        nnz = sum(1 for row in direct.entries for x in row if not x.is_zero())
+    for n, cols in enumerate(carried_columns(c, 4, 3), 1):
+        nnz = sum(1 for col in cols for x in col if not x.is_zero())
         assert table[f"ydnichols.symmetrizer.nnz.deg{n}"] == nnz > 0, n
         assert table[f"ydnichols.symmetrizer.total_s.deg{n}"] > 0, n
     assert table["ydnichols.rank.total_s.deg3"] > 0

@@ -7,7 +7,7 @@ from conftest import build, frozen, identity_matrix, kron, qline, same_tensors, 
 from hopfkit import cli, ydnichols
 from hopfkit.cyclotomic import CycNumber, root_of_unity
 from hopfkit.hopf import HopfAlgebraData, tr_s_squared
-from hopfkit.linalg import Matrix, Subspace
+from hopfkit.linalg import EchelonBasis, Matrix, Subspace
 from hopfkit.ydnichols import (
     YDDatum,
     YDModule,
@@ -301,9 +301,11 @@ def test_carried_columns_grow_to_the_same_symmetrizer():
 
 
 def test_each_symmetrizer_degree_is_built_once(monkeypatch):
-    # degree m costs v^m (m - 1) applications of c on top of degree m - 1, so
-    # cutoff 5 at v = 4 costs sum_m 4^m (m - 1) = 5008; rebuilding every
-    # degree from scratch would cost 6080
+    # degree m grows only the rank_(m-1) carried columns, each into v columns
+    # at m - 1 applications of c, on top of degree m - 1, so cutoff 5 at
+    # v = 4 costs sum_m rank_(m-1) 4 (m - 1) = 1712; growing every column
+    # would cost sum_m 4^m (m - 1) = 5008, and rebuilding every degree from
+    # scratch 6080
     c = braiding(yd_module_gamma4p(5, ("y", 1), ("psi", 1)))
     calls = 0
     apply = ydnichols._apply_braiding
@@ -316,8 +318,47 @@ def test_each_symmetrizer_degree_is_built_once(monkeypatch):
     monkeypatch.setattr(ydnichols, "_apply_braiding", counting)
     assert braid_equation_check(c, 4)
     check = calls
-    assert nichols_dims(c, 4, cutoff=5).ranks == [1, 4, 12, 32, 76, 164]
-    assert calls - 2 * check == sum(4 ** m * (m - 1) for m in range(1, 6)) == 5008
+    ranks = nichols_dims(c, 4, cutoff=5).ranks
+    assert ranks == [1, 4, 12, 32, 76, 164]
+    assert calls - 2 * check == sum(ranks[m - 1] * 4 * (m - 1) for m in range(1, 6)) == 1712
+
+
+def carried_columns(c: dict, v: int, cutoff: int) -> list:
+    """Per degree n = 1..cutoff, the columns of the direct S_n at the words
+    wx (w in W_(n-1), x < v) that nichols_dims ranks, in its order; W_n is
+    taken from them greedily, by the reduced-echelon core."""
+    basis, out = [()], []
+    for n in range(1, cutoff + 1):
+        direct = symmetrizer_direct(c, v, n)
+        words = [w + (x,) for w in basis for x in range(v)]
+        places = [sum(x * v ** (n - 1 - i) for i, x in enumerate(w)) for w in words]
+        cols = [[row[j] for row in direct.entries] for j in places]
+        eb = EchelonBasis()
+        basis = [w for w, col in zip(words, cols) if eb.add(col)]
+        out.append(cols)
+    return out
+
+
+@pytest.mark.parametrize("c, v", [
+    (braiding(yd_module_gamma4p(5, ("y", 1), ("psi", 1))), 4),
+    (braiding(yd_module_gamma4p(5, ("x", 1), ("chi", 3))), 5),
+    (jordan_braiding(1), 2)], ids=["y-class", "x-class", "Jordan"])
+def test_only_the_carried_columns_are_built(c, v, monkeypatch):
+    # each degree builds v columns per word of W_(n-1), not all v^n, each
+    # with v^n rows at its word's base-v place, and they are the direct S_n's
+    seen = []
+    rank = ydnichols.matrix_rank
+
+    def recording(s, columns):
+        seen.append(s)
+        return rank(s, columns)
+
+    monkeypatch.setattr(ydnichols, "matrix_rank", recording)
+    ranks = nichols_dims(c, v, cutoff=4).ranks
+    assert [(s.rows, s.cols) for s in seen] == [(v ** n, ranks[n - 1] * v) for n in range(1, 5)]
+    assert ranks[3] * v < v ** 4
+    for s, cols in zip(seen, carried_columns(c, v, 3)):
+        assert [list(col) for col in zip(*s.entries)] == cols
 
 
 # every simple Yetter-Drinfeld module over Gamma_20, as (class, representation)
