@@ -4,8 +4,11 @@
 builder and its dimension, both read from the command-line parameters.
 Adding a family is one entry there.  Group algebras and their duals take a
 `groups.FiniteGroup` and build their simples from its irreps; the twisted
-families on C_2 x D_p and D_m carry their groups' irreps the same way, and
-the presented families take their module words from their `Presentation`.
+families on C_2 x D_p and D_m carry their groups' irreps the same way.  taft
+and h8p are quantum-line bosonizations (`ydnichols.bosonize`) over k[C_n] and
+fun_dic(p); fun_dic and the pointed 4p families are presented by generators
+and rules (`presentation.Presentation`).  Simples are built along the words
+of the basis, x^j g^i for taft and z^e a^i x^j for h8p.
 
 Each constructor returns (HopfAlgebraData, CandidateData) and only constructs:
 nothing here runs verify_hopf.  The structure is a claim like the sidecar, and
@@ -43,6 +46,7 @@ from .hopf import dual, tensor_product
 from .linalg import accumulate, outer
 from .presentation import Presentation, group_algebra_hopf, realize_on_group
 from .repsolver import RepModule, module_from_gen_mats
+from .ydnichols import YDDatum, bosonize, named_datum
 
 HALF = Fraction(1, 2)
 
@@ -146,48 +150,25 @@ def dual_group_algebra(group: FiniteGroup):
 
 
 def taft(n, k=1):
-    """T_q of dimension n^2, q = zeta_n^k primitive; basis x^j g^i."""
+    """T_q of dimension n^2, q = zeta_n^k primitive: the quantum line over k[C_n]
+    with chi(g) = q, bosonized.  Basis x^j g^i = y^j # g^i."""
     if n < 2:
         raise ValueError("need n >= 2")
     if gcd(k, n) != 1:
         raise ValueError("q selector must give a primitive n-th root")
-    conductor = n
     q = root_of_unity(n, k)
-    X, G = 0, 1
-    monomials = [(X,) * j + (G,) * i for j in range(n) for i in range(n)]
-    rules = [
-        ((G, X), [(q, (X, G))]),
-        ((X,) * n, []),
-        ((G,) * n, [(CycNumber.one(n), ())]),
-    ]
-    pres = Presentation(["x", "g"], conductor, monomials, rules)
-    idx = pres.index
-    one = CycNumber.one(conductor)
-
-    def unit_at(*word):
-        return {idx[tuple(word)]: one}
-
-    g_vec = unit_at(G)
-    x_vec = unit_at(X)
-    gen_delta = {
-        G: outer((g_vec, g_vec)),
-        X: outer((x_vec, unit_at()), (g_vec, x_vec)),
-    }
-    gen_eps = {G: one, X: CycNumber.zero(conductor)}
-    gen_s = {
-        G: pres.normal_form_word((G,) * (n - 1)),
-        X: _neg(pres.normal_form_word((G,) * (n - 1) + (X,))),
-    }
-    h = pres.realize(gen_delta, gen_eps, gen_s)
-    grouplikes = [h.basis_dict(idx[(G,) * i]) for i in range(n)]
-    words = pres.words
-    simples = [module_from_gen_mats(1, conductor, words, {"x": [{}], "g": [{0: root_of_unity(n, m)}]},
+    L = group_algebra_hopf(cyclic_group(n))
+    h = bosonize(YDDatum(L, L.basis_dict(1), [q ** i for i in range(n)], q))
+    h.labels = _line_labels("x", n, L.labels)
+    grouplikes = [h.basis_dict(i) for i in range(n)]
+    words = [["x"] * j + ["g"] * i for j in range(n) for i in range(n)]
+    simples = [module_from_gen_mats(1, n, words, {"x": [{}], "g": [{0: root_of_unity(n, m)}]},
                                     f"chi{m}")
                for m in range(n)]
     cd = CandidateData(
         grouplikes=grouplikes,
-        grouplike_labels=[h.labels[idx[(G,) * i]] for i in range(n)],
-        skew_witness=(h.unit, grouplikes[1], h.basis_dict(idx[(X,)])),
+        grouplike_labels=list(L.labels),
+        skew_witness=(h.unit, grouplikes[1], h.basis_dict(n)),
         simples=simples,
         expected={
             "dim": n * n,
@@ -200,6 +181,11 @@ def taft(n, k=1):
         },
     )
     return h, cd
+
+
+def _line_labels(letter, n, labels):
+    """The labels of y^m # l, m < n, as the words letter^m l: "x^2g", "zax^3", "z" for z # 1."""
+    return [_label([_power(letter, m), lb if lb != "1" else ""]) for m in range(n) for lb in labels]
 
 
 def _neg(d):
@@ -614,9 +600,16 @@ def _quad_family_blocks(h, idx_of, a_of, rot_pairs, refl_pairs):
 # ---------------------------------------------------------------------------
 
 
-def _fun_dic_presentation(p):
+def _dic_index(p, i, j):
+    """The index of a^i x^j, j taken mod 2p, in k^(Dic_p) and in h8p."""
+    return 2 * p * i + j % (2 * p)
+
+
+def _fun_dic_algebra(p):
+    """k^(Dic_p) presented by a and x, basis a^i x^j at index _dic_index(p, i, j)."""
     conductor = 4 * p
     one = CycNumber.one(conductor)
+    half = CycNumber.from_rational(conductor, HALF)
     A, X = 0, 1
     monomials = [(A,) * i + (X,) * j for i in (0, 1) for j in range(2 * p)]
     rules = [
@@ -624,58 +617,46 @@ def _fun_dic_presentation(p):
         ((X, A), [(one, (A, X))]),
         ((X,) * (2 * p), [(one, ())]),
     ]
-    return Presentation(["a", "x"], conductor, monomials, rules)
-
-
-def _fun_dic_images(pres, p, A, X):
-    """Coalgebra images of the generators a = A and x = X of the dicyclic function algebra."""
-    conductor = pres.conductor
-    one = CycNumber.one(conductor)
-    idx = pres.index
-    half = CycNumber.from_rational(conductor, HALF)
-    a_vec = {idx[(A,)]: one}
-    x_vec = {idx[(X,)]: one}
+    pres = Presentation(["a", "x"], conductor, monomials, rules)
+    a_vec = {_dic_index(p, 1, 0): one}
+    x_vec = {_dic_index(p, 0, 1): one}
 
     def e_times_x_power(bit, j):
-        j %= 2 * p
         sign = one if bit == 0 else -one
-        return {idx[(X,) * j]: half, idx[(A,) + (X,) * j]: sign * half}
+        return {_dic_index(p, 0, j): half, _dic_index(p, 1, j): sign * half}
 
     gen_delta = {
         A: outer((a_vec, a_vec)),
         X: outer(
             (x_vec, e_times_x_power(0, 1)),
-            ({idx[(A,) + (X,) * (2 * p - 1)]: one}, e_times_x_power(1, 1)),
+            ({_dic_index(p, 1, -1): one}, e_times_x_power(1, 1)),
         ),
     }
-    gen_eps = {A: one, X: one}
     # the minus sign on the e_1 part is forced by m(S (x) id)Delta = u eps
-    s_x = e_times_x_power(0, 2 * p - 1)
+    s_x = e_times_x_power(0, -1)
     for k, v in e_times_x_power(1, 1).items():
         accumulate(s_x, k, -v)
-    gen_s = {A: dict(a_vec), X: s_x}
-    return gen_delta, gen_eps, gen_s
+    return pres.realize(gen_delta, {A: one, X: one}, {A: dict(a_vec), X: s_x})
 
 
-def _dic_fun_grouplikes(h, p, x_pow_index):
+def _dic_fun_grouplikes(h, p):
     """1, g, a, a*g with g = (e0 + sqrt(-1) e1) x^p."""
-    idx_xp, idx_axp = x_pow_index(0, p), x_pow_index(1, p)
+    idx_xp, idx_axp = _dic_index(p, 0, p), _dic_index(p, 1, p)
     return [
         h.unit,
         _twisted_vec(h.conductor, idx_xp, idx_axp, +1),
-        h.basis_dict(x_pow_index(1, 0)),
+        h.basis_dict(_dic_index(p, 1, 0)),
         _twisted_vec(h.conductor, idx_xp, idx_axp, -1),
     ]
 
 
-def _dic_fun_blocks(h, p, x_pow_index):
+def _dic_fun_blocks(h, p):
     conductor = h.conductor
     half = CycNumber.from_rational(conductor, HALF)
 
     def e_vec(bit, j, sign=1):
-        j %= 2 * p
         s = CycNumber.from_rational(conductor, sign) * half
-        return {x_pow_index(0, j): s, x_pow_index(1, j): s if bit == 0 else -s}
+        return {_dic_index(p, 0, j): s, _dic_index(p, 1, j): s if bit == 0 else -s}
 
     blocks = []
     for j in range(1, p):
@@ -686,35 +667,25 @@ def _dic_fun_blocks(h, p, x_pow_index):
     return blocks
 
 
+def _dic_characters(conductor, p, words):
+    """The 4p characters a -> (-1)^i, x -> zeta_2p^j of k^(Dic_p), z (if in the words) -> 0."""
+    xi = root_of_unity(conductor, 2)  # zeta_{2p}
+    return [module_from_gen_mats(1, conductor, words,
+                                 {"z": [{}], "a": [{0: CycNumber.from_rational(conductor, (-1) ** i)}],
+                                  "x": [{0: xi ** j}]}, f"V({i},{j})")
+            for i in (0, 1) for j in range(2 * p)]
+
+
 def fun_dic(p):
     """The commutative function algebra on the dicyclic group of order 4p."""
     _require_odd_prime(p)
-    pres = _fun_dic_presentation(p)
-    A, X = 0, 1
-    gen_delta, gen_eps, gen_s = _fun_dic_images(pres, p, A, X)
-    h = pres.realize(gen_delta, gen_eps, gen_s)
-    conductor = pres.conductor
-    idx = pres.index
-
-    def x_pow_index(i, j):
-        return idx[(A,) * i + (X,) * (j % (2 * p))]
-
-    grouplikes = _dic_fun_grouplikes(h, p, x_pow_index)
-    words = pres.words
-    xi = root_of_unity(conductor, 2)  # zeta_{2p}
-    simples = []
-    for i in (0, 1):
-        for j in range(2 * p):
-            mats = {
-                "a": [{0: CycNumber.from_rational(conductor, (-1) ** i)}],
-                "x": [{0: xi ** j}],
-            }
-            simples.append(module_from_gen_mats(1, conductor, words, mats, f"V({i},{j})"))
+    h = _fun_dic_algebra(p)
+    words = [["a"] * i + ["x"] * j for i in (0, 1) for j in range(2 * p)]
     cd = CandidateData(
-        grouplikes=grouplikes,
+        grouplikes=_dic_fun_grouplikes(h, p),
         grouplike_labels=["1", "g", "a", "a*g"],
-        simples=simples,
-        dual_blocks=_dic_fun_blocks(h, p, x_pow_index),
+        simples=_dic_characters(h.conductor, p, words),
+        dual_blocks=_dic_fun_blocks(h, p),
         expected={
             "dim": 4 * p,
             "grouplike_count": 4,
@@ -738,53 +709,25 @@ def fun_dic(p):
 def h8p(p, alpha=1):
     """Dimension 8p: the function algebra on Dic_p extended by z, z^2 = alpha(a-1).
 
-    Basis ordered z^e a^i x^j (z-major), which makes the alpha = 0 member
-    literally equal to the quantum-line bosonization over fun_dic(p).
+    The quantum line over fun_dic(p) (the `fun-dic` datum: chi(x) = -1,
+    g = (e0 + sqrt(-1) e1) x^p, g^2 = a) bosonized with y = z, so that the
+    alpha = 0 member is the biproduct and the alpha = 1 member its lifting
+    y^2 = -(1 - g^2).  Basis z^e a^i x^j (z-major).
     """
     _require_odd_prime(p)
     if alpha not in (0, 1):
         raise ValueError("alpha is normalized to 0 or 1")
-    conductor = 4 * p
+    datum = named_datum("fun-dic", p)
+    h = bosonize(datum, -alpha)
+    h.labels = _line_labels("z", 2, datum.L.labels)
+    conductor = h.conductor
     one = CycNumber.one(conductor)
-    Z, A, X = 0, 1, 2
-    monomials = [(Z,) * e + (A,) * i + (X,) * j
-                 for e in (0, 1) for i in (0, 1) for j in range(2 * p)]
-    zz_rule = [] if alpha == 0 else [(one, (A,)), (-one, ())]
-    rules = [
-        ((A, A), [(one, ())]),
-        ((X,) * (2 * p), [(one, ())]),
-        ((A, Z), [(one, (Z, A))]),
-        ((X, Z), [(-one, (Z, X))]),
-        ((X, A), [(one, (A, X))]),
-        ((Z, Z), zz_rule),
-    ]
-    pres = Presentation(["z", "a", "x"], conductor, monomials, rules)
-    idx = pres.index
-
-    def x_pow_index(i, j):
-        return idx[(A,) * i + (X,) * (j % (2 * p))]
-
-    z_vec = {idx[(Z,)]: one}
-    g_vec = _twisted_vec(conductor, x_pow_index(0, p), x_pow_index(1, p), +1)
-    g3_vec = _twisted_vec(conductor, x_pow_index(0, p), x_pow_index(1, p), -1)
-    gen_delta, gen_eps, gen_s = _fun_dic_images(pres, p, A, X)
-    gen_delta[Z] = outer((g_vec, z_vec), (z_vec, {idx[()]: one}))
-    gen_eps[Z] = CycNumber.zero(conductor)
-    # S(z) = -g^{-1} z = -g^3 z, and z anticommutes with g^3, so S(z) = z g^3
-    s_z: dict[int, CycNumber] = {}
-    for k, c in g3_vec.items():
-        word = (Z,) + pres.normal_monomials[k]
-        for kk, cc in pres.normal_form_word(word).items():
-            accumulate(s_z, kk, c * cc)
-    gen_s[Z] = s_z
-    h = pres.realize(gen_delta, gen_eps, gen_s)
-
-    grouplikes = _dic_fun_grouplikes(h, p, x_pow_index)
-    words = pres.words
+    grouplikes = _dic_fun_grouplikes(h, p)
+    words = [["z"] * e + ["a"] * i + ["x"] * j for e in (0, 1) for i in (0, 1) for j in range(2 * p)]
     xi = root_of_unity(conductor, 2)
-    simples = []
     extra = {}
     if alpha == 1:
+        simples = []
         for j in range(2 * p):
             mats = {
                 "z": [{}],
@@ -810,14 +753,7 @@ def h8p(p, alpha=1):
     else:
         # the unlifted biproduct: z generates a square-zero ideal of dim 4p,
         # so the simples are exactly the characters of the coradical
-        for i in (0, 1):
-            for j in range(2 * p):
-                mats = {
-                    "z": [{}],
-                    "a": [{0: CycNumber.from_rational(conductor, (-1) ** i)}],
-                    "x": [{0: xi ** j}],
-                }
-                simples.append(module_from_gen_mats(1, conductor, words, mats, f"V({i},{j})"))
+        simples = _dic_characters(conductor, p, words)
         radical_dim = 4 * p
         profile = [1] * (4 * p)
         dual_gl = 4 * p
@@ -825,9 +761,9 @@ def h8p(p, alpha=1):
     cd = CandidateData(
         grouplikes=grouplikes,
         grouplike_labels=["1", "g", "a", "a*g"],
-        skew_witness=(h.unit, grouplikes[1], h.basis_dict(idx[(Z,)])),
+        skew_witness=(h.unit, grouplikes[1], h.basis_dict(4 * p)),
         simples=simples,
-        dual_blocks=_dic_fun_blocks(h, p, x_pow_index),
+        dual_blocks=_dic_fun_blocks(h, p),
         expected={
             "dim": 8 * p,
             "grouplike_count": 4,

@@ -313,8 +313,10 @@ def cmd_bosonize(args) -> int:
             print(f"invalid datum: {why}", file=sys.stderr)
             return 1
         h = bosonize(d)
-    except (ValueError, AssertionError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    if _fails_verify_hopf(h):
         return 1
     if args.out:
         if not _write_json(hio.hopf_to_json(h), args.out):

@@ -1,7 +1,8 @@
 """Structure constants from generators and relations.
 
-Each catalog family ships a hand-written rewriting system whose rules are
-confluent by inspection; soundness is not proved here.  realize() only
+Each presented catalog family (fun_dic and the pointed 4p families) ships a
+hand-written rewriting system whose rules are confluent by inspection;
+soundness is not proved here.  realize() only
 assembles the structure tensors: every command that reports on the result runs
 verify_hopf on it first, and that is the well-definedness check for the rule
 set.  Rewriting works on words over the generator alphabet; a rule maps a

@@ -47,6 +47,7 @@ from hopfkit.ydnichols import (
     verify_yd,
     yd_module_gamma4p,
 )
+from test_presentation import h8p_oracle, taft_oracle
 
 CATALOG = {
     3: [
@@ -284,9 +285,10 @@ def test_criterion_08_yd_data():
 
 
 def test_criterion_09_bosonizations():
+    # against the presentations, a construction independent of bosonize
     b = bosonize(named_datum("fun-dic", 3))
-    h0, _ = build("h8p", p=3, alpha=0)
-    assert same_tensors(b, h0)
+    assert same_tensors(b, h8p_oracle(3, alpha=0))
+    assert same_tensors(bosonize(named_datum("fun-dic", 3), -1), h8p_oracle(3, alpha=1))
     b2 = bosonize(named_datum("a4p-chi2", 3))
     assert b2.dim == 24
     assert tr_s_squared(b2).is_zero()
@@ -295,8 +297,7 @@ def test_criterion_09_bosonizations():
 
     assert chevalley_check(b2)[0]
     b3 = bosonize(named_datum("c2", 3))
-    t2, _ = build("taft", n=2)
-    assert same_tensors(b3, t2)
+    assert same_tensors(b3, taft_oracle(2))
     _say("criterion 9 (bosonizations: tensor identities and invariants): PASS")
 
 

@@ -12,6 +12,7 @@ from hopfkit.invariants import verify_grouplikes
 from hopfkit.ydnichols import DATUM_NAMES, bosonize, named_datum
 from hopfkit.hopf import (antipode_order, dual, is_grouplike, order, s_squared_order, tr_s_squared,
                           verify_hopf)
+from test_presentation import h8p_oracle
 
 
 def test_dicyclic_group_algebra():
@@ -125,11 +126,8 @@ def test_h8p_alpha_guard():
 
 
 def test_h8p_alpha0_matches_bosonization():
-    from hopfkit.ydnichols import bosonize, named_datum
-
-    h0, _ = build("h8p", p=3, alpha=0)
     b = bosonize(named_datum("fun-dic", 3))
-    assert same_tensors(b, h0)
+    assert same_tensors(b, h8p_oracle(3, alpha=0))
 
 
 def test_every_family_at_p3_verifies():

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from conftest import cyclic_datum
 from hopfkit.cli import main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -606,6 +607,22 @@ def test_bosonize_command(tmp_path):
     out = tmp_path / "b.json"
     assert main(["bosonize", "--datum", "c2", "--out", str(out)]) == 0
     assert main(["verify", str(out)]) == 0
+
+
+def test_bosonize_exits_1_when_the_structure_fails_verify_hopf(tmp_path, monkeypatch, capsys):
+    # the lifting y^2 = 1 - g^2 of a valid datum over k[C_12] with chi^2 != eps
+    from hopfkit import cli
+    from hopfkit.ydnichols import bosonize
+
+    monkeypatch.setattr(cli, "named_datum", lambda name, p: cyclic_datum(12, 3, 2))
+    monkeypatch.setattr(cli, "bosonize", lambda d: bosonize(d, 1))
+    monkeypatch.chdir(tmp_path)
+    assert main(["bosonize", "--datum", "c2", "--out", "b.json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "verify_hopf: associativity fails at (g, y^1#1)" in err.splitlines()
+    assert all(line.startswith("verify_hopf: ") for line in err.splitlines())
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["bosonize", "yd-verify"])

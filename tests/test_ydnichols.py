@@ -3,10 +3,11 @@ import json
 
 import pytest
 
-from conftest import build, frozen, identity_matrix, kron, qline, same_tensors, word_product
+from conftest import (build, cyclic_datum, frozen, identity_matrix, kron, qline, same_tensors,
+                      word_product)
 from hopfkit import cli, ydnichols
 from hopfkit.cyclotomic import CycNumber, root_of_unity
-from hopfkit.hopf import HopfAlgebraData, tr_s_squared
+from hopfkit.hopf import HopfAlgebraData, tr_s_squared, verify_hopf
 from hopfkit.linalg import EchelonBasis, Matrix, Subspace
 from hopfkit.ydnichols import (
     YDDatum,
@@ -23,6 +24,7 @@ from hopfkit.ydnichols import (
     verify_yd,
     yd_module_gamma4p,
 )
+from test_presentation import h8p_oracle, taft_oracle
 
 
 def q_int(n: int, q: CycNumber) -> CycNumber:
@@ -167,16 +169,30 @@ def test_no_quantum_line_datum_on_b4p():
 
 
 def test_bosonize_c2_is_sweedler():
-    b = bosonize(named_datum("c2", 3))
-    t, _ = build("taft", n=2)
-    assert same_tensors(b, t)
+    assert same_tensors(bosonize(named_datum("c2", 3)), taft_oracle(2))
 
 
 def test_bosonize_fun_dic_is_h8p_alpha0():
     b = bosonize(named_datum("fun-dic", 3))
-    h0, _ = build("h8p", p=3, alpha=0)
-    assert same_tensors(b, h0)
+    assert same_tensors(b, h8p_oracle(3, alpha=0))
     assert b.dim == 24
+
+
+def test_verify_hopf_refuses_a_lifting_with_chi_squared_not_eps():
+    # k[C_12], chi(h) = sqrt(-1), g = h^2: the datum is valid and its biproduct a Hopf
+    # algebra, but y^2 = 1 - g^2 is central while h y^2 = chi(h)^2 y^2 h = -y^2 h
+    d = cyclic_datum(12, 3, 2)
+    assert validate_yd_datum(d) == (True, None)
+    assert verify_hopf(bosonize(d)).ok
+    assert "associativity fails at (g, y^1#1)" in verify_hopf(bosonize(d, 1)).failures
+
+
+def test_a_lifting_with_chi_squared_eps_passes_verify_hopf():
+    # k[C_12], chi(h) = -1, g = h: chi^2 = eps and g^2 = h^2 is central, so y^2 = 1 - g^2 lifts
+    d = cyclic_datum(12, 6, 1)
+    lifted = bosonize(d, 1)
+    assert verify_hopf(lifted).ok
+    assert not same_tensors(lifted, bosonize(d))
 
 
 def test_bosonize_a4p():
@@ -192,8 +208,7 @@ def test_bosonize_refuses_a_wrong_closed_form_antipode():
     anti = [{r: c + c for r, c in col.items()} if j == 1 else col
             for j, col in enumerate(L.antipode)]
     bad = HopfAlgebraData(L.dim, L.conductor, L.labels, L.mult, L.unit, L.comult, L.counit, anti)
-    with pytest.raises(AssertionError, match="antipode law"):
-        bosonize(YDDatum(bad, d.g, d.chi, d.q))
+    assert any("antipode law" in f for f in verify_hopf(bosonize(YDDatum(bad, d.g, d.chi, d.q))).failures)
 
 
 def test_quantum_line_ranks():
