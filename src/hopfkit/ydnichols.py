@@ -274,9 +274,9 @@ def bosonize(d: YDDatum, lam=0) -> HopfAlgebraData:
     constructors: the result is a Hopf algebra only if it passes verify_hopf,
     which every command that reports on it runs, and a lifting passes only for
     some data.  No second route to S is needed: verify_hopf certifies
-    S * id = u eps = id * S on all of h (on the algebra generators, once S is
+    S * id = 1 eps = id * S on all of h (on the algebra generators, once S is
     certified anti-multiplicative), and a convolution inverse is unique, since
-    any F with F * id = u eps is F = F * (id * S) = (F * id) * S = S.
+    any F with F * id = 1 eps is F = F * (id * S) = (F * id) * S = S.
     """
     L = d.L
     n_trunc = least_power(d.q, CycNumber.is_one)
