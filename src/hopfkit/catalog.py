@@ -4,11 +4,13 @@
 builder and its dimension, both read from the command-line parameters.
 Adding a family is one entry there.  Group algebras and their duals take a
 `groups.FiniteGroup` and build their simples from its irreps; the twisted
-families on C_2 x D_p and D_m carry their groups' irreps the same way.  taft
-and h8p are quantum-line bosonizations (`ydnichols.bosonize`) over k[C_n] and
-fun_dic(p); fun_dic and the pointed 4p families are presented by generators
-and rules (`presentation.Presentation`).  Simples are built along the words
-of the basis, x^j g^i for taft and z^e a^i x^j for h8p.
+families on C_2 x D_p and D_m, and fun_dic on C_2 x C_2p, keep their group's
+product and twist its coalgebra (`presentation.realize_on_group`).  taft, h8p
+and the pointed 4p families a-m10, a-m10-dual and a-m11 are quantum-line
+bosonizations (`ydnichols.bosonize`) over k[C_n], fun_dic(p) and k[C_2p];
+the last three are rebased (`hopf.rebase`) onto their monomials g^i x^e.
+Simples are built along the words of the basis, x^j g^i for taft, g^i x^e
+for the pointed families and z^e a^i x^j for h8p.
 
 Each constructor returns (HopfAlgebraData, CandidateData) and only constructs:
 nothing here runs verify_hopf.  The structure is a claim like the sidecar, and
@@ -42,9 +44,9 @@ from .groups import (
     product_of_cyclics,
     quaternion_group,
 )
-from .hopf import dual, tensor_product
+from .hopf import dual, rebase, tensor_product
 from .linalg import accumulate, outer
-from .presentation import Presentation, group_algebra_hopf, realize_on_group
+from .presentation import group_algebra_hopf, realize_on_group
 from .repsolver import RepModule, module_from_gen_mats
 from .ydnichols import YDDatum, bosonize, named_datum
 
@@ -188,10 +190,6 @@ def _line_labels(letter, n, labels):
     return [_label([_power(letter, m), lb if lb != "1" else ""]) for m in range(n) for lb in labels]
 
 
-def _neg(d):
-    return {k: -v for k, v in d.items()}
-
-
 # ---------------------------------------------------------------------------
 # the four pointed families of dimension 4p
 # ---------------------------------------------------------------------------
@@ -200,61 +198,41 @@ POINTED4P_VARIANTS = ("a-m10", "a-m10-dual", "a-m11", "h4xcp")
 
 
 def pointed4p(variant, p, lam_k=1):
-    """Pointed 4p-dimensional algebras with group-likes of order 2p."""
+    """Pointed 4p-dimensional algebras with group-likes of order 2p.
+
+    a-m10, a-m10-dual and a-m11 are the quantum line over k[C_2p] bosonized,
+    with chi(g) = -1 and Delta x = x (x) 1 + g (x) x, with chi(g) = zeta_2p^lam_k
+    and the group-like g^p, and the lifting x^2 = g^2 - 1 of the first.  Basis
+    g^i x^e = chi(g)^(ie) y^e # g^i.
+    """
     _require_odd_prime(p)
     if variant == "h4xcp":
         return _h4_tensor_kcp(p)
     conductor = 2 * p
     one = CycNumber.one(conductor)
-    G, X = 0, 1
-    monomials = [(G,) * i + (X,) * e for i in range(2 * p) for e in (0, 1)]
-    if variant == "a-m10":
-        xx_rule = []
-        swap_coeff = -one
-        delta_twist = 1  # g (x) x
-    elif variant == "a-m10-dual":
+    if variant == "a-m10-dual":
         if gcd(lam_k, 2 * p) != 1:
             raise ValueError("lambda selector must give a primitive 2p-th root")
-        lam = root_of_unity(conductor, lam_k)
-        xx_rule = []
-        swap_coeff = lam.inverse()
-        delta_twist = p  # g^p (x) x
-    elif variant == "a-m11":
-        xx_rule = [(one, (G, G)), (-one, ())]
-        swap_coeff = -one
-        delta_twist = 1
+        chi_g, twist = root_of_unity(conductor, lam_k), p
+    elif variant in ("a-m10", "a-m11"):
+        chi_g, twist = -one, 1
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    rules = [
-        ((X, G), [(swap_coeff, (G, X))]),
-        ((X, X), xx_rule),
-        ((G,) * (2 * p), [(one, ())]),
-    ]
-    pres = Presentation(["g", "x"], conductor, monomials, rules)
-    idx = pres.index
-    g_vec = {idx[(G,)]: one}
-    x_vec = {idx[(X,)]: one}
-    twist_vec = {idx[(G,) * delta_twist]: one}
-    gen_delta = {
-        G: outer((g_vec, g_vec)),
-        X: outer((x_vec, {idx[()]: one}), (twist_vec, x_vec)),
-    }
-    gen_eps = {G: one, X: CycNumber.zero(conductor)}
-    gen_s = {
-        G: {idx[(G,) * (2 * p - 1)]: one},
-        X: _neg(pres.normal_form_word((G,) * (2 * p - delta_twist) + (X,))),
-    }
-    h = pres.realize(gen_delta, gen_eps, gen_s)
-    grouplikes = [h.basis_dict(idx[(G,) * i]) for i in range(2 * p)]
-    simples = _pointed4p_simples(variant, p, conductor, pres.words)
+    L = group_algebra_hopf(cyclic_group(2 * p))
+    datum = YDDatum(L, L.basis_dict(twist), [chi_g ** i for i in range(2 * p)], chi_g ** twist)
+    pairs = [(i, e) for i in range(2 * p) for e in (0, 1)]
+    h = rebase(bosonize(datum, -1 if variant == "a-m11" else 0),
+               [e * 2 * p + i for i, e in pairs], [chi_g ** (i * e) for i, e in pairs],
+               [_label([_power("g", i), _power("x", e)]) for i, e in pairs])
+    # g^i sits at index 2i and x at 1
+    grouplikes = [h.basis_dict(2 * i) for i in range(2 * p)]
+    simples = _pointed4p_simples(variant, p, conductor, [["g"] * i + ["x"] * e for i, e in pairs])
     # machine-verified via the right-integral formula (lam = x*, so
     # a = lam(x_2) x_1 lands on the Delta-twist group-like of x)
-    dist = {"a-m10": 1, "a-m10-dual": p, "a-m11": 1}[variant]
     cd = CandidateData(
         grouplikes=grouplikes,
-        grouplike_labels=[h.labels[idx[(G,) * i]] for i in range(2 * p)],
-        skew_witness=(h.unit, h.basis_dict(idx[(G,) * delta_twist]),
-                      h.basis_dict(idx[(X,)])),
+        grouplike_labels=[h.labels[2 * i] for i in range(2 * p)],
+        skew_witness=(h.unit, grouplikes[twist], h.basis_dict(1)),
         simples=simples,
         expected={
             "dim": 4 * p,
@@ -267,7 +245,7 @@ def pointed4p(variant, p, lam_k=1):
             "chevalley": True,
             "simple_profile": sorted(m.dim for m in simples),
             "s4_is_id": True,
-            "distinguished_grouplike": dist,  # index into grouplikes = power of g
+            "distinguished_grouplike": twist,  # index into grouplikes = power of g
         },
     )
     return h, cd
@@ -454,13 +432,18 @@ def _twisted_vec(conductor, idx_w, idx_aw, sign):
     return {idx_w: half + sign * im * half, idx_aw: half - sign * im * half}
 
 
-def a4p(p):
-    """Semisimple self-dual family on C_2 x D_p; (s+s-)^p = 1."""
+def _a4p_algebra(p):
+    """a4p's algebra and its group C_2 x D_p, without the sidecar's simples and blocks."""
     _require_odd_prime(p)
     group = _c2xdp_group(p)
     conductor = 4 * p
     gen_delta, gen_eps, gen_s = _twisted_quad_images(group, conductor, (1, 0, 0))
-    h = realize_on_group(group, conductor, gen_delta, gen_eps, gen_s)
+    return realize_on_group(group, conductor, gen_delta, gen_eps, gen_s), group
+
+
+def a4p(p):
+    """Semisimple self-dual family on C_2 x D_p; (s+s-)^p = 1."""
+    h, group = _a4p_algebra(p)
     idx = group.index
     k0 = (p - 1) // 2
     w = (0, k0, 1)  # s_+(p), the middle reflection
@@ -596,7 +579,7 @@ def _quad_family_blocks(h, idx_of, a_of, rot_pairs, refl_pairs):
 
 
 # ---------------------------------------------------------------------------
-# the function algebra on the dicyclic group, presented by a and x
+# the function algebra on the dicyclic group, on the group C_2 x C_2p of a and x
 # ---------------------------------------------------------------------------
 
 
@@ -606,18 +589,12 @@ def _dic_index(p, i, j):
 
 
 def _fun_dic_algebra(p):
-    """k^(Dic_p) presented by a and x, basis a^i x^j at index _dic_index(p, i, j)."""
+    """k^(Dic_p) on the group C_2 x C_2p of its letters g0 = a and g1 = x, with the
+    twisted coalgebra; basis a^i x^j at index _dic_index(p, i, j)."""
+    _require_odd_prime(p)
     conductor = 4 * p
     one = CycNumber.one(conductor)
     half = CycNumber.from_rational(conductor, HALF)
-    A, X = 0, 1
-    monomials = [(A,) * i + (X,) * j for i in (0, 1) for j in range(2 * p)]
-    rules = [
-        ((A, A), [(one, ())]),
-        ((X, A), [(one, (A, X))]),
-        ((X,) * (2 * p), [(one, ())]),
-    ]
-    pres = Presentation(["a", "x"], conductor, monomials, rules)
     a_vec = {_dic_index(p, 1, 0): one}
     x_vec = {_dic_index(p, 0, 1): one}
 
@@ -626,8 +603,8 @@ def _fun_dic_algebra(p):
         return {_dic_index(p, 0, j): half, _dic_index(p, 1, j): sign * half}
 
     gen_delta = {
-        A: outer((a_vec, a_vec)),
-        X: outer(
+        "g0": outer((a_vec, a_vec)),
+        "g1": outer(
             (x_vec, e_times_x_power(0, 1)),
             ({_dic_index(p, 1, -1): one}, e_times_x_power(1, 1)),
         ),
@@ -636,7 +613,10 @@ def _fun_dic_algebra(p):
     s_x = e_times_x_power(0, -1)
     for k, v in e_times_x_power(1, 1).items():
         accumulate(s_x, k, -v)
-    return pres.realize(gen_delta, {A: one, X: one}, {A: dict(a_vec), X: s_x})
+    h = realize_on_group(product_of_cyclics([2, 2 * p]), conductor, gen_delta,
+                         {"g0": one, "g1": one}, {"g0": dict(a_vec), "g1": s_x})
+    h.labels = [_label([_power("a", i), _power("x", j)]) for i in (0, 1) for j in range(2 * p)]
+    return h
 
 
 def _dic_fun_grouplikes(h, p):
@@ -678,7 +658,6 @@ def _dic_characters(conductor, p, words):
 
 def fun_dic(p):
     """The commutative function algebra on the dicyclic group of order 4p."""
-    _require_odd_prime(p)
     h = _fun_dic_algebra(p)
     words = [["a"] * i + ["x"] * j for i in (0, 1) for j in range(2 * p)]
     cd = CandidateData(

@@ -25,6 +25,7 @@ from .repsolver import wedderburn_certificate
 from .ydnichols import (
     DATUM_NAMES,
     bosonize,
+    bosonized_dim,
     braid_equation_check,
     braiding,
     named_datum,
@@ -302,8 +303,11 @@ def cmd_yd_verify(args) -> int:
 
 
 def cmd_bosonize(args) -> int:
+    p = 3 if args.p is None else args.p
     try:
-        d = named_datum(args.datum, 3 if args.p is None else args.p)
+        # refused from the datum name and p alone, before anything is constructed
+        _check_max_dim(bosonized_dim(args.datum, p))
+        d = named_datum(args.datum, p)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

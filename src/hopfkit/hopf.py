@@ -553,6 +553,30 @@ def change_conductor(h: HopfAlgebraData, conductor: int) -> HopfAlgebraData:
                            [embed(c, conductor) for c in h.counit], anti)
 
 
+def rebase(h: HopfAlgebraData, old: list, scale: list, labels: list) -> HopfAlgebraData:
+    """h on the basis f_j = scale[j] e_old[j], for a permutation old and nonzero scalars.
+
+    A change of basis: the result is a Hopf algebra exactly when h is.
+    """
+    new = [0] * h.dim
+    for j, i in enumerate(old):
+        new[i] = j
+    inv = [s.inverse() for s in scale]
+
+    def vec(v, s):
+        # s * sum_k c_k e_k on the f basis; a product of nonzero field elements is nonzero
+        return {new[k]: s * c * inv[new[k]] for k, c in v.items()}
+
+    mult = [[vec(h.mult[i][k], scale[j] * scale[l]) for l, k in enumerate(old)]
+            for j, i in enumerate(old)]
+    comult = [{(new[a], new[b]): scale[j] * c * inv[new[a]] * inv[new[b]]
+               for (a, b), c in h.comult[i].items()} for j, i in enumerate(old)]
+    counit = [scale[j] * h.counit[i] for j, i in enumerate(old)]
+    anti = [vec(h.antipode[i], scale[j]) for j, i in enumerate(old)]
+    return HopfAlgebraData(h.dim, h.conductor, labels, mult, vec(h.unit, h.one()), comult,
+                           counit, anti)
+
+
 def tensor_product(a: HopfAlgebraData, b: HopfAlgebraData) -> HopfAlgebraData:
     """Componentwise Hopf structure on the tensor basis, index i*dim(b)+j."""
     conductor = a.conductor * b.conductor // gcd(a.conductor, b.conductor)

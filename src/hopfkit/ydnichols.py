@@ -491,6 +491,21 @@ def nichols_dims(c: dict, v: int, cutoff: int | None = None,
 DATUM_NAMES = ("fun-dic", "a4p-chi2", "a4p-chi3", "c2")
 
 
+def bosonized_dim(name: str, p: int) -> int:
+    """N dim L of bosonize(named_datum(name, p)), read off the name and p alone.
+
+    Every named datum has q = -1, so N = 2; p is refused as named_datum refuses it.
+    """
+    from .catalog import _require_odd_prime
+
+    if name == "c2":
+        return 4
+    if name not in DATUM_NAMES:
+        raise ValueError(f"unknown datum {name!r}")
+    _require_odd_prime(p)
+    return 8 * p
+
+
 def named_datum(name: str, p: int = 3) -> YDDatum:
     from . import catalog
 
@@ -501,8 +516,7 @@ def named_datum(name: str, p: int = 3) -> YDDatum:
         return YDDatum(L, catalog._dic_fun_grouplikes(L, p)[1], chi,
                        CycNumber.from_rational(L.conductor, -1), label=f"fun-dic(p={p})")
     if name in ("a4p-chi2", "a4p-chi3"):
-        L, cd = catalog.a4p(p)
-        group = cd.extra["group"]
+        L, group = catalog._a4p_algebra(p)
         chi = []
         for (i, k, e) in group.elements:
             if name == "a4p-chi2":
@@ -510,7 +524,8 @@ def named_datum(name: str, p: int = 3) -> YDDatum:
             else:
                 val = (-1) ** (i + e)
             chi.append(CycNumber.from_rational(L.conductor, val))
-        g = cd.grouplikes[3] if name == "a4p-chi2" else cd.grouplikes[2]
+        # a4p's group-likes a*s+(p) and s+(p), s+(p) the middle reflection
+        g = L.basis_dict(group.index[(1 if name == "a4p-chi2" else 0, (p - 1) // 2, 1)])
         return YDDatum(L, g, chi, CycNumber.from_rational(L.conductor, -1),
                        label=f"{name}(p={p})")
     if name == "c2":

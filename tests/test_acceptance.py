@@ -47,7 +47,7 @@ from hopfkit.ydnichols import (
     verify_yd,
     yd_module_gamma4p,
 )
-from test_presentation import h8p_oracle, taft_oracle
+from presentation_oracle import h8p_oracle, taft_oracle
 
 CATALOG = {
     3: [

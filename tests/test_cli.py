@@ -629,15 +629,35 @@ def test_bosonize_exits_1_when_the_structure_fails_verify_hopf(tmp_path, monkeyp
 @pytest.mark.parametrize("p", ["0", "1", "9"])
 def test_datum_prime_that_is_not_an_odd_prime_is_an_input_error(tmp_path, monkeypatch, capsys,
                                                                 command, p):
-    # --p 0 is not read as the default p = 3
+    # --p 0 is not read as the default p = 3; every datum but c2 takes p
     monkeypatch.chdir(tmp_path)
-    argv = [command, "--datum", "a4p-chi2", "--p", p] + (["--out", "b.json"] if command == "bosonize"
-                                                          else [])
-    assert main(argv) == 2
+    for datum in ("fun-dic", "a4p-chi2", "a4p-chi3"):
+        argv = [command, "--datum", datum, "--p", p] + (["--out", "b.json"]
+                                                        if command == "bosonize" else [])
+        assert main(argv) == 2, datum
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: p must be an odd prime, got {p}"]
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_bosonize_refuses_a_dimension_above_the_guard_before_building(tmp_path, monkeypatch,
+                                                                      capsys):
+    from hopfkit import cli
+
+    def refuse(*args):
+        raise AssertionError("the datum was constructed")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "named_datum", refuse)
+    assert main(["bosonize", "--datum", "fun-dic", "--p", "11", "--out", "f.json"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.splitlines() == [f"error: p must be an odd prime, got {p}"]
+    assert err.splitlines() == ["error: dimension 88 exceeds HOPFKIT_MAX_DIM=64"]
     assert list(tmp_path.iterdir()) == []
+    monkeypatch.setenv("HOPFKIT_MAX_DIM", "23")
+    assert main(["bosonize", "--datum", "a4p-chi3", "--out", "f.json"]) == 2
+    assert capsys.readouterr().err == "error: dimension 24 exceeds HOPFKIT_MAX_DIM=23\n"
 
 
 def test_certify_command(tmp_path, capsys):

@@ -136,6 +136,26 @@ def test_dual_of_taft_passes_and_has_skew_primitive():
     assert found
 
 
+def test_rebase_by_the_identity_gives_the_same_tensors():
+    h, _ = build("taft", n=3)
+    assert same_tensors(hopf.rebase(h, list(range(h.dim)), [h.one()] * h.dim, h.labels), h)
+
+
+def test_rebase_by_a_scaled_permutation_is_an_isomorphic_hopf_algebra():
+    from hopfkit.invariants import invariant_report, verify_hopf_map
+
+    h, _ = build("taft", n=3)
+    old = [(5 * j + 2) % h.dim for j in range(h.dim)]
+    scale = [CycNumber.from_rational(3, j + 1) * root_of_unity(3, j) for j in range(h.dim)]
+    r = hopf.rebase(h, old, scale, [h.labels[i] for i in old])
+    assert sorted(old) == list(range(h.dim)) and not same_tensors(r, h)
+    assert verify_hopf(r).ok
+    # e_old[j] = f_j / scale[j]
+    assert verify_hopf_map(h, r, [{old.index(i): scale[old.index(i)].inverse()}
+                                  for i in range(h.dim)]) == (True, None)
+    assert hio.report_to_json(invariant_report(r)) == hio.report_to_json(invariant_report(h))
+
+
 def test_tensor_product_dims_and_group_case():
     t, _ = build("taft", n=2)
     c3, _ = build("c_n", n=3)

@@ -24,7 +24,7 @@ from hopfkit.ydnichols import (
     verify_yd,
     yd_module_gamma4p,
 )
-from test_presentation import h8p_oracle, taft_oracle
+from presentation_oracle import taft_oracle
 
 
 def q_int(n: int, q: CycNumber) -> CycNumber:
@@ -172,12 +172,6 @@ def test_bosonize_c2_is_sweedler():
     assert same_tensors(bosonize(named_datum("c2", 3)), taft_oracle(2))
 
 
-def test_bosonize_fun_dic_is_h8p_alpha0():
-    b = bosonize(named_datum("fun-dic", 3))
-    assert same_tensors(b, h8p_oracle(3, alpha=0))
-    assert b.dim == 24
-
-
 def test_verify_hopf_refuses_a_lifting_with_chi_squared_not_eps():
     # k[C_12], chi(h) = sqrt(-1), g = h^2: the datum is valid and its biproduct a Hopf
     # algebra, but y^2 = 1 - g^2 is central while h y^2 = chi(h)^2 y^2 h = -y^2 h
@@ -193,6 +187,23 @@ def test_a_lifting_with_chi_squared_eps_passes_verify_hopf():
     lifted = bosonize(d, 1)
     assert verify_hopf(lifted).ok
     assert not same_tensors(lifted, bosonize(d))
+
+
+@pytest.mark.parametrize("datum", ydnichols.DATUM_NAMES)
+def test_bosonized_dim_is_the_dimension_of_the_bosonization(datum):
+    assert ydnichols.bosonized_dim(datum, 3) == bosonize(named_datum(datum, 3)).dim
+    with pytest.raises(ValueError, match="unknown datum"):
+        ydnichols.bosonized_dim("nope", 3)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_a4p_data_share_a4ps_algebra_and_grouplikes(p):
+    from hopfkit import catalog
+
+    h, cd = catalog.a4p(p)
+    for name, g in (("a4p-chi2", cd.grouplikes[3]), ("a4p-chi3", cd.grouplikes[2])):
+        d = named_datum(name, p)
+        assert same_tensors(d.L, h) and d.L.labels == h.labels and d.g == g
 
 
 def test_bosonize_a4p():
