@@ -39,6 +39,8 @@ SWEEP = [
     "dual-group --group dihedral --n 4", "dual-group --group dicyclic --n 3",
     # the unlifted h8p and a Taft algebra with q != zeta_n
     "h8p --p 3 --alpha 0", "taft --n 3 --q-power 2",
+    # h4xcp past p = 3
+    "h4xcp --p 5",
 ]
 DATA = ["fun-dic", "a4p-chi2", "a4p-chi3", "c2"]
 MODULES = ["y:1 psi:1", "x:1 chi:1", "trivial:0 beta:1", "trivial:0 alpha:1"]
