@@ -6,11 +6,13 @@ Adding a family is one entry there.  Group algebras and their duals take a
 `groups.FiniteGroup` and build their simples from its irreps; the twisted
 families on C_2 x D_p and D_m, and fun_dic on C_2 x C_2p, keep their group's
 product and twist its coalgebra (`presentation.realize_on_group`).  taft, h8p
-and the pointed 4p families a-m10, a-m10-dual and a-m11 are quantum-line
-bosonizations (`ydnichols.bosonize`) over k[C_n], fun_dic(p) and k[C_2p];
-the last three are rebased (`hopf.rebase`) onto their monomials g^i x^e.
-Simples are built along the words of the basis, x^j g^i for taft, g^i x^e
-for the pointed families and z^e a^i x^j for h8p.
+and the four pointed 4p families are quantum-line bosonizations
+(`ydnichols.bosonize`): h8p over fun_dic(p), the rest over the k[C_n] data of
+`ydnichols.cyclic_datum`; the pointed families are rebased (`hopf.rebase`)
+onto their monomials, g^i x^e for a-m10, a-m10-dual and a-m11 and x^j h^i c^a
+for h4xcp = H_4 (x) k[C_p].  Simples are built along the words of the basis,
+x^j g^i for taft, those monomials for the pointed families and z^e a^i x^j
+for h8p.
 
 Each constructor returns (HopfAlgebraData, CandidateData) and only constructs:
 nothing here runs verify_hopf.  The structure is a claim like the sidecar, and
@@ -44,11 +46,11 @@ from .groups import (
     product_of_cyclics,
     quaternion_group,
 )
-from .hopf import dual, rebase, tensor_product
+from .hopf import dual, rebase
 from .linalg import accumulate, outer
 from .presentation import group_algebra_hopf, realize_on_group
 from .repsolver import RepModule, module_from_gen_mats
-from .ydnichols import YDDatum, bosonize, named_datum
+from .ydnichols import bosonize, cyclic_datum, named_datum
 
 HALF = Fraction(1, 2)
 
@@ -158,10 +160,9 @@ def taft(n, k=1):
         raise ValueError("need n >= 2")
     if gcd(k, n) != 1:
         raise ValueError("q selector must give a primitive n-th root")
-    q = root_of_unity(n, k)
-    L = group_algebra_hopf(cyclic_group(n))
-    h = bosonize(YDDatum(L, L.basis_dict(1), [q ** i for i in range(n)], q))
-    h.labels = _line_labels("x", n, L.labels)
+    datum = cyclic_datum(n, k, 1)
+    h = bosonize(datum)
+    h.labels = _line_labels("x", n, datum.L.labels)
     grouplikes = [h.basis_dict(i) for i in range(n)]
     words = [["x"] * j + ["g"] * i for j in range(n) for i in range(n)]
     simples = [module_from_gen_mats(1, n, words, {"x": [{}], "g": [{0: root_of_unity(n, m)}]},
@@ -169,7 +170,7 @@ def taft(n, k=1):
                for m in range(n)]
     cd = CandidateData(
         grouplikes=grouplikes,
-        grouplike_labels=list(L.labels),
+        grouplike_labels=list(datum.L.labels),
         skew_witness=(h.unit, grouplikes[1], h.basis_dict(n)),
         simples=simples,
         expected={
@@ -203,26 +204,25 @@ def pointed4p(variant, p, lam_k=1):
     a-m10, a-m10-dual and a-m11 are the quantum line over k[C_2p] bosonized,
     with chi(g) = -1 and Delta x = x (x) 1 + g (x) x, with chi(g) = zeta_2p^lam_k
     and the group-like g^p, and the lifting x^2 = g^2 - 1 of the first.  Basis
-    g^i x^e = chi(g)^(ie) y^e # g^i.
+    g^i x^e = chi(g)^(ie) y^e # g^i.  h4xcp = H_4 (x) k[C_p] is the quantum line
+    over k[C_2p] with chi(g) = -1 and the group-like g^p, on the basis x^j h^i c^a.
     """
     _require_odd_prime(p)
     if variant == "h4xcp":
         return _h4_tensor_kcp(p)
     conductor = 2 * p
-    one = CycNumber.one(conductor)
     if variant == "a-m10-dual":
         if gcd(lam_k, 2 * p) != 1:
             raise ValueError("lambda selector must give a primitive 2p-th root")
-        chi_g, twist = root_of_unity(conductor, lam_k), p
+        chi_power, twist = lam_k, p
     elif variant in ("a-m10", "a-m11"):
-        chi_g, twist = -one, 1
+        chi_power, twist = p, 1
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    L = group_algebra_hopf(cyclic_group(2 * p))
-    datum = YDDatum(L, L.basis_dict(twist), [chi_g ** i for i in range(2 * p)], chi_g ** twist)
+    datum = cyclic_datum(2 * p, chi_power, twist)
     pairs = [(i, e) for i in range(2 * p) for e in (0, 1)]
     h = rebase(bosonize(datum, -1 if variant == "a-m11" else 0),
-               [e * 2 * p + i for i, e in pairs], [chi_g ** (i * e) for i, e in pairs],
+               [e * 2 * p + i for i, e in pairs], [datum.chi[i * e] for i, e in pairs],
                [_label([_power("g", i), _power("x", e)]) for i, e in pairs])
     # g^i sits at index 2i and x at 1
     grouplikes = [h.basis_dict(2 * i) for i in range(2 * p)]
@@ -273,10 +273,15 @@ def _pointed4p_simples(variant, p, conductor, words):
 
 
 def _h4_tensor_kcp(p):
-    t, tcd = taft(2)
-    c, _ = group_algebra(cyclic_group(p))
-    h = tensor_product(t, c)
-    # tensor basis index (taft i, cyclic a) -> i*p + a; taft grouplikes at 0, 1
+    # x^j h^i (x) c^a at index (2j + i)p + a is y^j # g^(pi + (p+1)a) over k[C_2p] = k<g>,
+    # with h = g^p and c = g^(p+1); every scale is 1.  The labels are the tensor
+    # labels t(x)c, with H_4's h written g
+    h = rebase(bosonize(cyclic_datum(2 * p, p, p)),
+               [j * 2 * p + (p * i + (p + 1) * a) % (2 * p)
+                for j in (0, 1) for i in (0, 1) for a in range(p)],
+               [CycNumber.one(2 * p)] * (4 * p),
+               [f"{t}(x){c}" for t in ("1", "g", "x", "xg") for c in cyclic_group(p).labels])
+    # H_4's group-likes 1, h at 0, 1, so h^i c^a at i*p + a
     grouplikes = []
     labels = []
     for i in (0, 1):
@@ -284,7 +289,7 @@ def _h4_tensor_kcp(p):
             grouplikes.append(h.basis_dict(i * p + a))
             labels.append(h.labels[i * p + a])
     conductor = h.conductor
-    # taft2 basis order is x^j g^i, so tensor index order is ((j,i),a)
+    # H_4's basis order is x^j h^i, so the index order is ((j,i),a)
     words = []
     for j in (0, 1):
         for i in (0, 1):

@@ -3,8 +3,10 @@
 Exit codes: 0 = pass, 1 = claim/verification failure, 2 = input error or an
 output file that cannot be written.
 All output is deterministic (sorted JSON keys, no timestamps).  Catalog
-constructors never verify; every command that writes or reports on a
-structure runs verify_hopf on it here, once.
+constructors never verify; build, bosonize, certify, invariants and simples
+run verify_hopf once on the structure they write or report on, and verify
+reports each axiom group itself.  dual verifies nothing: it transposes the
+tensors it reads, and its output is a Hopf algebra exactly when its input is.
 """
 
 from __future__ import annotations
@@ -282,8 +284,14 @@ def cmd_yd_verify(args) -> int:
     try:
         mod = None
         if args.file or args.datum:
-            d = (_datum_from_file(args.file) if args.file
-                 else named_datum(args.datum, 3 if args.p is None else args.p))
+            if args.file:
+                d = _datum_from_file(args.file)
+            else:
+                p = 3 if args.p is None else args.p
+                # dim L, refused from the datum name and p alone before anything is
+                # constructed; every named datum has N = 2
+                _check_max_dim(bosonized_dim(args.datum, p) // 2)
+                d = named_datum(args.datum, p)
             label, (ok, why) = d.label, validate_yd_datum(d)
         else:
             if args.cls is None:

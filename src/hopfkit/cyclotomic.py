@@ -6,8 +6,8 @@ denominator, the representation of ANTIC/FLINT's ``nf_elem`` (W. Hart,
 "ANTIC: Algebraic Number Theory In C", 2015).  Every value is kept in
 lowest terms, gcd(den, *num) == 1 with zero stored as all-zero numerators
 over 1, so equality is literal equality of (conductor, den, num).  The
-conductor is part of the value; mixed-conductor arithmetic is a caller
-error (use embed() first).
+conductor is part of the value, and mixed-conductor arithmetic is a caller
+error: build every value of a structure over its one conductor.
 
 Each conductor has one canonical 1, the object CycNumber.one(N).  Every
 value equal to 1 that arithmetic, from_rational, root_of_unity or
@@ -396,21 +396,6 @@ def root_of_unity(conductor: int, k: int = 1) -> CycNumber:
             return CycNumber.one(1)
         return CycNumber(2, [(-1) ** k])
     return z ** k
-
-
-def embed(a: CycNumber, conductor: int) -> CycNumber:
-    """Image of a under zeta_N -> zeta_M^(M/N); requires N | M."""
-    m, n = conductor, a.conductor
-    if m % n != 0:
-        raise ValueError(f"target conductor {m} not a multiple of {n}")
-    if m == n:
-        return a
-    step = m // n
-    out = CycNumber.zero(m)
-    for i, c in enumerate(a.coeffs):
-        if c:
-            out = out + root_of_unity(m, i * step) * c
-    return out
 
 
 def cyc_to_json(a: CycNumber) -> dict:

@@ -40,9 +40,8 @@ from __future__ import annotations
 import operator
 import weakref
 from functools import wraps
-from math import gcd
 
-from .cyclotomic import CycNumber, embed
+from .cyclotomic import CycNumber
 from .linalg import (EchelonBasis, accumulate, add_scaled, compose_columns, identity_columns, outer,
                      solve_augmented, trace)
 
@@ -537,22 +536,6 @@ def known_generators(h: HopfAlgebraData) -> list:
     return h._derived.get("generators") or list(range(h.dim))
 
 
-def change_conductor(h: HopfAlgebraData, conductor: int) -> HopfAlgebraData:
-    if conductor == h.conductor:
-        return h
-    if conductor % h.conductor != 0:
-        raise ValueError("can only embed into a multiple of the conductor")
-    mult = [
-        [{k: embed(c, conductor) for k, c in h.mult[i][j].items()} for j in range(h.dim)]
-        for i in range(h.dim)
-    ]
-    comult = [{jk: embed(c, conductor) for jk, c in t.items()} for t in h.comult]
-    anti = [{r: embed(c, conductor) for r, c in col.items()} for col in h.antipode]
-    return HopfAlgebraData(h.dim, conductor, h.labels, mult,
-                           {i: embed(c, conductor) for i, c in h.unit.items()}, comult,
-                           [embed(c, conductor) for c in h.counit], anti)
-
-
 def rebase(h: HopfAlgebraData, old: list, scale: list, labels: list) -> HopfAlgebraData:
     """h on the basis f_j = scale[j] e_old[j], for a permutation old and nonzero scalars.
 
@@ -575,41 +558,6 @@ def rebase(h: HopfAlgebraData, old: list, scale: list, labels: list) -> HopfAlge
     anti = [vec(h.antipode[i], scale[j]) for j, i in enumerate(old)]
     return HopfAlgebraData(h.dim, h.conductor, labels, mult, vec(h.unit, h.one()), comult,
                            counit, anti)
-
-
-def tensor_product(a: HopfAlgebraData, b: HopfAlgebraData) -> HopfAlgebraData:
-    """Componentwise Hopf structure on the tensor basis, index i*dim(b)+j."""
-    conductor = a.conductor * b.conductor // gcd(a.conductor, b.conductor)
-    a = change_conductor(a, conductor)
-    b = change_conductor(b, conductor)
-    dim = a.dim * b.dim
-
-    def idx(i, j):
-        return i * b.dim + j
-
-    mult = [[None] * dim for _ in range(dim)]
-    for i1 in range(a.dim):
-        for j1 in range(b.dim):
-            for i2 in range(a.dim):
-                for j2 in range(b.dim):
-                    d = {}
-                    for k1, c1 in a.mult[i1][i2].items():
-                        for k2, c2 in b.mult[j1][j2].items():
-                            v = c1 * c2
-                            if not v.is_zero():
-                                d[idx(k1, k2)] = v
-                    mult[idx(i1, j1)][idx(i2, j2)] = d
-    # a product of nonzero field elements is nonzero
-    comult = [{(idx(x1, x2), idx(y1, y2)): c1 * c2
-               for (x1, y1), c1 in a.comult[i].items() for (x2, y2), c2 in b.comult[j].items()}
-              for i in range(a.dim) for j in range(b.dim)]
-    unit = {idx(i, j): c1 * c2 for i, c1 in a.unit.items() for j, c2 in b.unit.items()}
-    counit = [a.counit[i] * b.counit[j] for i in range(a.dim) for j in range(b.dim)]
-    anti = [{idx(r, s): c1 * c2 for r, c1 in a.antipode[i].items()
-             for s, c2 in b.antipode[j].items()}
-            for i in range(a.dim) for j in range(b.dim)]
-    labels = [f"{la}(x){lb}" for la in a.labels for lb in b.labels]
-    return HopfAlgebraData(dim, conductor, labels, mult, unit, comult, counit, anti)
 
 
 # -- semisimplicity and antipode order ------------------------------------

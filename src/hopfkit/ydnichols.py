@@ -222,6 +222,13 @@ class YDDatum:
         self.label = label
 
 
+def cyclic_datum(n, chi_power, g_power):
+    """The quantum-line datum over k[C_n] = k<h> with chi(h) = zeta_n^chi_power and g = h^g_power."""
+    L = group_algebra_hopf(cyclic_group(n))
+    chi = [root_of_unity(n, chi_power * i) for i in range(n)]
+    return YDDatum(L, L.basis_dict(g_power), chi, chi[g_power])
+
+
 def _chi_of(d: YDDatum, vec: dict) -> CycNumber:
     out = CycNumber.zero(d.L.conductor)
     for i, c in vec.items():
@@ -529,8 +536,7 @@ def named_datum(name: str, p: int = 3) -> YDDatum:
         return YDDatum(L, g, chi, CycNumber.from_rational(L.conductor, -1),
                        label=f"{name}(p={p})")
     if name == "c2":
-        L, cd = catalog.group_algebra(cyclic_group(2))
-        chi = [CycNumber.one(L.conductor), CycNumber.from_rational(L.conductor, -1)]
-        return YDDatum(L, cd.grouplikes[1], chi,
-                       CycNumber.from_rational(L.conductor, -1), label="c2")
+        datum = cyclic_datum(2, 1, 1)
+        datum.label = "c2"
+        return datum
     raise ValueError(f"unknown datum {name!r}")

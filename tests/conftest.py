@@ -4,11 +4,8 @@ import operator
 from functools import lru_cache
 
 from hopfkit import catalog
-from hopfkit.cyclotomic import CycNumber, root_of_unity
-from hopfkit.groups import cyclic_group
+from hopfkit.cyclotomic import CycNumber
 from hopfkit.linalg import Matrix, accumulate
-from hopfkit.presentation import group_algebra_hopf
-from hopfkit.ydnichols import YDDatum
 
 
 @lru_cache(maxsize=None)
@@ -19,13 +16,6 @@ def _build(name, items):
 def build(name, **params):
     """Cached (HopfAlgebraData, CandidateData) for a family."""
     return _build(name, tuple(sorted(params.items())))
-
-
-def cyclic_datum(n, chi_power, g_power):
-    """The quantum-line datum over k[C_n] = k<h> with chi(h) = zeta_n^chi_power and g = h^g_power."""
-    L = group_algebra_hopf(cyclic_group(n))
-    chi = [root_of_unity(n, chi_power * i) for i in range(n)]
-    return YDDatum(L, L.basis_dict(g_power), chi, chi[g_power])
 
 
 def qline(q):

@@ -296,12 +296,39 @@ def pointed4p_oracle(variant, p=3, lam_k=1):
     return pres.realize(gen_delta, {G: one, X: CycNumber.zero(conductor)}, gen_s)
 
 
+def h4xcp_oracle(p=3):
+    """H_4 (x) k[C_p]: h^2 = c^p = 1, x^2 = 0, h x = -x h, c central, Delta x = x (x) 1 +
+    h (x) x, S(x) = x h; basis x^j h^i c^a."""
+    conductor = 2 * p
+    one = CycNumber.one(conductor)
+    X, H, C = 0, 1, 2
+    monomials = [(X,) * j + (H,) * i + (C,) * a for j in (0, 1) for i in (0, 1) for a in range(p)]
+    rules = [
+        ((H, H), [(one, ())]),
+        ((C,) * p, [(one, ())]),
+        ((X, X), []),
+        ((H, X), [(-one, (X, H))]),
+        ((C, X), [(one, (X, C))]),
+        ((C, H), [(one, (H, C))]),
+    ]
+    pres = Presentation(["x", "h", "c"], conductor, monomials, rules)
+
+    def at(*word):
+        return {pres.index[word]: one}
+
+    gen_delta = {X: outer((at(X), at()), (at(H), at(X))), H: outer((at(H), at(H))),
+                 C: outer((at(C), at(C)))}
+    gen_s = {X: at(X, H), H: at(H), C: at(*(C,) * (p - 1))}
+    return pres.realize(gen_delta, {X: CycNumber.zero(conductor), H: one, C: one}, gen_s)
+
+
 # family name -> its presentation's Hopf data, from the command-line parameters
 ORACLES = {
     "taft": lambda ps: taft_oracle(int(ps["n"]), int(ps.get("q_power", 1))),
     **{variant: lambda ps, variant=variant: pointed4p_oracle(
         variant, int(ps["p"]), int(ps.get("lambda_power", 1)))
        for variant in ("a-m10", "a-m10-dual", "a-m11")},
+    "h4xcp": lambda ps: h4xcp_oracle(int(ps["p"])),
     "fun-dic": lambda ps: fun_dic_oracle(int(ps["p"])),
     "h8p": lambda ps: h8p_oracle(int(ps["p"]), int(ps.get("alpha", 1))),
 }

@@ -5,13 +5,11 @@ import pytest
 from hopfkit import catalog
 from hopfkit import io as hio
 
-from conftest import build, dense, dense_trace, identity_matrix, power, same_tensors, word_product
+from conftest import build, dense, dense_trace, identity_matrix, power, word_product
 from hopfkit.certify import certify_family
-from hopfkit.cyclotomic import root_of_unity
-from hopfkit.groups import cyclic_group, gamma4p_group, quaternion_group
+from hopfkit.groups import gamma4p_group, quaternion_group
 from hopfkit.invariants import verify_grouplikes, verify_hopf_map
-from hopfkit.presentation import group_algebra_hopf
-from hopfkit.ydnichols import DATUM_NAMES, YDDatum, bosonize, named_datum
+from hopfkit.ydnichols import DATUM_NAMES, bosonize, cyclic_datum, named_datum
 from hopfkit.hopf import (antipode_order, dual, is_grouplike, order, s_squared_order, tr_s_squared,
                           verify_hopf)
 from presentation_oracle import ORACLES, Presentation
@@ -84,23 +82,13 @@ def test_pointed4p_rejects_even_p():
 def test_pointed4p_is_a_bosonization_by_an_explicit_map(variant, p):
     """y^e # g^i -> chi(g)^(-ie) g^i x^e is a Hopf map from the bosonization over k[C_2p]
     (its lifting y^2 = g^2 - 1 for a-m11) onto the family, and a bijection."""
-    L = group_algebra_hopf(cyclic_group(2 * p))
-    chi_g, twist = (root_of_unity(2 * p, 1), p) if variant == "a-m10-dual" else (-L.one(), 1)
-    b = bosonize(YDDatum(L, L.basis_dict(twist), [chi_g ** i for i in range(2 * p)],
-                         chi_g ** twist), -1 if variant == "a-m11" else 0)
+    d = cyclic_datum(2 * p, 1, p) if variant == "a-m10-dual" else cyclic_datum(2 * p, p, 1)
+    chi_g = d.chi[1]
+    b = bosonize(d, -1 if variant == "a-m11" else 0)
     h, _ = catalog.pointed4p(variant, p)
     pi = [{2 * i + e: chi_g ** (-i * e)} for e in (0, 1) for i in range(2 * p)]
     assert sorted(k for col in pi for k in col) == list(range(h.dim))
     assert verify_hopf_map(b, h, pi) == (True, None)
-
-
-def test_h4xcp_matches_tensor_product():
-    from hopfkit.hopf import tensor_product
-
-    h, _ = build("h4xcp", p=3)
-    t, _ = build("taft", n=2)
-    c, _ = build("c_n", n=3)
-    assert same_tensors(h, tensor_product(t, c))
 
 
 def test_a4p_klein_and_b4p_cyclic_grouplikes():

@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from conftest import cyclic_datum
 from hopfkit.cli import main
+from hopfkit.ydnichols import cyclic_datum
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -658,6 +658,24 @@ def test_bosonize_refuses_a_dimension_above_the_guard_before_building(tmp_path, 
     monkeypatch.setenv("HOPFKIT_MAX_DIM", "23")
     assert main(["bosonize", "--datum", "a4p-chi3", "--out", "f.json"]) == 2
     assert capsys.readouterr().err == "error: dimension 24 exceeds HOPFKIT_MAX_DIM=23\n"
+
+
+def test_yd_verify_refuses_a_datum_algebra_above_the_guard_before_building(tmp_path, monkeypatch,
+                                                                          capsys):
+    # the guard reads dim L, half the bosonization's dimension, as build fun-dic --p 17 does
+    from hopfkit import cli
+
+    def refuse(*args):
+        raise AssertionError("the datum was constructed")
+
+    monkeypatch.setattr(cli, "named_datum", refuse)
+    assert main(["yd-verify", "--datum", "fun-dic", "--p", "17"]) == 2
+    assert capsys.readouterr() == ("", "error: dimension 68 exceeds HOPFKIT_MAX_DIM=64\n")
+    assert main(["build", "fun-dic", "--p", "17", "--out", str(tmp_path / "f.json")]) == 2
+    assert capsys.readouterr() == ("", "error: dimension 68 exceeds HOPFKIT_MAX_DIM=64\n")
+    monkeypatch.setenv("HOPFKIT_MAX_DIM", "11")
+    assert main(["yd-verify", "--datum", "a4p-chi3"]) == 2
+    assert capsys.readouterr().err == "error: dimension 12 exceeds HOPFKIT_MAX_DIM=11\n"
 
 
 def test_certify_command(tmp_path, capsys):

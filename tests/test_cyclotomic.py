@@ -12,7 +12,6 @@ from hopfkit.cyclotomic import (
     cyc_from_json,
     cyc_to_json,
     cyclotomic_polynomial,
-    embed,
     euler_phi,
     root_of_unity,
 )
@@ -188,26 +187,6 @@ def test_conductor_mismatch_raises():
 def test_divide_by_zero():
     with pytest.raises(ZeroDivisionError):
         CycNumber.zero(4).inverse()
-
-
-def test_embed_basics():
-    z4 = root_of_unity(4, 1)
-    assert embed(z4, 12) == root_of_unity(12, 3)
-    for m in [1, 2, 6, 12]:
-        assert embed(CycNumber.one(1), m) == CycNumber.one(m)
-    v = root_of_unity(3, 1) + root_of_unity(3, 2)
-    assert embed(v, 12) == CycNumber.from_rational(12, -1)
-
-
-def test_embed_is_field_hom():
-    rng = random.Random(999)
-    for n, m in [(2, 4), (3, 12), (4, 12), (4, 20), (12, 60), (20, 60)]:
-        phi = euler_phi(n)
-        for _ in range(100):
-            a = CycNumber(n, [Fraction(rng.randint(-2, 2)) for _ in range(phi)])
-            b = CycNumber(n, [Fraction(rng.randint(-2, 2)) for _ in range(phi)])
-            assert embed(a * b, m) == embed(a, m) * embed(b, m)
-            assert embed(a + b, m) == embed(a, m) + embed(b, m)
 
 
 def test_canonical_idempotent():

@@ -28,7 +28,6 @@ from hopfkit.hopf import (
     multiplicative,
     order,
     s_squared_order,
-    tensor_product,
     tr_s_squared,
     verify_algebra,
     verify_antipode,
@@ -38,7 +37,6 @@ from hopfkit.hopf import (
     witness_failures,
 )
 from hopfkit.cyclotomic import CycNumber, root_of_unity
-from hopfkit.groups import product_of_cyclics
 from hopfkit.linalg import Matrix, accumulate
 from hopfkit.repsolver import RepModule, verify_module
 
@@ -154,29 +152,6 @@ def test_rebase_by_a_scaled_permutation_is_an_isomorphic_hopf_algebra():
     assert verify_hopf_map(h, r, [{old.index(i): scale[old.index(i)].inverse()}
                                   for i in range(h.dim)]) == (True, None)
     assert hio.report_to_json(invariant_report(r)) == hio.report_to_json(invariant_report(h))
-
-
-def test_tensor_product_dims_and_group_case():
-    t, _ = build("taft", n=2)
-    c3, _ = build("c_n", n=3)
-    h = tensor_product(t, c3)
-    assert h.dim == 12
-    assert verify_hopf(h).ok
-    # tensor of group algebras = group algebra of the product
-    c2, _ = build("c_n", n=2)
-    prod = tensor_product(c2, c3)
-    direct, _ = catalog.group_algebra(product_of_cyclics([2, 3]))
-    assert prod.dim == direct.dim == 6
-    assert verify_hopf(prod).ok
-    assert sorted(tuple(sorted(d.items())) for row in prod.mult for d in row) == \
-           sorted(tuple(sorted(d.items())) for row in direct.mult for d in row)
-
-
-def test_h_tensor_base_field_is_h():
-    h, _ = build("taft", n=2)
-    k, _ = build("c_n", n=1)
-    hk = tensor_product(h, k)
-    assert same_tensors(hk, h)
 
 
 def test_element_ops_in_h8p():

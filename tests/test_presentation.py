@@ -6,8 +6,8 @@ from hopfkit import catalog
 
 from conftest import build, same_tensors
 from hopfkit.cyclotomic import CycNumber
-from presentation_oracle import (Presentation, RewriteError, fun_dic_oracle, h8p_oracle,
-                                 h8p_presentation, pointed4p_oracle, taft_oracle)
+from presentation_oracle import (Presentation, RewriteError, fun_dic_oracle, h4xcp_oracle,
+                                 h8p_oracle, h8p_presentation, pointed4p_oracle, taft_oracle)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -34,6 +34,12 @@ def test_pointed4p_is_its_presentation(variant, lam_k, p):
     h, _ = catalog.pointed4p(variant, p, lam_k)
     oracle = pointed4p_oracle(variant, p, lam_k)
     assert same_tensors(h, oracle) and h.labels == oracle.labels
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_h4xcp_is_its_presentation(p):
+    h, _ = catalog.pointed4p("h4xcp", p)
+    assert same_tensors(h, h4xcp_oracle(p))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -3,8 +3,7 @@ import json
 
 import pytest
 
-from conftest import (build, cyclic_datum, frozen, identity_matrix, kron, qline, same_tensors,
-                      word_product)
+from conftest import build, frozen, identity_matrix, kron, qline, same_tensors, word_product
 from hopfkit import cli, ydnichols
 from hopfkit.cyclotomic import CycNumber, root_of_unity
 from hopfkit.hopf import HopfAlgebraData, tr_s_squared, verify_hopf
@@ -15,6 +14,7 @@ from hopfkit.ydnichols import (
     bosonize,
     braid_equation_check,
     braiding,
+    cyclic_datum,
     diagonal_type,
     named_datum,
     nichols_dims,
