@@ -41,6 +41,8 @@ SWEEP = [
     "h8p --p 3 --alpha 0", "taft --n 3 --q-power 2",
     # h4xcp past p = 3
     "h4xcp --p 5",
+    # the twisted families past p = 3, with more than one rotation and reflection block
+    "a4p --p 5", "b4p --p 5", "fun-dic --p 5",
 ]
 DATA = ["fun-dic", "a4p-chi2", "a4p-chi3", "c2"]
 MODULES = ["y:1 psi:1", "x:1 chi:1", "trivial:0 beta:1", "trivial:0 alpha:1"]
