@@ -3,11 +3,13 @@
 `FAMILIES` is the one registry: each command-line family name maps to its
 builder and its dimension, both read from the command-line parameters.
 Adding a family is one entry there.  Group algebras and their duals take a
-`groups.FiniteGroup` and build their simples from its irreps; the twisted
-families on C_2 x D_p and D_m, and fun_dic on C_2 x C_2p, keep their group's
-product and twist its coalgebra (`presentation.realize_on_group`).  taft, h8p
-and the four pointed 4p families are quantum-line bosonizations
-(`ydnichols.bosonize`): h8p over fun_dic(p), the rest over the k[C_n] data of
+`groups.FiniteGroup` and build their simples from its irreps.  The semisimple
+twisted families are one construction, `_involution_twist`: k[G]'s product with
+its coalgebra twisted by a central involution a and an involutive automorphism
+sigma of G fixing a; a4p on C_2 x D_p and b4p, b8 on D_m with s+ <-> s-, and
+fun_dic on C_2 x C_2p with x -> a x^-1.  taft, h8p and the four pointed 4p
+families are quantum-line bosonizations (`ydnichols.bosonize`): h8p over
+fun_dic(p), the rest over the k[C_n] data of
 `ydnichols.cyclic_datum`; the pointed families are rebased (`hopf.rebase`)
 onto their monomials, g^i x^e for a-m10, a-m10-dual and a-m11 and x^j h^i c^a
 for h4xcp = H_4 (x) k[C_p].  Simples are built along the words of the basis,
@@ -47,10 +49,11 @@ from .groups import (
     quaternion_group,
 )
 from .hopf import dual, rebase
+from .invariants import module_matrix_coefficients
 from .linalg import accumulate, outer
 from .presentation import group_algebra_hopf, realize_on_group
 from .repsolver import RepModule, module_from_gen_mats
-from .ydnichols import bosonize, cyclic_datum, named_datum
+from .ydnichols import YDDatum, bosonize, cyclic_datum
 
 HALF = Fraction(1, 2)
 
@@ -119,11 +122,9 @@ def dual_group_algebra(group: FiniteGroup):
     irreps = _irrep_modules(group)
     # group-likes of k^G are the characters of G
     one_dims = [r for r in irreps if r.dim == 1]
-    grouplikes = [{i: m[0][0] for i, m in enumerate(r.action) if 0 in m[0]} for r in one_dims]
+    grouplikes = [module_matrix_coefficients(h, r)[0] for r in one_dims]
     # matrix-coefficient blocks of the higher irreps
-    blocks = [[{i: m[v][u] for i, m in enumerate(r.action) if u in m[v]}
-               for u in range(r.dim) for v in range(r.dim)]
-              for r in irreps if r.dim > 1]
+    blocks = [module_matrix_coefficients(h, r) for r in irreps if r.dim > 1]
     simples = [
         RepModule(f"ev({group.labels[i]})", 1,
                   [[{0: h.one()} if j == i else {}] for j in range(h.dim)])
@@ -325,8 +326,66 @@ def _h4_tensor_kcp(p):
 
 
 # ---------------------------------------------------------------------------
-# the semisimple twisted families on dihedral-type groups
+# the semisimple twisted families: k[G] with its coalgebra twisted by (a, sigma)
 # ---------------------------------------------------------------------------
+
+
+def _e_mix(group, a, g, c0, c1):
+    """c0 e_0 g + c1 e_1 g in k[G] as a sparse vector, e_0, e_1 = (1 +- a)/2; c0, c1 CycNumbers."""
+    out = {}
+    accumulate(out, group.index[g], (c0 + c1) * HALF)
+    accumulate(out, group.index[group.mult(a, g)], (c0 - c1) * HALF)
+    return out
+
+
+def _involution_twist(group, conductor, a, swap):
+    """k[G]'s product with the coalgebra twisted by a central involution a and an
+    automorphism sigma of G fixing a.
+
+    sigma sends each generator named in `swap` to its image there and fixes the
+    others.  On each generator g, with e_0, e_1 = (1 +- a)/2,
+
+        Delta g = g (x) e_0 g + sigma(g) (x) e_1 g,  eps g = 1,
+        S g = e_0 g^-1 + e_1 sigma(g)^-1,
+
+    extended along the element words by `realize_on_group`.  Delta is then
+    coassociative exactly when sigma^2 = id: (Delta (x) id) Delta h has the term
+    sigma^2(h) (x) e_1 sigma(h) (x) e_1 h where (id (x) Delta) Delta h has
+    h (x) e_1 sigma(h) (x) e_1 h.  Nothing here checks sigma; verify_hopf reports
+    a swap that is not an involutive automorphism as a coassociativity failure.
+    """
+    one, zero = CycNumber.one(conductor), CycNumber.zero(conductor)
+    idx = group.index
+    gen_delta, gen_s = {}, {}
+    for name, g in group.generators.items():
+        image = swap.get(name, g)
+        gen_delta[name] = outer(({idx[g]: one}, _e_mix(group, a, g, one, zero)),
+                                ({idx[image]: one}, _e_mix(group, a, g, zero, one)))
+        gen_s[name] = s = _e_mix(group, a, group.inv(g), one, zero)
+        for k, v in _e_mix(group, a, group.inv(image), zero, one).items():
+            accumulate(s, k, v)
+    return realize_on_group(group, conductor, gen_delta, dict.fromkeys(group.generators, one),
+                            gen_s)
+
+
+def _twisted_grouplikes(h, group, a, w, c):
+    """1, a, (e_0 + c e_1) w and (e_0 - c e_1) w: group-likes of the twist when
+    sigma(w) = w and c = 1, or sigma(w) = a w and c = sqrt(-1)."""
+    one = CycNumber.one(h.conductor)
+    return [h.unit, h.basis_dict(group.index[a]),
+            _e_mix(group, a, w, one, c), _e_mix(group, a, w, one, -c)]
+
+
+def _pair_block(group, a, u, v, sign):
+    """The matrix-coalgebra candidate [[e_0 u, sign e_1 v], [e_1 u, e_0 v]], row-major."""
+    one, zero = CycNumber.one(sign.conductor), CycNumber.zero(sign.conductor)
+    return [_e_mix(group, a, u, one, zero), _e_mix(group, a, v, zero, sign),
+            _e_mix(group, a, u, zero, one), _e_mix(group, a, v, one, zero)]
+
+
+def _s_swap(group):
+    """s+ <-> s-, the sigma of a4p, b4p and b8."""
+    return {"s+": group.generators["s-"], "s-": group.generators["s+"]}
 
 
 def _c2xdp_group(p):
@@ -400,187 +459,71 @@ def _d2p_group(m):
     return group
 
 
-def _twisted_quad_images(group, conductor, a_elem):
-    """Coalgebra images shared by the twisted families built on a, s+, s-."""
-    one = CycNumber.one(conductor)
-    half = CycNumber.from_rational(conductor, HALF)
-    idx = group.index
-    splus = group.generators["s+"]
-    sminus = group.generators["s-"]
-
-    def e_times(bit, elem):
-        # e_bit * elem as a sparse vector; a is central in all these groups
-        sign = one if bit == 0 else -one
-        return {idx[elem]: half, idx[group.mult(a_elem, elem)]: sign * half}
-
-    gen_delta = {}
-    gen_s = {}
-    for name, this, that in (("s+", splus, sminus), ("s-", sminus, splus)):
-        gen_delta[name] = outer(
-            ({idx[this]: one}, e_times(0, this)),
-            ({idx[that]: one}, e_times(1, this)),
-        )
-        gen_s[name] = s = e_times(0, this)
-        for k, v in e_times(1, that).items():
-            accumulate(s, k, v)
-    a_vec = {idx[a_elem]: one}
-    gen_delta["a"] = outer((a_vec, a_vec))
-    gen_s["a"] = dict(a_vec)
-    gen_eps = {"a": one, "s+": one, "s-": one}
-    return gen_delta, gen_eps, gen_s
-
-
-def _twisted_vec(conductor, idx_w, idx_aw, sign):
-    """(e_0 + sign*sqrt(-1)*e_1) * w as a sparse vector; w and a*w sit at idx_w, idx_aw."""
-    half = CycNumber.from_rational(conductor, HALF)
-    im = root_of_unity(conductor, conductor // 4)
-    return {idx_w: half + sign * im * half, idx_aw: half - sign * im * half}
+def _twisted_family(h, group, a, w, c, pairs, labels, orders):
+    """(h, claims) for a4p, b4p and b8: the group-likes of _twisted_grouplikes, the
+    group's irreps as simples and a pair block on each (u, v) in pairs."""
+    simples = _irrep_modules(group)
+    one = CycNumber.one(h.conductor)
+    cd = CandidateData(
+        grouplikes=_twisted_grouplikes(h, group, a, w, c),
+        grouplike_labels=labels,
+        simples=simples,
+        dual_blocks=[_pair_block(group, a, u, v, one) for u, v in pairs],
+        expected={
+            "dim": h.dim,
+            "grouplike_count": 4,
+            "grouplike_orders": orders,
+            "coradical_dim": h.dim,
+            "radical_dim": 0,
+            "semisimple": True,
+            "chevalley": True,
+            "simple_profile": sorted(m.dim for m in simples),
+        },
+        extra={"group": group},
+    )
+    return h, cd
 
 
 def _a4p_algebra(p):
     """a4p's algebra and its group C_2 x D_p, without the sidecar's simples and blocks."""
     _require_odd_prime(p)
     group = _c2xdp_group(p)
-    conductor = 4 * p
-    gen_delta, gen_eps, gen_s = _twisted_quad_images(group, conductor, (1, 0, 0))
-    return realize_on_group(group, conductor, gen_delta, gen_eps, gen_s), group
+    return _involution_twist(group, 4 * p, (1, 0, 0), _s_swap(group)), group
 
 
 def a4p(p):
     """Semisimple self-dual family on C_2 x D_p; (s+s-)^p = 1."""
     h, group = _a4p_algebra(p)
-    idx = group.index
-    k0 = (p - 1) // 2
-    w = (0, k0, 1)  # s_+(p), the middle reflection
-    grouplikes = [
-        h.unit,
-        h.basis_dict(idx[(1, 0, 0)]),
-        h.basis_dict(idx[w]),
-        h.basis_dict(idx[(1, k0, 1)]),
-    ]
-    simples = _irrep_modules(group)
-    blocks = _quad_family_blocks(h, idx_of=lambda k, e: idx[(0, k % p, e)],
-                                 a_of=lambda k, e: idx[(1, k % p, e)],
-                                 rot_pairs=[(k, p - k) for k in range(1, (p + 1) // 2)],
-                                 refl_pairs=[(k, (p - 1 - k) % p) for k in range(0, (p - 1) // 2)])
-    cd = CandidateData(
-        grouplikes=grouplikes,
-        grouplike_labels=["1", "a", "s+(p)", "a*s+(p)"],
-        simples=simples,
-        dual_blocks=blocks,
-        expected={
-            "dim": 4 * p,
-            "grouplike_count": 4,
-            "grouplike_orders": [1, 2, 2, 2],
-            "coradical_dim": 4 * p,
-            "radical_dim": 0,
-            "semisimple": True,
-            "chevalley": True,
-            "simple_profile": sorted(m.dim for m in simples),
-        },
-        extra={"group": group},
-    )
-    return h, cd
+    # the rotation pairs (r^k, r^-k) and reflection pairs (r^k s+, r^(-1-k) s+), r = s+s-
+    pairs = ([((0, k, 0), (0, p - k, 0)) for k in range(1, (p + 1) // 2)]
+             + [((0, k, 1), (0, p - 1 - k, 1)) for k in range((p - 1) // 2)])
+    # s_+(p) = r^((p-1)/2) s+, the middle reflection, is fixed by sigma
+    return _twisted_family(h, group, (1, 0, 0), (0, (p - 1) // 2, 1), CycNumber.one(h.conductor),
+                           pairs, ["1", "a", "s+(p)", "a*s+(p)"], [1, 2, 2, 2])
+
+
+def _dihedral_twist(m, w, orders):
+    """The twist of D_m, m even, by a = r^(m/2) and s+ <-> s-; sigma(w) = a w, so the
+    group-likes gamma+- are (e_0 +- sqrt(-1) e_1) w."""
+    group = _d2p_group(m)
+    conductor, a = group.conductor, (m // 2, 0)
+    h = _involution_twist(group, conductor, a, _s_swap(group))
+    # the rotation pairs (r^k, r^-k) and reflection pairs (r^k t, r^(-1-k) t)
+    pairs = ([((k, 0), (m - k, 0)) for k in range(1, (m + 2) // 4)]
+             + [((k, 1), (m - 1 - k, 1)) for k in range(m // 4)])
+    return _twisted_family(h, group, a, w, root_of_unity(conductor, conductor // 4),
+                           pairs, ["1", "a", "gamma+", "gamma-"], orders)
 
 
 def b4p(p):
     """Semisimple self-dual family on D_2p; (s+s-)^p = a."""
     _require_odd_prime(p)
-    group = _d2p_group(2 * p)
-    conductor = 4 * p
-    a_elem = (p, 0)
-    gen_delta, gen_eps, gen_s = _twisted_quad_images(group, conductor, a_elem)
-    h = realize_on_group(group, conductor, gen_delta, gen_eps, gen_s)
-    idx = group.index
-    k0 = (p - 1) // 2
-    grouplikes = [
-        h.unit,
-        h.basis_dict(idx[a_elem]),
-        _twisted_vec(h.conductor, idx[(k0, 1)], idx[(k0 + p, 1)], +1),
-        _twisted_vec(h.conductor, idx[(k0, 1)], idx[(k0 + p, 1)], -1),
-    ]
-    simples = _irrep_modules(group)
-    blocks = _quad_family_blocks(h, idx_of=lambda k, e: idx[(k % (2 * p), e)],
-                                 a_of=lambda k, e: idx[((k + p) % (2 * p), e)],
-                                 rot_pairs=[(k, 2 * p - k) for k in range(1, (p + 1) // 2)],
-                                 refl_pairs=[(k, (-k - 1) % (2 * p)) for k in range(0, (p - 1) // 2)])
-    cd = CandidateData(
-        grouplikes=grouplikes,
-        grouplike_labels=["1", "a", "gamma+", "gamma-"],
-        simples=simples,
-        dual_blocks=blocks,
-        expected={
-            "dim": 4 * p,
-            "grouplike_count": 4,
-            "grouplike_orders": [1, 2, 4, 4],
-            "coradical_dim": 4 * p,
-            "radical_dim": 0,
-            "semisimple": True,
-            "chevalley": True,
-            "simple_profile": sorted(m.dim for m in simples),
-        },
-        extra={"group": group},
-    )
-    return h, cd
+    return _dihedral_twist(2 * p, ((p - 1) // 2, 1), [1, 2, 4, 4])
 
 
 def b8():
     """The 8-dimensional Kac-Paljutkin algebra: D_4 with (s+s-)^2 = a."""
-    group = _d2p_group(4)
-    conductor = 4
-    a_elem = (2, 0)
-    gen_delta, gen_eps, gen_s = _twisted_quad_images(group, conductor, a_elem)
-    h = realize_on_group(group, conductor, gen_delta, gen_eps, gen_s)
-    idx = group.index
-    grouplikes = [
-        h.unit,
-        h.basis_dict(idx[a_elem]),
-        _twisted_vec(h.conductor, idx[(1, 0)], idx[(3, 0)], +1),
-        _twisted_vec(h.conductor, idx[(1, 0)], idx[(3, 0)], -1),
-    ]
-    simples = _irrep_modules(group)
-    blocks = _quad_family_blocks(h, idx_of=lambda k, e: idx[(k % 4, e)],
-                                 a_of=lambda k, e: idx[((k + 2) % 4, e)],
-                                 rot_pairs=[],
-                                 refl_pairs=[(0, 3)])
-    cd = CandidateData(
-        grouplikes=grouplikes,
-        grouplike_labels=["1", "a", "gamma+", "gamma-"],
-        simples=simples,
-        dual_blocks=blocks,
-        expected={
-            "dim": 8,
-            "grouplike_count": 4,
-            "grouplike_orders": [1, 2, 2, 2],
-            "coradical_dim": 8,
-            "radical_dim": 0,
-            "semisimple": True,
-            "chevalley": True,
-            "simple_profile": [1, 1, 1, 1, 2],
-        },
-        extra={"group": group},
-    )
-    return h, cd
-
-
-def _quad_family_blocks(h, idx_of, a_of, rot_pairs, refl_pairs):
-    """Matrix-coalgebra candidates [[e0 u, e1 v],[e1 u, e0 v]] on rotation and
-    reflection pairs (u, v) = (r^k t^e, r^k' t^e)."""
-    half = CycNumber.from_rational(h.conductor, HALF)
-
-    def e_vec(bit, i_plain, i_a):
-        return {i_plain: half, i_a: half if bit == 0 else -half}
-
-    blocks = []
-    for e, pairs in ((0, rot_pairs), (1, refl_pairs)):
-        for k, k2 in pairs:
-            u, ua = idx_of(k, e), a_of(k, e)
-            v, va = idx_of(k2, e), a_of(k2, e)
-            blocks.append([
-                e_vec(0, u, ua), e_vec(1, v, va),
-                e_vec(1, u, ua), e_vec(0, v, va),
-            ])
-    return blocks
+    return _dihedral_twist(4, (1, 0), [1, 2, 2, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -588,68 +531,36 @@ def _quad_family_blocks(h, idx_of, a_of, rot_pairs, refl_pairs):
 # ---------------------------------------------------------------------------
 
 
-def _dic_index(p, i, j):
-    """The index of a^i x^j, j taken mod 2p, in k^(Dic_p) and in h8p."""
-    return 2 * p * i + j % (2 * p)
-
-
 def _fun_dic_algebra(p):
-    """k^(Dic_p) on the group C_2 x C_2p of its letters g0 = a and g1 = x, with the
-    twisted coalgebra; basis a^i x^j at index _dic_index(p, i, j)."""
+    """k^(Dic_p) and its group C_2 x C_2p of the letters g0 = a and g1 = x: the twist
+    by a and a -> a, x -> a x^-1.  Basis a^i x^j, in the group's element order."""
     _require_odd_prime(p)
-    conductor = 4 * p
-    one = CycNumber.one(conductor)
-    half = CycNumber.from_rational(conductor, HALF)
-    a_vec = {_dic_index(p, 1, 0): one}
-    x_vec = {_dic_index(p, 0, 1): one}
-
-    def e_times_x_power(bit, j):
-        sign = one if bit == 0 else -one
-        return {_dic_index(p, 0, j): half, _dic_index(p, 1, j): sign * half}
-
-    gen_delta = {
-        "g0": outer((a_vec, a_vec)),
-        "g1": outer(
-            (x_vec, e_times_x_power(0, 1)),
-            ({_dic_index(p, 1, -1): one}, e_times_x_power(1, 1)),
-        ),
-    }
-    # the minus sign on the e_1 part is forced by m(S (x) id)Delta = u eps
-    s_x = e_times_x_power(0, -1)
-    for k, v in e_times_x_power(1, 1).items():
-        accumulate(s_x, k, -v)
-    h = realize_on_group(product_of_cyclics([2, 2 * p]), conductor, gen_delta,
-                         {"g0": one, "g1": one}, {"g0": dict(a_vec), "g1": s_x})
-    h.labels = [_label([_power("a", i), _power("x", j)]) for i in (0, 1) for j in range(2 * p)]
-    return h
+    group = product_of_cyclics([2, 2 * p])
+    h = _involution_twist(group, 4 * p, (1, 0), {"g1": (1, 2 * p - 1)})
+    h.labels = [_label([_power("a", i), _power("x", j)]) for i, j in group.elements]
+    return h, group
 
 
-def _dic_fun_grouplikes(h, p):
-    """1, g, a, a*g with g = (e0 + sqrt(-1) e1) x^p."""
-    idx_xp, idx_axp = _dic_index(p, 0, p), _dic_index(p, 1, p)
-    return [
-        h.unit,
-        _twisted_vec(h.conductor, idx_xp, idx_axp, +1),
-        h.basis_dict(_dic_index(p, 1, 0)),
-        _twisted_vec(h.conductor, idx_xp, idx_axp, -1),
-    ]
-
-
-def _dic_fun_blocks(h, p):
+def _fun_dic_claims(h, group, p):
+    """The group-likes 1, g, a, a*g with g = (e_0 + sqrt(-1) e_1) x^p, and the blocks
+    [[e_0 x^j, (-1)^j e_1 x^-j], [e_1 x^j, e_0 x^-j]]; h is fun_dic(p) or an algebra
+    whose first 4p basis elements are fun_dic's."""
     conductor = h.conductor
-    half = CycNumber.from_rational(conductor, HALF)
+    one, a, g, ag = _twisted_grouplikes(h, group, (1, 0), (0, p),
+                                        root_of_unity(conductor, conductor // 4))
+    blocks = [_pair_block(group, (1, 0), (0, j), (0, 2 * p - j),
+                          CycNumber.from_rational(conductor, (-1) ** j)) for j in range(1, p)]
+    return [one, g, a, ag], blocks
 
-    def e_vec(bit, j, sign=1):
-        s = CycNumber.from_rational(conductor, sign) * half
-        return {_dic_index(p, 0, j): s, _dic_index(p, 1, j): s if bit == 0 else -s}
 
-    blocks = []
-    for j in range(1, p):
-        blocks.append([
-            e_vec(0, j), e_vec(1, -j, (-1) ** j),
-            e_vec(1, j), e_vec(0, -j),
-        ])
-    return blocks
+def _fun_dic_datum(p):
+    """The `fun-dic` datum over fun_dic(p), chi(a^i x^j) = (-1)^j, g = (e_0 + sqrt(-1) e_1) x^p
+    and q = -1, with fun_dic's group."""
+    L, group = _fun_dic_algebra(p)
+    chi = [CycNumber.from_rational(L.conductor, (-1) ** j) for _, j in group.elements]
+    g = _fun_dic_claims(L, group, p)[0][1]
+    minus = CycNumber.from_rational(L.conductor, -1)
+    return YDDatum(L, g, chi, minus, label=f"fun-dic(p={p})"), group
 
 
 def _dic_characters(conductor, p, words):
@@ -663,13 +574,14 @@ def _dic_characters(conductor, p, words):
 
 def fun_dic(p):
     """The commutative function algebra on the dicyclic group of order 4p."""
-    h = _fun_dic_algebra(p)
-    words = [["a"] * i + ["x"] * j for i in (0, 1) for j in range(2 * p)]
+    h, group = _fun_dic_algebra(p)
+    grouplikes, blocks = _fun_dic_claims(h, group, p)
+    words = [["a"] * i + ["x"] * j for i, j in group.elements]
     cd = CandidateData(
-        grouplikes=_dic_fun_grouplikes(h, p),
+        grouplikes=grouplikes,
         grouplike_labels=["1", "g", "a", "a*g"],
         simples=_dic_characters(h.conductor, p, words),
-        dual_blocks=_dic_fun_blocks(h, p),
+        dual_blocks=blocks,
         expected={
             "dim": 4 * p,
             "grouplike_count": 4,
@@ -701,13 +613,13 @@ def h8p(p, alpha=1):
     _require_odd_prime(p)
     if alpha not in (0, 1):
         raise ValueError("alpha is normalized to 0 or 1")
-    datum = named_datum("fun-dic", p)
+    datum, group = _fun_dic_datum(p)
     h = bosonize(datum, -alpha)
     h.labels = _line_labels("z", 2, datum.L.labels)
     conductor = h.conductor
     one = CycNumber.one(conductor)
-    grouplikes = _dic_fun_grouplikes(h, p)
-    words = [["z"] * e + ["a"] * i + ["x"] * j for e in (0, 1) for i in (0, 1) for j in range(2 * p)]
+    grouplikes, blocks = _fun_dic_claims(h, group, p)
+    words = [["z"] * e + ["a"] * i + ["x"] * j for e in (0, 1) for i, j in group.elements]
     xi = root_of_unity(conductor, 2)
     extra = {}
     if alpha == 1:
@@ -747,7 +659,7 @@ def h8p(p, alpha=1):
         grouplike_labels=["1", "g", "a", "a*g"],
         skew_witness=(h.unit, grouplikes[1], h.basis_dict(4 * p)),
         simples=simples,
-        dual_blocks=_dic_fun_blocks(h, p),
+        dual_blocks=blocks,
         expected={
             "dim": 8 * p,
             "grouplike_count": 4,

@@ -52,8 +52,20 @@ def _check_max_dim(dim: int) -> None:
         raise ValueError(f"dimension {dim} exceeds HOPFKIT_MAX_DIM={max_dim}")
 
 
+class _FamilyParams(dict):
+    """A family's command-line parameters; reading one that was not given is an input
+    error that names its flag."""
+
+    def __init__(self, family):
+        super().__init__()
+        self.family = family
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.family} needs --{key.replace('_', '-')}")
+
+
 def _family_params(args) -> dict:
-    params = {}
+    params = _FamilyParams(args.family)
     for key in ("n", "p", "ns", "alpha", "q_power", "lambda_power", "group"):
         v = getattr(args, key, None)
         if v is not None:

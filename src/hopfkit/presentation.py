@@ -1,8 +1,9 @@
 """Hopf structure tensors from a group's multiplication and generator images.
 
 group_algebra_hopf builds k[G]; realize_on_group keeps k[G]'s product and
-extends coalgebra maps given on the group's generators (the twisted families
-a4p, b4p, b8 and fun_dic); assemble_hopf does that extension for any table
+extends coalgebra maps given on the group's generators (the semisimple twisted
+families a4p, b4p, b8 and fun_dic, each given by catalog._involution_twist from
+(G, a, sigma)); assemble_hopf does that extension for any table
 whose basis words are closed under prefixes.  Nothing here proves the images
 well defined: every command that reports on the result runs verify_hopf on it
 first.  The name is kept from when the module also held a rewriting engine,

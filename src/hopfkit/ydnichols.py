@@ -517,11 +517,7 @@ def named_datum(name: str, p: int = 3) -> YDDatum:
     from . import catalog
 
     if name == "fun-dic":
-        L = catalog._fun_dic_algebra(p)
-        chi = [CycNumber.from_rational(L.conductor, (-1) ** (j % (2 * p)))
-               for i in (0, 1) for j in range(2 * p)]
-        return YDDatum(L, catalog._dic_fun_grouplikes(L, p)[1], chi,
-                       CycNumber.from_rational(L.conductor, -1), label=f"fun-dic(p={p})")
+        return catalog._fun_dic_datum(p)[0]
     if name in ("a4p-chi2", "a4p-chi3"):
         L, group = catalog._a4p_algebra(p)
         chi = []

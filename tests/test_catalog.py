@@ -7,7 +7,7 @@ from hopfkit import io as hio
 
 from conftest import build, dense, dense_trace, identity_matrix, power, word_product
 from hopfkit.certify import certify_family
-from hopfkit.groups import gamma4p_group, quaternion_group
+from hopfkit.groups import gamma4p_group, product_of_cyclics, quaternion_group
 from hopfkit.invariants import verify_grouplikes, verify_hopf_map
 from hopfkit.ydnichols import DATUM_NAMES, bosonize, cyclic_datum, named_datum
 from hopfkit.hopf import (antipode_order, dual, is_grouplike, order, s_squared_order, tr_s_squared,
@@ -123,6 +123,40 @@ def test_fun_dic_grouplike_element_algebra():
     a = cd.grouplikes[2]
     assert h.mult_dict(g, g) == a
     assert order(h, g, 10) == 4
+
+
+# (group, conductor, a, sigma on the generators), as the catalog twists them
+_CATALOG_TWISTS = {
+    "a4p p=3": (lambda: catalog._c2xdp_group(3), 12, (1, 0, 0), catalog._s_swap),
+    "b4p p=3": (lambda: catalog._d2p_group(6), 12, (3, 0), catalog._s_swap),
+    "b8": (lambda: catalog._d2p_group(4), 4, (2, 0), catalog._s_swap),
+    "fun-dic p=3": (lambda: product_of_cyclics([2, 6]), 12, (1, 0), lambda g: {"g1": (1, 5)}),
+}
+# and two sigmas that are not involutive automorphisms
+_BAD_TWISTS = {
+    # x -> x^3 is an automorphism of C_2 x C_10 of order 4
+    "fun-dic p=5 x->x^3": (lambda: product_of_cyclics([2, 10]), 20, (1, 0),
+                           lambda g: {"g1": (0, 3)}),
+    # s+, s- -> s-: an endomorphism of C_2 x D_3 that is not injective
+    "a4p p=3 s+,s- -> s-": (lambda: catalog._c2xdp_group(3), 12, (1, 0, 0),
+                            lambda g: {"s+": g.generators["s-"]}),
+}
+
+
+def _twist_failures(make_group, conductor, a, swap):
+    group = make_group()
+    return verify_hopf(catalog._involution_twist(group, conductor, a, swap(group))).failures
+
+
+@pytest.mark.parametrize("name", list(_CATALOG_TWISTS))
+def test_the_catalog_twists_are_hopf_algebras(name):
+    assert _twist_failures(*_CATALOG_TWISTS[name]) == []
+
+
+@pytest.mark.parametrize("name", list(_BAD_TWISTS))
+def test_verify_hopf_rejects_a_twist_by_a_non_involution(name):
+    failures = _twist_failures(*_BAD_TWISTS[name])
+    assert failures and all(f.startswith("coassociativity fails at ") for f in failures)
 
 
 def test_h8p_alpha_guard():

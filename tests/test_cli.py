@@ -35,6 +35,30 @@ def test_build_bad_params():
     assert main(["build", "gamma4p", "--p", "3", "--out", "/tmp/nope.json"]) == 2
 
 
+# the family arguments that leave out a required parameter, and the flag each needs;
+# dual-group's group kind is cyclic by default
+_MISSING = [(["c_n"], "--n"), (["product"], "--ns"), (["dihedral"], "--n"), (["dicyclic"], "--n"),
+            (["gamma4p"], "--p"), (["dual-group"], "--n"),
+            (["dual-group", "--group", "gamma4p"], "--p"), (["taft"], "--n"),
+            *[([name], "--p") for name in ("a-m10", "a-m10-dual", "a-m11", "h4xcp", "a4p", "b4p",
+                                           "fun-dic", "h8p")]]
+
+
+def test_the_missing_parameter_cases_cover_every_family_but_b8_and_q8():
+    from hopfkit.catalog import FAMILY_NAMES
+
+    assert sorted(set(FAMILY_NAMES) - {args[0] for args, _ in _MISSING}) == ["b8", "q8"]
+
+
+@pytest.mark.parametrize("command", ["build", "certify"])
+@pytest.mark.parametrize("args, flag", _MISSING, ids=[" ".join(args) for args, _ in _MISSING])
+def test_a_missing_family_parameter_names_its_flag(tmp_path, capsys, command, args, flag):
+    out = ["--out", str(tmp_path / "h.json")] if command == "build" else []
+    assert main([command, *args, *out]) == 2
+    assert capsys.readouterr().err == f"error: {args[0]} needs {flag}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def _swap_antipode_entries(entries):
     # S(e_0) and S(e_1) get mixed up; algebra, coalgebra and bialgebra laws still hold
     entries[0][0], entries[0][1] = entries[0][1], entries[0][0]

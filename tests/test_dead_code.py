@@ -15,7 +15,6 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # module.name -> why it stays without a caller in src
 ALLOWED = {
     "invariants.coinvariants": "criterion 10 runs it as the paper's statement",
-    "invariants.module_matrix_coefficients": "the dual-side reference route the tests compare with",
     "ydnichols.diagonal_type": "criterion 7 runs it as the paper's statement",
     "linalg.rank": "perfbench's tracer hooks it by name, until ROADMAP H retires it",
 }
