@@ -15,6 +15,11 @@ cyc_from_json hands out is that object, so the sparse kernels skip a
 product by testing `c is one` with one = CycNumber.one(N).  The public
 constructor CycNumber(N, [1, 0, ...]) still makes a separate object; it is
 equal to 1 and hashes alike, and the kernels treat it as any other value.
+
+Values are immutable, so products are memoised by value in one bounded
+per-process cache (`_product`, the 4096 most recently used operand pairs):
+a repeated product is one hashed lookup and returns the same shared object.
+A product by 1 returns the other factor itself and never enters the cache.
 """
 
 from __future__ import annotations
@@ -145,6 +150,37 @@ def _make(conductor: int, num: tuple, den: int) -> "CycNumber":
     return self
 
 
+@lru_cache(maxsize=4096)
+def _product(conductor: int, a_num: tuple, a_den: int, b_num: tuple, b_den: int) -> "CycNumber":
+    # (a_num / a_den) (b_num / b_den) in lowest terms.  Certificates repeat most
+    # of their products, so each value is computed once and shared while it is
+    # among the 4096 most recently used.
+    den = a_den * b_den
+    # scalar fast paths cover most structure constants
+    a_tail, b_tail = a_num[1:], b_num[1:]
+    if not any(a_tail):
+        s = a_num[0]
+        if not any(b_tail):
+            return _make(conductor, (s * b_num[0],) + a_tail, den)
+        return _make(conductor, tuple(s * c for c in b_num), den)
+    if not any(b_tail):
+        s = b_num[0]
+        return _make(conductor, tuple(s * c for c in a_num), den)
+    phi = len(a_num)
+    conv = [0] * (2 * phi - 1)
+    b_terms = [(j, bj) for j, bj in enumerate(b_num) if bj]
+    for i, ai in enumerate(a_num):
+        if ai:
+            for j, bj in b_terms:
+                conv[i + j] += ai * bj
+    low = conv[:phi]
+    for c, row in zip(conv[phi:], _reduction_rows(conductor)):
+        if c:
+            for k, r in row:
+                low[k] += c * r
+    return _make(conductor, tuple(low), den)
+
+
 class CycNumber:
     """One element of Q(zeta_N), reduced mod Phi_N: ``num / den``."""
 
@@ -266,34 +302,12 @@ class CycNumber:
             if other is NotImplemented:
                 return NotImplemented
         a, b = self.num, other.num
-        den = self.den * other.den
-        # scalar fast paths cover most structure constants
-        a_tail, b_tail = a[1:], b[1:]
-        if not any(a_tail):
-            s = a[0]
-            if s == 1 and den == other.den:
-                return other  # 1 * other shares other, rational or not
-            if not any(b_tail):
-                return _make(self.conductor, (s * b[0],) + a_tail, den)
-            return _make(self.conductor, tuple(s * c for c in b), den)
-        if not any(b_tail):
-            s = b[0]
-            if s == 1 and den == self.den:
-                return self
-            return _make(self.conductor, tuple(s * c for c in a), den)
-        phi = len(a)
-        conv = [0] * (2 * phi - 1)
-        b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in b_terms:
-                    conv[i + j] += ai * bj
-        low = conv[:phi]
-        for c, row in zip(conv[phi:], _reduction_rows(self.conductor)):
-            if c:
-                for k, r in row:
-                    low[k] += c * r
-        return _make(self.conductor, tuple(low), den)
+        # 1 * x shares x, rational or not
+        if self.den == 1 and a[0] == 1 and not any(a[1:]):
+            return other
+        if other.den == 1 and b[0] == 1 and not any(b[1:]):
+            return self
+        return _product(self.conductor, a, self.den, b, other.den)
 
     __rmul__ = __mul__
 

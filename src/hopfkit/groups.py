@@ -125,10 +125,14 @@ def product_of_cyclics(ns: list[int]) -> FiniteGroup:
         _check_order(n, "each cyclic factor C_n")
     elements = list(product(*[range(n) for n in ns]))
     conductor = lcm(*ns) if ns else 1
+    # table[a][b] = ab, each row's sums listed by one product in element order
+    table = {a: dict(zip(elements, product(*[[(x + y) % n for y in range(n)]
+                                             for x, n in zip(a, ns)])))
+             for a in elements}
     g = FiniteGroup(
         elements=elements,
         labels=[_label([_power(f"g{i}", k) for i, k in enumerate(t)], "*") for t in elements],
-        mult_fn=lambda a, b: tuple((x + y) % n for x, y, n in zip(a, b, ns)),
+        mult_fn=lambda a, b: table[a][b],
         identity=tuple(0 for _ in ns),
         generators={f"g{i}": tuple(1 % n if j == i else 0 for j, n in enumerate(ns))
                     for i in range(len(ns))},

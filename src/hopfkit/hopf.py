@@ -70,8 +70,8 @@ class VerifyReport:
 class HopfAlgebraData:
     """Structure tensors on a fixed basis, plus the derived objects computed from them.
 
-    Functions decorated with ``memoised`` (the generators, the Jacobson
-    radical, the coradical) and ``dual`` keep their result in ``_derived``, so
+    Functions decorated with ``memoised`` (the generators, the powers of the
+    Jacobson radical, the coradical) and ``dual`` keep their result in ``_derived``, so
     the structure tensors must not change after the first analysis call.  Constructors may still
     fill them in before that, as ``bosonize`` does with the antipode.
     """
@@ -544,6 +544,16 @@ def rebase(h: HopfAlgebraData, old: list, scale: list, labels: list) -> HopfAlge
     new = [0] * h.dim
     for j, i in enumerate(old):
         new[i] = j
+    one = h.one()
+    if all(s is one for s in scale):
+        # a permutation alone keeps every coefficient object and takes no product
+        def move(v):
+            return {new[k]: c for k, c in v.items()}
+
+        return HopfAlgebraData(
+            h.dim, h.conductor, labels, [[move(h.mult[i][k]) for k in old] for i in old],
+            move(h.unit), [{(new[a], new[b]): c for (a, b), c in h.comult[i].items()} for i in old],
+            [h.counit[i] for i in old], [move(h.antipode[i]) for i in old])
     inv = [s.inverse() for s in scale]
 
     def vec(v, s):

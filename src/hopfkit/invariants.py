@@ -28,11 +28,12 @@ from .repsolver import RepModule, simples_certificate
 
 
 @memoised
-def jacobson_radical(h: HopfAlgebraData) -> Subspace:
-    """Radical of the regular-representation trace form (characteristic zero).
+def radical_powers(h: HopfAlgebraData) -> list[Subspace]:
+    """J(H), J(H)^2, ... down to the first zero power, J(H) the radical of the
+    regular-representation trace form (characteristic zero).
 
-    The result is post-verified to be a nilpotent two-sided ideal rather than
-    trusting the trace-form theorem blindly.
+    J(H) is post-verified to be a nilpotent two-sided ideal rather than
+    trusting the trace-form theorem blindly; its powers are that check's.
     """
     # Tr(L(e_i) L(e_j)) = Tr(L(e_i e_j)) = sum_k (e_i e_j)_k Tr(L(e_k)), and
     # the columns of L(e_k) are h.mult[k]
@@ -41,13 +42,17 @@ def jacobson_radical(h: HopfAlgebraData) -> Subspace:
     gram = Matrix(h.dim, h.dim, h.conductor,
                   [[sum((c * traces[k] for k, c in h.mult[i][j].items() if k in traces), zero)
                     for j in range(h.dim)] for i in range(h.dim)])
-    rad = nullspace(gram)
-    _post_verify_radical(h, rad)
-    return rad
+    return _post_verify_radical(h, nullspace(gram))
 
 
-def _post_verify_radical(h: HopfAlgebraData, rad: Subspace):
-    """rad is a nilpotent two-sided ideal, or AssertionError.
+def jacobson_radical(h: HopfAlgebraData) -> Subspace:
+    """The Jacobson radical, post-verified as in radical_powers."""
+    return radical_powers(h)[0]
+
+
+def _post_verify_radical(h: HopfAlgebraData, rad: Subspace) -> list[Subspace]:
+    """rad, rad^2, ... down to the first zero power, or AssertionError unless
+    rad is a nilpotent two-sided ideal.
 
     The ideal test multiplies rad's basis by e_a, a in known_generators(h),
     on each side: the a with a rad in rad form a subalgebra with 1, so by the
@@ -60,11 +65,11 @@ def _post_verify_radical(h: HopfAlgebraData, rad: Subspace):
             ea = h.basis_dict(a)
             if not rad.contains(h.mult_dict(ea, v)) or not rad.contains(h.mult_dict(v, ea)):
                 raise AssertionError("trace-form radical is not an ideal (arithmetic bug)")
-    power = rad
+    powers = [rad]
     for _ in range(h.dim + 1):
-        if power.dim == 0:
-            return
-        power = _product_space(h, power, rad)
+        if powers[-1].dim == 0:
+            return powers
+        powers.append(_product_space(h, powers[-1], rad))
     raise AssertionError("trace-form radical is not nilpotent (arithmetic bug)")
 
 
@@ -82,14 +87,7 @@ def coradical(h: HopfAlgebraData) -> Subspace:
 
 def coradical_filtration(h: HopfAlgebraData) -> list[Subspace]:
     """H_n = (J(H*)^(n+1))-perp, ascending until it reaches H."""
-    dual_h = dual(h)
-    j = jacobson_radical(dual_h)
-    out = [coradical(h)]
-    power = j
-    while out[-1].dim != h.dim:
-        power = _product_space(dual_h, power, j)
-        out.append(power.perp())
-    return out
+    return [coradical(h)] + [power.perp() for power in radical_powers(dual(h))[1:]]
 
 
 def chevalley_check(h: HopfAlgebraData):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hopfkit.cyclotomic import (
     CycNumber,
+    _product,
     cyc_from_json,
     cyc_to_json,
     cyclotomic_polynomial,
@@ -315,6 +316,50 @@ def test_property_equality_is_equality_of_coefficients(case):
     assert same == x and hash(same) == hash(x)
     assert CycNumber(n, [str(c) for c in xs]) == x
     assert (x == xs[0]) == all(c == 0 for c in xs[1:])
+
+
+# -- the product cache ---------------------------------------------------------
+
+
+@_KERNEL
+@given(_operand_pairs())
+def test_property_a_repeated_product_is_the_shared_value(case):
+    n, xs, ys = case
+    x, y = CycNumber(n, xs), CycNumber(n, ys)
+    first = x * y
+    hits = _product.cache_info().hits
+    again = CycNumber(n, xs) * CycNumber(n, ys)  # equal operands, new objects
+    expected = _oracle_mul(xs, ys, n)
+    _assert_canonical(first, expected)
+    _assert_canonical(again, expected)
+    if not (x.is_one() or y.is_one()):
+        # products by 1 return the other factor itself and skip the cache
+        assert again is first and _product.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("n", [2, 12, 20])
+def test_a_product_equal_to_one_is_the_canonical_one(n):
+    z = root_of_unity(n, 1) * Fraction(-2, 3)
+    for _ in range(2):  # computed, then read from the cache
+        assert z * z.inverse() is CycNumber.one(n)
+        assert CycNumber.from_rational(n, -1) * CycNumber.from_rational(n, -1) is CycNumber.one(n)
+
+
+def test_a_mixed_conductor_product_raises_and_caches_nothing():
+    before = _product.cache_info()
+    with pytest.raises(ValueError, match="conductor mismatch"):
+        root_of_unity(3, 1) * root_of_unity(4, 1)
+    after = _product.cache_info()
+    assert (after.currsize, after.misses, after.hits) == (before.currsize, before.misses, before.hits)
+
+
+def test_the_product_cache_is_bounded():
+    bound = _product.cache_info().maxsize
+    assert bound is not None and bound > 0
+    z = root_of_unity(3, 1)
+    for k in range(1, bound + 2):
+        assert z * k == CycNumber(3, [0, k])
+    assert _product.cache_info().currsize == bound
 
 
 # -- the JSON codec -----------------------------------------------------------

@@ -52,6 +52,13 @@ def test_group_axioms_words_and_irreps(make):
                    for a in elements for b in elements)
 
 
+@pytest.mark.parametrize("ns", [[5], [2, 3, 4]])
+def test_product_of_cyclics_adds_componentwise(ns):
+    g = product_of_cyclics(ns)
+    assert all(g.mult(a, b) == tuple((x + y) % n for x, y, n in zip(a, b, ns))
+               for a in g.elements for b in g.elements)
+
+
 def _involutions(g):
     return sum(1 for a in g.elements if a != g.identity and g.mult(a, a) == g.identity)
 

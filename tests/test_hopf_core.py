@@ -139,6 +139,17 @@ def test_rebase_by_the_identity_gives_the_same_tensors():
     assert same_tensors(hopf.rebase(h, list(range(h.dim)), [h.one()] * h.dim, h.labels), h)
 
 
+def test_rebase_by_a_permutation_keeps_the_coefficients_of_the_scaled_route():
+    # every scale the canonical 1 takes no product; a 1 built by the public
+    # constructor takes the general route
+    h, _ = build("taft", n=3)
+    old = [(5 * j + 2) % h.dim for j in range(h.dim)]
+    labels = [h.labels[i] for i in old]
+    plain = hopf.rebase(h, old, [h.one()] * h.dim, labels)
+    scaled = hopf.rebase(h, old, [CycNumber(h.conductor, h.one().coeffs)] * h.dim, labels)
+    assert same_tensors(plain, scaled) and not same_tensors(plain, h)
+
+
 def test_rebase_by_a_scaled_permutation_is_an_isomorphic_hopf_algebra():
     from hopfkit.invariants import invariant_report, verify_hopf_map
 
