@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 = pass, 1 = claim/verification failure, 2 = input error or an
-output file that cannot be written.
+output that cannot be written, an output file or a stdout closed early.
 All output is deterministic (sorted JSON keys, no timestamps).  Catalog
 constructors never verify; build, bosonize, certify, invariants and simples
 run verify_hopf once on the structure they write or report on, and verify
@@ -312,14 +312,15 @@ def cmd_yd_verify(args) -> int:
             rep = _parse_colon(args.rep, "--rep")
             mod = yd_module_gamma4p(5 if args.p is None else args.p, cls, rep)
             label, (ok, why) = mod.label, verify_yd(mod)
-        print(f"{label}: {'valid' if ok else f'INVALID ({why})'}")
-        if ok and mod is not None:
-            c = braiding(mod)
-            print(f"braid equation: {'pass' if braid_equation_check(c, mod.dim) else 'FAIL'}")
-        return 0 if ok else 1
+        braid = braid_equation_check(braiding(mod), mod.dim) if ok and mod is not None else None
     except (ValueError, OSError, KeyError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    # printed outside the handler above, so a closed stdout reaches main
+    print(f"{label}: {'valid' if ok else f'INVALID ({why})'}")
+    if braid is not None:
+        print(f"braid equation: {'pass' if braid else 'FAIL'}")
+    return 0 if ok else 1
 
 
 def cmd_bosonize(args) -> int:
@@ -426,7 +427,21 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        try:
+            return _run(build_parser().parse_args(argv))
+        finally:
+            # also when argparse exits after --help
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early (`| head`), an output that cannot be written;
+        # point it at devnull, so the interpreter's last flush neither fails nor prints
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write stdout: broken pipe", file=sys.stderr)
+        return 2
+
+
+def _run(args) -> int:
     for name in GUARDS:
         try:
             _guard(name)

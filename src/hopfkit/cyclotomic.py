@@ -16,10 +16,13 @@ product by testing `c is one` with one = CycNumber.one(N).  The public
 constructor CycNumber(N, [1, 0, ...]) still makes a separate object; it is
 equal to 1 and hashes alike, and the kernels treat it as any other value.
 
-Values are immutable, so products are memoised by value in one bounded
-per-process cache (`_product`, the 4096 most recently used operand pairs):
-a repeated product is one hashed lookup and returns the same shared object.
-A product by 1 returns the other factor itself and never enters the cache.
+Values are immutable, so products, sums, differences and negations are
+memoised by value in one bounded per-process cache (`_field_op`, keyed on
+(op, conductor, a_num, a_den, b_num, b_den) and holding the 8192 most
+recently used keys): a repeated op is one hashed lookup and returns the same
+shared object.  A product by 1, a sum with 0 and a difference x - 0 return
+the other operand itself and never enter the cache, and neither does a
+mixed-conductor op, which raises first.  `inverse` is not memoised.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, mul, neg, sub
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -150,35 +153,45 @@ def _make(conductor: int, num: tuple, den: int) -> "CycNumber":
     return self
 
 
-@lru_cache(maxsize=4096)
-def _product(conductor: int, a_num: tuple, a_den: int, b_num: tuple, b_den: int) -> "CycNumber":
-    # (a_num / a_den) (b_num / b_den) in lowest terms.  Certificates repeat most
-    # of their products, so each value is computed once and shared while it is
-    # among the 4096 most recently used.
-    den = a_den * b_den
-    # scalar fast paths cover most structure constants
-    a_tail, b_tail = a_num[1:], b_num[1:]
-    if not any(a_tail):
-        s = a_num[0]
+@lru_cache(maxsize=8192)
+def _field_op(op, conductor: int, a_num: tuple, a_den: int, b_num, b_den) -> "CycNumber":
+    # op(a_num / a_den, b_num / b_den) in lowest terms, for op one of mul, add,
+    # sub and neg (neg reads a alone, b is None).  Certificates repeat most of
+    # their field ops, so each value is computed once and shared while its key
+    # is among the 8192 most recently used.
+    if op is mul:
+        den = a_den * b_den
+        # scalar fast paths cover most structure constants
+        a_tail, b_tail = a_num[1:], b_num[1:]
+        if not any(a_tail):
+            s = a_num[0]
+            if not any(b_tail):
+                return _make(conductor, (s * b_num[0],) + a_tail, den)
+            return _make(conductor, tuple(s * c for c in b_num), den)
         if not any(b_tail):
-            return _make(conductor, (s * b_num[0],) + a_tail, den)
-        return _make(conductor, tuple(s * c for c in b_num), den)
-    if not any(b_tail):
-        s = b_num[0]
-        return _make(conductor, tuple(s * c for c in a_num), den)
-    phi = len(a_num)
-    conv = [0] * (2 * phi - 1)
-    b_terms = [(j, bj) for j, bj in enumerate(b_num) if bj]
-    for i, ai in enumerate(a_num):
-        if ai:
-            for j, bj in b_terms:
-                conv[i + j] += ai * bj
-    low = conv[:phi]
-    for c, row in zip(conv[phi:], _reduction_rows(conductor)):
-        if c:
-            for k, r in row:
-                low[k] += c * r
-    return _make(conductor, tuple(low), den)
+            s = b_num[0]
+            return _make(conductor, tuple(s * c for c in a_num), den)
+        phi = len(a_num)
+        conv = [0] * (2 * phi - 1)
+        b_terms = [(j, bj) for j, bj in enumerate(b_num) if bj]
+        for i, ai in enumerate(a_num):
+            if ai:
+                for j, bj in b_terms:
+                    conv[i + j] += ai * bj
+        low = conv[:phi]
+        for c, row in zip(conv[phi:], _reduction_rows(conductor)):
+            if c:
+                for k, r in row:
+                    low[k] += c * r
+        return _make(conductor, tuple(low), den)
+    if op is neg:
+        return _make(conductor, tuple(-c for c in a_num), a_den)
+    # add or sub, coefficientwise over the least common denominator
+    if a_den == b_den:
+        return _make(conductor, tuple(map(op, a_num, b_num)), a_den)
+    g = gcd(a_den, b_den)
+    ma, mb = b_den // g, a_den // g
+    return _make(conductor, tuple(op(x * ma, y * mb) for x, y in zip(a_num, b_num)), a_den * ma)
 
 
 class CycNumber:
@@ -258,16 +271,6 @@ class CycNumber:
             return CycNumber.from_rational(self.conductor, other)
         return NotImplemented  # type: ignore[return-value]
 
-    def _combine(self, other, op) -> "CycNumber":
-        # op(self, other) coefficientwise for op in (add, sub)
-        da, db = self.den, other.den
-        if da == db:
-            return _make(self.conductor, tuple(map(op, self.num, other.num)), da)
-        g = gcd(da, db)
-        ma, mb = db // g, da // g
-        num = tuple(op(x * ma, y * mb) for x, y in zip(self.num, other.num))
-        return _make(self.conductor, num, da * ma)
-
     def __add__(self, other):
         if other.__class__ is not CycNumber or other.conductor != self.conductor:
             other = self._check(other)
@@ -277,12 +280,12 @@ class CycNumber:
             return self
         if not any(self.num):
             return other
-        return self._combine(other, add)
+        return _field_op(add, self.conductor, self.num, self.den, other.num, other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(self.conductor, tuple(-a for a in self.num), self.den)
+        return _field_op(neg, self.conductor, self.num, self.den, None, None)
 
     def __sub__(self, other):
         if other.__class__ is not CycNumber or other.conductor != self.conductor:
@@ -291,7 +294,7 @@ class CycNumber:
                 return NotImplemented
         if not any(other.num):
             return self
-        return self._combine(other, sub)
+        return _field_op(sub, self.conductor, self.num, self.den, other.num, other.den)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -307,7 +310,7 @@ class CycNumber:
             return other
         if other.den == 1 and b[0] == 1 and not any(b[1:]):
             return self
-        return _product(self.conductor, a, self.den, b, other.den)
+        return _field_op(mul, self.conductor, a, self.den, b, other.den)
 
     __rmul__ = __mul__
 

@@ -42,8 +42,8 @@ import weakref
 from functools import wraps
 
 from .cyclotomic import CycNumber
-from .linalg import (EchelonBasis, accumulate, add_scaled, compose_columns, identity_columns, outer,
-                     solve_augmented, trace)
+from .linalg import (EchelonBasis, accumulate, add_scaled, combine_columns, compose_columns,
+                     identity_columns, outer, solve_augmented, trace)
 
 MAX_FAILURES = 5
 
@@ -241,9 +241,10 @@ def multiplicative(h: HopfAlgebraData, image, mul, one) -> list:
 def multiplicative_over(h: HopfAlgebraData, gens, image, mul, one) -> list:
     """multiplicative's check over the pairs (i, a), a in gens, with no reduction argument.
 
-    Each basis image is taken once.  An image that reads a table, such as
-    _left_columns or repsolver's module actions, hands back the table's own
-    row for a basis vector; here it is only compared and passed to mul.
+    Each basis image is taken once.  An image that reads a table through
+    linalg.combine_columns, as _left_columns and repsolver's module actions
+    do, hands back the table's own row for a basis vector; here it is only
+    compared and passed to mul.
     Returns at most MAX_FAILURES witnesses in order: None when image(1) !=
     one, then each pair (i, a) with image(e_i e_a) != mul(image(e_i),
     image(e_a)).
@@ -294,20 +295,10 @@ def _left_columns(h: HopfAlgebraData):
 
     As a map into composed columns it is multiplicative exactly when
     (e_i e_j) e_k = e_i (e_j e_k), and its unit witness is the left unit law.
-    A basis vector {m: CycNumber.one(N)} maps to h.mult[m] itself, a
-    read-only alias of the table row: multiplicative_over only compares it
-    and hands it to compose_columns.
+    A basis vector {m: CycNumber.one(N)} maps to h.mult[m] itself (see
+    linalg.combine_columns).
     """
-    one = h.one()
-
-    def image(v):
-        if len(v) == 1:
-            (m, c), = v.items()
-            if c is one:
-                return h.mult[m]
-        return [h.mult_dict(v, h.basis_dict(k)) for k in range(h.dim)]
-
-    return image
+    return lambda v: combine_columns(h.mult, v)
 
 
 @memoised

@@ -3,7 +3,8 @@
 A vector is sparse, {index: nonzero value}.  Every linear map (the antipode,
 a Hopf map, a braiding, the action of an algebra element on a module or of a
 group element in an irrep) is kept as sparse columns, column j the image of
-the j-th basis vector, and maps compose with `compose_columns`;
+the j-th basis vector; maps compose with `compose_columns`, and
+`combine_columns` gives the columns of a linear combination sum c_k A_k.
 `identity_columns` and `trace` complete that form, and `outer` gives the
 sparse tensor {(i, j): value} of a sum of u (x) v.  Every subspace runs
 through one incremental Gauss-Jordan core, `EchelonBasis`, which keeps each
@@ -143,6 +144,27 @@ def compose_columns(a: list, b: list) -> list:
                 one = CycNumber.one(c.conductor)
             add_scaled(acc, a[m], c, one)
         out.append(acc)
+    return out
+
+
+def combine_columns(maps: list, vec: dict) -> list:
+    """The columns of sum c_k maps[k] over vec = {k: c}, each map a list of sparse columns.
+
+    A basis vector {k: CycNumber.one(N)} gives maps[k] itself, a read-only
+    alias: hopf.multiplicative_over only compares it and hands it to
+    compose_columns.
+    """
+    if len(vec) == 1:
+        (k, c), = vec.items()
+        if c is CycNumber.one(c.conductor):
+            return maps[k]
+    out = [{} for _ in maps[0]]
+    one = None
+    for k, c in vec.items():
+        if one is None:
+            one = CycNumber.one(c.conductor)
+        for acc, col in zip(out, maps[k]):
+            add_scaled(acc, col, c, one)
     return out
 
 

@@ -12,9 +12,8 @@ characters, so characters of full rank are pairwise non-isomorphic.
 
 from __future__ import annotations
 
-from .cyclotomic import CycNumber
 from .hopf import HopfAlgebraData, known_generators, multiplicative, witness_failures
-from .linalg import (EchelonBasis, Subspace, accumulate, add_scaled, compose_columns,
+from .linalg import (EchelonBasis, Subspace, accumulate, combine_columns, compose_columns,
                      extend_along_prefixes, identity_columns, trace)
 
 
@@ -34,28 +33,9 @@ def module_from_gen_mats(dim, conductor, basis_words, gen_mats, label) -> RepMod
         lambda m, g: compose_columns(m, gen_mats[g])))
 
 
-def _combination(m: RepModule, vec: dict) -> list:
-    """The action of sum c e_k over vec = {k: c}, as sparse columns.
-
-    A basis vector {k: CycNumber.one(N)} gives m.action[k] itself, a
-    read-only alias: hopf.multiplicative_over only compares it and hands it
-    to compose_columns.
-    """
-    out = [{} for _ in range(m.dim)]
-    one = None
-    for k, c in vec.items():
-        if one is None:
-            one = CycNumber.one(c.conductor)
-            if c is one and len(vec) == 1:
-                return m.action[k]
-        for acc, col in zip(out, m.action[k]):
-            add_scaled(acc, col, c, one)
-    return out
-
-
 def action_witnesses(h: HopfAlgebraData, m: RepModule) -> list:
     """multiplicative's witnesses for e_i -> m.action[i]: None if 1 does not act as identity."""
-    return multiplicative(h, lambda vec: _combination(m, vec), compose_columns,
+    return multiplicative(h, lambda vec: combine_columns(m.action, vec), compose_columns,
                           identity_columns(m.dim, h.conductor))
 
 

@@ -868,3 +868,35 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, argv, deep):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+
+
+_CLOSED_STDOUT = [["certify", "taft", "--n", "2"], ["verify", "{h}"], ["invariants", "{h}"],
+                  ["bosonize", "--datum", "c2"], ["yd-verify", "--class", "y:1", "--rep", "psi:1"],
+                  ["nichols", "--qline", "4"]]
+
+
+def _run_with_stdout_closed(argv, unbuffered):
+    """(exit code, stderr) of the command with its stdout's reader gone before the first write,
+    as in `hopfkit verify h.json | head -0`."""
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen([sys.executable, "-m", "hopfkit.cli"] + argv, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    return proc.wait(timeout=60), err
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv", _CLOSED_STDOUT, ids=lambda argv: argv[0])
+def test_a_stdout_closed_early_is_exit_2_with_one_stderr_line(tmp_path, argv, unbuffered):
+    h = tmp_path / "h.json"
+    assert main(["build", "taft", "--n", "2", "--out", str(h)]) == 0
+    code, err = _run_with_stdout_closed([a.format(h=h) for a in argv], unbuffered)
+    assert code == 2
+    assert err.splitlines() == ["error: cannot write stdout: broken pipe"]
+
+
+def test_help_to_a_closed_stdout_is_exit_2_with_one_stderr_line():
+    # argparse itself drops a failed write of the help, so only a buffered stdout, flushed
+    # after argparse exits, still holds it
+    assert _run_with_stdout_closed(["--help"], "") == (2, "error: cannot write stdout: broken pipe\n")

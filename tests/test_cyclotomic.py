@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from hopfkit.cyclotomic import (
     CycNumber,
-    _product,
+    _field_op,
     cyc_from_json,
     cyc_to_json,
     cyclotomic_polynomial,
@@ -318,7 +319,7 @@ def test_property_equality_is_equality_of_coefficients(case):
     assert (x == xs[0]) == all(c == 0 for c in xs[1:])
 
 
-# -- the product cache ---------------------------------------------------------
+# -- the field-op cache ---------------------------------------------------------
 
 
 @_KERNEL
@@ -327,14 +328,14 @@ def test_property_a_repeated_product_is_the_shared_value(case):
     n, xs, ys = case
     x, y = CycNumber(n, xs), CycNumber(n, ys)
     first = x * y
-    hits = _product.cache_info().hits
+    hits = _field_op.cache_info().hits
     again = CycNumber(n, xs) * CycNumber(n, ys)  # equal operands, new objects
     expected = _oracle_mul(xs, ys, n)
     _assert_canonical(first, expected)
     _assert_canonical(again, expected)
     if not (x.is_one() or y.is_one()):
         # products by 1 return the other factor itself and skip the cache
-        assert again is first and _product.cache_info().hits == hits + 1
+        assert again is first and _field_op.cache_info().hits == hits + 1
 
 
 @pytest.mark.parametrize("n", [2, 12, 20])
@@ -346,21 +347,84 @@ def test_a_product_equal_to_one_is_the_canonical_one(n):
 
 
 def test_a_mixed_conductor_product_raises_and_caches_nothing():
-    before = _product.cache_info()
+    before = _field_op.cache_info()
     with pytest.raises(ValueError, match="conductor mismatch"):
         root_of_unity(3, 1) * root_of_unity(4, 1)
-    after = _product.cache_info()
+    after = _field_op.cache_info()
     assert (after.currsize, after.misses, after.hits) == (before.currsize, before.misses, before.hits)
 
 
 def test_the_product_cache_is_bounded():
-    bound = _product.cache_info().maxsize
+    bound = _field_op.cache_info().maxsize
     assert bound is not None and bound > 0
     z = root_of_unity(3, 1)
     for k in range(1, bound + 2):
         assert z * k == CycNumber(3, [0, k])
-    assert _product.cache_info().currsize == bound
+    assert _field_op.cache_info().currsize == bound
 
+
+
+@_KERNEL
+@given(_operand_pairs(), st.sampled_from((1, 2, 3, 7, 12)))
+def test_property_sums_differences_and_negations_match_the_oracle(case, scale):
+    n, xs, ys = case
+    ys = [c / scale for c in ys]  # denominators unlike xs'
+    x, y = CycNumber(n, xs), CycNumber(n, ys)
+    for _ in range(2):  # computed, then read from the cache
+        _assert_canonical(x + y, [a + b for a, b in zip(xs, ys)])
+        _assert_canonical(x - y, [a - b for a, b in zip(xs, ys)])
+        _assert_canonical(y - x, [b - a for a, b in zip(xs, ys)])
+        _assert_canonical(-y, [-b for b in ys])
+        _assert_canonical(x - x, [Fraction(0)] * len(xs))
+        _assert_canonical(-x + x, [Fraction(0)] * len(xs))
+
+
+@_KERNEL
+@given(_operand_pairs())
+def test_property_a_repeated_sum_difference_or_negation_is_the_shared_value(case):
+    n, xs, ys = case
+    for op, cached in ((operator.add, any(xs) and any(ys)), (operator.sub, any(ys)),
+                       (lambda a, b: -a, True)):
+        first = op(CycNumber(n, xs), CycNumber(n, ys))
+        hits = _field_op.cache_info().hits
+        again = op(CycNumber(n, xs), CycNumber(n, ys))  # equal operands, new objects
+        assert again == first
+        if cached:
+            # x + 0, 0 + x and x - 0 return an operand itself and skip the cache
+            assert again is first and _field_op.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("n", [2, 12, 20])
+def test_a_sum_equal_to_one_is_the_canonical_one(n):
+    z = root_of_unity(n, 1) * Fraction(-2, 3)
+    one = CycNumber.one(n)
+    for _ in range(2):  # computed, then read from the cache
+        assert z + (one - z) is one
+        assert (z + one) - z is one
+        assert -CycNumber.from_rational(n, -1) is one
+
+
+def test_a_mixed_conductor_sum_raises_and_caches_nothing():
+    before = _field_op.cache_info()
+    for op in (operator.add, operator.sub):
+        with pytest.raises(ValueError, match="conductor mismatch"):
+            op(root_of_unity(3, 1), root_of_unity(4, 1))
+    after = _field_op.cache_info()
+    assert (after.currsize, after.misses, after.hits) == (before.currsize, before.misses, before.hits)
+
+
+def test_sums_and_products_share_one_bounded_cache():
+    bound = _field_op.cache_info().maxsize
+    z = root_of_unity(3, 1)
+    _field_op.cache_clear()
+    z * 5
+    misses = _field_op.cache_info().misses
+    for k in range(1, bound + 1):
+        assert z + k == CycNumber(3, [k, 1])
+    assert _field_op.cache_info().currsize == bound
+    # the sums evicted the product: it is computed again
+    assert z * 5 == CycNumber(3, [0, 5])
+    assert _field_op.cache_info().misses == misses + bound + 1
 
 # -- the JSON codec -----------------------------------------------------------
 

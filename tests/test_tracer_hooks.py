@@ -30,6 +30,24 @@ def test_tracer_counts_elimination_input_and_symmetrizer_entries(monkeypatch, ca
     assert table["ydnichols.symmetrizer.nnz.deg2"] > 0
 
 
+def test_tracer_counts_the_field_ops_of_a_certificate(monkeypatch, capsys):
+    # the tracer counts field ops at the CycNumber dunders it wraps; a kernel
+    # that reached the field-op cache around them would read zero here
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from tracer import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["certify", "taft", "--n", "2"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    table = tracer.table()
+    assert table["cyclotomic.mul.calls"] > 0
+    assert table["cyclotomic.addsub.calls"] > 0
+
+
 def test_tracer_reads_each_nichols_degree(monkeypatch, capsys):
     # the per-degree metrics the benchmark reads: the nnz of the columns of
     # each S_n that ydnichols.symmetrizer builds, those of the words wx with
