@@ -1,10 +1,14 @@
 """The one-shot certification driver: build a family, run verify_hopf on it
-once, recompute every claimed invariant, and return a pass/fail table."""
+once, recompute every claimed invariant, and return a pass/fail table.
+
+The rows the invariant report decides come from report_claims, which
+`invariants --expect` runs too, and CLAIM_TYPES gives the JSON type of each
+claim they read."""
 
 from __future__ import annotations
 
 from .catalog import build_family
-from .hopf import dual, verify_hopf
+from .hopf import dual, tr_s_squared, verify_hopf
 from .invariants import coradical, invariant_report
 from .linalg import Subspace, accumulate, compose_columns
 from .repsolver import are_isomorphic, wedderburn_certificate
@@ -68,48 +72,15 @@ def certify_family(name: str, params: dict) -> CertifySuite:
     if not rep_hopf.ok:
         return suite
     exp = cd.expected
-    rep = invariant_report(h, cd)
-    suite.add("dim", exp.get("dim"), h.dim)
-    if "grouplike_count" in exp:
-        suite.add("grouplike_count", exp["grouplike_count"], rep.grouplike_count)
-    if "grouplike_orders" in exp:
-        suite.add("grouplike_orders", exp["grouplike_orders"], rep.grouplike_orders)
-    if "coradical_dim" in exp:
-        suite.add("coradical_dim", exp["coradical_dim"], rep.coradical_dim)
-    if "radical_dim" in exp:
-        suite.add("radical_dim", exp["radical_dim"], rep.radical_dim)
-    if "semisimple" in exp:
-        suite.add("semisimple", exp["semisimple"], rep.semisimple)
-        trs2 = rep.tr_s2
-        expected_tr = h.dim if exp["semisimple"] else 0
-        computed_tr = None
-        if trs2.is_zero():
-            computed_tr = 0
-        elif trs2.is_rational() and trs2.rational_value() == h.dim:
-            computed_tr = h.dim
-        suite.add("tr_s2", expected_tr, computed_tr)
-    if "chevalley" in exp:
-        suite.add("chevalley", exp["chevalley"], rep.chevalley)
-    if "s4_is_id" in exp:
-        suite.add("s4_is_id", exp["s4_is_id"],
-                  rep.antipode_order is not None and 4 % rep.antipode_order == 0)
-        suite.add("s2_not_id", True, rep.s_squared_order != 1)
-    if "distinguished_grouplike" in exp:
-        suite.add("distinguished_grouplike", exp["distinguished_grouplike"],
-                  rep.distinguished_grouplike_index)
-    if "distinguished_is_unit" in exp:
-        suite.add("distinguished_is_unit", True, rep.distinguished_grouplike_index == 0)
-    if exp.get("commutative"):
-        comm = all(h.mult[i][j] == h.mult[j][i]
-                   for i in range(h.dim) for j in range(i + 1, h.dim))
-        suite.add("commutative", True, comm)
-    wc = wedderburn_certificate(h, cd.simples, rep.radical_dim)  # fails on no candidates
+    rep, _ = invariant_report(h, cd)
+    suite.rows.extend(report_claims(h, rep, exp))
+    wc = wedderburn_certificate(h, cd.simples, rep["radical_dim"])  # fails on no candidates
     if cd.simples:
         suite.add("wedderburn", True, wc.ok)
         if "simple_profile" in exp:
             suite.add("simple_profile", exp["simple_profile"], wc.profile)
-    for key, value in _cert_claims(rep):
-        suite.add(key, True, value)
+    for key, value in sorted(rep["certificates"].items()):
+        suite.add(f"cert:{key}", True, value)
     if "coradical_span_indices" in exp:
         span = Subspace.from_vectors(h.dim, h.conductor,
                                      [{k: h.one()} for k in exp["coradical_span_indices"]])
@@ -121,9 +92,45 @@ def certify_family(name: str, params: dict) -> CertifySuite:
     return suite
 
 
-def _cert_claims(rep):
-    for key, value in sorted(rep.certificates.items()):
-        yield f"cert:{key}", value
+# the exact JSON type of each claim that report_claims compares; a sidecar's
+# claims are read against it, since 9.0 == 9 and 0 == False
+CLAIM_TYPES = {"dim": int, "grouplike_count": int, "grouplike_orders": list[int],
+               "coradical_dim": int, "radical_dim": int, "semisimple": bool, "chevalley": bool,
+               "s4_is_id": bool, "distinguished_grouplike": int | None,
+               "distinguished_is_unit": bool, "commutative": bool}
+
+
+def report_claims(h, rep: dict, exp: dict) -> list[ClaimRow]:
+    """A row for each claim of exp that h's invariant report rep decides, in the
+    order certify lists them; `invariants --expect` checks the same rows."""
+    rows = [ClaimRow(key, exp[key], rep[key])
+            for key in ("dim", "grouplike_count", "grouplike_orders", "coradical_dim",
+                        "radical_dim") if key in exp]
+    if "semisimple" in exp:
+        rows.append(ClaimRow("semisimple", exp["semisimple"], rep["semisimple"]))
+        trs2 = tr_s_squared(h)
+        computed_tr = None
+        if trs2.is_zero():
+            computed_tr = 0
+        elif trs2.is_rational() and trs2.rational_value() == h.dim:
+            computed_tr = h.dim
+        rows.append(ClaimRow("tr_s2", h.dim if exp["semisimple"] else 0, computed_tr))
+    if "chevalley" in exp:
+        rows.append(ClaimRow("chevalley", exp["chevalley"], rep["chevalley"]))
+    if "s4_is_id" in exp:
+        order = rep["antipode_order"]
+        rows.append(ClaimRow("s4_is_id", exp["s4_is_id"], order is not None and 4 % order == 0))
+        rows.append(ClaimRow("s2_not_id", True, rep["s_squared_order"] != 1))
+    dist = rep["distinguished_grouplike_index"]
+    if "distinguished_grouplike" in exp:
+        rows.append(ClaimRow("distinguished_grouplike", exp["distinguished_grouplike"], dist))
+    if "distinguished_is_unit" in exp:
+        rows.append(ClaimRow("distinguished_is_unit", exp["distinguished_is_unit"], dist == 0))
+    if "commutative" in exp:
+        comm = all(h.mult[i][j] == h.mult[j][i]
+                   for i in range(h.dim) for j in range(i + 1, h.dim))
+        rows.append(ClaimRow("commutative", exp["commutative"], comm))
+    return rows
 
 
 def _dual_side_claims(suite, h, wc, exp):

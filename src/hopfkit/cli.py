@@ -7,6 +7,7 @@ constructors never verify; build, bosonize, certify, invariants and simples
 run verify_hopf once on the structure they write or report on, and verify
 reports each axiom group itself.  dual verifies nothing: it transposes the
 tensors it reads, and its output is a Hopf algebra exactly when its input is.
+invariants --expect checks a sidecar's claims with certify's report rows.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 
 from . import io as hio
 from .catalog import FAMILIES, FAMILY_NAMES, build_family
-from .certify import certify_family
+from .certify import certify_family, report_claims
 from .hopf import dual as hopf_dual
 from .hopf import verify_algebra, verify_antipode, verify_bialgebra, verify_coalgebra, verify_hopf
 from .invariants import invariant_report, jacobson_radical
@@ -163,32 +164,19 @@ def cmd_invariants(args) -> int:
             return 2
     if _fails_verify_hopf(h):
         return 1
-    rep = invariant_report(h, cd)
-    payload = hio.report_to_json(rep)
+    rep, grouplike_failures = invariant_report(h, cd)
     if args.json:
-        if not _write_json(payload, args.json):
+        if not _write_json(rep, args.json):
             return 2
     else:
-        print(hio.dumps(payload))
-    code = 0
-    if not all(rep.certificates.values()):
-        code = 1
-    for why in rep.grouplike_failures:
+        print(hio.dumps(rep))
+    code = 0 if all(rep["certificates"].values()) else 1
+    for why in grouplike_failures:
         print(f"grouplike_certificate: {why}", file=sys.stderr)
     if cd is not None:
-        comparable = {
-            "dim": rep.dim,
-            "coradical_dim": rep.coradical_dim,
-            "radical_dim": rep.radical_dim,
-            "grouplike_count": rep.grouplike_count,
-            "grouplike_orders": rep.grouplike_orders,
-            "semisimple": rep.semisimple,
-            "chevalley": rep.chevalley,
-            "distinguished_grouplike": rep.distinguished_grouplike_index,
-        }
-        for key, got in comparable.items():
-            if key in cd.expected and got != cd.expected[key]:
-                print(f"claim mismatch: {key} expected {cd.expected[key]} got {got}",
+        for row in report_claims(h, rep, cd.expected):
+            if not row.ok:
+                print(f"claim mismatch: {row.claim_id} expected {row.expected} got {row.computed}",
                       file=sys.stderr)
                 code = 1
     return code
@@ -364,11 +352,18 @@ def cmd_certify(args) -> int:
     return 0 if suite.ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own print_help drops an OSError of the write, so `--help` to a closed
+        # unbuffered stdout would exit 0; raised, it reaches main's broken-pipe exit
+        (file or sys.stdout).write(self.format_help())
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once per process: `main` may run many times in one."""
-    ap = argparse.ArgumentParser(prog="hopfkit",
-                                 description="exact Hopf algebra construction and certification")
+    ap = _Parser(prog="hopfkit",
+                 description="exact Hopf algebra construction and certification")
     sub = ap.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="build a catalog family to JSON")

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import defaultdict
 from math import isqrt
 
+from .cyclotomic import cyc_to_json
 from .hopf import (HopfAlgebraData, antipode_order, dual, generators, is_grouplike, is_semisimple,
                    known_generators, least_power, memoised, multiplicative_over, order,
                    s_squared_order, tr_s_squared, witness_failures)
@@ -384,40 +385,9 @@ def coinvariants(h: HopfAlgebraData, target: HopfAlgebraData, pi: list) -> Subsp
 # ---------------------------------------------------------------------------
 
 
-class InvariantReport:
-    __slots__ = ("dim", "conductor", "radical_dim", "coradical_dim", "filtration_dims",
-                 "grouplike_count", "grouplike_orders", "tr_s2", "semisimple", "cosemisimple",
-                 "chevalley", "chevalley_witness", "antipode_order", "s_squared_order",
-                 "distinguished_grouplike_index", "distinguished_grouplike_label",
-                 "skew_primitive_dims", "certificates", "grouplike_failures")
-
-    def __init__(self, *, dim, conductor, radical_dim, coradical_dim, filtration_dims,
-                 grouplike_count, grouplike_orders, tr_s2, semisimple, cosemisimple, chevalley,
-                 chevalley_witness, antipode_order, s_squared_order,
-                 distinguished_grouplike_index, distinguished_grouplike_label,
-                 skew_primitive_dims, certificates, grouplike_failures):
-        self.dim = dim
-        self.conductor = conductor
-        self.radical_dim = radical_dim
-        self.coradical_dim = coradical_dim
-        self.filtration_dims = filtration_dims
-        self.grouplike_count = grouplike_count
-        self.grouplike_orders = grouplike_orders
-        self.tr_s2 = tr_s2
-        self.semisimple = semisimple
-        self.cosemisimple = cosemisimple
-        self.chevalley = chevalley
-        self.chevalley_witness = chevalley_witness
-        self.antipode_order = antipode_order
-        self.s_squared_order = s_squared_order
-        self.distinguished_grouplike_index = distinguished_grouplike_index
-        self.distinguished_grouplike_label = distinguished_grouplike_label
-        self.skew_primitive_dims = skew_primitive_dims
-        self.certificates = certificates
-        self.grouplike_failures = grouplike_failures  # why grouplike_certificate is false
-
-
-def invariant_report(h: HopfAlgebraData, cd=None) -> InvariantReport:
+def invariant_report(h: HopfAlgebraData, cd=None) -> tuple[dict, list]:
+    """The invariant report as its JSON payload, and why the group-like certificate
+    is false (nothing when it holds or no sidecar cd is given)."""
     dual_h = dual(h)
     rad = jacobson_radical(h)
     rad_dual = jacobson_radical(dual_h)
@@ -462,24 +432,23 @@ def invariant_report(h: HopfAlgebraData, cd=None) -> InvariantReport:
             certs["skew_witness_nontrivial"] = sp.dim > 1
     integrals(h)  # raises if not one-dimensional
     certs["integral_spaces_one_dimensional"] = True
-    return InvariantReport(
-        dim=h.dim,
-        conductor=h.conductor,
-        radical_dim=rad.dim,
-        coradical_dim=h0.dim,
-        filtration_dims=[s.dim for s in filtration],
-        grouplike_count=glcount,
-        grouplike_orders=orders,
-        tr_s2=trs2,
-        semisimple=is_semisimple(h),
-        cosemisimple=rad_dual.dim == 0,
-        chevalley=chev,
-        chevalley_witness=chev_wit,
-        antipode_order=antipode_order(h),
-        s_squared_order=s_squared_order(h),
-        distinguished_grouplike_index=dist_idx,
-        distinguished_grouplike_label=dist_label,
-        skew_primitive_dims=skew_dims,
-        certificates=certs,
-        grouplike_failures=gl_failures,
-    )
+    return {
+        "dim": h.dim,
+        "conductor": h.conductor,
+        "radical_dim": rad.dim,
+        "coradical_dim": h0.dim,
+        "filtration_dims": [s.dim for s in filtration],
+        "grouplike_count": glcount,
+        "grouplike_orders": orders,
+        "tr_s2": cyc_to_json(trs2),
+        "semisimple": is_semisimple(h),
+        "cosemisimple": rad_dual.dim == 0,
+        "chevalley": chev,
+        "chevalley_witness": chev_wit,
+        "antipode_order": antipode_order(h),
+        "s_squared_order": s_squared_order(h),
+        "distinguished_grouplike_index": dist_idx,
+        "distinguished_grouplike_label": dist_label,
+        "skew_primitive_dims": skew_dims,
+        "certificates": certs,
+    }, gl_failures

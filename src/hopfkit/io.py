@@ -14,8 +14,9 @@ memos live in one call only; nothing is cached at module level.
 The readers take exact numbers only: dim, conductor and matrix shapes are
 JSON integers, coefficient entries str or int (never a bool or a float,
 which JSON would give as 1 or a binary fraction), labels a list of str,
-and each sidecar claim that `invariants --expect` compares of its exact JSON
-type; anything else is a ValueError.
+and each sidecar claim that certify's report rows compare (in `certify` and
+`invariants --expect`) of its exact JSON type in certify.CLAIM_TYPES;
+anything else is a ValueError.
 
 A file keeps the antipode and each module action as a dense square matrix;
 in memory each is a list of sparse columns, converted at this boundary by
@@ -32,6 +33,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from math import isqrt
 
+from .certify import CLAIM_TYPES
 from .cyclotomic import cyc_from_json, cyc_to_json
 from .hopf import HopfAlgebraData
 from .linalg import accumulate
@@ -268,18 +270,17 @@ def _module_from_json(obj, h: HopfAlgebraData, read):
 
 
 def _claims_from_json(obj) -> dict:
-    """A sidecar's expected claims, type-checked: 9.0 == 9 and 0 == False, so a
-    compared claim of another type would pass as the value it equals."""
+    """A sidecar's expected claims, each one that certify.report_claims compares
+    checked against its JSON type in certify.CLAIM_TYPES."""
     if type(obj) is not dict:
         raise ValueError(f"expected {obj!r} is not an object")
     for key, value in obj.items():
-        if key in ("dim", "coradical_dim", "radical_dim", "grouplike_count"):
-            exact_int(value, f"expected {key}")
-        elif key in ("semisimple", "chevalley") and type(value) is not bool:
+        kind = CLAIM_TYPES.get(key)
+        if kind is bool and type(value) is not bool:
             raise ValueError(f"expected {key} {value!r} is not a boolean")
-        elif key == "grouplike_orders" and not _is_list_of(value, int):
+        if kind == list[int] and not _is_list_of(value, int):
             raise ValueError(f"expected {key} {value!r} is not a list of integers")
-        elif key == "distinguished_grouplike" and value is not None:
+        if kind is int or (kind == int | None and value is not None):
             exact_int(value, f"expected {key}")
     return dict(obj)
 
@@ -438,26 +439,3 @@ def load_json(path):
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: top level is a JSON {type(obj).__name__}, not an object")
     return obj
-
-
-def report_to_json(rep) -> dict:
-    return {
-        "dim": rep.dim,
-        "conductor": rep.conductor,
-        "radical_dim": rep.radical_dim,
-        "coradical_dim": rep.coradical_dim,
-        "filtration_dims": rep.filtration_dims,
-        "grouplike_count": rep.grouplike_count,
-        "grouplike_orders": rep.grouplike_orders,
-        "tr_s2": cyc_to_json(rep.tr_s2),
-        "semisimple": rep.semisimple,
-        "cosemisimple": rep.cosemisimple,
-        "chevalley": rep.chevalley,
-        "chevalley_witness": rep.chevalley_witness,
-        "antipode_order": rep.antipode_order,
-        "s_squared_order": rep.s_squared_order,
-        "distinguished_grouplike_index": rep.distinguished_grouplike_index,
-        "distinguished_grouplike_label": rep.distinguished_grouplike_label,
-        "skew_primitive_dims": rep.skew_primitive_dims,
-        "certificates": rep.certificates,
-    }

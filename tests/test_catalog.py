@@ -2,13 +2,13 @@ import hashlib
 
 import pytest
 
-from hopfkit import catalog
+from hopfkit import catalog, certify
 from hopfkit import io as hio
 
 from conftest import build, dense, dense_trace, identity_matrix, power, word_product
 from hopfkit.certify import certify_family
 from hopfkit.groups import gamma4p_group, product_of_cyclics, quaternion_group
-from hopfkit.invariants import verify_grouplikes, verify_hopf_map
+from hopfkit.invariants import invariant_report, verify_grouplikes, verify_hopf_map
 from hopfkit.ydnichols import DATUM_NAMES, bosonize, cyclic_datum, named_datum
 from hopfkit.hopf import (antipode_order, dual, is_grouplike, order, s_squared_order, tr_s_squared,
                           verify_hopf)
@@ -242,6 +242,38 @@ def test_certify_sweep(name, params):
     """Every family at its smallest parameters, and k^G for every group kind."""
     suite = certify_family(name, params)
     assert suite.ok, suite.render()
+
+
+def _flipped(claim):
+    """A wrong value of a claim's kind: a bool negated, an int + 1, a list without its last item."""
+    if type(claim) is bool:
+        return not claim
+    if type(claim) is int:
+        return claim + 1
+    return claim[:-1]
+
+
+@pytest.mark.parametrize("name, params", [("c_n", {"n": 2}), ("taft", {"n": 3}),
+                                          ("a-m10", {"p": 3}), ("a4p", {"p": 3}),
+                                          ("fun-dic", {"p": 3}), ("h8p", {"p": 3})],
+                         ids=["c_n", "taft", "a-m10", "a4p", "fun-dic", "h8p"])
+def test_certify_fails_on_each_flipped_claim(monkeypatch, name, params):
+    """Every claim certify reads off a sidecar can fail: a flipped one is caught."""
+    h, cd = catalog.build_family(name, params)  # a fresh build: its claims are edited below
+    monkeypatch.setattr(certify, "build_family", lambda *_: (h, cd))
+    claims = cd.expected
+    assert certify_family(name, params).ok
+    for key in claims:
+        cd.expected = {**claims, key: _flipped(claims[key])}
+        assert not certify_family(name, params).ok, key
+
+
+def test_report_claims_read_the_typed_claims_in_their_order():
+    h, cd = build("a-m10", p=3)
+    rep, _ = invariant_report(h, cd)
+    rows = certify.report_claims(h, rep, dict.fromkeys(certify.CLAIM_TYPES, 0))
+    derived = ("tr_s2", "s2_not_id")  # rows that follow semisimple and s4_is_id
+    assert [r.claim_id for r in rows if r.claim_id not in derived] == list(certify.CLAIM_TYPES)
 
 
 @pytest.mark.parametrize("name, params", _SWEEP, ids=_SWEEP_IDS)

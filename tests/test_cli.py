@@ -337,6 +337,10 @@ def test_inexact_numbers_in_a_structure_file_are_parse_errors(tmp_path, capsys, 
      "expected distinguished_grouplike 0.0 is not an integer"),
     (_set("expected", "distinguished_grouplike", value=False),
      "expected distinguished_grouplike False is not an integer"),
+    (_set("expected", "s4_is_id", value=1), "expected s4_is_id 1 is not a boolean"),
+    (_set("expected", "distinguished_is_unit", value=1),
+     "expected distinguished_is_unit 1 is not a boolean"),
+    (_set("expected", "commutative", value=0), "expected commutative 0 is not a boolean"),
     (_set("expected", value=[]), "expected [] is not an object"),
     (_set("grouplike_labels", value="abc"), "grouplike_labels 'abc' is not a list of strings"),
     (_set("grouplike_labels", value=[1, 2, 3]),
@@ -344,7 +348,8 @@ def test_inexact_numbers_in_a_structure_file_are_parse_errors(tmp_path, capsys, 
 ], ids=["module-dim-float", "coefficient-bools", "coefficient-conductor-float", "dim-float",
         "coradical-dim-str", "radical-dim-bool", "grouplike-count-float", "semisimple-int",
         "chevalley-int", "orders-float", "orders-bool", "distinguished-float",
-        "distinguished-bool", "expected-list", "labels-str", "labels-ints"])
+        "distinguished-bool", "s4-int", "distinguished-is-unit-int", "commutative-int",
+        "expected-list", "labels-str", "labels-ints"])
 def test_inexact_numbers_in_a_sidecar_are_parse_errors(tmp_path, capsys, command, prefix, corrupt,
                                                        message):
     out = tmp_path / "h.json"
@@ -486,6 +491,40 @@ def test_invariants_accepts_the_claims_that_build_writes(tmp_path, capsys, famil
     capsys.readouterr()
     assert main(["invariants", str(out), "--expect", str(side)]) == 0
     assert capsys.readouterr().err == ""
+
+
+_TAFT3, _AM10 = ["taft", "--n", "3"], ["a-m10", "--p", "3"]
+
+
+@pytest.mark.parametrize("family, claims, mismatches", [
+    (_TAFT3, {"radical_dim": 7}, ["radical_dim expected 7 got 6"]),
+    (_TAFT3, {"grouplike_count": 4}, ["grouplike_count expected 4 got 3"]),
+    (_TAFT3, {"semisimple": True}, ["semisimple expected True got False", "tr_s2 expected 9 got 0"]),
+    (_TAFT3, {"commutative": True}, ["commutative expected True got False"]),
+    (_AM10, {"dim": 13}, ["dim expected 13 got 12"]),
+    (_AM10, {"coradical_dim": 5}, ["coradical_dim expected 5 got 6"]),
+    (_AM10, {"chevalley": False}, ["chevalley expected False got True"]),
+    (_AM10, {"s4_is_id": False}, ["s4_is_id expected False got True"]),
+    (_AM10, {"distinguished_grouplike": 2}, ["distinguished_grouplike expected 2 got 1"]),
+    (_AM10, {"distinguished_is_unit": True}, ["distinguished_is_unit expected True got False"]),
+    # in certify's row order
+    (_AM10, {"radical_dim": 7, "grouplike_count": 5},
+     ["grouplike_count expected 5 got 6", "radical_dim expected 7 got 6"]),
+], ids=["taft-radical-dim", "taft-grouplike-count", "taft-semisimple", "taft-commutative",
+        "am10-dim", "am10-coradical-dim", "am10-chevalley", "am10-s4", "am10-distinguished",
+        "am10-distinguished-is-unit", "am10-two-claims"])
+def test_invariants_names_each_claim_mismatch(tmp_path, capsys, family, claims, mismatches):
+    out = tmp_path / "h.json"
+    assert main(["build", *family, "--out", str(out)]) == 0
+    side = tmp_path / "h.sidecar.json"
+    payload = json.loads(side.read_text())
+    payload["expected"].update(claims)
+    side.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["invariants", str(out), "--expect", str(side)]) == 1
+    captured = capsys.readouterr()
+    assert all(json.loads(captured.out)["certificates"].values())  # exit 1 for the claims only
+    assert captured.err.splitlines() == [f"claim mismatch: {m}" for m in mismatches]
 
 
 def test_invariants_names_why_the_grouplike_certificate_fails(tmp_path, capsys):
@@ -896,7 +935,8 @@ def test_a_stdout_closed_early_is_exit_2_with_one_stderr_line(tmp_path, argv, un
     assert err.splitlines() == ["error: cannot write stdout: broken pipe"]
 
 
-def test_help_to_a_closed_stdout_is_exit_2_with_one_stderr_line():
-    # argparse itself drops a failed write of the help, so only a buffered stdout, flushed
-    # after argparse exits, still holds it
-    assert _run_with_stdout_closed(["--help"], "") == (2, "error: cannot write stdout: broken pipe\n")
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv", [["--help"], ["certify", "--help"]], ids=" ".join)
+def test_help_to_a_closed_stdout_is_exit_2_with_one_stderr_line(argv, unbuffered):
+    assert _run_with_stdout_closed(argv, unbuffered) == (
+        2, "error: cannot write stdout: broken pipe\n")

@@ -162,7 +162,7 @@ def test_rebase_by_a_scaled_permutation_is_an_isomorphic_hopf_algebra():
     # e_old[j] = f_j / scale[j]
     assert verify_hopf_map(h, r, [{old.index(i): scale[old.index(i)].inverse()}
                                   for i in range(h.dim)]) == (True, None)
-    assert hio.report_to_json(invariant_report(r)) == hio.report_to_json(invariant_report(h))
+    assert invariant_report(r) == invariant_report(h)
 
 
 def test_element_ops_in_h8p():
