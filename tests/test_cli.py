@@ -935,8 +935,15 @@ def test_a_stdout_closed_early_is_exit_2_with_one_stderr_line(tmp_path, argv, un
     assert err.splitlines() == ["error: cannot write stdout: broken pipe"]
 
 
-@pytest.mark.parametrize("unbuffered", ["1", ""])
-@pytest.mark.parametrize("argv", [["--help"], ["certify", "--help"]], ids=" ".join)
-def test_help_to_a_closed_stdout_is_exit_2_with_one_stderr_line(argv, unbuffered):
+def test_help_to_a_closed_stdout_is_exit_2_with_one_stderr_line():
+    assert _run_with_stdout_closed(["--help"], "") == (2, "error: cannot write stdout: broken pipe\n")
+
+
+@pytest.mark.parametrize("argv, unbuffered", [(["--help"], "1"), (["certify", "--help"], "1"),
+                                              (["certify", "--help"], "")],
+                         ids=["help-1", "certify-help-1", "certify-help-"])
+def test_unbuffered_or_subcommand_help_to_a_closed_stdout_is_exit_2(argv, unbuffered):
+    # argparse drops a failed write of the help itself, so an unbuffered stdout never
+    # reaches the flush at exit
     assert _run_with_stdout_closed(argv, unbuffered) == (
         2, "error: cannot write stdout: broken pipe\n")
