@@ -120,6 +120,10 @@ def _hopf_from_json(obj):
     return hio.hopf_from_json(obj)
 
 
+# this and _datum_from_file are paused across the whole read, so that no collection
+# between decoding and building walks the JSON tree only to free nothing; the tree is
+# freed when they return
+@hio.collector_paused
 def _load_hopf(path):
     try:
         return _hopf_from_json(hio.load_json(path))
@@ -267,17 +271,17 @@ def cmd_nichols(args) -> int:
     return 0
 
 
+@hio.collector_paused
 def _datum_from_file(path):
     from .ydnichols import YDDatum
 
     obj = hio.load_json(path)
     L = _hopf_from_json(obj["algebra"])
     read = hio.coefficient_reader(L.conductor)
-    g, chi = ([read(c) for c in obj[key]] for key in ("g", "chi"))
-    if len(g) != L.dim or len(chi) != L.dim:
+    g, chi = read.sparse(obj["g"]), [read(c) for c in obj["chi"]]
+    if len(obj["g"]) != L.dim or len(chi) != L.dim:
         raise ValueError(f"g and chi need {L.dim} coefficients each")
-    return YDDatum(L, {i: c for i, c in enumerate(g) if not c.is_zero()}, chi, read(obj["q"]),
-                   label=path)
+    return YDDatum(L, g, chi, read(obj["q"]), label=path)
 
 
 def cmd_yd_verify(args) -> int:

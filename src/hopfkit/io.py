@@ -11,6 +11,25 @@ or dump_json call renders each distinct coefficient's JSON text once per
 indent, and a list of shared objects whose texts it holds in one join.  The
 memos live in one call only; nothing is cached at module level.
 
+Every dense coefficient list a file holds (a product, the unit, each row of
+the antipode and of a module action, a sidecar vector and a YD datum's g)
+becomes a sparse vector on one path, `read.sparse` of `coefficient_reader`:
+one loop over the list with the memo lookup inlined; an entry the memo
+cannot answer (one met first, an int entry or a malformed one) goes through
+`read` itself, so it is checked, and fails, exactly as on its own.  `read`
+gives every zero as the canonical CycNumber.zero(N), and so does the memo,
+so a zero is dropped by identity: `is_zero` runs once per distinct str
+value, not once per entry.  The comult entries, read one by one, drop their
+zeros the same way.
+
+`load_json` and `hopf_from_json` run with the cyclic garbage collector
+paused by `collector_paused` (turned back on only if it was on), and so
+does the command line's read of a structure or datum file, from decoding to
+freeing the tree.  Decoding a file builds some 100k dicts and lists, each
+of which counts towards the collector's next pass, but neither the JSON tree
+nor the structure built from it holds a reference cycle, so those passes
+free nothing.
+
 The readers take exact numbers only: dim, conductor and matrix shapes are
 JSON integers, coefficient entries str or int (never a bool or a float,
 which JSON would give as 1 or a binary fraction), labels a list of str,
@@ -29,14 +48,36 @@ tensor {(j, k): nonzero value} that `hopf_to_json` writes back in sorted
 
 from __future__ import annotations
 
+import gc
 import json
+from functools import wraps
 from json.encoder import encode_basestring_ascii
 from math import isqrt
 
 from .certify import CLAIM_TYPES
-from .cyclotomic import cyc_from_json, cyc_to_json
+from .cyclotomic import CycNumber, cyc_from_json, cyc_to_json
 from .hopf import HopfAlgebraData
 from .linalg import accumulate
+
+
+def collector_paused(fn):
+    """fn, run with the cyclic garbage collector off; it is turned back on afterwards,
+    also when fn raises, only if it was on before.
+
+    A JSON tree and the structure built from it hold no reference cycles, so
+    the collector's passes over their many new dicts and lists free nothing.
+    """
+    @wraps(fn)
+    def paused(*args):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 def _coefficient_writer(zero):
@@ -79,50 +120,80 @@ def _is_list_of(value, kind) -> bool:
 
 def _cyc_from_json(obj, conductor):
     """cyc_from_json for a file: an integer conductor equal to the structure's, and a list
-    of coefficients given as str or int, never as a bool or a float."""
-    exact_int(obj["conductor"], "coefficient conductor")
+    of coefficients given as str or int, never as a bool or a float.
+
+    The conductor is compared before anything is built, and one above 2 len(coeffs)^2
+    is refused before it is factored: phi(N) >= sqrt(N / 2), so the count is wrong."""
+    n = exact_int(obj["conductor"], "coefficient conductor")
+    if n != conductor:
+        raise ValueError(f"coefficient of conductor {n} in a structure of "
+                         f"conductor {conductor}")
     coeffs = obj["coeffs"]
     if type(coeffs) is not list:
         raise ValueError(f"coefficients {coeffs!r} are not a list")
     for s in coeffs:
         if type(s) is bool or type(s) is float:
             raise ValueError(f"coefficient {s!r} is not exact: give a str or an int")
-    c = cyc_from_json(obj)
-    if c.conductor != conductor:
-        raise ValueError(f"coefficient of conductor {c.conductor} in a structure of "
-                         f"conductor {conductor}")
-    return c
+    if n > 2 * len(coeffs) ** 2:
+        raise ValueError(f"conductor {n} is too large for {len(coeffs)} coefficients")
+    return cyc_from_json(obj)
 
 
 def coefficient_reader(conductor):
-    """cyc_from_json for the coefficients of one structure of this conductor, as
-    _cyc_from_json checks them.
+    """read, cyc_from_json for the coefficients of one structure of this conductor, as
+    _cyc_from_json checks them; read.sparse(arr) is the dense JSON list arr as a sparse
+    vector {index: nonzero value}, each entry read as read reads it.
 
     Each distinct (conductor, coeffs) value with str entries is parsed and
     checked once, and every occurrence of it shares that one immutable
     CycNumber; a coefficient equal to 1 is the canonical CycNumber.one(conductor),
     as cyc_from_json returns it, so the kernels' shortcuts for 1 apply to read
-    tables.  Only str entries are memoised: True == 1 == 1.0 and they hash
-    alike, but a str equals only a str, so a key met again needs no second
-    look at its entries, only at the types of conductor and coeffs.  Any
-    other input, one that cannot be a key included, takes the same route
-    unmemoised, so it fails with the same error.
+    tables, and one equal to 0 is the canonical CycNumber.zero(conductor), so
+    a zero is told by identity: is_zero runs once per distinct value, not per entry.
+    Only str entries are memoised: True == 1 == 1.0 and they hash alike, but a
+    str equals only a str, so a key met again needs no second look at its
+    entries, only at the types of conductor and coeffs.  Any other input, one
+    that cannot be a key included, takes the same route unmemoised, so it
+    fails with the same error.  Nothing here computes phi(conductor): a
+    conductor is factored only once a coefficient's count has been checked
+    against it.
     """
     memo = {}
+    zero = None  # CycNumber.zero(conductor), once a zero has been read
 
     def read(obj):
+        nonlocal zero
         try:
             n, coeffs = obj["conductor"], obj["coeffs"]
             key = (n, tuple(coeffs))
             c = memo.get(key)
         except (KeyError, TypeError):
-            return _cyc_from_json(obj, conductor)
+            key = c = None
         if c is None or type(n) is not int or type(coeffs) is not list:
             c = _cyc_from_json(obj, conductor)
-            if all(type(s) is str for s in coeffs):
+            if c.is_zero():
+                c = zero = CycNumber.zero(conductor)
+            if key is not None and all(type(s) is str for s in coeffs):
                 memo[key] = c
         return c
 
+    def sparse(arr):
+        # read's memo lookup, inlined
+        out = {}
+        get = memo.get
+        for i, obj in enumerate(arr):
+            try:
+                n, coeffs = obj["conductor"], obj["coeffs"]
+                c = get((n, tuple(coeffs)))
+            except (KeyError, TypeError):
+                c = None
+            if c is None or type(n) is not int or type(coeffs) is not list:
+                c = read(obj)
+            if c is not zero:
+                out[i] = c
+        return out
+
+    read.sparse = sparse
     return read
 
 
@@ -147,9 +218,11 @@ def columns_from_json(obj, read) -> tuple:
     entries = obj["entries"]
     if len(entries) != rows or any(len(row) != cols for row in entries):
         raise ValueError(f"matrix entries do not match its shape {rows}x{cols}")
-    values = [[read(o) for o in row] for row in entries]
-    return (rows, cols), [{i: c for i, c in enumerate(col) if not c.is_zero()}
-                          for col in zip(*values)]
+    columns = [{} for _ in range(cols)]
+    for i, row in enumerate(entries):
+        for j, c in read.sparse(row).items():
+            columns[j][i] = c
+    return (rows, cols), columns
 
 
 def hopf_to_json(h: HopfAlgebraData) -> dict:
@@ -177,16 +250,14 @@ def _check_indices(dim, *indices):
             raise ValueError(f"basis index {i!r} out of range for dim {dim}")
 
 
-def _sparse_from_json(arr, read) -> dict:
-    """A dense JSON coefficient list as a sparse vector {index: nonzero value}."""
-    coeffs = [read(o) for o in arr]
-    return {i: c for i, c in enumerate(coeffs) if not c.is_zero()}
-
-
+@collector_paused
 def hopf_from_json(obj: dict) -> HopfAlgebraData:
     """The structure a file describes: a product e_i e_j given twice is a ValueError, and
     the comult entries at one (i, j, k) are summed, a zero sum dropped."""
     dim = exact_int(obj["dim"], "dim")
+    if dim < 1:
+        # so at least the antipode's entries check the conductor against their count
+        raise ValueError(f"dim {dim} is not positive")
     conductor = exact_int(obj["conductor"], "conductor")
     read = coefficient_reader(conductor)
     mult = [[{} for _ in range(dim)] for _ in range(dim)]
@@ -198,11 +269,15 @@ def hopf_from_json(obj: dict) -> HopfAlgebraData:
         given.add((i, j))
         if len(vec) != dim:
             raise ValueError(f"product e_{i} e_{j} has {len(vec)} coefficients, not {dim}")
-        mult[i][j] = _sparse_from_json(vec, read)
+        mult[i][j] = read.sparse(vec)
     comult = [{} for _ in range(dim)]
     for i, j, k, c in obj["comult"]:
         _check_indices(dim, i, j, k)
-        accumulate(comult[i], (j, k), read(c))
+        c, d = read(c), comult[i]
+        if (j, k) in d:
+            accumulate(d, (j, k), c)
+        elif c is not CycNumber.zero(conductor):  # read gives every zero as this one object
+            d[j, k] = c
     (rows, cols), antipode = columns_from_json(obj["antipode"], read)
     if (rows, cols) != (dim, dim):
         raise ValueError(f"antipode is {rows}x{cols}, not {dim}x{dim}")
@@ -219,7 +294,7 @@ def hopf_from_json(obj: dict) -> HopfAlgebraData:
         conductor=conductor,
         labels=list(labels),
         mult=mult,
-        unit=_sparse_from_json(obj["unit"], read),
+        unit=read.sparse(obj["unit"]),
         comult=comult,
         counit=[read(o) for o in obj["counit"]],
         antipode=antipode,
@@ -249,7 +324,7 @@ def candidate_to_json(cd, h: HopfAlgebraData) -> dict:
 
 
 def _element_from_json(arr, h: HopfAlgebraData, read) -> dict:
-    vec = _sparse_from_json(arr, read)
+    vec = read.sparse(arr)
     if len(arr) != h.dim:
         raise ValueError(f"vector has {len(arr)} coefficients, not {h.dim}")
     return vec
@@ -428,6 +503,7 @@ def dump_json(obj, path):
         fh.write("\n")
 
 
+@collector_paused
 def load_json(path):
     """A JSON file whose top level is an object; anything else, nesting too deep
     to parse included, is a ValueError."""

@@ -501,15 +501,14 @@ DATUM_NAMES = ("fun-dic", "a4p-chi2", "a4p-chi3", "c2")
 def bosonized_dim(name: str, p: int) -> int:
     """N dim L of bosonize(named_datum(name, p)), read off the name and p alone.
 
-    Every named datum has q = -1, so N = 2; p is refused as named_datum refuses it.
+    Every named datum has q = -1, so N = 2.  p is not checked here: named_datum
+    refuses a p that is not an odd prime, after the caller's dimension guard, so
+    a huge p is refused without being factored.
     """
-    from .catalog import _require_odd_prime
-
     if name == "c2":
         return 4
     if name not in DATUM_NAMES:
         raise ValueError(f"unknown datum {name!r}")
-    _require_odd_prime(p)
     return 8 * p
 
 

@@ -247,6 +247,52 @@ def test_verify_rejects_malformed_file(tmp_path, corrupt):
     assert "Traceback" not in proc.stderr
 
 
+def _one_dim_of_conductor(n):
+    """k as a 1-dim structure file over conductor n: every coefficient is the 1 of Q(zeta_n)
+    written with one power-basis coefficient, which is right only when phi(n) = 1."""
+    one = {"conductor": n, "coeffs": ["1/1"]}
+    return {"dim": 1, "conductor": n, "labels": ["1"], "unit": [one], "counit": [one],
+            "mult": [[0, 0, [one]]], "comult": [[0, 0, 0, one]],
+            "antipode": {"rows": 1, "cols": 1, "entries": [[one]]}}
+
+
+def _coefficient_of_conductor_2_61_minus_1(tmp_path):
+    assert main(["build", "taft", "--n", "3", "--out", str(tmp_path / "t.json")]) == 0
+    payload = json.loads((tmp_path / "t.json").read_text())
+    payload["mult"][0][2][0]["conductor"] = 2 ** 61 - 1
+    return payload
+
+
+# each conductor would take trial division up to its square root to factor
+@pytest.mark.parametrize("payload, command, message", [
+    (lambda _: _one_dim_of_conductor(10 ** 18 + 3), "verify",
+     "conductor 1000000000000000003 is too large for 1 coefficients"),
+    (lambda _: _one_dim_of_conductor(10 ** 18 + 3), "dual",
+     "conductor 1000000000000000003 is too large for 1 coefficients"),
+    (lambda _: _one_dim_of_conductor(10 ** 18 + 3), "invariants",
+     "conductor 1000000000000000003 is too large for 1 coefficients"),
+    (_coefficient_of_conductor_2_61_minus_1, "verify",
+     "coefficient of conductor 2305843009213693951 in a structure of conductor 3"),
+    # no coefficient at all, so nothing would check the conductor
+    (lambda _: dict(_one_dim_of_conductor(10 ** 18 + 3), dim=0, labels=[], unit=[], counit=[],
+                    mult=[], comult=[], antipode={"rows": 0, "cols": 0, "entries": []}),
+     "verify", "dim 0 is not positive"),
+], ids=["huge-structure-verify", "huge-structure-dual", "huge-structure-invariants",
+        "huge-coefficient-verify", "empty-huge-structure-verify"])
+def test_a_huge_conductor_is_a_parse_error_before_it_is_factored(tmp_path, payload, command,
+                                                                 message):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(payload(tmp_path)))
+    argv = [command, str(path)] + (["--out", str(tmp_path / "d.json")]
+                                   if command == "dual" else [])
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "hopfkit.cli"] + argv, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"parse error: {message}"]
+    assert not (tmp_path / "d.json").exists()
+
+
 @pytest.mark.parametrize("command", ["verify", "invariants"])
 @pytest.mark.parametrize("corrupt, message", [
     (_counit_one_short, "counit has 8 coefficients, not 9"),
@@ -700,8 +746,32 @@ def test_datum_prime_that_is_not_an_odd_prime_is_an_input_error(tmp_path, monkey
         assert main(argv) == 2, datum
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.splitlines() == [f"error: p must be an odd prime, got {p}"]
+        # bosonize --p 9 has dimension 72: the guard refuses it before p is looked at
+        assert err.splitlines() == ["error: dimension 72 exceeds HOPFKIT_MAX_DIM=64"
+                                    if (command, p) == ("bosonize", "9")
+                                    else f"error: p must be an odd prime, got {p}"]
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["bosonize", "yd-verify"])
+def test_datum_prime_is_checked_after_the_dimension_guard(tmp_path, monkeypatch, capsys,
+                                                          command):
+    monkeypatch.chdir(tmp_path)
+    out = ["--out", "b.json"] if command == "bosonize" else []
+    monkeypatch.setenv("HOPFKIT_MAX_DIM", "72")
+    assert main([command, "--datum", "fun-dic", "--p", "9"] + out) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: p must be an odd prime, got 9"]
+    # a p far above the guard is refused at once, not factored by trial division first
+    monkeypatch.delenv("HOPFKIT_MAX_DIM")
+    p = 10 ** 18 + 3
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "hopfkit.cli", command, "--datum", "fun-dic",
+                           "--p", str(p)] + out, cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 2
+    dim = 8 * p if command == "bosonize" else 4 * p
+    assert proc.stderr.splitlines() == [f"error: dimension {dim} exceeds HOPFKIT_MAX_DIM=64"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bosonize_refuses_a_dimension_above_the_guard_before_building(tmp_path, monkeypatch,

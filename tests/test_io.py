@@ -2,6 +2,7 @@
 every payload is written in the layout of json.dumps(sort_keys=True, indent=1)."""
 
 import copy
+import gc
 import json
 import os
 import tempfile
@@ -13,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import build, dense, same_tensors
-from hopfkit import cyclotomic
+from hopfkit import cli, cyclotomic
 from hopfkit import io as hio
 from hopfkit.catalog import build_family
 from hopfkit.cli import main
@@ -160,6 +161,73 @@ def test_reader_keeps_the_errors_of_one_at_a_time_parsing(obj, error):
             read(obj)
 
 
+# -- the dense-to-sparse reader against one value at a time
+
+_ZERO_SPELLINGS = ["0/1", "0", 0, "-0/5", " 0 "]
+_NONZERO_SPELLINGS = ["1/1", "-2/3", 1, " 3 ", "1_0/7"]
+
+
+def _entry(coeffs):
+    return {"conductor": 3, "coeffs": coeffs}
+
+
+# conductor 3 (phi = 2): all-zero entries in every spelling, and entries mixing zero
+# spellings with nonzero ones
+_DENSE_ENTRY = (st.lists(st.sampled_from(_ZERO_SPELLINGS), min_size=2, max_size=2)
+                | st.lists(st.sampled_from(_ZERO_SPELLINGS + _NONZERO_SPELLINGS),
+                           min_size=2, max_size=2)).map(_entry)
+
+# entries read refuses, several of them equal as memo keys to exact entries met before
+_BAD_ENTRIES = [
+    _entry(["1/0", "0"]), _entry([0.0, "0"]), _entry([True, False]), _entry(["0"]),
+    _entry([[1], "0"]), _entry("00"), _entry(0), {"conductor": 3.0, "coeffs": ["0", "0"]},
+    {"conductor": 4, "coeffs": ["0", "0"]}, {"coeffs": ["0", "0"]}, {"conductor": 3},
+    [1], "0", None,
+]
+
+
+def _one_at_a_time(read, arr):
+    return {i: c for i, c in enumerate(map(read, arr)) if not c.is_zero()}
+
+
+@given(st.lists(st.lists(_DENSE_ENTRY, max_size=6), min_size=1, max_size=4))
+def test_sparse_reader_gives_the_values_of_one_at_a_time_reading(rows):
+    read, oracle = hio.coefficient_reader(3), hio.coefficient_reader(3)
+    for _ in range(2):  # cold, then with every value remembered
+        assert [read.sparse(arr) for arr in rows] == [_one_at_a_time(oracle, arr)
+                                                      for arr in rows]
+    for arr in rows:  # every zero left out is the one canonical zero
+        assert all(read(o) is CycNumber.zero(3) for i, o in enumerate(arr)
+                   if i not in read.sparse(arr))
+
+
+@given(st.integers(1, 4), st.data())
+def test_matrix_reader_gives_the_columns_of_one_at_a_time_reading(n, data):
+    entries = data.draw(st.lists(st.lists(_DENSE_ENTRY, min_size=n, max_size=n),
+                                 min_size=n, max_size=n))
+    shape, cols = hio.columns_from_json({"rows": n, "cols": n, "entries": entries},
+                                        hio.coefficient_reader(3))
+    oracle = hio.coefficient_reader(3)
+    rows = [_one_at_a_time(oracle, row) for row in entries]
+    assert shape == (n, n)
+    assert cols == [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(n)]
+
+
+def _error(f, *args):
+    with pytest.raises(Exception) as info:
+        f(*args)
+    return info.type, str(info.value)
+
+
+@given(st.lists(_DENSE_ENTRY, max_size=6), st.sampled_from(_BAD_ENTRIES), st.data())
+def test_sparse_reader_keeps_the_error_of_one_at_a_time_reading(arr, bad, data):
+    at = data.draw(st.integers(0, len(arr)))
+    read = hio.coefficient_reader(3)
+    read.sparse(arr)  # each good entry remembered, so a bad one may hit the memo
+    assert _error(read.sparse, arr[:at] + [bad] + arr[at:]) == \
+        _error(hio.coefficient_reader(3), bad)
+
+
 def _coefficient_objects(obj):
     if isinstance(obj, dict) and "coeffs" in obj:
         yield obj
@@ -178,8 +246,8 @@ def test_codec_works_once_per_distinct_value(monkeypatch):
     distinct = {json.dumps(o, sort_keys=True) for o in objs}
     assert len(objs) > 1000 * len(distinct)
 
-    built, formatted = [], []
-    init, to_json = CycNumber.__init__, hio.cyc_to_json
+    built, formatted, zero_tests = [], [], []
+    init, to_json, is_zero = CycNumber.__init__, hio.cyc_to_json, CycNumber.is_zero
 
     def counting_init(self, *args):
         built.append(args)
@@ -189,13 +257,55 @@ def test_codec_works_once_per_distinct_value(monkeypatch):
         formatted.append(a)
         return to_json(a)
 
+    def counting_is_zero(self):
+        zero_tests.append(gc.isenabled())
+        return is_zero(self)
+
     monkeypatch.setattr(CycNumber, "__init__", counting_init)
     monkeypatch.setattr(hio, "cyc_to_json", counting_to_json)
+    monkeypatch.setattr(CycNumber, "is_zero", counting_is_zero)
     h2 = hio.hopf_from_json(payload)
+    monkeypatch.setattr(CycNumber, "is_zero", is_zero)
     assert len(built) <= len(distinct)
+    # a zero is told by identity, so the values are tested once each, with the collector off
+    assert 0 < len(zero_tests) <= len(distinct)
+    assert not any(zero_tests)
     assert hio.hopf_to_json(h2) == payload
     assert len(formatted) <= len(distinct)
     assert same_tensors(h2, h)
+
+
+def _zero_denominator(payload):
+    payload = copy.deepcopy(payload)
+    payload["unit"][0]["coeffs"][0] = "1/0"
+    return payload
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False], ids=["enabled", "disabled"])
+def test_readers_leave_the_collector_as_the_caller_had_it(tmp_path, caller_enabled):
+    h, _ = build("taft", n=3)
+    payload = json.loads(json.dumps(hio.hopf_to_json(h)))
+    good, deep = tmp_path / "h.json", tmp_path / "deep.json"
+    good.write_text(json.dumps(payload))
+    deep.write_text("[" * 100000 + "]" * 100000)
+    calls = [(hio.load_json, good, None), (hio.hopf_from_json, payload, None),
+             (hio.load_json, deep, "nested too deeply"),
+             (hio.hopf_from_json, _zero_denominator(payload), "zero denominator")]
+    try:
+        if not caller_enabled:
+            gc.disable()
+        for f, arg, error in calls:
+            if error is None:
+                f(arg)
+            else:
+                with pytest.raises(ValueError, match=error):
+                    f(arg)
+            assert gc.isenabled() is caller_enabled, f.__name__
+        for path in (good, deep):  # the command line's read, decoding to freeing the tree
+            cli._load_hopf(path)
+            assert gc.isenabled() is caller_enabled
+    finally:
+        gc.enable()
 
 
 def _scaled(obj, factor):
