@@ -6,16 +6,18 @@ dicts), comultiplication (comult[i] is Delta(e_i) as a sparse tensor
 functional) and the antipode, all over one cyclotomic conductor.  A vector
 of H is a sparse dict {index: nonzero value}, like every vector in the
 package: products come from mult_dict, coproducts from delta_dict, the
-counit from counit_of, and is_grouplike, inverse and order take such a
-dict.  Every linear map on the basis (the antipode, the left
-multiplications of the associativity check, a Hopf map into another
-algebra) is a list of sparse columns {row: nonzero value},
-column j the image of e_j, and maps compose with linalg.compose_columns; so
-Tr(S^2), ord S and ord S^2 come from composed columns.  Constructors only
-build the tensors and never verify them; each command runs verify_hopf()
-once on every structure it reports on, so the verifiers here are the
-soundness backstop for every generator-and-relations construction in the
-catalog.  Every "f(xy) = f(x)f(y)" check in the package (associativity,
+counit from counit_of, and is_grouplike and order take such a dict; the
+inverse of a group-like g is S(g), so ydnichols.bosonize builds Delta and
+S of a bosonization from the images of y and of L with tensor_mult and
+mult_dict, as presentation.assemble_hopf does for the group families.
+Every linear map on the basis (the antipode, the left multiplications of
+the associativity check, a Hopf map into another algebra) is a list of
+sparse columns {row: nonzero value}, column j the image of e_j, and maps
+compose with linalg.compose_columns; so Tr(S^2), ord S and ord S^2 come
+from composed columns.  Constructors only build the tensors and never
+verify them; each command runs verify_hopf() once on every structure it
+reports on, so the verifiers here are the soundness backstop for every
+generator-and-relations construction in the catalog.  Every "f(xy) = f(x)f(y)" check in the package (associativity,
 Delta and eps, module actions, characters, Hopf maps) runs through the one
 pair loop in multiplicative(), and basis images are read straight off the
 tables: a basis vector {i: CycNumber.one(N)} has h.mult[i] as its left
@@ -43,7 +45,7 @@ from functools import wraps
 
 from .cyclotomic import CycNumber
 from .linalg import (EchelonBasis, accumulate, add_scaled, combine_columns, compose_columns,
-                     identity_columns, outer, solve_augmented, trace)
+                     identity_columns, outer, trace)
 
 MAX_FAILURES = 5
 
@@ -161,24 +163,6 @@ def is_grouplike(h: HopfAlgebraData, u: dict) -> bool:
     if not h.counit_of(u).is_one():
         return False
     return h.delta_dict(u) == outer((u, u))
-
-
-def inverse(h: HopfAlgebraData, u: dict):
-    """The two-sided inverse of a sparse vector u of h, by linear solve, or None.
-
-    Solves u x = 1 on the sparse rows of left multiplication by u: row i
-    holds (u e_j)_i at column j and the unit's i-th coefficient at dim.
-    """
-    rows = [{} for _ in range(h.dim)]
-    for j in range(h.dim):
-        for i, c in h.mult_dict(u, h.basis_dict(j)).items():
-            rows[i][j] = c
-    for i, c in h.unit.items():
-        rows[i][h.dim] = c
-    x = solve_augmented(rows, h.dim)
-    if x is None or h.mult_dict(x, u) != h.unit:
-        return None
-    return x
 
 
 def order(h: HopfAlgebraData, u: dict, bound: int = 10_000):

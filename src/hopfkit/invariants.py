@@ -245,27 +245,22 @@ def verify_grouplikes(h: HopfAlgebraData, candidates, dual_blocks) -> GrouplikeC
 # ---------------------------------------------------------------------------
 
 
-def skew_primitive_space(h: HopfAlgebraData, g: dict, k: dict,
-                         convention: str = "x-first") -> Subspace:
-    """Solutions of Delta x = x (x) g + k (x) x (or the mirrored convention).
+def skew_primitive_space(h: HopfAlgebraData, g: dict, k: dict) -> Subspace:
+    """Solutions of Delta x = x (x) g + k (x) x; swap g and k for Delta x = g (x) x + x (x) k.
 
     The trivial line k(k - g) always lies inside when g != k; callers use
     dim > 1 as the nontriviality flag.
     """
     n = h.dim
     rows = defaultdict(dict)  # (a, b) -> sparse coefficient row of e_a (x) e_b
-
-    def key(x, y):
-        return (x, y) if convention == "x-first" else (y, x)
-
     for i in range(n):
         for ab, c in h.comult[i].items():
             rows[ab][i] = c
     for i in range(n):
         for b, gb in g.items():
-            accumulate(rows[key(i, b)], i, -gb)
+            accumulate(rows[(i, b)], i, -gb)
         for a, ka in k.items():
-            accumulate(rows[key(a, i)], i, -ka)
+            accumulate(rows[(a, i)], i, -ka)
     return _nullspace_of_rows(h, rows.values())
 
 

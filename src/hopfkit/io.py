@@ -120,7 +120,8 @@ def _is_list_of(value, kind) -> bool:
 
 def _cyc_from_json(obj, conductor):
     """cyc_from_json for a file: an integer conductor equal to the structure's, and a list
-    of coefficients given as str or int, never as a bool or a float.
+    of coefficients given as str or int, never as a bool or a float, and never with an
+    exponent ("1e9"), which Fraction would expand to 10^e exactly, however large e is.
 
     The conductor is compared before anything is built, and one above 2 len(coeffs)^2
     is refused before it is factored: phi(N) >= sqrt(N / 2), so the count is wrong."""
@@ -134,6 +135,8 @@ def _cyc_from_json(obj, conductor):
     for s in coeffs:
         if type(s) is bool or type(s) is float:
             raise ValueError(f"coefficient {s!r} is not exact: give a str or an int")
+        if type(s) is str and ("e" in s or "E" in s):
+            raise ValueError(f"coefficient {s!r} has an exponent: give it as num/den")
     if n > 2 * len(coeffs) ** 2:
         raise ValueError(f"conductor {n} is too large for {len(coeffs)} coefficients")
     return cyc_from_json(obj)

@@ -10,13 +10,15 @@ sparse tensor {(i, j): value} of a sum of u (x) v.  Every subspace runs
 through one incremental Gauss-Jordan core, `EchelonBasis`, which keeps each
 reduced row sparse, so a row update touches only nonzero entries.  A
 `Subspace` is such a basis and hands its vectors out as sparse dicts; its
-`perp` is read off the free columns of the reduced rows, and a sparse linear
-system is solved by `solve_augmented`.  A rank needs no reduced form: it runs
-through `independent`, a row-echelon elimination that normalises no pivot
-and back-substitutes into no row.  `accumulate` is the one "add into a
-sparse dict, drop the key if it cancels" step that every sparse loop in the
-package shares, and `add_scaled` adds a multiple of a sparse column with no
-product by a factor that is the canonical CycNumber.one(N).
+`perp` is read off the free columns of the reduced rows.  No linear system
+is solved here: a bosonization's Delta and S come from the images of y and
+of L (`ydnichols.bosonize`), with no inverse to solve for.  A rank needs no
+reduced form: it runs through `independent`, a row-echelon elimination that
+normalises no pivot and back-substitutes into no row.  `accumulate` is the
+one "add into a sparse dict, drop the key if it cancels" step that every
+sparse loop in the package shares, and `add_scaled` adds a multiple of a
+sparse column with no product by a factor that is the canonical
+CycNumber.one(N).
 
 `Matrix` is dense and is only the input of `rank` and `nullspace`
 (`jacobson_radical`'s Gram matrix) and the quantum symmetrizer columns that
@@ -304,20 +306,6 @@ def rank(m: Matrix) -> int:
 
 def nullspace(m: Matrix) -> "Subspace":
     return Subspace.from_vectors(m.cols, m.conductor, m.entries).perp()
-
-
-def solve_augmented(rows, nvars: int):
-    """One exact solution of a sparse system, or None if it is inconsistent.
-
-    Each row is a dict over the columns 0..nvars, column nvars holding the
-    right-hand side.  Free variables are set to zero; the result is a dict
-    {variable: value} of the nonzero values.
-    """
-    # short rows first keep fill-in low
-    eb = _echelon(sorted(rows, key=len))
-    if nvars in eb.pivots:
-        return None  # pivot in augmented column
-    return {pc: row[nvars] for pc, row in eb.pivots.items() if nvars in row}
 
 
 class Subspace:

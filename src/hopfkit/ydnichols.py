@@ -12,33 +12,11 @@ from itertools import product
 
 from .cyclotomic import CycNumber, root_of_unity
 from .groups import FiniteGroup, cyclic_group, gamma4p_ell, gamma4p_group
-from .hopf import (HopfAlgebraData, inverse, is_grouplike, least_power, multiplicative, verify_hopf,
+from .hopf import (HopfAlgebraData, is_grouplike, least_power, multiplicative, verify_hopf,
                    witness_failures)
-from .linalg import Matrix, accumulate, add_scaled, compose_columns, independent
+from .linalg import Matrix, accumulate, add_scaled, compose_columns, independent, outer
 from .presentation import group_algebra_hopf
 from .repsolver import RepModule, action_witnesses, module_from_gen_mats
-
-
-# ---------------------------------------------------------------------------
-# q-combinatorics
-# ---------------------------------------------------------------------------
-
-
-def q_binomial(n: int, i: int, q: CycNumber) -> CycNumber:
-    """Gaussian binomial by the q-Pascal recurrence (safe at roots of unity)."""
-    if i < 0 or i > n:
-        return CycNumber.zero(q.conductor)
-    row = [CycNumber.one(q.conductor)]
-    for _ in range(n):
-        new = [CycNumber.one(q.conductor)]
-        qpow = CycNumber.one(q.conductor)
-        for s in range(1, len(row) + 1):
-            qpow = qpow * q
-            left = row[s - 1]
-            right = row[s] if s < len(row) else CycNumber.zero(q.conductor)
-            new.append(left + qpow * right)
-        row = new
-    return row[i]
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +254,12 @@ def bosonize(d: YDDatum, lam=0) -> HopfAlgebraData:
     T(l) = chi(l_1) l_2; past a + b = N it wraps to y^(a+b-N) # u T^b(l) l',
     u = lam (1 - g^N) in L.  Delta, eps and S do not depend on lam.
 
-    The antipode S is the anti-multiplicative extension of the axiom-forced
-    generator images.  Nothing is verified here, as for the catalog's
+    Delta and S come from the images of y and of L alone, since y^m # l is
+    (y # 1)^m (1 # l): Delta is the multiplicative extension of Delta y =
+    y (x) 1 + g (x) y and Delta_L, taken with h's own tensor_mult, and S the
+    anti-multiplicative one of S(y) = -q^-1 y # S_L(g) and S_L, S_L(g) being
+    g^-1 for a group-like g.  Delta(y^m # l) never reaches y^N, so the lifting
+    does not enter it.  Nothing is verified here, as for the catalog's
     constructors: the result is a Hopf algebra only if it passes verify_hopf,
     which every command that reports on it runs, and a lifting passes only for
     some data.  No second route to S is needed: verify_hopf certifies
@@ -302,14 +284,14 @@ def bosonize(d: YDDatum, lam=0) -> HopfAlgebraData:
     for _ in range(n_trunc):
         twists.append(compose_columns(twist, twists[-1]))
 
-    g_pows = [L.unit]
+    g_n = L.unit
     for _ in range(n_trunc):
-        g_pows.append(L.mult_dict(g_pows[-1], d.g))
+        g_n = L.mult_dict(g_n, d.g)
     # y^N = u = lam (1 - g^N) in L; u = 0 for the biproduct itself
     lam = CycNumber.from_rational(conductor, lam)
     u: dict[int, CycNumber] = {}
     add_scaled(u, L.unit, lam, L.one())
-    add_scaled(u, g_pows[n_trunc], -lam, L.one())
+    add_scaled(u, g_n, -lam, L.one())
 
     mult = [[{} for _ in range(dim)] for _ in range(dim)]
     for m in range(n_trunc):
@@ -325,21 +307,6 @@ def bosonize(d: YDDatum, lam=0) -> HopfAlgebraData:
                             accumulate(acc, idx(m2, k2), c * c2)
                     mult[row][idx(n2, i2)] = acc
 
-    qbins = [[q_binomial(n2, s, d.q) for s in range(n2 + 1)] for n2 in range(n_trunc)]
-    comult = []
-    for m in range(n_trunc):
-        for i in range(L.dim):
-            delta = {}
-            for (j, k), c in L.comult[i].items():
-                for s in range(m + 1):
-                    coeff = qbins[m][s] * c
-                    if coeff.is_zero():
-                        continue
-                    left = L.mult_dict(g_pows[m - s], {j: coeff})
-                    for lidx, lc in left.items():
-                        accumulate(delta, (idx(s, lidx), idx(m - s, k)), lc)
-            comult.append(delta)
-
     zero = L.zero()
     unit = {idx(0, i): c for i, c in L.unit.items()}
     counit = [zero] * dim
@@ -349,13 +316,19 @@ def bosonize(d: YDDatum, lam=0) -> HopfAlgebraData:
     h = HopfAlgebraData(
         dim, conductor,
         [f"y^{m}#{lb}" if m else lb for m in range(n_trunc) for lb in L.labels],
-        mult, unit, comult, counit, None)
+        mult, unit, [], counit, None)
 
-    # antipode: S(1#l) = 1#S_L(l), S(y#1) = -q^{-1} y#g^{-1}, anti-extended
-    g_inv = inverse(L, d.g)
-    if g_inv is None:
-        raise ValueError("datum group-like is not invertible")
-    sy = {idx(1, i): -(d.q.inverse()) * c for i, c in g_inv.items()}
+    # Delta(y^m # l) = Delta(y)^m Delta(1 # l), with Delta y = y (x) 1 + g (x) y
+    y = {idx(1, i): c for i, c in L.unit.items()}
+    g = {idx(0, i): c for i, c in d.g.items()}
+    dy = outer((y, unit), (g, y))
+    h.comult = [{(idx(0, j), idx(0, k)): c for (j, k), c in delta.items()} for delta in L.comult]
+    for m in range(1, n_trunc):
+        dy_pow = dy if m == 1 else h.tensor_mult(dy_pow, dy)
+        h.comult += [h.tensor_mult(dy_pow, delta) for delta in h.comult[:L.dim]]
+
+    # S(1 # l) = 1 # S_L(l), S(y) = -q^-1 y # S_L(g), S_L(g) = g^-1; anti-extended
+    sy = {idx(1, i): -(d.q.inverse()) * c for i, c in L.antipode_dict(d.g).items()}
     sy_pows = [h.unit]
     for _ in range(n_trunc - 1):
         sy_pows.append(h.mult_dict(sy_pows[-1], sy))

@@ -281,8 +281,13 @@ def _coefficient_of_conductor_2_61_minus_1(tmp_path):
         "huge-coefficient-verify", "empty-huge-structure-verify"])
 def test_a_huge_conductor_is_a_parse_error_before_it_is_factored(tmp_path, payload, command,
                                                                  message):
+    _assert_parse_error_in_a_subprocess(tmp_path, json.dumps(payload(tmp_path)), command, message)
+
+
+def _assert_parse_error_in_a_subprocess(tmp_path, text, command, message):
+    """`command` on a structure file holding text exits 2 with one parse error line, in time."""
     path = tmp_path / "h.json"
-    path.write_text(json.dumps(payload(tmp_path)))
+    path.write_text(text)
     argv = [command, str(path)] + (["--out", str(tmp_path / "d.json")]
                                    if command == "dual" else [])
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -291,6 +296,17 @@ def test_a_huge_conductor_is_a_parse_error_before_it_is_factored(tmp_path, paylo
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [f"parse error: {message}"]
     assert not (tmp_path / "d.json").exists()
+
+
+# Fraction("1e3000000") builds 10^3000000 exactly: seconds of work for an 11-byte entry
+@pytest.mark.parametrize("command, entry", [
+    ("verify", "1e3000000"), ("dual", "1E3000000"), ("invariants", "1e3000000"),
+])
+def test_an_exponent_in_a_coefficient_is_a_parse_error_before_it_is_expanded(tmp_path, command,
+                                                                            entry):
+    _assert_parse_error_in_a_subprocess(
+        tmp_path, json.dumps(_one_dim_of_conductor(1)).replace('"1/1"', json.dumps(entry)),
+        command, f"coefficient {entry!r} has an exponent: give it as num/den")
 
 
 @pytest.mark.parametrize("command", ["verify", "invariants"])

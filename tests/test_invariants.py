@@ -164,11 +164,12 @@ def test_skew_primitive_orientations():
     h, cd = build("h8p", p=3, alpha=1)
     one = h.unit
     g = cd.grouplikes[1]
-    # Delta z = g (x) z + z (x) 1: x-first convention with (g', h') = (1, g)
-    sp = skew_primitive_space(h, one, g, convention="x-first")
+    # Delta z = g (x) z + z (x) 1: Delta x = x (x) g' + k' (x) x with (g', k') = (1, g)
+    sp = skew_primitive_space(h, one, g)
     assert sp.dim == 2
-    sp_flip = skew_primitive_space(h, one, g, convention="x-last")
-    assert sp_flip.dim == 1  # only the trivial line in the mirrored convention
+    # Delta x = x (x) g + 1 (x) x, the mirrored orientation: only the trivial line
+    sp_flip = skew_primitive_space(h, g, one)
+    assert sp_flip.dim == 1
 
 
 def test_integrals_dimensions_and_unimodular_group():

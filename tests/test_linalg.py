@@ -17,7 +17,6 @@ from hopfkit.linalg import (
     independent,
     nullspace,
     rank,
-    solve_augmented,
     trace,
 )
 
@@ -36,19 +35,6 @@ def rand_matrix(rng, n, m, conductor=1):
 def transpose(m):
     return Matrix(m.cols, m.rows, m.conductor,
                   [[m.entries[i][j] for i in range(m.rows)] for j in range(m.cols)])
-
-
-def solve(a, b):
-    """One solution x of a x = b as a dense list, or None: solve_augmented on a's sparse rows."""
-    rows = []
-    for row, bv in zip(a.entries, b):
-        r = {j: x for j, x in enumerate(row) if not x.is_zero()}
-        if not bv.is_zero():
-            r[a.cols] = bv
-        rows.append(r)
-    sol = solve_augmented(rows, a.cols)
-    zero = CycNumber.zero(a.conductor)
-    return None if sol is None else [sol.get(j, zero) for j in range(a.cols)]
 
 
 def apply(m, vec):
@@ -133,28 +119,6 @@ def test_nullspace_exact():
         for v in ns.basis():
             assert all(x.is_zero() for x in apply(a, v))
         assert rank(a) + ns.dim == 8
-
-
-def test_solve_identity_and_inconsistent():
-    i3 = identity_matrix(3, 1)
-    b = [CycNumber.from_rational(1, k) for k in (5, -1, 2)]
-    assert solve(i3, b) == b
-    a = mat(1, [[1], [1]])
-    bb = [CycNumber.from_rational(1, 0), CycNumber.from_rational(1, 1)]
-    assert solve(a, bb) is None
-
-
-def test_solve_round_trip():
-    rng = random.Random(6)
-    done = 0
-    while done < 5:
-        a = rand_matrix(rng, 5, 5)
-        if rank(a) < 5:
-            continue
-        done += 1
-        b = [CycNumber.from_rational(1, rng.randint(-4, 4)) for _ in range(5)]
-        x = solve(a, b)
-        assert apply(a, x) == b
 
 
 def test_kron():
@@ -279,16 +243,6 @@ def test_property_rank_nullity(m):
     assert rank(m) + ns.dim == m.cols
     for v in ns.basis():
         assert all(x.is_zero() for x in apply(m, v))
-
-
-@_PROPERTY
-@given(sparse_matrices(), st.data())
-def test_property_solve_consistent_system(a, data):
-    x = data.draw(st.lists(st.integers(-3, 3), min_size=a.cols, max_size=a.cols))
-    x = [CycNumber.from_rational(a.conductor, c) for c in x]
-    b = apply(a, x)
-    y = solve(a, b)
-    assert y is not None and apply(a, y) == b
 
 
 @_PROPERTY

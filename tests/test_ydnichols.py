@@ -3,11 +3,14 @@ import json
 
 import pytest
 
-from conftest import build, frozen, identity_matrix, kron, qline, same_tensors, word_product
-from hopfkit import cli, ydnichols
+from conftest import (build, frozen, identity_matrix, kron, power, qline, same_tensors,
+                      word_product)
+from hopfkit import catalog, cli, ydnichols
 from hopfkit.cyclotomic import CycNumber, root_of_unity
-from hopfkit.hopf import HopfAlgebraData, tr_s_squared, verify_hopf
-from hopfkit.linalg import EchelonBasis, Matrix, Subspace
+from hopfkit.groups import cyclic_group
+from hopfkit.hopf import HopfAlgebraData, dual, tr_s_squared, verify_hopf
+from hopfkit.linalg import EchelonBasis, Matrix, Subspace, accumulate
+from hopfkit.presentation import group_algebra_hopf
 from hopfkit.ydnichols import (
     YDDatum,
     YDModule,
@@ -18,7 +21,6 @@ from hopfkit.ydnichols import (
     diagonal_type,
     named_datum,
     nichols_dims,
-    q_binomial,
     symmetrizer,
     validate_yd_datum,
     verify_yd,
@@ -50,6 +52,23 @@ def q_factorial(n: int, q: CycNumber) -> CycNumber:
     for k in range(1, n + 1):
         out = out * q_int(k, q)
     return out
+
+
+def q_binomial(n: int, i: int, q: CycNumber) -> CycNumber:
+    """Gaussian binomial by the q-Pascal recurrence (safe at roots of unity)."""
+    if i < 0 or i > n:
+        return CycNumber.zero(q.conductor)
+    row = [CycNumber.one(q.conductor)]
+    for _ in range(n):
+        new = [CycNumber.one(q.conductor)]
+        qpow = CycNumber.one(q.conductor)
+        for s in range(1, len(row) + 1):
+            qpow = qpow * q
+            left = row[s - 1]
+            right = row[s] if s < len(row) else CycNumber.zero(q.conductor)
+            new.append(left + qpow * right)
+        row = new
+    return row[i]
 
 
 def test_q_binomial_against_product_formula():
@@ -220,6 +239,59 @@ def test_bosonize_refuses_a_wrong_closed_form_antipode():
             for j, col in enumerate(L.antipode)]
     bad = HopfAlgebraData(L.dim, L.conductor, L.labels, L.mult, L.unit, L.comult, L.counit, anti)
     assert any("antipode law" in f for f in verify_hopf(bosonize(YDDatum(bad, d.g, d.chi, d.q))).failures)
+
+
+def closed_form_delta_and_antipode(d: YDDatum, h: HopfAlgebraData):
+    """Delta and S of h = bosonize(d, lam) on the basis y^m # l, by the closed forms
+    Delta(y^m # l) = sum_s binom_q(m, s) y^s # g^(m-s) l_1 (x) y^(m-s) # l_2 (products in L)
+    and S(y^m # l) = (1 # S_L(l)) (-q^-1 y # g^-1)^m (products in h), g^-1 = g^(ord g - 1)."""
+    L, q = d.L, d.q
+    n = h.dim // L.dim
+    g_pows = [L.unit, d.g]
+    while g_pows[-1] != L.unit:
+        g_pows.append(L.mult_dict(g_pows[-1], d.g))
+    comult = []
+    for m in range(n):
+        for i in range(L.dim):
+            delta = {}
+            for (j, k), c in L.comult[i].items():
+                for s in range(m + 1):
+                    for a, ca in L.mult_dict(g_pows[m - s], {j: q_binomial(m, s, q) * c}).items():
+                        accumulate(delta, (s * L.dim + a, (m - s) * L.dim + k), ca)
+            comult.append(delta)
+    sy = {L.dim + a: -q.inverse() * c for a, c in g_pows[-2].items()}
+    antipode = [h.mult_dict(col, power(sy, m, h.unit, h.mult_dict))
+                for m in range(n) for col in L.antipode]
+    return comult, antipode
+
+
+def _function_algebra_c2_datum():
+    """k^(C_2) with g = sgn and chi the evaluation at the generator: its unit is e_1* + e_s*."""
+    L = dual(group_algebra_hopf(cyclic_group(2)))
+    one = L.one()
+    return YDDatum(L, {0: one, 1: -one}, [L.zero(), one], -one)
+
+
+_CLOSED_FORM_DATA = {
+    "taft4-q3": lambda: (cyclic_datum(4, 3, 1), 0),
+    "taft5-q2": lambda: (cyclic_datum(5, 2, 1), 0),
+    "taft7-q3": lambda: (cyclic_datum(7, 3, 1), 0),
+    "a-m11-p3": lambda: (cyclic_datum(6, 3, 1), -1),
+    "h8p-alpha1-p3": lambda: (catalog._fun_dic_datum(3)[0], -1),
+    "function-algebra-c2": lambda: (_function_algebra_c2_datum(), 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CLOSED_FORM_DATA))
+def test_bosonize_matches_the_closed_forms(case):
+    # the generator images give what the q-binomial closed forms give, off the goldens' data
+    d, lam = _CLOSED_FORM_DATA[case]()
+    assert validate_yd_datum(d) == (True, None)
+    h = bosonize(d, lam)
+    assert verify_hopf(h).ok
+    comult, antipode = closed_form_delta_and_antipode(d, h)
+    assert h.comult == comult
+    assert h.antipode == antipode
 
 
 def test_quantum_line_ranks():
