@@ -16,13 +16,26 @@ product by testing `c is one` with one = CycNumber.one(N).  The public
 constructor CycNumber(N, [1, 0, ...]) still makes a separate object; it is
 equal to 1 and hashes alike, and the kernels treat it as any other value.
 
-Values are immutable, so products, sums, differences and negations are
-memoised by value in one bounded per-process cache (`_field_op`, keyed on
-(op, conductor, a_num, a_den, b_num, b_den) and holding the 8192 most
-recently used keys): a repeated op is one hashed lookup and returns the same
-shared object.  A product by 1, a sum with 0 and a difference x - 0 return
-the other operand itself and never enter the cache, and neither does a
-mixed-conductor op, which raises first.  `inverse` is not memoised.
+Values that arithmetic, from_rational and root_of_unity hand out are
+hash-consed (Filliatre & Conchon, "Type-safe modular hash-consing", 2006):
+`_make` returns the one object of each (conductor, num, den) held in a
+bounded intern table.  Values are immutable, so products, sums,
+differences, negations and inverses are memoised in one dict `_MEMO`,
+keyed on (op, id(a), id(b)): a repeated op on the same operand objects is
+one dict lookup whose key hashes by identity, with no coefficient hashed,
+and returns the same shared object.  Each entry holds its operands, so no
+id is reused while it is a key.  The public constructor and cyc_from_json
+build fresh objects, so reading a file puts nothing in either table; on a
+memo miss such an operand stands in by its interned twin, becoming that
+twin when the table holds none, so the entries are keyed on interned
+operands alone: a structure read again each pass finds the last pass's
+entries, and the memo pins no operand that only a dropped structure held.
+Both tables are cleared whole when they reach `_TABLE_BOUND` entries.
+Equality and hashing are by value and never rely on identity alone, since
+a cleared table lets an equal value be built again as a new object.  A
+product by 1, a sum with 0 and a difference x - 0 return the other operand
+itself and never enter the memo, and neither does a mixed-conductor op,
+which raises first.
 """
 
 from __future__ import annotations
@@ -30,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, mul, neg, sub
+from operator import add, sub
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -132,66 +145,145 @@ def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 _ZERO_CACHE: dict = {}
 _ONE_CACHE: dict = {}
 
+# the size at which the intern table and the memo are each cleared whole
+_TABLE_BOUND = 8192
+_INTERN: dict = {}  # (conductor, num, den) -> the one such value
+_MEMO: dict = {}  # (op, id(a), id(b)) -> (a, b, op(a, b))
+
 
 def _make(conductor: int, num: tuple, den: int) -> "CycNumber":
     # internal constructor: num a tuple of ints, den > 0; brings it to lowest
-    # terms and hands out the canonical 1
+    # terms and hands out the canonical 1 or the interned value
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
             num = tuple(c // g for c in num)
             den //= g
+    return _interned(conductor, num, den, None)
+
+
+def _interned(conductor: int, num: tuple, den: int, fresh) -> "CycNumber":
+    """The one object of the reduced value num / den: the canonical 1, or the
+    intern table's entry, which is made fresh (a new object when fresh is
+    None) if the table holds none."""
     if den == 1 and num[0] == 1:
         one = CycNumber.one(conductor)
         if num == one.num:
             return one
-    self = object.__new__(CycNumber)
-    self.conductor = conductor
-    self.num = num
-    self.den = den
-    self._hash = None
+    key = (conductor, num, den)
+    self = _INTERN.get(key)
+    if self is None:
+        if len(_INTERN) >= _TABLE_BOUND:
+            _INTERN.clear()
+        if fresh is None:
+            fresh = object.__new__(CycNumber)
+            fresh.conductor = conductor
+            fresh.num = num
+            fresh.den = den
+            fresh._hash = None
+        self = _INTERN[key] = fresh
     return self
 
 
-@lru_cache(maxsize=8192)
-def _field_op(op, conductor: int, a_num: tuple, a_den: int, b_num, b_den) -> "CycNumber":
-    # op(a_num / a_den, b_num / b_den) in lowest terms, for op one of mul, add,
-    # sub and neg (neg reads a alone, b is None).  Certificates repeat most of
-    # their field ops, so each value is computed once and shared while its key
-    # is among the 8192 most recently used.
-    if op is mul:
-        den = a_den * b_den
-        # scalar fast paths cover most structure constants
-        a_tail, b_tail = a_num[1:], b_num[1:]
-        if not any(a_tail):
-            s = a_num[0]
-            if not any(b_tail):
-                return _make(conductor, (s * b_num[0],) + a_tail, den)
-            return _make(conductor, tuple(s * c for c in b_num), den)
+def _memo(op, a: "CycNumber", b) -> "CycNumber":
+    """op(a, b), computed once while the memo holds it; b is None for a unary op.
+    The entry is keyed on the operands' interned twins (see the module docstring)."""
+    a = _interned(a.conductor, a.num, a.den, a)
+    if b is not None:
+        b = _interned(b.conductor, b.num, b.den, b)
+    key = (op, id(a), id(b))
+    hit = _MEMO.get(key)
+    if hit is None:
+        if len(_MEMO) >= _TABLE_BOUND:
+            _MEMO.clear()
+        hit = _MEMO[key] = (a, b, op(a, b))
+    return hit[2]
+
+
+def _mul(a: "CycNumber", b: "CycNumber") -> "CycNumber":
+    conductor, a_num, b_num = a.conductor, a.num, b.num
+    den = a.den * b.den
+    # scalar fast paths cover most structure constants
+    a_tail, b_tail = a_num[1:], b_num[1:]
+    if not any(a_tail):
+        s = a_num[0]
         if not any(b_tail):
-            s = b_num[0]
-            return _make(conductor, tuple(s * c for c in a_num), den)
-        phi = len(a_num)
-        conv = [0] * (2 * phi - 1)
-        b_terms = [(j, bj) for j, bj in enumerate(b_num) if bj]
-        for i, ai in enumerate(a_num):
-            if ai:
-                for j, bj in b_terms:
-                    conv[i + j] += ai * bj
-        low = conv[:phi]
-        for c, row in zip(conv[phi:], _reduction_rows(conductor)):
-            if c:
-                for k, r in row:
-                    low[k] += c * r
-        return _make(conductor, tuple(low), den)
-    if op is neg:
-        return _make(conductor, tuple(-c for c in a_num), a_den)
-    # add or sub, coefficientwise over the least common denominator
+            return _make(conductor, (s * b_num[0],) + a_tail, den)
+        return _make(conductor, tuple(s * c for c in b_num), den)
+    if not any(b_tail):
+        s = b_num[0]
+        return _make(conductor, tuple(s * c for c in a_num), den)
+    phi = len(a_num)
+    conv = [0] * (2 * phi - 1)
+    b_terms = [(j, bj) for j, bj in enumerate(b_num) if bj]
+    for i, ai in enumerate(a_num):
+        if ai:
+            for j, bj in b_terms:
+                conv[i + j] += ai * bj
+    low = conv[:phi]
+    for c, row in zip(conv[phi:], _reduction_rows(conductor)):
+        if c:
+            for k, r in row:
+                low[k] += c * r
+    return _make(conductor, tuple(low), den)
+
+
+def _add_or_sub(op, a: "CycNumber", b: "CycNumber") -> "CycNumber":
+    # coefficientwise over the least common denominator
+    a_num, a_den, b_num, b_den = a.num, a.den, b.num, b.den
     if a_den == b_den:
-        return _make(conductor, tuple(map(op, a_num, b_num)), a_den)
+        return _make(a.conductor, tuple(map(op, a_num, b_num)), a_den)
     g = gcd(a_den, b_den)
     ma, mb = b_den // g, a_den // g
-    return _make(conductor, tuple(op(x * ma, y * mb) for x, y in zip(a_num, b_num)), a_den * ma)
+    return _make(a.conductor, tuple(op(x * ma, y * mb) for x, y in zip(a_num, b_num)),
+                 a_den * ma)
+
+
+def _add(a: "CycNumber", b: "CycNumber") -> "CycNumber":
+    return _add_or_sub(add, a, b)
+
+
+def _sub(a: "CycNumber", b: "CycNumber") -> "CycNumber":
+    return _add_or_sub(sub, a, b)
+
+
+def _neg(a: "CycNumber", _b=None) -> "CycNumber":
+    return _make(a.conductor, tuple(-c for c in a.num), a.den)
+
+
+def _inverse(a: "CycNumber", _b=None) -> "CycNumber":
+    """a^-1 by extended Euclid against Phi_N over the integers.
+
+    The remainders are primitive pseudo-remainders (Brown, J. ACM 1971).
+    Beside each r_i runs t_i with t_i num = s_i r_i (mod Phi_N) for an
+    integer s_i, so the last remainder, a constant r since Phi_N is
+    irreducible, gives (num / den)^-1 = den t / (s r).
+    """
+    r0, r1 = list(cyclotomic_polynomial(a.conductor)), list(a.num)
+    while not r1[-1]:
+        r1.pop()
+    t0, t1, s0, s1 = [0], [1], 1, 1
+    while len(r1) > 1:
+        scale, q, rem = _pseudo_divmod(r0, r1)
+        assert rem, "gcd with cyclotomic polynomial not constant"
+        content = gcd(*rem)
+        # t2 num = s0 s1 rem (mod Phi_N), as scale r0 = q r1 + rem
+        t2 = [scale * s1 * c for c in t0] + [0] * (len(q) + len(t1) - 1 - len(t0))
+        t1_terms = [(j, c) for j, c in enumerate(t1) if c]
+        for i, qi in enumerate(q):
+            if qi:
+                qi *= s0
+                for j, tj in t1_terms:
+                    t2[i + j] -= qi * tj
+        s2 = s0 * s1 * content
+        g = gcd(s2, *t2)
+        r0, r1 = r1, [c // content for c in rem]
+        t0, t1, s0, s1 = t1, [c // g for c in t2], s1, s2 // g
+    den = s1 * r1[0]
+    if den < 0:
+        den, t1 = -den, [-c for c in t1]
+    num = [a.den * c for c in t1] + [0] * (euler_phi(a.conductor) - len(t1))
+    return _make(a.conductor, tuple(num), den)
 
 
 class CycNumber:
@@ -271,7 +363,14 @@ class CycNumber:
             return CycNumber.from_rational(self.conductor, other)
         return NotImplemented  # type: ignore[return-value]
 
+    # each op first looks up the memo by operand identity: an entry holds its
+    # operands alive, so an id that hits is this very operand, and a
+    # converted int, a mixed conductor or a product by 1 never hits
+
     def __add__(self, other):
+        hit = _MEMO.get((_add, id(self), id(other)))
+        if hit is not None:
+            return hit[2]
         if other.__class__ is not CycNumber or other.conductor != self.conductor:
             other = self._check(other)
             if other is NotImplemented:
@@ -280,26 +379,35 @@ class CycNumber:
             return self
         if not any(self.num):
             return other
-        return _field_op(add, self.conductor, self.num, self.den, other.num, other.den)
+        return _memo(_add, self, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _field_op(neg, self.conductor, self.num, self.den, None, None)
+        hit = _MEMO.get((_neg, id(self), id(None)))
+        if hit is not None:
+            return hit[2]
+        return _memo(_neg, self, None)
 
     def __sub__(self, other):
+        hit = _MEMO.get((_sub, id(self), id(other)))
+        if hit is not None:
+            return hit[2]
         if other.__class__ is not CycNumber or other.conductor != self.conductor:
             other = self._check(other)
             if other is NotImplemented:
                 return NotImplemented
         if not any(other.num):
             return self
-        return _field_op(sub, self.conductor, self.num, self.den, other.num, other.den)
+        return _memo(_sub, self, other)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
+        hit = _MEMO.get((_mul, id(self), id(other)))
+        if hit is not None:
+            return hit[2]
         if other.__class__ is not CycNumber or other.conductor != self.conductor:
             other = self._check(other)
             if other is NotImplemented:
@@ -310,45 +418,18 @@ class CycNumber:
             return other
         if other.den == 1 and b[0] == 1 and not any(b[1:]):
             return self
-        return _field_op(mul, self.conductor, a, self.den, b, other.den)
+        return _memo(_mul, self, other)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
-        """Multiplicative inverse by extended Euclid against Phi_N over the integers.
-
-        The remainders are primitive pseudo-remainders (Brown, J. ACM 1971).
-        Beside each r_i runs t_i with t_i num = s_i r_i (mod Phi_N) for an
-        integer s_i, so the last remainder, a constant r since Phi_N is
-        irreducible, gives (num / den)^-1 = den t / (s r).
-        """
+        """Multiplicative inverse, memoised like the other field ops (see `_inverse`)."""
+        hit = _MEMO.get((_inverse, id(self), id(None)))
+        if hit is not None:
+            return hit[2]
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        r0, r1 = list(cyclotomic_polynomial(self.conductor)), list(self.num)
-        while not r1[-1]:
-            r1.pop()
-        t0, t1, s0, s1 = [0], [1], 1, 1
-        while len(r1) > 1:
-            scale, q, rem = _pseudo_divmod(r0, r1)
-            assert rem, "gcd with cyclotomic polynomial not constant"
-            content = gcd(*rem)
-            # t2 num = s0 s1 rem (mod Phi_N), as scale r0 = q r1 + rem
-            t2 = [scale * s1 * c for c in t0] + [0] * (len(q) + len(t1) - 1 - len(t0))
-            t1_terms = [(j, c) for j, c in enumerate(t1) if c]
-            for i, qi in enumerate(q):
-                if qi:
-                    qi *= s0
-                    for j, tj in t1_terms:
-                        t2[i + j] -= qi * tj
-            s2 = s0 * s1 * content
-            g = gcd(s2, *t2)
-            r0, r1 = r1, [c // content for c in rem]
-            t0, t1, s0, s1 = t1, [c // g for c in t2], s1, s2 // g
-        den = s1 * r1[0]
-        if den < 0:
-            den, t1 = -den, [-c for c in t1]
-        num = [self.den * c for c in t1] + [0] * (euler_phi(self.conductor) - len(t1))
-        return _make(self.conductor, tuple(num), den)
+        return _memo(_inverse, self, None)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -365,13 +446,15 @@ class CycNumber:
     # -- comparison / misc ----------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is CycNumber:
+            return (self.conductor == other.conductor and self.den == other.den
+                    and self.num == other.num)
         if isinstance(other, (int, Fraction)):
             return (self.num[0] == other.numerator and self.den == other.denominator
                     and self.is_rational())
-        if not isinstance(other, CycNumber):
-            return NotImplemented
-        return (self.conductor == other.conductor and self.den == other.den
-                and self.num == other.num)
+        return NotImplemented
 
     def __hash__(self):
         # the hash of (conductor, Fraction coefficients), so set and dict
@@ -405,14 +488,11 @@ def root_of_unity(conductor: int, k: int = 1) -> CycNumber:
         c = [0] * phi
         c[k] = 1
         return _make(conductor, tuple(c), 1)
-    # reduce t^k mod Phi_N by repeated squaring on the base root
-    z = CycNumber(conductor, [0, 1] + [0] * (phi - 2)) if phi > 1 else CycNumber.one(conductor)
     if phi == 1:
-        # Q(zeta_1)=Q(zeta_2)=Q; zeta_2 = -1
-        if conductor == 1:
-            return CycNumber.one(1)
-        return CycNumber(2, [(-1) ** k])
-    return z ** k
+        # Q(zeta_2) = Q and zeta_2 = -1; Q(zeta_1) has k = 0 only
+        return _make(conductor, (-1,), 1)
+    # reduce t^k mod Phi_N by repeated squaring on the base root
+    return _make(conductor, (0, 1) + (0,) * (phi - 2), 1) ** k
 
 
 def cyc_to_json(a: CycNumber) -> dict:

@@ -113,8 +113,6 @@ class HopfAlgebraData:
             row = self.mult[i]
             for j, b in v.items():
                 ab = b if a is one else a if b is one else a * b
-                if ab.is_zero():
-                    continue
                 add_scaled(out, row[j], ab, one)
         return out
 
@@ -134,8 +132,6 @@ class HopfAlgebraData:
             rowb = self.mult[b]
             for (c, d), c2 in t2.items():
                 cc = c2 if c1 is one else c1 if c2 is one else c1 * c2
-                if cc.is_zero():
-                    continue
                 right = rowb[d]
                 for x, cx in rowa[c].items():
                     f = cx if cc is one else cc if cx is one else cc * cx

@@ -189,16 +189,6 @@ def _sparse(vec) -> dict:
     return {c: x for c, x in items if x is not zero and not x.is_zero()}
 
 
-def _inverse(cache: dict, x: CycNumber) -> CycNumber:
-    """x's inverse, cached under (num, den): an elimination meets few distinct
-    pivot values, and hashing the pair is cheaper than a CycNumber hash."""
-    key = (x.num, x.den)
-    inv = cache.get(key)
-    if inv is None:
-        inv = cache[key] = x.inverse()
-    return inv
-
-
 def _eliminate(v: dict, c: int, row: dict, one: CycNumber, inv: CycNumber | None = None) -> None:
     """v -= v[c] inv row, for a row whose entry at c has the inverse inv (None
     for a 1 there); one is CycNumber.one(N).  v[c] is popped, not computed."""
@@ -220,7 +210,6 @@ class EchelonBasis:
 
     def __init__(self):
         self.pivots: dict[int, dict] = {}  # pivot column -> reduced row
-        self._inverses: dict = {}  # see _inverse
 
     def reduce(self, vec) -> dict:
         """vec minus its part along the basis, as a sparse dict."""
@@ -241,7 +230,7 @@ class EchelonBasis:
         lead = v[c]
         one = CycNumber.one(lead.conductor)
         if lead is not one:
-            inv = _inverse(self._inverses, lead)
+            inv = lead.inverse()
             v = {k: inv * a for k, a in v.items()}
             v[c] = one
         # back-substitute into existing rows
@@ -281,7 +270,6 @@ def independent(vectors) -> list[int]:
     inverse is taken only when a later vector is reduced against that pivot.
     """
     rows: dict = {}  # pivot -> kept row, whose least index it is
-    inverses: dict = {}
     one = None
     out = []
     for i, vec in enumerate(vectors):
@@ -296,7 +284,7 @@ def independent(vectors) -> list[int]:
             lead = row[c]
             if one is None:
                 one = CycNumber.one(lead.conductor)
-            _eliminate(v, c, row, one, None if lead is one else _inverse(inverses, lead))
+            _eliminate(v, c, row, one, None if lead is one else lead.inverse())
     return out
 
 

@@ -1,3 +1,4 @@
+import gc
 import math
 import operator
 import random
@@ -8,9 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfkit import cli, cyclotomic
 from hopfkit.cyclotomic import (
+    _INTERN,
+    _MEMO,
+    _TABLE_BOUND,
     CycNumber,
-    _field_op,
+    _add,
+    _mul,
+    _neg,
+    _sub,
     cyc_from_json,
     cyc_to_json,
     cyclotomic_polynomial,
@@ -319,23 +327,45 @@ def test_property_equality_is_equality_of_coefficients(case):
     assert (x == xs[0]) == all(c == 0 for c in xs[1:])
 
 
-# -- the field-op cache ---------------------------------------------------------
+# -- the interned values and the field-op memo ----------------------------------
+
+
+def _keyed(v):
+    """The object the memo keys the operand v by: its interned twin."""
+    if v is None:
+        return None
+    if v.is_one():
+        return CycNumber.one(v.conductor)
+    return _INTERN.get((v.conductor, v.num, v.den), v)
+
+
+def _memo_holds(op, a, b, result) -> bool:
+    """The memo's entry for op(a, b) exists and holds a's and b's twins and result."""
+    a, b = _keyed(a), _keyed(b)
+    entry = _MEMO.get((op, id(a), id(b)))
+    return entry is not None and entry[0] is a and entry[1] is b and entry[2] is result
 
 
 @_KERNEL
 @given(_operand_pairs())
 def test_property_a_repeated_product_is_the_shared_value(case):
     n, xs, ys = case
+    _INTERN.clear()  # so that no table is cleared in the few ops below
+    _MEMO.clear()
     x, y = CycNumber(n, xs), CycNumber(n, ys)
     first = x * y
-    hits = _field_op.cache_info().hits
+    if not (x.is_one() or y.is_one()):
+        # a repeat on the same objects is a memo hit: no entry is added
+        size = len(_MEMO)
+        assert x * y is first and len(_MEMO) == size and _memo_holds(_mul, x, y, first)
     again = CycNumber(n, xs) * CycNumber(n, ys)  # equal operands, new objects
     expected = _oracle_mul(xs, ys, n)
     _assert_canonical(first, expected)
     _assert_canonical(again, expected)
     if not (x.is_one() or y.is_one()):
-        # products by 1 return the other factor itself and skip the cache
-        assert again is first and _field_op.cache_info().hits == hits + 1
+        # products by 1 return the other factor itself and skip the memo;
+        # any other product is the one interned value
+        assert again is first
 
 
 @pytest.mark.parametrize("n", [2, 12, 20])
@@ -347,20 +377,24 @@ def test_a_product_equal_to_one_is_the_canonical_one(n):
 
 
 def test_a_mixed_conductor_product_raises_and_caches_nothing():
-    before = _field_op.cache_info()
+    a, b = root_of_unity(3, 1), root_of_unity(4, 1)
+    memo, interned = dict(_MEMO), dict(_INTERN)
     with pytest.raises(ValueError, match="conductor mismatch"):
-        root_of_unity(3, 1) * root_of_unity(4, 1)
-    after = _field_op.cache_info()
-    assert (after.currsize, after.misses, after.hits) == (before.currsize, before.misses, before.hits)
+        a * b
+    assert _MEMO == memo and _INTERN == interned
 
 
 def test_the_product_cache_is_bounded():
-    bound = _field_op.cache_info().maxsize
-    assert bound is not None and bound > 0
+    assert type(_TABLE_BOUND) is int and _TABLE_BOUND > 0
     z = root_of_unity(3, 1)
-    for k in range(1, bound + 2):
+    sizes = set()
+    for k in range(1, 2 * _TABLE_BOUND + 2):
         assert z * k == CycNumber(3, [0, k])
-    assert _field_op.cache_info().currsize == bound
+        sizes.add((len(_MEMO), len(_INTERN)))
+    # each table filled up to its bound and was cleared, never growing past it;
+    # a product interns two values, k and k z, so the table may stop one short
+    assert max(m for m, _ in sizes) == _TABLE_BOUND
+    assert _TABLE_BOUND - 1 <= max(i for _, i in sizes) <= _TABLE_BOUND
 
 
 
@@ -383,15 +417,22 @@ def test_property_sums_differences_and_negations_match_the_oracle(case, scale):
 @given(_operand_pairs())
 def test_property_a_repeated_sum_difference_or_negation_is_the_shared_value(case):
     n, xs, ys = case
-    for op, cached in ((operator.add, any(xs) and any(ys)), (operator.sub, any(ys)),
-                       (lambda a, b: -a, True)):
-        first = op(CycNumber(n, xs), CycNumber(n, ys))
-        hits = _field_op.cache_info().hits
+    _INTERN.clear()  # so that no table is cleared in the few ops below
+    _MEMO.clear()
+    for op, key_op, cached in ((operator.add, _add, any(xs) and any(ys)),
+                               (operator.sub, _sub, any(ys)), (lambda a, b: -a, _neg, True)):
+        x, y = CycNumber(n, xs), CycNumber(n, ys)
+        first = op(x, y)
+        if cached:
+            # x + 0, 0 + x and x - 0 return an operand itself and skip the memo;
+            # any other repeat on the same objects is a memo hit
+            size = len(_MEMO)
+            assert op(x, y) is first and len(_MEMO) == size
+            assert _memo_holds(key_op, x, None if key_op is _neg else y, first)
         again = op(CycNumber(n, xs), CycNumber(n, ys))  # equal operands, new objects
         assert again == first
         if cached:
-            # x + 0, 0 + x and x - 0 return an operand itself and skip the cache
-            assert again is first and _field_op.cache_info().hits == hits + 1
+            assert again is first
 
 
 @pytest.mark.parametrize("n", [2, 12, 20])
@@ -405,26 +446,107 @@ def test_a_sum_equal_to_one_is_the_canonical_one(n):
 
 
 def test_a_mixed_conductor_sum_raises_and_caches_nothing():
-    before = _field_op.cache_info()
+    a, b = root_of_unity(3, 1), root_of_unity(4, 1)
+    memo, interned = dict(_MEMO), dict(_INTERN)
     for op in (operator.add, operator.sub):
         with pytest.raises(ValueError, match="conductor mismatch"):
-            op(root_of_unity(3, 1), root_of_unity(4, 1))
-    after = _field_op.cache_info()
-    assert (after.currsize, after.misses, after.hits) == (before.currsize, before.misses, before.hits)
+            op(a, b)
+    assert _MEMO == memo and _INTERN == interned
 
 
 def test_sums_and_products_share_one_bounded_cache():
-    bound = _field_op.cache_info().maxsize
-    z = root_of_unity(3, 1)
-    _field_op.cache_clear()
-    z * 5
-    misses = _field_op.cache_info().misses
-    for k in range(1, bound + 1):
+    z, five = root_of_unity(3, 1), CycNumber.from_rational(3, 5)
+    _MEMO.clear()
+    product = z * five
+    assert list(_MEMO) == [(_mul, id(z), id(five))]
+    for k in range(1, _TABLE_BOUND):
         assert z + k == CycNumber(3, [k, 1])
-    assert _field_op.cache_info().currsize == bound
-    # the sums evicted the product: it is computed again
-    assert z * 5 == CycNumber(3, [0, 5])
-    assert _field_op.cache_info().misses == misses + bound + 1
+    assert len(_MEMO) == _TABLE_BOUND and _memo_holds(_mul, z, five, product)
+    # one more sum clears the memo whole, the product with it: it is computed again
+    assert z + _TABLE_BOUND == CycNumber(3, [_TABLE_BOUND, 1])
+    assert len(_MEMO) == 1 and (_mul, id(z), id(five)) not in _MEMO
+    assert z * five == CycNumber(3, [0, 5]) and len(_MEMO) == 2
+
+
+def test_an_inverse_is_memoised():
+    z = root_of_unity(20, 3) + Fraction(1, 2)
+    inv = z.inverse()
+    size = len(_MEMO)
+    assert z.inverse() is inv and len(_MEMO) == size
+    assert _memo_holds(cyclotomic._inverse, z, None, inv)
+    assert z * inv is CycNumber.one(20)
+
+
+@_KERNEL
+@given(_operand_pairs(), st.integers(min_value=1, max_value=4))
+def test_property_ops_stay_exact_when_the_tables_clear_mid_computation(case, bound):
+    n, xs, ys = case
+    one = CycNumber.one(n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cyclotomic, "_TABLE_BOUND", bound)
+        x, y = CycNumber(n, xs), CycNumber(n, ys)
+        for _ in range(2):  # the second pass meets tables cleared by the first
+            _assert_canonical(x * y, _oracle_mul(xs, ys, n))
+            _assert_canonical(x + y, [a + b for a, b in zip(xs, ys)])
+            _assert_canonical(x - y, [a - b for a, b in zip(xs, ys)])
+            if any(xs):
+                inv = x.inverse()
+                assert _oracle_mul(xs, list(inv.coeffs), n) == [1] + [0] * (len(xs) - 1)
+                assert x * inv == one and inv * x == one
+                if not x.is_one():  # a 1 from the public constructor is not the canonical one
+                    assert x * inv is one and inv * x is one
+            assert one * one is one and -(-one) is one and one + (one - one) is one
+            assert len(_MEMO) <= bound and len(_INTERN) <= bound
+        before = x * y
+        _MEMO.clear()
+        _INTERN.clear()
+        after = CycNumber(n, xs) * CycNumber(n, ys)  # the same value, built anew
+        assert after == before and before == after and hash(after) == hash(before)
+        assert len({before, after}) == 1
+        assert CycNumber.one(n) is one
+
+
+def test_a_reused_id_never_reads_a_stale_entry():
+    n = 12
+    x, y = CycNumber(n, [1, 2, 0, 3]), CycNumber(n, [0, 1, 1, 0])
+    product = x * y
+    key = (_mul, id(x), id(y))
+    del x, y
+    gc.collect()
+    # the entry holds its operands, so their ids are not handed out again
+    # while it is a key
+    held = _MEMO[key]
+    assert (id(held[0]), id(held[1])) == key[1:] and held[2] is product
+    del held
+    assert all(id(a) == ka and id(b) == kb for (_, ka, kb), (a, b, _) in _MEMO.items())
+    # once the memo lets them go, new operands may take the freed ids
+    _MEMO.clear()
+    gc.collect()
+    for k in range(1, 50):
+        a, b = CycNumber(n, [k, 0, 1, 0]), CycNumber(n, [0, k, 0, 1])
+        assert list((a * b).coeffs) == _oracle_mul(list(a.coeffs), list(b.coeffs), n)
+        assert list((a + b).coeffs) == [Fraction(k), Fraction(k), Fraction(1), Fraction(1)]
+        assert list((-a).coeffs) == [Fraction(-k), 0, Fraction(-1), 0]
+
+
+def test_a_certificate_is_unchanged_when_the_tables_clear_every_few_ops(capsys):
+    argv = ["certify", "taft", "--n", "3"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cyclotomic, "_TABLE_BOUND", 3)
+        _MEMO.clear()  # so no op of the first run is a hit
+        _INTERN.clear()
+        assert cli.main(argv) == 0
+        assert len(_MEMO) <= 3 and len(_INTERN) <= 3
+    assert capsys.readouterr().out == expected
+
+
+def test_the_tables_stay_bounded_through_a_certificate(capsys):
+    assert cli.main(["certify", "h8p", "--p", "5"]) == 0
+    capsys.readouterr()
+    assert 0 < len(_MEMO) <= _TABLE_BOUND and 0 < len(_INTERN) <= _TABLE_BOUND
+
 
 # -- the JSON codec -----------------------------------------------------------
 
