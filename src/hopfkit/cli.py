@@ -114,19 +114,12 @@ def _write_json(payload, path) -> bool:
     return True
 
 
-def _hopf_from_json(obj):
-    """hio.hopf_from_json, refusing dim above HOPFKIT_MAX_DIM before anything is allocated."""
-    _check_max_dim(hio.exact_int(obj["dim"], "dim"))
-    return hio.hopf_from_json(obj)
-
-
-# this and _datum_from_file are paused across the whole read, so that no collection
-# between decoding and building walks the JSON tree only to free nothing; the tree is
-# freed when they return
-@hio.collector_paused
 def _load_hopf(path):
+    """The structure file at path, read by hio.load_json, which refuses a dim above
+    HOPFKIT_MAX_DIM before anything is allocated; None, with one stderr line, on any
+    input error."""
     try:
-        return _hopf_from_json(hio.load_json(path))
+        return hio.load_json(path, _check_max_dim)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return None
@@ -271,12 +264,14 @@ def cmd_nichols(args) -> int:
     return 0
 
 
+# paused across the whole read, so that no collection between decoding and building
+# walks the JSON tree only to free nothing; the tree is freed when it returns
 @hio.collector_paused
 def _datum_from_file(path):
     from .ydnichols import YDDatum
 
     obj = hio.load_json(path)
-    L = _hopf_from_json(obj["algebra"])
+    L = hio.hopf_from_json(obj["algebra"], _check_max_dim)
     read = hio.coefficient_reader(L.conductor)
     g, chi = read.sparse(obj["g"]), [read(c) for c in obj["chi"]]
     if len(obj["g"]) != L.dim or len(chi) != L.dim:

@@ -390,13 +390,15 @@ def invariant_report(h: HopfAlgebraData, cd=None) -> tuple[dict, list]:
     filtration = coradical_filtration(h)
     chev, chev_wit = chevalley_check(h)
     trs2 = tr_s_squared(h)
+    s2_order = s_squared_order(h)
     # the dual coradical is J(H)-perp inside H*, since dual(dual_h) is h
     dual_corad = coradical(dual_h).dim
     certs = {
         "coradical_plus_dual_radical": h0.dim + rad_dual.dim == h.dim,
         "dual_coradical_plus_radical": dual_corad + rad.dim == h.dim,
         "semisimple_routes_agree": (rad.dim == 0) == (not trs2.is_zero()),
-        "cosemisimple_routes_agree": (rad_dual.dim == 0) == (len(filtration) == 1),
+        # Larson-Radford in characteristic zero: J(H*) = 0 iff S^2 = id iff Tr(S^2) != 0
+        "cosemisimple_routes_agree": (rad_dual.dim == 0) == (s2_order == 1) == (not trs2.is_zero()),
     }
     glcount = 0
     orders = []
@@ -441,7 +443,7 @@ def invariant_report(h: HopfAlgebraData, cd=None) -> tuple[dict, list]:
         "chevalley": chev,
         "chevalley_witness": chev_wit,
         "antipode_order": antipode_order(h),
-        "s_squared_order": s_squared_order(h),
+        "s_squared_order": s2_order,
         "distinguished_grouplike_index": dist_idx,
         "distinguished_grouplike_label": dist_label,
         "skew_primitive_dims": skew_dims,

@@ -22,11 +22,22 @@ so a zero is dropped by identity: `is_zero` runs once per distinct str
 value, not once per entry.  The comult entries, read one by one, drop their
 zeros the same way.
 
+`load_json(path, check_dim)` reads a structure file in one pass over its
+text and never holds its mult array as a tree: the top-level members are
+walked with json's own scanstring, WHITESPACE and scan_once, every member
+but mult is decoded whole, and hopf_from_json takes each product [i, j, vec]
+as it is decoded.  The products are most of a file (some 64k coefficient
+dicts at h8p p = 5), so a read holds the text, one product and the
+structure built so far.  A file hopfkit did not write (members out of
+order or given twice, a BOM, trailing data) and any error send the text
+through json.loads and hopf_from_json instead, so every value, error line
+and exit code is the tree route's.
+
 `load_json` and `hopf_from_json` run with the cyclic garbage collector
 paused by `collector_paused` (turned back on only if it was on), and so
 does the command line's read of a structure or datum file, from decoding to
-freeing the tree.  Decoding a file builds some 100k dicts and lists, each
-of which counts towards the collector's next pass, but neither the JSON tree
+freeing the tree.  Decoding a tree builds many dicts and lists, each of
+which counts towards the collector's next pass, but neither the JSON tree
 nor the structure built from it holds a reference cycle, so those passes
 free nothing.
 
@@ -51,6 +62,7 @@ from __future__ import annotations
 import gc
 import json
 from functools import wraps
+from json.decoder import WHITESPACE, scanstring
 from json.encoder import encode_basestring_ascii
 from math import isqrt
 
@@ -254,10 +266,13 @@ def _check_indices(dim, *indices):
 
 
 @collector_paused
-def hopf_from_json(obj: dict) -> HopfAlgebraData:
+def hopf_from_json(obj: dict, check_dim=None) -> HopfAlgebraData:
     """The structure a file describes: a product e_i e_j given twice is a ValueError, and
-    the comult entries at one (i, j, k) are summed, a zero sum dropped."""
+    the comult entries at one (i, j, k) are summed, a zero sum dropped.  check_dim(dim),
+    if given, runs on the file's dim before anything is allocated."""
     dim = exact_int(obj["dim"], "dim")
+    if check_dim is not None:
+        check_dim(dim)
     if dim < 1:
         # so at least the antipode's entries check the conductor against their count
         raise ValueError(f"dim {dim} is not positive")
@@ -506,15 +521,87 @@ def dump_json(obj, path):
         fh.write("\n")
 
 
+_scan = json.JSONDecoder().scan_once  # json.loads's own decoder of one value
+
+
+def _stream_structure(s, check_dim):
+    """hopf_from_json(json.loads(s), check_dim), with each product of mult decoded only
+    as hopf_from_json takes it, so mult is never a tree.  s must be one object whose
+    members are each given once, dim and conductor before mult, as in every file
+    hopfkit writes; any other text, and any error, raises some exception (which one
+    is not meaningful)."""
+    obj = {}
+
+    def skip(idx):
+        return WHITESPACE.match(s, idx).end()
+
+    def expect(idx, char):
+        if s[idx:idx + 1] != char:
+            raise ValueError(f"{char!r} expected at {idx}")
+        return skip(idx + 1)
+
+    def walk():
+        # puts each member in obj, but yields once at mult and then each product
+        idx = expect(skip(0), "{")
+        while True:
+            if s[idx:idx + 1] != '"':
+                raise ValueError(f"member name expected at {idx}")
+            key, idx = scanstring(s, idx + 1)
+            if key in obj:
+                raise ValueError(f"{key!r} given twice")
+            idx = expect(skip(idx), ":")
+            if key == "mult":
+                yield
+                idx = expect(idx, "[")
+                if s[idx:idx + 1] != "]":
+                    while True:
+                        product, idx = _scan(s, idx)
+                        yield product
+                        idx = skip(idx)
+                        if s[idx:idx + 1] != ",":
+                            break
+                        idx = skip(idx + 1)
+                idx = expect(idx, "]")
+            else:
+                obj[key], idx = _scan(s, idx)
+                idx = skip(idx)
+            if s[idx:idx + 1] != ",":
+                break
+            idx = skip(idx + 1)
+        if expect(idx, "}") != len(s):
+            raise ValueError("data after the object")
+
+    products = walk()
+    next(products)  # every member before mult is read
+    obj["mult"] = products
+    try:
+        return hopf_from_json(obj, check_dim)
+    finally:
+        products.close()  # frees its frame, which holds obj, which holds products
+
+
 @collector_paused
-def load_json(path):
+def load_json(path, check_dim=None):
     """A JSON file whose top level is an object; anything else, nesting too deep
-    to parse included, is a ValueError."""
+    to parse included, is a ValueError.
+
+    Given check_dim, the file is a structure file and the value is
+    hopf_from_json(obj, check_dim) of its object obj, read by
+    _stream_structure without building mult as a tree.  Where that route
+    gives up, on a file hopfkit did not write or on any error, the text is
+    read again as obj, so every value and error is the tree route's.
+    """
     with open(path) as fh:
+        text = fh.read()
+    if check_dim is not None:
         try:
-            obj = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+            return _stream_structure(text, check_dim)
+        except Exception:  # the tree route below reads it, or raises its own error
+            pass
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: top level is a JSON {type(obj).__name__}, not an object")
-    return obj
+    return obj if check_dim is None else hopf_from_json(obj, check_dim)

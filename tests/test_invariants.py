@@ -292,6 +292,22 @@ def test_derived_objects_are_computed_once_per_algebra(monkeypatch):
     assert coradical(h) is coradical(h)
 
 
+@pytest.mark.parametrize("name, params, wrong_order", [
+    ("taft", {"n": 3}, 1),  # not cosemisimple: ord S^2 = 3
+    ("a4p", {"p": 3}, 2),  # cosemisimple: S^2 = id
+])
+def test_cosemisimple_routes_agree_reads_false_on_a_wrong_s_squared_order(
+        monkeypatch, name, params, wrong_order):
+    from hopfkit import invariants
+
+    h, _ = build(name, **params)
+    assert invariants.invariant_report(h)[0]["certificates"]["cosemisimple_routes_agree"]
+    monkeypatch.setattr(invariants, "s_squared_order", lambda h: wrong_order)
+    certs = invariants.invariant_report(h)[0]["certificates"]
+    assert not certs["cosemisimple_routes_agree"]
+    assert certs["semisimple_routes_agree"]
+
+
 # -- dual modules checked on the coalgebra side --------------------------------
 
 

@@ -6,11 +6,13 @@ import gc
 import json
 import os
 import tempfile
+import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build, dense, same_tensors
@@ -239,15 +241,18 @@ def _coefficient_objects(obj):
             yield from _coefficient_objects(v)
 
 
-def test_codec_works_once_per_distinct_value(monkeypatch):
+def test_codec_works_once_per_distinct_value(monkeypatch, tmp_path):
     h = bosonize(named_datum("a4p-chi2", 3))
     payload = json.loads(json.dumps(hio.hopf_to_json(h)))
+    path = tmp_path / "h.json"
+    hio.dump_json(payload, path)
     objs = list(_coefficient_objects(payload))
     distinct = {json.dumps(o, sort_keys=True) for o in objs}
     assert len(objs) > 1000 * len(distinct)
 
     built, formatted, zero_tests = [], [], []
     init, to_json, is_zero = CycNumber.__init__, hio.cyc_to_json, CycNumber.is_zero
+    loads = json.loads
 
     def counting_init(self, *args):
         built.append(args)
@@ -261,18 +266,28 @@ def test_codec_works_once_per_distinct_value(monkeypatch):
         zero_tests.append(gc.isenabled())
         return is_zero(self)
 
+    def streamed():  # with no second reading as a tree
+        monkeypatch.setattr(json, "loads", None)
+        try:
+            return hio.load_json(path, _check_nothing)
+        finally:
+            monkeypatch.setattr(json, "loads", loads)
+
     monkeypatch.setattr(CycNumber, "__init__", counting_init)
     monkeypatch.setattr(hio, "cyc_to_json", counting_to_json)
-    monkeypatch.setattr(CycNumber, "is_zero", counting_is_zero)
-    h2 = hio.hopf_from_json(payload)
-    monkeypatch.setattr(CycNumber, "is_zero", is_zero)
-    assert len(built) <= len(distinct)
-    # a zero is told by identity, so the values are tested once each, with the collector off
-    assert 0 < len(zero_tests) <= len(distinct)
-    assert not any(zero_tests)
-    assert hio.hopf_to_json(h2) == payload
-    assert len(formatted) <= len(distinct)
-    assert same_tensors(h2, h)
+    for read in (lambda: hio.hopf_from_json(payload), streamed):
+        for counts in (built, formatted, zero_tests):
+            counts.clear()
+        monkeypatch.setattr(CycNumber, "is_zero", counting_is_zero)
+        h2 = read()
+        monkeypatch.setattr(CycNumber, "is_zero", is_zero)
+        assert len(built) <= len(distinct)
+        # a zero is told by identity, so the values are tested once each, with the collector off
+        assert 0 < len(zero_tests) <= len(distinct)
+        assert not any(zero_tests)
+        assert hio.hopf_to_json(h2) == payload
+        assert len(formatted) <= len(distinct)
+        assert same_tensors(h2, h)
 
 
 def _zero_denominator(payload):
@@ -288,9 +303,19 @@ def test_readers_leave_the_collector_as_the_caller_had_it(tmp_path, caller_enabl
     good, deep = tmp_path / "h.json", tmp_path / "deep.json"
     good.write_text(json.dumps(payload))
     deep.write_text("[" * 100000 + "]" * 100000)
+    bad, mult_first = tmp_path / "bad.json", tmp_path / "mult-first.json"
+    bad.write_text(json.dumps(_zero_denominator(payload)))
+    mult_first.write_text(json.dumps({"mult": payload["mult"], **payload}))
+
+    def load_structure(path):  # streamed, and read again as a tree where that gives up
+        return hio.load_json(path, _check_nothing)
+
     calls = [(hio.load_json, good, None), (hio.hopf_from_json, payload, None),
              (hio.load_json, deep, "nested too deeply"),
-             (hio.hopf_from_json, _zero_denominator(payload), "zero denominator")]
+             (hio.hopf_from_json, _zero_denominator(payload), "zero denominator"),
+             (load_structure, good, None), (load_structure, mult_first, None),
+             (load_structure, deep, "nested too deeply"),
+             (load_structure, bad, "zero denominator")]
     try:
         if not caller_enabled:
             gc.disable()
@@ -301,7 +326,7 @@ def test_readers_leave_the_collector_as_the_caller_had_it(tmp_path, caller_enabl
                 with pytest.raises(ValueError, match=error):
                     f(arg)
             assert gc.isenabled() is caller_enabled, f.__name__
-        for path in (good, deep):  # the command line's read, decoding to freeing the tree
+        for path in (good, deep, bad):  # the command line's read, decoding to freeing the tree
             cli._load_hopf(path)
             assert gc.isenabled() is caller_enabled
     finally:
@@ -514,3 +539,158 @@ def test_repeated_and_zero_comult_entries_read_as_the_clean_file(tmp_path, rewri
                      "--out", str(tmp_path / f"{stem}-dual.json")]) == 0
         written.append((tmp_path / f"{stem}-dual.json").read_bytes())
     assert written[0] == written[1]
+
+
+# -- structure files read as a stream: each product converted as it is decoded
+
+
+def _check_nothing(dim):
+    pass
+
+
+def _same_structure(a, b):
+    return same_tensors(a, b) and a.labels == b.labels
+
+
+@lru_cache(maxsize=None)
+def _pipeline_payloads():
+    """The structures the file-pipeline benchmark writes, as JSON trees."""
+    out = []
+    for family, params in (("taft", {"n": 5}), ("a4p", {"p": 3})):
+        h, _ = build_family(family, params)
+        out += [h, dual(h)]
+    out += [bosonize(named_datum(datum, 3)) for datum in ("fun-dic", "a4p-chi2", "a4p-chi3")]
+    return [json.loads(json.dumps(hio.hopf_to_json(h))) for h in out]
+
+
+_BLANK = st.text(" \t\n\r", max_size=3)
+
+
+@st.composite
+def _layouts(draw):
+    """A structure file in any layout json.dumps gives, top-level keys in any order, with
+    whitespace around the text."""
+    payload = draw(st.sampled_from(_pipeline_payloads()))
+    keys = draw(st.permutations(sorted(payload)))
+    text = json.dumps({k: payload[k] for k in keys},
+                      indent=draw(st.sampled_from([None, 0, 1, 2, "\t", " \r"])),
+                      separators=(draw(_BLANK) + "," + draw(_BLANK),
+                                  draw(_BLANK) + ":" + draw(_BLANK)))
+    return payload, keys, draw(_BLANK) + text + draw(_BLANK)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_layouts())
+def test_streamed_reads_equal_tree_reads_in_any_layout(layout):
+    payload, keys, text = layout
+    tree = hio.hopf_from_json(payload)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "h.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        assert _same_structure(hio.load_json(path, _check_nothing), tree)
+    if keys.index("mult") > max(keys.index("dim"), keys.index("conductor")):
+        # the streamed route itself reads it, with no second reading
+        assert _same_structure(hio._stream_structure(text, None), tree)
+    else:
+        with pytest.raises(KeyError):
+            hio._stream_structure(text, None)
+
+
+def _rewritten(text, edit):
+    """The structure file text after edit(obj), written as hopfkit writes it."""
+    obj = json.loads(text)
+    edit(obj)
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+def _set_conductors(obj, n):
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            if k == "conductor":
+                obj[k] = n
+            else:
+                _set_conductors(v, n)
+    elif isinstance(obj, list):
+        for v in obj:
+            _set_conductors(v, n)
+
+
+_DEEP = "[" * 100000 + "]" * 100000
+
+# taft n = 2 (dim 4, conductor 2) as build writes it, rewritten; the stderr line and
+# exit code of the tree route that read every structure file before the streamed one,
+# "{path}" standing for the file's path
+_MALFORMED = {
+    "truncated": (lambda t: t[:len(t) // 2],
+                  "parse error: Expecting value: line 304 column 5 (char 3043)", 2),
+    "trailing-data": (lambda t: t + "[]",
+                      "parse error: Extra data: line 603 column 1 (char 6086)", 2),
+    "bom": (lambda t: "\ufeff" + t, "parse error: Unexpected UTF-8 BOM (decode using "
+            "utf-8-sig): line 1 column 1 (char 0)", 2),
+    # the last value of a key given twice is the one read
+    "duplicate-key": (lambda t: t.rstrip()[:-1] + ', "labels": 7}',
+                      "parse error: labels are not a list of strings", 2),
+    "duplicate-key-last-good": (lambda t: t.replace("{", '{"dim": 0, ', 1), None, 0),
+    "dim-again-after-mult": (lambda t: t.rstrip()[:-1] + ', "dim": 5}',
+                             "parse error: product e_0 e_0 has 4 coefficients, not 5", 2),
+    "mult-first": (lambda t: json.dumps({"mult": json.loads(t)["mult"], **json.loads(t)}),
+                   None, 0),
+    "product-twice": (lambda t: _rewritten(t, lambda o: o["mult"].append(o["mult"][3])),
+                      "parse error: product e_0 e_3 is given twice", 2),
+    "wrong-length": (lambda t: _rewritten(t, lambda o: o["mult"][5][2].pop()),
+                     "parse error: product e_1 e_1 has 3 coefficients, not 4", 2),
+    "exponent": (lambda t: _rewritten(t, lambda o: o["mult"][7][2][0]["coeffs"].__setitem__(
+        0, "1e999999999")), "parse error: coefficient '1e999999999' has an exponent: give it "
+        "as num/den", 2),
+    "huge-conductor": (lambda t: _rewritten(t, lambda o: _set_conductors(o, 10 ** 30)),
+                       "parse error: conductor 1000000000000000000000000000000 is too large "
+                       "for 1 coefficients", 2),
+    "over-max-dim": (lambda t: t, "parse error: dimension 4 exceeds HOPFKIT_MAX_DIM=3", 2),
+    "too-deep": (lambda t: t.replace("{", '{"deep": ' + _DEEP + ",", 1),
+                 "parse error: {path}: JSON nested too deeply to parse", 2),
+    "too-deep-product": (lambda t: t.replace('"mult": [', '"mult": [' + _DEEP + ",", 1),
+                         "parse error: {path}: JSON nested too deeply to parse", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_structure_files_keep_the_tree_routes_error(tmp_path, capsys, monkeypatch,
+                                                               case):
+    edit, line, code = _MALFORMED[case]
+    clean, path = tmp_path / "h.json", tmp_path / "bad.json"
+    assert main(["build", "taft", "--n", "2", "--out", str(clean)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(clean)]) == 0
+    passed = capsys.readouterr().out
+    path.write_text(edit(clean.read_text()))
+    if case == "over-max-dim":
+        monkeypatch.setenv("HOPFKIT_MAX_DIM", "3")
+    assert main(["verify", str(path)]) == code
+    out, err = capsys.readouterr()
+    if line is None:
+        assert (out, err) == (passed, "")
+    else:
+        assert (out, err) == ("", line.format(path=path) + "\n")
+
+
+def test_streamed_read_holds_under_half_the_memory_of_the_tree_read(tmp_path):
+    path = tmp_path / "boson.json"
+    hio.dump_json(hio.hopf_to_json(bosonize(named_datum("a4p-chi2", 3))), path)
+
+    def tree_read():
+        with open(path) as fh:
+            return hio.hopf_from_json(json.load(fh))
+
+    def peak(read):
+        tracemalloc.start()
+        try:
+            read()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    streamed = cli._load_hopf(path)
+    assert _same_structure(streamed, tree_read())  # and every memo warmed on both routes
+    tree_peak, streamed_peak = peak(tree_read), peak(lambda: cli._load_hopf(path))
+    assert streamed_peak < tree_peak / 2, (streamed_peak, tree_peak)
