@@ -40,6 +40,8 @@ from .ydnichols import (
 
 # integer guards read from the environment, with their defaults; main checks them
 GUARDS = {"HOPFKIT_MAX_DIM": 64, "HOPFKIT_NICHOLS_GUARD_MB": 512}
+# the largest N of `nichols --qline N`: a value in Q(zeta_N) holds phi(N) integers
+QLINE_MAX_ORDER = 100_000
 
 
 def _guard(name: str) -> int:
@@ -51,6 +53,13 @@ def _check_max_dim(dim: int) -> None:
     max_dim = _guard("HOPFKIT_MAX_DIM")
     if dim > max_dim:
         raise ValueError(f"dimension {dim} exceeds HOPFKIT_MAX_DIM={max_dim}")
+
+
+def _gamma4p_module(p, cls, rep):
+    """yd_module_gamma4p(p, ...), with the order 4p of k[Gamma_4p] refused above
+    HOPFKIT_MAX_DIM before p is factored, as `build gamma4p` refuses it."""
+    _check_max_dim(4 * p)
+    return yd_module_gamma4p(p, cls, rep)
 
 
 class _FamilyParams(dict):
@@ -231,6 +240,8 @@ def cmd_nichols(args) -> int:
                 n, k = (int(x) for x in args.qline.split(":"))
             else:
                 n, k = int(args.qline), 1
+            if n > QLINE_MAX_ORDER:
+                raise ValueError(f"quantum line order {n} exceeds {QLINE_MAX_ORDER}")
             c = {(0, 0): {(0, 0): root_of_unity(n, k)}}
             v = 1
             label = f"qline({n},{k})"
@@ -239,7 +250,7 @@ def cmd_nichols(args) -> int:
                 raise ValueError("give --qline, or --class and --rep")
             cls = _parse_colon(args.cls, "--class")
             rep = _parse_colon(args.rep, "--rep")
-            mod = yd_module_gamma4p(args.p, cls, rep)
+            mod = _gamma4p_module(args.p, cls, rep)
             ok, why = verify_yd(mod)
             if not ok:
                 print(f"module fails the Yetter-Drinfeld axiom: {why}", file=sys.stderr)
@@ -297,7 +308,7 @@ def cmd_yd_verify(args) -> int:
                 raise ValueError("give --file, --datum, or --class and --rep")
             cls = _parse_colon(args.cls, "--class")
             rep = _parse_colon(args.rep, "--rep")
-            mod = yd_module_gamma4p(5 if args.p is None else args.p, cls, rep)
+            mod = _gamma4p_module(5 if args.p is None else args.p, cls, rep)
             label, (ok, why) = mod.label, verify_yd(mod)
         braid = braid_equation_check(braiding(mod), mod.dim) if ok and mod is not None else None
     except (ValueError, OSError, KeyError, TypeError) as e:

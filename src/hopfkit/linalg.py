@@ -21,13 +21,12 @@ sparse column with no product by a factor that is the canonical
 CycNumber.one(N).
 
 `Matrix` is dense and is only the input of `rank` and `nullspace`
-(`jacobson_radical`'s Gram matrix) and the quantum symmetrizer columns that
-`ydnichols.symmetrizer` builds, v^n rows (about 2000 at most under the
-default memory guard) by the columns that `nichols_dims` ranks, which only
-perfbench's tracer reads.  It stays dense because the tracer reads the
-`rows`, `cols` and `entries` of those, and it keeps `__mul__`, which no code
-here calls, because the tracer wraps that method by name.  The hand-off to
-the elimination skips the Matrix's shared zero fill untested.  There is no
+(`jacobson_radical`'s Gram matrix).  It stays dense because perfbench's
+tracer reads its `rows`, `cols` and `entries` (and those of the quantum
+symmetrizer, whose dense rows `ydnichols.SymmetrizerColumns` builds only
+when they are read), and it keeps `__mul__`, which no code here calls,
+because the tracer wraps that method by name.  The hand-off to the elimination skips
+the Matrix's shared zero fill untested.  There is no
 dense `solve` and no `kron`: the tests keep their own dense oracles.
 """
 

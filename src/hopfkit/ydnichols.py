@@ -8,13 +8,12 @@ hit zero within the cutoff.
 from __future__ import annotations
 
 import operator
-from itertools import product
 
 from .cyclotomic import CycNumber, root_of_unity
 from .groups import FiniteGroup, cyclic_group, gamma4p_ell, gamma4p_group
 from .hopf import (HopfAlgebraData, is_grouplike, least_power, multiplicative, verify_hopf,
                    witness_failures)
-from .linalg import Matrix, accumulate, add_scaled, compose_columns, independent, outer
+from .linalg import accumulate, add_scaled, compose_columns, independent, outer
 from .presentation import group_algebra_hopf
 from .repsolver import RepModule, action_witnesses, module_from_gen_mats
 
@@ -25,7 +24,7 @@ from .repsolver import RepModule, action_witnesses, module_from_gen_mats
 
 
 class YDModule:
-    __slots__ = ("group", "conductor", "dim", "action", "grading", "label")
+    __slots__ = ("group", "conductor", "dim", "action", "grading", "label", "_mats")
 
     def __init__(self, group: FiniteGroup, conductor: int, dim: int, action: dict, grading: list,
                  label: str = ""):
@@ -35,12 +34,19 @@ class YDModule:
         self.action = action    # generator name -> its action as sparse columns
         self.grading = grading  # basis index -> group element
         self.label = label
+        self._mats = None
 
     def element_matrices(self) -> list:
-        """The action of each of group.elements, as sparse columns, in that order."""
-        grp = self.group
-        return module_from_gen_mats(self.dim, self.conductor, [grp.word(g) for g in grp.elements],
-                                    self.action, self.label).action
+        """The action of each of group.elements, as sparse columns, in that order.
+
+        Built on the first call and kept: verify_yd and braiding both read it.
+        """
+        if self._mats is None:
+            grp = self.group
+            self._mats = module_from_gen_mats(self.dim, self.conductor,
+                                              [grp.word(g) for g in grp.elements],
+                                              self.action, self.label).action
+        return self._mats
 
 
 def verify_yd(mod: YDModule):
@@ -147,24 +153,40 @@ def _conductor(c: dict) -> int:
     return next((val.conductor for col in c.values() for val in col.values()), 1)
 
 
-def _apply_braiding(c: dict, vec: dict, i: int) -> dict:
-    """c acting on letters i, i+1 (from 0) of a sparse vector {word tuple: value}."""
+def _pair_table(c: dict, v: int) -> dict:
+    """c on coded letter pairs: {r v + t: [(s v + u, value), ...]}."""
+    return {r * v + t: [(s * v + u, a) for (s, u), a in col.items()] for (r, t), col in c.items()}
+
+
+def _apply_braiding(pairs: dict, v2: int, vec: dict, place: int) -> dict:
+    """c acting on two adjacent letters of a sparse vector {word code: value}.
+
+    A word codes to its base-v value, first letter most significant, so the
+    letters i, i+1 (from 0) of a word of length n sit at place v^(n-2-i).
+    pairs is _pair_table(c, v) and v2 = v * v: a word w's pair there is
+    (w // place) % v2, and each pair' of its column makes the word
+    w + (pair' - pair) place.
+    """
     out: dict = {}
     for w, a in vec.items():
-        head, tail = w[:i], w[i + 2:]
-        for pair, b in c.get(w[i:i + 2], {}).items():
-            accumulate(out, head + pair + tail, a * b)
+        pair = w // place % v2
+        col = pairs.get(pair)
+        if col:
+            base = w - pair * place
+            for new, b in col:
+                accumulate(out, base + new * place, a * b)
     return out
 
 
 def braid_equation_check(c: dict, v: int) -> bool:
     """c_1 c_2 c_1 = c_2 c_1 c_2 on V^(x)3, compared column by column."""
     one = CycNumber.one(_conductor(c))
-    for w in product(range(v), repeat=3):
+    pairs = _pair_table(c, v)
+    for w in range(v ** 3):
         lhs = rhs = {w: one}
         for i in (0, 1, 0):
-            lhs = _apply_braiding(c, lhs, i)
-            rhs = _apply_braiding(c, rhs, 1 - i)
+            lhs = _apply_braiding(pairs, v * v, lhs, v ** (1 - i))
+            rhs = _apply_braiding(pairs, v * v, rhs, v ** i)
         if lhs != rhs:
             return False
     return True
@@ -368,58 +390,82 @@ def default_cutoff(v: int) -> int:
     return 3
 
 
-def symmetrizer(c: dict, v: int, n: int, columns: dict | None = None) -> Matrix:
+class SymmetrizerColumns:
+    """Some columns of a rows x len(columns) matrix, each a sparse dict
+    {row: value}, with the dense rows `entries` built on their first read.
+
+    Only perfbench's tracer and the tests' dense oracles read `entries`,
+    until ROADMAP E and H, so a run that nothing traces allocates no dense
+    row.
+    """
+
+    __slots__ = ("rows", "cols", "conductor", "columns", "_entries")
+
+    def __init__(self, rows: int, conductor: int, columns: list):
+        self.rows = rows
+        self.cols = len(columns)
+        self.conductor = conductor
+        self.columns = columns
+        self._entries = None
+
+    @property
+    def entries(self) -> list:
+        if self._entries is None:
+            z = CycNumber.zero(self.conductor)
+            rows = [[z] * self.cols for _ in range(self.rows)]
+            for j, col in enumerate(self.columns):
+                for u, a in col.items():
+                    rows[u][j] = a
+            self._entries = rows
+        return self._entries
+
+
+def symmetrizer(c: dict, v: int, n: int, columns: dict | None = None) -> SymmetrizerColumns:
     """Sum of T_w over the symmetric group, one column per word, by the
     shuffle factorization
     S_n = (1 + c_(n-1) + c_(n-2)c_(n-1) + ... + c_1...c_(n-1)) . (S_(n-1) (x) id).
 
     Column w'x starts from S_(n-1) e_w' (x) e_x; each further term is the
     previous one with one more c applied, one position to the left, so the
-    column costs n - 1 sparse applications of c.  Nothing assumes the
-    braiding is monomial.  `columns`, the sparse columns {word: column} of
-    some words of one length up to n, is grown in place to degree n, each
-    column w into the columns wx, one shuffle step per degree (from all of
-    degree 0 if not given, so that all of S_n is built).
+    column costs n - 1 sparse applications of c (`_apply_braiding`, on
+    words coded as their base-v values, which are also the rows).  Nothing
+    assumes the braiding is monomial.  `columns`, the sparse columns
+    {word: {row: value}} of some words of one length up to n, is grown in
+    place to degree n, each column w into the columns wx, one shuffle step
+    per degree (from all of degree 0 if not given, so that all of S_n is
+    built).
 
-    The dense Matrix has v^n rows, each at its word's base-v place, and one
-    column per word of `columns`, in its order: perfbench's tracer reads it
-    until ROADMAP E and H.
+    The result holds those columns, in the order of `columns`, over v^n
+    rows; its dense `entries` are built only when read (see
+    SymmetrizerColumns).
     """
     conductor = _conductor(c)
     if columns is None:
-        columns = {(): {(): CycNumber.one(conductor)}}
+        columns = {(): {0: CycNumber.one(conductor)}}
+    pairs = _pair_table(c, v)
     for m in range(len(next(iter(columns))) + 1, n + 1):
         for w in list(columns):
             col = columns.pop(w)
             for x in range(v):
-                term = {u + (x,): a for u, a in col.items()}
+                term = {u * v + x: a for u, a in col.items()}
                 total = dict(term)
-                for i in range(m - 2, -1, -1):
-                    term = _apply_braiding(c, term, i)
+                for i in range(m - 1):
+                    term = _apply_braiding(pairs, v * v, term, v ** i)
                     for u, a in term.items():
                         accumulate(total, u, a)
                 columns[w + (x,)] = total
-    index = _word_places(v, n)
-    out = Matrix(len(index), len(columns), conductor)
-    for j, col in enumerate(columns.values()):
-        for u, a in col.items():
-            out.entries[index[u]][j] = a
-    return out
+    return SymmetrizerColumns(v ** n, conductor, list(columns.values()))
 
 
-def _word_places(v: int, n: int) -> dict:
-    """{word: its base-v value} over the words of length n."""
-    return {w: j for j, w in enumerate(product(range(v), repeat=n))}
-
-
-def matrix_rank(s: Matrix, columns: list) -> list:
+def matrix_rank(s: SymmetrizerColumns, columns: list) -> list:
     """The indices of those of `columns`, the sparse columns of s, that are
     independent of the ones before them (`linalg.independent`); when they
     span im S_n, as many as its rank.
 
     A function of its own so that perfbench's tracer times each degree's
     rank (span ydnichols.rank) and reads s, the columns that are ranked, as
-    its input.  Nothing else reads s until ROADMAP E and H.
+    its input: the tracer's read of s.entries builds the dense rows.
+    Nothing else reads s until ROADMAP E and H.
     """
     return independent(columns)
 
@@ -432,7 +478,9 @@ def nichols_dims(c: dict, v: int, cutoff: int | None = None,
     words whose columns span im S_(n-1), so each degree is one shuffle step
     on them alone.  S_n = T_n (S_(n-1) (x) id) puts im S_n in the span of the
     columns wx with w in W_(n-1), so only those are built and ranked, and the
-    independent ones, W_n, are carried on.
+    independent ones, W_n, are carried on.  A column's keys are its rows'
+    word codes, which `linalg.independent` ranks as they stand; no dense
+    S_n is built unless something reads it.
     """
     if not braid_equation_check(c, v):
         raise ValueError("braiding does not satisfy the braid equation")
@@ -443,7 +491,7 @@ def nichols_dims(c: dict, v: int, cutoff: int | None = None,
     ranks = [1]
     truncated = False
     guard_hit = False
-    columns = {(): {(): CycNumber.one(_conductor(c))}}
+    columns = {(): {0: CycNumber.one(_conductor(c))}}
     for n in range(1, cutoff + 1):
         est_mb = (v ** (2 * n)) * 120 / 1e6
         if est_mb > guard_mb:
@@ -451,10 +499,7 @@ def nichols_dims(c: dict, v: int, cutoff: int | None = None,
             break
         s = symmetrizer(c, v, n, columns)
         words = list(columns)
-        # rows keyed by their words' places: int keys are cheaper to rank
-        index = _word_places(v, n)
-        cols = [{index[u]: a for u, a in col.items()} for col in columns.values()]
-        columns = {words[i]: columns[words[i]] for i in matrix_rank(s, cols)}
+        columns = {words[i]: s.columns[i] for i in matrix_rank(s, s.columns)}
         ranks.append(len(columns))
         if not columns:
             truncated = True

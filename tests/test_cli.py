@@ -827,6 +827,32 @@ def test_yd_verify_refuses_a_datum_algebra_above_the_guard_before_building(tmp_p
     assert capsys.readouterr().err == "error: dimension 12 exceeds HOPFKIT_MAX_DIM=11\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("nichols --qline 1000000000000000003 --cutoff 2",
+     "quantum line order 1000000000000000003 exceeds 100000"),
+    ("nichols --p 1000000000000000009 --class y:1 --rep psi:1 --cutoff 1",
+     "dimension 4000000000000000036 exceeds HOPFKIT_MAX_DIM=64"),
+    ("yd-verify --p 1000000000000000009 --class y:1 --rep psi:1",
+     "dimension 4000000000000000036 exceeds HOPFKIT_MAX_DIM=64"),
+])
+def test_a_huge_prime_or_root_order_is_refused_before_it_is_factored(argv, message):
+    # trial division of these takes far past the timeout; the guards read the number alone
+    env = {k: v for k, v in os.environ.items() if k != "HOPFKIT_MAX_DIM"}
+    proc = subprocess.run([sys.executable, "-m", "hopfkit.cli"] + argv.split(),
+                          env=dict(env, PYTHONPATH=SRC), capture_output=True, text=True,
+                          timeout=5)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+
+
+def test_the_largest_root_order_still_runs(capsys):
+    assert main(["nichols", "--qline", "100000:3", "--cutoff", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["ranks"] == [1, 1]
+    assert main(["nichols", "--qline", "100001", "--cutoff", "1"]) == 2
+    assert capsys.readouterr().err == "error: quantum line order 100001 exceeds 100000\n"
+
+
 def test_certify_command(tmp_path, capsys):
     rc = main(["certify", "taft", "--n", "2", "--json", str(tmp_path / "c.json")])
     assert rc == 0

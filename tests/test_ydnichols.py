@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import pytest
 
@@ -381,18 +382,26 @@ def test_symmetrizer_matches_direct_enumeration():
                 (m.label, n)
 
 
+@pytest.mark.parametrize("q", [CycNumber.from_rational(1, -1), root_of_unity(5, 2)],
+                         ids=["-1", "zeta_5^2"])
+def test_symmetrizer_of_a_quantum_line(q):
+    # at v = 1 every word of one degree codes to 0, the one row of S_n
+    for n in range(6):
+        assert symmetrizer(qline(q), 1, n).entries == symmetrizer_direct(qline(q), 1, n).entries, n
+
+
 @pytest.mark.parametrize("eps", [1, -1], ids=["Jordan", "super Jordan"])
 def test_symmetrizer_of_a_non_monomial_braiding(eps):
     c = jordan_braiding(eps)
     assert braid_equation_check(c, 2)
-    for n in range(5):
+    for n in range(6):
         assert symmetrizer(c, 2, n).entries == symmetrizer_direct(c, 2, n).entries, n
     assert nichols_dims(c, 2, cutoff=4).ranks == [1, 2, 3, 4, 5]
 
 
 def test_carried_columns_grow_to_the_same_symmetrizer():
     c = jordan_braiding(-1)
-    columns = {(): {(): CycNumber.one(1)}}
+    columns = {(): {0: CycNumber.one(1)}}
     for n in range(5):
         assert symmetrizer(c, 2, n, columns).entries == symmetrizer(c, 2, n).entries, n
         assert len(next(iter(columns))) == n
@@ -457,6 +466,48 @@ def test_only_the_carried_columns_are_built(c, v, monkeypatch):
     assert ranks[3] * v < v ** 4
     for s, cols in zip(seen, carried_columns(c, v, 3)):
         assert [list(col) for col in zip(*s.entries)] == cols
+
+
+def test_an_untraced_run_builds_no_dense_symmetrizer(monkeypatch):
+    # only a reader of entries (perfbench's tracer, a dense oracle) builds the v^n dense rows
+    def refuse(s):
+        raise AssertionError("dense rows were built")
+
+    c = braiding(yd_module_gamma4p(5, ("y", 1), ("psi", 1)))
+    monkeypatch.setattr(ydnichols.SymmetrizerColumns, "entries", property(refuse))
+    assert nichols_dims(c, 4, cutoff=5).ranks == [1, 4, 12, 32, 76, 164]
+
+
+def test_degree_5_of_a_y_class_peaks_below_the_dense_symmetrizer():
+    # the dense S_5 alone, 1024 rows by 304 columns of pointers, takes about 2.5 MB;
+    # the carried sparse columns peak near 0.7 MB
+    c = braiding(yd_module_gamma4p(5, ("y", 1), ("psi", 1)))
+    nichols_dims(c, 4, cutoff=5)             # field values interned and memoised first
+    tracemalloc.start()
+    try:
+        nichols_dims(c, 4, cutoff=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6, peak
+
+
+def test_verify_yd_and_braiding_share_the_element_matrices(monkeypatch, capsys):
+    calls = 0
+    build_module = ydnichols.module_from_gen_mats
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return build_module(*args)
+
+    monkeypatch.setattr(ydnichols, "module_from_gen_mats", counting)
+    for argv in (["nichols", "--class", "y:1", "--rep", "psi:1", "--cutoff", "2"],
+                 ["yd-verify", "--class", "x:1", "--rep", "chi:1"]):
+        calls = 0
+        assert cli.main(argv) == 0
+        assert calls == 1, argv
+    capsys.readouterr()
 
 
 # every simple Yetter-Drinfeld module over Gamma_20, as (class, representation)
